@@ -268,16 +268,18 @@ def concat_rows(tensors) -> Tensor:
     return _node("concat_rows", tuple(tensors), lambda *xs: np.concatenate(xs, axis=0), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+def sigmoid_forward(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe logistic function on a plain array."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
-    return _node("sigmoid", (a,), fwd, lambda g, out, x: (g * out * (1.0 - out),))
+
+def sigmoid(a: Tensor) -> Tensor:
+    return _node("sigmoid", (a,), sigmoid_forward, lambda g, out, x: (g * out * (1.0 - out),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -288,27 +290,28 @@ def log(a: Tensor) -> Tensor:
     return _node("log", (a,), np.log, lambda g, out, x: (g / x,))
 
 
+def relu_forward(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
 def relu(a: Tensor) -> Tensor:
-    return _node(
-        "relu",
-        (a,),
-        lambda x: np.maximum(x, 0.0),
-        lambda g, out, x: (g * (x > 0.0),),
-    )
+    return _node("relu", (a,), relu_forward, lambda g, out, x: (g * (x > 0.0),))
 
 
 def square(a: Tensor) -> Tensor:
     return _node("square", (a,), np.square, lambda g, out, x: (2.0 * x * g,))
 
 
+def l2_normalize_rows_forward(x: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+    """Each row of a plain 2-D array over its norm plus eps."""
+    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    return x / (norms + eps)
+
+
 def l2_normalize_rows(a: Tensor, eps: float = NORM_EPS) -> Tensor:
     """Scale each row to unit norm; an all-zero row stays zero (guard eps)."""
     if a.data.ndim != 2:
         raise ShapeError("l2_normalize_rows", a.data.shape)
-
-    def fwd(x):
-        norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-        return x / (norms + eps)
 
     def bwd(g, out, x):
         norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
@@ -318,7 +321,7 @@ def l2_normalize_rows(a: Tensor, eps: float = NORM_EPS) -> Tensor:
         # zero rows: function is flat at the origin under the guard, take 0
         return (np.where(norms > 0.0, gx, 0.0),)
 
-    return _node("l2_normalize_rows", (a,), fwd, bwd)
+    return _node("l2_normalize_rows", (a,), lambda x: l2_normalize_rows_forward(x, eps), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -366,6 +369,21 @@ def _reduce(a: Tensor, kind: str, axis) -> Tensor:
     return _node(kind, (a,), fwd, bwd)
 
 
+def _conv_padding(w: int) -> tuple:
+    pad_left = (w - 1) // 2
+    return pad_left, w - 1 - pad_left
+
+
+def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray) -> np.ndarray:
+    """`depthwise_conv1d` on plain arrays: (T, d) by (d, w) kernel -> (T, d)."""
+    w, t = kv.shape[1], xv.shape[0]
+    xp = np.pad(xv, (_conv_padding(w), (0, 0)))
+    out = np.zeros_like(xv)
+    for j in range(w):
+        out += xp[j : j + t] * kv[:, j]
+    return out
+
+
 def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel 1-D convolution along axis 0 with "same" zero padding.
 
@@ -376,16 +394,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[0]:
         raise ShapeError("depthwise_conv1d", x.data.shape, kernel.data.shape)
     w = kernel.data.shape[1]
-    pad_left = (w - 1) // 2
-    pad_right = w - 1 - pad_left
-
-    def fwd(xv, kv):
-        t = xv.shape[0]
-        xp = np.pad(xv, ((pad_left, pad_right), (0, 0)))
-        out = np.zeros_like(xv)
-        for j in range(w):
-            out += xp[j : j + t] * kv[:, j]
-        return out
+    pad_left, pad_right = _conv_padding(w)
 
     def bwd(g, out, xv, kv):
         t = xv.shape[0]
@@ -397,7 +406,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
             gk[:, j] = np.sum(g * xp[j : j + t], axis=0)
         return (gxp[pad_left : pad_left + t], gk)
 
-    return _node("depthwise_conv1d", (x, kernel), fwd, bwd)
+    return _node("depthwise_conv1d", (x, kernel), depthwise_conv1d_forward, bwd)
 
 
 def one_hot_row(index: int, length: int) -> Tensor:

@@ -185,9 +185,9 @@ def cmd_inspect(cfg) -> int:
     lines = ["video_id,segment,max_logit,role"]
     for entry in manifest.entries:
         seq = manifest.load_sequence(entry)
-        f = model.embed_segments(params, seq.features)
+        f = model.embed_segments(params, seq.features, grad=False)
         logits = model.segment_logits(params, f)
-        rec = pseudo.pseudo_label_video(logits.data, t_n=cfg.t_n, M=cfg.top_m or None,
+        rec = pseudo.pseudo_label_video(logits, t_n=cfg.t_n, M=cfg.top_m or None,
                                         use_probabilities=cfg.use_probabilities)
         for i, role in enumerate(pseudo.segment_roles(rec)):
             lines.append(f"{seq.video_id},{i},{_fmt(rec.max_logits[i])},{role}")

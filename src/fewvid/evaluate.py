@@ -55,7 +55,7 @@ def compute_prototypes(params: model_mod.ModelParams, episode: Episode) -> list:
     remap = episode.class_remap
     sums = {k: [] for k in range(episode.K)}
     for seq in episode.support:
-        f = model_mod.embed_segments(params, seq.features).data
+        f = model_mod.embed_segments(params, seq.features, grad=False)
         sums[remap[seq.class_label]].append(f.mean(axis=0))
     prototypes = []
     for k in range(episode.K):
@@ -77,14 +77,14 @@ def classify_query(params: model_mod.ModelParams, features: np.ndarray, prototyp
     cosines to the prototypes."""
     cfg = cfg or LossConfig()
     proto = np.stack([p.vector for p in prototypes])
-    f = model_mod.embed_segments(params, features)
-    kway = f.data @ proto.T
+    f = model_mod.embed_segments(params, features, grad=False)
+    kway = f @ proto.T
     i_bg = pseudo_label_bg(kway)
     if cfg.sw:
         weights = self_weight(f, i_bg, cfg)
     else:
         weights = model_mod.baseline_attention(params, f)
-    F = aggregate_video_feature(f, weights).data[0]
+    F = aggregate_video_feature(f, weights)[0]
     Fn = F / (np.linalg.norm(F) + 1e-12)
     sims = proto @ Fn
     ex = np.exp(sims - sims.max())
@@ -95,8 +95,8 @@ def classify_query(params: model_mod.ModelParams, features: np.ndarray, prototyp
         probs=probs,
         top1=int(np.argmax(probs)),
         predicted_set=[k for k in range(len(prototypes)) if probs[k] > t_a],
-        f=f.data,
-        weights=weights.data[:, 0],
+        f=f,
+        weights=weights[:, 0],
         i_bg=i_bg,
     )
 
@@ -118,29 +118,46 @@ def tcam(f: np.ndarray, weights: np.ndarray, prototypes: list) -> np.ndarray:
     return np.asarray(weights)[:, None] * (f @ proto.T)
 
 
-def _runs_above(column: np.ndarray, threshold: float):
-    above = column > threshold
-    runs, start = [], None
-    for i, flag in enumerate(above):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(above)))
-    return runs
+def temporal_iou_matrix(a, b) -> np.ndarray:
+    """(len(a), len(b)) tIoU of half-open intervals, 0 where they do not overlap."""
+    a = np.asarray(a).reshape(-1, 2)
+    b = np.asarray(b).reshape(-1, 2)
+    inter = np.minimum(a[:, 1:], b[:, 1]) - np.maximum(a[:, :1], b[:, 0])
+    union = (a[:, 1:] - a[:, :1]) + (b[:, 1] - b[:, 0]) - inter
+    overlap = inter > 0
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
+
+
+def temporal_iou(a, b) -> float:
+    """tIoU of two half-open intervals."""
+    return float(temporal_iou_matrix(a, b)[0, 0])
+
+
+def _runs_above(column: np.ndarray, thresholds) -> np.ndarray:
+    """(n, 2) half-open runs where column > threshold, threshold by threshold
+    and left to right within each."""
+    above = column[None, :] > np.asarray(thresholds)[:, None]
+    padded = np.zeros((above.shape[0], above.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = above
+    edges = np.diff(padded, axis=1)
+    # row-major nonzero pairs the k-th rise with the k-th fall
+    return np.stack([np.nonzero(edges == 1)[1], np.nonzero(edges == -1)[1]], axis=1)
 
 
 def nms(detections: list, tiou_threshold: float = 0.5) -> list:
     """Greedy non-maximum suppression, highest score first; ties keep the
     earlier interval."""
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    if not detections:
+        return []
+    scores = np.array([d.score for d in detections], dtype=np.float64)
+    intervals = [d.interval for d in detections]
+    clashes = temporal_iou_matrix(intervals, intervals) >= tiou_threshold
+    suppressed = np.zeros(len(detections), dtype=bool)
     kept = []
-    for i in order:
-        cand = detections[i]
-        if all(temporal_iou(cand.interval, k.interval) < tiou_threshold for k in kept):
-            kept.append(cand)
+    for i in np.argsort(-scores, kind="stable"):
+        if not suppressed[i]:
+            kept.append(detections[i])
+            suppressed |= clashes[i]
     return kept
 
 
@@ -153,69 +170,77 @@ def extract_proposals(A: np.ndarray, thresholds=DEFAULT_PROPOSAL_THRESHOLDS,
         colmax = column.max()
         if colmax <= 0.0:
             continue
-        candidates = []
-        for theta in thresholds:
-            for start, end in _runs_above(column, theta * colmax):
-                candidates.append(DetectionResult(
-                    video_id=video_id,
-                    class_index=k,
-                    interval=(start, end),
-                    score=float(column[start:end].mean()),
-                ))
+        runs = _runs_above(column, np.asarray(thresholds) * colmax)
+        # a repeated run has its first copy's score and tIoU 1 with it, so
+        # NMS would drop it anyway; drop it before
+        _, first = np.unique(runs[:, 0] * (column.size + 1) + runs[:, 1], return_index=True)
+        candidates = [
+            DetectionResult(
+                video_id=video_id,
+                class_index=k,
+                interval=(start, end),
+                score=float(column[start:end].mean()),
+            )
+            for start, end in runs[np.sort(first)].tolist()
+        ]
         out.extend(nms(candidates, 0.5))
     return out
 
 
-def temporal_iou(a, b) -> float:
-    inter = max(0, min(a[1], b[1]) - max(a[0], b[0]))
-    if inter == 0:
+def _greedy_matches(iou: np.ndarray, tiou_threshold: float) -> np.ndarray:
+    """True positives of detections (rows, best score first) matched one to
+    one to ground truths (columns): each takes its best-overlapping unmatched
+    truth, the first on ties, if that overlap is positive and reaches the
+    threshold."""
+    tp = np.zeros(iou.shape[0])
+    best = iou.max(axis=1)
+    # a row below the threshold everywhere can never match, so skip it
+    rows = np.flatnonzero((best >= tiou_threshold) & (best > 0.0))
+    free = np.ones(iou.shape[1], dtype=bool)
+    for i in rows:
+        open_iou = np.where(free, iou[i], -1.0)
+        j = int(np.argmax(open_iou))
+        if open_iou[j] > 0.0 and open_iou[j] >= tiou_threshold:
+            free[j] = False
+            tp[i] = 1.0
+    return tp
+
+
+def _interpolated_ap(tp: np.ndarray, n_truths: int) -> float:
+    hits = np.flatnonzero(tp)
+    if hits.size == 0:
         return 0.0
-    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
-    return inter / union
+    cum_tp = np.cumsum(tp)
+    precision = cum_tp / np.arange(1, tp.size + 1)
+    recall = cum_tp / n_truths
+    # precision envelope from the right, then rectangle areas at each recall
+    # step, summed left to right
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    steps = np.diff(recall[hits], prepend=0.0) * envelope[hits]
+    return float(np.cumsum(steps)[-1])
 
 
-def average_precision(detections: list, ground_truths: list, tiou_threshold: float):
+def average_precision(detections: list, ground_truths: list, tiou_threshold):
     """All-point interpolated AP with greedy one-to-one matching.
 
     detections: (score, interval) pairs or DetectionResult; ground_truths:
     (video_id-agnostic) intervals. Returns None when there is nothing to
-    detect, so callers can exclude the class from their mean.
+    detect, so callers can exclude the class from their mean. Given a
+    sequence of thresholds, returns one AP per threshold, all matched on one
+    tIoU matrix.
     """
     if not ground_truths:
         return None
-    pairs = []
-    for det in detections:
-        if isinstance(det, DetectionResult):
-            pairs.append((det.score, det.interval))
-        else:
-            pairs.append((float(det[0]), tuple(det[1])))
-    pairs.sort(key=lambda p: -p[0])
-    matched = [False] * len(ground_truths)
-    tp = np.zeros(len(pairs))
-    for i, (_, interval) in enumerate(pairs):
-        best_j, best_iou = -1, 0.0
-        for j, gt in enumerate(ground_truths):
-            if matched[j]:
-                continue
-            iou = temporal_iou(interval, gt)
-            if iou > best_iou:
-                best_j, best_iou = j, iou
-        if best_j >= 0 and best_iou >= tiou_threshold:
-            matched[best_j] = True
-            tp[i] = 1.0
-    if not pairs:
-        return 0.0
-    cum_tp = np.cumsum(tp)
-    precision = cum_tp / np.arange(1, len(pairs) + 1)
-    recall = cum_tp / len(ground_truths)
-    # precision envelope from the right, then sum rectangle areas
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    prev_r, ap = 0.0, 0.0
-    for i in range(len(pairs)):
-        if tp[i]:
-            ap += (recall[i] - prev_r) * envelope[i]
-            prev_r = recall[i]
-    return float(ap)
+    scores = np.array([d.score if isinstance(d, DetectionResult) else float(d[0])
+                       for d in detections], dtype=np.float64)
+    intervals = [d.interval if isinstance(d, DetectionResult) else tuple(d[1])
+                 for d in detections]
+    order = np.argsort(-scores, kind="stable")
+    iou = temporal_iou_matrix(np.asarray(intervals).reshape(-1, 2)[order], ground_truths)
+    thresholds = np.atleast_1d(tiou_threshold)
+    aps = [_interpolated_ap(_greedy_matches(iou, thr), len(ground_truths))
+           for thr in thresholds]
+    return aps if np.ndim(tiou_threshold) else aps[0]
 
 
 def _detections_by_class(detections: list):
@@ -223,6 +248,33 @@ def _detections_by_class(detections: list):
     for det in detections:
         keyed.setdefault(det.class_index, []).append(det)
     return keyed
+
+
+def detection_maps(detections: list, truths: dict, tiou_grid) -> dict:
+    """mAP at each tIoU threshold over classes with ground truth.
+
+    truths maps each class index to its (video_id, interval) pairs; a
+    detection only ever matches a truth of its own video.
+    """
+    by_class = _detections_by_class(detections)
+    per_class = []  # one AP per grid threshold, for each class with truths
+    for k, class_truths in truths.items():
+        if not class_truths:
+            continue
+        # offset each video into its own span so intervals from different
+        # videos never overlap
+        dets = by_class.get(k, [])
+        vids = sorted({v for v, _ in class_truths} | {d.video_id for d in dets})
+        span = 1 + max([iv[1] for _, iv in class_truths] + [d.interval[1] for d in dets])
+        offset = {v: i * span for i, v in enumerate(vids)}
+        gt_shifted = [(iv[0] + offset[v], iv[1] + offset[v]) for v, iv in class_truths]
+        det_shifted = [
+            (d.score, (d.interval[0] + offset[d.video_id], d.interval[1] + offset[d.video_id]))
+            for d in dets
+        ]
+        per_class.append(average_precision(det_shifted, gt_shifted, list(tiou_grid)))
+    return {float(thr): float(np.mean([aps[i] for aps in per_class])) if per_class else 0.0
+            for i, thr in enumerate(tiou_grid)}
 
 
 def episode_detection(params: model_mod.ModelParams, episode: Episode,
@@ -243,28 +295,7 @@ def episode_detection(params: model_mod.ModelParams, episode: Episode,
         all_dets.extend(dets)
         for interval in q.gt_intervals:
             gts[remap[q.class_label]].append((q.video_id, tuple(interval)))
-    by_class = _detections_by_class(all_dets)
-
-    maps = {}
-    for thr in tiou_grid:
-        aps = []
-        for k in range(episode.K):
-            if not gts[k]:
-                continue
-            # matching is per video: offset each video into its own span so
-            # intervals from different queries can never overlap
-            vids = sorted({v for v, _ in gts[k]} | {d.video_id for d in by_class.get(k, [])})
-            span = 1 + max(
-                [iv[1] for _, iv in gts[k]]
-                + [d.interval[1] for d in by_class.get(k, [])], default=0)
-            offset = {v: i * span for i, v in enumerate(vids)}
-            gt_shifted = [(iv[0] + offset[v], iv[1] + offset[v]) for v, iv in gts[k]]
-            det_shifted = [
-                (d.score, (d.interval[0] + offset[d.video_id], d.interval[1] + offset[d.video_id]))
-                for d in by_class.get(k, [])
-            ]
-            aps.append(average_precision(det_shifted, gt_shifted, thr))
-        maps[float(thr)] = float(np.mean(aps)) if aps else 0.0
+    maps = detection_maps(all_dets, gts, tiou_grid)
     map50 = maps[0.5]
     avg_map = float(np.mean([maps[float(t)] for t in tiou_grid]))
     return map50, avg_map, maps

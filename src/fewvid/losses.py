@@ -53,22 +53,30 @@ class LossConfig:
         return self
 
 
-def self_weight(f: ad.Tensor, i_bg: int, cfg: LossConfig = None) -> ad.Tensor:
+def self_weight(f, i_bg: int, cfg: LossConfig = None):
     """(T, 1) weights decreasing in cosine similarity to the BG segment.
 
     weight = sigmoid(tau_s * (1 - c - cos)): exactly 0.5 when cos == 1 - c,
     near 0 for segments that look like the background, near 1 for segments
-    far from it.
+    far from it. A Tensor f gives a graph node; a plain array gives a plain
+    array.
     """
     cfg = cfg or LossConfig()
-    bg_row = ad.one_hot_row(i_bg, f.data.shape[0]) @ f
-    cos = f @ bg_row.T
-    return ad.sigmoid(cfg.tau_s * ((1.0 - cfg.c) - cos))
+    if isinstance(f, ad.Tensor):
+        cos = f @ (ad.one_hot_row(i_bg, f.data.shape[0]) @ f).T
+        sigmoid = ad.sigmoid
+    else:
+        cos = f @ f[i_bg : i_bg + 1].T.copy()  # C-ordered, like the graph's transpose
+        sigmoid = ad.sigmoid_forward
+    return sigmoid(cfg.tau_s * ((1.0 - cfg.c) - cos))
 
 
-def aggregate_video_feature(f: ad.Tensor, weights: ad.Tensor) -> ad.Tensor:
-    """(1, d) convex combination of segment features, weights normalized."""
-    if not np.any(weights.data):
+def aggregate_video_feature(f, weights):
+    """(1, d) convex combination of segment features, weights normalized.
+
+    Takes Tensors or plain arrays, and returns the same kind.
+    """
+    if not np.any(weights.data if isinstance(weights, ad.Tensor) else weights):
         raise ValueError("cannot aggregate with all-zero weights")
     return (weights.T @ f) / weights.sum()
 

@@ -73,26 +73,52 @@ def init_params(n_classes: int, d_in: int, d: int = 64, kernel_width: int = 8,
     )
 
 
-def embed_segments(params: ModelParams, raw) -> ad.Tensor:
-    """(T, d_in) raw features -> (T, d) unit-norm embeddings."""
+def _rows_t(weight: ad.Tensor) -> np.ndarray:
+    # a C-ordered copy of the transpose, as the graph's transpose node makes,
+    # so array products equal the graph's bit for bit
+    return weight.data.T.copy()
+
+
+def embed_segments(params: ModelParams, raw, grad: bool = True):
+    """(T, d_in) raw features -> (T, d) unit-norm embeddings.
+
+    With grad=False the same arithmetic runs on plain arrays and an ndarray
+    comes back, with no autodiff graph behind it.
+    """
+    if not grad:
+        transformed = np.asarray(raw, dtype=np.float64) @ _rows_t(params.transform)
+        mixed = ad.depthwise_conv1d_forward(transformed, params.temporal_kernel.data)
+        return ad.l2_normalize_rows_forward(mixed)
     x = raw if isinstance(raw, ad.Tensor) else ad.Tensor(raw)
     transformed = x @ params.transform.T
     mixed = ad.depthwise_conv1d(transformed, params.temporal_kernel)
     return ad.l2_normalize_rows(mixed)
 
 
-def segment_logits(params: ModelParams, f: ad.Tensor, include_bg_row: bool = False) -> ad.Tensor:
-    """Cosine logits against the class rows; the background row only on request."""
+def segment_logits(params: ModelParams, f, include_bg_row: bool = False):
+    """Cosine logits against the class rows; the background row only on request.
+
+    A Tensor f gives a graph node; a plain array gives a plain array.
+    """
+    n = params.n_classes
+    if not isinstance(f, ad.Tensor):
+        rows = params.classifier.data if include_bg_row else params.classifier.data[:n]
+        return f @ rows.T.copy()
     w = params.classifier
     if not include_bg_row:
-        n = params.n_classes
         selector = np.eye(n + 1)[:n]  # drop the background row
         w = ad.Tensor(selector) @ w
     return f @ w.T
 
 
-def baseline_attention(params: ModelParams, f: ad.Tensor) -> ad.Tensor:
-    """(T, 1) per-segment weights in (0, 1) from a tiny two-layer net."""
+def baseline_attention(params: ModelParams, f):
+    """(T, 1) per-segment weights in (0, 1) from a tiny two-layer net.
+
+    A Tensor f gives a graph node; a plain array gives a plain array.
+    """
+    if not isinstance(f, ad.Tensor):
+        hidden = ad.relu_forward(f @ _rows_t(params.attn_hidden))
+        return ad.sigmoid_forward(hidden @ _rows_t(params.attn_out))
     hidden = ad.relu(f @ params.attn_hidden.T)
     return ad.sigmoid(hidden @ params.attn_out.T)
 
@@ -123,6 +149,8 @@ def load_checkpoint(path):
         raise DataError(f"cannot read checkpoint {path}: {err}") from err
     if blob[:4] != CKPT_MAGIC:
         raise BadMagicError(f"{path}: not a checkpoint file")
+    if len(blob) < 12:
+        raise TruncatedFileError(f"{path}: checkpoint ends inside its fixed header")
     version, header_len = struct.unpack("<II", blob[4:12])
     if version != CKPT_VERSION:
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
@@ -130,6 +158,9 @@ def load_checkpoint(path):
         header = json.loads(blob[12 : 12 + header_len])
     except json.JSONDecodeError as err:
         raise DataError(f"{path}: corrupt checkpoint header: {err}") from err
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("config"), dict)):
+        raise DataError(f"{path}: checkpoint header lacks its tensors list or config")
     at = 12 + header_len
     loaded = {}
     for entry in header["tensors"]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import struct
 import subprocess
 import sys
 
@@ -213,11 +214,46 @@ class TestEval:
         assert "average mAP (tIoU 0.50:0.05:0.95):" in out
         assert csv.read_text().startswith("episode,map50,avg_map")
 
+    def test_eval_det_deterministic_bytes(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        blobs = []
+        for name in ("a.csv", "b.csv"):
+            path = tmp_path / name
+            assert run(["eval-det", "--config", str(cfg_path), "--out", str(path)], capsys)[0] == 0
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_eval_det_jobs_matches_sequential(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        seq = tmp_path / "seq.csv"
+        par = tmp_path / "par.csv"
+        assert run(["eval-det", "--config", str(cfg_path), "--out", str(seq)], capsys)[0] == 0
+        assert run(["eval-det", "--config", str(cfg_path), "--out", str(par),
+                    "--jobs", "2"], capsys)[0] == 0
+        assert seq.read_bytes() == par.read_bytes()
+
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
         code, _, err = run(["eval-cls", "--config", str(cfg_path),
                             "--ckpt", str(tmp_path / "no.ckpt")], capsys)
         assert code == 2
+
+    def test_checkpoint_shorter_than_fixed_header_exits_2(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(b"FVCP\x01\x00")
+        code, _, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
+        assert code == 2
+        assert "data error" in err
+
+    def test_checkpoint_header_without_tensors_exits_2(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        header = b'{"config": {}}'
+        ckpt = tmp_path / "headless.ckpt"
+        ckpt.write_bytes(b"FVCP" + struct.pack("<II", 1, len(header)) + header)
+        code, _, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
+        assert code == 2
+        assert "tensors" in err
 
 
 class TestGradCheck:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fewvid import data, evaluate, model
 from fewvid.errors import DataError
@@ -444,3 +444,205 @@ class TestMeanCi:
 
     def test_single_episode(self):
         assert evaluate.mean_ci([0.5]) == (0.5, 0.0)
+
+
+# --- loop oracles -----------------------------------------------------------
+# The scoring code as plain Python loops, one temporal_iou call per pair and
+# the matching re-run at every threshold. The array code must reproduce it
+# exactly: same intervals, same order, same float bits.
+
+
+def loop_runs_above(column, threshold):
+    above = column > threshold
+    runs, start = [], None
+    for i, flag in enumerate(above):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(above)))
+    return runs
+
+
+def loop_nms(detections, tiou_threshold=0.5):
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    kept = []
+    for i in order:
+        cand = detections[i]
+        if all(oracle_iou(cand.interval, k.interval) < tiou_threshold for k in kept):
+            kept.append(cand)
+    return kept
+
+
+def loop_extract_proposals(A, thresholds=evaluate.DEFAULT_PROPOSAL_THRESHOLDS, video_id=""):
+    out = []
+    for k in range(A.shape[1]):
+        column = A[:, k]
+        colmax = column.max()
+        if colmax <= 0.0:
+            continue
+        candidates = []
+        for theta in thresholds:
+            for start, end in loop_runs_above(column, theta * colmax):
+                candidates.append(evaluate.DetectionResult(
+                    video_id, k, (start, end), float(column[start:end].mean())))
+        out.extend(loop_nms(candidates, 0.5))
+    return out
+
+
+def loop_average_precision(detections, ground_truths, tiou_threshold):
+    if not ground_truths:
+        return None
+    pairs = [(float(s), tuple(iv)) for s, iv in detections]
+    pairs.sort(key=lambda p: -p[0])
+    matched = [False] * len(ground_truths)
+    tp = np.zeros(len(pairs))
+    for i, (_, interval) in enumerate(pairs):
+        best_j, best_iou = -1, 0.0
+        for j, gt in enumerate(ground_truths):
+            if matched[j]:
+                continue
+            iou = oracle_iou(interval, gt)
+            if iou > best_iou:
+                best_j, best_iou = j, iou
+        if best_j >= 0 and best_iou >= tiou_threshold:
+            matched[best_j] = True
+            tp[i] = 1.0
+    if not pairs:
+        return 0.0
+    cum_tp = np.cumsum(tp)
+    precision = cum_tp / np.arange(1, len(pairs) + 1)
+    recall = cum_tp / len(ground_truths)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    prev_r, ap = 0.0, 0.0
+    for i in range(len(pairs)):
+        if tp[i]:
+            ap += (recall[i] - prev_r) * envelope[i]
+            prev_r = recall[i]
+    return float(ap)
+
+
+def loop_detection_maps(detections, truths, tiou_grid):
+    by_class = {}
+    for det in detections:
+        by_class.setdefault(det.class_index, []).append(det)
+    maps = {}
+    for thr in tiou_grid:
+        aps = []
+        for k in range(len(truths)):
+            if not truths[k]:
+                continue
+            vids = sorted({v for v, _ in truths[k]} | {d.video_id for d in by_class.get(k, [])})
+            span = 1 + max(
+                [iv[1] for _, iv in truths[k]]
+                + [d.interval[1] for d in by_class.get(k, [])], default=0)
+            offset = {v: i * span for i, v in enumerate(vids)}
+            gt_shifted = [(iv[0] + offset[v], iv[1] + offset[v]) for v, iv in truths[k]]
+            det_shifted = [
+                (d.score, (d.interval[0] + offset[d.video_id], d.interval[1] + offset[d.video_id]))
+                for d in by_class.get(k, [])
+            ]
+            aps.append(loop_average_precision(det_shifted, gt_shifted, thr))
+        maps[float(thr)] = float(np.mean(aps)) if aps else 0.0
+    return maps
+
+
+# small ranges so that duplicate intervals and tied scores are common
+intervals = st.builds(lambda s, n: (s, s + n), st.integers(0, 8), st.integers(1, 4))
+scores = st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(-1.0, 1.0))
+activations = st.sampled_from([-0.5, 0.0, 0.2, 0.4, 0.5, 0.8, 1.0])
+grid_thresholds = st.sampled_from([0.0, 0.3] + [float(t) for t in evaluate.MAP_TIOU_GRID])
+
+
+class TestLoopOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(activations, min_size=1, max_size=20),
+           st.lists(st.sampled_from([-0.1, 0.0, 0.1, 0.35, 0.5, 0.9]), max_size=9))
+    def test_runs_above(self, column, thresholds):
+        column = np.array(column)
+        got = [tuple(r) for r in evaluate._runs_above(column, thresholds).tolist()]
+        assert got == [run for t in thresholds for run in loop_runs_above(column, t)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(intervals, scores), max_size=25),
+           st.sampled_from([0.3, 0.5, 0.7, 1.0]))
+    def test_nms(self, items, thr):
+        dets = [evaluate.DetectionResult("v", 0, iv, s) for iv, s in items]
+        assert evaluate.nms(dets, thr) == loop_nms(dets, thr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 4), st.data())
+    def test_extract_proposals(self, T, K, data_):
+        A = np.array(data_.draw(st.lists(activations, min_size=T * K, max_size=T * K)))
+        A = A.reshape(T, K)
+        assert evaluate.extract_proposals(A, video_id="q") == loop_extract_proposals(A, video_id="q")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(scores, intervals), max_size=30),
+           st.lists(intervals, max_size=12), grid_thresholds)
+    # equal overlap with two truths: the first one is taken, so the second
+    # detection still finds (1, 2) free
+    @example([(0.9, (0, 2)), (0.8, (1, 2))], [(0, 1), (1, 2)], 0.5)
+    # twelve hits: summing the AP's rectangles in any order but left to right
+    # changes the last bit
+    @example([(s, (3 * i, 3 * i + 2)) for i, s in enumerate(
+        [0.6, 0.5, 0.3, 0.3, 0.1, 0.1, 0.1, 0.2, 0.8, 0.6, 0.9, 0.5])]
+        + [(0.75, (41, 42))] + [(0.55, (41, 42))] * 3,
+        [(3 * i, 3 * i + 2) for i in range(12)], 0.5)
+    def test_average_precision(self, dets, gts, thr):
+        assert evaluate.average_precision(dets, gts, thr) == loop_average_precision(dets, gts, thr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(scores, intervals), max_size=25), st.lists(intervals, min_size=1, max_size=6))
+    def test_threshold_sequence_equals_one_call_each(self, dets, gts):
+        grid = list(evaluate.MAP_TIOU_GRID)
+        assert evaluate.average_precision(dets, gts, grid) == [
+            evaluate.average_precision(dets, gts, thr) for thr in grid]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_detection_maps(self, K, data_):
+        videos = st.sampled_from(["a", "b", "c"])
+        dets = [evaluate.DetectionResult(v, k, iv, s) for v, k, iv, s in data_.draw(st.lists(
+            st.tuples(videos, st.integers(0, K - 1), intervals, scores), max_size=30))]
+        # some classes get no truths at all
+        truths = {k: data_.draw(st.lists(st.tuples(videos, intervals), max_size=4))
+                  for k in range(K)}
+        grid = evaluate.MAP_TIOU_GRID
+        assert evaluate.detection_maps(dets, truths, grid) == loop_detection_maps(dets, truths, grid)
+
+
+class TestNoGradPath:
+    """The array path evaluation uses equals the autodiff forward bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.integers(1, 12),
+           st.integers(1, 10), st.integers(1, 9))
+    def test_equals_autodiff_forward(self, seed, T, d_in, d, width):
+        from fewvid import autodiff as ad
+        from fewvid.losses import aggregate_video_feature, self_weight
+
+        p = model.init_params(n_classes=3, d_in=d_in, d=d, kernel_width=width, seed=seed)
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(T, d_in)).astype(np.float32)
+        i_bg = int(rng.integers(0, T))
+
+        graph = model.embed_segments(p, raw)
+        f = model.embed_segments(p, raw, grad=False)
+        np.testing.assert_array_equal(f, graph.data)
+        for bg_row in (False, True):
+            np.testing.assert_array_equal(model.segment_logits(p, f, bg_row),
+                                          model.segment_logits(p, graph, bg_row).data)
+        w_graph = self_weight(graph, i_bg)
+        w = self_weight(f, i_bg)
+        np.testing.assert_array_equal(w, w_graph.data)
+        np.testing.assert_array_equal(aggregate_video_feature(f, w),
+                                      aggregate_video_feature(graph, w_graph).data)
+        attn_graph = model.baseline_attention(p, graph)
+        attn = model.baseline_attention(p, f)
+        np.testing.assert_array_equal(attn, attn_graph.data)
+        np.testing.assert_array_equal(aggregate_video_feature(f, attn),
+                                      aggregate_video_feature(graph, attn_graph).data)
+        assert isinstance(graph, ad.Tensor) and not isinstance(f, ad.Tensor)

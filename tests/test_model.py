@@ -1,11 +1,13 @@
 """Embedding head, cosine classifier, attention net, checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from fewvid import autodiff as ad
 from fewvid import model
-from fewvid.errors import BadMagicError, DataError, VersionError
+from fewvid.errors import BadMagicError, DataError, TruncatedFileError, VersionError
 
 
 def tiny_params(d=2, d_in=2, n_classes=2, width=4):
@@ -160,6 +162,19 @@ class TestCheckpoint:
         blob[4] = 9
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
+            model.load_checkpoint(path)
+
+    def test_shorter_than_fixed_header(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"FVCP\x01\x00\x00\x00\x02")
+        with pytest.raises(TruncatedFileError):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b'{"config": {}}', b'{"tensors": []}', b"[1, 2]"])
+    def test_header_without_tensors_or_config(self, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"FVCP" + struct.pack("<II", 1, len(header)) + header)
+        with pytest.raises(DataError):
             model.load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
