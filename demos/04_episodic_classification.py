@@ -8,30 +8,31 @@ import numpy as np
 
 from fewvid import data, evaluate, losses, train
 
-workdir = Path(tempfile.mkdtemp(prefix="fewvid_demo_"))
-cfg = data.SyntheticConfig(n_base_classes=6, n_novel_classes=5,
-                           videos_per_class=10, T=16, d_in=16,
-                           noise_std=0.4, seed=0)
-data.generate_synthetic_dataset(cfg, workdir)
-base = data.load_manifest(workdir / "base_manifest.jsonl")
-novel = data.load_manifest(workdir / "novel_manifest.jsonl")
+with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
+    workdir = Path(tmp)
+    cfg = data.SyntheticConfig(n_base_classes=6, n_novel_classes=5,
+                               videos_per_class=10, T=16, d_in=16,
+                               noise_std=0.4, seed=0)
+    data.generate_synthetic_dataset(cfg, workdir)
+    base = data.load_manifest(workdir / "base_manifest.jsonl")
+    novel = data.load_manifest(workdir / "novel_manifest.jsonl")
 
-result = train.train_base(base, losses.LossConfig(), d=24, epochs=12, seed=0)
+    result = train.train_base(base, losses.LossConfig(), d=24, epochs=12, seed=0)
 
-# one 3-way 1-shot episode, dissected
-episode = data.sample_episode(novel, K=3, n=1, q=2, seed=[0, 0])
-protos = evaluate.compute_prototypes(result.params, episode)
-print("episode classes:", episode.classes)
-print("prototype norms:", [round(float(np.linalg.norm(p.vector)), 6) for p in protos])
+    # one 3-way 1-shot episode, dissected
+    episode = data.sample_episode(novel, K=3, n=1, q=2, seed=[0, 0])
+    protos = evaluate.compute_prototypes(result.params, episode)
+    print("episode classes:", episode.classes)
+    print("prototype norms:", [round(float(np.linalg.norm(p.vector)), 6) for p in protos])
 
-qseq = episode.queries[0]
-label = qseq.class_label
-verdict = evaluate.classify_query(result.params, qseq.features, protos)
-print("query", qseq.video_id, "true class index", episode.class_remap[label])
-print("class probabilities:", np.round(verdict.probs, 4), "-> top1", verdict.top1)
+    qseq = episode.queries[0]
+    label = qseq.class_label
+    verdict = evaluate.classify_query(result.params, qseq.features, protos)
+    print("query", qseq.video_id, "true class index", episode.class_remap[label])
+    print("class probabilities:", np.round(verdict.probs, 4), "-> top1", verdict.top1)
 
-# aggregate accuracy with a 95% confidence interval over many episodes
-report = evaluate.evaluate(result.params, novel, "classification",
-                           K=3, n=1, q=2, episodes=50, seed=0)
-print(f"\n3-way 1-shot over 50 episodes: "
-      f"{100 * report['accuracy_mean']:.2f} ± {100 * report['accuracy_ci']:.2f}")
+    # aggregate accuracy with a 95% confidence interval over many episodes
+    report = evaluate.evaluate(result.params, novel, "classification",
+                               K=3, n=1, q=2, episodes=50, seed=0)
+    print(f"\n3-way 1-shot over 50 episodes: "
+          f"{100 * report['accuracy_mean']:.2f} ± {100 * report['accuracy_ci']:.2f}")

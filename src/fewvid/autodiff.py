@@ -5,7 +5,8 @@ array and remembers the primitive that produced it, `forward` re-evaluates a
 built graph in place (used by the finite-difference checker), and `backward`
 accumulates adjoints in reverse topological order. Not a general framework:
 only the primitives the training objective needs exist, matmul is strictly
-2-D, and broadcasting is limited to scalar-against-array.
+2-D, and elementwise operands broadcast as in NumPy (a scalar against an
+array, or an (n, 1) column against an (n, k) matrix).
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
     # reductions as methods so the module namespace keeps the builtins
-    def sum(self, axis=None) -> "Tensor":
-        return _reduce(self, "sum", axis)
+    def sum(self, axis=None, keepdims=False) -> "Tensor":
+        return _reduce(self, "sum", axis, keepdims)
 
     def mean(self, axis=None) -> "Tensor":
         return _reduce(self, "mean", axis)
@@ -176,15 +177,22 @@ def backward(root: Tensor) -> dict:
 
 
 def _match_reduce(g: np.ndarray, shape) -> np.ndarray:
-    # inverse of scalar-vs-array broadcast: collapse back to the scalar
-    if g.shape == tuple(shape):
+    """Inverse of broadcasting: sum g over the axes an operand of `shape` was
+    stretched along."""
+    shape = tuple(shape)
+    if g.shape == shape:
         return g
-    return np.sum(g).reshape(shape)
+    lead = g.ndim - len(shape)
+    stretched = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
+    return np.sum(g, axis=stretched).reshape(shape)
 
 
 def _check_elementwise(op: str, a: Tensor, b: Tensor):
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
-        raise ShapeError(op, a.data.shape, b.data.shape)
+    try:
+        np.broadcast_shapes(a.data.shape, b.data.shape)
+    except ValueError:
+        raise ShapeError(op, a.data.shape, b.data.shape) from None
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -268,6 +276,55 @@ def concat_rows(tensors) -> Tensor:
     return _node("concat_rows", tuple(tensors), lambda *xs: np.concatenate(xs, axis=0), bwd)
 
 
+def take_rows(a: Tensor, index) -> Tensor:
+    """Rows `index` of a 2-D tensor, in that order; an index may repeat.
+
+    The backward adds each output row's gradient into its source row: one
+    `np.add.reduceat` over the gradient rows in stable-sorted index order,
+    so each source row gets its first gradient row plus the sum of the rest.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    if a.data.ndim != 2 or index.ndim != 1:
+        raise ShapeError("take_rows", a.data.shape, index.shape)
+    if index.size and not 0 <= index.min() <= index.max() < a.data.shape[0]:
+        raise IndexError(f"take_rows: row index outside [0, {a.data.shape[0]})")
+    order = np.argsort(index, kind="stable")
+    sorted_index = index[order]
+    firsts = np.flatnonzero(np.diff(sorted_index, prepend=-1))
+
+    def bwd(g, out, x):
+        gx = np.zeros_like(x)
+        if index.size:
+            gx[sorted_index[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
+        return (gx,)
+
+    return _node("take_rows", (a,), lambda x: x[index], bwd)
+
+
+def _check_lengths(op: str, shape, lengths) -> np.ndarray:
+    """Per-video row counts of a 2-D stack: each at least 1, summing to its rows."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if (len(shape) != 2 or lengths.ndim != 1 or lengths.size == 0
+            or lengths.min() < 1 or lengths.sum() != shape[0]):
+        raise ShapeError(op, shape, lengths.shape)
+    return lengths
+
+
+def segment_sum(a: Tensor, lengths) -> Tensor:
+    """Sum each run of consecutive rows: (sum(lengths), k) -> (len(lengths), k).
+
+    Every run must hold at least one row.
+    """
+    lengths = _check_lengths("segment_sum", a.data.shape, lengths)
+    starts = np.cumsum(lengths) - lengths
+    return _node(
+        "segment_sum",
+        (a,),
+        lambda x: np.add.reduceat(x, starts, axis=0),
+        lambda g, out, x: (np.repeat(g, lengths, axis=0),),
+    )
+
+
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function on a plain array."""
     out = np.empty_like(x)
@@ -337,22 +394,17 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node("softmax", (a,), fwd, bwd)
 
 
-def _reduce(a: Tensor, kind: str, axis) -> Tensor:
+def _reduce(a: Tensor, kind: str, axis, keepdims: bool = False) -> Tensor:
+    reduce_fn = {"sum": np.sum, "mean": np.mean, "max": np.max, "min": np.min}[kind]
+
     def fwd(x):
-        if kind == "sum":
-            return np.asarray(np.sum(x, axis=axis))
-        if kind == "mean":
-            return np.asarray(np.mean(x, axis=axis))
-        if kind == "max":
-            return np.asarray(np.max(x, axis=axis))
-        return np.asarray(np.min(x, axis=axis))
+        return np.asarray(reduce_fn(x, axis=axis, keepdims=keepdims))
 
     def bwd(g, out, x):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         if kind in ("sum", "mean"):
-            if axis is None:
-                gx = np.broadcast_to(g, x.shape).copy()
-            else:
-                gx = np.broadcast_to(np.expand_dims(g, axis), x.shape).copy()
+            gx = np.broadcast_to(g, x.shape).copy()
             if kind == "mean":
                 gx /= x.size if axis is None else x.shape[axis]
             return (gx,)
@@ -363,57 +415,68 @@ def _reduce(a: Tensor, kind: str, axis) -> Tensor:
             gx.flat[argfn(x)] = g
         else:
             idx = np.expand_dims(argfn(x, axis=axis), axis)
-            np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis=axis)
+            np.put_along_axis(gx, idx, g, axis=axis)
         return (gx,)
 
     return _node(kind, (a,), fwd, bwd)
 
 
-def _conv_padding(w: int) -> tuple:
-    pad_left = (w - 1) // 2
-    return pad_left, w - 1 - pad_left
+def _conv_layout(xv: np.ndarray, w: int, lengths):
+    """Zero-padded stack of the videos in xv, and its rows that hold outputs.
+
+    Videos sit w - 1 zero rows apart, with (w - 1) // 2 zero rows before the
+    first and the rest after the last, so no tap of a valid output reaches
+    into another video and each video is padded exactly as on its own.
+    """
+    lengths = [xv.shape[0]] if lengths is None else lengths
+    video = np.repeat(np.arange(len(lengths)), lengths)
+    out_rows = np.arange(xv.shape[0]) + (w - 1) * video
+    xp = np.zeros((xv.shape[0] + len(lengths) * (w - 1), xv.shape[1]), dtype=xv.dtype)
+    xp[out_rows + (w - 1) // 2] = xv
+    return xp, out_rows
 
 
-def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray) -> np.ndarray:
-    """`depthwise_conv1d` on plain arrays: (T, d) by (d, w) kernel -> (T, d)."""
-    w, t = kv.shape[1], xv.shape[0]
-    xp = np.pad(xv, (_conv_padding(w), (0, 0)))
-    out = np.zeros_like(xv)
+def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None) -> np.ndarray:
+    """`depthwise_conv1d` on plain arrays: (T, d) by (d, w) kernel -> (T, d),
+    with `lengths` as there."""
+    if lengths is not None:
+        lengths = _check_lengths("depthwise_conv1d", xv.shape, lengths)
+    w = kv.shape[1]
+    xp, out_rows = _conv_layout(xv, w, lengths)
+    sweep = xp.shape[0] - (w - 1)
+    out = np.zeros((sweep, xv.shape[1]), dtype=xv.dtype)
     for j in range(w):
-        out += xp[j : j + t] * kv[:, j]
-    return out
+        out += xp[j : j + sweep] * kv[:, j]
+    return out[out_rows]
 
 
-def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
+def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
     """Per-channel 1-D convolution along axis 0 with "same" zero padding.
 
     x is (T, d), kernel is (d, w); output (T, d) with
     out[i, c] = sum_j x[i + j - pad_left, c] * kernel[c, j], zeros outside,
     pad_left = (w - 1) // 2 so a delta kernel at that tap is the identity.
+    With `lengths`, x stacks videos of those lengths and each is padded on
+    its own: the output rows equal one call per video, bit for bit.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[0]:
         raise ShapeError("depthwise_conv1d", x.data.shape, kernel.data.shape)
     w = kernel.data.shape[1]
-    pad_left, pad_right = _conv_padding(w)
 
     def bwd(g, out, xv, kv):
-        t = xv.shape[0]
-        xp = np.pad(xv, ((pad_left, pad_right), (0, 0)))
+        xp, out_rows = _conv_layout(xv, w, lengths)
+        sweep = xp.shape[0] - (w - 1)
+        gs = np.zeros((sweep, g.shape[1]))
+        gs[out_rows] = g
         gxp = np.zeros_like(xp)
         gk = np.zeros_like(kv)
         for j in range(w):
-            gxp[j : j + t] += g * kv[:, j]
-            gk[:, j] = np.sum(g * xp[j : j + t], axis=0)
-        return (gxp[pad_left : pad_left + t], gk)
+            gxp[j : j + sweep] += gs * kv[:, j]
+            gk[:, j] = np.sum(gs * xp[j : j + sweep], axis=0)
+        return (gxp[out_rows + (w - 1) // 2], gk)
 
-    return _node("depthwise_conv1d", (x, kernel), depthwise_conv1d_forward, bwd)
-
-
-def one_hot_row(index: int, length: int) -> Tensor:
-    """Constant (1, length) selector; row @ matrix picks one matrix row."""
-    row = np.zeros((1, length))
-    row[0, index] = 1.0
-    return Tensor(row)
+    return _node("depthwise_conv1d", (x, kernel),
+                 lambda xv, kv: depthwise_conv1d_forward(xv, kv, lengths), bwd)
 
 
 @dataclass

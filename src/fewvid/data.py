@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagicError, DataError, TruncatedFileError, VersionError
+from .errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
+                     VersionError)
 
 SEGF_MAGIC = b"SEGF"
 SEGF_VERSION = 1
@@ -115,8 +116,11 @@ def write_feature_file(features: np.ndarray, path):
 
 
 def read_feature_file(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise DataError(f"cannot read feature file {path}: {err}") from err
     if blob[:4] != SEGF_MAGIC:
         raise BadMagicError(f"{path}: expected magic {SEGF_MAGIC!r}, got {blob[:4]!r}")
     if len(blob) < 16:
@@ -124,9 +128,14 @@ def read_feature_file(path) -> np.ndarray:
     version, t, d = struct.unpack("<III", blob[4:16])
     if version != SEGF_VERSION:
         raise VersionError(f"{path}: unsupported version {version}, expected {SEGF_VERSION}")
+    if t == 0 or d == 0:
+        raise MalformedFileError(f"{path}: declares an empty {t}x{d} feature matrix")
     need = 16 + 4 * t * d
     if len(blob) < need:
         raise TruncatedFileError(f"{path}: declared {t}x{d} needs {need} bytes, file has {len(blob)}")
+    if len(blob) > need:
+        raise MalformedFileError(f"{path}: {len(blob) - need} bytes follow the declared "
+                                 f"{t}x{d} matrix")
     return np.frombuffer(blob[16:need], dtype="<f4").reshape(t, d).astype(np.float64)
 
 

@@ -23,5 +23,9 @@ class TruncatedFileError(DataError):
     """Feature file ends before the declared payload."""
 
 
+class MalformedFileError(DataError):
+    """Feature file declares an empty matrix or has bytes past its payload."""
+
+
 class NumericError(Exception):
     """Numerical failure: NaN loss, diverged training, failed grad check."""

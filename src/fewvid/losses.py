@@ -53,100 +53,111 @@ class LossConfig:
         return self
 
 
-def self_weight(f, i_bg: int, cfg: LossConfig = None):
+def self_weight(f, i_bg, cfg: LossConfig = None):
     """(T, 1) weights decreasing in cosine similarity to the BG segment.
 
     weight = sigmoid(tau_s * (1 - c - cos)): exactly 0.5 when cos == 1 - c,
     near 0 for segments that look like the background, near 1 for segments
-    far from it. A Tensor f gives a graph node; a plain array gives a plain
-    array.
+    far from it. i_bg is the BG row of one video; for a Tensor f that stacks
+    a batch it may instead be an index array naming, for every row of f, the
+    BG row of that row's video. A Tensor f gives a graph node; a plain array
+    gives a plain array.
     """
     cfg = cfg or LossConfig()
-    if isinstance(f, ad.Tensor):
-        cos = f @ (ad.one_hot_row(i_bg, f.data.shape[0]) @ f).T
-        sigmoid = ad.sigmoid
-    else:
+    if not isinstance(f, ad.Tensor):
         cos = f @ f[i_bg : i_bg + 1].T.copy()  # C-ordered, like the graph's transpose
         sigmoid = ad.sigmoid_forward
+    elif np.ndim(i_bg):
+        cos = (f * ad.take_rows(f, i_bg)).sum(axis=1, keepdims=True)
+        sigmoid = ad.sigmoid
+    else:
+        cos = f @ ad.take_rows(f, [i_bg]).T
+        sigmoid = ad.sigmoid
     return sigmoid(cfg.tau_s * ((1.0 - cfg.c) - cos))
 
 
-def aggregate_video_feature(f, weights):
+def aggregate_video_feature(f, weights, lengths=None):
     """(1, d) convex combination of segment features, weights normalized.
 
-    Takes Tensors or plain arrays, and returns the same kind.
+    Takes Tensors or plain arrays, and returns the same kind. With `lengths`
+    (Tensors only), f and weights stack videos of those lengths and each
+    video gets its own row of the (len(lengths), d) result.
     """
-    if not np.any(weights.data if isinstance(weights, ad.Tensor) else weights):
-        raise ValueError("cannot aggregate with all-zero weights")
-    return (weights.T @ f) / weights.sum()
+    if lengths is None:
+        num, den = weights.T @ f, weights.sum()
+    else:
+        num, den = ad.segment_sum(weights * f, lengths), ad.segment_sum(weights, lengths)
+    if np.any((den.data if isinstance(den, ad.Tensor) else den) == 0):
+        raise ValueError("cannot aggregate with weights that sum to zero")
+    return num / den
 
 
-def soft_cls_loss(F: ad.Tensor, y: int, classifier: ad.Tensor,
-                  cfg: LossConfig = None, renormalize: bool = None) -> ad.Tensor:
-    """Cross entropy of the video feature against classifier rows."""
-    cfg = cfg or LossConfig()
-    if renormalize is None:
-        renormalize = cfg.renormalize_video_feature
-    n_rows = classifier.data.shape[0]
-    if not 0 <= y < n_rows:
-        raise ValueError(f"label {y} out of range for {n_rows} classifier rows")
-    feat = ad.l2_normalize_rows(F) if renormalize else F
-    probs = ad.softmax(cfg.tau * (feat @ classifier.T), axis=1)
-    pick = np.zeros((1, n_rows))
-    pick[0, y] = 1.0
-    return -ad.log((probs * ad.Tensor(pick)).sum())
-
-
-def bg_cls_loss(nbg_feats: list, classifier: ad.Tensor, cfg: LossConfig = None) -> ad.Tensor:
-    """Mean cross entropy of NBG segment features against the BG row
-    (the last classifier row); zero when the batch has no NBG."""
-    cfg = cfg or LossConfig()
-    if not nbg_feats:
-        return ad.Tensor(0.0)
-    rows = ad.concat_rows(nbg_feats)
-    n_rows = classifier.data.shape[0]
-    probs = ad.softmax(cfg.tau * (rows @ classifier.T), axis=1)
-    pick = np.zeros((len(nbg_feats), n_rows))
-    pick[:, n_rows - 1] = 1.0
+def _cross_entropy(feats: ad.Tensor, labels: np.ndarray, classifier: ad.Tensor,
+                   tau: float) -> ad.Tensor:
+    """Mean over rows of -log softmax(tau * feats @ classifier.T)[row, label]."""
+    probs = ad.softmax(tau * (feats @ classifier.T), axis=1)
+    pick = np.zeros(probs.data.shape)
+    pick[np.arange(labels.size), labels] = 1.0
     return -(ad.log((probs * ad.Tensor(pick)).sum(axis=1))).mean()
 
 
-def _pair_diff_matrix(n: int) -> np.ndarray:
-    """(n*(n-1)/2, n) selector: row r maps a stack of n vectors to v_i - v_j."""
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = np.zeros(n)
-            r[i], r[j] = 1.0, -1.0
-            rows.append(r)
-    return np.array(rows)
+def _stack(feats):
+    """Feature rows as one Tensor, from a Tensor or a list of row Tensors;
+    None when there are no rows."""
+    if isinstance(feats, ad.Tensor):
+        return feats if feats.data.shape[0] else None
+    return ad.concat_rows(feats) if feats else None
 
 
-def _cross_diff_matrices(na: int, nb: int):
-    """Selectors producing all a_i - b_j differences from stacked inputs."""
-    ra = np.repeat(np.eye(na), nb, axis=0)
-    rb = np.tile(np.eye(nb), (na, 1))
-    return ra, rb
+def soft_cls_loss(F: ad.Tensor, y, classifier: ad.Tensor,
+                  cfg: LossConfig = None, renormalize: bool = None) -> ad.Tensor:
+    """Cross entropy of video features against classifier rows, averaged
+    over videos: F has one row per video, y one label per row (an int for a
+    single video)."""
+    cfg = cfg or LossConfig()
+    if renormalize is None:
+        renormalize = cfg.renormalize_video_feature
+    labels = np.atleast_1d(np.asarray(y, dtype=np.intp))
+    if labels.shape != F.data.shape[:1]:
+        raise ValueError(f"{labels.size} labels for {F.data.shape[0]} video features")
+    n_rows = classifier.data.shape[0]
+    if labels.min() < 0 or labels.max() >= n_rows:
+        raise ValueError(f"labels {labels.tolist()} out of range for {n_rows} classifier rows")
+    feat = ad.l2_normalize_rows(F) if renormalize else F
+    return _cross_entropy(feat, labels, classifier, cfg.tau)
 
 
-def contrastive_loss(nbg_feats: list, fgibg_feats: list, cfg: LossConfig = None) -> ad.Tensor:
+def bg_cls_loss(nbg_feats, classifier: ad.Tensor, cfg: LossConfig = None) -> ad.Tensor:
+    """Mean cross entropy of NBG segment features (a Tensor of rows or a
+    list of row Tensors) against the BG row (the last classifier row); zero
+    when the batch has no NBG."""
+    cfg = cfg or LossConfig()
+    rows = _stack(nbg_feats)
+    if rows is None:
+        return ad.Tensor(0.0)
+    bg_row = classifier.data.shape[0] - 1
+    return _cross_entropy(rows, np.full(rows.data.shape[0], bg_row), classifier, cfg.tau)
+
+
+def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tensor:
     """Hardest-pair contrastive objective on squared Euclidean distances.
 
     Pull: the farthest pair of NBG features (they should all look alike).
     Push: hinge on the closest NBG-to-foreground pair staying at least
-    `margin` apart. Either term is dropped when its pool is too small.
+    `margin` apart. Either term is dropped when its pool is too small. Each
+    pool is a Tensor of rows or a list of row Tensors.
     """
     cfg = cfg or LossConfig()
+    nb, fg = _stack(nbg_feats), _stack(fgibg_feats)
     terms = []
-    if len(nbg_feats) >= 2:
-        stack = ad.concat_rows(nbg_feats)
-        diffs = ad.Tensor(_pair_diff_matrix(len(nbg_feats))) @ stack
+    if nb is not None and nb.data.shape[0] >= 2:
+        first, second = np.triu_indices(nb.data.shape[0], 1)
+        diffs = ad.take_rows(nb, first) - ad.take_rows(nb, second)
         terms.append(ad.square(diffs).sum(axis=1).max())
-    if nbg_feats and fgibg_feats:
-        fg = ad.concat_rows(fgibg_feats)
-        nb = ad.concat_rows(nbg_feats)
-        ra, rb = _cross_diff_matrices(fg.data.shape[0], nb.data.shape[0])
-        cross = ad.Tensor(ra) @ fg - ad.Tensor(rb) @ nb
+    if nb is not None and fg is not None:
+        n_fg, n_nb = fg.data.shape[0], nb.data.shape[0]
+        cross = (ad.take_rows(fg, np.repeat(np.arange(n_fg), n_nb))
+                 - ad.take_rows(nb, np.tile(np.arange(n_nb), n_fg)))
         closest = ad.square(cross).sum(axis=1).min()
         terms.append(cfg.beta * ad.relu(cfg.margin - closest))
     if not terms:
@@ -165,56 +176,49 @@ class BatchVideo:
 
 def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = None,
                t_n: float = 0.25, top_m: int = None, use_probabilities: bool = False):
-    """Full training objective over a batch of untrimmed videos.
+    """Full training objective over a batch of untrimmed videos, as one graph.
 
-    Per video: embed, pseudo-label from current logits (decisions are frozen
-    into the graph as constants), aggregate, classify. Batch level: mean
-    classification loss, plus the background and contrastive terms weighted
-    by gamma2 and gamma1. Returns (loss Tensor, stats dict).
+    The batch is embedded as one stack of segment rows. Each video is
+    pseudo-labeled from its current logits, computed as plain arrays since no
+    gradient flows through the decisions; they enter the graph as constant
+    row indices. Each video is aggregated and classified, and the batch loss
+    is the mean classification loss plus the background and contrastive
+    terms over the batch's NBG and FG+IBG rows, weighted by gamma2 and
+    gamma1. Returns (loss Tensor, stats dict).
     """
     cfg = (cfg or LossConfig()).validate()
-    cls_terms, nbg_pool, fgibg_pool, records = [], [], [], []
-    for video in batch:
-        f = model_mod.embed_segments(params, video.features)
-        base_logits = model_mod.segment_logits(params, f)
-        rec = pseudo_mod.pseudo_label_video(
-            base_logits.data, t_n=t_n, M=top_m, use_probabilities=use_probabilities)
-        records.append(rec)
+    lengths = np.array([video.features.shape[0] for video in batch], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    f = model_mod.embed_segments(
+        params, np.concatenate([video.features for video in batch]), lengths=lengths)
+    logits = model_mod.segment_logits(params, f.data)
+    records = [
+        pseudo_mod.pseudo_label_video(logits[at : at + n], t_n=t_n, M=top_m,
+                                      use_probabilities=use_probabilities)
+        for at, n in zip(starts, lengths)
+    ]
+    bg_rows = starts + np.array([rec.i_bg for rec in records], dtype=np.intp)
 
-        if cfg.sw:
-            weights = self_weight(f, rec.i_bg, cfg)
-        else:
-            weights = model_mod.baseline_attention(params, f)
-        F = aggregate_video_feature(f, weights)
+    if cfg.sw:
+        weights = self_weight(f, np.repeat(bg_rows, lengths), cfg)
+    else:
+        weights = model_mod.baseline_attention(params, f)
+    F = aggregate_video_feature(f, weights, lengths)
+    head = params.classifier if cfg.bg else model_mod.class_rows(params)
+    l_cls = soft_cls_loss(F, [video.label for video in batch], head, cfg)
 
-        if cfg.bg:
-            cls_terms.append(soft_cls_loss(F, video.label, params.classifier, cfg))
-        else:
-            n = params.n_classes
-            head = ad.Tensor(np.eye(n + 1)[:n]) @ params.classifier
-            cls_terms.append(soft_cls_loss(F, video.label, head, cfg))
-
-        if rec.is_nbg:
-            nbg_pool.append(ad.one_hot_row(rec.i_bg, f.data.shape[0]) @ f)
-        if rec.fg_ibg_indices:
-            sel = np.zeros((len(rec.fg_ibg_indices), f.data.shape[0]))
-            for r, idx in enumerate(rec.fg_ibg_indices):
-                sel[r, idx] = 1.0
-            fgibg_pool.append(ad.Tensor(sel) @ f)
-
-    l_cls = cls_terms[0]
-    for t in cls_terms[1:]:
-        l_cls = l_cls + t
-    l_cls = l_cls / float(len(cls_terms))
+    nbg = ad.take_rows(f, bg_rows[np.array([rec.is_nbg for rec in records], dtype=bool)])
+    fgibg = ad.take_rows(f, np.concatenate([
+        at + np.asarray(rec.fg_ibg_indices, dtype=np.intp) for at, rec in zip(starts, records)]))
 
     loss = l_cls
     l_contrast = ad.Tensor(0.0)
     if cfg.cl:
-        l_contrast = contrastive_loss(nbg_pool, fgibg_pool, cfg)
+        l_contrast = contrastive_loss(nbg, fgibg, cfg)
         loss = loss + cfg.gamma1 * l_contrast
     l_bg = ad.Tensor(0.0)
     if cfg.bg:
-        l_bg = bg_cls_loss(nbg_pool, params.classifier, cfg)
+        l_bg = bg_cls_loss(nbg, params.classifier, cfg)
         loss = loss + cfg.gamma2 * l_bg
 
     stats = {
@@ -222,7 +226,7 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
         "l_cls": float(l_cls.data),
         "l_contrast": float(l_contrast.data),
         "l_bg": float(l_bg.data),
-        "n_nbg": len(nbg_pool),
+        "n_nbg": nbg.data.shape[0],
         "records": records,
     }
     return loss, stats

@@ -79,19 +79,22 @@ def _rows_t(weight: ad.Tensor) -> np.ndarray:
     return weight.data.T.copy()
 
 
-def embed_segments(params: ModelParams, raw, grad: bool = True):
+def embed_segments(params: ModelParams, raw, grad: bool = True, lengths=None):
     """(T, d_in) raw features -> (T, d) unit-norm embeddings.
 
-    With grad=False the same arithmetic runs on plain arrays and an ndarray
-    comes back, with no autodiff graph behind it.
+    With `lengths`, raw stacks videos of those lengths (one batch, one
+    graph) and the temporal convolution pads each video on its own, so every
+    row equals embedding its video alone. With grad=False the same
+    arithmetic runs on plain arrays and an ndarray comes back, with no
+    autodiff graph behind it.
     """
     if not grad:
         transformed = np.asarray(raw, dtype=np.float64) @ _rows_t(params.transform)
-        mixed = ad.depthwise_conv1d_forward(transformed, params.temporal_kernel.data)
+        mixed = ad.depthwise_conv1d_forward(transformed, params.temporal_kernel.data, lengths)
         return ad.l2_normalize_rows_forward(mixed)
     x = raw if isinstance(raw, ad.Tensor) else ad.Tensor(raw)
     transformed = x @ params.transform.T
-    mixed = ad.depthwise_conv1d(transformed, params.temporal_kernel)
+    mixed = ad.depthwise_conv1d(transformed, params.temporal_kernel, lengths)
     return ad.l2_normalize_rows(mixed)
 
 
@@ -104,11 +107,13 @@ def segment_logits(params: ModelParams, f, include_bg_row: bool = False):
     if not isinstance(f, ad.Tensor):
         rows = params.classifier.data if include_bg_row else params.classifier.data[:n]
         return f @ rows.T.copy()
-    w = params.classifier
-    if not include_bg_row:
-        selector = np.eye(n + 1)[:n]  # drop the background row
-        w = ad.Tensor(selector) @ w
+    w = params.classifier if include_bg_row else class_rows(params)
     return f @ w.T
+
+
+def class_rows(params: ModelParams) -> ad.Tensor:
+    """The classifier without its background (last) row, as a graph node."""
+    return ad.take_rows(params.classifier, np.arange(params.n_classes))
 
 
 def baseline_attention(params: ModelParams, f):
@@ -164,6 +169,11 @@ def load_checkpoint(path):
     at = 12 + header_len
     loaded = {}
     for entry in header["tensors"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise DataError(f"{path}: checkpoint tensor entry needs a name and a shape "
+                            f"listing non-negative int dimensions")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape))
         end = at + 8 * count

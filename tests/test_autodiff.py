@@ -65,6 +65,15 @@ class TestElementwise:
             {"a": a, "s": np.array(1.7)},
         )
 
+    def test_column_broadcast(self):
+        a = RNG.normal(size=(4, 3))
+        c = RNG.normal(size=(4, 1)) + 3.0
+        assert_matches_numeric(
+            lambda L: ad.square(L["a"] * L["c"] - L["a"] / L["c"] + L["c"]).sum(),
+            lambda p: np.sum((p["a"] * p["c"] - p["a"] / p["c"] + p["c"]) ** 2),
+            {"a": a, "c": c},
+        )
+
     def test_unary_chain(self):
         a = RNG.uniform(0.5, 2.0, size=(4, 3))
         assert_matches_numeric(
@@ -112,10 +121,61 @@ class TestMatmulAndShaping:
             {"a": a, "b": b},
         )
 
-    def test_one_hot_row_picks(self):
+    def test_take_rows_picks_and_scatters(self):
         m = RNG.normal(size=(4, 3))
-        row = ad.one_hot_row(2, 4) @ ad.Tensor(m)
-        np.testing.assert_array_equal(row.data[0], m[2])
+        index = [2, 0, 2, 3, 2]
+        np.testing.assert_array_equal(ad.take_rows(ad.Tensor(m), index).data, m[index])
+        assert_matches_numeric(
+            lambda L: ad.square(ad.take_rows(L["m"], index) * L["w"]).sum(),
+            lambda p: np.sum((p["m"][index] * p["w"]) ** 2),
+            {"m": m, "w": RNG.normal(size=(5, 3))},
+        )
+
+    def test_take_rows_rejects_bad_index(self):
+        m = ad.Tensor(np.ones((3, 2)))
+        with pytest.raises(IndexError):
+            ad.take_rows(m, [0, 3])
+        with pytest.raises(IndexError):
+            ad.take_rows(m, [-1])
+        with pytest.raises(ad.ShapeError):
+            ad.take_rows(m, [[0]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 60), st.integers(1, 5))
+    def test_take_rows_backward_matches_add_at(self, seed, rows, n, d):
+        # reduceat gives each source row its first gradient row plus the sum
+        # of the rest, where np.add.at adds them one by one: equal bits up to
+        # two repeats, and within rounding beyond
+        rng = np.random.default_rng(seed)
+        index = rng.integers(0, rows, size=n)
+        g = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        leaf = ad.Tensor(rng.normal(size=(rows, d)), requires_grad=True)
+        out = ad.take_rows(leaf, index)
+        ad.backward((out * ad.Tensor(g)).sum())
+        want = np.zeros((rows, d))
+        np.add.at(want, index, g)
+        if n == 0 or np.bincount(index).max() <= 2:
+            np.testing.assert_array_equal(leaf.grad, want)
+        else:
+            np.testing.assert_allclose(leaf.grad, want, rtol=0,
+                                       atol=1e-13 * np.abs(g).sum())
+
+    def test_segment_sum(self):
+        a = RNG.normal(size=(6, 3))
+        lengths = [2, 1, 3]
+        got = ad.segment_sum(ad.Tensor(a), lengths).data
+        np.testing.assert_allclose(got, [a[:2].sum(0), a[2], a[3:].sum(0)], rtol=1e-15)
+        assert_matches_numeric(
+            lambda L: ad.square(ad.segment_sum(L["a"], lengths) * L["w"]).sum(),
+            lambda p: np.sum((np.stack([p["a"][:2].sum(0), p["a"][2], p["a"][3:].sum(0)])
+                              * p["w"]) ** 2),
+            {"a": a, "w": RNG.normal(size=(3, 3))},
+        )
+
+    @pytest.mark.parametrize("lengths", [[2, 3], [1, 0, 5], [7], [], [[6]]])
+    def test_segment_sum_rejects_bad_lengths(self, lengths):
+        with pytest.raises(ad.ShapeError):
+            ad.segment_sum(ad.Tensor(np.ones((6, 2))), lengths)
 
 
 class TestNormalizeAndSoftmax:
@@ -170,10 +230,17 @@ class TestNormalizeAndSoftmax:
 class TestReductions:
     def test_sum_mean_axes(self):
         a = RNG.normal(size=(3, 4))
+        w = RNG.normal(size=(3, 4))
         for axis in (None, 0, 1):
             assert_matches_numeric(
                 lambda L, ax=axis: ad.square(L["a"].mean(ax)).sum() + L["a"].sum(ax).sum(),
                 lambda p, ax=axis: np.sum(np.mean(p["a"], axis=ax) ** 2) + np.sum(p["a"]),
+                {"a": a},
+            )
+            # keepdims keeps the reduced axis, so the result broadcasts back
+            assert_matches_numeric(
+                lambda L, ax=axis: ad.square(L["a"].sum(ax, keepdims=True) * w).sum(),
+                lambda p, ax=axis: np.sum((np.sum(p["a"], axis=ax, keepdims=True) * w) ** 2),
                 {"a": a},
             )
 
@@ -226,6 +293,44 @@ class TestConv:
             lambda p: np.sum(np_conv(p["x"], p["k"]) ** 2),
             {"x": x, "k": k},
         )
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 24), min_size=1, max_size=6),
+           st.integers(1, 9), st.integers(1, 4))
+    def test_per_video_padding_equals_per_video_calls(self, seed, lengths, w, d):
+        rng = np.random.default_rng(seed)
+        xs = [rng.normal(size=(t, d)) for t in lengths]
+        ws = [rng.normal(size=(t, d)) for t in lengths]
+        k = rng.normal(size=(d, w))
+
+        x = ad.Tensor(np.concatenate(xs), requires_grad=True)
+        kernel = ad.Tensor(k, requires_grad=True)
+        out = ad.depthwise_conv1d(x, kernel, lengths)
+        ad.backward((out * ad.Tensor(np.concatenate(ws))).sum())
+        np.testing.assert_array_equal(
+            out.data, np.concatenate([ad.depthwise_conv1d_forward(xv, k) for xv in xs]))
+        np.testing.assert_array_equal(
+            ad.depthwise_conv1d_forward(np.concatenate(xs), k, lengths), out.data)
+
+        x_grads, k_grad = [], np.zeros_like(k)
+        for xv, wv in zip(xs, ws):
+            leaf = ad.Tensor(xv, requires_grad=True)
+            kleaf = ad.Tensor(k, requires_grad=True)
+            one = ad.depthwise_conv1d(leaf, kleaf)
+            np.testing.assert_array_equal(one.data, ad.depthwise_conv1d_forward(xv, k))
+            ad.backward((one * ad.Tensor(wv)).sum())
+            x_grads.append(leaf.grad)
+            k_grad += kleaf.grad
+        # input rows see the same taps in the same order; the kernel gradient
+        # is one sum over the batch instead of a sum of per-video sums
+        np.testing.assert_array_equal(x.grad, np.concatenate(x_grads))
+        np.testing.assert_allclose(kernel.grad, k_grad, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[3, 3], [7, 0], [], [[7]]])
+    def test_rejects_bad_lengths(self, lengths):
+        with pytest.raises(ad.ShapeError):
+            ad.depthwise_conv1d(ad.Tensor(np.ones((7, 2))), ad.Tensor(np.ones((2, 3))), lengths)
 
 
 class TestGraphMechanics:

@@ -1,14 +1,16 @@
 """Exit codes, config precedence, reproducible outputs of every subcommand."""
 
 import dataclasses
+import json
 import re
 import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fewvid import cli, config
+from fewvid import cli, config, data
 from fewvid.errors import DataError
 
 
@@ -157,6 +159,21 @@ class TestTrain:
         code, _, err = run(["train", "--config", str(cfg)], capsys)
         assert code == 2
 
+    def test_empty_or_missing_feature_file_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY + f"\ndata_dir = {tmp_path / 'ds'}\n"
+                            f"ckpt = {tmp_path / 'model.ckpt'}\n")
+        assert run(["gen-data", "--config", str(cfg_path)], capsys)[0] == 0
+        victim = sorted((tmp_path / "ds" / "base").glob("*.segf"))[0]
+        data.write_feature_file(np.zeros((0, 8)), victim)
+        code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert "data error" in err and "empty" in err
+        victim.unlink()
+        code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert "cannot read feature file" in err
+
     def test_ablate_soft_refused(self, workspace, capsys):
         _, cfg_path = workspace
         code, _, err = run(["train", "--config", str(cfg_path), "--ablate", "soft"], capsys)
@@ -254,6 +271,19 @@ class TestEval:
         code, _, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
         assert code == 2
         assert "tensors" in err
+
+    @pytest.mark.parametrize("entry", [{"shape": [2, 2]}, {"name": "transform"},
+                                       {"name": "transform", "shape": 4},
+                                       {"name": "transform", "shape": [2, -1]}, "transform"])
+    def test_checkpoint_tensor_entry_without_name_or_shape_exits_2(self, workspace, tmp_path,
+                                                                   capsys, entry):
+        root, cfg_path = workspace
+        header = json.dumps({"tensors": [entry], "config": {}}).encode()
+        ckpt = tmp_path / "entry.ckpt"
+        ckpt.write_bytes(b"FVCP" + struct.pack("<II", 1, len(header)) + header)
+        code, _, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
+        assert code == 2
+        assert "data error" in err and "shape" in err
 
 
 class TestGradCheck:

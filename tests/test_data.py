@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fewvid import data
-from fewvid.errors import BadMagicError, DataError, TruncatedFileError, VersionError
+from fewvid.errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
+                           VersionError)
 
 
 def tree_checksum(root):
@@ -64,6 +65,24 @@ class TestFeatureFile:
         path = tmp_path / "h.segf"
         path.write_bytes(b"SEGF\x01\x00")
         with pytest.raises(TruncatedFileError):
+            data.read_feature_file(path)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_matrix_rejected(self, tmp_path, shape):
+        path = tmp_path / "e.segf"
+        data.write_feature_file(np.ones(shape), path)
+        with pytest.raises(MalformedFileError, match="empty"):
+            data.read_feature_file(path)
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read feature file"):
+            data.read_feature_file(tmp_path / "absent.segf")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.segf"
+        data.write_feature_file(np.ones((2, 3)), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(MalformedFileError, match="4 bytes follow"):
             data.read_feature_file(path)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fewvid import autodiff as ad
-from fewvid import losses, model
+from fewvid import losses, model, pseudo
 
 
 def unit(v):
@@ -347,3 +347,159 @@ class TestRotationInvariance:
         np.testing.assert_allclose(base[1], rotated[1], rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(base[2], rotated[2], rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(base[3], rotated[3], rtol=1e-9, atol=1e-9)
+
+
+# The per-video objective as it stood before training built one graph per
+# batch: one embedding graph per video and one-hot / difference selector
+# matmuls. Kept as the oracle the batched `total_loss` must agree with.
+
+def _oracle_one_hot_row(index, length):
+    row = np.zeros((1, length))
+    row[0, index] = 1.0
+    return ad.Tensor(row)
+
+
+def _oracle_pair_diff_matrix(n):
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = np.zeros(n)
+            r[i], r[j] = 1.0, -1.0
+            rows.append(r)
+    return np.array(rows)
+
+
+def _oracle_cross_diff_matrices(na, nb):
+    return np.repeat(np.eye(na), nb, axis=0), np.tile(np.eye(nb), (na, 1))
+
+
+def _oracle_soft_cls(F, y, classifier, cfg):
+    feat = ad.l2_normalize_rows(F) if cfg.renormalize_video_feature else F
+    probs = ad.softmax(cfg.tau * (feat @ classifier.T), axis=1)
+    pick = np.zeros((1, classifier.data.shape[0]))
+    pick[0, y] = 1.0
+    return -ad.log((probs * ad.Tensor(pick)).sum())
+
+
+def _oracle_bg_cls(nbg_feats, classifier, cfg):
+    if not nbg_feats:
+        return ad.Tensor(0.0)
+    rows = ad.concat_rows(nbg_feats)
+    n_rows = classifier.data.shape[0]
+    probs = ad.softmax(cfg.tau * (rows @ classifier.T), axis=1)
+    pick = np.zeros((len(nbg_feats), n_rows))
+    pick[:, n_rows - 1] = 1.0
+    return -(ad.log((probs * ad.Tensor(pick)).sum(axis=1))).mean()
+
+
+def _oracle_contrastive(nbg_feats, fgibg_feats, cfg):
+    terms = []
+    if len(nbg_feats) >= 2:
+        stack = ad.concat_rows(nbg_feats)
+        diffs = ad.Tensor(_oracle_pair_diff_matrix(len(nbg_feats))) @ stack
+        terms.append(ad.square(diffs).sum(axis=1).max())
+    if nbg_feats and fgibg_feats:
+        fg = ad.concat_rows(fgibg_feats)
+        nb = ad.concat_rows(nbg_feats)
+        ra, rb = _oracle_cross_diff_matrices(fg.data.shape[0], nb.data.shape[0])
+        cross = ad.Tensor(ra) @ fg - ad.Tensor(rb) @ nb
+        closest = ad.square(cross).sum(axis=1).min()
+        terms.append(cfg.beta * ad.relu(cfg.margin - closest))
+    if not terms:
+        return ad.Tensor(0.0)
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None, use_probabilities=False):
+    n = params.n_classes
+    cls_terms, nbg_pool, fgibg_pool, records = [], [], [], []
+    for video in batch:
+        x = ad.Tensor(video.features)
+        f = ad.l2_normalize_rows(ad.depthwise_conv1d(x @ params.transform.T,
+                                                     params.temporal_kernel))
+        class_rows = ad.Tensor(np.eye(n + 1)[:n]) @ params.classifier
+        base_logits = f @ class_rows.T
+        rec = pseudo.pseudo_label_video(
+            base_logits.data, t_n=t_n, M=top_m, use_probabilities=use_probabilities)
+        records.append(rec)
+        if cfg.sw:
+            cos = f @ (_oracle_one_hot_row(rec.i_bg, f.data.shape[0]) @ f).T
+            weights = ad.sigmoid(cfg.tau_s * ((1.0 - cfg.c) - cos))
+        else:
+            hidden = ad.relu(f @ params.attn_hidden.T)
+            weights = ad.sigmoid(hidden @ params.attn_out.T)
+        F = (weights.T @ f) / weights.sum()
+        head = params.classifier if cfg.bg else ad.Tensor(np.eye(n + 1)[:n]) @ params.classifier
+        cls_terms.append(_oracle_soft_cls(F, video.label, head, cfg))
+        if rec.is_nbg:
+            nbg_pool.append(_oracle_one_hot_row(rec.i_bg, f.data.shape[0]) @ f)
+        if rec.fg_ibg_indices:
+            sel = np.zeros((len(rec.fg_ibg_indices), f.data.shape[0]))
+            for r, idx in enumerate(rec.fg_ibg_indices):
+                sel[r, idx] = 1.0
+            fgibg_pool.append(ad.Tensor(sel) @ f)
+    l_cls = cls_terms[0]
+    for t in cls_terms[1:]:
+        l_cls = l_cls + t
+    loss = l_cls / float(len(cls_terms))
+    if cfg.cl:
+        loss = loss + cfg.gamma1 * _oracle_contrastive(nbg_pool, fgibg_pool, cfg)
+    if cfg.bg:
+        loss = loss + cfg.gamma2 * _oracle_bg_cls(nbg_pool, params.classifier, cfg)
+    return loss, len(nbg_pool), records
+
+
+def loss_and_grads(build, params):
+    leaves = params.copy()
+    loss, *rest = build(leaves)
+    ad.backward(loss)
+    grads = {name: t.grad for name, t in leaves.tensors().items()}
+    return float(loss.data), grads, rest
+
+
+CONFIGS = [losses.LossConfig(bg=bg, sw=sw, cl=cl)
+           for bg in (False, True) for sw in (False, True) for cl in (False, True)]
+
+
+class TestBatchedAgainstPerVideoOracle:
+    """One graph per batch equals the per-video graphs within 1e-12."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"bg{c.bg:d}sw{c.sw:d}cl{c.cl:d}")
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 24), min_size=1, max_size=6),
+           st.sampled_from([-2.0, 0.3, 0.5, 2.0]), st.sampled_from([None, 1, 3]),
+           st.booleans(), st.integers(1, 9))
+    def test_loss_grads_and_decisions(self, cfg, seed, lengths, t_n, top_m, use_probs, width):
+        # t_n -2 flags no video as NBG and 2 flags every video
+        rng = np.random.default_rng(seed)
+        params = model.init_params(n_classes=4, d_in=6, d=5, kernel_width=width, seed=seed)
+        batch = [losses.BatchVideo(features=rng.normal(size=(t, 6)), label=int(rng.integers(4)))
+                 for t in lengths]
+        kwargs = dict(t_n=t_n, top_m=top_m, use_probabilities=use_probs)
+
+        def batched(p):
+            loss, stats = losses.total_loss(p, batch, cfg, **kwargs)
+            return loss, stats["n_nbg"], stats["records"]
+
+        want, want_grads, (want_nbg, want_recs) = loss_and_grads(
+            lambda p: per_video_total_loss(p, batch, cfg, **kwargs), params)
+        got, got_grads, (got_nbg, got_recs) = loss_and_grads(batched, params)
+
+        assert abs(got - want) <= 1e-12
+        for name, g in want_grads.items():
+            if g is None:
+                assert got_grads[name] is None, name
+            else:
+                np.testing.assert_allclose(got_grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+        assert got_nbg == want_nbg
+        assert len(got_recs) == len(batch)
+        for a, b in zip(got_recs, want_recs):
+            assert (a.i_bg, a.is_nbg, a.fg_ibg_indices) == (b.i_bg, b.is_nbg, b.fg_ibg_indices)
+            np.testing.assert_allclose(a.max_logits, b.max_logits, rtol=0, atol=1e-12)
+        if t_n == -2.0:
+            assert got_nbg == 0
+        if t_n == 2.0:
+            assert got_nbg == len(batch)
