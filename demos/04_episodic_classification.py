@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fewvid import data, evaluate, losses, train
+from fewvid import data, evaluate, losses, model, train
 
 with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     workdir = Path(tmp)
@@ -27,7 +27,8 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
 
     qseq = episode.queries[0]
     label = qseq.class_label
-    verdict = evaluate.classify_query(result.params, qseq.features, protos)
+    f = model.embed_segments(result.params, qseq.features, grad=False)
+    verdict = evaluate.classify_query(result.params, f, evaluate.prototype_matrix(protos))
     print("query", qseq.video_id, "true class index", episode.class_remap[label])
     print("class probabilities:", np.round(verdict.probs, 4), "-> top1", verdict.top1)
 

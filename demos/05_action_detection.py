@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fewvid import data, evaluate, losses, train
+from fewvid import data, evaluate, losses, model, train
 
 with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     workdir = Path(tmp)
@@ -18,12 +18,13 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     result = train.train_base(base, losses.LossConfig(), d=24, epochs=12, seed=0)
 
     episode = data.sample_episode(novel, K=3, n=1, q=2, seed=[0, 0])
-    protos = evaluate.compute_prototypes(result.params, episode)
+    proto = evaluate.prototype_matrix(evaluate.compute_prototypes(result.params, episode))
 
     qseq = episode.queries[0]
     label = qseq.class_label
-    verdict = evaluate.classify_query(result.params, qseq.features, protos)
-    A = evaluate.tcam(verdict.f, verdict.weights, protos)
+    f = model.embed_segments(result.params, qseq.features, grad=False)
+    verdict = evaluate.classify_query(result.params, f, proto)
+    A = evaluate.tcam(f, verdict.weights, proto)
     print("activation map shape:", A.shape, "(segments x episode classes)")
     print("true class column, rounded:", np.round(A[:, episode.class_remap[label]], 2))
     print("ground truth intervals:", qseq.gt_intervals)

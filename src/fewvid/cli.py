@@ -6,6 +6,7 @@ grad-check, inspect. Exit codes: 0 success, 1 usage problem, 2 data problem,
 """
 
 import argparse
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -14,7 +15,6 @@ from . import autodiff as ad
 from . import config as config_mod
 from . import data, evaluate, model, pseudo, train
 from .errors import DataError, NumericError
-from .losses import LossConfig
 
 ABLATABLE = ("soft", "bg", "sw", "cl")
 
@@ -108,38 +108,26 @@ def _load_eval_assets(cfg):
     return params, manifest, loss_cfg
 
 
-_WORKER_STATE = {}
-
-
-def _episode_score(payload):
-    """Worker for --jobs parallelism; loads assets once per process."""
-    ckpt, manifest_path, mode, K, n, q, seed, index, flags = payload
-    key = (ckpt, manifest_path)
-    if _WORKER_STATE.get("key") != key:
-        params, _ = model.load_checkpoint(ckpt)
-        manifest = data.load_manifest(manifest_path)
-        _WORKER_STATE.update(key=key, params=params, manifest=manifest)
-    loss_cfg = LossConfig(**flags)
-    ep = data.sample_episode(_WORKER_STATE["manifest"], K=K, n=n, q=q, seed=[seed, index])
-    if mode == "classification":
-        return evaluate.episode_accuracy(_WORKER_STATE["params"], ep, loss_cfg)
-    map50, avg_map, _ = evaluate.episode_detection(_WORKER_STATE["params"], ep, loss_cfg)
-    return (map50, avg_map)
+def _score_episodes(cfg, mode, episode_ids) -> list:
+    params, manifest, loss_cfg = _load_eval_assets(cfg)
+    return evaluate.episode_scores(params, manifest, mode, episode_ids, K=cfg.K, n=cfg.n,
+                                   q=cfg.q, seed=cfg.seed, cfg=loss_cfg)
 
 
 def _run_episodes(cfg, mode):
-    params, manifest, loss_cfg = _load_eval_assets(cfg)
+    """Score the episodes in this process, or with --jobs N in N worker
+    processes that each score one contiguous run of them; either way the
+    per-episode scores come back in episode order."""
     if cfg.jobs <= 1:
-        return evaluate.evaluate(params, manifest, mode, K=cfg.K, n=cfg.n, q=cfg.q,
-                                 episodes=cfg.episodes, seed=cfg.seed, cfg=loss_cfg)
-    flags = {k: getattr(loss_cfg, k) for k in
-             ("tau", "tau_s", "c", "margin", "beta", "gamma1", "gamma2",
-              "soft", "bg", "sw", "cl", "renormalize_video_feature")}
-    manifest_path = str(Path(cfg.data_dir) / "novel_manifest.jsonl")
-    payloads = [(cfg.ckpt, manifest_path, mode, cfg.K, cfg.n, cfg.q, cfg.seed, e, flags)
-                for e in range(cfg.episodes)]
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        per_episode = list(pool.map(_episode_score, payloads))
+        per_episode = _score_episodes(cfg, mode, range(cfg.episodes))
+    else:
+        workers = min(cfg.jobs, cfg.episodes)
+        bounds = [cfg.episodes * i // workers for i in range(workers + 1)]
+        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            parts = pool.map(_score_episodes, [cfg] * workers, [mode] * workers, chunks)
+            per_episode = [score for part in parts for score in part]
     return evaluate.summarize(mode, per_episode, K=cfg.K, n=cfg.n, q=cfg.q, seed=cfg.seed)
 
 
@@ -185,6 +173,7 @@ def cmd_inspect(cfg) -> int:
     lines = ["video_id,segment,max_logit,role"]
     for entry in manifest.entries:
         seq = manifest.load_sequence(entry)
+        model.check_feature_width(params, seq.features, entry.feature_file)
         f = model.embed_segments(params, seq.features, grad=False)
         logits = model.segment_logits(params, f)
         rec = pseudo.pseudo_label_video(logits, t_n=cfg.t_n, M=cfg.top_m or None,

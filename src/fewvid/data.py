@@ -360,9 +360,17 @@ class Episode:
         return {label: i for i, label in enumerate(self.classes)}
 
 
-def sample_episode(novel: DatasetManifest, K: int, n: int, q: int, seed) -> Episode:
+@dataclass
+class EpisodeDraw:
+    """An episode's videos as manifest entries, before anything is loaded."""
+    classes: list  # the K sampled novel labels, in remap order
+    support: list  # K*n entries, class by class
+    queries: list  # K*q entries, class by class
+
+
+def draw_episode(novel: DatasetManifest, K: int, n: int, q: int, seed) -> EpisodeDraw:
     """Draw K classes then n support + q query videos per class, all without
-    replacement; support videos are trimmed to their foreground."""
+    replacement. Reads no feature file."""
     rng = np.random.default_rng(seed)
     groups = novel.by_class()
     labels = sorted(groups)
@@ -376,8 +384,17 @@ def sample_episode(novel: DatasetManifest, K: int, n: int, q: int, seed) -> Epis
             name = novel.class_names[label]
             raise DataError(f"class {name} has {len(pool)} videos, episode needs {n + q}")
         picks = rng.choice(len(pool), size=n + q, replace=False)
-        for j in picks[:n]:
-            support.append(trim_support_video(novel.load_sequence(pool[j])))
-        for j in picks[n:]:
-            queries.append(novel.load_sequence(pool[j]))
-    return Episode(K=K, n=n, q=q, classes=classes, support=support, queries=queries)
+        support.extend(pool[j] for j in picks[:n])
+        queries.extend(pool[j] for j in picks[n:])
+    return EpisodeDraw(classes=classes, support=support, queries=queries)
+
+
+def sample_episode(novel: DatasetManifest, K: int, n: int, q: int, seed) -> Episode:
+    """`draw_episode`, then load every video; support videos are trimmed to
+    their foreground."""
+    draw = draw_episode(novel, K, n, q, seed)
+    return Episode(
+        K=K, n=n, q=q, classes=draw.classes,
+        support=[trim_support_video(novel.load_sequence(e)) for e in draw.support],
+        queries=[novel.load_sequence(e) for e in draw.queries],
+    )

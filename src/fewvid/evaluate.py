@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .data import Episode, sample_episode
+from .data import Episode, draw_episode, trim_support_video
 from .errors import DataError
 from .losses import LossConfig, aggregate_video_feature, self_weight
 from .pseudo import pseudo_label_bg
@@ -45,20 +45,25 @@ class ClassifiedQuery:
     probs: np.ndarray  # (K,)
     top1: int
     predicted_set: list
-    f: np.ndarray  # (T, d) embedded segments
     weights: np.ndarray  # (T,)
     i_bg: int
 
 
-def compute_prototypes(params: model_mod.ModelParams, episode: Episode) -> list:
-    """Mean segment embedding per support video, mean per class, normalized."""
-    remap = episode.class_remap
-    sums = {k: [] for k in range(episode.K)}
-    for seq in episode.support:
-        f = model_mod.embed_segments(params, seq.features, grad=False)
-        sums[remap[seq.class_label]].append(f.mean(axis=0))
+def support_mean(params: model_mod.ModelParams, features: np.ndarray) -> np.ndarray:
+    """(d,) mean segment embedding of one trimmed support video."""
+    return model_mod.embed_segments(params, features, grad=False).mean(axis=0)
+
+
+def prototypes_from_means(K: int, class_means) -> list:
+    """Mean of the support means per class, normalized.
+
+    class_means: (episode class index, support mean) pairs, in support order.
+    """
+    sums = {k: [] for k in range(K)}
+    for k, mean in class_means:
+        sums[k].append(mean)
     prototypes = []
-    for k in range(episode.K):
+    for k in range(K):
         if not sums[k]:
             raise DataError(f"episode class {k} has no support videos")
         mean = np.mean(sums[k], axis=0)
@@ -71,13 +76,23 @@ def compute_prototypes(params: model_mod.ModelParams, episode: Episode) -> list:
     return prototypes
 
 
-def classify_query(params: model_mod.ModelParams, features: np.ndarray, prototypes: list,
+def compute_prototypes(params: model_mod.ModelParams, episode: Episode) -> list:
+    """Mean segment embedding per support video, mean per class, normalized."""
+    remap = episode.class_remap
+    return prototypes_from_means(episode.K, [
+        (remap[seq.class_label], support_mean(params, seq.features)) for seq in episode.support])
+
+
+def prototype_matrix(prototypes: list) -> np.ndarray:
+    """(K, d): one prototype vector per row, in episode class order."""
+    return np.stack([p.vector for p in prototypes])
+
+
+def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarray,
                    cfg: LossConfig = None, t_a: float = None) -> ClassifiedQuery:
-    """Aggregate the query with background-aware weights, then softmax over
-    cosines to the prototypes."""
+    """Aggregate the embedded (T, d) query with background-aware weights,
+    then softmax over cosines to the (K, d) prototype matrix."""
     cfg = cfg or LossConfig()
-    proto = np.stack([p.vector for p in prototypes])
-    f = model_mod.embed_segments(params, features, grad=False)
     kway = f @ proto.T
     i_bg = pseudo_label_bg(kway)
     if cfg.sw:
@@ -89,32 +104,39 @@ def classify_query(params: model_mod.ModelParams, features: np.ndarray, prototyp
     sims = proto @ Fn
     ex = np.exp(sims - sims.max())
     probs = ex / ex.sum()
+    K = proto.shape[0]
     if t_a is None:
-        t_a = 0.5 / len(prototypes)
+        t_a = 0.5 / K
     return ClassifiedQuery(
         probs=probs,
         top1=int(np.argmax(probs)),
-        predicted_set=[k for k in range(len(prototypes)) if probs[k] > t_a],
-        f=f,
+        predicted_set=[k for k in range(K) if probs[k] > t_a],
         weights=weights[:, 0],
         i_bg=i_bg,
     )
 
 
+def _embedded_queries(params: model_mod.ModelParams, episode: Episode) -> list:
+    return [(seq, model_mod.embed_segments(params, seq.features, grad=False))
+            for seq in episode.queries]
+
+
 def episode_accuracy(params: model_mod.ModelParams, episode: Episode,
                      cfg: LossConfig = None) -> float:
-    prototypes = compute_prototypes(params, episode)
-    remap = episode.class_remap
-    correct = sum(
-        classify_query(params, q.features, prototypes, cfg).top1 == remap[q.class_label]
-        for q in episode.queries
-    )
-    return correct / len(episode.queries)
+    proto = prototype_matrix(compute_prototypes(params, episode))
+    return _accuracy(params, episode.class_remap, proto, _embedded_queries(params, episode), cfg)
 
 
-def tcam(f: np.ndarray, weights: np.ndarray, prototypes: list) -> np.ndarray:
-    """(T, K) activation: per-segment weight times cosine to each prototype."""
-    proto = np.stack([p.vector for p in prototypes])
+def _accuracy(params, remap: dict, proto: np.ndarray, queries: list, cfg) -> float:
+    """Share of queries classified correctly; queries are (video, (T, d)
+    embedding) pairs and a video carries its class_label."""
+    correct = sum(classify_query(params, f, proto, cfg).top1 == remap[video.class_label]
+                  for video, f in queries)
+    return correct / len(queries)
+
+
+def tcam(f: np.ndarray, weights: np.ndarray, proto: np.ndarray) -> np.ndarray:
+    """(T, K) activation: per-segment weight times cosine to each prototype row."""
     return np.asarray(weights)[:, None] * (f @ proto.T)
 
 
@@ -179,7 +201,7 @@ def extract_proposals(A: np.ndarray, thresholds=DEFAULT_PROPOSAL_THRESHOLDS,
                 video_id=video_id,
                 class_index=k,
                 interval=(start, end),
-                score=float(column[start:end].mean()),
+                score=float(np.add.reduce(column[start:end]) / (end - start)),
             )
             for start, end in runs[np.sort(first)].tolist()
         ]
@@ -284,21 +306,23 @@ def episode_detection(params: model_mod.ModelParams, episode: Episode,
     Detections from every query count against every class: a proposal for
     class k on a query of another class is a false positive for k.
     """
-    cfg = cfg or LossConfig()
-    prototypes = compute_prototypes(params, episode)
-    remap = episode.class_remap
-    all_dets, gts = [], {k: [] for k in range(episode.K)}
-    for q in episode.queries:
-        res = classify_query(params, q.features, prototypes, cfg)
-        A = tcam(res.f, res.weights, prototypes)
-        dets = extract_proposals(A, video_id=q.video_id)
-        all_dets.extend(dets)
-        for interval in q.gt_intervals:
-            gts[remap[q.class_label]].append((q.video_id, tuple(interval)))
+    proto = prototype_matrix(compute_prototypes(params, episode))
+    return _detection(params, episode.class_remap, proto, _embedded_queries(params, episode),
+                      cfg, tiou_grid)
+
+
+def _detection(params, remap: dict, proto: np.ndarray, queries: list, cfg, tiou_grid):
+    """(map50, avg_map, maps) of (video, (T, d) embedding) query pairs; a
+    video carries its class_label, video_id and gt_intervals."""
+    all_dets, gts = [], {k: [] for k in range(len(remap))}
+    for video, f in queries:
+        res = classify_query(params, f, proto, cfg)
+        all_dets.extend(extract_proposals(tcam(f, res.weights, proto), video_id=video.video_id))
+        for interval in video.gt_intervals:
+            gts[remap[video.class_label]].append((video.video_id, tuple(interval)))
     maps = detection_maps(all_dets, gts, tiou_grid)
-    map50 = maps[0.5]
     avg_map = float(np.mean([maps[float(t)] for t in tiou_grid]))
-    return map50, avg_map, maps
+    return maps[0.5], avg_map, maps
 
 
 def mean_ci(scores) -> tuple:
@@ -310,24 +334,74 @@ def mean_ci(scores) -> tuple:
     return mean, float(1.96 * scores.std(ddof=1) / np.sqrt(scores.size))
 
 
+class _NovelVideos:
+    """Embeddings of a manifest's videos under one set of parameters, each
+    computed on first use.
+
+    A video used as a query keeps its untrimmed (T, d) embedding, one used as
+    support its trimmed (d,) mean. Features are not kept, so a video used in
+    both roles is read twice.
+    """
+
+    def __init__(self, params: model_mod.ModelParams, manifest):
+        self.params = params
+        self.manifest = manifest
+        self._embeddings = {}  # feature file -> (T, d)
+        self._means = {}  # (feature file, gt intervals) -> (d,)
+
+    def _load(self, entry):
+        seq = self.manifest.load_sequence(entry)
+        model_mod.check_feature_width(self.params, seq.features, entry.feature_file)
+        return seq
+
+    def query(self, entry) -> np.ndarray:
+        key = entry.feature_file
+        if key not in self._embeddings:
+            self._embeddings[key] = model_mod.embed_segments(
+                self.params, self._load(entry).features, grad=False)
+        return self._embeddings[key]
+
+    def support_mean(self, entry) -> np.ndarray:
+        key = (entry.feature_file, tuple(tuple(iv) for iv in entry.gt_intervals))
+        if key not in self._means:
+            trimmed = trim_support_video(self._load(entry))
+            self._means[key] = support_mean(self.params, trimmed.features)
+        return self._means[key]
+
+
 def evaluate(params: model_mod.ModelParams, manifest, mode: str, K: int = 5, n: int = 1,
              q: int = 5, episodes: int = 100, seed: int = 0, cfg: LossConfig = None) -> dict:
-    """Run `episodes` independent episodes and aggregate with a 95% CI.
+    """Run `episodes` independent episodes and aggregate with a 95% CI."""
+    per_episode = episode_scores(params, manifest, mode, range(episodes), K=K, n=n, q=q,
+                                 seed=seed, cfg=cfg)
+    return summarize(mode, per_episode, K=K, n=n, q=q, seed=seed)
 
-    Episode e is sampled with seed (seed, e), so any subset of episodes can
-    be reproduced independently and in parallel.
+
+def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_ids,
+                   K: int = 5, n: int = 1, q: int = 5, seed: int = 0,
+                   cfg: LossConfig = None) -> list:
+    """Accuracy, or (map50, avg_map), of each episode in `episode_ids`.
+
+    Episode e is drawn with seed (seed, e), so any subset of episodes can be
+    reproduced independently. Each video is read and embedded at most once
+    per role for the whole call; an episode then only indexes those arrays.
     """
     if mode not in ("classification", "detection"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
+    videos = _NovelVideos(params, manifest)
     per_episode = []
-    for e in range(episodes):
-        ep = sample_episode(manifest, K=K, n=n, q=q, seed=[seed, e])
+    for e in episode_ids:
+        draw = draw_episode(manifest, K=K, n=n, q=q, seed=[seed, e])
+        remap = {label: i for i, label in enumerate(draw.classes)}
+        proto = prototype_matrix(prototypes_from_means(K, [
+            (remap[entry.class_label], videos.support_mean(entry)) for entry in draw.support]))
+        queries = [(entry, videos.query(entry)) for entry in draw.queries]
         if mode == "classification":
-            per_episode.append(episode_accuracy(params, ep, cfg))
+            per_episode.append(_accuracy(params, remap, proto, queries, cfg))
         else:
-            map50, avg_map, _ = episode_detection(params, ep, cfg)
+            map50, avg_map, _ = _detection(params, remap, proto, queries, cfg, MAP_TIOU_GRID)
             per_episode.append((map50, avg_map))
-    return summarize(mode, per_episode, K=K, n=n, q=q, seed=seed)
+    return per_episode
 
 
 def summarize(mode: str, per_episode: list, **meta) -> dict:

@@ -185,7 +185,36 @@ def load_checkpoint(path):
     missing = [n for n in PARAM_ORDER if n not in loaded]
     if missing:
         raise DataError(f"{path}: checkpoint missing tensors {missing}")
-    return ModelParams(**{n: loaded[n] for n in PARAM_ORDER}), header["config"]
+    params = ModelParams(**{n: loaded[n] for n in PARAM_ORDER})
+    _check_loaded(params, path)
+    return params, header["config"]
+
+
+def _check_loaded(params: ModelParams, path):
+    """Raise DataError unless the tensors are non-empty matrices whose shapes
+    agree with each other and whose values are all finite."""
+    shapes = {name: t.data.shape for name, t in params.tensors().items()}
+    if not all(len(s) == 2 and min(s) >= 1 for s in shapes.values()):
+        raise DataError(f"{path}: checkpoint tensors must be non-empty matrices, got {shapes}")
+    d, d_in = shapes["transform"]
+    h = shapes["attn_hidden"][0]
+    agreed = {"transform": (d, d_in), "temporal_kernel": (d, shapes["temporal_kernel"][1]),
+              "classifier": (shapes["classifier"][0], d), "attn_hidden": (h, d),
+              "attn_out": (1, h)}
+    if shapes != agreed:
+        raise DataError(f"{path}: checkpoint shapes {shapes} disagree; expected transform "
+                        f"(d, d_in), temporal_kernel (d, w), classifier (N+1, d), "
+                        f"attn_hidden (h, d), attn_out (1, h)")
+    for name, t in params.tensors().items():
+        if not np.all(np.isfinite(t.data)):
+            raise DataError(f"{path}: checkpoint tensor {name} holds non-finite values")
+
+
+def check_feature_width(params: ModelParams, features: np.ndarray, source):
+    """Raise DataError unless the (T, d_in) features match the parameters' d_in."""
+    if features.shape[1] != params.d_in:
+        raise DataError(f"{source}: features are {features.shape[1]} wide, the checkpoint "
+                        f"expects d_in = {params.d_in}")
 
 
 def delta_kernel(d: int, width: int = 8) -> np.ndarray:

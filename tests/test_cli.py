@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from fewvid import cli, config, data
+from fewvid import autodiff as ad
+from fewvid import cli, config, data, model
 from fewvid.errors import DataError
 
 
@@ -249,6 +250,16 @@ class TestEval:
                     "--jobs", "2"], capsys)[0] == 0
         assert seq.read_bytes() == par.read_bytes()
 
+    def test_eval_more_jobs_than_episodes(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        seq = tmp_path / "seq.csv"
+        par = tmp_path / "par.csv"
+        assert run(["eval-cls", "--config", str(cfg_path), "--episodes", "2",
+                    "--out", str(seq)], capsys)[0] == 0
+        assert run(["eval-cls", "--config", str(cfg_path), "--episodes", "2",
+                    "--out", str(par), "--jobs", "3"], capsys)[0] == 0
+        assert seq.read_bytes() == par.read_bytes()
+
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
         code, _, err = run(["eval-cls", "--config", str(cfg_path),
@@ -284,6 +295,57 @@ class TestEval:
         code, _, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
         assert code == 2
         assert "data error" in err and "shape" in err
+
+
+class TestCheckpointAgainstCorpus:
+    """Checkpoints that disagree with themselves or with the corpus are data errors."""
+
+    def edited(self, workspace, tmp_path, **arrays):
+        root, _ = workspace
+        params, echo = model.load_checkpoint(root / "model.ckpt")
+        for name, arr in arrays.items():
+            setattr(params, name, ad.Tensor(arr))
+        path = tmp_path / "edited.ckpt"
+        model.save_checkpoint(params, path, echo)
+        return path
+
+    @pytest.mark.parametrize("name, shape", [("transform", (4, 8)), ("classifier", (4, 5)),
+                                             ("attn_out", (1, 31))])
+    def test_disagreeing_shapes_exit_2(self, workspace, tmp_path, capsys, name, shape):
+        _, cfg_path = workspace
+        ckpt = self.edited(workspace, tmp_path, **{name: np.ones(shape)})
+        code, _, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
+        assert code == 2
+        assert "data error" in err and "disagree" in err
+
+    def test_nan_parameter_exits_2(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        classifier = model.load_checkpoint(root / "model.ckpt")[0].classifier.data.copy()
+        classifier[1, 2] = np.nan
+        ckpt = self.edited(workspace, tmp_path, classifier=classifier)
+        code, out, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)],
+                             capsys)
+        assert code == 2
+        assert "classifier holds non-finite" in err and "accuracy" not in out
+
+    @pytest.mark.parametrize("command", ["eval-cls", "eval-det", "inspect"])
+    def test_checkpoint_narrower_than_corpus_exits_2(self, workspace, tmp_path, capsys,
+                                                     command):
+        _, cfg_path = workspace
+        ckpt = self.edited(workspace, tmp_path, transform=np.ones((8, 4)))
+        code, _, err = run([command, "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
+        assert code == 2
+        assert "features are 8 wide" in err and "d_in = 4" in err
+
+    def test_corpus_wider_than_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        wide = tmp_path / "wide.cfg"
+        wide.write_text(TINY + f"\nd_in = 16\ndata_dir = {tmp_path / 'dataset'}\n"
+                        f"ckpt = {root / 'model.ckpt'}\n")
+        assert cli.main(["gen-data", "--config", str(wide)]) == 0
+        code, _, err = run(["eval-det", "--config", str(wide)], capsys)
+        assert code == 2
+        assert "features are 16 wide" in err and "d_in = 8" in err
 
 
 class TestGradCheck:

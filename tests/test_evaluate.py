@@ -128,14 +128,18 @@ class TestPrototypes:
             evaluate.compute_prototypes(p, ep)
 
 
+def classify(params, features, proto, **kwargs):
+    f = model.embed_segments(params, features, grad=False)
+    return evaluate.classify_query(params, f, proto, **kwargs)
+
+
 class TestClassifyQuery:
     def protos(self):
-        return [evaluate.Prototype(0, np.array([1.0, 0.0])),
-                evaluate.Prototype(1, np.array([0.0, 1.0]))]
+        return np.array([[1.0, 0.0], [0.0, 1.0]])
 
     def test_softmax_of_cosines(self):
         p = identity_params()
-        res = evaluate.classify_query(p, np.array([[1.0, 0.0]]), self.protos())
+        res = classify(p, np.array([[1.0, 0.0]]), self.protos())
         e = np.exp(1.0)
         np.testing.assert_allclose(res.probs, [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-4)
         assert res.top1 == 0
@@ -143,33 +147,33 @@ class TestClassifyQuery:
     def test_equidistant_gives_uniform(self):
         p = identity_params()
         r = np.sqrt(0.5)
-        res = evaluate.classify_query(p, np.array([[r, r]]), self.protos())
+        res = classify(p, np.array([[r, r]]), self.protos())
         np.testing.assert_allclose(res.probs, [0.5, 0.5], atol=1e-12)
 
     def test_zero_threshold_predicts_everything(self):
         p = identity_params()
-        res = evaluate.classify_query(p, np.array([[1.0, 0.0]]), self.protos(), t_a=0.0)
+        res = classify(p, np.array([[1.0, 0.0]]), self.protos(), t_a=0.0)
         assert res.predicted_set == [0, 1]
 
     def test_default_threshold_prunes(self):
         p = identity_params()
-        res = evaluate.classify_query(p, np.array([[1.0, 0.0]]), self.protos())
+        res = classify(p, np.array([[1.0, 0.0]]), self.protos())
         assert 0 in res.predicted_set
 
     def test_argmax_matches_raw_cosines(self):
         p = model.init_params(n_classes=3, d_in=4, d=4, seed=3)
         rng = np.random.default_rng(4)
-        protos = [evaluate.Prototype(i, v / np.linalg.norm(v))
-                  for i, v in enumerate(rng.normal(size=(3, 4)))]
+        proto = rng.normal(size=(3, 4))
+        proto /= np.linalg.norm(proto, axis=1, keepdims=True)
         feats = rng.normal(size=(6, 4))
-        res = evaluate.classify_query(p, feats, protos)
+        res = classify(p, feats, proto)
         f = model.embed_segments(p, feats).data
         from fewvid.losses import aggregate_video_feature, self_weight
         from fewvid import autodiff as ad
-        i_bg = evaluate.pseudo_label_bg(f @ np.stack([pr.vector for pr in protos]).T)
+        i_bg = evaluate.pseudo_label_bg(f @ proto.T)
         w = self_weight(ad.Tensor(f), i_bg)
         F = aggregate_video_feature(ad.Tensor(f), w).data[0]
-        sims = np.stack([pr.vector for pr in protos]) @ (F / np.linalg.norm(F))
+        sims = proto @ (F / np.linalg.norm(F))
         assert res.top1 == int(np.argmax(sims))
 
     def test_softmax_argmax_invariant_to_temperature(self):
@@ -201,20 +205,17 @@ class TestEpisodeAccuracy:
 
 class TestTcam:
     def test_zero_weight_zeroes_row(self):
-        protos = [evaluate.Prototype(0, np.array([1.0, 0.0]))]
-        A = evaluate.tcam(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]), protos)
+        A = evaluate.tcam(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]),
+                          np.array([[1.0, 0.0]]))
         np.testing.assert_array_equal(A[0], 0.0)
 
     def test_aligned_segment_scores_one(self):
-        protos = [evaluate.Prototype(0, np.array([1.0, 0.0]))]
-        A = evaluate.tcam(np.array([[1.0, 0.0]]), np.array([1.0]), protos)
+        A = evaluate.tcam(np.array([[1.0, 0.0]]), np.array([1.0]), np.array([[1.0, 0.0]]))
         assert A[0, 0] == pytest.approx(1.0)
 
     def test_hand_matrix(self):
-        protos = [evaluate.Prototype(0, np.array([1.0, 0.0])),
-                  evaluate.Prototype(1, np.array([0.0, 1.0]))]
         f = np.array([[1.0, 0.0], [0.6, 0.8]])
-        A = evaluate.tcam(f, np.array([0.5, 1.0]), protos)
+        A = evaluate.tcam(f, np.array([0.5, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_allclose(A, [[0.5, 0.0], [0.6, 0.8]], atol=1e-12)
 
 
@@ -346,14 +347,15 @@ class TestEpisodeDetection:
 
         # independent aggregation: group detections and truths per video,
         # run the grid oracle per class, macro-average
-        protos = evaluate.compute_prototypes(params, ep)
+        proto = evaluate.prototype_matrix(evaluate.compute_prototypes(params, ep))
         remap = ep.class_remap
         per_class_dets = {k: {} for k in range(ep.K)}
         per_class_gts = {k: {} for k in range(ep.K)}
         for q in ep.queries:
-            res = evaluate.classify_query(params, q.features, protos)
+            f = model.embed_segments(params, q.features, grad=False)
+            res = evaluate.classify_query(params, f, proto)
             for det in evaluate.extract_proposals(
-                    evaluate.tcam(res.f, res.weights, protos), video_id=q.video_id):
+                    evaluate.tcam(f, res.weights, proto), video_id=q.video_id):
                 per_class_dets[det.class_index].setdefault(det.video_id, []).append(det)
             for iv in q.gt_intervals:
                 per_class_gts[remap[q.class_label]].setdefault(q.video_id, []).append(tuple(iv))
@@ -429,6 +431,129 @@ class TestEvaluateLoop:
         params, novel = setup
         with pytest.raises(ValueError):
             evaluate.evaluate(params, novel, "segmentation")
+
+
+# --- per-episode oracle -----------------------------------------------------
+# The evaluation loop as it was before embeddings were cached: draw and load
+# every episode afresh, embed each support and query video every time it is
+# used, stack the prototypes per query. The cached loop must give the same
+# float bits.
+
+
+def oracle_sample_episode(novel, K, n, q, seed):
+    rng = np.random.default_rng(seed)
+    groups = novel.by_class()
+    labels = sorted(groups)
+    classes = [labels[i] for i in rng.choice(len(labels), size=K, replace=False)]
+    support, queries = [], []
+    for label in classes:
+        pool = groups[label]
+        picks = rng.choice(len(pool), size=n + q, replace=False)
+        for j in picks[:n]:
+            support.append(data.trim_support_video(novel.load_sequence(pool[j])))
+        for j in picks[n:]:
+            queries.append(novel.load_sequence(pool[j]))
+    return data.Episode(K=K, n=n, q=q, classes=classes, support=support, queries=queries)
+
+
+def oracle_prototypes(params, ep):
+    remap = ep.class_remap
+    sums = {k: [] for k in range(ep.K)}
+    for s in ep.support:
+        sums[remap[s.class_label]].append(
+            model.embed_segments(params, s.features, grad=False).mean(axis=0))
+    vectors = []
+    for k in range(ep.K):
+        mean = np.mean(sums[k], axis=0)
+        norm = np.linalg.norm(mean)
+        vectors.append(mean / norm if norm > 0.0 else mean)
+    return vectors
+
+
+def oracle_classify(params, features, vectors, cfg):
+    from fewvid.losses import aggregate_video_feature, self_weight
+    proto = np.stack(vectors)
+    f = model.embed_segments(params, features, grad=False)
+    i_bg = evaluate.pseudo_label_bg(f @ proto.T)
+    weights = self_weight(f, i_bg, cfg) if cfg.sw else model.baseline_attention(params, f)
+    F = aggregate_video_feature(f, weights)[0]
+    sims = np.stack(vectors) @ (F / (np.linalg.norm(F) + 1e-12))
+    ex = np.exp(sims - sims.max())
+    return int(np.argmax(ex / ex.sum())), f, weights[:, 0]
+
+
+def oracle_evaluate(params, novel, mode, K, n, q, episodes, seed, cfg):
+    per_episode = []
+    for e in range(episodes):
+        ep = oracle_sample_episode(novel, K, n, q, [seed, e])
+        vectors = oracle_prototypes(params, ep)
+        remap = ep.class_remap
+        if mode == "classification":
+            correct = sum(oracle_classify(params, v.features, vectors, cfg)[0] == remap[v.class_label]
+                          for v in ep.queries)
+            per_episode.append(correct / len(ep.queries))
+            continue
+        dets, gts = [], {k: [] for k in range(K)}
+        for v in ep.queries:
+            _, f, w = oracle_classify(params, v.features, vectors, cfg)
+            A = np.asarray(w)[:, None] * (f @ np.stack(vectors).T)
+            dets.extend(evaluate.extract_proposals(A, video_id=v.video_id))
+            for interval in v.gt_intervals:
+                gts[remap[v.class_label]].append((v.video_id, tuple(interval)))
+        maps = evaluate.detection_maps(dets, gts, evaluate.MAP_TIOU_GRID)
+        per_episode.append((maps[0.5], float(np.mean([maps[float(t)] for t in evaluate.MAP_TIOU_GRID]))))
+    return per_episode
+
+
+@pytest.fixture(scope="module")
+def small_novel(tmp_path_factory):
+    """Four novel classes of six videos: episodes reuse videos in both roles."""
+    cfg = data.SyntheticConfig(n_base_classes=3, n_novel_classes=4, videos_per_class=6,
+                               T=10, d_in=6, seed=11)
+    _, novel = data.generate_synthetic_dataset(cfg, tmp_path_factory.mktemp("small_novel"))
+    return novel
+
+
+class TestCachedLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["classification", "detection"]),
+           st.booleans(), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 6))
+    @example(seed=0, mode="detection", sw=False, K=4, n=3, q=3, episodes=1)
+    @example(seed=1, mode="classification", sw=True, K=4, n=3, q=3, episodes=1)
+    def test_equals_per_episode_oracle(self, small_novel, seed, mode, sw, K, n, q, episodes):
+        params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=seed % 97)
+        cfg = LossConfig(sw=sw)
+        got = evaluate.evaluate(params, small_novel, mode, K=K, n=n, q=q, episodes=episodes,
+                                seed=seed, cfg=cfg)["per_episode"]
+        assert got == oracle_evaluate(params, small_novel, mode, K, n, q, episodes, seed, cfg)
+
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    def test_reads_and_embeds_each_video_at_most_twice(self, small_novel, monkeypatch, mode):
+        reads, embeds = {}, []
+        read, embed = data.read_feature_file, model.embed_segments
+
+        def counting_read(path):
+            reads[str(path)] = reads.get(str(path), 0) + 1
+            return read(path)
+
+        def counting_embed(*args, **kwargs):
+            embeds.append(1)
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(data, "read_feature_file", counting_read)
+        monkeypatch.setattr(model, "embed_segments", counting_embed)
+        episodes, K, n, q = 30, 3, 2, 3
+        evaluate.evaluate(model.init_params(n_classes=3, d_in=6, d=5, seed=1), small_novel,
+                          mode, K=K, n=n, q=q, episodes=episodes, seed=4)
+        assert max(reads.values()) == 2  # some video served in both roles
+        assert len(embeds) <= 2 * len(reads)
+        assert sum(reads.values()) < episodes * K * (n + q)
+
+    def test_feature_width_checked_against_checkpoint(self, small_novel):
+        params = model.init_params(n_classes=3, d_in=7, d=5, seed=1)
+        with pytest.raises(DataError, match="d_in = 7"):
+            evaluate.evaluate(params, small_novel, "classification", K=2, n=1, q=1, episodes=1)
 
 
 class TestMeanCi:

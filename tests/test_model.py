@@ -180,3 +180,45 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             model.load_checkpoint(tmp_path / "missing.ckpt")
+
+    def save_with(self, tmp_path, **tensors):
+        p = model.init_params(n_classes=4, d_in=6, d=5, kernel_width=3, attn_width=7, seed=18)
+        for name, arr in tensors.items():
+            setattr(p, name, ad.Tensor(arr))
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(p, path)
+        return path
+
+    @pytest.mark.parametrize("name, shape", [
+        ("transform", (4, 6)),  # d disagrees with every other tensor
+        ("temporal_kernel", (6, 3)),
+        ("classifier", (5, 4)),
+        ("attn_hidden", (7, 6)),
+        ("attn_out", (1, 8)),
+        ("attn_out", (2, 7)),
+        ("temporal_kernel", (5,)),
+        ("classifier", (5, 5, 1)),
+        ("temporal_kernel", (5, 0)),
+    ])
+    def test_disagreeing_shapes(self, tmp_path, name, shape):
+        path = self.save_with(tmp_path, **{name: np.ones(shape)})
+        with pytest.raises(DataError, match="matrices|disagree"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", model.PARAM_ORDER)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value(self, tmp_path, name, value):
+        p = model.init_params(n_classes=4, d_in=6, d=5, kernel_width=3, attn_width=7, seed=18)
+        arr = p.tensors()[name].data.copy()
+        arr.flat[-1] = value
+        with pytest.raises(DataError, match=f"{name} holds non-finite"):
+            model.load_checkpoint(self.save_with(tmp_path, **{name: arr}))
+
+
+class TestFeatureWidth:
+    def test_matching_width_passes(self):
+        model.check_feature_width(tiny_params(d_in=2), np.ones((3, 2)), "v")
+
+    def test_mismatch_names_source_and_width(self):
+        with pytest.raises(DataError, match="v.segf: features are 5 wide.*d_in = 2"):
+            model.check_feature_width(tiny_params(d_in=2), np.ones((3, 5)), "v.segf")
