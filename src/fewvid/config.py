@@ -6,6 +6,7 @@ rejected so typos fail loudly.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .data import SyntheticConfig
@@ -112,9 +113,12 @@ def parse_value(key: str, text: str):
             if low in FALSE_WORDS:
                 return False
             raise ValueError(text)
-        return typ(text)
+        value = typ(text)
     except ValueError as err:
         raise DataError(f"config key {key!r}: cannot parse {text!r} as {typ.__name__}") from err
+    if typ is float and not math.isfinite(value):
+        raise DataError(f"config key {key!r}: {text!r} is not a finite number")
+    return value
 
 
 def read_config_file(path) -> dict:

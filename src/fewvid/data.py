@@ -153,6 +153,27 @@ def save_manifest(manifest: DatasetManifest, path):
             }) + "\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_entry(rec: dict, where: str):
+    """Raise DataError unless a manifest record has string video_id and
+    feature_file, an int class_label and a list of [start, end] int pairs
+    with 0 <= start < end as gt_intervals."""
+    for key in ("video_id", "feature_file"):
+        if not isinstance(rec[key], str):
+            raise DataError(f"{where}: {key} must be a string, got {rec[key]!r}")
+    if not _is_int(rec["class_label"]):
+        raise DataError(f"{where}: class_label must be an integer, got {rec['class_label']!r}")
+    intervals = rec["gt_intervals"]
+    if not (isinstance(intervals, list) and all(
+            isinstance(iv, list) and len(iv) == 2 and _is_int(iv[0]) and _is_int(iv[1])
+            and 0 <= iv[0] < iv[1] for iv in intervals)):
+        raise DataError(f"{where}: gt_intervals must be a list of [start, end] integer "
+                        f"pairs with 0 <= start < end, got {intervals!r}")
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
@@ -166,8 +187,9 @@ def load_manifest(path) -> DatasetManifest:
         header = json.loads(lines[0])
         manifest = DatasetManifest(
             split=header["split"], class_names=header["class_names"], root=path.parent)
-        for line in lines[1:]:
+        for i, line in enumerate(lines[1:]):
             rec = json.loads(line)
+            _check_entry(rec, f"{path}: entry {i}")
             manifest.entries.append(ManifestEntry(
                 video_id=rec["video_id"],
                 class_label=rec["class_label"],

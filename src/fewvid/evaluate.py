@@ -6,12 +6,15 @@ pseudo-labeled from the K-way cosine logits against the prototypes and
 down-weighted before aggregation, exactly as during training but with
 prototypes standing in for classifier rows. Detection scores every segment
 per class (weight times cosine), turns thresholded runs into proposals, and
-reports mean average precision over temporal-IoU thresholds.
+reports mean average precision over temporal-IoU thresholds. An episode's
+queries are scored together on index arrays: one pass finds every run, NMS
+steps through all (video, class) groups at once, and matching sweeps the
+whole tIoU grid in one pass over each class's ranked detections.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +41,19 @@ class DetectionResult:
     class_index: int
     interval: tuple  # half-open (start, end) in segment units
     score: float
+
+
+@dataclass
+class Detections:
+    """Scored intervals as parallel arrays, in the order ties are ranked."""
+    video: np.ndarray  # (n,) query index within the episode
+    class_index: np.ndarray  # (n,) episode class
+    intervals: np.ndarray  # (n, 2) half-open (start, end) in segment units
+    scores: np.ndarray  # (n,)
+
+    def take(self, index) -> "Detections":
+        return Detections(self.video[index], self.class_index[index],
+                          self.intervals[index], self.scores[index])
 
 
 @dataclass
@@ -140,14 +156,19 @@ def tcam(f: np.ndarray, weights: np.ndarray, proto: np.ndarray) -> np.ndarray:
     return np.asarray(weights)[:, None] * (f @ proto.T)
 
 
+def _tiou(start_a, end_a, start_b, end_b) -> np.ndarray:
+    """tIoU of half-open intervals given by broadcastable endpoint arrays,
+    0 where they do not overlap."""
+    inter = np.minimum(end_a, end_b) - np.maximum(start_a, start_b)
+    union = (end_a - start_a) + (end_b - start_b) - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=inter > 0)
+
+
 def temporal_iou_matrix(a, b) -> np.ndarray:
     """(len(a), len(b)) tIoU of half-open intervals, 0 where they do not overlap."""
     a = np.asarray(a).reshape(-1, 2)
     b = np.asarray(b).reshape(-1, 2)
-    inter = np.minimum(a[:, 1:], b[:, 1]) - np.maximum(a[:, :1], b[:, 0])
-    union = (a[:, 1:] - a[:, :1]) + (b[:, 1] - b[:, 0]) - inter
-    overlap = inter > 0
-    return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
+    return _tiou(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
 
 
 def temporal_iou(a, b) -> float:
@@ -155,146 +176,188 @@ def temporal_iou(a, b) -> float:
     return float(temporal_iou_matrix(a, b)[0, 0])
 
 
-def _runs_above(column: np.ndarray, thresholds) -> np.ndarray:
-    """(n, 2) half-open runs where column > threshold, threshold by threshold
-    and left to right within each."""
-    above = column[None, :] > np.asarray(thresholds)[:, None]
-    padded = np.zeros((above.shape[0], above.shape[1] + 2), dtype=np.int8)
-    padded[:, 1:-1] = above
-    edges = np.diff(padded, axis=1)
-    # row-major nonzero pairs the k-th rise with the k-th fall
-    return np.stack([np.nonzero(edges == 1)[1], np.nonzero(edges == -1)[1]], axis=1)
+def _runs(A: np.ndarray, lengths, thresholds):
+    """Runs of segments above threshold × column max, for every (video,
+    class, threshold) whose column max is positive, in that order and left
+    to right; a repeated (video, class, start, end) is kept at its first
+    place only.
+
+    A stacks the videos' (T_i, K) activation maps, `lengths` gives each T_i.
+    Returns video, class, start and end index arrays; no run crosses a video
+    boundary.
+    """
+    lengths = np.asarray(lengths)
+    K, T = A.shape[1], int(lengths.max())
+    cams = np.full((lengths.size, K, T), -np.inf)  # padding is above no threshold
+    cams.transpose(0, 2, 1)[np.arange(T) < lengths[:, None]] = A
+    colmax = cams.max(axis=2)
+    levels = colmax[:, :, None] * np.asarray(thresholds, dtype=np.float64)
+    above = np.zeros(levels.shape + (T + 2,), dtype=np.int8)  # a zero before and after
+    above[..., 1:-1] = (cams[:, :, None, :] > levels[..., None]) & (colmax > 0.0)[:, :, None, None]
+    # flat order is (video, class, threshold, position), so the k-th rise
+    # pairs with the k-th fall
+    edges = np.diff(above, axis=3).ravel()
+    column, start = np.divmod(np.flatnonzero(edges == 1), T + 1)
+    end = np.flatnonzero(edges == -1) % (T + 1)
+    column //= levels.shape[2]  # video * K + class
+    # a repeated run has its first copy's score and tIoU 1 with it, so NMS
+    # would drop it anyway; drop it before
+    key = (column * (T + 1) + start) * (T + 1) + end
+    first = np.sort(np.unique(key, return_index=True)[1])
+    video, cls = np.divmod(column[first], K)
+    return video, cls, start[first], end[first]
+
+
+def _run_means(A: np.ndarray, first_row, cls, length) -> np.ndarray:
+    """Mean of A[first_row:first_row + length, cls] for each run.
+
+    Runs of one length are summed together by one row-wise np.add.reduce of
+    their gathered (n, length) block. NumPy sums each row pairwise exactly as
+    it sums the 1-D slice, so each mean has the bits of
+    np.add.reduce(slice) / length; a prefix-sum difference would not.
+    """
+    means = np.empty(length.size)
+    for L in np.flatnonzero(np.bincount(length)):
+        at = np.flatnonzero(length == L)
+        block = A[first_row[at, None] + np.arange(L), cls[at, None]]
+        means[at] = np.add.reduce(block, axis=1) / L
+    return means
+
+
+def _nms_keep(group, intervals, scores, tiou_threshold) -> np.ndarray:
+    """Indices that greedy non-maximum suppression keeps within each group:
+    groups in ascending order, each highest score first, ties keeping the
+    earlier index.
+
+    All groups are suppressed side by side: step r takes the r-th best
+    candidate of every group.
+    """
+    if scores.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    order = np.lexsort((-scores, group))
+    sorted_group = group[order]
+    opens = np.r_[True, sorted_group[1:] != sorted_group[:-1]]
+    col = np.cumsum(opens) - 1
+    rank = np.arange(order.size) - np.flatnonzero(opens)[col]
+    slots = np.full((rank.max() + 1, col[-1] + 1), -1)  # candidate by (rank, group)
+    slots[rank, col] = order
+    start, end = intervals[slots, 0], intervals[slots, 1]
+    suppressed, kept = slots < 0, np.zeros(slots.shape, dtype=bool)
+    for r in range(slots.shape[0]):
+        kept[r] = ~suppressed[r]
+        later = slice(r + 1, None)
+        clashes = _tiou(start[r], end[r], start[later], end[later]) >= tiou_threshold
+        suppressed[later] |= clashes & kept[r]
+    return slots.T[kept.T]
+
+
+def episode_proposals(A: np.ndarray, lengths,
+                      thresholds=DEFAULT_PROPOSAL_THRESHOLDS) -> Detections:
+    """Proposals of every video and class of a stacked (sum T_i, K)
+    activation map: thresholded runs, merged across thresholds, scored by
+    their mean activation, then NMS at tIoU 0.5 within each (video, class).
+    Ordered by video, then class, then score."""
+    video, cls, start, end = _runs(A, lengths, thresholds)
+    first_row = np.concatenate([[0], np.cumsum(lengths)[:-1]])[video] + start
+    scores = _run_means(A, first_row, cls, end - start)
+    intervals = np.stack([start, end], axis=1)
+    keep = _nms_keep(video * A.shape[1] + cls, intervals, scores, 0.5)
+    return Detections(video, cls, intervals, scores).take(keep)
+
+
+def extract_proposals(A: np.ndarray, thresholds=DEFAULT_PROPOSAL_THRESHOLDS,
+                      video_id: str = "") -> list:
+    """Thresholded runs of one video's (T, K) activation map, merged across
+    thresholds, as DetectionResults."""
+    dets = episode_proposals(A, [A.shape[0]], thresholds)
+    return [DetectionResult(video_id, k, tuple(interval), score) for k, interval, score in
+            zip(dets.class_index.tolist(), dets.intervals.tolist(), dets.scores.tolist())]
 
 
 def nms(detections: list, tiou_threshold: float = 0.5) -> list:
     """Greedy non-maximum suppression, highest score first; ties keep the
     earlier interval."""
-    if not detections:
-        return []
     scores = np.array([d.score for d in detections], dtype=np.float64)
-    intervals = [d.interval for d in detections]
-    clashes = temporal_iou_matrix(intervals, intervals) >= tiou_threshold
-    suppressed = np.zeros(len(detections), dtype=bool)
-    kept = []
-    for i in np.argsort(-scores, kind="stable"):
-        if not suppressed[i]:
-            kept.append(detections[i])
-            suppressed |= clashes[i]
-    return kept
+    intervals = np.array([d.interval for d in detections]).reshape(-1, 2)
+    keep = _nms_keep(np.zeros(scores.size, dtype=np.intp), intervals, scores, tiou_threshold)
+    return [detections[i] for i in keep]
 
 
-def extract_proposals(A: np.ndarray, thresholds=DEFAULT_PROPOSAL_THRESHOLDS,
-                      video_id: str = "") -> list:
-    """Thresholded runs of the activation map, merged across thresholds."""
-    out = []
-    for k in range(A.shape[1]):
-        column = A[:, k]
-        colmax = column.max()
-        if colmax <= 0.0:
-            continue
-        runs = _runs_above(column, np.asarray(thresholds) * colmax)
-        # a repeated run has its first copy's score and tIoU 1 with it, so
-        # NMS would drop it anyway; drop it before
-        _, first = np.unique(runs[:, 0] * (column.size + 1) + runs[:, 1], return_index=True)
-        candidates = [
-            DetectionResult(
-                video_id=video_id,
-                class_index=k,
-                interval=(start, end),
-                score=float(np.add.reduce(column[start:end]) / (end - start)),
-            )
-            for start, end in runs[np.sort(first)].tolist()
-        ]
-        out.extend(nms(candidates, 0.5))
-    return out
-
-
-def _greedy_matches(iou: np.ndarray, tiou_threshold: float) -> np.ndarray:
-    """True positives of detections (rows, best score first) matched one to
-    one to ground truths (columns): each takes its best-overlapping unmatched
-    truth, the first on ties, if that overlap is positive and reaches the
-    threshold."""
-    tp = np.zeros(iou.shape[0])
+def _greedy_matches(iou: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """(len(thresholds), n) true positives of detections (rows, best score
+    first) matched one to one to ground truths (columns), all thresholds in
+    one pass over the rows: at each threshold a row takes its
+    best-overlapping truth still free at that threshold, the first on ties,
+    if that overlap is positive and reaches the threshold."""
+    tp = np.zeros((thresholds.size, iou.shape[0]))
+    free = np.ones((thresholds.size, iou.shape[1]), dtype=bool)
     best = iou.max(axis=1)
-    # a row below the threshold everywhere can never match, so skip it
-    rows = np.flatnonzero((best >= tiou_threshold) & (best > 0.0))
-    free = np.ones(iou.shape[1], dtype=bool)
-    for i in rows:
+    # a row below every threshold can never match, so skip it
+    for i in np.flatnonzero((best >= np.min(thresholds, initial=np.inf)) & (best > 0.0)):
         open_iou = np.where(free, iou[i], -1.0)
-        j = int(np.argmax(open_iou))
-        if open_iou[j] > 0.0 and open_iou[j] >= tiou_threshold:
-            free[j] = False
-            tp[i] = 1.0
+        j = np.argmax(open_iou, axis=1)
+        taken = open_iou[np.arange(thresholds.size), j]
+        hit = (taken > 0.0) & (taken >= thresholds)
+        free[hit, j[hit]] = False
+        tp[hit, i] = 1.0
     return tp
 
 
-def _interpolated_ap(tp: np.ndarray, n_truths: int) -> float:
-    hits = np.flatnonzero(tp)
-    if hits.size == 0:
-        return 0.0
-    cum_tp = np.cumsum(tp)
-    precision = cum_tp / np.arange(1, tp.size + 1)
-    recall = cum_tp / n_truths
+def _interpolated_aps(tp: np.ndarray, n_truths: int) -> np.ndarray:
+    """All-point interpolated AP of each row of true positives."""
+    if tp.shape[1] == 0:
+        return np.zeros(tp.shape[0])
+    cum_tp = np.cumsum(tp, axis=1)
+    precision = cum_tp / np.arange(1, tp.shape[1] + 1)
     # precision envelope from the right, then rectangle areas at each recall
-    # step, summed left to right
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    steps = np.diff(recall[hits], prepend=0.0) * envelope[hits]
-    return float(np.cumsum(steps)[-1])
+    # step (recall moves at hits only), summed left to right
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    steps = np.where(tp > 0.0, cum_tp / n_truths - (cum_tp - 1.0) / n_truths, 0.0) * envelope
+    return np.cumsum(steps, axis=1)[:, -1]
 
 
-def average_precision(detections: list, ground_truths: list, tiou_threshold):
+def average_precision(detections, ground_truths, tiou_threshold):
     """All-point interpolated AP with greedy one-to-one matching.
 
-    detections: (score, interval) pairs or DetectionResult; ground_truths:
-    (video_id-agnostic) intervals. Returns None when there is nothing to
-    detect, so callers can exclude the class from their mean. Given a
-    sequence of thresholds, returns one AP per threshold, all matched on one
-    tIoU matrix.
+    detections: Detections, or (score, interval) pairs or DetectionResults;
+    ground_truths: (video_id-agnostic) intervals. Returns None when there is
+    nothing to detect, so callers can exclude the class from their mean.
+    Given a sequence of thresholds, returns one AP per threshold, all
+    matched in one pass over one tIoU matrix.
     """
-    if not ground_truths:
+    if len(ground_truths) == 0:
         return None
-    scores = np.array([d.score if isinstance(d, DetectionResult) else float(d[0])
-                       for d in detections], dtype=np.float64)
-    intervals = [d.interval if isinstance(d, DetectionResult) else tuple(d[1])
-                 for d in detections]
+    if isinstance(detections, Detections):
+        scores, intervals = detections.scores, detections.intervals
+    else:
+        scores = np.array([d.score if isinstance(d, DetectionResult) else float(d[0])
+                           for d in detections], dtype=np.float64)
+        intervals = np.array([d.interval if isinstance(d, DetectionResult) else tuple(d[1])
+                              for d in detections]).reshape(-1, 2)
     order = np.argsort(-scores, kind="stable")
-    iou = temporal_iou_matrix(np.asarray(intervals).reshape(-1, 2)[order], ground_truths)
-    thresholds = np.atleast_1d(tiou_threshold)
-    aps = [_interpolated_ap(_greedy_matches(iou, thr), len(ground_truths))
-           for thr in thresholds]
+    iou = temporal_iou_matrix(intervals[order], np.asarray(ground_truths).reshape(-1, 2))
+    thresholds = np.atleast_1d(np.asarray(tiou_threshold, dtype=np.float64))
+    aps = _interpolated_aps(_greedy_matches(iou, thresholds), len(ground_truths)).tolist()
     return aps if np.ndim(tiou_threshold) else aps[0]
 
 
-def _detections_by_class(detections: list):
-    keyed = {}
-    for det in detections:
-        keyed.setdefault(det.class_index, []).append(det)
-    return keyed
-
-
-def detection_maps(detections: list, truths: dict, tiou_grid) -> dict:
+def detection_maps(detections: Detections, truths: np.ndarray, tiou_grid) -> dict:
     """mAP at each tIoU threshold over classes with ground truth.
 
-    truths maps each class index to its (video_id, interval) pairs; a
+    truths: (m, 4) rows (video, class, start, end) with start >= 0; of two
+    equally overlapping truths a detection takes the earlier row. A
     detection only ever matches a truth of its own video.
     """
-    by_class = _detections_by_class(detections)
-    per_class = []  # one AP per grid threshold, for each class with truths
-    for k, class_truths in truths.items():
-        if not class_truths:
-            continue
-        # offset each video into its own span so intervals from different
-        # videos never overlap
-        dets = by_class.get(k, [])
-        vids = sorted({v for v, _ in class_truths} | {d.video_id for d in dets})
-        span = 1 + max([iv[1] for _, iv in class_truths] + [d.interval[1] for d in dets])
-        offset = {v: i * span for i, v in enumerate(vids)}
-        gt_shifted = [(iv[0] + offset[v], iv[1] + offset[v]) for v, iv in class_truths]
-        det_shifted = [
-            (d.score, (d.interval[0] + offset[d.video_id], d.interval[1] + offset[d.video_id]))
-            for d in dets
-        ]
-        per_class.append(average_precision(det_shifted, gt_shifted, list(tiou_grid)))
+    # offset each video into its own span so intervals from different videos
+    # never overlap
+    span = 1 + max(detections.intervals.max(initial=0), truths[:, 3].max(initial=0))
+    shifted = replace(detections,
+                      intervals=detections.intervals + span * detections.video[:, None])
+    truth_intervals = truths[:, 2:] + span * truths[:, :1]
+    per_class = [  # one AP per grid threshold, for each class with truths
+        average_precision(shifted.take(shifted.class_index == k),
+                          truth_intervals[truths[:, 1] == k], list(tiou_grid))
+        for k in sorted(set(truths[:, 1].tolist()))]
     return {float(thr): float(np.mean([aps[i] for aps in per_class])) if per_class else 0.0
             for i, thr in enumerate(tiou_grid)}
 
@@ -313,14 +376,16 @@ def episode_detection(params: model_mod.ModelParams, episode: Episode,
 
 def _detection(params, remap: dict, proto: np.ndarray, queries: list, cfg, tiou_grid):
     """(map50, avg_map, maps) of (video, (T, d) embedding) query pairs; a
-    video carries its class_label, video_id and gt_intervals."""
-    all_dets, gts = [], {k: [] for k in range(len(remap))}
-    for video, f in queries:
+    video carries its class_label and gt_intervals. The queries' activation
+    maps are stacked and scored together as arrays."""
+    cams, truths = [], []
+    for i, (video, f) in enumerate(queries):
         res = classify_query(params, f, proto, cfg)
-        all_dets.extend(extract_proposals(tcam(f, res.weights, proto), video_id=video.video_id))
-        for interval in video.gt_intervals:
-            gts[remap[video.class_label]].append((video.video_id, tuple(interval)))
-    maps = detection_maps(all_dets, gts, tiou_grid)
+        cams.append(tcam(f, res.weights, proto))
+        truths.extend((i, remap[video.class_label], start, end)
+                      for start, end in video.gt_intervals)
+    detections = episode_proposals(np.concatenate(cams), [len(cam) for cam in cams])
+    maps = detection_maps(detections, np.array(truths).reshape(-1, 4), tiou_grid)
     avg_map = float(np.mean([maps[float(t)] for t in tiou_grid]))
     return maps[0.5], avg_map, maps
 

@@ -90,6 +90,13 @@ class TestConfigFile:
             path.write_text(f"cl = {word}\n")
             assert config.build_config(path, {}).cl is want
 
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_float_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"lr = {text}\n")
+        with pytest.raises(DataError, match="not a finite number"):
+            config.build_config(path, {})
+
     def test_validation_catches_bad_ranges(self):
         cfg = config.RunConfig(momentum=1.5)
         with pytest.raises(DataError):
@@ -346,6 +353,48 @@ class TestCheckpointAgainstCorpus:
         code, _, err = run(["eval-det", "--config", str(wide)], capsys)
         assert code == 2
         assert "features are 16 wide" in err and "d_in = 8" in err
+
+
+class TestNonFiniteConfig:
+    """nan and inf float values are bad config (exit 2) before any work starts."""
+
+    @pytest.mark.parametrize("command, key, text", [
+        ("gen-data", "noise_std", "nan"), ("gen-data", "noise_std", "inf"),
+        ("train", "t_n", "nan"), ("train", "lr", "nan"), ("train", "lr", "inf"),
+        ("train", "tau", "nan"), ("train", "beta", "nan"),
+        ("eval-cls", "tau", "nan"), ("eval-det", "t_n", "-inf"),
+        ("grad-check", "margin", "nan"), ("inspect", "t_n", "nan"),
+    ])
+    def test_exits_2(self, workspace, tmp_path, capsys, command, key, text):
+        root, _ = workspace
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY + f"\n{key} = {text}\ndata_dir = {root / 'dataset'}\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run([command, "--config", str(cfg), "--ckpt", str(out_dir / "m.ckpt"),
+                            "--out", str(out_dir / "result")], capsys)
+        assert code == 2
+        assert f"config key {key!r}" in err and "not a finite number" in err
+        assert not out_dir.exists()
+
+
+class TestManifestTypes:
+    """Manifest entries of the wrong type are data errors (exit 2) at load."""
+
+    @pytest.mark.parametrize("command", ["eval-cls", "eval-det"])
+    @pytest.mark.parametrize("field, value", [
+        ("gt_intervals", [[1.5, 3.0]]), ("gt_intervals", [[0, "a"]]),
+        ("gt_intervals", [[0, 1, 2]]), ("feature_file", 5), ("class_label", False),
+    ])
+    def test_exits_2(self, workspace, tmp_path, capsys, command, field, value):
+        root, _ = workspace
+        header, first, *rest = (root / "dataset" / "novel_manifest.jsonl").read_text().splitlines()
+        (tmp_path / "novel_manifest.jsonl").write_text("\n".join(
+            [header, json.dumps(dict(json.loads(first), **{field: value})), *rest]) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY + f"\ndata_dir = {tmp_path}\nckpt = {root / 'model.ckpt'}\n")
+        code, out, err = run([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert f"entry 0: {field}" in err and "mAP" not in out and "accuracy" not in out
 
 
 class TestGradCheck:

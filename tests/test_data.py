@@ -1,6 +1,7 @@
 """Feature-file format, manifests, synthetic generator, and episode sampling."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,22 @@ class TestManifest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             data.load_manifest(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize("field, value", [
+        ("video_id", 3), ("feature_file", 5), ("feature_file", None),
+        ("class_label", True), ("class_label", 1.0), ("class_label", "1"),
+        ("gt_intervals", "0-3"), ("gt_intervals", [[1.5, 3.0]]), ("gt_intervals", [[0, "a"]]),
+        ("gt_intervals", [[0, 1, 2]]), ("gt_intervals", [[0]]), ("gt_intervals", [[3, 3]]),
+        ("gt_intervals", [[-1, 2]]), ("gt_intervals", [[0, True]]), ("gt_intervals", [5]),
+    ])
+    def test_entry_types_checked(self, tmp_path, field, value):
+        rec = {"video_id": "v", "class_label": 0, "feature_file": "v.segf",
+               "gt_intervals": [[0, 2], [4, 5]], "segment_roles": ""}
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"split": "novel", "class_names": ["a"]}\n' + json.dumps(rec) + "\n"
+                        + json.dumps(dict(rec, **{field: value})) + "\n")
+        with pytest.raises(DataError, match=f"entry 1: {field}"):
+            data.load_manifest(path)
 
 
 SMALL = data.SyntheticConfig(

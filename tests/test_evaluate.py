@@ -497,10 +497,10 @@ def oracle_evaluate(params, novel, mode, K, n, q, episodes, seed, cfg):
         for v in ep.queries:
             _, f, w = oracle_classify(params, v.features, vectors, cfg)
             A = np.asarray(w)[:, None] * (f @ np.stack(vectors).T)
-            dets.extend(evaluate.extract_proposals(A, video_id=v.video_id))
+            dets.extend(loop_extract_proposals(A, video_id=v.video_id))
             for interval in v.gt_intervals:
                 gts[remap[v.class_label]].append((v.video_id, tuple(interval)))
-        maps = evaluate.detection_maps(dets, gts, evaluate.MAP_TIOU_GRID)
+        maps = loop_detection_maps(dets, gts, evaluate.MAP_TIOU_GRID)
         per_episode.append((maps[0.5], float(np.mean([maps[float(t)] for t in evaluate.MAP_TIOU_GRID]))))
     return per_episode
 
@@ -674,6 +674,42 @@ def loop_detection_maps(detections, truths, tiou_grid):
     return maps
 
 
+def loop_detection(params, remap, proto, queries, cfg, tiou_grid):
+    """The episode's detection scoring one query at a time: classify, tCAM,
+    proposals, then per-class matching over the whole episode."""
+    dets, truths = [], {k: [] for k in range(len(remap))}
+    for video, f in queries:
+        res = evaluate.classify_query(params, f, proto, cfg)
+        dets.extend(loop_extract_proposals(evaluate.tcam(f, res.weights, proto),
+                                           video_id=video.video_id))
+        for interval in video.gt_intervals:
+            truths[remap[video.class_label]].append((video.video_id, tuple(interval)))
+    maps = loop_detection_maps(dets, truths, tiou_grid)
+    return maps[0.5], float(np.mean([maps[float(t)] for t in tiou_grid])), maps
+
+
+def as_results(detections):
+    """Detections as DetectionResults whose video_id is the query index."""
+    return [evaluate.DetectionResult(v, k, tuple(iv), s) for v, k, iv, s in zip(
+        detections.video.tolist(), detections.class_index.tolist(),
+        detections.intervals.tolist(), detections.scores.tolist())]
+
+
+def as_arrays(dets, truths):
+    """DetectionResults and {class: [(video_id, interval)]} as the arrays
+    detection_maps takes."""
+    code = {}
+    for video_id in [d.video_id for d in dets] + [v for k in truths for v, _ in truths[k]]:
+        code.setdefault(video_id, len(code))
+    detections = evaluate.Detections(
+        video=np.array([code[d.video_id] for d in dets], dtype=int),
+        class_index=np.array([d.class_index for d in dets], dtype=int),
+        intervals=np.array([d.interval for d in dets], dtype=int).reshape(-1, 2),
+        scores=np.array([d.score for d in dets], dtype=float))
+    rows = [(code[v], k, *iv) for k in truths for v, iv in truths[k]]
+    return detections, np.array(rows, dtype=int).reshape(-1, 4)
+
+
 # small ranges so that duplicate intervals and tied scores are common
 intervals = st.builds(lambda s, n: (s, s + n), st.integers(0, 8), st.integers(1, 4))
 scores = st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(-1.0, 1.0))
@@ -683,12 +719,25 @@ grid_thresholds = st.sampled_from([0.0, 0.3] + [float(t) for t in evaluate.MAP_T
 
 class TestLoopOracles:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(activations, min_size=1, max_size=20),
-           st.lists(st.sampled_from([-0.1, 0.0, 0.1, 0.35, 0.5, 0.9]), max_size=9))
-    def test_runs_above(self, column, thresholds):
-        column = np.array(column)
-        got = [tuple(r) for r in evaluate._runs_above(column, thresholds).tolist()]
-        assert got == [run for t in thresholds for run in loop_runs_above(column, t)]
+    @given(st.lists(st.lists(activations, min_size=1, max_size=12), min_size=1, max_size=4),
+           st.lists(st.sampled_from([-0.1, 0.0, 0.1, 0.35, 0.5, 0.9, 1.5]), max_size=9))
+    def test_runs_above(self, columns, thresholds):
+        # ragged videos of one class, stacked: no run crosses a video boundary;
+        # a threshold above 1 would find runs in a negative column if
+        # columns without a positive maximum were not skipped
+        video, cls, start, end = evaluate._runs(
+            np.concatenate(columns)[:, None], [len(c) for c in columns], thresholds)
+        want = []
+        for v, column in enumerate(columns):
+            column = np.array(column)
+            if column.max() <= 0.0:
+                continue
+            for t in thresholds:
+                for run in loop_runs_above(column, t * column.max()):
+                    if (v, *run) not in want:
+                        want.append((v, *run))
+        assert list(zip(video.tolist(), start.tolist(), end.tolist())) == want
+        assert not cls.any()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(intervals, scores), max_size=25),
@@ -736,7 +785,76 @@ class TestLoopOracles:
         truths = {k: data_.draw(st.lists(st.tuples(videos, intervals), max_size=4))
                   for k in range(K)}
         grid = evaluate.MAP_TIOU_GRID
-        assert evaluate.detection_maps(dets, truths, grid) == loop_detection_maps(dets, truths, grid)
+        assert (evaluate.detection_maps(*as_arrays(dets, truths), grid)
+                == loop_detection_maps(dets, truths, grid))
+
+
+# query rows share their first axis, so a prototype row opposite it gives an
+# all-negative activation column and a zero row an all-zero one; repeated rows
+# tie scores and repeat runs across thresholds
+ATOMS = np.array([[1.0, 0.2, 0.0], [1.0, 0.0, 0.5], [0.6, 0.8, 0.0], [1.0, 0.5, 0.5]])
+PROTO_ROWS = np.vstack([ATOMS / np.linalg.norm(ATOMS, axis=1, keepdims=True),
+                        np.zeros(3), [-1.0, 0.0, 0.0]])
+
+
+class TestEpisodePath:
+    """Detection scores an episode's queries together on index arrays; the
+    per-query loops must give the same detections and the same float bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.lists(st.integers(1, 12), min_size=1, max_size=6), st.data())
+    def test_proposals_equal_per_video_loop(self, K, lengths, data_):
+        cams = [np.array(data_.draw(st.lists(activations, min_size=T * K, max_size=T * K)))
+                .reshape(T, K) for T in lengths]
+        got = evaluate.episode_proposals(np.concatenate(cams), lengths)
+        assert as_results(got) == [det for v, A in enumerate(cams)
+                                   for det in loop_extract_proposals(A, video_id=v)]
+
+    def test_zero_negative_and_tied_columns(self):
+        # video 0: class 0 all zero, class 1 all negative, class 2 two tied
+        # runs; video 1 would extend class 2's last run if runs crossed videos
+        cams = [np.array([[0.0, -0.5, 0.8], [0.0, -1.0, 0.8], [0.0, -0.5, 0.0],
+                          [0.0, -0.2, 0.8]]),
+                np.array([[0.0, -0.5, 0.8]])]
+        got = as_results(evaluate.episode_proposals(np.concatenate(cams), [4, 1]))
+        assert got == [det for v, A in enumerate(cams)
+                       for det in loop_extract_proposals(A, video_id=v)]
+        assert [(d.video_id, d.class_index, d.interval) for d in got] == [
+            (0, 2, (0, 2)), (0, 2, (3, 4)), (1, 2, (0, 1))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 96), st.integers(1, 4),
+           st.lists(st.integers(1, 10), min_size=1, max_size=6), st.booleans(), st.data())
+    def test_equals_per_query_loop(self, seed, K, lengths, sw, data_):
+        params = model.init_params(n_classes=2, d_in=3, d=3, kernel_width=3, seed=seed)
+        proto = PROTO_ROWS[data_.draw(st.lists(st.integers(0, 5), min_size=K, max_size=K))]
+        queries = []
+        for i, T in enumerate(lengths):
+            f = ATOMS[data_.draw(st.lists(st.integers(0, 3), min_size=T, max_size=T))]
+            # 0-2 truths; labels are drawn, so some classes have none
+            bounds = sorted(data_.draw(st.lists(st.integers(0, T), unique=True, max_size=4)))
+            video = data.SegmentFeatureSequence(
+                video_id=f"q{i}", class_label=data_.draw(st.integers(0, K - 1)), features=f,
+                gt_intervals=list(zip(bounds[0::2], bounds[1::2])))
+            queries.append((video, f))
+        remap = {k: k for k in range(K)}
+        cfg, grid = LossConfig(sw=sw), evaluate.MAP_TIOU_GRID
+        assert (evaluate._detection(params, remap, proto, queries, cfg, grid)
+                == loop_detection(params, remap, proto, queries, cfg, grid))
+
+    def test_length_grouped_means_equal_slice_reduce(self):
+        # lengths 1-40 cross the 8-wide blocks of NumPy's pairwise sum at 8
+        # and 16; magnitudes spread over 8 decades make the order show
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(64, 3)) * 10.0 ** rng.integers(-4, 5, size=(64, 3))
+        length = rng.permutation(np.repeat(np.arange(1, 41), 6))
+        first = rng.integers(0, 64 - length + 1)
+        cls = rng.integers(0, 3, size=length.size)
+        want = [np.add.reduce(A[s:s + L, k]) / L for s, k, L in zip(first, cls, length)]
+        assert evaluate._run_means(A, first, cls, length).tolist() == want
+        # a prefix-sum difference adds in another order and misses these bits
+        prefix = np.cumsum(np.vstack([np.zeros(3), A]), axis=0)
+        assert ((prefix[first + length, cls] - prefix[first, cls]) / length).tolist() != want
 
 
 class TestNoGradPath:
