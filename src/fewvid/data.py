@@ -157,15 +157,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_entry(rec: dict, where: str):
+def _check_entry(rec: dict, where: str, n_classes: int):
     """Raise DataError unless a manifest record has string video_id and
-    feature_file, an int class_label and a list of [start, end] int pairs
-    with 0 <= start < end as gt_intervals."""
+    feature_file, an int class_label indexing the header's n_classes
+    class_names, and a list of [start, end] int pairs with
+    0 <= start < end as gt_intervals."""
     for key in ("video_id", "feature_file"):
         if not isinstance(rec[key], str):
             raise DataError(f"{where}: {key} must be a string, got {rec[key]!r}")
     if not _is_int(rec["class_label"]):
         raise DataError(f"{where}: class_label must be an integer, got {rec['class_label']!r}")
+    if not 0 <= rec["class_label"] < n_classes:
+        raise DataError(f"{where}: class_label {rec['class_label']} is outside the "
+                        f"{n_classes} class_names of the header")
     intervals = rec["gt_intervals"]
     if not (isinstance(intervals, list) and all(
             isinstance(iv, list) and len(iv) == 2 and _is_int(iv[0]) and _is_int(iv[1])
@@ -187,9 +191,12 @@ def load_manifest(path) -> DatasetManifest:
         header = json.loads(lines[0])
         manifest = DatasetManifest(
             split=header["split"], class_names=header["class_names"], root=path.parent)
+        if not isinstance(manifest.class_names, list):
+            raise DataError(f"{path}: header class_names must be a list, "
+                            f"got {manifest.class_names!r}")
         for i, line in enumerate(lines[1:]):
             rec = json.loads(line)
-            _check_entry(rec, f"{path}: entry {i}")
+            _check_entry(rec, f"{path}: entry {i}", len(manifest.class_names))
             manifest.entries.append(ManifestEntry(
                 video_id=rec["video_id"],
                 class_label=rec["class_label"],

@@ -7,8 +7,9 @@ down-weighted before aggregation, exactly as during training but with
 prototypes standing in for classifier rows. Detection scores every segment
 per class (weight times cosine), turns thresholded runs into proposals, and
 reports mean average precision over temporal-IoU thresholds. An episode's
-queries are scored together on index arrays: one pass finds every run, NMS
-steps through all (video, class) groups at once, and matching sweeps the
+queries are classified as one stack per distinct query length, and their
+detections are scored together on index arrays: one pass finds every run,
+NMS steps through all (video, class) groups at once, and matching sweeps the
 whole tIoU grid in one pass over each class's ranked detections.
 """
 
@@ -58,11 +59,27 @@ class Detections:
 
 @dataclass
 class ClassifiedQuery:
-    probs: np.ndarray  # (K,)
+    """One query's classification; a stack's has a leading query axis on
+    every field."""
+    probs: np.ndarray  # (K,) softmax over the prototypes
     top1: int
-    predicted_set: list
-    weights: np.ndarray  # (T,)
-    i_bg: int
+    predicted: np.ndarray  # (K,) bool: probs above the threshold t_a
+    weights: np.ndarray  # (T,) aggregation weight of each segment
+    i_bg: int  # pseudo-labeled background segment
+    cosines: np.ndarray  # (T, K) cosine of each segment to each prototype
+
+    @property
+    def predicted_set(self) -> list:
+        """Classes whose probability passes t_a, ascending; a list per
+        query for a stack."""
+        if self.predicted.ndim == 2:
+            return [np.flatnonzero(row).tolist() for row in self.predicted]
+        return np.flatnonzero(self.predicted).tolist()
+
+    def query(self, i: int) -> "ClassifiedQuery":
+        """The i-th query of a stack on its own."""
+        return ClassifiedQuery(self.probs[i], int(self.top1[i]), self.predicted[i],
+                               self.weights[i], int(self.i_bg[i]), self.cosines[i])
 
 
 def support_mean(params: model_mod.ModelParams, features: np.ndarray) -> np.ndarray:
@@ -106,30 +123,34 @@ def prototype_matrix(prototypes: list) -> np.ndarray:
 
 def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarray,
                    cfg: LossConfig = None, t_a: float = None) -> ClassifiedQuery:
-    """Aggregate the embedded (T, d) query with background-aware weights,
-    then softmax over cosines to the (K, d) prototype matrix."""
+    """Aggregate each embedded query with background-aware weights, then
+    softmax over cosines to the (K, d) prototype matrix.
+
+    f is one (T, d) query, or a (Q, T, d) stack of equal-length queries
+    classified together; a stack gives every field of the result a leading
+    query axis. Every product is a stacked matmul that runs the one-query
+    BLAS call on each slice, and every sum runs along a contiguous last
+    axis, so each query gets the bits it gets on its own.
+    """
     cfg = cfg or LossConfig()
-    kway = f @ proto.T
-    i_bg = pseudo_label_bg(kway)
+    stack = f if f.ndim == 3 else f[None]
+    cosines = stack @ proto.T
+    i_bg = pseudo_label_bg(cosines)
     if cfg.sw:
-        weights = self_weight(f, i_bg, cfg)
+        weights = self_weight(stack, i_bg, cfg)
     else:
-        weights = model_mod.baseline_attention(params, f)
-    F = aggregate_video_feature(f, weights)[0]
-    Fn = F / (np.linalg.norm(F) + 1e-12)
-    sims = proto @ Fn
-    ex = np.exp(sims - sims.max())
-    probs = ex / ex.sum()
-    K = proto.shape[0]
+        weights = model_mod.baseline_attention(params, stack)
+    F = aggregate_video_feature(stack, weights)  # (Q, 1, d)
+    norm = np.sqrt(F @ F.swapaxes(1, 2))  # the dot product np.linalg.norm takes
+    Fn = (F / (norm + 1e-12)).swapaxes(1, 2)
+    sims = (proto @ Fn)[..., 0]
+    ex = np.exp(sims - sims.max(axis=1, keepdims=True))
+    probs = ex / ex.sum(axis=1, keepdims=True)
     if t_a is None:
-        t_a = 0.5 / K
-    return ClassifiedQuery(
-        probs=probs,
-        top1=int(np.argmax(probs)),
-        predicted_set=[k for k in range(K) if probs[k] > t_a],
-        weights=weights[:, 0],
-        i_bg=i_bg,
-    )
+        t_a = 0.5 / proto.shape[0]
+    res = ClassifiedQuery(probs=probs, top1=np.argmax(probs, axis=1), predicted=probs > t_a,
+                          weights=weights[..., 0], i_bg=i_bg, cosines=cosines)
+    return res if f.ndim == 3 else res.query(0)
 
 
 def _embedded_queries(params: model_mod.ModelParams, episode: Episode) -> list:
@@ -143,12 +164,34 @@ def episode_accuracy(params: model_mod.ModelParams, episode: Episode,
     return _accuracy(params, episode.class_remap, proto, _embedded_queries(params, episode), cfg)
 
 
+def _classify_stacks(params: model_mod.ModelParams, embeddings: list, proto: np.ndarray,
+                     cfg: LossConfig = None):
+    """Classify (T_i, d) query embeddings with one stacked classify_query
+    call per distinct length, lengths in order of first appearance.
+
+    Yields (query indices, ClassifiedQuery of their stack) pairs.
+    """
+    groups = {}
+    for i, f in enumerate(embeddings):
+        groups.setdefault(f.shape[0], []).append(i)
+    for at in groups.values():
+        yield at, classify_query(params, np.stack([embeddings[i] for i in at]), proto, cfg)
+
+
+def classification_accuracy(params: model_mod.ModelParams, embeddings: list, labels,
+                            proto: np.ndarray, cfg: LossConfig = None) -> float:
+    """Share of (T_i, d) query embeddings whose top class is their label."""
+    labels = np.asarray(labels)
+    correct = sum(np.count_nonzero(res.top1 == labels[at])
+                  for at, res in _classify_stacks(params, embeddings, proto, cfg))
+    return correct / len(embeddings)
+
+
 def _accuracy(params, remap: dict, proto: np.ndarray, queries: list, cfg) -> float:
     """Share of queries classified correctly; queries are (video, (T, d)
     embedding) pairs and a video carries its class_label."""
-    correct = sum(classify_query(params, f, proto, cfg).top1 == remap[video.class_label]
-                  for video, f in queries)
-    return correct / len(queries)
+    return classification_accuracy(params, [f for _, f in queries],
+                                   [remap[video.class_label] for video, _ in queries], proto, cfg)
 
 
 def tcam(f: np.ndarray, weights: np.ndarray, proto: np.ndarray) -> np.ndarray:
@@ -378,12 +421,12 @@ def _detection(params, remap: dict, proto: np.ndarray, queries: list, cfg, tiou_
     """(map50, avg_map, maps) of (video, (T, d) embedding) query pairs; a
     video carries its class_label and gt_intervals. The queries' activation
     maps are stacked and scored together as arrays."""
-    cams, truths = [], []
-    for i, (video, f) in enumerate(queries):
-        res = classify_query(params, f, proto, cfg)
-        cams.append(tcam(f, res.weights, proto))
-        truths.extend((i, remap[video.class_label], start, end)
-                      for start, end in video.gt_intervals)
+    cams = [None] * len(queries)
+    for at, res in _classify_stacks(params, [f for _, f in queries], proto, cfg):
+        for i, cam in zip(at, res.weights[..., None] * res.cosines):  # tcam of each query
+            cams[i] = cam
+    truths = [(i, remap[video.class_label], start, end)
+              for i, (video, _) in enumerate(queries) for start, end in video.gt_intervals]
     detections = episode_proposals(np.concatenate(cams), [len(cam) for cam in cams])
     maps = detection_maps(detections, np.array(truths).reshape(-1, 4), tiou_grid)
     avg_map = float(np.mean([maps[float(t)] for t in tiou_grid]))

@@ -60,12 +60,15 @@ def self_weight(f, i_bg, cfg: LossConfig = None):
     near 0 for segments that look like the background, near 1 for segments
     far from it. i_bg is the BG row of one video; for a Tensor f that stacks
     a batch it may instead be an index array naming, for every row of f, the
-    BG row of that row's video. A Tensor f gives a graph node; a plain array
-    gives a plain array.
+    BG row of that row's video. A plain (Q, T, d) array f stacks Q videos of
+    one length, with a (Q,) i_bg, and gives (Q, T, 1) weights. A Tensor f
+    gives a graph node; a plain array gives a plain array.
     """
     cfg = cfg or LossConfig()
     if not isinstance(f, ad.Tensor):
-        cos = f @ f[i_bg : i_bg + 1].T.copy()  # C-ordered, like the graph's transpose
+        # each video's BG row as a C-ordered (d, 1) column, like the graph's transpose
+        at = np.reshape(i_bg, np.shape(i_bg) + (1, 1))
+        cos = f @ np.take_along_axis(f, at, axis=-2).swapaxes(-1, -2).copy()
         sigmoid = ad.sigmoid_forward
     elif np.ndim(i_bg):
         cos = (f * ad.take_rows(f, i_bg)).sum(axis=1, keepdims=True)
@@ -81,12 +84,18 @@ def aggregate_video_feature(f, weights, lengths=None):
 
     Takes Tensors or plain arrays, and returns the same kind. With `lengths`
     (Tensors only), f and weights stack videos of those lengths and each
-    video gets its own row of the (len(lengths), d) result.
+    video gets its own row of the (len(lengths), d) result. Plain (Q, T, d)
+    features with (Q, T, 1) weights stack Q videos of one length and give
+    (Q, 1, d).
     """
-    if lengths is None:
+    if lengths is not None:
+        num, den = ad.segment_sum(weights * f, lengths), ad.segment_sum(weights, lengths)
+    elif isinstance(f, ad.Tensor):
         num, den = weights.T @ f, weights.sum()
     else:
-        num, den = ad.segment_sum(weights * f, lengths), ad.segment_sum(weights, lengths)
+        # each video's weights summed along its own contiguous T axis
+        num = weights.swapaxes(-1, -2) @ f
+        den = weights[..., 0].sum(axis=-1)[..., None, None]
     if np.any((den.data if isinstance(den, ad.Tensor) else den) == 0):
         raise ValueError("cannot aggregate with weights that sum to zero")
     return num / den

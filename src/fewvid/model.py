@@ -119,7 +119,8 @@ def class_rows(params: ModelParams) -> ad.Tensor:
 def baseline_attention(params: ModelParams, f):
     """(T, 1) per-segment weights in (0, 1) from a tiny two-layer net.
 
-    A Tensor f gives a graph node; a plain array gives a plain array.
+    A Tensor f gives a graph node; a plain array gives a plain array, and a
+    plain (Q, T, d) stack of videos gives (Q, T, 1).
     """
     if not isinstance(f, ad.Tensor):
         hidden = ad.relu_forward(f @ _rows_t(params.attn_hidden))

@@ -24,18 +24,24 @@ def default_m(T: int) -> int:
 
 
 def _segment_scores(logits: np.ndarray, use_probabilities: bool = False) -> np.ndarray:
-    """Per-segment max over classes; optionally of softmax probabilities."""
+    """Per-segment max over classes (the last axis); optionally of softmax
+    probabilities."""
     logits = np.asarray(logits, dtype=np.float64)
     if use_probabilities:
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         ex = np.exp(shifted)
-        logits = ex / ex.sum(axis=1, keepdims=True)
-    return logits.max(axis=1)
+        logits = ex / ex.sum(axis=-1, keepdims=True)
+    return logits.max(axis=-1)
 
 
-def pseudo_label_bg(logits: np.ndarray, use_probabilities: bool = False) -> int:
-    """Index of the segment with the smallest best-class score; first on ties."""
-    return int(np.argmin(_segment_scores(logits, use_probabilities)))
+def pseudo_label_bg(logits: np.ndarray, use_probabilities: bool = False):
+    """Index of the segment with the smallest best-class score; first on ties.
+
+    (T, C) logits of one video give an int; a (Q, T, C) stack of videos
+    gives a (Q,) index array, one BG segment per video.
+    """
+    i_bg = np.argmin(_segment_scores(logits, use_probabilities), axis=-1)
+    return int(i_bg) if i_bg.ndim == 0 else i_bg
 
 
 def filter_nbg(i_bg: int, logits: np.ndarray, t_n: float = 0.25,

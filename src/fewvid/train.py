@@ -18,8 +18,8 @@ from . import autodiff as ad
 from . import model as model_mod
 from .data import DatasetManifest
 from .errors import NumericError
-from .losses import BatchVideo, LossConfig, aggregate_video_feature, self_weight, total_loss
-from .pseudo import pseudo_label_bg
+from .evaluate import classification_accuracy
+from .losses import BatchVideo, LossConfig, total_loss
 
 LOG_COLUMNS = ("step", "L_total", "L_cls", "L_contrast", "L_bg", "n_nbg")
 
@@ -149,24 +149,16 @@ def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
 
 def training_accuracy(params: model_mod.ModelParams, manifest: DatasetManifest,
                       loss_cfg: LossConfig = None) -> float:
-    """Fraction of base videos whose aggregated feature lands on its own class."""
-    loss_cfg = loss_cfg or LossConfig()
+    """Fraction of base videos whose aggregated feature lands on its own class.
+
+    The videos are classified as evaluation classifies queries, with the
+    classifier's class rows as the prototypes and no autodiff graph.
+    """
     videos, _ = load_training_videos(manifest)
-    n = params.n_classes
-    correct = 0
-    for video in videos:
-        f = model_mod.embed_segments(params, video.features)
-        logits = model_mod.segment_logits(params, f)
-        if loss_cfg.sw:
-            weights = self_weight(f, pseudo_label_bg(logits.data), loss_cfg)
-        else:
-            weights = model_mod.baseline_attention(params, f)
-        F = aggregate_video_feature(f, weights)
-        Fn = F.data[0] / (np.linalg.norm(F.data[0]) + 1e-12)
-        scores = params.classifier.data[:n] @ Fn
-        if int(np.argmax(scores)) == video.label:
-            correct += 1
-    return correct / len(videos)
+    embeddings = [model_mod.embed_segments(params, video.features, grad=False)
+                  for video in videos]
+    return classification_accuracy(params, embeddings, [video.label for video in videos],
+                                   params.classifier.data[:params.n_classes], loss_cfg)
 
 
 def gradcheck_objective(seed: int = 0, n_videos: int = 2, T: int = 8,

@@ -384,6 +384,7 @@ class TestManifestTypes:
     @pytest.mark.parametrize("field, value", [
         ("gt_intervals", [[1.5, 3.0]]), ("gt_intervals", [[0, "a"]]),
         ("gt_intervals", [[0, 1, 2]]), ("feature_file", 5), ("class_label", False),
+        ("class_label", 6), ("class_label", -1),  # outside the header's 6 class_names
     ])
     def test_exits_2(self, workspace, tmp_path, capsys, command, field, value):
         root, _ = workspace
@@ -431,3 +432,70 @@ class TestInspect:
             assert run(["inspect", "--config", str(cfg_path), "--out", str(path)], capsys)[0] == 0
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+GOLDEN = """
+n_base_classes = 3
+n_novel_classes = 4
+videos_per_class = 6
+T = 12
+d_in = 8
+d = 8
+epochs = 1
+batch_size = 8
+K = 3
+n = 1
+q = 2
+episodes = 5
+noise_std = 0.3
+seed = 11
+"""
+
+GOLDEN_CSVS = {
+    ("eval-cls", False): "episode,accuracy\n0,0.5\n1,0.66666666666666663\n2,0.16666666666666666\n"
+                         "3,0.5\n4,0.83333333333333337\n",
+    ("eval-cls", True): "episode,accuracy\n0,0.66666666666666663\n1,0.5\n2,0.5\n3,0.5\n4,0.5\n",
+    ("eval-det", False): "episode,map50,avg_map\n"
+                         "0,0.087249373433583965,0.076535087719298261\n"
+                         "1,0.05205627705627705,0.023896103896103898\n"
+                         "2,0.083218462823725983,0.027951475912002227\n"
+                         "3,0.049346405228758168,0.012679738562091503\n"
+                         "4,0.16527777777777777,0.056408730158730158\n",
+    ("eval-det", True): "episode,map50,avg_map\n"
+                        "0,0.077512889213656469,0.067730280518004296\n"
+                        "1,0.050933245498462891,0.023218959784177172\n"
+                        "2,0.10176807760141093,0.022399029982363313\n"
+                        "3,0.01893704850361197,0.0094633642930856549\n"
+                        "4,0.18333333333333335,0.057020202020202013\n",
+}
+
+
+class TestGoldenEvalBytes:
+    """Evaluation CSVs of a fixed tiny run, byte for byte.
+
+    The bytes were written by the evaluation code before an episode's queries
+    were classified as one stack, with NumPy 2.4.6 on OpenBLAS 0.3.31
+    (scipy-openblas, Haswell kernels), one BLAS thread or two. A refactor of
+    evaluation that keeps its numerics must keep them; a different NumPy or
+    BLAS build may round differently and need them re-recorded.
+    """
+
+    @pytest.mark.parametrize("command", ["eval-cls", "eval-det"])
+    @pytest.mark.parametrize("ablate_sw", [False, True])
+    def test_csv_bytes(self, golden_run, tmp_path, capsys, command, ablate_sw):
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(golden_run), "--out", str(out)]
+        code, _, _ = run(argv + (["--ablate", "sw"] if ablate_sw else []), capsys)
+        assert code == 0
+        assert out.read_bytes() == GOLDEN_CSVS[(command, ablate_sw)].encode()
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """Config of a seed-11 tiny corpus with a checkpoint trained 1 epoch."""
+    root = tmp_path_factory.mktemp("golden")
+    cfg_path = root / "golden.cfg"
+    cfg_path.write_text(GOLDEN + f"data_dir = {root / 'dataset'}\nckpt = {root / 'model.ckpt'}\n")
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    return cfg_path

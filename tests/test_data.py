@@ -132,6 +132,22 @@ class TestManifest:
         with pytest.raises(DataError, match=f"entry 1: {field}"):
             data.load_manifest(path)
 
+    @pytest.mark.parametrize("label", [2, 3, -1])
+    def test_class_label_indexes_class_names(self, tmp_path, label):
+        rec = {"video_id": "v", "class_label": 1, "feature_file": "v.segf", "gt_intervals": []}
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"split": "novel", "class_names": ["a", "b"]}\n' + json.dumps(rec)
+                        + "\n" + json.dumps(dict(rec, class_label=label)) + "\n")
+        with pytest.raises(DataError, match=f"entry 1: class_label {label} is outside the 2 "):
+            data.load_manifest(path)
+
+    @pytest.mark.parametrize("names", ['"ab"', '{"a": 0}', "null", "3"])
+    def test_class_names_must_be_a_list(self, tmp_path, names):
+        path = tmp_path / "m.jsonl"
+        path.write_text(f'{{"split": "novel", "class_names": {names}}}\n')
+        with pytest.raises(DataError, match="class_names must be a list"):
+            data.load_manifest(path)
+
 
 SMALL = data.SyntheticConfig(
     n_base_classes=4, n_novel_classes=3, videos_per_class=6, T=12, d_in=8, seed=3)

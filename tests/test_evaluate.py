@@ -1,9 +1,12 @@
 """Prototype math, query classification, proposals, AP against a grid oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fewvid import autodiff as ad
 from fewvid import data, evaluate, model
 from fewvid.errors import DataError
 from fewvid.losses import LossConfig
@@ -471,15 +474,9 @@ def oracle_prototypes(params, ep):
 
 
 def oracle_classify(params, features, vectors, cfg):
-    from fewvid.losses import aggregate_video_feature, self_weight
-    proto = np.stack(vectors)
     f = model.embed_segments(params, features, grad=False)
-    i_bg = evaluate.pseudo_label_bg(f @ proto.T)
-    weights = self_weight(f, i_bg, cfg) if cfg.sw else model.baseline_attention(params, f)
-    F = aggregate_video_feature(f, weights)[0]
-    sims = np.stack(vectors) @ (F / (np.linalg.norm(F) + 1e-12))
-    ex = np.exp(sims - sims.max())
-    return int(np.argmax(ex / ex.sum())), f, weights[:, 0]
+    _, top1, _, weights, _ = loop_classify_query(params, f, np.stack(vectors), cfg)
+    return top1, f, weights
 
 
 def oracle_evaluate(params, novel, mode, K, n, q, episodes, seed, cfg):
@@ -674,13 +671,39 @@ def loop_detection_maps(detections, truths, tiou_grid):
     return maps
 
 
+def loop_classify_query(params, f, proto, cfg):
+    """One (T, d) query classified on its own, its formulas written out as
+    classify_query had them before queries were stacked. Returns (probs,
+    top1, predicted_set, weights, i_bg)."""
+    kway = f @ proto.T
+    i_bg = int(np.argmin(kway.max(axis=1)))
+    if cfg.sw:
+        cos = f @ f[i_bg : i_bg + 1].T.copy()
+        weights = ad.sigmoid_forward(cfg.tau_s * ((1.0 - cfg.c) - cos))
+    else:
+        weights = model.baseline_attention(params, f)
+    F = (weights.T @ f / weights.sum())[0]
+    sims = proto @ (F / (np.linalg.norm(F) + 1e-12))
+    ex = np.exp(sims - sims.max())
+    probs = ex / ex.sum()
+    K = proto.shape[0]
+    return (probs, int(np.argmax(probs)), [k for k in range(K) if probs[k] > 0.5 / K],
+            weights[:, 0], i_bg)
+
+
+def loop_accuracy(params, remap, proto, queries, cfg):
+    correct = sum(loop_classify_query(params, f, proto, cfg)[1] == remap[video.class_label]
+                  for video, f in queries)
+    return correct / len(queries)
+
+
 def loop_detection(params, remap, proto, queries, cfg, tiou_grid):
     """The episode's detection scoring one query at a time: classify, tCAM,
     proposals, then per-class matching over the whole episode."""
     dets, truths = [], {k: [] for k in range(len(remap))}
     for video, f in queries:
-        res = evaluate.classify_query(params, f, proto, cfg)
-        dets.extend(loop_extract_proposals(evaluate.tcam(f, res.weights, proto),
+        weights = loop_classify_query(params, f, proto, cfg)[3]
+        dets.extend(loop_extract_proposals(evaluate.tcam(f, weights, proto),
                                            video_id=video.video_id))
         for interval in video.gt_intervals:
             truths[remap[video.class_label]].append((video.video_id, tuple(interval)))
@@ -798,8 +821,9 @@ PROTO_ROWS = np.vstack([ATOMS / np.linalg.norm(ATOMS, axis=1, keepdims=True),
 
 
 class TestEpisodePath:
-    """Detection scores an episode's queries together on index arrays; the
-    per-query loops must give the same detections and the same float bits."""
+    """An episode's queries are classified as stacks and their detections
+    scored together on index arrays; the per-query loops must give the same
+    accuracy, the same detections and the same float bits."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4), st.lists(st.integers(1, 12), min_size=1, max_size=6), st.data())
@@ -841,6 +865,8 @@ class TestEpisodePath:
         cfg, grid = LossConfig(sw=sw), evaluate.MAP_TIOU_GRID
         assert (evaluate._detection(params, remap, proto, queries, cfg, grid)
                 == loop_detection(params, remap, proto, queries, cfg, grid))
+        assert (evaluate._accuracy(params, remap, proto, queries, cfg)
+                == loop_accuracy(params, remap, proto, queries, cfg))
 
     def test_length_grouped_means_equal_slice_reduce(self):
         # lengths 1-40 cross the 8-wide blocks of NumPy's pairwise sum at 8
@@ -889,3 +915,88 @@ class TestNoGradPath:
         np.testing.assert_array_equal(aggregate_video_feature(f, attn),
                                       aggregate_video_feature(graph, attn_graph).data)
         assert isinstance(graph, ad.Tensor) and not isinstance(f, ad.Tensor)
+
+
+class TestStackedClassify:
+    """classify_query on a (Q, T, d) stack gives each query the bits the
+    one-query formulas give it, and the episode paths call it once per
+    distinct query length."""
+
+    @settings(max_examples=300, deadline=None)
+    # d = 0 stands for the tied 3-wide rows below
+    @given(st.integers(0, 96), st.integers(1, 8), st.integers(1, 12), st.integers(1, 5),
+           st.booleans(), st.sampled_from([0, 3, 8, 64]))
+    @example(seed=0, Q=1, T=1, K=1, sw=True, d=8)
+    @example(seed=1, Q=1, T=7, K=3, sw=False, d=0)
+    @example(seed=2, Q=1, T=12, K=5, sw=True, d=64)
+    def test_equals_per_query_oracle(self, seed, Q, T, K, sw, d):
+        rng = np.random.default_rng(seed)
+        if d == 0:
+            # repeated segment and prototype rows tie the K-way maxima, within
+            # a query and across prototypes
+            d = 3
+            f = ATOMS[rng.integers(0, 4, size=(Q, T))]
+            proto = PROTO_ROWS[rng.integers(0, 6, size=K)]
+        else:
+            f = rng.normal(size=(Q, T, d))
+            f /= np.linalg.norm(f, axis=2, keepdims=True)
+            proto = rng.normal(size=(K, d))
+            proto /= np.linalg.norm(proto, axis=1, keepdims=True)
+        params = model.init_params(n_classes=2, d_in=d, d=d, kernel_width=3, seed=seed)
+        cfg = LossConfig(sw=sw)
+        res = evaluate.classify_query(params, f, proto, cfg)
+        assert res.probs.shape == (Q, K) and res.weights.shape == (Q, T)
+        for q in range(Q):
+            probs, top1, predicted, weights, i_bg = loop_classify_query(params, f[q], proto, cfg)
+            assert np.array_equal(res.probs[q], probs)
+            assert np.array_equal(res.weights[q], weights)
+            assert np.array_equal(res.cosines[q], f[q] @ proto.T)
+            assert (res.top1[q], res.i_bg[q], res.predicted_set[q]) == (top1, i_bg, predicted)
+            one = evaluate.classify_query(params, f[q], proto, cfg)
+            assert np.array_equal(one.probs, probs) and np.array_equal(one.weights, weights)
+            assert (one.top1, one.i_bg, one.predicted_set) == (top1, i_bg, predicted)
+
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    @pytest.mark.parametrize("sw", [True, False])
+    def test_mixed_length_corpus_equals_per_episode_oracle(self, mixed_novel, mode, sw):
+        params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=7)
+        cfg = LossConfig(sw=sw)
+        got = evaluate.evaluate(params, mixed_novel, mode, K=3, n=1, q=3, episodes=6,
+                                seed=2, cfg=cfg)["per_episode"]
+        assert got == oracle_evaluate(params, mixed_novel, mode, 3, 1, 3, 6, 2, cfg)
+
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    def test_one_call_per_episode_and_query_length(self, mixed_novel, monkeypatch, mode):
+        stacks = []
+        classify = evaluate.classify_query
+
+        def counting(params, f, *args, **kwargs):
+            stacks.append(f.shape)
+            return classify(params, f, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "classify_query", counting)
+        K, n, q, episodes, seed = 3, 1, 3, 12, 5
+        evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
+                                mixed_novel, mode, range(episodes), K=K, n=n, q=q, seed=seed)
+        lengths = [len({entry.feature_file.split("/")[0] for entry in
+                        data.draw_episode(mixed_novel, K, n, q, [seed, e]).queries})
+                   for e in range(episodes)]
+        assert len(stacks) == sum(lengths) > episodes  # some episodes mix lengths
+        assert all(len(shape) == 3 for shape in stacks)
+        assert sum(shape[0] for shape in stacks) == episodes * K * q
+
+
+@pytest.fixture(scope="module")
+def mixed_novel(tmp_path_factory):
+    """Three novel classes, each with four videos of 10 segments and four of 7."""
+    root = tmp_path_factory.mktemp("mixed_novel")
+    entries = []
+    for T in (10, 7):
+        cfg = data.SyntheticConfig(n_base_classes=1, n_novel_classes=3, videos_per_class=4,
+                                   T=T, d_in=6, seed=T)
+        _, novel = data.generate_synthetic_dataset(cfg, root / f"T{T}")
+        entries += [dataclasses.replace(e, video_id=f"T{T}_{e.video_id}",
+                                        feature_file=f"T{T}/{e.feature_file}")
+                    for e in novel.entries]
+    return data.DatasetManifest(split="novel", class_names=novel.class_names, entries=entries,
+                                root=root)
