@@ -282,20 +282,28 @@ def take_rows(a: Tensor, index) -> Tensor:
     The backward adds each output row's gradient into its source row: one
     `np.add.reduceat` over the gradient rows in stable-sorted index order,
     so each source row gets its first gradient row plus the sum of the rest.
+    A sorted index needs no reordering, and one without repeats no sums.
     """
     index = np.asarray(index, dtype=np.intp)
     if a.data.ndim != 2 or index.ndim != 1:
         raise ShapeError("take_rows", a.data.shape, index.shape)
     if index.size and not 0 <= index.min() <= index.max() < a.data.shape[0]:
         raise IndexError(f"take_rows: row index outside [0, {a.data.shape[0]})")
-    order = np.argsort(index, kind="stable")
-    sorted_index = index[order]
-    firsts = np.flatnonzero(np.diff(sorted_index, prepend=-1))
+    order, sorted_index = None, index
+    if np.any(index[1:] < index[:-1]):
+        order = np.argsort(index, kind="stable")
+        sorted_index = index[order]
+    run_starts = np.ones(index.size, dtype=bool)
+    run_starts[1:] = sorted_index[1:] != sorted_index[:-1]
+    firsts = np.flatnonzero(run_starts)
 
     def bwd(g, out, x):
         gx = np.zeros_like(x)
-        if index.size:
-            gx[sorted_index[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
+        rows = g if order is None else g[order]
+        if firsts.size == index.size:
+            gx[sorted_index] = rows
+        elif index.size:
+            gx[sorted_index[firsts]] = np.add.reduceat(rows, firsts, axis=0)
         return (gx,)
 
     return _node("take_rows", (a,), lambda x: x[index], bwd)
@@ -421,33 +429,61 @@ def _reduce(a: Tensor, kind: str, axis, keepdims: bool = False) -> Tensor:
     return _node(kind, (a,), fwd, bwd)
 
 
-def _conv_layout(xv: np.ndarray, w: int, lengths):
-    """Zero-padded stack of the videos in xv, and its rows that hold outputs.
+class ConvGrid:
+    """The videos of a (sum(lengths), d) stack laid out once for the conv.
 
-    Videos sit w - 1 zero rows apart, with (w - 1) // 2 zero rows before the
-    first and the rest after the last, so no tap of a valid output reaches
-    into another video and each video is padded exactly as on its own.
+    Outputs live on a (videos, T_max, d) grid, with no gap rows: video v's
+    rows fill the first lengths[v] rows of its slab and zeros the rest, and
+    a stack of equal-length videos is its grid without a copy. `padded` is
+    the (videos, T_max + w - 1, d) input grid with (w - 1) // 2 zero rows
+    above each video and the rest below, so each video is zero-padded
+    exactly as on its own.
     """
-    lengths = [xv.shape[0]] if lengths is None else lengths
-    video = np.repeat(np.arange(len(lengths)), lengths)
-    out_rows = np.arange(xv.shape[0]) + (w - 1) * video
-    xp = np.zeros((xv.shape[0] + len(lengths) * (w - 1), xv.shape[1]), dtype=xv.dtype)
-    xp[out_rows + (w - 1) // 2] = xv
-    return xp, out_rows
+
+    def __init__(self, xv: np.ndarray, w: int, lengths=None):
+        if lengths is None:  # one video
+            self.shape = (1,) + xv.shape
+        else:
+            self.shape = (lengths.size, int(lengths.max()), xv.shape[1])
+        self.rows = None  # each stack row's row of the flattened grid; None: all of them
+        if lengths is not None and lengths.min() != self.shape[1]:
+            video = np.repeat(np.arange(lengths.size), lengths)
+            self.rows = (np.arange(xv.shape[0]) + video * self.shape[1]
+                         - np.repeat(np.cumsum(lengths) - lengths, lengths))
+        n, t_max, d = self.shape
+        self.padded = np.zeros((n, t_max + w - 1, d), dtype=xv.dtype)
+        self.padded[:, (w - 1) // 2 : (w - 1) // 2 + t_max] = self.scatter(xv)
+
+    def scatter(self, stack: np.ndarray) -> np.ndarray:
+        """The output grid of a stack laid out like the one the grid was built from."""
+        if self.rows is None:
+            return stack.reshape(self.shape)
+        grid = np.zeros(self.shape, dtype=stack.dtype)
+        grid.reshape(-1, self.shape[2])[self.rows] = stack
+        return grid
+
+    def gather(self, grid: np.ndarray) -> np.ndarray:
+        """The stack's rows of an output grid."""
+        flat = grid.reshape(-1, self.shape[2])
+        return flat if self.rows is None else flat[self.rows]
 
 
-def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None) -> np.ndarray:
+def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,
+                             grid: ConvGrid = None) -> np.ndarray:
     """`depthwise_conv1d` on plain arrays: (T, d) by (d, w) kernel -> (T, d),
-    with `lengths` as there."""
-    if lengths is not None:
-        lengths = _check_lengths("depthwise_conv1d", xv.shape, lengths)
-    w = kv.shape[1]
-    xp, out_rows = _conv_layout(xv, w, lengths)
-    sweep = xp.shape[0] - (w - 1)
-    out = np.zeros((sweep, xv.shape[1]), dtype=xv.dtype)
-    for j in range(w):
-        out += xp[j : j + sweep] * kv[:, j]
-    return out[out_rows]
+    with `lengths` as there. `grid`, when given, is xv's `ConvGrid`.
+
+    Every output adds its taps in order j = 0..w-1 to a zero start.
+    """
+    if grid is None:
+        if lengths is not None:
+            lengths = _check_lengths("depthwise_conv1d", xv.shape, lengths)
+        grid = ConvGrid(xv, kv.shape[1], lengths)
+    t_max = grid.shape[1]
+    out = np.zeros(grid.shape, dtype=xv.dtype)
+    for j in range(kv.shape[1]):
+        out += grid.padded[:, j : j + t_max] * kv[:, j]
+    return grid.gather(out)
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
@@ -457,26 +493,36 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
     out[i, c] = sum_j x[i + j - pad_left, c] * kernel[c, j], zeros outside,
     pad_left = (w - 1) // 2 so a delta kernel at that tap is the identity.
     With `lengths`, x stacks videos of those lengths and each is padded on
-    its own: the output rows equal one call per video, bit for bit.
+    its own: the output rows equal one call per video, bit for bit. The
+    backward reuses the forward's `ConvGrid`.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[0]:
         raise ShapeError("depthwise_conv1d", x.data.shape, kernel.data.shape)
+    if lengths is not None:
+        lengths = _check_lengths("depthwise_conv1d", x.data.shape, lengths)
     w = kernel.data.shape[1]
+    grid = None  # set by each forward evaluation, read by the backward
+
+    def fwd(xv, kv):
+        nonlocal grid
+        grid = ConvGrid(xv, w, lengths)
+        return depthwise_conv1d_forward(xv, kv, grid=grid)
 
     def bwd(g, out, xv, kv):
-        xp, out_rows = _conv_layout(xv, w, lengths)
-        sweep = xp.shape[0] - (w - 1)
-        gs = np.zeros((sweep, g.shape[1]))
-        gs[out_rows] = g
-        gxp = np.zeros_like(xp)
+        xp, gs = grid.padded, grid.scatter(g)
+        t_max, pad = gs.shape[1], (w - 1) // 2
+        # input row t collects gs[t + pad - j] * k_j over taps j = 0..w-1: the
+        # same terms in the same order as adding each tap's products to its rows
+        gsp = np.zeros_like(xp)
+        gsp[:, w - 1 - pad : w - 1 - pad + t_max] = gs
+        gx = np.zeros(gs.shape)
         gk = np.zeros_like(kv)
         for j in range(w):
-            gxp[j : j + sweep] += gs * kv[:, j]
-            gk[:, j] = np.sum(gs * xp[j : j + sweep], axis=0)
-        return (gxp[out_rows + (w - 1) // 2], gk)
+            gx += gsp[:, w - 1 - j : w - 1 - j + t_max] * kv[:, j]
+            gk[:, j] = np.sum((gs * xp[:, j : j + t_max]).reshape(-1, gs.shape[2]), axis=0)
+        return (grid.gather(gx), gk)
 
-    return _node("depthwise_conv1d", (x, kernel),
-                 lambda xv, kv: depthwise_conv1d_forward(xv, kv, lengths), bwd)
+    return _node("depthwise_conv1d", (x, kernel), fwd, bwd)
 
 
 @dataclass

@@ -397,11 +397,13 @@ class EpisodeDraw:
     queries: list  # K*q entries, class by class
 
 
-def draw_episode(novel: DatasetManifest, K: int, n: int, q: int, seed) -> EpisodeDraw:
+def draw_episode(novel: DatasetManifest, K: int, n: int, q: int, seed,
+                 groups: dict = None) -> EpisodeDraw:
     """Draw K classes then n support + q query videos per class, all without
-    replacement. Reads no feature file."""
+    replacement. Reads no feature file. `groups` is `novel.by_class()`, for
+    callers that draw many episodes from one manifest."""
     rng = np.random.default_rng(seed)
-    groups = novel.by_class()
+    groups = novel.by_class() if groups is None else groups
     labels = sorted(groups)
     if K > len(labels):
         raise DataError(f"episode needs {K} classes but the manifest has {len(labels)}")

@@ -497,9 +497,10 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     if mode not in ("classification", "detection"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     videos = _NovelVideos(params, manifest)
+    groups = manifest.by_class()
     per_episode = []
     for e in episode_ids:
-        draw = draw_episode(manifest, K=K, n=n, q=q, seed=[seed, e])
+        draw = draw_episode(manifest, K=K, n=n, q=q, seed=[seed, e], groups=groups)
         remap = {label: i for i, label in enumerate(draw.classes)}
         proto = prototype_matrix(prototypes_from_means(K, [
             (remap[entry.class_label], videos.support_mean(entry)) for entry in draw.support]))

@@ -148,6 +148,12 @@ def bg_cls_loss(nbg_feats, classifier: ad.Tensor, cfg: LossConfig = None) -> ad.
     return _cross_entropy(rows, np.full(rows.data.shape[0], bg_row), classifier, cfg.tau)
 
 
+def _summed_squares(diffs: np.ndarray) -> np.ndarray:
+    """Sum of squares along the last axis of difference rows (squared in
+    place), with the bits of the graph's square(diff).sum(axis=1)."""
+    return np.square(diffs, out=diffs).sum(axis=-1)
+
+
 def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tensor:
     """Hardest-pair contrastive objective on squared Euclidean distances.
 
@@ -155,18 +161,25 @@ def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tenso
     Push: hinge on the closest NBG-to-foreground pair staying at least
     `margin` apart. Either term is dropped when its pool is too small. Each
     pool is a Tensor of rows or a list of row Tensors.
+
+    Only the chosen pair carries a gradient, so each pair is picked on plain
+    arrays and only its two rows enter the graph. Ties go to the first pair,
+    NBG pairs in `np.triu_indices` order and cross pairs FG-row-major, as a
+    max/min over every pair would pick.
     """
     cfg = cfg or LossConfig()
     nb, fg = _stack(nbg_feats), _stack(fgibg_feats)
     terms = []
     if nb is not None and nb.data.shape[0] >= 2:
         first, second = np.triu_indices(nb.data.shape[0], 1)
-        diffs = ad.take_rows(nb, first) - ad.take_rows(nb, second)
-        terms.append(ad.square(diffs).sum(axis=1).max())
+        at = np.argmax(_summed_squares(nb.data[first] - nb.data[second]))
+        i, j = first[at], second[at]
+        diff = ad.take_rows(nb, [i]) - ad.take_rows(nb, [j])
+        terms.append(ad.square(diff).sum(axis=1).max())
     if nb is not None and fg is not None:
-        n_fg, n_nb = fg.data.shape[0], nb.data.shape[0]
-        cross = (ad.take_rows(fg, np.repeat(np.arange(n_fg), n_nb))
-                 - ad.take_rows(nb, np.tile(np.arange(n_nb), n_fg)))
+        dist = _summed_squares(fg.data[:, None] - nb.data[None])
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        cross = ad.take_rows(fg, [i]) - ad.take_rows(nb, [j])
         closest = ad.square(cross).sum(axis=1).min()
         terms.append(cfg.beta * ad.relu(cfg.margin - closest))
     if not terms:
@@ -187,13 +200,15 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
                t_n: float = 0.25, top_m: int = None, use_probabilities: bool = False):
     """Full training objective over a batch of untrimmed videos, as one graph.
 
-    The batch is embedded as one stack of segment rows. Each video is
-    pseudo-labeled from its current logits, computed as plain arrays since no
-    gradient flows through the decisions; they enter the graph as constant
-    row indices. Each video is aggregated and classified, and the batch loss
-    is the mean classification loss plus the background and contrastive
-    terms over the batch's NBG and FG+IBG rows, weighted by gamma2 and
-    gamma1. Returns (loss Tensor, stats dict).
+    The batch is embedded as one stack of segment rows. The videos are
+    pseudo-labeled from their current logits, computed as plain arrays since
+    no gradient flows through the decisions, with one call per distinct
+    video length; the decisions enter the graph as constant row indices. Each
+    video is aggregated and classified, and the batch loss is the mean
+    classification loss plus the background and contrastive terms over the
+    batch's NBG and FG+IBG rows, weighted by gamma2 and gamma1. Returns (loss
+    Tensor, stats dict); stats["records"] holds one `PseudoLabelRecord` per
+    video.
     """
     cfg = (cfg or LossConfig()).validate()
     lengths = np.array([video.features.shape[0] for video in batch], dtype=np.intp)
@@ -201,12 +216,23 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
     f = model_mod.embed_segments(
         params, np.concatenate([video.features for video in batch]), lengths=lengths)
     logits = model_mod.segment_logits(params, f.data)
-    records = [
-        pseudo_mod.pseudo_label_video(logits[at : at + n], t_n=t_n, M=top_m,
-                                      use_probabilities=use_probabilities)
-        for at, n in zip(starts, lengths)
-    ]
-    bg_rows = starts + np.array([rec.i_bg for rec in records], dtype=np.intp)
+    records = [None] * len(batch)
+    bg_rows = np.empty(len(batch), dtype=np.intp)
+    is_nbg = np.empty(len(batch), dtype=bool)
+    fg_rows, fg_videos = [], []
+    for n in dict.fromkeys(lengths.tolist()):  # distinct lengths, first-seen order
+        members = np.flatnonzero(lengths == n)
+        rows = starts[members, None] + np.arange(n)
+        rec = pseudo_mod.pseudo_label_video(logits[rows], t_n=t_n, M=top_m,
+                                            use_probabilities=use_probabilities)
+        bg_rows[members] = starts[members] + rec.i_bg
+        is_nbg[members] = rec.is_nbg
+        fg_rows.append(np.take_along_axis(rows, rec.fg_ibg_indices, axis=1).ravel())
+        fg_videos.append(np.repeat(members, rec.fg_ibg_indices.shape[1]))
+        for q, v in enumerate(members):
+            records[v] = rec.video(q)
+    # each video's FG+IBG rows in batch order, ascending within the video
+    fg_rows = np.concatenate(fg_rows)[np.argsort(np.concatenate(fg_videos), kind="stable")]
 
     if cfg.sw:
         weights = self_weight(f, np.repeat(bg_rows, lengths), cfg)
@@ -216,9 +242,8 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
     head = params.classifier if cfg.bg else model_mod.class_rows(params)
     l_cls = soft_cls_loss(F, [video.label for video in batch], head, cfg)
 
-    nbg = ad.take_rows(f, bg_rows[np.array([rec.is_nbg for rec in records], dtype=bool)])
-    fgibg = ad.take_rows(f, np.concatenate([
-        at + np.asarray(rec.fg_ibg_indices, dtype=np.intp) for at, rec in zip(starts, records)]))
+    nbg = ad.take_rows(f, bg_rows[is_nbg])
+    fgibg = ad.take_rows(f, fg_rows)
 
     loss = l_cls
     l_contrast = ad.Tensor(0.0)

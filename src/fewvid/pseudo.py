@@ -63,29 +63,49 @@ def select_fg_ibg(logits: np.ndarray, M: int, use_probabilities: bool = False) -
 
 @dataclass
 class PseudoLabelRecord:
+    """One video's pseudo-labels; a stack of Q videos gives the same fields
+    with a leading video axis (i_bg and is_nbg (Q,) arrays, fg_ibg_indices
+    (Q, M), max_logits (Q, T)), and `video(q)` is one video's record."""
+
     i_bg: int
     is_nbg: bool
     fg_ibg_indices: list
     max_logits: np.ndarray  # per-segment best-class score, length T
 
+    def video(self, q: int) -> "PseudoLabelRecord":
+        return PseudoLabelRecord(
+            i_bg=int(self.i_bg[q]),
+            is_nbg=bool(self.is_nbg[q]),
+            fg_ibg_indices=self.fg_ibg_indices[q].tolist(),
+            max_logits=self.max_logits[q],
+        )
+
 
 def pseudo_label_video(logits: np.ndarray, t_n: float = 0.25, M: int = None,
                        use_probabilities: bool = False) -> PseudoLabelRecord:
     """Full per-video labeling; keeps i_bg out of the FG+IBG set even under
-    total ties, and tolerates degenerate videos (tiny T, constant logits)."""
-    scores = _segment_scores(logits, use_probabilities)
-    T = scores.shape[0]
-    i_bg = int(np.argmin(scores))
+    total ties, and tolerates degenerate videos (tiny T, constant logits).
+
+    (T, C) logits of one video give that video's record; a (Q, T, C) stack of
+    videos of one length gives the stacked record, each video labeled exactly
+    as on its own.
+    """
+    one = np.ndim(logits) == 2
+    scores = _segment_scores(np.asarray(logits)[None] if one else logits, use_probabilities)
+    Q, T = scores.shape
+    i_bg = np.argmin(scores, axis=1)
     if M is None:
         M = default_m(T)
     M = max(0, min(M, T - 1))
-    order = [int(i) for i in np.argsort(-scores, kind="stable") if int(i) != i_bg]
-    return PseudoLabelRecord(
+    order = np.argsort(-scores, axis=1, kind="stable")
+    order = order[order != i_bg[:, None]].reshape(Q, T - 1)
+    record = PseudoLabelRecord(
         i_bg=i_bg,
-        is_nbg=bool(scores[i_bg] < t_n),
-        fg_ibg_indices=sorted(order[:M]),
+        is_nbg=scores[np.arange(Q), i_bg] < t_n,
+        fg_ibg_indices=np.sort(order[:, :M], axis=1),
         max_logits=scores,
     )
+    return record.video(0) if one else record
 
 
 def segment_roles(record: PseudoLabelRecord) -> list:

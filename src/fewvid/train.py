@@ -9,6 +9,7 @@ to the unit sphere after every step so logits stay cosines.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import DatasetManifest
-from .errors import NumericError
+from .data import DatasetManifest, read_feature_file
+from .errors import DataError, NumericError
 from .evaluate import classification_accuracy
 from .losses import BatchVideo, LossConfig, total_loss
 
@@ -82,13 +83,23 @@ class TrainResult:
 
 
 def load_training_videos(manifest: DatasetManifest):
-    """All base videos in memory, labels remapped to classifier row indices."""
+    """All base videos in memory, labels remapped to classifier row indices.
+
+    Raises DataError naming the file when a video's feature width differs
+    from the first video's.
+    """
     labels = manifest.class_labels()
     remap = {label: i for i, label in enumerate(labels)}
-    videos = [
-        BatchVideo(features=manifest.load_sequence(e).features, label=remap[e.class_label])
-        for e in manifest.entries
-    ]
+    videos, width = [], None
+    for entry in manifest.entries:
+        path = os.path.join(manifest.root, entry.feature_file)
+        features = read_feature_file(path)
+        if width is None:
+            width, first = features.shape[1], path
+        elif features.shape[1] != width:
+            raise DataError(f"{path}: features are {features.shape[1]} wide, but "
+                            f"{first} is {width} wide")
+        videos.append(BatchVideo(features=features, label=remap[entry.class_label]))
     return videos, labels
 
 

@@ -327,6 +327,53 @@ class TestConv:
         np.testing.assert_array_equal(x.grad, np.concatenate(x_grads))
         np.testing.assert_allclose(kernel.grad, k_grad, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 24), min_size=1, max_size=6),
+           st.integers(1, 9), st.integers(1, 5))
+    def test_matches_gapped_sweep(self, seed, lengths, w, d):
+        """Bit for bit against one sweep over a stack whose videos sit
+        w - 1 zero rows apart, each tap added in order j = 0..w-1."""
+        rng = np.random.default_rng(seed)
+        xv, g = rng.normal(size=(2, sum(lengths), d))
+        k = rng.normal(size=(d, w))
+        pad = (w - 1) // 2
+        rows = np.arange(xv.shape[0]) + (w - 1) * np.repeat(np.arange(len(lengths)), lengths)
+        xp = np.zeros((xv.shape[0] + len(lengths) * (w - 1), d))
+        xp[rows + pad] = xv
+        sweep = xp.shape[0] - (w - 1)
+        want_out, gs = np.zeros((sweep, d)), np.zeros((sweep, d))
+        gs[rows] = g
+        want_gxp, want_gk = np.zeros_like(xp), np.zeros_like(k)
+        for j in range(w):
+            want_out += xp[j : j + sweep] * k[:, j]
+            want_gxp[j : j + sweep] += gs * k[:, j]
+            want_gk[:, j] = np.sum(gs * xp[j : j + sweep], axis=0)
+
+        x, kernel = ad.Tensor(xv, requires_grad=True), ad.Tensor(k, requires_grad=True)
+        out = ad.depthwise_conv1d(x, kernel, lengths)
+        ad.backward((out * ad.Tensor(g)).sum())
+        assert out.data.tobytes() == want_out[rows].tobytes()
+        assert x.grad.tobytes() == want_gxp[rows + pad].tobytes()
+        if d > 1:
+            assert kernel.grad.tobytes() == want_gk.tobytes()
+        else:  # NumPy sums a single column pairwise, so its zero terms move the rounding
+            np.testing.assert_allclose(kernel.grad, want_gk, rtol=1e-12, atol=1e-12)
+
+    def test_forward_refreshes_what_backward_reuses(self):
+        rng = np.random.default_rng(5)
+        lengths = [4, 6, 1]
+        x = ad.Tensor(rng.normal(size=(11, 3)), requires_grad=True)
+        kernel = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        root = ad.square(ad.depthwise_conv1d(x, kernel, lengths)).sum()
+        x.data[:] = rng.normal(size=(11, 3))  # a new input under the built graph
+        ad.forward(root)
+        ad.backward(root)
+
+        x2, kernel2 = (ad.Tensor(t.data, requires_grad=True) for t in (x, kernel))
+        ad.backward(ad.square(ad.depthwise_conv1d(x2, kernel2, lengths)).sum())
+        np.testing.assert_array_equal(x.grad, x2.grad)
+        np.testing.assert_array_equal(kernel.grad, kernel2.grad)
+
     @pytest.mark.parametrize("lengths", [[3, 3], [7, 0], [], [[7]]])
     def test_rejects_bad_lengths(self, lengths):
         with pytest.raises(ad.ShapeError):

@@ -1,6 +1,7 @@
 """Exit codes, config precedence, reproducible outputs of every subcommand."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import struct
@@ -355,6 +356,20 @@ class TestCheckpointAgainstCorpus:
         assert "features are 16 wide" in err and "d_in = 8" in err
 
 
+class TestBaseWidthMismatch:
+    def test_one_narrower_base_file_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY + f"\ndata_dir = {tmp_path / 'ds'}\n"
+                            f"ckpt = {tmp_path / 'model.ckpt'}\n")
+        assert run(["gen-data", "--config", str(cfg_path)], capsys)[0] == 0
+        victim = sorted((tmp_path / "ds" / "base").glob("*.segf"))[3]
+        data.write_feature_file(data.read_feature_file(victim)[:, :7], victim)
+        code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert victim.name in err and "7 wide" in err and "8 wide" in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+
 class TestNonFiniteConfig:
     """nan and inf float values are bad config (exit 2) before any work starts."""
 
@@ -488,6 +503,38 @@ class TestGoldenEvalBytes:
         code, _, _ = run(argv + (["--ablate", "sw"] if ablate_sw else []), capsys)
         assert code == 0
         assert out.read_bytes() == GOLDEN_CSVS[(command, ablate_sw)].encode()
+
+
+GOLDEN_TRAIN_SHA256 = {
+    # (checkpoint, log) of 4 epochs (12 steps) on the golden corpus
+    (): ("86bc1f103b8a0f6ee47bec137a3b4ac9399a0789482cad7b6f3987ff1b4dca0a",
+         "ff8e4e011afdb7aa58602b1be844538e73a25b5d77b665c8d0cf31bf614f6512"),
+    ("cl",): ("94d3764992817b1398337d50927416ccb300d003cf02f151d0d36278001f912b",
+              "bba579733bf441a84712e5981f530fc5df30822e148d51e9a0030ecf7e97bb68"),
+}
+
+
+class TestGoldenTrainBytes:
+    """Checkpoint and log of a short training run, by sha256.
+
+    The hashes were written by the training step that gathered every
+    contrastive pair into the graph and padded the convolution with zero rows
+    between videos, with NumPy 2.4.6 on OpenBLAS 0.3.31 (one BLAS thread or
+    two). A refactor of training that keeps its numerics must keep them; a
+    different NumPy or BLAS build may round differently and need them
+    re-recorded.
+    """
+
+    @pytest.mark.parametrize("ablate", GOLDEN_TRAIN_SHA256, ids=lambda a: "-".join(a) or "full")
+    def test_checkpoint_and_log(self, golden_run, tmp_path, capsys, ablate):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(golden_run.read_text().replace("epochs = 1", "epochs = 4"))
+        ckpt, log = tmp_path / "t.ckpt", tmp_path / "t.log.csv"
+        argv = ["train", "--config", str(cfg), "--ckpt", str(ckpt), "--out", str(log)]
+        code, out, _ = run(argv + [f"--ablate={a}" for a in ablate], capsys)
+        assert code == 0 and "trained 12 steps" in out
+        digest = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (ckpt, log))
+        assert digest == GOLDEN_TRAIN_SHA256[ablate]
 
 
 @pytest.fixture(scope="module")

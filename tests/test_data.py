@@ -285,3 +285,10 @@ class TestEpisode:
         with pytest.raises(DataError) as err:
             data.sample_episode(novel, K=3, n=3, q=5, seed=0)
         assert "novel" in str(err.value)
+
+    def test_precomputed_groups_draw_the_same(self, novel):
+        groups = novel.by_class()
+        for e in range(20):
+            plain = data.draw_episode(novel, K=3, n=1, q=2, seed=[5, e])
+            grouped = data.draw_episode(novel, K=3, n=1, q=2, seed=[5, e], groups=groups)
+            assert plain == grouped

@@ -193,6 +193,75 @@ class TestContrastive:
             assert total == pytest.approx(pos, abs=1e-9)
 
 
+
+def all_pairs_contrastive(nb, fg, cfg):
+    """`contrastive_loss` with every pair in the graph: the max over all NBG
+    pairs (np.triu_indices order) and the min over all FG-row-major cross
+    pairs, each taken by the graph's own max/min."""
+    terms = []
+    if nb.data.shape[0] >= 2:
+        first, second = np.triu_indices(nb.data.shape[0], 1)
+        terms.append(ad.square(ad.take_rows(nb, first) - ad.take_rows(nb, second))
+                     .sum(axis=1).max())
+    if nb.data.shape[0] and fg.data.shape[0]:
+        n_fg, n_nb = fg.data.shape[0], nb.data.shape[0]
+        cross = (ad.take_rows(fg, np.repeat(np.arange(n_fg), n_nb))
+                 - ad.take_rows(nb, np.tile(np.arange(n_nb), n_fg)))
+        terms.append(cfg.beta * ad.relu(cfg.margin - ad.square(cross).sum(axis=1).min()))
+    total = ad.Tensor(0.0)
+    for i, t in enumerate(terms):
+        total = t if i == 0 else total + t
+    return total
+
+
+class TestHardestPairAgainstAllPairs:
+    """Picking the pairs on arrays gives the all-pairs loss and gradients."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, 7), st.integers(1, 4),
+           st.sampled_from([0.5, 2.0, 4.0]))
+    def test_loss_and_pool_gradients(self, seed, n_nb, n_fg, d, margin):
+        rng = np.random.default_rng(seed)
+        # few distinct rows on a coarse grid: duplicated rows and tied
+        # distances are common, so ties must go to the first pair
+        base = rng.integers(-2, 3, size=(4, d)) / 2.0
+        nb = base[rng.integers(0, 3, size=n_nb)].reshape(n_nb, d)
+        fg = base[rng.integers(0, 4, size=n_fg)].reshape(n_fg, d)
+        cfg = losses.LossConfig(margin=margin)
+        got, want = [], []
+        for build, out in ((losses.contrastive_loss, got), (all_pairs_contrastive, want)):
+            pools = ad.Tensor(nb, requires_grad=True), ad.Tensor(fg, requires_grad=True)
+            loss = build(*pools, cfg)
+            ad.backward(loss)
+            out.append(np.asarray(loss.data).tobytes())
+            out.extend(np.zeros_like(p.data) if p.grad is None else p.grad for p in pools)
+        assert got[0] == want[0]  # the loss, bit for bit
+        # equal values; the all-pairs graph may leave -0.0 where this leaves 0.0
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[2], want[2])
+        # only the chosen pairs' rows carry a gradient
+        chosen_nb, chosen_fg = set(), set()
+        if n_nb >= 2:
+            first, second = np.triu_indices(n_nb, 1)
+            at = np.argmax(((nb[first] - nb[second]) ** 2).sum(axis=1))
+            chosen_nb |= {first[at], second[at]}
+        if n_nb and n_fg:
+            i, j = np.unravel_index(
+                np.argmin(((fg[:, None] - nb[None]) ** 2).sum(axis=2)), (n_fg, n_nb))
+            chosen_fg.add(i)
+            chosen_nb.add(j)
+        assert set(np.flatnonzero(got[1].any(axis=1))) <= chosen_nb
+        assert set(np.flatnonzero(got[2].any(axis=1))) <= chosen_fg
+
+    def test_tied_pairs_go_to_the_first(self):
+        # rows 0 and 2 are the same point: pairs (0, 1) and (1, 2) tie for
+        # the pull, (fg 0, nb 0) and (fg 0, nb 2) for the push
+        nb = ad.Tensor([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], requires_grad=True)
+        fg = ad.Tensor([[0.0, 0.5]], requires_grad=True)
+        ad.backward(losses.contrastive_loss(nb, fg))
+        np.testing.assert_array_equal(nb.grad, [[-2.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(fg.grad, [[0.0, -1.0]])
+
 def make_fixture(seed=0, B=2, T=8, d_in=8, d=8, n_classes=3):
     rng = np.random.default_rng(seed)
     params = model.init_params(n_classes=n_classes, d_in=d_in, d=d, seed=seed)

@@ -171,3 +171,52 @@ class TestRecord:
         assert len(roles) == 10
         assert roles.count("FGIBG") == 3
         assert roles.count("BG") + roles.count("NBG") == 1
+
+
+def oracle_record(logits, t_n, M, use_probabilities):
+    """One video's labels, straight from the brute-force oracles."""
+    if use_probabilities:
+        ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+        logits = ex / ex.sum(axis=1, keepdims=True)
+    T = logits.shape[0]
+    i_bg = oracle_bg(logits)
+    M = max(0, min(pseudo.default_m(T) if M is None else M, T - 1))
+    rest = [i for i in range(T) if i != i_bg]
+    fg = [rest[i] for i in oracle_top_m(logits[rest], M)]
+    return i_bg, max(logits[i_bg]) < t_n, sorted(fg)
+
+
+class TestStack:
+    """A (Q, T, C) stack is labeled as Q separate videos."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.float64,
+                      st.tuples(st.integers(1, 5), st.integers(1, 12), st.integers(1, 6)),
+                      elements=st.floats(-1.0, 1.0, width=16)),  # coarse grid: many ties
+           st.sampled_from([-2.0, 0.0, 0.25, 2.0]), st.sampled_from([None, 1, 2, 5, 40]),
+           st.booleans())
+    def test_equals_per_video_calls(self, stack, t_n, M, use_probs):
+        kwargs = dict(t_n=t_n, M=M, use_probabilities=use_probs)
+        got = pseudo.pseudo_label_video(stack, **kwargs)
+        Q, T, _ = stack.shape
+        assert got.i_bg.shape == got.is_nbg.shape == (Q,)
+        assert got.max_logits.shape == (Q, T)
+        for q in range(Q):
+            one = pseudo.pseudo_label_video(stack[q], **kwargs)
+            assert isinstance(one.i_bg, int) and isinstance(one.is_nbg, bool)
+            assert all(isinstance(i, int) for i in one.fg_ibg_indices)
+            row = got.video(q)
+            assert (row.i_bg, row.is_nbg, row.fg_ibg_indices) == (
+                one.i_bg, one.is_nbg, one.fg_ibg_indices)
+            assert (one.i_bg, one.is_nbg, one.fg_ibg_indices) == oracle_record(
+                stack[q], **kwargs)
+            np.testing.assert_array_equal(row.max_logits, one.max_logits)
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_shortest_videos(self, T):
+        stack = np.array([[[0.3, 0.1]] * T, [[0.1, 0.0], [0.5, 0.2]][:T]])
+        got = pseudo.pseudo_label_video(stack, t_n=0.2)
+        assert got.fg_ibg_indices.shape == (2, T - 1)
+        assert [got.video(q).i_bg for q in range(2)] == [0, 0]
+        assert [got.video(q).is_nbg for q in range(2)] == [False, True]
+        assert [got.video(q).fg_ibg_indices for q in range(2)] == [[1] * (T - 1)] * 2
