@@ -19,17 +19,20 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
 
     result = train.train_base(base, losses.LossConfig(), d=24, epochs=12, seed=0)
 
-    # one 3-way 1-shot episode, dissected
-    episode = data.sample_episode(novel, K=3, n=1, q=2, seed=[0, 0])
-    protos = evaluate.compute_prototypes(result.params, episode)
-    print("episode classes:", episode.classes)
-    print("prototype norms:", [round(float(np.linalg.norm(p.vector)), 6) for p in protos])
+    # one 3-way 1-shot episode, dissected: episode 0 of seed 0
+    draw = data.draw_episode(novel, K=3, n=1, q=2, seed=[0, 0])
+    remap = {label: i for i, label in enumerate(draw.classes)}
+    proto = evaluate.prototypes_from_means(3, [
+        (remap[entry.class_label], evaluate.support_mean(
+            result.params, data.trim_support_video(novel.load_sequence(entry)).features))
+        for entry in draw.support])
+    print("episode classes:", draw.classes)
+    print("prototype norms:", [round(float(np.linalg.norm(row)), 6) for row in proto])
 
-    qseq = episode.queries[0]
-    label = qseq.class_label
+    qseq = novel.load_sequence(draw.queries[0])
     f = model.embed_segments(result.params, qseq.features, grad=False)
-    verdict = evaluate.classify_query(result.params, f, evaluate.prototype_matrix(protos))
-    print("query", qseq.video_id, "true class index", episode.class_remap[label])
+    verdict = evaluate.classify_query(result.params, f, proto)
+    print("query", qseq.video_id, "true class index", remap[qseq.class_label])
     print("class probabilities:", np.round(verdict.probs, 4), "-> top1", verdict.top1)
 
     # aggregate accuracy with a 95% confidence interval over many episodes

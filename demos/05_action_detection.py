@@ -17,24 +17,28 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     novel = data.load_manifest(workdir / "novel_manifest.jsonl")
     result = train.train_base(base, losses.LossConfig(), d=24, epochs=12, seed=0)
 
-    episode = data.sample_episode(novel, K=3, n=1, q=2, seed=[0, 0])
-    proto = evaluate.prototype_matrix(evaluate.compute_prototypes(result.params, episode))
+    # episode 0 of seed 0: prototypes from the trimmed support videos
+    draw = data.draw_episode(novel, K=3, n=1, q=2, seed=[0, 0])
+    remap = {label: i for i, label in enumerate(draw.classes)}
+    proto = evaluate.prototypes_from_means(3, [
+        (remap[entry.class_label], evaluate.support_mean(
+            result.params, data.trim_support_video(novel.load_sequence(entry)).features))
+        for entry in draw.support])
 
-    qseq = episode.queries[0]
-    label = qseq.class_label
+    # activation: each segment's aggregation weight times its cosine to each prototype
+    qseq = novel.load_sequence(draw.queries[0])
     f = model.embed_segments(result.params, qseq.features, grad=False)
     verdict = evaluate.classify_query(result.params, f, proto)
-    A = evaluate.tcam(f, verdict.weights, proto)
+    A = verdict.weights[:, None] * verdict.cosines
     print("activation map shape:", A.shape, "(segments x episode classes)")
-    print("true class column, rounded:", np.round(A[:, episode.class_remap[label]], 2))
+    print("true class column, rounded:", np.round(A[:, remap[qseq.class_label]], 2))
     print("ground truth intervals:", qseq.gt_intervals)
 
-    proposals = evaluate.extract_proposals(A, evaluate.DEFAULT_PROPOSAL_THRESHOLDS,
-                                           qseq.video_id)
-    best = sorted(proposals, key=lambda d: -d.score)[:4]
-    for det in best:
-        print(f"proposal class {det.class_index} interval {det.interval} "
-              f"score {det.score:.3f}")
+    proposals = evaluate.episode_proposals(A, [A.shape[0]])
+    for i in np.argsort(-proposals.scores, kind="stable")[:4]:
+        start, end = proposals.intervals[i].tolist()
+        print(f"proposal class {proposals.class_index[i]} interval {(start, end)} "
+              f"score {proposals.scores[i]:.3f}")
 
     # interval overlap and single-class average precision on a toy example
     print("\ntIoU((0,4),(2,6)) =", evaluate.temporal_iou((0, 4), (2, 6)))
@@ -42,5 +46,7 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     print("AP@0.5 with GT (0,4),(5,7):",
           evaluate.average_precision(dets, [(0, 4), (5, 7)], 0.5))
 
-    map50, avg_map, _ = evaluate.episode_detection(result.params, episode)
+    # the same episode scored by the evaluation loop
+    [(map50, avg_map)] = evaluate.episode_scores(result.params, novel, "detection", [0],
+                                                 K=3, n=1, q=2, seed=0)
     print(f"\nepisode mAP@0.50 {map50:.3f}, average mAP over 0.50:0.05:0.95 {avg_map:.3f}")

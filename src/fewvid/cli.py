@@ -2,7 +2,8 @@
 
 Subcommands cover the whole pipeline: gen-data, train, eval-cls, eval-det,
 grad-check, inspect. Exit codes: 0 success, 1 usage problem, 2 data problem,
-3 numeric failure. All CSV outputs are byte-reproducible for a fixed seed.
+3 numeric failure; an output path that cannot be written is a data problem.
+All CSV outputs are byte-reproducible for a fixed seed.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from . import config as config_mod
 from . import data, evaluate, model, pseudo, train
 from .errors import DataError, NumericError
 
-ABLATABLE = ("soft", "bg", "sw", "cl")
+ABLATABLE = ("bg", "sw", "cl")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,6 +212,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg)
     except DataError as err:
         print(f"fewvid: data error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:  # every read wraps its OSError in a DataError
+        print(f"fewvid: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
     except NumericError as err:
         print(f"fewvid: numeric failure: {err}", file=sys.stderr)

@@ -40,7 +40,6 @@ class RunConfig:
     gamma2: float = 0.05
     renormalize_video_feature: bool = True
     # components (ablations turn these off)
-    soft: bool = True
     bg: bool = True
     sw: bool = True
     cl: bool = True
@@ -69,7 +68,7 @@ class RunConfig:
         return LossConfig(
             tau=self.tau, tau_s=self.tau_s, c=self.c, margin=self.margin,
             beta=self.beta, gamma1=self.gamma1, gamma2=self.gamma2,
-            soft=self.soft, bg=self.bg, sw=self.sw, cl=self.cl,
+            bg=self.bg, sw=self.sw, cl=self.cl,
             renormalize_video_feature=self.renormalize_video_feature)
 
     def synthetic_config(self) -> SyntheticConfig:

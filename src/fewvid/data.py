@@ -376,20 +376,6 @@ def trim_support_video(seq: SegmentFeatureSequence) -> SegmentFeatureSequence:
 
 
 @dataclass
-class Episode:
-    K: int
-    n: int
-    q: int
-    classes: list  # the K sampled novel labels, in remap order
-    support: list  # K*n trimmed sequences
-    queries: list  # K*q untrimmed sequences with gt_intervals
-
-    @property
-    def class_remap(self):
-        return {label: i for i, label in enumerate(self.classes)}
-
-
-@dataclass
 class EpisodeDraw:
     """An episode's videos as manifest entries, before anything is loaded."""
     classes: list  # the K sampled novel labels, in remap order
@@ -419,13 +405,3 @@ def draw_episode(novel: DatasetManifest, K: int, n: int, q: int, seed,
         queries.extend(pool[j] for j in picks[n:])
     return EpisodeDraw(classes=classes, support=support, queries=queries)
 
-
-def sample_episode(novel: DatasetManifest, K: int, n: int, q: int, seed) -> Episode:
-    """`draw_episode`, then load every video; support videos are trimmed to
-    their foreground."""
-    draw = draw_episode(novel, K, n, q, seed)
-    return Episode(
-        K=K, n=n, q=q, classes=draw.classes,
-        support=[trim_support_video(novel.load_sequence(e)) for e in draw.support],
-        queries=[novel.load_sequence(e) for e in draw.queries],
-    )

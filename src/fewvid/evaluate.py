@@ -20,28 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model as model_mod
-from .data import Episode, draw_episode, trim_support_video
+from .data import draw_episode, trim_support_video
 from .errors import DataError
 from .losses import LossConfig, aggregate_video_feature, self_weight
 from .pseudo import pseudo_label_bg
 
 DEFAULT_PROPOSAL_THRESHOLDS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 2))
 MAP_TIOU_GRID = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
-
-
-@dataclass
-class Prototype:
-    class_index: int  # 0..K-1 within the episode
-    vector: np.ndarray  # (d,), unit norm unless degenerate
-    degenerate: bool = False
-
-
-@dataclass
-class DetectionResult:
-    video_id: str
-    class_index: int
-    interval: tuple  # half-open (start, end) in segment units
-    score: float
 
 
 @dataclass
@@ -87,38 +72,23 @@ def support_mean(params: model_mod.ModelParams, features: np.ndarray) -> np.ndar
     return model_mod.embed_segments(params, features, grad=False).mean(axis=0)
 
 
-def prototypes_from_means(K: int, class_means) -> list:
-    """Mean of the support means per class, normalized.
+def prototypes_from_means(K: int, class_means) -> np.ndarray:
+    """(K, d): the mean of the support means of each episode class,
+    normalized, one row per class; a zero mean stays a zero row.
 
     class_means: (episode class index, support mean) pairs, in support order.
     """
     sums = {k: [] for k in range(K)}
     for k, mean in class_means:
         sums[k].append(mean)
-    prototypes = []
+    rows = []
     for k in range(K):
         if not sums[k]:
             raise DataError(f"episode class {k} has no support videos")
         mean = np.mean(sums[k], axis=0)
         norm = np.linalg.norm(mean)
-        prototypes.append(Prototype(
-            class_index=k,
-            vector=mean / norm if norm > 0.0 else mean,
-            degenerate=norm == 0.0,
-        ))
-    return prototypes
-
-
-def compute_prototypes(params: model_mod.ModelParams, episode: Episode) -> list:
-    """Mean segment embedding per support video, mean per class, normalized."""
-    remap = episode.class_remap
-    return prototypes_from_means(episode.K, [
-        (remap[seq.class_label], support_mean(params, seq.features)) for seq in episode.support])
-
-
-def prototype_matrix(prototypes: list) -> np.ndarray:
-    """(K, d): one prototype vector per row, in episode class order."""
-    return np.stack([p.vector for p in prototypes])
+        rows.append(mean / norm if norm > 0.0 else mean)
+    return np.stack(rows)
 
 
 def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarray,
@@ -153,17 +123,6 @@ def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarr
     return res if f.ndim == 3 else res.query(0)
 
 
-def _embedded_queries(params: model_mod.ModelParams, episode: Episode) -> list:
-    return [(seq, model_mod.embed_segments(params, seq.features, grad=False))
-            for seq in episode.queries]
-
-
-def episode_accuracy(params: model_mod.ModelParams, episode: Episode,
-                     cfg: LossConfig = None) -> float:
-    proto = prototype_matrix(compute_prototypes(params, episode))
-    return _accuracy(params, episode.class_remap, proto, _embedded_queries(params, episode), cfg)
-
-
 def _classify_stacks(params: model_mod.ModelParams, embeddings: list, proto: np.ndarray,
                      cfg: LossConfig = None):
     """Classify (T_i, d) query embeddings with one stacked classify_query
@@ -185,18 +144,6 @@ def classification_accuracy(params: model_mod.ModelParams, embeddings: list, lab
     correct = sum(np.count_nonzero(res.top1 == labels[at])
                   for at, res in _classify_stacks(params, embeddings, proto, cfg))
     return correct / len(embeddings)
-
-
-def _accuracy(params, remap: dict, proto: np.ndarray, queries: list, cfg) -> float:
-    """Share of queries classified correctly; queries are (video, (T, d)
-    embedding) pairs and a video carries its class_label."""
-    return classification_accuracy(params, [f for _, f in queries],
-                                   [remap[video.class_label] for video, _ in queries], proto, cfg)
-
-
-def tcam(f: np.ndarray, weights: np.ndarray, proto: np.ndarray) -> np.ndarray:
-    """(T, K) activation: per-segment weight times cosine to each prototype row."""
-    return np.asarray(weights)[:, None] * (f @ proto.T)
 
 
 def _tiou(start_a, end_a, start_b, end_b) -> np.ndarray:
@@ -308,24 +255,6 @@ def episode_proposals(A: np.ndarray, lengths,
     return Detections(video, cls, intervals, scores).take(keep)
 
 
-def extract_proposals(A: np.ndarray, thresholds=DEFAULT_PROPOSAL_THRESHOLDS,
-                      video_id: str = "") -> list:
-    """Thresholded runs of one video's (T, K) activation map, merged across
-    thresholds, as DetectionResults."""
-    dets = episode_proposals(A, [A.shape[0]], thresholds)
-    return [DetectionResult(video_id, k, tuple(interval), score) for k, interval, score in
-            zip(dets.class_index.tolist(), dets.intervals.tolist(), dets.scores.tolist())]
-
-
-def nms(detections: list, tiou_threshold: float = 0.5) -> list:
-    """Greedy non-maximum suppression, highest score first; ties keep the
-    earlier interval."""
-    scores = np.array([d.score for d in detections], dtype=np.float64)
-    intervals = np.array([d.interval for d in detections]).reshape(-1, 2)
-    keep = _nms_keep(np.zeros(scores.size, dtype=np.intp), intervals, scores, tiou_threshold)
-    return [detections[i] for i in keep]
-
-
 def _greedy_matches(iou: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """(len(thresholds), n) true positives of detections (rows, best score
     first) matched one to one to ground truths (columns), all thresholds in
@@ -362,9 +291,9 @@ def _interpolated_aps(tp: np.ndarray, n_truths: int) -> np.ndarray:
 def average_precision(detections, ground_truths, tiou_threshold):
     """All-point interpolated AP with greedy one-to-one matching.
 
-    detections: Detections, or (score, interval) pairs or DetectionResults;
-    ground_truths: (video_id-agnostic) intervals. Returns None when there is
-    nothing to detect, so callers can exclude the class from their mean.
+    detections: Detections, or (score, interval) pairs; ground_truths:
+    (video_id-agnostic) intervals. Returns None when there is nothing to
+    detect, so callers can exclude the class from their mean.
     Given a sequence of thresholds, returns one AP per threshold, all
     matched in one pass over one tIoU matrix.
     """
@@ -373,10 +302,8 @@ def average_precision(detections, ground_truths, tiou_threshold):
     if isinstance(detections, Detections):
         scores, intervals = detections.scores, detections.intervals
     else:
-        scores = np.array([d.score if isinstance(d, DetectionResult) else float(d[0])
-                           for d in detections], dtype=np.float64)
-        intervals = np.array([d.interval if isinstance(d, DetectionResult) else tuple(d[1])
-                              for d in detections]).reshape(-1, 2)
+        scores = np.array([float(score) for score, _ in detections], dtype=np.float64)
+        intervals = np.array([tuple(interval) for _, interval in detections]).reshape(-1, 2)
     order = np.argsort(-scores, kind="stable")
     iou = temporal_iou_matrix(intervals[order], np.asarray(ground_truths).reshape(-1, 2))
     thresholds = np.atleast_1d(np.asarray(tiou_threshold, dtype=np.float64))
@@ -405,25 +332,16 @@ def detection_maps(detections: Detections, truths: np.ndarray, tiou_grid) -> dic
             for i, thr in enumerate(tiou_grid)}
 
 
-def episode_detection(params: model_mod.ModelParams, episode: Episode,
-                      cfg: LossConfig = None, tiou_grid=MAP_TIOU_GRID):
-    """Per-episode mAP at each tIoU threshold, macro-averaged over classes.
-
-    Detections from every query count against every class: a proposal for
-    class k on a query of another class is a false positive for k.
-    """
-    proto = prototype_matrix(compute_prototypes(params, episode))
-    return _detection(params, episode.class_remap, proto, _embedded_queries(params, episode),
-                      cfg, tiou_grid)
-
-
 def _detection(params, remap: dict, proto: np.ndarray, queries: list, cfg, tiou_grid):
     """(map50, avg_map, maps) of (video, (T, d) embedding) query pairs; a
-    video carries its class_label and gt_intervals. The queries' activation
-    maps are stacked and scored together as arrays."""
+    video carries its class_label and gt_intervals. Each query's activation
+    map is its segment weights times its cosines; the maps are stacked and
+    scored together as arrays, macro-averaged over classes. Detections from
+    every query count against every class: a proposal for class k on a query
+    of another class is a false positive for k."""
     cams = [None] * len(queries)
     for at, res in _classify_stacks(params, [f for _, f in queries], proto, cfg):
-        for i, cam in zip(at, res.weights[..., None] * res.cosines):  # tcam of each query
+        for i, cam in zip(at, res.weights[..., None] * res.cosines):
             cams[i] = cam
     truths = [(i, remap[video.class_label], start, end)
               for i, (video, _) in enumerate(queries) for start, end in video.gt_intervals]
@@ -502,12 +420,14 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     for e in episode_ids:
         draw = draw_episode(manifest, K=K, n=n, q=q, seed=[seed, e], groups=groups)
         remap = {label: i for i, label in enumerate(draw.classes)}
-        proto = prototype_matrix(prototypes_from_means(K, [
-            (remap[entry.class_label], videos.support_mean(entry)) for entry in draw.support]))
-        queries = [(entry, videos.query(entry)) for entry in draw.queries]
+        proto = prototypes_from_means(K, [
+            (remap[entry.class_label], videos.support_mean(entry)) for entry in draw.support])
         if mode == "classification":
-            per_episode.append(_accuracy(params, remap, proto, queries, cfg))
+            per_episode.append(classification_accuracy(
+                params, [videos.query(entry) for entry in draw.queries],
+                [remap[entry.class_label] for entry in draw.queries], proto, cfg))
         else:
+            queries = [(entry, videos.query(entry)) for entry in draw.queries]
             map50, avg_map, _ = _detection(params, remap, proto, queries, cfg, MAP_TIOU_GRID)
             per_episode.append((map50, avg_map))
     return per_episode

@@ -34,7 +34,6 @@ class LossConfig:
     beta: float = 1.0  # weight of the push-apart term
     gamma1: float = 0.05  # contrastive loss weight
     gamma2: float = 0.05  # background classification loss weight
-    soft: bool = True  # soft video-level classification (always on)
     bg: bool = True  # background row + background classification loss
     sw: bool = True  # self-weighting (off: use the attention net)
     cl: bool = True  # contrastive loss
@@ -47,9 +46,6 @@ class LossConfig:
             raise ValueError(f"margin must be in [0, 4], got {self.margin}")
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise ValueError("loss weights must be non-negative")
-        if not self.soft:
-            raise ValueError("the soft classification loss cannot be disabled; "
-                             "every configuration builds on it")
         return self
 
 

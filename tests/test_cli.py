@@ -68,6 +68,13 @@ class TestConfigFile:
             config.build_config(path, {})
         assert "learning_rate" in str(err.value)
 
+    def test_soft_is_not_a_key(self, tmp_path):
+        # the soft classification loss is always on, so there is no switch
+        path = tmp_path / "bad.cfg"
+        path.write_text("soft = true\n")
+        with pytest.raises(DataError, match="unknown config key 'soft'"):
+            config.build_config(path, {})
+
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("epochs = soon\n")
@@ -185,9 +192,10 @@ class TestTrain:
 
     def test_ablate_soft_refused(self, workspace, capsys):
         _, cfg_path = workspace
-        code, _, err = run(["train", "--config", str(cfg_path), "--ablate", "soft"], capsys)
-        assert code == 1
-        assert "soft" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(cfg_path), "--ablate", "soft"])
+        assert exc.value.code == 1
+        assert "soft" in capsys.readouterr().err
 
     def test_ablation_recorded_in_checkpoint(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
@@ -303,6 +311,30 @@ class TestEval:
         code, _, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
         assert code == 2
         assert "data error" in err and "shape" in err
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 naming it, with no
+    traceback: a missing directory, or a directory where a file belongs."""
+
+    @pytest.mark.parametrize("command, flag, target", [
+        ("eval-cls", "--out", "nodir/x.csv"),
+        ("eval-cls", "--out", "dir"),
+        ("eval-det", "--out", "nodir/x.csv"),
+        ("eval-det", "--out", "dir"),
+        ("inspect", "--out", "nodir/x.csv"),
+        ("inspect", "--out", "dir"),
+        ("train", "--ckpt", "dir"),
+        ("gen-data", "--out", "file"),
+    ])
+    def test_exits_2_naming_path(self, workspace, tmp_path, capsys, command, flag, target):
+        _, cfg_path = workspace
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        path = tmp_path / target
+        code, _, err = run([command, "--config", str(cfg_path), flag, str(path)], capsys)
+        assert code == 2
+        assert "cannot write" in err and str(path) in err
 
 
 class TestCheckpointAgainstCorpus:

@@ -1,4 +1,4 @@
-"""Feature-file format, manifests, synthetic generator, and episode sampling."""
+"""Feature-file format, manifests, synthetic generator, and episode drawing."""
 
 import hashlib
 import json
@@ -250,40 +250,42 @@ def novel(tmp_path_factory):
 
 class TestEpisode:
     def test_counts(self, novel):
-        ep = data.sample_episode(novel, K=3, n=1, q=3, seed=0)
-        assert len(ep.support) == 3
-        assert len(ep.queries) == 9
-        assert sorted(ep.class_remap.values()) == [0, 1, 2]
+        draw = data.draw_episode(novel, K=3, n=1, q=3, seed=0)
+        assert len(draw.support) == 3
+        assert len(draw.queries) == 9
+        assert len(set(draw.classes)) == 3
+        assert [e.class_label for e in draw.support] == draw.classes  # class by class
 
     def test_deterministic(self, novel):
-        a = data.sample_episode(novel, K=3, n=2, q=2, seed=9)
-        b = data.sample_episode(novel, K=3, n=2, q=2, seed=9)
-        assert [s.video_id for s in a.support] == [s.video_id for s in b.support]
-        assert [s.video_id for s in a.queries] == [s.video_id for s in b.queries]
+        a = data.draw_episode(novel, K=3, n=2, q=2, seed=9)
+        b = data.draw_episode(novel, K=3, n=2, q=2, seed=9)
+        assert a == b
         for x, y in zip(a.support, b.support):
-            assert x.features.tobytes() == y.features.tobytes()
+            assert (novel.load_sequence(x).features.tobytes()
+                    == novel.load_sequence(y).features.tobytes())
 
     def test_support_queries_disjoint(self, novel):
-        ep = data.sample_episode(novel, K=3, n=2, q=2, seed=4)
-        assert not {s.video_id for s in ep.support} & {s.video_id for s in ep.queries}
+        draw = data.draw_episode(novel, K=3, n=2, q=2, seed=4)
+        assert not {e.video_id for e in draw.support} & {e.video_id for e in draw.queries}
 
     def test_support_is_trimmed(self, novel):
-        ep = data.sample_episode(novel, K=3, n=1, q=1, seed=2)
-        for s in ep.support:
+        draw = data.draw_episode(novel, K=3, n=1, q=1, seed=2)
+        for entry in draw.support:
+            s = data.trim_support_video(novel.load_sequence(entry))
             assert s.gt_intervals == [(0, s.T)]
             assert s.T < SMALL.T  # generator keeps some background in every video
 
     def test_query_classes_within_sampled(self, novel):
-        ep = data.sample_episode(novel, K=2, n=1, q=2, seed=7)
-        assert {s.class_label for s in ep.queries} <= set(ep.classes)
+        draw = data.draw_episode(novel, K=2, n=1, q=2, seed=7)
+        assert {e.class_label for e in draw.queries} <= set(draw.classes)
 
     def test_too_many_classes(self, novel):
         with pytest.raises(DataError):
-            data.sample_episode(novel, K=99, n=1, q=1, seed=0)
+            data.draw_episode(novel, K=99, n=1, q=1, seed=0)
 
     def test_too_few_videos_names_class(self, novel):
         with pytest.raises(DataError) as err:
-            data.sample_episode(novel, K=3, n=3, q=5, seed=0)
+            data.draw_episode(novel, K=3, n=3, q=5, seed=0)
         assert "novel" in str(err.value)
 
     def test_precomputed_groups_draw_the_same(self, novel):

@@ -19,17 +19,13 @@ def identity_params(d=2, n_classes=2, width=4):
     return p
 
 
-def seq(video_id, label, rows, gt=None):
-    return data.SegmentFeatureSequence(
-        video_id=video_id, class_label=label,
-        features=np.array(rows, dtype=float),
-        gt_intervals=gt or [(0, len(rows))])
-
-
-def episode_of(support, queries, K):
-    classes = sorted({s.class_label for s in support})
-    return data.Episode(K=K, n=len(support) // K, q=len(queries) // K,
-                        classes=classes, support=support, queries=queries)
+@dataclasses.dataclass
+class Det:
+    """One scored interval: the record the loop oracles below work on."""
+    video_id: object
+    class_index: int
+    interval: tuple  # half-open (start, end) in segment units
+    score: float
 
 
 # --- independent AP oracle -------------------------------------------------
@@ -84,51 +80,37 @@ def random_instance(rng):
 
 class TestPrototypes:
     def test_singleton_support(self):
-        p = identity_params()
-        ep = episode_of([seq("s", 0, [[0.0, 1.0]]), seq("t", 1, [[1.0, 0.0]])],
-                        [seq("q", 0, [[0.0, 1.0]])], K=2)
-        protos = evaluate.compute_prototypes(p, ep)
-        np.testing.assert_allclose(protos[0].vector, [0.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(protos[1].vector, [1.0, 0.0], atol=1e-12)
+        proto = evaluate.prototypes_from_means(2, [(0, np.array([0.0, 1.0])),
+                                                   (1, np.array([1.0, 0.0]))])
+        np.testing.assert_allclose(proto, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
     def test_mean_then_normalize(self):
-        p = identity_params()
-        ep = episode_of(
-            [seq("a", 0, [[1.0, 0.0]]), seq("b", 0, [[0.0, 1.0]]),
-             seq("c", 1, [[-1.0, 0.0]]), seq("d", 1, [[-1.0, 0.0]])],
-            [seq("q", 0, [[1.0, 0.0]])], K=2)
-        protos = evaluate.compute_prototypes(p, ep)
+        proto = evaluate.prototypes_from_means(2, [
+            (0, np.array([1.0, 0.0])), (0, np.array([0.0, 1.0])),
+            (1, np.array([-1.0, 0.0])), (1, np.array([-1.0, 0.0]))])
         r = np.sqrt(2.0) / 2.0
-        np.testing.assert_allclose(protos[0].vector, [r, r], atol=1e-12)
-        assert not protos[0].degenerate
+        np.testing.assert_allclose(proto, [[r, r], [-1.0, 0.0]], atol=1e-12)
 
     def test_antipodal_support_flags_degenerate(self):
-        p = identity_params()
-        ep = episode_of(
-            [seq("a", 0, [[1.0, 0.0]]), seq("b", 0, [[-1.0, 0.0]]),
-             seq("c", 1, [[0.0, 1.0]]), seq("d", 1, [[0.0, 1.0]])],
-            [seq("q", 1, [[0.0, 1.0]])], K=2)
-        protos = evaluate.compute_prototypes(p, ep)
-        assert protos[0].degenerate
-        np.testing.assert_array_equal(protos[0].vector, 0.0)
-        assert not protos[1].degenerate
+        # a degenerate class is flagged by a zero row, which has cosine 0 to
+        # every query
+        proto = evaluate.prototypes_from_means(2, [
+            (0, np.array([1.0, 0.0])), (0, np.array([-1.0, 0.0])),
+            (1, np.array([0.0, 1.0])), (1, np.array([0.0, 1.0]))])
+        np.testing.assert_array_equal(proto[0], 0.0)
+        np.testing.assert_allclose(proto[1], [0.0, 1.0], atol=1e-12)
 
     def test_unit_norm_within_tolerance(self):
         p = model.init_params(n_classes=3, d_in=6, d=5, seed=1)
         rng = np.random.default_rng(2)
-        ep = episode_of(
-            [seq(f"s{i}", i % 3, rng.normal(size=(4, 6))) for i in range(6)],
-            [seq("q", 0, rng.normal(size=(5, 6)))], K=3)
-        for proto in evaluate.compute_prototypes(p, ep):
-            assert abs(np.linalg.norm(proto.vector) - 1.0) < 1e-9
+        proto = evaluate.prototypes_from_means(3, [
+            (i % 3, evaluate.support_mean(p, rng.normal(size=(4, 6)))) for i in range(6)])
+        assert proto.shape == (3, 5)
+        assert np.all(np.abs(np.linalg.norm(proto, axis=1) - 1.0) < 1e-9)
 
     def test_empty_class_rejected(self):
-        p = identity_params()
-        ep = data.Episode(K=2, n=1, q=1, classes=[0, 1],
-                          support=[seq("a", 0, [[1.0, 0.0]])],
-                          queries=[seq("q", 0, [[1.0, 0.0]])])
-        with pytest.raises(DataError):
-            evaluate.compute_prototypes(p, ep)
+        with pytest.raises(DataError, match="class 1 has no support"):
+            evaluate.prototypes_from_means(2, [(0, np.array([1.0, 0.0]))])
 
 
 def classify(params, features, proto, **kwargs):
@@ -189,73 +171,63 @@ class TestClassifyQuery:
                 assert int(np.argmax(scaled / scaled.sum())) == ref
 
 
+def episode_accuracy(support, queries, K):
+    """classification_accuracy of (label, rows) queries against prototypes
+    from (label, rows) trimmed support videos, embedded by the identity head."""
+    p = identity_params()
+    proto = evaluate.prototypes_from_means(K, [
+        (label, evaluate.support_mean(p, np.array(rows))) for label, rows in support])
+    embeddings = [model.embed_segments(p, np.array(rows), grad=False) for _, rows in queries]
+    return evaluate.classification_accuracy(p, embeddings, [label for label, _ in queries], proto)
+
+
 class TestEpisodeAccuracy:
     def test_hand_placed_queries(self):
-        p = identity_params()
-        support = [seq("s0", 0, [[1.0, 0.0]]), seq("s1", 1, [[0.0, 1.0]])]
-        queries = [seq("q0", 0, [[1.0, 0.0]]),
-                   seq("q1", 1, [[0.0, 1.0]]),
-                   seq("q2", 1, [[1.0, 0.0]])]  # labeled 1, looks like 0
-        ep = episode_of(support, queries, K=2)
-        assert evaluate.episode_accuracy(p, ep) == pytest.approx(2.0 / 3.0)
+        support = [(0, [[1.0, 0.0]]), (1, [[0.0, 1.0]])]
+        queries = [(0, [[1.0, 0.0]]),
+                   (1, [[0.0, 1.0]]),
+                   (1, [[1.0, 0.0]])]  # labeled 1, looks like 0
+        assert episode_accuracy(support, queries, K=2) == pytest.approx(2.0 / 3.0)
 
     def test_all_correct(self):
-        p = identity_params()
-        support = [seq("s0", 0, [[1.0, 0.0]]), seq("s1", 1, [[0.0, 1.0]])]
-        queries = [seq("q0", 0, [[1.0, 0.0]]), seq("q1", 1, [[0.0, 1.0]])]
-        assert evaluate.episode_accuracy(p, episode_of(support, queries, K=2)) == 1.0
-
-
-class TestTcam:
-    def test_zero_weight_zeroes_row(self):
-        A = evaluate.tcam(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]),
-                          np.array([[1.0, 0.0]]))
-        np.testing.assert_array_equal(A[0], 0.0)
-
-    def test_aligned_segment_scores_one(self):
-        A = evaluate.tcam(np.array([[1.0, 0.0]]), np.array([1.0]), np.array([[1.0, 0.0]]))
-        assert A[0, 0] == pytest.approx(1.0)
-
-    def test_hand_matrix(self):
-        f = np.array([[1.0, 0.0], [0.6, 0.8]])
-        A = evaluate.tcam(f, np.array([0.5, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(A, [[0.5, 0.0], [0.6, 0.8]], atol=1e-12)
+        support = [(0, [[1.0, 0.0]]), (1, [[0.0, 1.0]])]
+        queries = [(0, [[1.0, 0.0]]), (1, [[0.0, 1.0]])]
+        assert episode_accuracy(support, queries, K=2) == 1.0
 
 
 class TestProposals:
-    def column(self, values):
-        return np.array(values, dtype=float)[:, None]
+    """Proposals of one video's (T, 1) activation column."""
+
+    def proposals(self, values):
+        return evaluate.episode_proposals(np.array(values, dtype=float)[:, None], [len(values)])
 
     def test_single_run(self):
-        dets = evaluate.extract_proposals(self.column([0, 1, 1, 0]), video_id="v")
-        assert len(dets) == 1
-        assert dets[0].interval == (1, 3)
-        assert dets[0].score == pytest.approx(1.0)
-        assert dets[0].video_id == "v"
+        dets = self.proposals([0, 1, 1, 0])
+        assert dets.intervals.tolist() == [[1, 3]]
+        assert dets.scores[0] == pytest.approx(1.0)
+        assert dets.video.tolist() == [0] and dets.class_index.tolist() == [0]
 
     def test_all_zero_column(self):
-        assert evaluate.extract_proposals(self.column([0, 0, 0])) == []
+        assert self.proposals([0, 0, 0]).scores.size == 0
 
     def test_negative_activations_skipped(self):
-        assert evaluate.extract_proposals(self.column([-0.5, -1.0])) == []
+        assert self.proposals([-0.5, -1.0]).scores.size == 0
 
     def test_two_disjoint_runs_survive_nms(self):
-        dets = evaluate.extract_proposals(self.column([0, 1, 1, 0, 0, 0.9, 0.9, 0]))
-        intervals = sorted(d.interval for d in dets)
-        assert (1, 3) in intervals
+        intervals = self.proposals([0, 1, 1, 0, 0, 0.9, 0.9, 0]).intervals.tolist()
+        assert [1, 3] in intervals
         assert any(iv[0] >= 5 for iv in intervals)
 
     def test_lower_thresholds_add_wider_proposals(self):
-        dets = evaluate.extract_proposals(self.column([0.2, 1.0, 0.2, 0.0]))
+        dets = self.proposals([0.2, 1.0, 0.2, 0.0])
         # theta=0.1 gives the wide run [0,3), theta>=0.3 the tight [1,2)
-        assert {d.interval for d in dets} == {(0, 3), (1, 2)}
+        assert {tuple(iv) for iv in dets.intervals.tolist()} == {(0, 3), (1, 2)}
 
     def test_nms_keeps_higher_score(self):
-        a = evaluate.DetectionResult("v", 0, (0, 4), 0.9)
-        b = evaluate.DetectionResult("v", 0, (1, 4), 0.5)  # tIoU 0.75 with a
-        c = evaluate.DetectionResult("v", 0, (6, 8), 0.4)
-        kept = evaluate.nms([b, a, c], 0.5)
-        assert a in kept and c in kept and b not in kept
+        intervals = np.array([[1, 4], [0, 4], [6, 8]])  # tIoU 0.75 between the first two
+        scores = np.array([0.5, 0.9, 0.4])
+        keep = evaluate._nms_keep(np.zeros(3, dtype=np.intp), intervals, scores, 0.5)
+        assert keep.tolist() == [1, 2]
 
 
 class TestTemporalIou:
@@ -337,35 +309,50 @@ class TestEpisodeDetection:
             T=14, d_in=8, seed=seed)
         root = self.tmp / f"ds{seed}"
         _, novel = data.generate_synthetic_dataset(cfg, root)
-        return data.sample_episode(novel, K=2, n=1, q=2, seed=1)
+        return novel, data.draw_episode(novel, K=2, n=1, q=2, seed=[1, 0])
+
+    @staticmethod
+    def scored(params, novel, draw):
+        """remap, prototypes, (query video, embedding) pairs and the
+        episode's (map50, avg_map, maps)."""
+        remap = {label: i for i, label in enumerate(draw.classes)}
+        proto = evaluate.prototypes_from_means(len(draw.classes), [
+            (remap[entry.class_label],
+             evaluate.support_mean(params, data.trim_support_video(
+                 novel.load_sequence(entry)).features)) for entry in draw.support])
+        queries = [(q, model.embed_segments(params, q.features, grad=False))
+                   for q in map(novel.load_sequence, draw.queries)]
+        result = evaluate._detection(params, remap, proto, queries, None, evaluate.MAP_TIOU_GRID)
+        return remap, proto, queries, result
 
     @pytest.fixture(autouse=True)
     def _tmp(self, tmp_path):
         self.tmp = tmp_path
 
     def test_matches_per_video_oracle(self):
-        ep = self.dataset_episode()
+        novel, draw = self.dataset_episode()
         params = model.init_params(n_classes=3, d_in=8, d=8, seed=2)
-        map50, avg_map, maps = evaluate.episode_detection(params, ep)
+        remap, proto, queries, (map50, avg_map, maps) = self.scored(params, novel, draw)
+        # the cached path draws the same episode as episode 0 of seed 1
+        assert evaluate.episode_scores(params, novel, "detection", [0], K=2, n=1, q=2,
+                                       seed=1) == [(map50, avg_map)]
 
         # independent aggregation: group detections and truths per video,
         # run the grid oracle per class, macro-average
-        proto = evaluate.prototype_matrix(evaluate.compute_prototypes(params, ep))
-        remap = ep.class_remap
-        per_class_dets = {k: {} for k in range(ep.K)}
-        per_class_gts = {k: {} for k in range(ep.K)}
-        for q in ep.queries:
-            f = model.embed_segments(params, q.features, grad=False)
+        K = len(draw.classes)
+        per_class_dets = {k: {} for k in range(K)}
+        per_class_gts = {k: {} for k in range(K)}
+        for q, f in queries:
             res = evaluate.classify_query(params, f, proto)
-            for det in evaluate.extract_proposals(
-                    evaluate.tcam(f, res.weights, proto), video_id=q.video_id):
+            A = res.weights[:, None] * (f @ proto.T)
+            for det in loop_extract_proposals(A, video_id=q.video_id):
                 per_class_dets[det.class_index].setdefault(det.video_id, []).append(det)
             for iv in q.gt_intervals:
                 per_class_gts[remap[q.class_label]].setdefault(q.video_id, []).append(tuple(iv))
 
         for thr, got in maps.items():
             aps = []
-            for k in range(ep.K):
+            for k in range(K):
                 gt_total = sum(len(v) for v in per_class_gts[k].values())
                 if not gt_total:
                     continue
@@ -387,9 +374,8 @@ class TestEpisodeDetection:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_avg_map_bounded_by_best_threshold(self):
-        ep = self.dataset_episode(seed=3)
         params = model.init_params(n_classes=3, d_in=8, d=8, seed=4)
-        map50, avg_map, maps = evaluate.episode_detection(params, ep)
+        map50, avg_map, maps = self.scored(params, *self.dataset_episode(seed=3))[3]
         assert avg_map <= max(maps.values()) + 1e-12
         assert map50 == maps[0.5]
         assert all(0.0 <= v <= 1.0 for v in maps.values())
@@ -443,6 +429,18 @@ class TestEvaluateLoop:
 # float bits.
 
 
+@dataclasses.dataclass
+class OracleEpisode:
+    K: int
+    classes: list  # the K sampled novel labels, in remap order
+    support: list  # K*n trimmed sequences
+    queries: list  # K*q untrimmed sequences
+
+    @property
+    def class_remap(self):
+        return {label: i for i, label in enumerate(self.classes)}
+
+
 def oracle_sample_episode(novel, K, n, q, seed):
     rng = np.random.default_rng(seed)
     groups = novel.by_class()
@@ -456,7 +454,7 @@ def oracle_sample_episode(novel, K, n, q, seed):
             support.append(data.trim_support_video(novel.load_sequence(pool[j])))
         for j in picks[n:]:
             queries.append(novel.load_sequence(pool[j]))
-    return data.Episode(K=K, n=n, q=q, classes=classes, support=support, queries=queries)
+    return OracleEpisode(K=K, classes=classes, support=support, queries=queries)
 
 
 def oracle_prototypes(params, ep):
@@ -524,6 +522,18 @@ class TestCachedLoop:
         got = evaluate.evaluate(params, small_novel, mode, K=K, n=n, q=q, episodes=episodes,
                                 seed=seed, cfg=cfg)["per_episode"]
         assert got == oracle_evaluate(params, small_novel, mode, K, n, q, episodes, seed, cfg)
+
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    def test_any_subset_of_episodes_reproduces(self, small_novel, mode):
+        # episode e is drawn from seed (seed, e) alone, so a subset in any
+        # order scores as the same episodes of a full run
+        params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=3)
+        full = evaluate.episode_scores(params, small_novel, mode, range(8), K=3, n=1, q=2,
+                                       seed=6)
+        subset = evaluate.episode_scores(params, small_novel, mode, [4, 1, 7], K=3, n=1, q=2,
+                                         seed=6)
+        assert subset == [full[4], full[1], full[7]]
+        assert len(set(map(str, full))) > 1  # the episodes differ
 
     @pytest.mark.parametrize("mode", ["classification", "detection"])
     def test_reads_and_embeds_each_video_at_most_twice(self, small_novel, monkeypatch, mode):
@@ -608,8 +618,7 @@ def loop_extract_proposals(A, thresholds=evaluate.DEFAULT_PROPOSAL_THRESHOLDS, v
         candidates = []
         for theta in thresholds:
             for start, end in loop_runs_above(column, theta * colmax):
-                candidates.append(evaluate.DetectionResult(
-                    video_id, k, (start, end), float(column[start:end].mean())))
+                candidates.append(Det(video_id, k, (start, end), float(column[start:end].mean())))
         out.extend(loop_nms(candidates, 0.5))
     return out
 
@@ -703,8 +712,8 @@ def loop_detection(params, remap, proto, queries, cfg, tiou_grid):
     dets, truths = [], {k: [] for k in range(len(remap))}
     for video, f in queries:
         weights = loop_classify_query(params, f, proto, cfg)[3]
-        dets.extend(loop_extract_proposals(evaluate.tcam(f, weights, proto),
-                                           video_id=video.video_id))
+        A = weights[:, None] * (f @ proto.T)  # weight times cosine per segment and class
+        dets.extend(loop_extract_proposals(A, video_id=video.video_id))
         for interval in video.gt_intervals:
             truths[remap[video.class_label]].append((video.video_id, tuple(interval)))
     maps = loop_detection_maps(dets, truths, tiou_grid)
@@ -712,14 +721,14 @@ def loop_detection(params, remap, proto, queries, cfg, tiou_grid):
 
 
 def as_results(detections):
-    """Detections as DetectionResults whose video_id is the query index."""
-    return [evaluate.DetectionResult(v, k, tuple(iv), s) for v, k, iv, s in zip(
+    """Detections as Det records whose video_id is the query index."""
+    return [Det(v, k, tuple(iv), s) for v, k, iv, s in zip(
         detections.video.tolist(), detections.class_index.tolist(),
         detections.intervals.tolist(), detections.scores.tolist())]
 
 
 def as_arrays(dets, truths):
-    """DetectionResults and {class: [(video_id, interval)]} as the arrays
+    """Det records and {class: [(video_id, interval)]} as the arrays
     detection_maps takes."""
     code = {}
     for video_id in [d.video_id for d in dets] + [v for k in truths for v, _ in truths[k]]:
@@ -766,15 +775,21 @@ class TestLoopOracles:
     @given(st.lists(st.tuples(intervals, scores), max_size=25),
            st.sampled_from([0.3, 0.5, 0.7, 1.0]))
     def test_nms(self, items, thr):
-        dets = [evaluate.DetectionResult("v", 0, iv, s) for iv, s in items]
-        assert evaluate.nms(dets, thr) == loop_nms(dets, thr)
+        # NMS of one (video, class) group
+        dets = [Det("v", 0, iv, s) for iv, s in items]
+        keep = evaluate._nms_keep(np.zeros(len(items), dtype=np.intp),
+                                  np.array([iv for iv, _ in items]).reshape(-1, 2),
+                                  np.array([s for _, s in items], dtype=np.float64), thr)
+        assert [dets[i] for i in keep] == loop_nms(dets, thr)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 4), st.data())
     def test_extract_proposals(self, T, K, data_):
         A = np.array(data_.draw(st.lists(activations, min_size=T * K, max_size=T * K)))
         A = A.reshape(T, K)
-        assert evaluate.extract_proposals(A, video_id="q") == loop_extract_proposals(A, video_id="q")
+        # proposals of one video
+        assert (as_results(evaluate.episode_proposals(A, [T]))
+                == loop_extract_proposals(A, video_id=0))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(scores, intervals), max_size=30),
@@ -802,7 +817,7 @@ class TestLoopOracles:
     @given(st.integers(1, 4), st.data())
     def test_detection_maps(self, K, data_):
         videos = st.sampled_from(["a", "b", "c"])
-        dets = [evaluate.DetectionResult(v, k, iv, s) for v, k, iv, s in data_.draw(st.lists(
+        dets = [Det(v, k, iv, s) for v, k, iv, s in data_.draw(st.lists(
             st.tuples(videos, st.integers(0, K - 1), intervals, scores), max_size=30))]
         # some classes get no truths at all
         truths = {k: data_.draw(st.lists(st.tuples(videos, intervals), max_size=4))
@@ -865,7 +880,9 @@ class TestEpisodePath:
         cfg, grid = LossConfig(sw=sw), evaluate.MAP_TIOU_GRID
         assert (evaluate._detection(params, remap, proto, queries, cfg, grid)
                 == loop_detection(params, remap, proto, queries, cfg, grid))
-        assert (evaluate._accuracy(params, remap, proto, queries, cfg)
+        assert (evaluate.classification_accuracy(
+                    params, [f for _, f in queries],
+                    [remap[video.class_label] for video, _ in queries], proto, cfg)
                 == loop_accuracy(params, remap, proto, queries, cfg))
 
     def test_length_grouped_means_equal_slice_reduce(self):

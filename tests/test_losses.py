@@ -365,11 +365,6 @@ class TestTotalLoss:
         without, _ = losses.total_loss(params, batch, losses.LossConfig(sw=False))
         assert float(with_sw.data) != pytest.approx(float(without.data))
 
-    def test_soft_flag_cannot_be_disabled(self):
-        params, batch = make_fixture(seed=5)
-        with pytest.raises(ValueError):
-            losses.total_loss(params, batch, losses.LossConfig(soft=False))
-
     def test_gradients_match_finite_differences(self):
         params, batch = make_fixture(seed=6, B=2, T=6, d_in=6, d=6)
         cfg = losses.LossConfig()
