@@ -69,9 +69,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
 
@@ -86,9 +83,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
 
     def __neg__(self):
         return mul(self, _wrap(-1.0))
@@ -345,10 +339,6 @@ def sigmoid_forward(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     return _node("sigmoid", (a,), sigmoid_forward, lambda g, out, x: (g * out * (1.0 - out),))
-
-
-def exp(a: Tensor) -> Tensor:
-    return _node("exp", (a,), np.exp, lambda g, out, x: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:

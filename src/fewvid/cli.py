@@ -90,7 +90,7 @@ def cmd_train(cfg) -> int:
         d=cfg.d, kernel_width=cfg.kernel_width, attn_width=cfg.attn_width,
         lr=cfg.lr, momentum=cfg.momentum, batch_size=cfg.batch_size,
         epochs=cfg.epochs, seed=cfg.seed, t_n=cfg.t_n,
-        top_m=cfg.top_m or None, use_probabilities=cfg.use_probabilities,
+        top_m=cfg.top_m or None,
         ckpt_path=cfg.ckpt, log_path=log_path,
         config_echo={"seed": cfg.seed, "ablate": [a for a in ABLATABLE if not getattr(cfg, a)]})
     final = result.log_rows[-1]
@@ -102,9 +102,13 @@ def cmd_train(cfg) -> int:
 
 def _load_eval_assets(cfg):
     params, echo = model.load_checkpoint(cfg.ckpt)
+    ablate = echo.get("ablate", [])
+    if not (isinstance(ablate, list) and all(name in ABLATABLE for name in ablate)):
+        raise DataError(f"{cfg.ckpt}: checkpoint config 'ablate' must be a list of names "
+                        f"from {list(ABLATABLE)}, got {ablate!r}")
     manifest = data.load_manifest(Path(cfg.data_dir) / "novel_manifest.jsonl")
     loss_cfg = cfg.loss_config()
-    for name in echo.get("ablate", []):
+    for name in ablate:
         setattr(loss_cfg, name, False)
     return params, manifest, loss_cfg
 
@@ -177,8 +181,7 @@ def cmd_inspect(cfg) -> int:
         model.check_feature_width(params, seq.features, entry.feature_file)
         f = model.embed_segments(params, seq.features, grad=False)
         logits = model.segment_logits(params, f)
-        rec = pseudo.pseudo_label_video(logits, t_n=cfg.t_n, M=cfg.top_m or None,
-                                        use_probabilities=cfg.use_probabilities)
+        rec = pseudo.pseudo_label_video(logits, t_n=cfg.t_n, M=cfg.top_m or None)
         for i, role in enumerate(pseudo.segment_roles(rec)):
             lines.append(f"{seq.video_id},{i},{_fmt(rec.max_logits[i])},{role}")
     text = "\n".join(lines) + "\n"

@@ -38,7 +38,6 @@ class RunConfig:
     beta: float = 1.0
     gamma1: float = 0.05
     gamma2: float = 0.05
-    renormalize_video_feature: bool = True
     # components (ablations turn these off)
     bg: bool = True
     sw: bool = True
@@ -46,7 +45,6 @@ class RunConfig:
     # pseudo-labeling
     t_n: float = 0.25
     top_m: int = 0  # 0 picks max(2, ceil(T/8)) per video
-    use_probabilities: bool = False
     # optimization
     lr: float = 0.01
     momentum: float = 0.9
@@ -68,8 +66,7 @@ class RunConfig:
         return LossConfig(
             tau=self.tau, tau_s=self.tau_s, c=self.c, margin=self.margin,
             beta=self.beta, gamma1=self.gamma1, gamma2=self.gamma2,
-            bg=self.bg, sw=self.sw, cl=self.cl,
-            renormalize_video_feature=self.renormalize_video_feature)
+            bg=self.bg, sw=self.sw, cl=self.cl)
 
     def synthetic_config(self) -> SyntheticConfig:
         return SyntheticConfig(

@@ -53,14 +53,15 @@ class SegmentFeatureSequence:
         return self.features.shape[1]
 
     def validate(self):
+        """Raise DataError naming the video unless its features are 2-D and
+        its intervals are sorted, do not overlap and end at or before T."""
         if self.features.ndim != 2:
             raise DataError(f"{self.video_id}: features must be 2-D, got {self.features.shape}")
-        if not np.all(np.isfinite(self.features)):
-            raise DataError(f"{self.video_id}: non-finite feature values")
         prev_end = 0
         for start, end in self.gt_intervals:
             if not (0 <= start < end <= self.T):
-                raise DataError(f"{self.video_id}: interval ({start}, {end}) outside [0, {self.T})")
+                raise DataError(f"{self.video_id}: interval ({start}, {end}) is not inside "
+                                f"its {self.T} segments")
             if start < prev_end:
                 raise DataError(f"{self.video_id}: intervals overlap or are unsorted")
             prev_end = end
@@ -99,7 +100,7 @@ class DatasetManifest:
             class_label=entry.class_label,
             features=feats,
             gt_intervals=[tuple(iv) for iv in entry.gt_intervals],
-        )
+        ).validate()
 
 
 def write_feature_file(features: np.ndarray, path):
@@ -136,7 +137,10 @@ def read_feature_file(path) -> np.ndarray:
     if len(blob) > need:
         raise MalformedFileError(f"{path}: {len(blob) - need} bytes follow the declared "
                                  f"{t}x{d} matrix")
-    return np.frombuffer(blob[16:need], dtype="<f4").reshape(t, d).astype(np.float64)
+    features = np.frombuffer(blob[16:need], dtype="<f4").reshape(t, d).astype(np.float64)
+    if not np.isfinite(features).all():
+        raise MalformedFileError(f"{path}: holds non-finite (nan or inf) feature values")
+    return features
 
 
 def save_manifest(manifest: DatasetManifest, path):

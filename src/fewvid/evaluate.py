@@ -48,23 +48,14 @@ class ClassifiedQuery:
     every field."""
     probs: np.ndarray  # (K,) softmax over the prototypes
     top1: int
-    predicted: np.ndarray  # (K,) bool: probs above the threshold t_a
     weights: np.ndarray  # (T,) aggregation weight of each segment
     i_bg: int  # pseudo-labeled background segment
     cosines: np.ndarray  # (T, K) cosine of each segment to each prototype
 
-    @property
-    def predicted_set(self) -> list:
-        """Classes whose probability passes t_a, ascending; a list per
-        query for a stack."""
-        if self.predicted.ndim == 2:
-            return [np.flatnonzero(row).tolist() for row in self.predicted]
-        return np.flatnonzero(self.predicted).tolist()
-
     def query(self, i: int) -> "ClassifiedQuery":
         """The i-th query of a stack on its own."""
-        return ClassifiedQuery(self.probs[i], int(self.top1[i]), self.predicted[i],
-                               self.weights[i], int(self.i_bg[i]), self.cosines[i])
+        return ClassifiedQuery(self.probs[i], int(self.top1[i]), self.weights[i],
+                               int(self.i_bg[i]), self.cosines[i])
 
 
 def support_mean(params: model_mod.ModelParams, features: np.ndarray) -> np.ndarray:
@@ -92,7 +83,7 @@ def prototypes_from_means(K: int, class_means) -> np.ndarray:
 
 
 def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarray,
-                   cfg: LossConfig = None, t_a: float = None) -> ClassifiedQuery:
+                   cfg: LossConfig = None) -> ClassifiedQuery:
     """Aggregate each embedded query with background-aware weights, then
     softmax over cosines to the (K, d) prototype matrix.
 
@@ -116,10 +107,8 @@ def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarr
     sims = (proto @ Fn)[..., 0]
     ex = np.exp(sims - sims.max(axis=1, keepdims=True))
     probs = ex / ex.sum(axis=1, keepdims=True)
-    if t_a is None:
-        t_a = 0.5 / proto.shape[0]
-    res = ClassifiedQuery(probs=probs, top1=np.argmax(probs, axis=1), predicted=probs > t_a,
-                          weights=weights[..., 0], i_bg=i_bg, cosines=cosines)
+    res = ClassifiedQuery(probs=probs, top1=np.argmax(probs, axis=1), weights=weights[..., 0],
+                          i_bg=i_bg, cosines=cosines)
     return res if f.ndim == 3 else res.query(0)
 
 

@@ -37,7 +37,6 @@ class LossConfig:
     bg: bool = True  # background row + background classification loss
     sw: bool = True  # self-weighting (off: use the attention net)
     cl: bool = True  # contrastive loss
-    renormalize_video_feature: bool = True  # re-unit-norm the aggregate
 
     def validate(self):
         if self.tau <= 0 or self.tau_s <= 0:
@@ -115,21 +114,18 @@ def _stack(feats):
 
 
 def soft_cls_loss(F: ad.Tensor, y, classifier: ad.Tensor,
-                  cfg: LossConfig = None, renormalize: bool = None) -> ad.Tensor:
-    """Cross entropy of video features against classifier rows, averaged
-    over videos: F has one row per video, y one label per row (an int for a
-    single video)."""
+                  cfg: LossConfig = None) -> ad.Tensor:
+    """Cross entropy of video features, each re-normalized to unit length,
+    against classifier rows, averaged over videos: F has one row per video,
+    y one label per row (an int for a single video)."""
     cfg = cfg or LossConfig()
-    if renormalize is None:
-        renormalize = cfg.renormalize_video_feature
     labels = np.atleast_1d(np.asarray(y, dtype=np.intp))
     if labels.shape != F.data.shape[:1]:
         raise ValueError(f"{labels.size} labels for {F.data.shape[0]} video features")
     n_rows = classifier.data.shape[0]
     if labels.min() < 0 or labels.max() >= n_rows:
         raise ValueError(f"labels {labels.tolist()} out of range for {n_rows} classifier rows")
-    feat = ad.l2_normalize_rows(F) if renormalize else F
-    return _cross_entropy(feat, labels, classifier, cfg.tau)
+    return _cross_entropy(ad.l2_normalize_rows(F), labels, classifier, cfg.tau)
 
 
 def bg_cls_loss(nbg_feats, classifier: ad.Tensor, cfg: LossConfig = None) -> ad.Tensor:
@@ -193,7 +189,7 @@ class BatchVideo:
 
 
 def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = None,
-               t_n: float = 0.25, top_m: int = None, use_probabilities: bool = False):
+               t_n: float = 0.25, top_m: int = None):
     """Full training objective over a batch of untrimmed videos, as one graph.
 
     The batch is embedded as one stack of segment rows. The videos are
@@ -219,8 +215,7 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
     for n in dict.fromkeys(lengths.tolist()):  # distinct lengths, first-seen order
         members = np.flatnonzero(lengths == n)
         rows = starts[members, None] + np.arange(n)
-        rec = pseudo_mod.pseudo_label_video(logits[rows], t_n=t_n, M=top_m,
-                                            use_probabilities=use_probabilities)
+        rec = pseudo_mod.pseudo_label_video(logits[rows], t_n=t_n, M=top_m)
         bg_rows[members] = starts[members] + rec.i_bg
         is_nbg[members] = rec.is_nbg
         fg_rows.append(np.take_along_axis(rows, rec.fg_ibg_indices, axis=1).ravel())

@@ -98,17 +98,14 @@ def embed_segments(params: ModelParams, raw, grad: bool = True, lengths=None):
     return ad.l2_normalize_rows(mixed)
 
 
-def segment_logits(params: ModelParams, f, include_bg_row: bool = False):
-    """Cosine logits against the class rows; the background row only on request.
+def segment_logits(params: ModelParams, f):
+    """Cosine logits against the class rows, without the background row.
 
     A Tensor f gives a graph node; a plain array gives a plain array.
     """
-    n = params.n_classes
     if not isinstance(f, ad.Tensor):
-        rows = params.classifier.data if include_bg_row else params.classifier.data[:n]
-        return f @ rows.T.copy()
-    w = params.classifier if include_bg_row else class_rows(params)
-    return f @ w.T
+        return f @ params.classifier.data[:params.n_classes].T.copy()
+    return f @ class_rows(params).T
 
 
 def class_rows(params: ModelParams) -> ad.Tensor:

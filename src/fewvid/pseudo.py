@@ -23,37 +23,25 @@ def default_m(T: int) -> int:
     return max(2, -(-T // 8))
 
 
-def _segment_scores(logits: np.ndarray, use_probabilities: bool = False) -> np.ndarray:
-    """Per-segment max over classes (the last axis); optionally of softmax
-    probabilities."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if use_probabilities:
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        ex = np.exp(shifted)
-        logits = ex / ex.sum(axis=-1, keepdims=True)
-    return logits.max(axis=-1)
+def _segment_scores(logits: np.ndarray) -> np.ndarray:
+    """Per-segment best class logit: the max over the last axis."""
+    return np.asarray(logits, dtype=np.float64).max(axis=-1)
 
 
-def pseudo_label_bg(logits: np.ndarray, use_probabilities: bool = False):
+def pseudo_label_bg(logits: np.ndarray):
     """Index of the segment with the smallest best-class score; first on ties.
 
     (T, C) logits of one video give an int; a (Q, T, C) stack of videos
     gives a (Q,) index array, one BG segment per video.
     """
-    i_bg = np.argmin(_segment_scores(logits, use_probabilities), axis=-1)
+    i_bg = np.argmin(_segment_scores(logits), axis=-1)
     return int(i_bg) if i_bg.ndim == 0 else i_bg
 
 
-def filter_nbg(i_bg: int, logits: np.ndarray, t_n: float = 0.25,
-               use_probabilities: bool = False) -> bool:
-    """True when the BG segment's best score is below the open-set threshold."""
-    return bool(_segment_scores(logits, use_probabilities)[i_bg] < t_n)
-
-
-def select_fg_ibg(logits: np.ndarray, M: int, use_probabilities: bool = False) -> list:
+def select_fg_ibg(logits: np.ndarray, M: int) -> list:
     """Indices (ascending) of the M segments with the largest best-class
     scores; ties prefer the lower index."""
-    scores = _segment_scores(logits, use_probabilities)
+    scores = _segment_scores(logits)
     T = scores.shape[0]
     if not 1 <= M <= T - 1:
         raise ValueError(f"M must satisfy 1 <= M <= T-1 = {T - 1}, got {M}")
@@ -81,8 +69,7 @@ class PseudoLabelRecord:
         )
 
 
-def pseudo_label_video(logits: np.ndarray, t_n: float = 0.25, M: int = None,
-                       use_probabilities: bool = False) -> PseudoLabelRecord:
+def pseudo_label_video(logits: np.ndarray, t_n: float = 0.25, M: int = None) -> PseudoLabelRecord:
     """Full per-video labeling; keeps i_bg out of the FG+IBG set even under
     total ties, and tolerates degenerate videos (tiny T, constant logits).
 
@@ -91,7 +78,7 @@ def pseudo_label_video(logits: np.ndarray, t_n: float = 0.25, M: int = None,
     as on its own.
     """
     one = np.ndim(logits) == 2
-    scores = _segment_scores(np.asarray(logits)[None] if one else logits, use_probabilities)
+    scores = _segment_scores(np.asarray(logits)[None] if one else logits)
     Q, T = scores.shape
     i_bg = np.argmin(scores, axis=1)
     if M is None:

@@ -32,12 +32,11 @@ class OptimizerState:
     velocity: dict = field(default_factory=dict)  # tensor name -> ndarray
 
 
-def nesterov_step(tensors: dict, grads: dict, state: OptimizerState,
-                  renorm_rows: tuple = ("classifier",)):
+def nesterov_step(tensors: dict, grads: dict, state: OptimizerState):
     """v <- mu*v - lr*g; p <- p + mu*v - lr*g. Updates tensors in place.
 
-    Tensors named in renorm_rows get their rows rescaled to unit norm after
-    the update.
+    The tensor named "classifier", if present, gets its rows rescaled to unit
+    norm after the update.
     """
     for name, tensor in tensors.items():
         g = grads.get(name)
@@ -50,11 +49,10 @@ def nesterov_step(tensors: dict, grads: dict, state: OptimizerState,
         v *= state.momentum
         v -= state.lr * g
         tensor.data += state.momentum * v - state.lr * g
-    for name in renorm_rows:
-        if name in tensors:
-            w = tensors[name].data
-            norms = np.linalg.norm(w, axis=-1, keepdims=True)
-            w /= np.where(norms > 0.0, norms, 1.0)
+    if "classifier" in tensors:
+        w = tensors["classifier"].data
+        norms = np.linalg.norm(w, axis=-1, keepdims=True)
+        w /= np.where(norms > 0.0, norms, 1.0)
     return tensors, state
 
 
@@ -103,17 +101,38 @@ def load_training_videos(manifest: DatasetManifest):
     return videos, labels
 
 
+def _check_writable(path):
+    """Raise DataError naming `path` unless a file can be written there: it
+    is not a directory and its parent exists or can be created (it is
+    created). An existing file is left as it is."""
+    path = Path(path)
+    if path.is_dir():
+        raise DataError(f"cannot write {path}: it is a directory")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise DataError(f"cannot write {path}: cannot create its directory: "
+                        f"{err.strerror}") from err
+
+
 def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
                d: int = 64, kernel_width: int = 8, attn_width: int = 32,
                lr: float = 0.01, momentum: float = 0.9,
                batch_size: int = 16, epochs: int = 30, seed: int = 0,
-               t_n: float = 0.25, top_m: int = None, use_probabilities: bool = False,
+               t_n: float = 0.25, top_m: int = None,
                ckpt_path=None, log_path=None, config_echo: dict = None) -> TrainResult:
-    """Train the head on a base manifest; deterministic given seed."""
+    """Train the head on a base manifest; deterministic given seed.
+
+    Raises DataError before the first step when ckpt_path or log_path
+    cannot be written.
+    """
     loss_cfg = (loss_cfg or LossConfig()).validate()
     if not manifest.entries:
         raise NumericError("cannot train on an empty manifest")
     videos, label_order = load_training_videos(manifest)
+    for path in (ckpt_path, log_path):
+        if path:
+            _check_writable(path)
     n_classes = len(label_order)
     d_in = videos[0].features.shape[1]
     params = model_mod.init_params(
@@ -133,8 +152,7 @@ def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
         order = rng.permutation(len(videos))
         for at in range(0, len(videos), batch_size):
             batch = [videos[i] for i in order[at : at + batch_size]]
-            loss, stats = total_loss(params, batch, loss_cfg, t_n=t_n, top_m=top_m,
-                                     use_probabilities=use_probabilities)
+            loss, stats = total_loss(params, batch, loss_cfg, t_n=t_n, top_m=top_m)
             step += 1
             if not np.isfinite(stats["l_total"]):
                 if ckpt_path:
@@ -150,10 +168,8 @@ def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
                              stats["l_contrast"], stats["l_bg"], stats["n_nbg"]))
 
     if ckpt_path:
-        Path(ckpt_path).parent.mkdir(parents=True, exist_ok=True)
         model_mod.save_checkpoint(params, ckpt_path, echo)
     if log_path:
-        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
         write_log(log_rows, log_path)
     return TrainResult(params=params, log_rows=log_rows, label_order=label_order)
 

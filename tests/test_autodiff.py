@@ -77,10 +77,9 @@ class TestElementwise:
     def test_unary_chain(self):
         a = RNG.uniform(0.5, 2.0, size=(4, 3))
         assert_matches_numeric(
-            lambda L: (ad.log(L["a"]) + ad.exp(-L["a"]) + ad.sigmoid(L["a"])
+            lambda L: (ad.log(L["a"]) + ad.sigmoid(L["a"])
                        + ad.relu(L["a"] - 1.0) + ad.square(L["a"])).sum(),
-            lambda p: np.sum(np.log(p["a"]) + np.exp(-p["a"])
-                             + 1.0 / (1.0 + np.exp(-p["a"]))
+            lambda p: np.sum(np.log(p["a"]) + 1.0 / (1.0 + np.exp(-p["a"]))
                              + np.maximum(p["a"] - 1.0, 0.0) + p["a"] ** 2),
             {"a": a},
         )

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from fewvid import autodiff as ad
-from fewvid import cli, config, data, model
+from fewvid import cli, config, data, model, train
 from fewvid.errors import DataError
+from fewvid.losses import total_loss
 
 
 def run(argv, capsys):
@@ -51,7 +52,37 @@ def workspace(tmp_path_factory):
     return root, cfg_path
 
 
+RUN_CONFIG_KEYS = [
+    "n_base_classes", "n_novel_classes", "videos_per_class", "T", "d_in", "ibg_concepts",
+    "nbg_concepts", "overlap_fraction", "noise_std",
+    "d", "kernel_width", "attn_width",
+    "tau", "tau_s", "c", "margin", "beta", "gamma1", "gamma2",
+    "bg", "sw", "cl",
+    "t_n", "top_m",
+    "lr", "momentum", "batch_size", "epochs",
+    "K", "n", "q", "episodes",
+    "seed", "jobs", "data_dir", "ckpt", "out",
+]
+
+
 class TestConfigFile:
+    def test_keys_are_pinned(self):
+        # adding or removing a key changes every config file's contract
+        assert [f.name for f in dataclasses.fields(config.RunConfig)] == RUN_CONFIG_KEYS
+        assert len(RUN_CONFIG_KEYS) == 37
+        listed = re.findall(r"^  (\w+) = ", config.describe_keys(), flags=re.M)
+        assert listed == RUN_CONFIG_KEYS
+
+    @pytest.mark.parametrize("key", ["use_probabilities", "renormalize_video_feature"])
+    def test_removed_switch_exits_2(self, tmp_path, capsys, key):
+        # segments are scored by their best logit and the video feature is
+        # always re-normalized, so neither is a switch
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = false\n")
+        code, _, err = run(["train", "--config", str(path)], capsys)
+        assert code == 2
+        assert f"unknown config key {key!r}" in err
+
     def test_defaults_and_overrides(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text("epochs = 7\nlr = 0.5\nsw = false\n")
@@ -325,16 +356,96 @@ class TestUnwritableOutput:
         ("inspect", "--out", "nodir/x.csv"),
         ("inspect", "--out", "dir"),
         ("train", "--ckpt", "dir"),
+        ("train", "--out", "dir"),
+        ("train", "--ckpt", "file/x.ckpt"),
+        ("train", "--out", "file/x.csv"),
         ("gen-data", "--out", "file"),
     ])
-    def test_exits_2_naming_path(self, workspace, tmp_path, capsys, command, flag, target):
+    def test_exits_2_naming_path(self, workspace, tmp_path, capsys, monkeypatch, command,
+                                 flag, target):
         _, cfg_path = workspace
         (tmp_path / "dir").mkdir()
-        (tmp_path / "file").write_text("")
+        (tmp_path / "file").write_text("keep")
         path = tmp_path / target
+        steps = []
+        monkeypatch.setattr(train, "total_loss",
+                            lambda *args, **kwargs: steps.append(1) or total_loss(*args, **kwargs))
         code, _, err = run([command, "--config", str(cfg_path), flag, str(path)], capsys)
         assert code == 2
         assert "cannot write" in err and str(path) in err
+        assert not steps  # a train run that cannot save fails before its first step
+        assert (tmp_path / "file").read_text() == "keep"
+
+
+def fresh_corpus(workspace, tmp_path, capsys):
+    """Config of a new copy of the workspace corpus under tmp_path that
+    evaluates the workspace checkpoint."""
+    root, _ = workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY + f"\ndata_dir = {tmp_path / 'ds'}\nckpt = {root / 'model.ckpt'}\n")
+    assert run(["gen-data", "--config", str(cfg)], capsys)[0] == 0
+    return cfg
+
+
+class TestCheckpointEcho:
+    """A checkpoint's ablate echo must be a list of component names."""
+
+    @pytest.mark.parametrize("command", ["eval-cls", "eval-det"])
+    @pytest.mark.parametrize("ablate", [["sww"], "sw", [1], [["sw"]], None])
+    def test_bad_ablate_exits_2(self, workspace, tmp_path, capsys, command, ablate):
+        root, cfg_path = workspace
+        params, echo = model.load_checkpoint(root / "model.ckpt")
+        ckpt = tmp_path / "echo.ckpt"
+        model.save_checkpoint(params, ckpt, dict(echo, ablate=ablate))
+        code, out, err = run([command, "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
+        assert code == 2
+        assert "'ablate'" in err and repr(ablate) in err
+        assert "accuracy" not in out and "mAP" not in out
+
+
+class TestNonFiniteFeatures:
+    """A nan or inf feature value is a data error naming its file."""
+
+    @pytest.mark.parametrize("command, split", [
+        ("train", "base"), ("inspect", "base"), ("eval-cls", "novel"), ("eval-det", "novel")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_exits_2_naming_file(self, workspace, tmp_path, capsys, command, split, value):
+        cfg = fresh_corpus(workspace, tmp_path, capsys)
+        for path in (tmp_path / "ds" / split).glob("*.segf"):
+            features = data.read_feature_file(path)
+            features[2, 3] = value
+            data.write_feature_file(features, path)
+        new_ckpt = tmp_path / "new.ckpt"
+        argv = [command, "--config", str(cfg)] + (["--ckpt", str(new_ckpt)]
+                                                  if command == "train" else [])
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert re.search(rf"{split}/{split}_c\d{{3}}_v\d{{3}}\.segf: holds non-finite", err)
+        assert not new_ckpt.exists()
+        assert "accuracy" not in out and "mAP" not in out
+
+
+class TestIntervalsAgainstVideo:
+    """An interval past the end of its video, or overlapping or unsorted
+    intervals, are a data error naming the video."""
+
+    @pytest.mark.parametrize("command", ["eval-cls", "eval-det"])
+    @pytest.mark.parametrize("intervals, reason", [
+        ([[0, 500]], "is not inside its 10 segments"), ([[0, 10], [10, 11]], "not inside"),
+        ([[0, 3], [2, 5]], "overlap or are unsorted"),
+        ([[4, 6], [0, 2]], "overlap or are unsorted")])
+    def test_exits_2_naming_video(self, workspace, tmp_path, capsys, command, intervals,
+                                  reason):
+        cfg = fresh_corpus(workspace, tmp_path, capsys)
+        manifest = tmp_path / "ds" / "novel_manifest.jsonl"
+        header, *entries = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(
+            [header] + [json.dumps(dict(json.loads(e), gt_intervals=intervals))
+                        for e in entries]) + "\n")
+        code, out, err = run([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert re.search(r"novel_c\d{3}_v\d{3}: ", err) and reason in err
+        assert "accuracy" not in out and "mAP" not in out
 
 
 class TestCheckpointAgainstCorpus:

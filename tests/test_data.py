@@ -79,6 +79,13 @@ class TestFeatureFile:
         with pytest.raises(DataError, match="cannot read feature file"):
             data.read_feature_file(tmp_path / "absent.segf")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, value):
+        path = tmp_path / "nan.segf"
+        data.write_feature_file(np.array([[0.0, 1.0], [value, 2.0]]), path)
+        with pytest.raises(MalformedFileError, match="non-finite"):
+            data.read_feature_file(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.segf"
         data.write_feature_file(np.ones((2, 3)), path)
@@ -174,7 +181,7 @@ class TestGenerator:
         base, novel = data.generate_synthetic_dataset(SMALL, tmp_path)
         for manifest in (base, novel):
             for entry in manifest.entries:
-                seq = manifest.load_sequence(entry).validate()
+                seq = manifest.load_sequence(entry)
                 roles = entry.segment_roles
                 assert len(roles) == seq.T
                 fg_from_intervals = set()

@@ -113,9 +113,9 @@ class TestPrototypes:
             evaluate.prototypes_from_means(2, [(0, np.array([1.0, 0.0]))])
 
 
-def classify(params, features, proto, **kwargs):
+def classify(params, features, proto):
     f = model.embed_segments(params, features, grad=False)
-    return evaluate.classify_query(params, f, proto, **kwargs)
+    return evaluate.classify_query(params, f, proto)
 
 
 class TestClassifyQuery:
@@ -134,16 +134,6 @@ class TestClassifyQuery:
         r = np.sqrt(0.5)
         res = classify(p, np.array([[r, r]]), self.protos())
         np.testing.assert_allclose(res.probs, [0.5, 0.5], atol=1e-12)
-
-    def test_zero_threshold_predicts_everything(self):
-        p = identity_params()
-        res = classify(p, np.array([[1.0, 0.0]]), self.protos(), t_a=0.0)
-        assert res.predicted_set == [0, 1]
-
-    def test_default_threshold_prunes(self):
-        p = identity_params()
-        res = classify(p, np.array([[1.0, 0.0]]), self.protos())
-        assert 0 in res.predicted_set
 
     def test_argmax_matches_raw_cosines(self):
         p = model.init_params(n_classes=3, d_in=4, d=4, seed=3)
@@ -473,7 +463,7 @@ def oracle_prototypes(params, ep):
 
 def oracle_classify(params, features, vectors, cfg):
     f = model.embed_segments(params, features, grad=False)
-    _, top1, _, weights, _ = loop_classify_query(params, f, np.stack(vectors), cfg)
+    _, top1, weights, _ = loop_classify_query(params, f, np.stack(vectors), cfg)
     return top1, f, weights
 
 
@@ -683,7 +673,7 @@ def loop_detection_maps(detections, truths, tiou_grid):
 def loop_classify_query(params, f, proto, cfg):
     """One (T, d) query classified on its own, its formulas written out as
     classify_query had them before queries were stacked. Returns (probs,
-    top1, predicted_set, weights, i_bg)."""
+    top1, weights, i_bg)."""
     kway = f @ proto.T
     i_bg = int(np.argmin(kway.max(axis=1)))
     if cfg.sw:
@@ -695,9 +685,7 @@ def loop_classify_query(params, f, proto, cfg):
     sims = proto @ (F / (np.linalg.norm(F) + 1e-12))
     ex = np.exp(sims - sims.max())
     probs = ex / ex.sum()
-    K = proto.shape[0]
-    return (probs, int(np.argmax(probs)), [k for k in range(K) if probs[k] > 0.5 / K],
-            weights[:, 0], i_bg)
+    return probs, int(np.argmax(probs)), weights[:, 0], i_bg
 
 
 def loop_accuracy(params, remap, proto, queries, cfg):
@@ -711,7 +699,7 @@ def loop_detection(params, remap, proto, queries, cfg, tiou_grid):
     proposals, then per-class matching over the whole episode."""
     dets, truths = [], {k: [] for k in range(len(remap))}
     for video, f in queries:
-        weights = loop_classify_query(params, f, proto, cfg)[3]
+        weights = loop_classify_query(params, f, proto, cfg)[2]
         A = weights[:, None] * (f @ proto.T)  # weight times cosine per segment and class
         dets.extend(loop_extract_proposals(A, video_id=video.video_id))
         for interval in video.gt_intervals:
@@ -918,9 +906,8 @@ class TestNoGradPath:
         graph = model.embed_segments(p, raw)
         f = model.embed_segments(p, raw, grad=False)
         np.testing.assert_array_equal(f, graph.data)
-        for bg_row in (False, True):
-            np.testing.assert_array_equal(model.segment_logits(p, f, bg_row),
-                                          model.segment_logits(p, graph, bg_row).data)
+        np.testing.assert_array_equal(model.segment_logits(p, f),
+                                      model.segment_logits(p, graph).data)
         w_graph = self_weight(graph, i_bg)
         w = self_weight(f, i_bg)
         np.testing.assert_array_equal(w, w_graph.data)
@@ -964,14 +951,14 @@ class TestStackedClassify:
         res = evaluate.classify_query(params, f, proto, cfg)
         assert res.probs.shape == (Q, K) and res.weights.shape == (Q, T)
         for q in range(Q):
-            probs, top1, predicted, weights, i_bg = loop_classify_query(params, f[q], proto, cfg)
+            probs, top1, weights, i_bg = loop_classify_query(params, f[q], proto, cfg)
             assert np.array_equal(res.probs[q], probs)
             assert np.array_equal(res.weights[q], weights)
             assert np.array_equal(res.cosines[q], f[q] @ proto.T)
-            assert (res.top1[q], res.i_bg[q], res.predicted_set[q]) == (top1, i_bg, predicted)
+            assert (res.top1[q], res.i_bg[q]) == (top1, i_bg)
             one = evaluate.classify_query(params, f[q], proto, cfg)
             assert np.array_equal(one.probs, probs) and np.array_equal(one.weights, weights)
-            assert (one.top1, one.i_bg, one.predicted_set) == (top1, i_bg, predicted)
+            assert (one.top1, one.i_bg) == (top1, i_bg)
 
     @pytest.mark.parametrize("mode", ["classification", "detection"])
     @pytest.mark.parametrize("sw", [True, False])

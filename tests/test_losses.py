@@ -110,13 +110,10 @@ class TestSoftCls:
         with pytest.raises(ValueError):
             losses.soft_cls_loss(ad.Tensor(np.ones((1, 2))), 5, rows([1, 0], [0, 1]))
 
-    def test_renormalize_switch(self):
+    def test_video_feature_renormalized(self):
         F = ad.Tensor(np.array([[3.0, 0.0]]))  # deliberately not unit norm
-        classifier = rows([1, 0], [0, 1])
-        on = losses.soft_cls_loss(F, 0, classifier, renormalize=True)
-        off = losses.soft_cls_loss(F, 0, classifier, renormalize=False)
-        assert float(on.data) == pytest.approx(np.log1p(np.exp(-10.0)), rel=1e-9)
-        assert float(off.data) == pytest.approx(np.log1p(np.exp(-30.0)), rel=1e-6)
+        loss = losses.soft_cls_loss(F, 0, rows([1, 0], [0, 1]))
+        assert float(loss.data) == pytest.approx(np.log1p(np.exp(-10.0)), rel=1e-9)
 
 
 class TestBgCls:
@@ -438,8 +435,7 @@ def _oracle_cross_diff_matrices(na, nb):
 
 
 def _oracle_soft_cls(F, y, classifier, cfg):
-    feat = ad.l2_normalize_rows(F) if cfg.renormalize_video_feature else F
-    probs = ad.softmax(cfg.tau * (feat @ classifier.T), axis=1)
+    probs = ad.softmax(cfg.tau * (ad.l2_normalize_rows(F) @ classifier.T), axis=1)
     pick = np.zeros((1, classifier.data.shape[0]))
     pick[0, y] = 1.0
     return -ad.log((probs * ad.Tensor(pick)).sum())
@@ -477,7 +473,7 @@ def _oracle_contrastive(nbg_feats, fgibg_feats, cfg):
     return total
 
 
-def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None, use_probabilities=False):
+def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
     n = params.n_classes
     cls_terms, nbg_pool, fgibg_pool, records = [], [], [], []
     for video in batch:
@@ -486,8 +482,7 @@ def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None, use_probabili
                                                      params.temporal_kernel))
         class_rows = ad.Tensor(np.eye(n + 1)[:n]) @ params.classifier
         base_logits = f @ class_rows.T
-        rec = pseudo.pseudo_label_video(
-            base_logits.data, t_n=t_n, M=top_m, use_probabilities=use_probabilities)
+        rec = pseudo.pseudo_label_video(base_logits.data, t_n=t_n, M=top_m)
         records.append(rec)
         if cfg.sw:
             cos = f @ (_oracle_one_hot_row(rec.i_bg, f.data.shape[0]) @ f).T
@@ -535,14 +530,14 @@ class TestBatchedAgainstPerVideoOracle:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 24), min_size=1, max_size=6),
            st.sampled_from([-2.0, 0.3, 0.5, 2.0]), st.sampled_from([None, 1, 3]),
-           st.booleans(), st.integers(1, 9))
-    def test_loss_grads_and_decisions(self, cfg, seed, lengths, t_n, top_m, use_probs, width):
+           st.integers(1, 9))
+    def test_loss_grads_and_decisions(self, cfg, seed, lengths, t_n, top_m, width):
         # t_n -2 flags no video as NBG and 2 flags every video
         rng = np.random.default_rng(seed)
         params = model.init_params(n_classes=4, d_in=6, d=5, kernel_width=width, seed=seed)
         batch = [losses.BatchVideo(features=rng.normal(size=(t, 6)), label=int(rng.integers(4)))
                  for t in lengths]
-        kwargs = dict(t_n=t_n, top_m=top_m, use_probabilities=use_probs)
+        kwargs = dict(t_n=t_n, top_m=top_m)
 
         def batched(p):
             loss, stats = losses.total_loss(p, batch, cfg, **kwargs)

@@ -78,17 +78,18 @@ class TestLogits:
         logits = model.segment_logits(p, ad.Tensor(np.array([[0.0, 1.0]])))
         np.testing.assert_allclose(logits.data, 0.0, atol=1e-12)
 
-    def test_bg_row_flag_adds_column(self):
+    def test_bg_row_left_out(self):
         p = model.init_params(n_classes=4, d_in=4, d=4, seed=7)
-        f = ad.Tensor(np.random.default_rng(8).normal(size=(3, 4)))
-        assert model.segment_logits(p, f).data.shape == (3, 4)
-        assert model.segment_logits(p, f, include_bg_row=True).data.shape == (3, 5)
+        f = np.random.default_rng(8).normal(size=(3, 4))
+        logits = model.segment_logits(p, ad.Tensor(f)).data
+        np.testing.assert_array_equal(logits, f @ p.classifier.data[:4].T)
+        np.testing.assert_array_equal(model.segment_logits(p, f), logits)
 
     def test_bounded_for_unit_features(self):
         p = model.init_params(n_classes=5, d_in=8, d=8, seed=9)
         raw = np.random.default_rng(10).normal(size=(16, 8))
         f = model.embed_segments(p, raw)
-        logits = model.segment_logits(p, f, include_bg_row=True)
+        logits = model.segment_logits(p, f)
         assert np.all(logits.data <= 1.0 + 1e-9)
         assert np.all(logits.data >= -1.0 - 1e-9)
 

@@ -53,13 +53,12 @@ class TestExamples:
 
     def test_nbg_threshold(self):
         logits = np.array([[0.9, 0.1], [0.3, 0.2], [0.5, 0.4]])
-        assert not pseudo.filter_nbg(1, logits, t_n=0.25)
-        assert pseudo.filter_nbg(1, logits, t_n=0.35)
+        assert not pseudo.pseudo_label_video(logits, t_n=0.25).is_nbg
+        assert pseudo.pseudo_label_video(logits, t_n=0.35).is_nbg
 
     def test_nbg_never_fires_below_cosine_floor(self):
         logits = np.random.default_rng(0).uniform(-1, 1, size=(8, 4))
-        i_bg = pseudo.pseudo_label_bg(logits)
-        assert not pseudo.filter_nbg(i_bg, logits, t_n=-1.0)
+        assert not pseudo.pseudo_label_video(logits, t_n=-1.0).is_nbg
 
     def test_top_m(self):
         logits = np.array([[0.9, 0.1], [0.3, 0.2], [0.5, 0.4]])
@@ -126,9 +125,8 @@ class TestInvariances:
     @settings(max_examples=100, deadline=None)
     @given(logit_matrices())
     def test_nbg_depends_on_absolute_level(self, logits):
-        i_bg = pseudo.pseudo_label_bg(logits)
-        assert pseudo.filter_nbg(i_bg, logits - 10.0, t_n=0.25)
-        assert not pseudo.filter_nbg(i_bg, logits + 10.0, t_n=0.25)
+        assert pseudo.pseudo_label_video(logits - 10.0, t_n=0.25).is_nbg
+        assert not pseudo.pseudo_label_video(logits + 10.0, t_n=0.25).is_nbg
 
 
 class TestRecord:
@@ -148,7 +146,7 @@ class TestRecord:
         logits = np.random.default_rng(2).uniform(-1, 1, size=(12, 5))
         rec = pseudo.pseudo_label_video(logits, t_n=0.3, M=4)
         assert rec.i_bg == pseudo.pseudo_label_bg(logits)
-        assert rec.is_nbg == pseudo.filter_nbg(rec.i_bg, logits, t_n=0.3)
+        assert rec.is_nbg == (logits[rec.i_bg].max() < 0.3)
         assert rec.fg_ibg_indices == pseudo.select_fg_ibg(logits, 4)
         np.testing.assert_array_equal(rec.max_logits, logits.max(axis=1))
 
@@ -156,13 +154,6 @@ class TestRecord:
         rec = pseudo.pseudo_label_video(np.array([[0.2, 0.1]]))
         assert rec.i_bg == 0
         assert rec.fg_ibg_indices == []
-
-    def test_probability_mode(self):
-        logits = np.array([[5.0, 0.0], [0.0, 0.1]])
-        rec = pseudo.pseudo_label_video(logits, t_n=0.6, use_probabilities=True)
-        assert rec.i_bg == 1  # near-uniform row has the lowest max probability
-        assert rec.is_nbg  # its max prob is ~0.525 < 0.6
-        assert np.all(rec.max_logits <= 1.0)
 
     def test_roles_cover_every_segment(self):
         logits = np.random.default_rng(3).uniform(-1, 1, size=(10, 4))
@@ -173,11 +164,8 @@ class TestRecord:
         assert roles.count("BG") + roles.count("NBG") == 1
 
 
-def oracle_record(logits, t_n, M, use_probabilities):
+def oracle_record(logits, t_n, M):
     """One video's labels, straight from the brute-force oracles."""
-    if use_probabilities:
-        ex = np.exp(logits - logits.max(axis=1, keepdims=True))
-        logits = ex / ex.sum(axis=1, keepdims=True)
     T = logits.shape[0]
     i_bg = oracle_bg(logits)
     M = max(0, min(pseudo.default_m(T) if M is None else M, T - 1))
@@ -193,10 +181,9 @@ class TestStack:
     @given(hnp.arrays(np.float64,
                       st.tuples(st.integers(1, 5), st.integers(1, 12), st.integers(1, 6)),
                       elements=st.floats(-1.0, 1.0, width=16)),  # coarse grid: many ties
-           st.sampled_from([-2.0, 0.0, 0.25, 2.0]), st.sampled_from([None, 1, 2, 5, 40]),
-           st.booleans())
-    def test_equals_per_video_calls(self, stack, t_n, M, use_probs):
-        kwargs = dict(t_n=t_n, M=M, use_probabilities=use_probs)
+           st.sampled_from([-2.0, 0.0, 0.25, 2.0]), st.sampled_from([None, 1, 2, 5, 40]))
+    def test_equals_per_video_calls(self, stack, t_n, M):
+        kwargs = dict(t_n=t_n, M=M)
         got = pseudo.pseudo_label_video(stack, **kwargs)
         Q, T, _ = stack.shape
         assert got.i_bg.shape == got.is_nbg.shape == (Q,)

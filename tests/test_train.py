@@ -17,20 +17,20 @@ class TestNesterovStep:
     def test_hand_example(self):
         tensors = scalar_tensors(p=0.0)
         state = train.OptimizerState(lr=0.1, momentum=0.9)
-        train.nesterov_step(tensors, {"p": np.array(1.0)}, state, renorm_rows=())
+        train.nesterov_step(tensors, {"p": np.array(1.0)}, state)
         assert float(state.velocity["p"]) == pytest.approx(-0.1)
         assert float(tensors["p"].data) == pytest.approx(-0.19)
 
     def test_zero_gradient_is_fixed_point(self):
         tensors = scalar_tensors(p=2.5)
         state = train.OptimizerState(lr=0.1, momentum=0.9)
-        train.nesterov_step(tensors, {"p": np.array(0.0)}, state, renorm_rows=())
+        train.nesterov_step(tensors, {"p": np.array(0.0)}, state)
         assert float(tensors["p"].data) == 2.5
 
     def test_zero_momentum_is_plain_sgd(self):
         tensors = scalar_tensors(p=1.0)
         state = train.OptimizerState(lr=0.05, momentum=0.0)
-        train.nesterov_step(tensors, {"p": np.array(2.0)}, state, renorm_rows=())
+        train.nesterov_step(tensors, {"p": np.array(2.0)}, state)
         assert float(tensors["p"].data) == pytest.approx(1.0 - 0.05 * 2.0)
 
     def test_two_steps_accumulate_velocity(self):
@@ -39,7 +39,7 @@ class TestNesterovStep:
         # manual recurrence: v' = mu*v - lr*g; p' = p + mu*v' - lr*g
         p, v = 0.0, 0.0
         for _ in range(2):
-            train.nesterov_step(tensors, {"p": np.array(1.0)}, state, renorm_rows=())
+            train.nesterov_step(tensors, {"p": np.array(1.0)}, state)
             v = 0.9 * v - 0.1
             p = p + 0.9 * v - 0.1
         assert float(tensors["p"].data) == pytest.approx(p)
@@ -63,7 +63,7 @@ class TestNesterovStep:
     def test_missing_grad_skips_tensor(self):
         tensors = scalar_tensors(a=1.0, b=2.0)
         state = train.OptimizerState(lr=0.1, momentum=0.0)
-        train.nesterov_step(tensors, {"a": np.array(1.0)}, state, renorm_rows=())
+        train.nesterov_step(tensors, {"a": np.array(1.0)}, state)
         assert float(tensors["a"].data) == pytest.approx(0.9)
         assert float(tensors["b"].data) == 2.0
 
