@@ -357,36 +357,38 @@ def square(a: Tensor) -> Tensor:
     return _node("square", (a,), np.square, lambda g, out, x: (2.0 * x * g,))
 
 
-def l2_normalize_rows_forward(x: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Each row of a plain 2-D array over its norm plus eps."""
+def l2_normalize_rows_forward(x: np.ndarray) -> np.ndarray:
+    """Each row of a plain 2-D array over its norm plus NORM_EPS."""
     norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-    return x / (norms + eps)
+    return x / (norms + NORM_EPS)
 
 
-def l2_normalize_rows(a: Tensor, eps: float = NORM_EPS) -> Tensor:
-    """Scale each row to unit norm; an all-zero row stays zero (guard eps)."""
+def l2_normalize_rows(a: Tensor) -> Tensor:
+    """Scale each row to unit norm; an all-zero row stays zero (guard NORM_EPS)."""
     if a.data.ndim != 2:
         raise ShapeError("l2_normalize_rows", a.data.shape)
 
     def bwd(g, out, x):
         norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-        denom = norms + eps
+        denom = norms + NORM_EPS
         dot = np.sum(g * x, axis=1, keepdims=True)
         gx = g / denom - x * dot / (np.where(norms > 0.0, norms, 1.0) * denom * denom)
         # zero rows: function is flat at the origin under the guard, take 0
         return (np.where(norms > 0.0, gx, 0.0),)
 
-    return _node("l2_normalize_rows", (a,), lambda x: l2_normalize_rows_forward(x, eps), bwd)
+    return _node("l2_normalize_rows", (a,), l2_normalize_rows_forward, bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over each row of a 2-D tensor."""
+
     def fwd(x):
-        shifted = x - np.max(x, axis=axis, keepdims=True)
+        shifted = x - np.max(x, axis=1, keepdims=True)
         ex = np.exp(shifted)
-        return ex / np.sum(ex, axis=axis, keepdims=True)
+        return ex / np.sum(ex, axis=1, keepdims=True)
 
     def bwd(g, out, x):
-        inner = np.sum(g * out, axis=axis, keepdims=True)
+        inner = np.sum(g * out, axis=1, keepdims=True)
         return ((g - inner) * out,)
 
     return _node("softmax", (a,), fwd, bwd)

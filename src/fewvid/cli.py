@@ -7,6 +7,7 @@ All CSV outputs are byte-reproducible for a fixed seed.
 """
 
 import argparse
+import dataclasses
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -74,7 +75,7 @@ def _fmt(value) -> str:
 
 def cmd_gen_data(cfg) -> int:
     out_dir = Path(cfg.out or cfg.data_dir)
-    base, novel = data.generate_synthetic_dataset(cfg.synthetic_config(), out_dir)
+    base, novel = data.generate_synthetic_dataset(cfg, out_dir)
     for manifest in (base, novel):
         classes = len(manifest.class_labels())
         print(f"{manifest.split}: {len(manifest.entries)} videos, {classes} classes "
@@ -86,7 +87,7 @@ def cmd_train(cfg) -> int:
     manifest = data.load_manifest(Path(cfg.data_dir) / "base_manifest.jsonl")
     log_path = cfg.out or (cfg.ckpt + ".log.csv")
     result = train.train_base(
-        manifest, cfg.loss_config(),
+        manifest, cfg,
         d=cfg.d, kernel_width=cfg.kernel_width, attn_width=cfg.attn_width,
         lr=cfg.lr, momentum=cfg.momentum, batch_size=cfg.batch_size,
         epochs=cfg.epochs, seed=cfg.seed, t_n=cfg.t_n,
@@ -107,10 +108,7 @@ def _load_eval_assets(cfg):
         raise DataError(f"{cfg.ckpt}: checkpoint config 'ablate' must be a list of names "
                         f"from {list(ABLATABLE)}, got {ablate!r}")
     manifest = data.load_manifest(Path(cfg.data_dir) / "novel_manifest.jsonl")
-    loss_cfg = cfg.loss_config()
-    for name in ablate:
-        setattr(loss_cfg, name, False)
-    return params, manifest, loss_cfg
+    return params, manifest, dataclasses.replace(cfg, **dict.fromkeys(ablate, False))
 
 
 def _score_episodes(cfg, mode, episode_ids) -> list:
@@ -166,7 +164,7 @@ def cmd_eval_det(cfg) -> int:
 
 
 def cmd_grad_check(cfg) -> int:
-    arrays, builder = train.gradcheck_objective(seed=cfg.seed, loss_cfg=cfg.loss_config())
+    arrays, builder = train.gradcheck_objective(seed=cfg.seed, loss_cfg=cfg)
     report = ad.grad_check(builder, arrays, h=1e-5, tol=1e-4)
     print(report.summary())
     return 0 if report.passed else 3

@@ -7,6 +7,7 @@ rejected so typos fail loudly.
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 
 from .data import SyntheticConfig
@@ -15,33 +16,14 @@ from .losses import LossConfig
 
 
 @dataclass
-class RunConfig:
-    # synthetic dataset
-    n_base_classes: int = 20
-    n_novel_classes: int = 10
-    videos_per_class: int = 30
-    T: int = 20
-    d_in: int = 32
-    ibg_concepts: int = 12
-    nbg_concepts: int = 3
-    overlap_fraction: float = 0.5
-    noise_std: float = 0.5
+class RunConfig(LossConfig, SyntheticConfig):
+    """Every configuration key. The corpus keys (seed included) and the
+    objective keys are inherited, so each has one declaration, one default
+    and one range check; the keys below are the run's own."""
     # model head
     d: int = 64
     kernel_width: int = 8
     attn_width: int = 32
-    # losses
-    tau: float = 10.0
-    tau_s: float = 8.0
-    c: float = 0.5
-    margin: float = 2.0
-    beta: float = 1.0
-    gamma1: float = 0.05
-    gamma2: float = 0.05
-    # components (ablations turn these off)
-    bg: bool = True
-    sw: bool = True
-    cl: bool = True
     # pseudo-labeling
     t_n: float = 0.25
     top_m: int = 0  # 0 picks max(2, ceil(T/8)) per video
@@ -56,29 +38,18 @@ class RunConfig:
     q: int = 5
     episodes: int = 100
     # plumbing
-    seed: int = 0
     jobs: int = 1
     data_dir: str = "dataset"
     ckpt: str = "model.ckpt"
     out: str = ""
 
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            tau=self.tau, tau_s=self.tau_s, c=self.c, margin=self.margin,
-            beta=self.beta, gamma1=self.gamma1, gamma2=self.gamma2,
-            bg=self.bg, sw=self.sw, cl=self.cl)
-
     def synthetic_config(self) -> SyntheticConfig:
-        return SyntheticConfig(
-            n_base_classes=self.n_base_classes, n_novel_classes=self.n_novel_classes,
-            videos_per_class=self.videos_per_class, T=self.T, d_in=self.d_in,
-            ibg_concepts=self.ibg_concepts, nbg_concepts=self.nbg_concepts,
-            overlap_fraction=self.overlap_fraction, noise_std=self.noise_std,
-            seed=self.seed)
+        """The corpus settings: a RunConfig is a SyntheticConfig."""
+        return self
 
     def validate(self):
-        self.synthetic_config().validate()
-        self.loss_config().validate()
+        SyntheticConfig.validate(self)
+        LossConfig.validate(self)
         for name in ("d", "kernel_width", "attn_width", "batch_size", "epochs",
                      "K", "n", "q", "episodes", "jobs"):
             if getattr(self, name) < 1:
@@ -92,7 +63,8 @@ class RunConfig:
         return self
 
 
-FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# the bases use postponed annotations, so their field types are strings
+FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 TRUE_WORDS = {"true", "1", "yes", "on"}
 FALSE_WORDS = {"false", "0", "no", "off"}
@@ -152,5 +124,5 @@ def build_config(config_path=None, overrides: dict = None) -> RunConfig:
 def describe_keys() -> str:
     lines = ["configuration keys (config file and defaults):"]
     for f in dataclasses.fields(RunConfig):
-        lines.append(f"  {f.name} = {f.default!r} ({f.type.__name__})")
+        lines.append(f"  {f.name} = {f.default!r} ({FIELD_TYPES[f.name].__name__})")
     return "\n".join(lines)

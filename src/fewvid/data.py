@@ -57,15 +57,21 @@ class SegmentFeatureSequence:
         its intervals are sorted, do not overlap and end at or before T."""
         if self.features.ndim != 2:
             raise DataError(f"{self.video_id}: features must be 2-D, got {self.features.shape}")
-        prev_end = 0
-        for start, end in self.gt_intervals:
-            if not (0 <= start < end <= self.T):
-                raise DataError(f"{self.video_id}: interval ({start}, {end}) is not inside "
-                                f"its {self.T} segments")
-            if start < prev_end:
-                raise DataError(f"{self.video_id}: intervals overlap or are unsorted")
-            prev_end = end
+        check_intervals(self.video_id, self.gt_intervals, self.T)
         return self
+
+
+def check_intervals(video_id: str, intervals, T: int):
+    """Raise DataError naming the video unless its (start, end) intervals
+    are sorted, do not overlap and lie inside its T segments."""
+    prev_end = 0
+    for start, end in intervals:
+        if not (0 <= start < end <= T):
+            raise DataError(f"{video_id}: interval ({start}, {end}) is not inside "
+                            f"its {T} segments")
+        if start < prev_end:
+            raise DataError(f"{video_id}: intervals overlap or are unsorted")
+        prev_end = end
 
 
 @dataclass

@@ -203,10 +203,10 @@ def _run_means(A: np.ndarray, first_row, cls, length) -> np.ndarray:
     return means
 
 
-def _nms_keep(group, intervals, scores, tiou_threshold) -> np.ndarray:
-    """Indices that greedy non-maximum suppression keeps within each group:
-    groups in ascending order, each highest score first, ties keeping the
-    earlier index.
+def _nms_keep(group, intervals, scores) -> np.ndarray:
+    """Indices that greedy non-maximum suppression at tIoU 0.5 keeps within
+    each group: groups in ascending order, each highest score first, ties
+    keeping the earlier index.
 
     All groups are suppressed side by side: step r takes the r-th best
     candidate of every group.
@@ -225,22 +225,22 @@ def _nms_keep(group, intervals, scores, tiou_threshold) -> np.ndarray:
     for r in range(slots.shape[0]):
         kept[r] = ~suppressed[r]
         later = slice(r + 1, None)
-        clashes = _tiou(start[r], end[r], start[later], end[later]) >= tiou_threshold
+        clashes = _tiou(start[r], end[r], start[later], end[later]) >= 0.5
         suppressed[later] |= clashes & kept[r]
     return slots.T[kept.T]
 
 
-def episode_proposals(A: np.ndarray, lengths,
-                      thresholds=DEFAULT_PROPOSAL_THRESHOLDS) -> Detections:
+def episode_proposals(A: np.ndarray, lengths) -> Detections:
     """Proposals of every video and class of a stacked (sum T_i, K)
     activation map: thresholded runs, merged across thresholds, scored by
     their mean activation, then NMS at tIoU 0.5 within each (video, class).
-    Ordered by video, then class, then score."""
-    video, cls, start, end = _runs(A, lengths, thresholds)
+    The thresholds are DEFAULT_PROPOSAL_THRESHOLDS. Ordered by video, then
+    class, then score."""
+    video, cls, start, end = _runs(A, lengths, DEFAULT_PROPOSAL_THRESHOLDS)
     first_row = np.concatenate([[0], np.cumsum(lengths)[:-1]])[video] + start
     scores = _run_means(A, first_row, cls, end - start)
     intervals = np.stack([start, end], axis=1)
-    keep = _nms_keep(video * A.shape[1] + cls, intervals, scores, 0.5)
+    keep = _nms_keep(video * A.shape[1] + cls, intervals, scores)
     return Detections(video, cls, intervals, scores).take(keep)
 
 
@@ -300,8 +300,9 @@ def average_precision(detections, ground_truths, tiou_threshold):
     return aps if np.ndim(tiou_threshold) else aps[0]
 
 
-def detection_maps(detections: Detections, truths: np.ndarray, tiou_grid) -> dict:
-    """mAP at each tIoU threshold over classes with ground truth.
+def detection_maps(detections: Detections, truths: np.ndarray) -> dict:
+    """mAP at each tIoU threshold of MAP_TIOU_GRID over classes with ground
+    truth.
 
     truths: (m, 4) rows (video, class, start, end) with start >= 0; of two
     equally overlapping truths a detection takes the earlier row. A
@@ -315,13 +316,13 @@ def detection_maps(detections: Detections, truths: np.ndarray, tiou_grid) -> dic
     truth_intervals = truths[:, 2:] + span * truths[:, :1]
     per_class = [  # one AP per grid threshold, for each class with truths
         average_precision(shifted.take(shifted.class_index == k),
-                          truth_intervals[truths[:, 1] == k], list(tiou_grid))
+                          truth_intervals[truths[:, 1] == k], list(MAP_TIOU_GRID))
         for k in sorted(set(truths[:, 1].tolist()))]
     return {float(thr): float(np.mean([aps[i] for aps in per_class])) if per_class else 0.0
-            for i, thr in enumerate(tiou_grid)}
+            for i, thr in enumerate(MAP_TIOU_GRID)}
 
 
-def _detection(params, remap: dict, proto: np.ndarray, queries: list, cfg, tiou_grid):
+def _detection(params, remap: dict, proto: np.ndarray, queries: list, cfg):
     """(map50, avg_map, maps) of (video, (T, d) embedding) query pairs; a
     video carries its class_label and gt_intervals. Each query's activation
     map is its segment weights times its cosines; the maps are stacked and
@@ -335,8 +336,8 @@ def _detection(params, remap: dict, proto: np.ndarray, queries: list, cfg, tiou_
     truths = [(i, remap[video.class_label], start, end)
               for i, (video, _) in enumerate(queries) for start, end in video.gt_intervals]
     detections = episode_proposals(np.concatenate(cams), [len(cam) for cam in cams])
-    maps = detection_maps(detections, np.array(truths).reshape(-1, 4), tiou_grid)
-    avg_map = float(np.mean([maps[float(t)] for t in tiou_grid]))
+    maps = detection_maps(detections, np.array(truths).reshape(-1, 4))
+    avg_map = float(np.mean([maps[float(t)] for t in MAP_TIOU_GRID]))
     return maps[0.5], avg_map, maps
 
 
@@ -417,7 +418,7 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
                 [remap[entry.class_label] for entry in draw.queries], proto, cfg))
         else:
             queries = [(entry, videos.query(entry)) for entry in draw.queries]
-            map50, avg_map, _ = _detection(params, remap, proto, queries, cfg, MAP_TIOU_GRID)
+            map50, avg_map, _ = _detection(params, remap, proto, queries, cfg)
             per_episode.append((map50, avg_map))
     return per_episode
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from . import pseudo as pseudo_mod
+from .errors import DataError
 
 
 @dataclass
@@ -39,12 +40,14 @@ class LossConfig:
     cl: bool = True  # contrastive loss
 
     def validate(self):
-        if self.tau <= 0 or self.tau_s <= 0:
-            raise ValueError("temperatures must be positive")
+        for name in ("tau", "tau_s"):
+            if getattr(self, name) <= 0:
+                raise DataError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.margin <= 4.0:
-            raise ValueError(f"margin must be in [0, 4], got {self.margin}")
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValueError("loss weights must be non-negative")
+            raise DataError(f"margin must be in [0, 4], got {self.margin}")
+        for name in ("gamma1", "gamma2"):
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
         return self
 
 
@@ -99,7 +102,7 @@ def aggregate_video_feature(f, weights, lengths=None):
 def _cross_entropy(feats: ad.Tensor, labels: np.ndarray, classifier: ad.Tensor,
                    tau: float) -> ad.Tensor:
     """Mean over rows of -log softmax(tau * feats @ classifier.T)[row, label]."""
-    probs = ad.softmax(tau * (feats @ classifier.T), axis=1)
+    probs = ad.softmax(tau * (feats @ classifier.T))
     pick = np.zeros(probs.data.shape)
     pick[np.arange(labels.size), labels] = 1.0
     return -(ad.log((probs * ad.Tensor(pick)).sum(axis=1))).mean()

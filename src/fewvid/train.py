@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import DatasetManifest, read_feature_file
+from .data import DatasetManifest, check_intervals, read_feature_file
 from .errors import DataError, NumericError
 from .evaluate import classification_accuracy
 from .losses import BatchVideo, LossConfig, total_loss
@@ -84,7 +84,8 @@ def load_training_videos(manifest: DatasetManifest):
     """All base videos in memory, labels remapped to classifier row indices.
 
     Raises DataError naming the file when a video's feature width differs
-    from the first video's.
+    from the first video's, and naming the video when its intervals break
+    `check_intervals`.
     """
     labels = manifest.class_labels()
     remap = {label: i for i, label in enumerate(labels)}
@@ -92,6 +93,7 @@ def load_training_videos(manifest: DatasetManifest):
     for entry in manifest.entries:
         path = os.path.join(manifest.root, entry.feature_file)
         features = read_feature_file(path)
+        check_intervals(entry.video_id, entry.gt_intervals, features.shape[0])
         if width is None:
             width, first = features.shape[1], path
         elif features.shape[1] != width:
@@ -128,7 +130,7 @@ def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
     """
     loss_cfg = (loss_cfg or LossConfig()).validate()
     if not manifest.entries:
-        raise NumericError("cannot train on an empty manifest")
+        raise DataError("cannot train on an empty manifest")
     videos, label_order = load_training_videos(manifest)
     for path in (ckpt_path, log_path):
         if path:
@@ -188,25 +190,24 @@ def training_accuracy(params: model_mod.ModelParams, manifest: DatasetManifest,
                                    params.classifier.data[:params.n_classes], loss_cfg)
 
 
-def gradcheck_objective(seed: int = 0, n_videos: int = 2, T: int = 8,
-                        d_in: int = 8, d: int = 8, n_classes: int = 3,
-                        loss_cfg: LossConfig = None, t_n: float = 0.5):
-    """Standard fixture for checking the full objective's gradients:
-    random videos, threshold set so every loss term participates.
+def gradcheck_objective(seed: int = 0, loss_cfg: LossConfig = None):
+    """Standard fixture for checking the full objective's gradients: two
+    random (8, 8) videos of 3 classes, an 8-wide head, and t_n = 0.5 so
+    every loss term participates.
 
     Returns (param arrays, loss builder) ready for autodiff.grad_check.
     """
     rng = np.random.default_rng(seed)
     batch = [
-        BatchVideo(features=rng.normal(size=(T, d_in)), label=int(rng.integers(n_classes)))
-        for _ in range(n_videos)
+        BatchVideo(features=rng.normal(size=(8, 8)), label=int(rng.integers(3)))
+        for _ in range(2)
     ]
-    params = model_mod.init_params(n_classes=n_classes, d_in=d_in, d=d, seed=seed)
+    params = model_mod.init_params(n_classes=3, d_in=8, d=8, seed=seed)
     cfg = loss_cfg or LossConfig()
 
     def builder(leaves):
         p = model_mod.ModelParams(**leaves)
-        loss, _ = total_loss(p, batch, cfg, t_n=t_n)
+        loss, _ = total_loss(p, batch, cfg, t_n=0.5)
         return loss
 
     return {name: t.data for name, t in params.tensors().items()}, builder

@@ -198,7 +198,7 @@ class TestNormalizeAndSoftmax:
 
     def test_softmax_rows_sum_to_one(self):
         a = RNG.normal(size=(5, 7)) * 30.0  # large logits must not overflow
-        s = ad.softmax(ad.Tensor(a), axis=1)
+        s = ad.softmax(ad.Tensor(a))
         np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-10)
 
     def test_softmax_grad(self):
@@ -210,7 +210,7 @@ class TestNormalizeAndSoftmax:
             return e / e.sum(axis=1, keepdims=True)
 
         assert_matches_numeric(
-            lambda L: (ad.softmax(L["a"], axis=1) * L["w"]).sum(),
+            lambda L: (ad.softmax(L["a"]) * L["w"]).sum(),
             lambda p: np.sum(np_softmax(p["a"]) * p["w"]),
             {"a": a, "w": w},
         )
@@ -416,7 +416,7 @@ class TestGraphMechanics:
     def test_repeat_evaluation_is_bit_identical(self):
         x = RNG.normal(size=(6, 4))
         leaf = ad.Tensor(x, requires_grad=True)
-        out = ad.softmax(ad.l2_normalize_rows(leaf) @ ad.Tensor(RNG.normal(size=(4, 3))), axis=1).sum()
+        out = ad.softmax(ad.l2_normalize_rows(leaf) @ ad.Tensor(RNG.normal(size=(4, 3)))).sum()
         first = out.data.copy()
         for _ in range(3):
             ad.forward(out)
@@ -446,7 +446,7 @@ class TestGradCheckHarness:
     def test_passes_on_clean_graph(self):
         def builder(L):
             z = ad.l2_normalize_rows(L["a"]) @ L["b"]
-            return ad.softmax(z, axis=1).max() + ad.square(z).mean()
+            return ad.softmax(z).max() + ad.square(z).mean()
 
         report = ad.grad_check(
             builder,
@@ -494,7 +494,7 @@ def test_chain_grads_match_numeric(rows, cols, seed):
     w = rng.normal(size=(cols, 3))
 
     def expr_t(L):
-        return (ad.softmax(ad.l2_normalize_rows(L["a"]) @ L["w"], axis=1).max(1)).mean()
+        return (ad.softmax(ad.l2_normalize_rows(L["a"]) @ L["w"]).max(1)).mean()
 
     def expr_np(p):
         n = p["a"] / (np.linalg.norm(p["a"], axis=1, keepdims=True) + 1e-12)

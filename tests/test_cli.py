@@ -13,8 +13,9 @@ import pytest
 
 from fewvid import autodiff as ad
 from fewvid import cli, config, data, model, train
+from fewvid.data import SyntheticConfig
 from fewvid.errors import DataError
-from fewvid.losses import total_loss
+from fewvid.losses import LossConfig, total_loss
 
 
 def run(argv, capsys):
@@ -54,14 +55,14 @@ def workspace(tmp_path_factory):
 
 RUN_CONFIG_KEYS = [
     "n_base_classes", "n_novel_classes", "videos_per_class", "T", "d_in", "ibg_concepts",
-    "nbg_concepts", "overlap_fraction", "noise_std",
-    "d", "kernel_width", "attn_width",
+    "nbg_concepts", "overlap_fraction", "noise_std", "seed",
     "tau", "tau_s", "c", "margin", "beta", "gamma1", "gamma2",
     "bg", "sw", "cl",
+    "d", "kernel_width", "attn_width",
     "t_n", "top_m",
     "lr", "momentum", "batch_size", "epochs",
     "K", "n", "q", "episodes",
-    "seed", "jobs", "data_dir", "ckpt", "out",
+    "jobs", "data_dir", "ckpt", "out",
 ]
 
 
@@ -140,6 +141,38 @@ class TestConfigFile:
         cfg = config.RunConfig(momentum=1.5)
         with pytest.raises(DataError):
             cfg.validate()
+
+    def test_run_config_declares_no_inherited_field(self):
+        # a redeclared corpus or objective field would shadow its one default
+        # and range check
+        inherited = {f.name for base in (LossConfig, SyntheticConfig)
+                     for f in dataclasses.fields(base)}
+        assert not inherited & set(config.RunConfig.__annotations__)
+
+    def test_inherited_keys_parse_to_their_types(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("tau = 3\nbg = off\nT = 7\nnoise_std = 1\nseed = 4\n")
+        cfg = config.build_config(path, {})
+        assert (cfg.tau, cfg.bg, cfg.T, cfg.noise_std, cfg.seed) == (3.0, False, 7, 1.0, 4)
+        assert type(cfg.tau) is float and type(cfg.noise_std) is float
+
+
+class TestConfigRanges:
+    """A config value outside its range is a data error (exit 2) naming the
+    key, whichever class declares it."""
+
+    @pytest.mark.parametrize("key, text", [
+        ("tau", "-1"), ("tau_s", "0"), ("margin", "5"), ("gamma1", "-1"), ("gamma2", "-0.5"),
+        ("overlap_fraction", "1.5"), ("momentum", "1.5")])
+    def test_exits_2_naming_key(self, tmp_path, capsys, key, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY + f"\n{key} = {text}\ndata_dir = {tmp_path / 'ds'}\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(["train", "--config", str(cfg), "--ckpt", str(out_dir / "m.ckpt"),
+                            "--out", str(out_dir / "log.csv")], capsys)
+        assert code == 2
+        assert "data error" in err and re.search(rf"(^|\W){key} must", err)
+        assert not out_dir.exists()
 
 
 class TestParserBasics:
@@ -446,6 +479,37 @@ class TestIntervalsAgainstVideo:
         assert code == 2
         assert re.search(r"novel_c\d{3}_v\d{3}: ", err) and reason in err
         assert "accuracy" not in out and "mAP" not in out
+
+
+class TestBaseManifestChecks:
+    """train applies the manifest rules inspect and evaluation apply."""
+
+    @pytest.mark.parametrize("intervals, reason", [
+        ([[0, 500]], "is not inside its 10 segments"),
+        ([[0, 3], [2, 5]], "overlap or are unsorted")])
+    def test_bad_intervals_exit_2_naming_video(self, workspace, tmp_path, capsys, intervals,
+                                               reason):
+        cfg = fresh_corpus(workspace, tmp_path, capsys)
+        manifest = tmp_path / "ds" / "base_manifest.jsonl"
+        header, *entries = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(
+            [header] + [json.dumps(dict(json.loads(e), gt_intervals=intervals))
+                        for e in entries]) + "\n")
+        new_ckpt = tmp_path / "new.ckpt"
+        code, _, err = run(["train", "--config", str(cfg), "--ckpt", str(new_ckpt)], capsys)
+        assert code == 2
+        assert "base_c000_v000: " in err and reason in err
+        assert not new_ckpt.exists()
+
+    def test_header_only_manifest_exits_2(self, workspace, tmp_path, capsys):
+        cfg = fresh_corpus(workspace, tmp_path, capsys)
+        manifest = tmp_path / "ds" / "base_manifest.jsonl"
+        manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+        new_ckpt = tmp_path / "new.ckpt"
+        code, _, err = run(["train", "--config", str(cfg), "--ckpt", str(new_ckpt)], capsys)
+        assert code == 2
+        assert "data error" in err and "empty manifest" in err
+        assert not new_ckpt.exists()
 
 
 class TestCheckpointAgainstCorpus:

@@ -216,7 +216,7 @@ class TestProposals:
     def test_nms_keeps_higher_score(self):
         intervals = np.array([[1, 4], [0, 4], [6, 8]])  # tIoU 0.75 between the first two
         scores = np.array([0.5, 0.9, 0.4])
-        keep = evaluate._nms_keep(np.zeros(3, dtype=np.intp), intervals, scores, 0.5)
+        keep = evaluate._nms_keep(np.zeros(3, dtype=np.intp), intervals, scores)
         assert keep.tolist() == [1, 2]
 
 
@@ -312,7 +312,7 @@ class TestEpisodeDetection:
                  novel.load_sequence(entry)).features)) for entry in draw.support])
         queries = [(q, model.embed_segments(params, q.features, grad=False))
                    for q in map(novel.load_sequence, draw.queries)]
-        result = evaluate._detection(params, remap, proto, queries, None, evaluate.MAP_TIOU_GRID)
+        result = evaluate._detection(params, remap, proto, queries, None)
         return remap, proto, queries, result
 
     @pytest.fixture(autouse=True)
@@ -760,15 +760,14 @@ class TestLoopOracles:
         assert not cls.any()
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(intervals, scores), max_size=25),
-           st.sampled_from([0.3, 0.5, 0.7, 1.0]))
-    def test_nms(self, items, thr):
+    @given(st.lists(st.tuples(intervals, scores), max_size=25))
+    def test_nms(self, items):
         # NMS of one (video, class) group
         dets = [Det("v", 0, iv, s) for iv, s in items]
         keep = evaluate._nms_keep(np.zeros(len(items), dtype=np.intp),
                                   np.array([iv for iv, _ in items]).reshape(-1, 2),
-                                  np.array([s for _, s in items], dtype=np.float64), thr)
-        assert [dets[i] for i in keep] == loop_nms(dets, thr)
+                                  np.array([s for _, s in items], dtype=np.float64))
+        assert [dets[i] for i in keep] == loop_nms(dets, 0.5)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 4), st.data())
@@ -811,7 +810,7 @@ class TestLoopOracles:
         truths = {k: data_.draw(st.lists(st.tuples(videos, intervals), max_size=4))
                   for k in range(K)}
         grid = evaluate.MAP_TIOU_GRID
-        assert (evaluate.detection_maps(*as_arrays(dets, truths), grid)
+        assert (evaluate.detection_maps(*as_arrays(dets, truths))
                 == loop_detection_maps(dets, truths, grid))
 
 
@@ -866,7 +865,7 @@ class TestEpisodePath:
             queries.append((video, f))
         remap = {k: k for k in range(K)}
         cfg, grid = LossConfig(sw=sw), evaluate.MAP_TIOU_GRID
-        assert (evaluate._detection(params, remap, proto, queries, cfg, grid)
+        assert (evaluate._detection(params, remap, proto, queries, cfg)
                 == loop_detection(params, remap, proto, queries, cfg, grid))
         assert (evaluate.classification_accuracy(
                     params, [f for _, f in queries],

@@ -435,7 +435,7 @@ def _oracle_cross_diff_matrices(na, nb):
 
 
 def _oracle_soft_cls(F, y, classifier, cfg):
-    probs = ad.softmax(cfg.tau * (ad.l2_normalize_rows(F) @ classifier.T), axis=1)
+    probs = ad.softmax(cfg.tau * (ad.l2_normalize_rows(F) @ classifier.T))
     pick = np.zeros((1, classifier.data.shape[0]))
     pick[0, y] = 1.0
     return -ad.log((probs * ad.Tensor(pick)).sum())
@@ -446,7 +446,7 @@ def _oracle_bg_cls(nbg_feats, classifier, cfg):
         return ad.Tensor(0.0)
     rows = ad.concat_rows(nbg_feats)
     n_rows = classifier.data.shape[0]
-    probs = ad.softmax(cfg.tau * (rows @ classifier.T), axis=1)
+    probs = ad.softmax(cfg.tau * (rows @ classifier.T))
     pick = np.zeros((len(nbg_feats), n_rows))
     pick[:, n_rows - 1] = 1.0
     return -(ad.log((probs * ad.Tensor(pick)).sum(axis=1))).mean()

@@ -5,7 +5,7 @@ import pytest
 
 from fewvid import autodiff as ad
 from fewvid import data, model, train
-from fewvid.errors import NumericError
+from fewvid.errors import DataError, NumericError
 from fewvid.losses import LossConfig
 
 
@@ -145,7 +145,7 @@ class TestTrainBase:
 
     def test_empty_manifest_rejected(self):
         empty = data.DatasetManifest(split="base", class_names=[], root=".")
-        with pytest.raises(NumericError):
+        with pytest.raises(DataError):
             train.train_base(empty)
 
 
