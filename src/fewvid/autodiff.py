@@ -303,7 +303,7 @@ def take_rows(a: Tensor, index) -> Tensor:
     return _node("take_rows", (a,), lambda x: x[index], bwd)
 
 
-def _check_lengths(op: str, shape, lengths) -> np.ndarray:
+def check_lengths(op: str, shape, lengths) -> np.ndarray:
     """Per-video row counts of a 2-D stack: each at least 1, summing to its rows."""
     lengths = np.asarray(lengths, dtype=np.intp)
     if (len(shape) != 2 or lengths.ndim != 1 or lengths.size == 0
@@ -317,7 +317,7 @@ def segment_sum(a: Tensor, lengths) -> Tensor:
 
     Every run must hold at least one row.
     """
-    lengths = _check_lengths("segment_sum", a.data.shape, lengths)
+    lengths = check_lengths("segment_sum", a.data.shape, lengths)
     starts = np.cumsum(lengths) - lengths
     return _node(
         "segment_sum",
@@ -469,7 +469,7 @@ def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,
     """
     if grid is None:
         if lengths is not None:
-            lengths = _check_lengths("depthwise_conv1d", xv.shape, lengths)
+            lengths = check_lengths("depthwise_conv1d", xv.shape, lengths)
         grid = ConvGrid(xv, kv.shape[1], lengths)
     t_max = grid.shape[1]
     out = np.zeros(grid.shape, dtype=xv.dtype)
@@ -491,7 +491,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
     if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[0]:
         raise ShapeError("depthwise_conv1d", x.data.shape, kernel.data.shape)
     if lengths is not None:
-        lengths = _check_lengths("depthwise_conv1d", x.data.shape, lengths)
+        lengths = check_lengths("depthwise_conv1d", x.data.shape, lengths)
     w = kernel.data.shape[1]
     grid = None  # set by each forward evaluation, read by the backward
 

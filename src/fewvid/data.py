@@ -15,6 +15,7 @@ foreground too unless the background handling is careful.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,7 +101,7 @@ class DatasetManifest:
         return groups
 
     def load_sequence(self, entry: ManifestEntry) -> SegmentFeatureSequence:
-        feats = read_feature_file(Path(self.root) / entry.feature_file)
+        feats = read_feature_file(os.path.join(self.root, entry.feature_file))
         return SegmentFeatureSequence(
             video_id=entry.video_id,
             class_label=entry.class_label,

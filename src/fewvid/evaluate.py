@@ -6,16 +6,21 @@ pseudo-labeled from the K-way cosine logits against the prototypes and
 down-weighted before aggregation, exactly as during training but with
 prototypes standing in for classifier rows. Detection scores every segment
 per class (weight times cosine), turns thresholded runs into proposals, and
-reports mean average precision over temporal-IoU thresholds. An episode's
-queries are classified as one stack per distinct query length, and their
-detections are scored together on index arrays: one pass finds every run,
-NMS steps through all (video, class) groups at once, and matching sweeps the
-whole tIoU grid in one pass over each class's ranked detections.
+reports mean average precision over temporal-IoU thresholds.
+
+An evaluation call draws all its episodes first, reads each feature file
+they use once, and embeds their videos in a few stacked passes; an episode
+then only indexes those embeddings. Its queries are classified as one stack
+per distinct query length, and their detections are scored together on index
+arrays: one pass finds every run, NMS steps through all (video, class)
+groups at once, and matching sweeps the whole tIoU grid in one pass over
+each class's ranked detections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .pseudo import pseudo_label_bg
 
 DEFAULT_PROPOSAL_THRESHOLDS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 2))
 MAP_TIOU_GRID = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
+EMBED_CHUNK = 32  # videos per stacked embedding pass; bounds the memory of one pass
 
 
 @dataclass
@@ -350,39 +356,59 @@ def mean_ci(scores) -> tuple:
     return mean, float(1.96 * scores.std(ddof=1) / np.sqrt(scores.size))
 
 
+def _support_key(entry) -> tuple:
+    return "support", entry.feature_file, tuple(tuple(iv) for iv in entry.gt_intervals)
+
+
 class _NovelVideos:
-    """Embeddings of a manifest's videos under one set of parameters, each
-    computed on first use.
+    """Embeddings of the videos an evaluation call's episodes use, all
+    computed when it is built.
 
     A video used as a query keeps its untrimmed (T, d) embedding, one used as
-    support its trimmed (d,) mean. Features are not kept, so a video used in
-    both roles is read twice.
+    support its trimmed (d,) mean. Each distinct feature file is read once,
+    also when its video serves in both roles: the support is trimmed in
+    memory. The videos are embedded in stacked passes of at most EMBED_CHUNK
+    videos, and each row has the bits its video gets embedded alone.
     """
 
-    def __init__(self, params: model_mod.ModelParams, manifest):
-        self.params = params
-        self.manifest = manifest
-        self._embeddings = {}  # feature file -> (T, d)
-        self._means = {}  # (feature file, gt intervals) -> (d,)
+    def __init__(self, params: model_mod.ModelParams, manifest, draws):
+        self._kept = {}  # use key -> (T, d) query embedding or (d,) support mean
+        uses = self._uses(params, manifest, draws)
+        while chunk := list(islice(uses, EMBED_CHUNK)):
+            lengths = [rows.shape[0] for _, rows in chunk]
+            f = model_mod.embed_segments(params, np.concatenate([rows for _, rows in chunk]),
+                                         grad=False, lengths=lengths)
+            for (key, _), end, T in zip(chunk, np.cumsum(lengths), lengths):
+                rows = f[end - T : end]
+                self._kept[key] = rows if key[0] == "query" else rows.mean(axis=0)
 
-    def _load(self, entry):
-        seq = self.manifest.load_sequence(entry)
-        model_mod.check_feature_width(self.params, seq.features, entry.feature_file)
-        return seq
+    @staticmethod
+    def _uses(params, manifest, draws):
+        """(use key, raw rows) of each distinct use, files in order of first
+        use; each file is read once and checked against the parameters' d_in."""
+        by_file = {}  # feature file -> {use key: entry}
+        for draw in draws:
+            for entry in draw.support:
+                by_file.setdefault(entry.feature_file, {}).setdefault(_support_key(entry), entry)
+            for entry in draw.queries:
+                by_file.setdefault(entry.feature_file, {}).setdefault(
+                    ("query", entry.feature_file), entry)
+        for file, uses in by_file.items():
+            seq = None
+            for key, entry in uses.items():
+                if seq is None:
+                    seq = manifest.load_sequence(entry)
+                    model_mod.check_feature_width(params, seq.features, file)
+                else:  # another entry of the same file: check its own intervals
+                    seq = replace(seq, video_id=entry.video_id,
+                                  gt_intervals=[tuple(iv) for iv in entry.gt_intervals]).validate()
+                yield key, seq.features if key[0] == "query" else trim_support_video(seq).features
 
     def query(self, entry) -> np.ndarray:
-        key = entry.feature_file
-        if key not in self._embeddings:
-            self._embeddings[key] = model_mod.embed_segments(
-                self.params, self._load(entry).features, grad=False)
-        return self._embeddings[key]
+        return self._kept["query", entry.feature_file]
 
     def support_mean(self, entry) -> np.ndarray:
-        key = (entry.feature_file, tuple(tuple(iv) for iv in entry.gt_intervals))
-        if key not in self._means:
-            trimmed = trim_support_video(self._load(entry))
-            self._means[key] = support_mean(self.params, trimmed.features)
-        return self._means[key]
+        return self._kept[_support_key(entry)]
 
 
 def evaluate(params: model_mod.ModelParams, manifest, mode: str, K: int = 5, n: int = 1,
@@ -399,16 +425,19 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     """Accuracy, or (map50, avg_map), of each episode in `episode_ids`.
 
     Episode e is drawn with seed (seed, e), so any subset of episodes can be
-    reproduced independently. Each video is read and embedded at most once
-    per role for the whole call; an episode then only indexes those arrays.
+    reproduced independently. Every episode is drawn first; then each feature
+    file they use is read once and all their videos are embedded in stacked
+    passes (`_NovelVideos`), so a bad file is reported before any episode is
+    scored. An episode then only indexes those arrays.
     """
     if mode not in ("classification", "detection"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    videos = _NovelVideos(params, manifest)
     groups = manifest.by_class()
+    draws = [draw_episode(manifest, K=K, n=n, q=q, seed=[seed, e], groups=groups)
+             for e in episode_ids]
+    videos = _NovelVideos(params, manifest, draws)
     per_episode = []
-    for e in episode_ids:
-        draw = draw_episode(manifest, K=K, n=n, q=q, seed=[seed, e], groups=groups)
+    for draw in draws:
         remap = {label: i for i, label in enumerate(draw.classes)}
         proto = prototypes_from_means(K, [
             (remap[entry.class_label], videos.support_mean(entry)) for entry in draw.support])

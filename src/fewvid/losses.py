@@ -45,9 +45,11 @@ class LossConfig:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.margin <= 4.0:
             raise DataError(f"margin must be in [0, 4], got {self.margin}")
-        for name in ("gamma1", "gamma2"):
+        for name in ("beta", "gamma1", "gamma2"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.c <= 2.0:  # 1 - c stays a cosine
+            raise DataError(f"c must be in [0, 2], got {self.c}")
         return self
 
 

@@ -89,7 +89,15 @@ def embed_segments(params: ModelParams, raw, grad: bool = True, lengths=None):
     autodiff graph behind it.
     """
     if not grad:
-        transformed = np.asarray(raw, dtype=np.float64) @ _rows_t(params.transform)
+        raw = np.asarray(raw, dtype=np.float64)
+        weight = _rows_t(params.transform)
+        transformed = raw @ weight
+        if lengths is not None:
+            lengths = ad.check_lengths("embed_segments", raw.shape, lengths)
+            # NumPy hands a one-row product to gemv, whose bits can differ
+            # from a gemm row, so a one-row video gets its own one-row product
+            ones = (np.cumsum(lengths) - 1)[lengths == 1]
+            transformed[ones] = (raw[ones, None] @ weight)[:, 0]
         mixed = ad.depthwise_conv1d_forward(transformed, params.temporal_kernel.data, lengths)
         return ad.l2_normalize_rows_forward(mixed)
     x = raw if isinstance(raw, ad.Tensor) else ad.Tensor(raw)

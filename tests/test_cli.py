@@ -163,7 +163,8 @@ class TestConfigRanges:
 
     @pytest.mark.parametrize("key, text", [
         ("tau", "-1"), ("tau_s", "0"), ("margin", "5"), ("gamma1", "-1"), ("gamma2", "-0.5"),
-        ("overlap_fraction", "1.5"), ("momentum", "1.5")])
+        ("overlap_fraction", "1.5"), ("momentum", "1.5"), ("beta", "-3"), ("c", "5"),
+        ("c", "-0.5")])
     def test_exits_2_naming_key(self, tmp_path, capsys, key, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY + f"\n{key} = {text}\ndata_dir = {tmp_path / 'ds'}\n")

@@ -1,6 +1,7 @@
 """Prototype math, query classification, proposals, AP against a grid oracle."""
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -490,6 +491,18 @@ def oracle_evaluate(params, novel, mode, K, n, q, episodes, seed, cfg):
     return per_episode
 
 
+def draw_all(novel, K, n, q, episodes, seed):
+    return [data.draw_episode(novel, K, n, q, [seed, e]) for e in range(episodes)]
+
+
+def distinct_uses(draws):
+    """Distinct query videos plus distinct (feature file, intervals) supports."""
+    queries = {entry.feature_file for draw in draws for entry in draw.queries}
+    supports = {(entry.feature_file, tuple(map(tuple, entry.gt_intervals)))
+                for draw in draws for entry in draw.support}
+    return len(queries) + len(supports)
+
+
 @pytest.fixture(scope="module")
 def small_novel(tmp_path_factory):
     """Four novel classes of six videos: episodes reuse videos in both roles."""
@@ -526,7 +539,7 @@ class TestCachedLoop:
         assert len(set(map(str, full))) > 1  # the episodes differ
 
     @pytest.mark.parametrize("mode", ["classification", "detection"])
-    def test_reads_and_embeds_each_video_at_most_twice(self, small_novel, monkeypatch, mode):
+    def test_reads_each_file_once_and_embeds_in_chunks(self, small_novel, monkeypatch, mode):
         reads, embeds = {}, []
         read, embed = data.read_feature_file, model.embed_segments
 
@@ -540,12 +553,71 @@ class TestCachedLoop:
 
         monkeypatch.setattr(data, "read_feature_file", counting_read)
         monkeypatch.setattr(model, "embed_segments", counting_embed)
-        episodes, K, n, q = 30, 3, 2, 3
+        episodes, K, n, q, seed = 30, 3, 2, 3, 4
         evaluate.evaluate(model.init_params(n_classes=3, d_in=6, d=5, seed=1), small_novel,
-                          mode, K=K, n=n, q=q, episodes=episodes, seed=4)
-        assert max(reads.values()) == 2  # some video served in both roles
-        assert len(embeds) <= 2 * len(reads)
-        assert sum(reads.values()) < episodes * K * (n + q)
+                          mode, K=K, n=n, q=q, episodes=episodes, seed=seed)
+        draws = draw_all(small_novel, K, n, q, episodes, seed)
+        queries = {entry.feature_file for draw in draws for entry in draw.queries}
+        supports = {entry.feature_file for draw in draws for entry in draw.support}
+        assert queries & supports  # some video served in both roles
+        assert sorted(reads.values()) == [1] * len(queries | supports)
+        assert len(embeds) <= -(-distinct_uses(draws) // evaluate.EMBED_CHUNK)
+
+    @pytest.mark.parametrize("chunk", [evaluate.EMBED_CHUNK, 5])
+    def test_no_pass_holds_more_than_a_chunk(self, mixed_novel, monkeypatch, chunk):
+        passes = []
+        embed = model.embed_segments
+
+        def counting_embed(params, raw, grad=True, lengths=None):
+            passes.append(1 if lengths is None else len(lengths))
+            return embed(params, raw, grad, lengths)
+
+        monkeypatch.setattr(model, "embed_segments", counting_embed)
+        monkeypatch.setattr(evaluate, "EMBED_CHUNK", chunk)
+        K, n, q, episodes, seed = 3, 1, 3, 20, 2
+        evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
+                                mixed_novel, "classification", range(episodes), K=K, n=n, q=q,
+                                seed=seed)
+        uses = distinct_uses(draw_all(mixed_novel, K, n, q, episodes, seed))
+        assert sum(passes) == uses > chunk
+        assert max(passes) == chunk
+
+    @pytest.mark.parametrize("chunk", [evaluate.EMBED_CHUNK, 5])
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    @pytest.mark.parametrize("sw", [True, False])
+    def test_chunked_mixed_lengths_equal_per_episode_oracle(self, mixed_novel, monkeypatch,
+                                                            chunk, mode, sw):
+        # the call's distinct uses cross a chunk boundary, and the chunks mix
+        # 10-segment queries, 7-segment queries and trimmed supports
+        monkeypatch.setattr(evaluate, "EMBED_CHUNK", chunk)
+        params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=5)
+        cfg = LossConfig(sw=sw)
+        K, n, q, episodes, seed = 3, 1, 3, 20, 2
+        assert distinct_uses(draw_all(mixed_novel, K, n, q, episodes, seed)) > chunk
+        got = evaluate.evaluate(params, mixed_novel, mode, K=K, n=n, q=q, episodes=episodes,
+                                seed=seed, cfg=cfg)["per_episode"]
+        assert got == oracle_evaluate(params, mixed_novel, mode, K, n, q, episodes, seed, cfg)
+
+    def test_bad_file_reported_before_any_episode_is_scored(self, small_novel, tmp_path,
+                                                             monkeypatch):
+        K, n, q, episodes, seed = 2, 1, 1, 12, 3
+        draws = draw_all(small_novel, K, n, q, episodes, seed)
+        first = {entry.feature_file for entry in draws[0].support + draws[0].queries}
+        late = next(entry.feature_file for draw in draws[1:]
+                    for entry in draw.support + draw.queries if entry.feature_file not in first)
+        shutil.copytree(small_novel.root, tmp_path, dirs_exist_ok=True)
+        features = data.read_feature_file(tmp_path / late)
+        features[0, 0] = np.nan
+        data.write_feature_file(features, tmp_path / late)
+        scored = []
+        monkeypatch.setattr(evaluate, "prototypes_from_means",
+                            lambda *args: scored.append(1))
+        with pytest.raises(DataError, match=f"{late}: holds non-finite"):
+            evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
+                                    dataclasses.replace(small_novel, root=tmp_path),
+                                    "classification", range(episodes), K=K, n=n, q=q,
+                                    seed=seed)
+        assert not scored
 
     def test_feature_width_checked_against_checkpoint(self, small_novel):
         params = model.init_params(n_classes=3, d_in=7, d=5, seed=1)

@@ -55,6 +55,24 @@ class TestEmbed:
         with pytest.raises(ad.ShapeError):
             model.embed_segments(p, np.ones((3, 5)))
 
+    @pytest.mark.parametrize("d_in, d", [(32, 64), (6, 5)])
+    def test_stacked_inference_rows_equal_one_call_per_video(self, d_in, d):
+        # one-row videos included: NumPy computes a one-row product on its own path
+        p = model.init_params(n_classes=3, d_in=d_in, d=d, kernel_width=8, seed=2)
+        rng = np.random.default_rng(6)
+        lengths = [20, 1, 7, 1, 1, 12, 20, 2, 1]
+        videos = [rng.normal(size=(T, d_in)) for T in lengths]
+        stacked = model.embed_segments(p, np.concatenate(videos), grad=False, lengths=lengths)
+        ends = np.cumsum(lengths)
+        for video, end, T in zip(videos, ends, lengths):
+            one = model.embed_segments(p, video, grad=False)
+            assert np.array_equal(stacked[end - T : end], one)
+
+    def test_stacked_inference_rejects_bad_lengths(self):
+        p = model.init_params(n_classes=3, d_in=6, d=5, seed=2)
+        with pytest.raises(ad.ShapeError):
+            model.embed_segments(p, np.ones((5, 6)), grad=False, lengths=[3, 1, 1, 1])
+
 
 class TestLogits:
     def test_projection(self):
