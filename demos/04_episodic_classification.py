@@ -31,9 +31,9 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
 
     qseq = novel.load_sequence(draw.queries[0])
     f = model.embed_segments(result.params, qseq.features, grad=False)
-    verdict = evaluate.classify_query(result.params, f, proto)
+    verdict = evaluate.classify_query(result.params, f[None], proto)
     print("query", qseq.video_id, "true class index", remap[qseq.class_label])
-    print("class probabilities:", np.round(verdict.probs, 4), "-> top1", verdict.top1)
+    print("class probabilities:", np.round(verdict.probs[0], 4), "-> top1", verdict.top1[0])
 
     # aggregate accuracy with a 95% confidence interval over many episodes
     report = evaluate.evaluate(result.params, novel, "classification",

@@ -28,8 +28,8 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     # activation: each segment's aggregation weight times its cosine to each prototype
     qseq = novel.load_sequence(draw.queries[0])
     f = model.embed_segments(result.params, qseq.features, grad=False)
-    verdict = evaluate.classify_query(result.params, f, proto)
-    A = verdict.weights[:, None] * verdict.cosines
+    verdict = evaluate.classify_query(result.params, f[None], proto)
+    A = verdict.weights[0][:, None] * verdict.cosines[0]
     print("activation map shape:", A.shape, "(segments x episode classes)")
     print("true class column, rounded:", np.round(A[:, remap[qseq.class_label]], 2))
     print("ground truth intervals:", qseq.gt_intervals)

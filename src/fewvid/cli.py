@@ -13,6 +13,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import autodiff as ad
 from . import config as config_mod
 from . import data, evaluate, model, pseudo, train
@@ -173,15 +175,20 @@ def cmd_grad_check(cfg) -> int:
 def cmd_inspect(cfg) -> int:
     params, _ = model.load_checkpoint(cfg.ckpt)
     manifest = data.load_manifest(Path(cfg.data_dir) / "base_manifest.jsonl")
-    lines = ["video_id,segment,max_logit,role"]
+    rows, logits = [], []
     for entry in manifest.entries:
         seq = manifest.load_sequence(entry)
         model.check_feature_width(params, seq.features, entry.feature_file)
         f = model.embed_segments(params, seq.features, grad=False)
-        logits = model.segment_logits(params, f)
-        rec = pseudo.pseudo_label_video(logits, t_n=cfg.t_n, M=cfg.top_m or None)
-        for i, role in enumerate(pseudo.segment_roles(rec)):
-            lines.append(f"{seq.video_id},{i},{_fmt(rec.max_logits[i])},{role}")
+        logits.append(model.segment_logits(params, f))
+        rows += [(seq.video_id, i) for i in range(seq.T)]
+    # a header-only manifest has no videos to label and prints only the header
+    stack = np.concatenate(logits) if logits else np.zeros((0, params.n_classes))
+    rec = pseudo.pseudo_label_video(stack, [len(x) for x in logits], t_n=cfg.t_n,
+                                    M=cfg.top_m or None)
+    lines = ["video_id,segment,max_logit,role"]
+    for (video_id, i), score, role in zip(rows, rec.max_logits, pseudo.segment_roles(rec)):
+        lines.append(f"{video_id},{i},{_fmt(score)},{role}")
     text = "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as fh:

@@ -91,9 +91,9 @@ def parse_value(key: str, text: str):
 
 def read_config_file(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read config file {path}: {err}") from err
     values = {}
     for lineno, raw in enumerate(lines, start=1):

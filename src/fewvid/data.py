@@ -192,9 +192,9 @@ def _check_entry(rec: dict, where: str, n_classes: int):
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [line for line in fh.read().splitlines() if line.strip()]
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read manifest {path}: {err}") from err
     if not lines:
         raise DataError(f"{path}: empty manifest")
@@ -242,6 +242,8 @@ class SyntheticConfig:
             raise DataError(f"overlap_fraction must be in [0, 1], got {self.overlap_fraction}")
         if self.noise_std < 0.0:
             raise DataError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -50,18 +50,12 @@ class Detections:
 
 @dataclass
 class ClassifiedQuery:
-    """One query's classification; a stack's has a leading query axis on
-    every field."""
-    probs: np.ndarray  # (K,) softmax over the prototypes
-    top1: int
-    weights: np.ndarray  # (T,) aggregation weight of each segment
-    i_bg: int  # pseudo-labeled background segment
-    cosines: np.ndarray  # (T, K) cosine of each segment to each prototype
-
-    def query(self, i: int) -> "ClassifiedQuery":
-        """The i-th query of a stack on its own."""
-        return ClassifiedQuery(self.probs[i], int(self.top1[i]), self.weights[i],
-                               int(self.i_bg[i]), self.cosines[i])
+    """A stack of Q queries' classifications, one row per query."""
+    probs: np.ndarray  # (Q, K) softmax over the prototypes
+    top1: np.ndarray  # (Q,)
+    weights: np.ndarray  # (Q, T) aggregation weight of each segment
+    i_bg: np.ndarray  # (Q,) pseudo-labeled background segment
+    cosines: np.ndarray  # (Q, T, K) cosine of each segment to each prototype
 
 
 def support_mean(params: model_mod.ModelParams, features: np.ndarray) -> np.ndarray:
@@ -93,29 +87,26 @@ def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarr
     """Aggregate each embedded query with background-aware weights, then
     softmax over cosines to the (K, d) prototype matrix.
 
-    f is one (T, d) query, or a (Q, T, d) stack of equal-length queries
-    classified together; a stack gives every field of the result a leading
-    query axis. Every product is a stacked matmul that runs the one-query
-    BLAS call on each slice, and every sum runs along a contiguous last
-    axis, so each query gets the bits it gets on its own.
+    f is a (Q, T, d) stack of equal-length queries classified together.
+    Every product is a stacked matmul that runs the one-query BLAS call on
+    each slice, and every sum runs along a contiguous last axis, so a
+    query's result has the same bits whatever else its stack holds.
     """
     cfg = cfg or LossConfig()
-    stack = f if f.ndim == 3 else f[None]
-    cosines = stack @ proto.T
+    cosines = f @ proto.T
     i_bg = pseudo_label_bg(cosines)
     if cfg.sw:
-        weights = self_weight(stack, i_bg, cfg)
+        weights = self_weight(f, i_bg, cfg)
     else:
-        weights = model_mod.baseline_attention(params, stack)
-    F = aggregate_video_feature(stack, weights)  # (Q, 1, d)
+        weights = model_mod.baseline_attention(params, f)
+    F = aggregate_video_feature(f, weights)  # (Q, 1, d)
     norm = np.sqrt(F @ F.swapaxes(1, 2))  # the dot product np.linalg.norm takes
     Fn = (F / (norm + 1e-12)).swapaxes(1, 2)
     sims = (proto @ Fn)[..., 0]
     ex = np.exp(sims - sims.max(axis=1, keepdims=True))
     probs = ex / ex.sum(axis=1, keepdims=True)
-    res = ClassifiedQuery(probs=probs, top1=np.argmax(probs, axis=1), weights=weights[..., 0],
-                          i_bg=i_bg, cosines=cosines)
-    return res if f.ndim == 3 else res.query(0)
+    return ClassifiedQuery(probs=probs, top1=np.argmax(probs, axis=1), weights=weights[..., 0],
+                           i_bg=i_bg, cosines=cosines)
 
 
 def _classify_stacks(params: model_mod.ModelParams, embeddings: list, proto: np.ndarray,

@@ -199,47 +199,30 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
 
     The batch is embedded as one stack of segment rows. The videos are
     pseudo-labeled from their current logits, computed as plain arrays since
-    no gradient flows through the decisions, with one call per distinct
-    video length; the decisions enter the graph as constant row indices. Each
-    video is aggregated and classified, and the batch loss is the mean
+    no gradient flows through the decisions, in one call over the whole
+    batch; the decisions enter the graph as constant row indices. Each video
+    is aggregated and classified, and the batch loss is the mean
     classification loss plus the background and contrastive terms over the
     batch's NBG and FG+IBG rows, weighted by gamma2 and gamma1. Returns (loss
-    Tensor, stats dict); stats["records"] holds one `PseudoLabelRecord` per
-    video.
+    Tensor, stats dict); stats["labels"] is the batch's `PseudoLabelRecord`.
     """
     cfg = (cfg or LossConfig()).validate()
     lengths = np.array([video.features.shape[0] for video in batch], dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
     f = model_mod.embed_segments(
         params, np.concatenate([video.features for video in batch]), lengths=lengths)
-    logits = model_mod.segment_logits(params, f.data)
-    records = [None] * len(batch)
-    bg_rows = np.empty(len(batch), dtype=np.intp)
-    is_nbg = np.empty(len(batch), dtype=bool)
-    fg_rows, fg_videos = [], []
-    for n in dict.fromkeys(lengths.tolist()):  # distinct lengths, first-seen order
-        members = np.flatnonzero(lengths == n)
-        rows = starts[members, None] + np.arange(n)
-        rec = pseudo_mod.pseudo_label_video(logits[rows], t_n=t_n, M=top_m)
-        bg_rows[members] = starts[members] + rec.i_bg
-        is_nbg[members] = rec.is_nbg
-        fg_rows.append(np.take_along_axis(rows, rec.fg_ibg_indices, axis=1).ravel())
-        fg_videos.append(np.repeat(members, rec.fg_ibg_indices.shape[1]))
-        for q, v in enumerate(members):
-            records[v] = rec.video(q)
-    # each video's FG+IBG rows in batch order, ascending within the video
-    fg_rows = np.concatenate(fg_rows)[np.argsort(np.concatenate(fg_videos), kind="stable")]
+    labels = pseudo_mod.pseudo_label_video(
+        model_mod.segment_logits(params, f.data), lengths, t_n=t_n, M=top_m)
 
     if cfg.sw:
-        weights = self_weight(f, np.repeat(bg_rows, lengths), cfg)
+        weights = self_weight(f, np.repeat(labels.bg_rows, lengths), cfg)
     else:
         weights = model_mod.baseline_attention(params, f)
     F = aggregate_video_feature(f, weights, lengths)
     head = params.classifier if cfg.bg else model_mod.class_rows(params)
     l_cls = soft_cls_loss(F, [video.label for video in batch], head, cfg)
 
-    nbg = ad.take_rows(f, bg_rows[is_nbg])
-    fgibg = ad.take_rows(f, fg_rows)
+    nbg = ad.take_rows(f, labels.bg_rows[labels.is_nbg])
+    fgibg = ad.take_rows(f, labels.fg_rows)
 
     loss = l_cls
     l_contrast = ad.Tensor(0.0)
@@ -257,6 +240,6 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
         "l_contrast": float(l_contrast.data),
         "l_bg": float(l_bg.data),
         "n_nbg": nbg.data.shape[0],
-        "records": records,
+        "labels": labels,
     }
     return loss, stats

@@ -83,10 +83,13 @@ def embed_segments(params: ModelParams, raw, grad: bool = True, lengths=None):
     """(T, d_in) raw features -> (T, d) unit-norm embeddings.
 
     With `lengths`, raw stacks videos of those lengths (one batch, one
-    graph) and the temporal convolution pads each video on its own, so every
-    row equals embedding its video alone. With grad=False the same
-    arithmetic runs on plain arrays and an ndarray comes back, with no
-    autodiff graph behind it.
+    graph) and the temporal convolution pads each video on its own. With
+    grad=False the same arithmetic runs on plain arrays and an ndarray comes
+    back, with no autodiff graph behind it, and every row has the bits of
+    embedding its video alone. The graph path keeps those bits for videos of
+    two or more rows only: a one-row video's row comes from the stack's
+    matrix product (gemm), not a one-row product (gemv), and may differ in
+    the last bits.
     """
     if not grad:
         raw = np.asarray(raw, dtype=np.float64)
@@ -165,9 +168,11 @@ def load_checkpoint(path):
     version, header_len = struct.unpack("<II", blob[4:12])
     if version != CKPT_VERSION:
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
+    if 12 + header_len > len(blob):
+        raise TruncatedFileError(f"{path}: checkpoint ends inside its {header_len}-byte header")
     try:
         header = json.loads(blob[12 : 12 + header_len])
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise DataError(f"{path}: corrupt checkpoint header: {err}") from err
     if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
             and isinstance(header.get("config"), dict)):

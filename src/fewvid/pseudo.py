@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def default_m(T: int) -> int:
-    return max(2, -(-T // 8))
+def default_m(T):
+    """FG+IBG set size for a video of T segments (or an array of T): max(2, ceil(T/8))."""
+    return np.maximum(2, -(-T // 8))
 
 
 def _segment_scores(logits: np.ndarray) -> np.ndarray:
@@ -31,11 +32,10 @@ def _segment_scores(logits: np.ndarray) -> np.ndarray:
 def pseudo_label_bg(logits: np.ndarray):
     """Index of the segment with the smallest best-class score; first on ties.
 
-    (T, C) logits of one video give an int; a (Q, T, C) stack of videos
+    (T, C) logits of one video give one index; a (Q, T, C) stack of videos
     gives a (Q,) index array, one BG segment per video.
     """
-    i_bg = np.argmin(_segment_scores(logits), axis=-1)
-    return int(i_bg) if i_bg.ndim == 0 else i_bg
+    return np.argmin(_segment_scores(logits), axis=-1)
 
 
 def select_fg_ibg(logits: np.ndarray, M: int) -> list:
@@ -51,54 +51,48 @@ def select_fg_ibg(logits: np.ndarray, M: int) -> list:
 
 @dataclass
 class PseudoLabelRecord:
-    """One video's pseudo-labels; a stack of Q videos gives the same fields
-    with a leading video axis (i_bg and is_nbg (Q,) arrays, fg_ibg_indices
-    (Q, M), max_logits (Q, T)), and `video(q)` is one video's record."""
+    """Pseudo-labels of a batch of V videos, as rows of its stacked logits."""
 
-    i_bg: int
-    is_nbg: bool
-    fg_ibg_indices: list
-    max_logits: np.ndarray  # per-segment best-class score, length T
-
-    def video(self, q: int) -> "PseudoLabelRecord":
-        return PseudoLabelRecord(
-            i_bg=int(self.i_bg[q]),
-            is_nbg=bool(self.is_nbg[q]),
-            fg_ibg_indices=self.fg_ibg_indices[q].tolist(),
-            max_logits=self.max_logits[q],
-        )
+    bg_rows: np.ndarray  # (V,) each video's BG row
+    is_nbg: np.ndarray  # (V,) whether that BG segment is NBG
+    fg_rows: np.ndarray  # FG+IBG rows, videos in batch order, ascending within each
+    max_logits: np.ndarray  # (sum T,) each row's best-class score
 
 
-def pseudo_label_video(logits: np.ndarray, t_n: float = 0.25, M: int = None) -> PseudoLabelRecord:
-    """Full per-video labeling; keeps i_bg out of the FG+IBG set even under
-    total ties, and tolerates degenerate videos (tiny T, constant logits).
+def pseudo_label_video(logits: np.ndarray, lengths, t_n: float = 0.25,
+                       M: int = None) -> PseudoLabelRecord:
+    """Label every video of a (sum T, C) logits stack of videos of those
+    lengths, each exactly as on its own.
 
-    (T, C) logits of one video give that video's record; a (Q, T, C) stack of
-    videos of one length gives the stacked record, each video labeled exactly
-    as on its own.
+    A video's BG segment is its first lowest-scoring one, NBG when that
+    score is below t_n. Its FG+IBG set is its M highest-scoring other
+    segments, ties to the lower index; M defaults to `default_m(T)` and is
+    clipped to T - 1, so the BG segment stays out of the set even under total
+    ties and a one-segment video has none. Zero videos give an empty record.
     """
-    one = np.ndim(logits) == 2
-    scores = _segment_scores(np.asarray(logits)[None] if one else logits)
-    Q, T = scores.shape
-    i_bg = np.argmin(scores, axis=1)
-    if M is None:
-        M = default_m(T)
-    M = max(0, min(M, T - 1))
-    order = np.argsort(-scores, axis=1, kind="stable")
-    order = order[order != i_bg[:, None]].reshape(Q, T - 1)
-    record = PseudoLabelRecord(
-        i_bg=i_bg,
-        is_nbg=scores[np.arange(Q), i_bg] < t_n,
-        fg_ibg_indices=np.sort(order[:, :M], axis=1),
-        max_logits=scores,
-    )
-    return record.video(0) if one else record
+    scores = _segment_scores(logits)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    # one (V, T_max) row per video, padded with +inf so argmin skips the padding
+    valid = np.arange(lengths.max(initial=1)) < lengths[:, None]
+    padded = np.full(valid.shape, np.inf)
+    padded[valid] = scores
+    i_bg = np.argmin(padded, axis=1)
+    m = np.clip(default_m(lengths) if M is None else M, 0, lengths - 1)
+    # rank the other segments by descending score, ties by index
+    left_out = ~valid
+    left_out[np.arange(lengths.size), i_bg] = True
+    order = np.lexsort((-padded, left_out), axis=1)[:, :m.max(initial=0)]
+    kept = np.arange(order.shape[1]) < m[:, None]
+    fg = np.sort(np.where(kept, order, valid.shape[1]), axis=1)
+    bg_rows = starts + i_bg
+    return PseudoLabelRecord(bg_rows=bg_rows, is_nbg=scores[bg_rows] < t_n,
+                             fg_rows=(starts[:, None] + fg)[kept], max_logits=scores)
 
 
 def segment_roles(record: PseudoLabelRecord) -> list:
-    """Per-segment role names for inspection dumps."""
-    roles = ["other"] * record.max_logits.shape[0]
-    for i in record.fg_ibg_indices:
-        roles[i] = "FGIBG"
-    roles[record.i_bg] = "NBG" if record.is_nbg else "BG"
-    return roles
+    """One role name per row of the labeled stack, for inspection dumps."""
+    roles = np.full(record.max_logits.shape, "other", dtype=object)
+    roles[record.fg_rows] = "FGIBG"
+    roles[record.bg_rows] = np.where(record.is_nbg, "NBG", "BG")
+    return roles.tolist()

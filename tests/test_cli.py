@@ -621,6 +621,80 @@ class TestManifestTypes:
         assert f"entry 0: {field}" in err and "mAP" not in out and "accuracy" not in out
 
 
+class TestNonUtf8Input:
+    """A config file, manifest or checkpoint header that is not UTF-8 is a
+    data error (exit 2) naming the file, as is a checkpoint whose declared
+    header runs past its end."""
+
+    def test_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(TINY.encode() + b"\n# caf\xff\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(["gen-data", "--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert "data error" in err and str(cfg) in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["train", "inspect"])
+    def test_base_manifest(self, workspace, tmp_path, capsys, command):
+        cfg = fresh_corpus(workspace, tmp_path, capsys)
+        manifest = tmp_path / "ds" / "base_manifest.jsonl"
+        manifest.write_bytes(manifest.read_bytes().replace(b"base_c000_v000", b"base_\xff", 1))
+        out_dir = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out_dir / "result")]
+        if command == "train":  # inspect reads the workspace checkpoint
+            argv += ["--ckpt", str(out_dir / "m.ckpt")]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "data error" in err and str(manifest) in err
+        assert not out_dir.exists()
+
+    def test_checkpoint_header(self, workspace, tmp_path, capsys):
+        _, cfg_path = workspace
+        header = b"\xff" + json.dumps({"tensors": [], "config": {}}).encode()
+        ckpt = tmp_path / "latin.ckpt"
+        ckpt.write_bytes(b"FVCP" + struct.pack("<II", 1, len(header)) + header)
+        code, out, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)],
+                             capsys)
+        assert code == 2
+        assert "corrupt checkpoint header" in err and str(ckpt) in err
+        assert "accuracy" not in out
+
+    def test_checkpoint_header_past_end(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        blob = (root / "model.ckpt").read_bytes()
+        ckpt = tmp_path / "long_header.ckpt"
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(blob)) + blob[12:])
+        code, out, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)],
+                             capsys)
+        assert code == 2
+        assert "ends inside its" in err and str(ckpt) in err
+        assert "accuracy" not in out
+
+
+class TestNegativeSeed:
+    """A negative seed is out of range (exit 2) for every command."""
+
+    def test_gen_data_flag(self, tmp_path, capsys):
+        code, _, err = run(["gen-data", "--seed", "-1", "--out", str(tmp_path / "ds")], capsys)
+        assert code == 2
+        assert "seed must be >= 0, got -1" in err
+        assert not (tmp_path / "ds").exists()
+
+    def test_grad_check_config(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = -3\n")
+        code, out, err = run(["grad-check", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "seed must be >= 0, got -3" in err and "PASS" not in out
+
+    def test_eval_cls_flag(self, workspace, capsys):
+        _, cfg_path = workspace
+        code, out, err = run(["eval-cls", "--config", str(cfg_path), "--seed", "-2"], capsys)
+        assert code == 2
+        assert "seed must be >= 0, got -2" in err and "accuracy" not in out
+
+
 class TestGradCheck:
     def test_passes_and_prints(self, capsys):
         code, out, _ = run(["grad-check", "--seed", "0"], capsys)
@@ -646,6 +720,16 @@ class TestInspect:
         code, out, _ = run(["inspect", "--config", str(cfg_path)], capsys)
         assert code == 0
         assert out.startswith("video_id,segment,max_logit,role")
+
+    def test_header_only_manifest_writes_only_the_header(self, workspace, tmp_path, capsys):
+        cfg = fresh_corpus(workspace, tmp_path, capsys)
+        manifest = tmp_path / "ds" / "base_manifest.jsonl"
+        manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+        out_path = tmp_path / "roles.csv"
+        code, out, _ = run(["inspect", "--config", str(cfg), "--out", str(out_path)], capsys)
+        assert code == 0
+        assert out_path.read_text() == "video_id,segment,max_logit,role\n"
+        assert "wrote 0 videos" in out
 
     def test_deterministic(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace

@@ -115,8 +115,9 @@ class TestPrototypes:
 
 
 def classify(params, features, proto):
+    """classify_query on a stack of one query."""
     f = model.embed_segments(params, features, grad=False)
-    return evaluate.classify_query(params, f, proto)
+    return evaluate.classify_query(params, f[None], proto)
 
 
 class TestClassifyQuery:
@@ -127,14 +128,14 @@ class TestClassifyQuery:
         p = identity_params()
         res = classify(p, np.array([[1.0, 0.0]]), self.protos())
         e = np.exp(1.0)
-        np.testing.assert_allclose(res.probs, [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-4)
-        assert res.top1 == 0
+        np.testing.assert_allclose(res.probs[0], [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-4)
+        assert res.top1[0] == 0
 
     def test_equidistant_gives_uniform(self):
         p = identity_params()
         r = np.sqrt(0.5)
         res = classify(p, np.array([[r, r]]), self.protos())
-        np.testing.assert_allclose(res.probs, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(res.probs[0], [0.5, 0.5], atol=1e-12)
 
     def test_argmax_matches_raw_cosines(self):
         p = model.init_params(n_classes=3, d_in=4, d=4, seed=3)
@@ -150,7 +151,7 @@ class TestClassifyQuery:
         w = self_weight(ad.Tensor(f), i_bg)
         F = aggregate_video_feature(ad.Tensor(f), w).data[0]
         sims = proto @ (F / np.linalg.norm(F))
-        assert res.top1 == int(np.argmax(sims))
+        assert res.top1[0] == int(np.argmax(sims))
 
     def test_softmax_argmax_invariant_to_temperature(self):
         rng = np.random.default_rng(5)
@@ -334,8 +335,8 @@ class TestEpisodeDetection:
         per_class_dets = {k: {} for k in range(K)}
         per_class_gts = {k: {} for k in range(K)}
         for q, f in queries:
-            res = evaluate.classify_query(params, f, proto)
-            A = res.weights[:, None] * (f @ proto.T)
+            res = evaluate.classify_query(params, f[None], proto)
+            A = res.weights[0][:, None] * (f @ proto.T)
             for det in loop_extract_proposals(A, video_id=q.video_id):
                 per_class_dets[det.class_index].setdefault(det.video_id, []).append(det)
             for iv in q.gt_intervals:
@@ -1027,9 +1028,9 @@ class TestStackedClassify:
             assert np.array_equal(res.weights[q], weights)
             assert np.array_equal(res.cosines[q], f[q] @ proto.T)
             assert (res.top1[q], res.i_bg[q]) == (top1, i_bg)
-            one = evaluate.classify_query(params, f[q], proto, cfg)
-            assert np.array_equal(one.probs, probs) and np.array_equal(one.weights, weights)
-            assert (one.top1, one.i_bg) == (top1, i_bg)
+            one = evaluate.classify_query(params, f[q][None], proto, cfg)
+            assert np.array_equal(one.probs[0], probs) and np.array_equal(one.weights[0], weights)
+            assert (one.top1[0], one.i_bg[0]) == (top1, i_bg)
 
     @pytest.mark.parametrize("mode", ["classification", "detection"])
     @pytest.mark.parametrize("sw", [True, False])

@@ -345,7 +345,7 @@ class TestTotalLoss:
         params, batch = make_fixture(seed=2)
         cfg = losses.LossConfig()
         loss, stats = losses.total_loss(params, batch, cfg, t_n=0.9)
-        assert stats["n_nbg"] == len([r for r in stats["records"] if r.is_nbg])
+        assert stats["n_nbg"] == np.count_nonzero(stats["labels"].is_nbg)
         want = stats["l_cls"] + cfg.gamma1 * stats["l_contrast"] + cfg.gamma2 * stats["l_bg"]
         assert stats["l_total"] == pytest.approx(want, rel=1e-12)
 
@@ -374,6 +374,22 @@ class TestTotalLoss:
         report = ad.grad_check(
             builder, {k: t.data for k, t in params.tensors().items()}, h=1e-5, tol=1e-4)
         assert report.passed, report.summary()
+
+    def test_labels_the_batch_in_one_call(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        params = model.init_params(n_classes=3, d_in=6, d=6, seed=7)
+        batch = [losses.BatchVideo(features=rng.normal(size=(T, 6)), label=T % 3)
+                 for T in (5, 9, 5, 12)]
+        rows_labeled = []
+        label = pseudo.pseudo_label_video
+
+        def counting(logits, *args, **kwargs):
+            rows_labeled.append(len(logits))
+            return label(logits, *args, **kwargs)
+
+        monkeypatch.setattr(pseudo, "pseudo_label_video", counting)
+        losses.total_loss(params, batch, t_n=0.5)
+        assert rows_labeled == [31]
 
 
 class TestRotationInvariance:
@@ -476,16 +492,21 @@ def _oracle_contrastive(nbg_feats, fgibg_feats, cfg):
 def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
     n = params.n_classes
     cls_terms, nbg_pool, fgibg_pool, records = [], [], [], []
+    start = 0
     for video in batch:
         x = ad.Tensor(video.features)
         f = ad.l2_normalize_rows(ad.depthwise_conv1d(x @ params.transform.T,
                                                      params.temporal_kernel))
         class_rows = ad.Tensor(np.eye(n + 1)[:n]) @ params.classifier
         base_logits = f @ class_rows.T
-        rec = pseudo.pseudo_label_video(base_logits.data, t_n=t_n, M=top_m)
-        records.append(rec)
+        T = f.data.shape[0]
+        rec = pseudo.pseudo_label_video(base_logits.data, [T], t_n=t_n, M=top_m)
+        i_bg, is_nbg, fg_ibg = int(rec.bg_rows[0]), bool(rec.is_nbg[0]), rec.fg_rows.tolist()
+        # this video's labels in batch-row coordinates
+        records.append((start + i_bg, is_nbg, [start + i for i in fg_ibg], rec.max_logits))
+        start += T
         if cfg.sw:
-            cos = f @ (_oracle_one_hot_row(rec.i_bg, f.data.shape[0]) @ f).T
+            cos = f @ (_oracle_one_hot_row(i_bg, f.data.shape[0]) @ f).T
             weights = ad.sigmoid(cfg.tau_s * ((1.0 - cfg.c) - cos))
         else:
             hidden = ad.relu(f @ params.attn_hidden.T)
@@ -493,11 +514,11 @@ def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
         F = (weights.T @ f) / weights.sum()
         head = params.classifier if cfg.bg else ad.Tensor(np.eye(n + 1)[:n]) @ params.classifier
         cls_terms.append(_oracle_soft_cls(F, video.label, head, cfg))
-        if rec.is_nbg:
-            nbg_pool.append(_oracle_one_hot_row(rec.i_bg, f.data.shape[0]) @ f)
-        if rec.fg_ibg_indices:
-            sel = np.zeros((len(rec.fg_ibg_indices), f.data.shape[0]))
-            for r, idx in enumerate(rec.fg_ibg_indices):
+        if is_nbg:
+            nbg_pool.append(_oracle_one_hot_row(i_bg, f.data.shape[0]) @ f)
+        if fg_ibg:
+            sel = np.zeros((len(fg_ibg), f.data.shape[0]))
+            for r, idx in enumerate(fg_ibg):
                 sel[r, idx] = 1.0
             fgibg_pool.append(ad.Tensor(sel) @ f)
     l_cls = cls_terms[0]
@@ -541,11 +562,11 @@ class TestBatchedAgainstPerVideoOracle:
 
         def batched(p):
             loss, stats = losses.total_loss(p, batch, cfg, **kwargs)
-            return loss, stats["n_nbg"], stats["records"]
+            return loss, stats["n_nbg"], stats["labels"]
 
         want, want_grads, (want_nbg, want_recs) = loss_and_grads(
             lambda p: per_video_total_loss(p, batch, cfg, **kwargs), params)
-        got, got_grads, (got_nbg, got_recs) = loss_and_grads(batched, params)
+        got, got_grads, (got_nbg, got_labels) = loss_and_grads(batched, params)
 
         assert abs(got - want) <= 1e-12
         for name, g in want_grads.items():
@@ -554,10 +575,13 @@ class TestBatchedAgainstPerVideoOracle:
             else:
                 np.testing.assert_allclose(got_grads[name], g, rtol=0, atol=1e-12, err_msg=name)
         assert got_nbg == want_nbg
-        assert len(got_recs) == len(batch)
-        for a, b in zip(got_recs, want_recs):
-            assert (a.i_bg, a.is_nbg, a.fg_ibg_indices) == (b.i_bg, b.is_nbg, b.fg_ibg_indices)
-            np.testing.assert_allclose(a.max_logits, b.max_logits, rtol=0, atol=1e-12)
+        assert len(want_recs) == got_labels.bg_rows.size == len(batch)
+        for v, (bg_row, is_nbg, _, _) in enumerate(want_recs):
+            assert (got_labels.bg_rows[v], got_labels.is_nbg[v]) == (bg_row, is_nbg)
+        assert got_labels.fg_rows.tolist() == [row for rec in want_recs for row in rec[2]]
+        np.testing.assert_allclose(got_labels.max_logits,
+                                   np.concatenate([rec[3] for rec in want_recs]),
+                                   rtol=0, atol=1e-12)
         if t_n == -2.0:
             assert got_nbg == 0
         if t_n == 2.0:

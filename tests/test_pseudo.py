@@ -32,6 +32,11 @@ def oracle_top_m(logits, M):
     return sorted(chosen)
 
 
+def label_one(logits, **kwargs):
+    """The batch labeler on a batch of one video."""
+    return pseudo.pseudo_label_video(logits, [len(logits)], **kwargs)
+
+
 def logit_matrices():
     return hnp.arrays(
         np.float64,
@@ -53,12 +58,12 @@ class TestExamples:
 
     def test_nbg_threshold(self):
         logits = np.array([[0.9, 0.1], [0.3, 0.2], [0.5, 0.4]])
-        assert not pseudo.pseudo_label_video(logits, t_n=0.25).is_nbg
-        assert pseudo.pseudo_label_video(logits, t_n=0.35).is_nbg
+        assert label_one(logits, t_n=0.25).is_nbg.tolist() == [False]
+        assert label_one(logits, t_n=0.35).is_nbg.tolist() == [True]
 
     def test_nbg_never_fires_below_cosine_floor(self):
         logits = np.random.default_rng(0).uniform(-1, 1, size=(8, 4))
-        assert not pseudo.pseudo_label_video(logits, t_n=-1.0).is_nbg
+        assert label_one(logits, t_n=-1.0).is_nbg.tolist() == [False]
 
     def test_top_m(self):
         logits = np.array([[0.9, 0.1], [0.3, 0.2], [0.5, 0.4]])
@@ -125,8 +130,8 @@ class TestInvariances:
     @settings(max_examples=100, deadline=None)
     @given(logit_matrices())
     def test_nbg_depends_on_absolute_level(self, logits):
-        assert pseudo.pseudo_label_video(logits - 10.0, t_n=0.25).is_nbg
-        assert not pseudo.pseudo_label_video(logits + 10.0, t_n=0.25).is_nbg
+        assert label_one(logits - 10.0, t_n=0.25).is_nbg.tolist() == [True]
+        assert label_one(logits + 10.0, t_n=0.25).is_nbg.tolist() == [False]
 
 
 class TestRecord:
@@ -134,30 +139,30 @@ class TestRecord:
         rng = np.random.default_rng(1)
         for _ in range(50):
             logits = rng.uniform(-1, 1, size=(int(rng.integers(2, 20)), 4))
-            rec = pseudo.pseudo_label_video(logits)
-            assert rec.i_bg not in rec.fg_ibg_indices
+            rec = label_one(logits)
+            assert rec.bg_rows[0] not in rec.fg_rows
 
     def test_bg_excluded_even_under_total_tie(self):
-        rec = pseudo.pseudo_label_video(np.zeros((6, 3)), M=3)
-        assert rec.i_bg == 0
-        assert rec.fg_ibg_indices == [1, 2, 3]
+        rec = label_one(np.zeros((6, 3)), M=3)
+        assert rec.bg_rows.tolist() == [0]
+        assert rec.fg_rows.tolist() == [1, 2, 3]
 
     def test_matches_components(self):
         logits = np.random.default_rng(2).uniform(-1, 1, size=(12, 5))
-        rec = pseudo.pseudo_label_video(logits, t_n=0.3, M=4)
-        assert rec.i_bg == pseudo.pseudo_label_bg(logits)
-        assert rec.is_nbg == (logits[rec.i_bg].max() < 0.3)
-        assert rec.fg_ibg_indices == pseudo.select_fg_ibg(logits, 4)
+        rec = label_one(logits, t_n=0.3, M=4)
+        assert rec.bg_rows.tolist() == [pseudo.pseudo_label_bg(logits)]
+        assert rec.is_nbg.tolist() == [logits[rec.bg_rows[0]].max() < 0.3]
+        assert rec.fg_rows.tolist() == pseudo.select_fg_ibg(logits, 4)
         np.testing.assert_array_equal(rec.max_logits, logits.max(axis=1))
 
     def test_tiny_video_does_not_crash(self):
-        rec = pseudo.pseudo_label_video(np.array([[0.2, 0.1]]))
-        assert rec.i_bg == 0
-        assert rec.fg_ibg_indices == []
+        rec = label_one(np.array([[0.2, 0.1]]))
+        assert rec.bg_rows.tolist() == [0]
+        assert rec.fg_rows.tolist() == []
 
     def test_roles_cover_every_segment(self):
         logits = np.random.default_rng(3).uniform(-1, 1, size=(10, 4))
-        rec = pseudo.pseudo_label_video(logits, M=3)
+        rec = label_one(logits, M=3)
         roles = pseudo.segment_roles(rec)
         assert len(roles) == 10
         assert roles.count("FGIBG") == 3
@@ -174,36 +179,51 @@ def oracle_record(logits, t_n, M):
     return i_bg, max(logits[i_bg]) < t_n, sorted(fg)
 
 
-class TestStack:
-    """A (Q, T, C) stack is labeled as Q separate videos."""
+@st.composite
+def ragged_stacks(draw):
+    """(sum T, C) logits of up to 6 videos of 1-12 segments, and their lengths."""
+    lengths = draw(st.lists(st.integers(1, 12), max_size=6))
+    logits = draw(hnp.arrays(np.float64, (sum(lengths), draw(st.integers(1, 6))),
+                             elements=st.floats(-1.0, 1.0, width=16)))  # coarse grid: many ties
+    return logits, lengths
 
-    @settings(max_examples=150, deadline=None)
-    @given(hnp.arrays(np.float64,
-                      st.tuples(st.integers(1, 5), st.integers(1, 12), st.integers(1, 6)),
-                      elements=st.floats(-1.0, 1.0, width=16)),  # coarse grid: many ties
-           st.sampled_from([-2.0, 0.0, 0.25, 2.0]), st.sampled_from([None, 1, 2, 5, 40]))
+
+class TestStack:
+    """A ragged stack of videos is labeled as its videos are one by one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_stacks(), st.sampled_from([-2.0, 0.0, 0.25, 2.0]),
+           st.sampled_from([None, 0, 1, 2, 5, 40]))
     def test_equals_per_video_calls(self, stack, t_n, M):
+        logits, lengths = stack
         kwargs = dict(t_n=t_n, M=M)
-        got = pseudo.pseudo_label_video(stack, **kwargs)
-        Q, T, _ = stack.shape
-        assert got.i_bg.shape == got.is_nbg.shape == (Q,)
-        assert got.max_logits.shape == (Q, T)
-        for q in range(Q):
-            one = pseudo.pseudo_label_video(stack[q], **kwargs)
-            assert isinstance(one.i_bg, int) and isinstance(one.is_nbg, bool)
-            assert all(isinstance(i, int) for i in one.fg_ibg_indices)
-            row = got.video(q)
-            assert (row.i_bg, row.is_nbg, row.fg_ibg_indices) == (
-                one.i_bg, one.is_nbg, one.fg_ibg_indices)
-            assert (one.i_bg, one.is_nbg, one.fg_ibg_indices) == oracle_record(
-                stack[q], **kwargs)
-            np.testing.assert_array_equal(row.max_logits, one.max_logits)
+        got = pseudo.pseudo_label_video(logits, lengths, **kwargs)
+        assert got.bg_rows.shape == got.is_nbg.shape == (len(lengths),)
+        np.testing.assert_array_equal(got.max_logits, [max(row) for row in logits])
+        starts = np.cumsum(lengths, dtype=int) - lengths
+        fg_rows, roles = [], []
+        for v, (start, T) in enumerate(zip(starts, lengths)):
+            video = logits[start : start + T]
+            i_bg, is_nbg, fg = oracle_record(video, **kwargs)
+            assert (got.bg_rows[v], got.is_nbg[v]) == (start + i_bg, is_nbg)
+            one = label_one(video, **kwargs)
+            assert (one.bg_rows.tolist(), one.is_nbg.tolist(), one.fg_rows.tolist()) == (
+                [i_bg], [is_nbg], fg)
+            fg_rows += [start + i for i in fg]
+            roles += pseudo.segment_roles(one)
+        assert got.fg_rows.tolist() == fg_rows
+        assert pseudo.segment_roles(got) == roles
 
     @pytest.mark.parametrize("T", [1, 2])
     def test_shortest_videos(self, T):
-        stack = np.array([[[0.3, 0.1]] * T, [[0.1, 0.0], [0.5, 0.2]][:T]])
-        got = pseudo.pseudo_label_video(stack, t_n=0.2)
-        assert got.fg_ibg_indices.shape == (2, T - 1)
-        assert [got.video(q).i_bg for q in range(2)] == [0, 0]
-        assert [got.video(q).is_nbg for q in range(2)] == [False, True]
-        assert [got.video(q).fg_ibg_indices for q in range(2)] == [[1] * (T - 1)] * 2
+        stack = np.array([[0.3, 0.1]] * T + [[0.1, 0.0], [0.5, 0.2]][:T])
+        got = pseudo.pseudo_label_video(stack, [T, T], t_n=0.2)
+        assert got.bg_rows.tolist() == [0, T]
+        assert got.is_nbg.tolist() == [False, True]
+        assert got.fg_rows.tolist() == [1, T + 1] * (T - 1)
+
+    def test_no_videos_give_an_empty_record(self):
+        got = pseudo.pseudo_label_video(np.zeros((0, 3)), [])
+        assert got.bg_rows.size == got.is_nbg.size == got.fg_rows.size == 0
+        assert got.max_logits.shape == (0,)
+        assert pseudo.segment_roles(got) == []
