@@ -379,19 +379,20 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
     return _node("l2_normalize_rows", (a,), l2_normalize_rows_forward, bwd)
 
 
+def softmax_forward(x: np.ndarray) -> np.ndarray:
+    """Softmax over each row of a plain 2-D array, shifted by the row max."""
+    ex = np.exp(x - np.max(x, axis=1, keepdims=True))
+    return ex / np.sum(ex, axis=1, keepdims=True)
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over each row of a 2-D tensor."""
-
-    def fwd(x):
-        shifted = x - np.max(x, axis=1, keepdims=True)
-        ex = np.exp(shifted)
-        return ex / np.sum(ex, axis=1, keepdims=True)
 
     def bwd(g, out, x):
         inner = np.sum(g * out, axis=1, keepdims=True)
         return ((g - inner) * out,)
 
-    return _node("softmax", (a,), fwd, bwd)
+    return _node("softmax", (a,), softmax_forward, bwd)
 
 
 def _reduce(a: Tensor, kind: str, axis, keepdims: bool = False) -> Tensor:

@@ -71,10 +71,6 @@ def load_run_config(args) -> config_mod.RunConfig:
     return cfg.validate()
 
 
-def _fmt(value) -> str:
-    return "%.17g" % value
-
-
 def cmd_gen_data(cfg) -> int:
     out_dir = Path(cfg.out or cfg.data_dir)
     base, novel = data.generate_synthetic_dataset(cfg, out_dir)
@@ -142,10 +138,7 @@ def cmd_eval_cls(cfg) -> int:
     print(f"{cfg.K}-way {cfg.n}-shot accuracy over {cfg.episodes} episodes: "
           f"{100.0 * mean:.2f} ± {100.0 * ci:.2f}")
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write("episode,accuracy\n")
-            for e, acc in enumerate(report["per_episode"]):
-                fh.write(f"{e},{_fmt(acc)}\n")
+        data.write_csv(cfg.out, ("episode", "accuracy"), enumerate(report["per_episode"]))
         print(f"per-episode CSV: {cfg.out}")
     return 0
 
@@ -157,10 +150,8 @@ def cmd_eval_det(cfg) -> int:
     print(f"average mAP (tIoU 0.50:0.05:0.95): "
           f"{100.0 * report['avg_map_mean']:.2f} ± {100.0 * report['avg_map_ci']:.2f}")
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write("episode,map50,avg_map\n")
-            for e, (m50, avg) in enumerate(report["per_episode"]):
-                fh.write(f"{e},{_fmt(m50)},{_fmt(avg)}\n")
+        data.write_csv(cfg.out, ("episode", "map50", "avg_map"),
+                       [(e, *scores) for e, scores in enumerate(report["per_episode"])])
         print(f"per-episode CSV: {cfg.out}")
     return 0
 
@@ -186,16 +177,14 @@ def cmd_inspect(cfg) -> int:
     stack = np.concatenate(logits) if logits else np.zeros((0, params.n_classes))
     rec = pseudo.pseudo_label_video(stack, [len(x) for x in logits], t_n=cfg.t_n,
                                     M=cfg.top_m or None)
-    lines = ["video_id,segment,max_logit,role"]
-    for (video_id, i), score, role in zip(rows, rec.max_logits, pseudo.segment_roles(rec)):
-        lines.append(f"{video_id},{i},{_fmt(score)},{role}")
-    text = "\n".join(lines) + "\n"
+    columns = ("video_id", "segment", "max_logit", "role")
+    table = [(*row, score, role)
+             for row, score, role in zip(rows, rec.max_logits, pseudo.segment_roles(rec))]
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        data.write_csv(cfg.out, columns, table)
         print(f"wrote {len(manifest.entries)} videos to {cfg.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.csv_text(columns, table))
     return 0
 
 

@@ -10,7 +10,7 @@ import math
 import typing
 from dataclasses import dataclass
 
-from .data import SyntheticConfig
+from .data import SyntheticConfig, read_file
 from .errors import DataError
 from .losses import LossConfig
 
@@ -90,11 +90,7 @@ def parse_value(key: str, text: str):
 
 
 def read_config_file(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as err:
-        raise DataError(f"cannot read config file {path}: {err}") from err
+    lines = read_file(path, "config file", text=True).splitlines()
     values = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -123,12 +123,35 @@ def write_feature_file(features: np.ndarray, path):
         fh.write(features.tobytes())
 
 
-def read_feature_file(path) -> np.ndarray:
+def read_file(path, what: str, text: bool = False):
+    """The file's bytes, or with `text` its UTF-8 text. Raises DataError
+    "cannot read {what} {path}: ..." when it cannot be read or decoded."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except OSError as err:
-        raise DataError(f"cannot read feature file {path}: {err}") from err
+        return blob.decode("utf-8") if text else blob
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataError(f"cannot read {what} {path}: {err}") from err
+
+
+def csv_text(columns, rows) -> str:
+    """A header line of `columns`, then one comma-joined line per row:
+    strings and integers as written, floats as %.17g, which round-trips."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, (str, int, np.integer)) else "%.17g" % v
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, columns, rows):
+    """Write `csv_text(columns, rows)` to `path`."""
+    with open(path, "w") as fh:
+        fh.write(csv_text(columns, rows))
+
+
+def read_feature_file(path) -> np.ndarray:
+    blob = read_file(path, "feature file")
     if blob[:4] != SEGF_MAGIC:
         raise BadMagicError(f"{path}: expected magic {SEGF_MAGIC!r}, got {blob[:4]!r}")
     if len(blob) < 16:
@@ -191,11 +214,8 @@ def _check_entry(rec: dict, where: str, n_classes: int):
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
-    except (OSError, UnicodeDecodeError) as err:
-        raise DataError(f"cannot read manifest {path}: {err}") from err
+    lines = [line for line in read_file(path, "manifest", text=True).splitlines()
+             if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty manifest")
     try:

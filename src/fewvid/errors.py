@@ -12,19 +12,20 @@ class DataError(Exception):
 
 
 class BadMagicError(DataError):
-    """Feature file does not start with the expected magic bytes."""
+    """A feature file or checkpoint does not start with the expected magic bytes."""
 
 
 class VersionError(DataError):
-    """Feature file declares an unsupported format version."""
+    """A feature file or checkpoint declares an unsupported format version."""
 
 
 class TruncatedFileError(DataError):
-    """Feature file ends before the declared payload."""
+    """A feature file or checkpoint ends before the declared payload."""
 
 
 class MalformedFileError(DataError):
-    """Feature file declares an empty matrix or has bytes past its payload."""
+    """A feature file declares an empty matrix, or a feature file or checkpoint
+    has bytes past its payload."""
 
 
 class NumericError(Exception):

@@ -24,6 +24,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import autodiff as ad
 from . import model as model_mod
 from .data import draw_episode, trim_support_video
 from .errors import DataError
@@ -102,9 +103,7 @@ def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarr
     F = aggregate_video_feature(f, weights)  # (Q, 1, d)
     norm = np.sqrt(F @ F.swapaxes(1, 2))  # the dot product np.linalg.norm takes
     Fn = (F / (norm + 1e-12)).swapaxes(1, 2)
-    sims = (proto @ Fn)[..., 0]
-    ex = np.exp(sims - sims.max(axis=1, keepdims=True))
-    probs = ex / ex.sum(axis=1, keepdims=True)
+    probs = ad.softmax_forward((proto @ Fn)[..., 0])
     return ClassifiedQuery(probs=probs, top1=np.argmax(probs, axis=1), weights=weights[..., 0],
                            i_bg=i_bg, cosines=cosines)
 

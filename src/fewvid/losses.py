@@ -147,7 +147,7 @@ def bg_cls_loss(nbg_feats, classifier: ad.Tensor, cfg: LossConfig = None) -> ad.
 
 def _summed_squares(diffs: np.ndarray) -> np.ndarray:
     """Sum of squares along the last axis of difference rows (squared in
-    place), with the bits of the graph's square(diff).sum(axis=1)."""
+    place), with the bits of the graph's square(diff).sum() on one pair."""
     return np.square(diffs, out=diffs).sum(axis=-1)
 
 
@@ -172,12 +172,12 @@ def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tenso
         at = np.argmax(_summed_squares(nb.data[first] - nb.data[second]))
         i, j = first[at], second[at]
         diff = ad.take_rows(nb, [i]) - ad.take_rows(nb, [j])
-        terms.append(ad.square(diff).sum(axis=1).max())
+        terms.append(ad.square(diff).sum())
     if nb is not None and fg is not None:
         dist = _summed_squares(fg.data[:, None] - nb.data[None])
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
         cross = ad.take_rows(fg, [i]) - ad.take_rows(nb, [j])
-        closest = ad.square(cross).sum(axis=1).min()
+        closest = ad.square(cross).sum()
         terms.append(cfg.beta * ad.relu(cfg.margin - closest))
     if not terms:
         return ad.Tensor(0.0)

@@ -12,13 +12,16 @@ baseline configuration.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BadMagicError, DataError, TruncatedFileError, VersionError
+from .data import read_file
+from .errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
+                     VersionError)
 
 CKPT_MAGIC = b"FVCP"
 CKPT_VERSION = 1
@@ -156,11 +159,7 @@ def save_checkpoint(params: ModelParams, path, config_echo: dict = None):
 
 def load_checkpoint(path):
     """Returns (ModelParams, config echo dict)."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as err:
-        raise DataError(f"cannot read checkpoint {path}: {err}") from err
+    blob = read_file(path, "checkpoint")
     if blob[:4] != CKPT_MAGIC:
         raise BadMagicError(f"{path}: not a checkpoint file")
     if len(blob) < 12:
@@ -180,19 +179,26 @@ def load_checkpoint(path):
     at = 12 + header_len
     loaded = {}
     for entry in header["tensors"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(type(n) is int and n >= 0 for n in entry["shape"])):
-            raise DataError(f"{path}: checkpoint tensor entry needs a name and a shape "
-                            f"listing non-negative int dimensions")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        end = at + 8 * count
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if name not in PARAM_ORDER:
+            raise DataError(f"{path}: checkpoint tensor entry needs a shape and a name from "
+                            f"{list(PARAM_ORDER)}, got name {name!r}")
+        if name in loaded:
+            raise DataError(f"{path}: checkpoint lists tensor {name} twice")
+        shape = entry.get("shape")
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(type(n) is int and n >= 1 for n in shape)):
+            raise DataError(f"{path}: checkpoint tensors must be non-empty matrices, "
+                            f"got {name} shape {shape!r}")
+        end = at + 8 * math.prod(shape)  # Python ints: a huge shape cannot wrap
         if end > len(blob):
-            raise TruncatedFileError(f"{path}: tensor {entry['name']} extends past end of file")
+            raise TruncatedFileError(f"{path}: tensor {name} extends past end of file")
         arr = np.frombuffer(blob[at:end], dtype="<f8").reshape(shape).astype(np.float64)
-        loaded[entry["name"]] = ad.Tensor(arr, requires_grad=True)
+        loaded[name] = ad.Tensor(arr, requires_grad=True)
         at = end
+    if at < len(blob):
+        raise MalformedFileError(f"{path}: {len(blob) - at} bytes follow the last "
+                                 f"checkpoint tensor")
     missing = [n for n in PARAM_ORDER if n not in loaded]
     if missing:
         raise DataError(f"{path}: checkpoint missing tensors {missing}")
@@ -202,11 +208,9 @@ def load_checkpoint(path):
 
 
 def _check_loaded(params: ModelParams, path):
-    """Raise DataError unless the tensors are non-empty matrices whose shapes
-    agree with each other and whose values are all finite."""
+    """Raise DataError unless the tensors' (matrix) shapes agree with each
+    other and their values are all finite."""
     shapes = {name: t.data.shape for name, t in params.tensors().items()}
-    if not all(len(s) == 2 and min(s) >= 1 for s in shapes.values()):
-        raise DataError(f"{path}: checkpoint tensors must be non-empty matrices, got {shapes}")
     d, d_in = shapes["transform"]
     h = shapes["attn_hidden"][0]
     agreed = {"transform": (d, d_in), "temporal_kernel": (d, shapes["temporal_kernel"][1]),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import DatasetManifest, check_intervals, read_feature_file
+from .data import DatasetManifest, check_intervals, read_feature_file, write_csv
 from .errors import DataError, NumericError
 from .evaluate import classification_accuracy
 from .losses import BatchVideo, LossConfig, total_loss
@@ -54,23 +54,6 @@ def nesterov_step(tensors: dict, grads: dict, state: OptimizerState):
         norms = np.linalg.norm(w, axis=-1, keepdims=True)
         w /= np.where(norms > 0.0, norms, 1.0)
     return tensors, state
-
-
-def format_log_row(values) -> str:
-    out = []
-    for v in values:
-        if isinstance(v, (int, np.integer)):
-            out.append(str(int(v)))
-        else:
-            out.append("%.17g" % v)
-    return ",".join(out)
-
-
-def write_log(rows: list, path):
-    with open(path, "w") as fh:
-        fh.write(",".join(LOG_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(format_log_row(row) + "\n")
 
 
 @dataclass
@@ -160,7 +143,7 @@ def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
                 if ckpt_path:
                     model_mod.save_checkpoint(params, ckpt_path, echo)
                 if log_path:
-                    write_log(log_rows, log_path)
+                    write_csv(log_path, LOG_COLUMNS, log_rows)
                 where = f"; last good checkpoint written to {ckpt_path}" if ckpt_path else ""
                 raise NumericError(f"non-finite loss at step {step}{where}")
             ad.backward(loss)
@@ -172,7 +155,7 @@ def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
     if ckpt_path:
         model_mod.save_checkpoint(params, ckpt_path, echo)
     if log_path:
-        write_log(log_rows, log_path)
+        write_csv(log_path, LOG_COLUMNS, log_rows)
     return TrainResult(params=params, log_rows=log_rows, label_order=label_order)
 
 

@@ -672,6 +672,49 @@ class TestNonUtf8Input:
         assert "accuracy" not in out
 
 
+def _huge_transform(tensors):
+    tensors[0]["shape"] = [2 ** 40, 2 ** 40]
+    return tensors
+
+
+CHECKPOINT_LAYOUT_FAULTS = {
+    # case: (header tensor-list edit, bytes appended, error text)
+    "huge-shape": (_huge_transform, b"", "transform extends past end of file"),
+    "trailing-bytes": (None, b"\0" * 8, "8 bytes follow the last checkpoint tensor"),
+    "listed-twice": (lambda t: t + [{"name": "attn_out", "shape": [1, 1]}], b"\0" * 8,
+                     "lists tensor attn_out twice"),
+    "unknown-name": (lambda t: t + [{"name": "bias", "shape": [1, 1]}], b"\0" * 8,
+                     "a name from"),
+}
+
+
+class TestCheckpointLayout:
+    """A checkpoint whose header shape overflows int64, that has bytes after
+    its last tensor, or that lists a tensor twice or an unknown tensor is a
+    data error (exit 2) naming the file."""
+
+    @pytest.mark.parametrize("command", ["eval-cls", "eval-det", "inspect"])
+    @pytest.mark.parametrize("fault", CHECKPOINT_LAYOUT_FAULTS)
+    def test_exits_2(self, workspace, tmp_path, capsys, command, fault):
+        root, cfg_path = workspace
+        edit, extra, text = CHECKPOINT_LAYOUT_FAULTS[fault]
+        blob = (root / "model.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        if edit:
+            header["tensors"] = edit(header["tensors"])
+        head = json.dumps(header).encode()
+        ckpt = tmp_path / "faulty.ckpt"
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head
+                         + blob[12 + header_len :] + extra)
+        out_csv = tmp_path / "out.csv"
+        code, _, err = run([command, "--config", str(cfg_path), "--ckpt", str(ckpt),
+                            "--out", str(out_csv)], capsys)
+        assert code == 2
+        assert f"data error: {ckpt}: " in err and text in err
+        assert not out_csv.exists()
+
+
 class TestNegativeSeed:
     """A negative seed is out of range (exit 2) for every command."""
 
@@ -795,6 +838,31 @@ class TestGoldenEvalBytes:
         code, _, _ = run(argv + (["--ablate", "sw"] if ablate_sw else []), capsys)
         assert code == 0
         assert out.read_bytes() == GOLDEN_CSVS[(command, ablate_sw)].encode()
+
+
+# inspect's CSV on the golden corpus and checkpoint: 217 lines, 9358 bytes
+GOLDEN_INSPECT_SHA256 = "79654401d47f5f1347d75ec9cad29d5dd1541267f2ef57f26ebfeb02f017257c"
+
+
+class TestGoldenInspectBytes:
+    """inspect's CSV of the fixed tiny run, by sha256, written to a file and
+    to stdout.
+
+    The hash was written by the inspect code that labeled all base videos in
+    one call, with NumPy 2.4.6 on OpenBLAS 0.3.31 (one BLAS thread or two).
+    A refactor that keeps the numerics must keep it.
+    """
+
+    def test_out_file(self, golden_run, tmp_path, capsys):
+        out = tmp_path / "inspect.csv"
+        code, stdout, _ = run(["inspect", "--config", str(golden_run), "--out", str(out)], capsys)
+        assert code == 0 and stdout == f"wrote 18 videos to {out}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_INSPECT_SHA256
+
+    def test_stdout(self, golden_run, capsys):
+        code, stdout, _ = run(["inspect", "--config", str(golden_run)], capsys)
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_INSPECT_SHA256
 
 
 GOLDEN_TRAIN_SHA256 = {

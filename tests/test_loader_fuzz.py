@@ -1,0 +1,129 @@
+"""Fuzzed inputs to the binary loaders: only DataError escapes.
+
+One valid `.segf` file and one valid checkpoint are mutated (truncated,
+bit-flipped, extended, or given a rewritten header) and loaded. Whatever the
+mutation, `read_feature_file` and `load_checkpoint` either load the file or
+raise a DataError subclass, which the CLI turns into exit 2; any other
+exception would be a traceback and exit 1. A strict prefix of a valid file,
+or a valid file with bytes appended, must not load.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fewvid import data, model
+from fewvid.errors import DataError
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """(scratch file path, valid .segf bytes, valid checkpoint bytes)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data.write_feature_file(np.random.default_rng(0).normal(size=(3, 4)), root / "a.segf")
+    params = model.init_params(n_classes=2, d_in=4, d=3, kernel_width=2, attn_width=2, seed=0)
+    model.save_checkpoint(params, root / "a.ckpt", {"seed": 0, "ablate": ["cl"]})
+    return root / "fuzzed", (root / "a.segf").read_bytes(), (root / "a.ckpt").read_bytes()
+
+
+# mutations that need no header knowledge: (kind, argument)
+TRUNCATE = st.tuples(st.just("truncate"), st.integers(0, 10 ** 6))
+FLIP = st.tuples(st.just("flip"), st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6))
+APPEND = st.tuples(st.just("append"), st.binary(min_size=1, max_size=24))
+
+# header values that are no count at all, or counts far too large for the file
+HUGE = st.sampled_from([2 ** 31, 2 ** 32 - 1, 2 ** 40, 2 ** 63, 2 ** 64, 10 ** 30])
+BAD_DIM = st.one_of(
+    HUGE, st.integers(2 ** 20, 2 ** 80), st.integers(-(2 ** 70), 0), st.booleans(),
+    st.floats(), st.lists(st.integers(0, 4), max_size=2), st.text(max_size=3), st.none())
+BAD_SHAPE = st.one_of(
+    st.lists(BAD_DIM, max_size=3), st.tuples(HUGE, HUGE).map(list), BAD_DIM)
+NAME = st.one_of(st.sampled_from(model.PARAM_ORDER), st.text(max_size=8), st.none(),
+                 st.integers(), st.lists(st.sampled_from(model.PARAM_ORDER), max_size=1))
+
+
+def mutate(blob: bytes, kind: str, arg) -> bytes:
+    if kind == "truncate":
+        return blob[: arg % len(blob)]
+    if kind == "flip":
+        out = bytearray(blob)
+        for bit in arg:
+            bit %= 8 * len(out)
+            out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    assert kind == "append"
+    return blob + arg
+
+
+def load_or_data_error(load, path, blob: bytes, must_fail: bool):
+    path.write_bytes(blob)
+    try:
+        load(path)
+    except DataError:
+        return
+    assert not must_fail, "a strict prefix or an extension of a valid file loaded"
+
+
+class TestFeatureFileFuzz:
+    SEGF_FIELD = st.tuples(st.just("field"), st.integers(0, 2), st.one_of(
+        st.sampled_from([0, 1, 2 ** 31, 2 ** 32 - 1]), st.integers(0, 2 ** 32 - 1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(TRUNCATE, FLIP, APPEND, SEGF_FIELD))
+    @example(("field", 1, 2 ** 32 - 1))
+    @example(("append", b"\0"))
+    def test_only_data_errors_escape(self, valid, mutation):
+        path, blob, _ = valid
+        if mutation[0] == "field":  # u32 version, T or d_in
+            _, at, value = mutation
+            blob = blob[: 4 + 4 * at] + struct.pack("<I", value) + blob[8 + 4 * at :]
+        else:
+            blob = mutate(blob, *mutation)
+        load_or_data_error(data.read_feature_file, path, blob,
+                           must_fail=mutation[0] in ("truncate", "append"))
+
+
+class TestCheckpointFuzz:
+    HEADER_EDIT = st.one_of(
+        st.tuples(st.just("shape"), st.integers(0, 4), BAD_SHAPE),
+        st.tuples(st.just("dim"), st.integers(0, 9), BAD_DIM),
+        st.tuples(st.just("name"), st.integers(0, 4), NAME),
+        st.tuples(st.just("drop"), st.integers(0, 4), st.none()),
+        st.tuples(st.just("add"), NAME, BAD_SHAPE))
+
+    @staticmethod
+    def edit_header(blob: bytes, kind: str, index, value) -> bytes:
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + header_len])
+        tensors = header["tensors"]
+        if kind == "shape":
+            tensors[index]["shape"] = value
+        elif kind == "dim":  # index: tensor, then axis
+            tensors[index // 2]["shape"][index % 2] = value
+        elif kind == "name":  # an existing name duplicates that tensor
+            tensors[index]["name"] = value
+        elif kind == "drop":
+            del tensors[index]
+        else:
+            tensors.append({"name": index, "shape": value})
+        text = json.dumps(header).encode()
+        return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len :]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(TRUNCATE, FLIP, APPEND, HEADER_EDIT))
+    @example(("shape", 0, [2 ** 40, 2 ** 40]))  # wraps to 0 in int64
+    @example(("dim", 2, 2 ** 64))
+    @example(("name", 1, "transform"))
+    @example(("add", "bias", [1, 1]))
+    @example(("append", b"\0" * 8))
+    def test_only_data_errors_escape(self, valid, mutation):
+        path, _, blob = valid
+        if mutation[0] in ("truncate", "flip", "append"):
+            blob = mutate(blob, *mutation)
+        else:
+            blob = self.edit_header(blob, *mutation)
+        load_or_data_error(model.load_checkpoint, path, blob,
+                           must_fail=mutation[0] in ("truncate", "append"))

@@ -1,5 +1,6 @@
 """Embedding head, cosine classifier, attention net, checkpoint format."""
 
+import json
 import struct
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from fewvid import autodiff as ad
 from fewvid import model
-from fewvid.errors import BadMagicError, DataError, TruncatedFileError, VersionError
+from fewvid.errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
+                           VersionError)
 
 
 def tiny_params(d=2, d_in=2, n_classes=2, width=4):
@@ -232,6 +234,71 @@ class TestCheckpoint:
         arr.flat[-1] = value
         with pytest.raises(DataError, match=f"{name} holds non-finite"):
             model.load_checkpoint(self.save_with(tmp_path, **{name: arr}))
+
+
+def rewrite_checkpoint(path, edit=None, extra=b""):
+    """Rewrite a saved checkpoint with `edit` applied to its header's tensor
+    list and `extra` bytes appended to its payload."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + header_len])
+    if edit:
+        header["tensors"] = edit(header["tensors"])
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
+                     + blob[12 + header_len :] + extra)
+    return path
+
+
+class TestCheckpointLayout:
+    """The header lists each parameter tensor once, and the file ends where
+    the last listed tensor does."""
+
+    def saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(model.init_params(n_classes=3, d_in=4, d=2, kernel_width=2,
+                                                attn_width=2, seed=19), path)
+        return path
+
+    def test_huge_shape_runs_past_the_end(self, tmp_path):
+        # 2**40 * 2**40 wraps to 0 in int64, which would read as an empty tensor
+        def huge(tensors):
+            tensors[0]["shape"] = [2 ** 40, 2 ** 40]
+            return tensors
+
+        with pytest.raises(TruncatedFileError, match="transform extends past end of file"):
+            model.load_checkpoint(rewrite_checkpoint(self.saved(tmp_path), huge))
+
+    def test_trailing_bytes(self, tmp_path):
+        path = rewrite_checkpoint(self.saved(tmp_path), extra=b"\0" * 8)
+        with pytest.raises(MalformedFileError, match="8 bytes follow the last checkpoint tensor"):
+            model.load_checkpoint(path)
+
+    def test_tensor_listed_twice(self, tmp_path):
+        # the repeat reads the 8 appended bytes; without the check it would win
+        path = rewrite_checkpoint(self.saved(tmp_path),
+                                  lambda t: t + [{"name": "attn_out", "shape": [1, 1]}],
+                                  extra=b"\0" * 8)
+        with pytest.raises(DataError, match=f"{path}: checkpoint lists tensor attn_out twice"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["bias", None, 3, ["transform"]])
+    def test_unknown_tensor_name(self, tmp_path, name):
+        path = rewrite_checkpoint(self.saved(tmp_path),
+                                  lambda t: t + [{"name": name, "shape": [1, 1]}],
+                                  extra=b"\0" * 8)
+        with pytest.raises(DataError, match="a name from"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[2, -4], [2, True], [2, 4.0], [[2], 4], [2, 0], "2x4",
+                                       None])
+    def test_bad_shape_entry(self, tmp_path, shape):
+        def edit(tensors):
+            tensors[0]["shape"] = shape
+            return tensors
+
+        with pytest.raises(DataError, match="must be non-empty matrices, got transform shape"):
+            model.load_checkpoint(rewrite_checkpoint(self.saved(tmp_path), edit))
 
 
 class TestFeatureWidth:
