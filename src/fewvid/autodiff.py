@@ -164,7 +164,11 @@ def backward(root: Tensor) -> dict:
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = g.copy()
+                # keep an array the backward has just made for this input alone;
+                # copy a view, the node's own gradient, or one array given twice
+                owned = (g.base is None and g is not node.grad
+                         and sum(h is g for h in grads) == 1)
+                parent.grad = g if owned else g.copy()
             else:
                 parent.grad += g
     return leaves

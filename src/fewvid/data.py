@@ -235,7 +235,8 @@ def load_manifest(path) -> DatasetManifest:
                 gt_intervals=[tuple(iv) for iv in rec["gt_intervals"]],
                 segment_roles=rec.get("segment_roles", ""),
             ))
-    except (json.JSONDecodeError, KeyError, TypeError) as err:
+    # a JSONDecodeError or an integer too long to convert is a ValueError
+    except (ValueError, RecursionError, KeyError, TypeError) as err:
         raise DataError(f"{path}: malformed manifest: {err}") from err
     return manifest
 

@@ -11,10 +11,12 @@ reports mean average precision over temporal-IoU thresholds.
 An evaluation call draws all its episodes first, reads each feature file
 they use once, and embeds their videos in a few stacked passes; an episode
 then only indexes those embeddings. Its queries are classified as one stack
-per distinct query length, and their detections are scored together on index
-arrays: one pass finds every run, NMS steps through all (video, class)
-groups at once, and matching sweeps the whole tIoU grid in one pass over
-each class's ranked detections.
+per distinct query length, and their proposals are found together on index
+arrays: one pass finds every run, and NMS steps through all (video, class)
+groups at once. The call's detection episodes are then scored in one AP
+pass: tIoU is taken only between a detection and the truths of its own video
+and class, only detections that can match are matched, every (video, class)
+group side by side over the whole tIoU grid, and AP is summed from the hits.
 """
 
 from __future__ import annotations
@@ -139,16 +141,9 @@ def _tiou(start_a, end_a, start_b, end_b) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(inter.shape), where=inter > 0)
 
 
-def temporal_iou_matrix(a, b) -> np.ndarray:
-    """(len(a), len(b)) tIoU of half-open intervals, 0 where they do not overlap."""
-    a = np.asarray(a).reshape(-1, 2)
-    b = np.asarray(b).reshape(-1, 2)
-    return _tiou(a[:, :1], a[:, 1:], b[:, 0], b[:, 1])
-
-
 def temporal_iou(a, b) -> float:
     """tIoU of two half-open intervals."""
-    return float(temporal_iou_matrix(a, b)[0, 0])
+    return float(_tiou(a[0], a[1], b[0], b[1]))
 
 
 def _runs(A: np.ndarray, lengths, thresholds):
@@ -199,6 +194,15 @@ def _run_means(A: np.ndarray, first_row, cls, length) -> np.ndarray:
     return means
 
 
+def _runs_of(sorted_key: np.ndarray):
+    """Runs of equal values in a sorted key: (distinct values, each element's
+    run, each element's place within its run)."""
+    opens = np.ones(sorted_key.size, dtype=bool)
+    opens[1:] = sorted_key[1:] != sorted_key[:-1]
+    run = np.cumsum(opens) - 1
+    return sorted_key[opens], run, np.arange(sorted_key.size) - np.flatnonzero(opens)[run]
+
+
 def _nms_keep(group, intervals, scores) -> np.ndarray:
     """Indices that greedy non-maximum suppression at tIoU 0.5 keeps within
     each group: groups in ascending order, each highest score first, ties
@@ -210,10 +214,7 @@ def _nms_keep(group, intervals, scores) -> np.ndarray:
     if scores.size == 0:
         return np.zeros(0, dtype=np.intp)
     order = np.lexsort((-scores, group))
-    sorted_group = group[order]
-    opens = np.r_[True, sorted_group[1:] != sorted_group[:-1]]
-    col = np.cumsum(opens) - 1
-    rank = np.arange(order.size) - np.flatnonzero(opens)[col]
+    _, col, rank = _runs_of(group[order])
     slots = np.full((rank.max() + 1, col[-1] + 1), -1)  # candidate by (rank, group)
     slots[rank, col] = order
     start, end = intervals[slots, 0], intervals[slots, 1]
@@ -240,60 +241,145 @@ def episode_proposals(A: np.ndarray, lengths) -> Detections:
     return Detections(video, cls, intervals, scores).take(keep)
 
 
-def _greedy_matches(iou: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """(len(thresholds), n) true positives of detections (rows, best score
-    first) matched one to one to ground truths (columns), all thresholds in
-    one pass over the rows: at each threshold a row takes its
-    best-overlapping truth still free at that threshold, the first on ties,
-    if that overlap is positive and reaches the threshold."""
-    tp = np.zeros((thresholds.size, iou.shape[0]))
-    free = np.ones((thresholds.size, iou.shape[1]), dtype=bool)
+def _class_aps(detections: Detections, truths: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """(classes, thresholds) all-point interpolated AP of each class, NaN for
+    a class without truths; classes run from 0 to the largest index seen.
+
+    truths: (m, 4) rows (video, class, start, end). Detections are ranked
+    within their class by score, ties keeping the earlier index. A detection
+    only ever matches a truth of its own video and class, so tIoU is taken
+    only for those pairs, and only detections that reach the lowest
+    threshold on one of them (the live rows) are matched.
+    """
+    video, cls = detections.video, detections.class_index
+    t_video, t_cls = truths[:, 0].astype(np.intp), truths[:, 1].astype(np.intp)
+    n_classes = 1 + max(cls.max(initial=-1), t_cls.max(initial=-1))
+    n_truths = np.bincount(t_cls, minlength=n_classes)
+    aps = np.zeros((n_classes, thresholds.size))
+    aps[n_truths == 0] = np.nan
+    # each detection's truths: the run of its (video, class) key among the
+    # truths sorted stably by key, so their columns keep truth row order
+    n_keys = n_classes * (1 + max(video.max(initial=-1), t_video.max(initial=-1)))
+    key, t_key = video * n_classes + cls, t_video * n_classes + t_cls
+    t_order = np.argsort(t_key, kind="stable")
+    count = np.bincount(t_key, minlength=n_keys)
+    first, count = (np.cumsum(count) - count)[key], count[key]
+    cand = np.flatnonzero(count)
+    if cand.size == 0:
+        return aps
+    valid = np.arange(count.max()) < count[cand, None]  # (candidates, truth columns)
+    row, col = np.nonzero(valid)
+    truth, det = t_order[first[cand[row]] + col], cand[row]
+    iou = np.zeros(valid.shape)
+    iou[row, col] = _tiou(detections.intervals[det, 0], detections.intervals[det, 1],
+                          truths[truth, 2], truths[truth, 3])
     best = iou.max(axis=1)
-    # a row below every threshold can never match, so skip it
-    for i in np.flatnonzero((best >= np.min(thresholds, initial=np.inf)) & (best > 0.0)):
-        open_iou = np.where(free, iou[i], -1.0)
-        j = np.argmax(open_iou, axis=1)
-        taken = open_iou[np.arange(thresholds.size), j]
-        hit = (taken > 0.0) & (taken >= thresholds)
-        free[hit, j[hit]] = False
-        tp[hit, i] = 1.0
-    return tp
-
-
-def _interpolated_aps(tp: np.ndarray, n_truths: int) -> np.ndarray:
-    """All-point interpolated AP of each row of true positives."""
-    if tp.shape[1] == 0:
-        return np.zeros(tp.shape[0])
-    cum_tp = np.cumsum(tp, axis=1)
-    precision = cum_tp / np.arange(1, tp.shape[1] + 1)
-    # precision envelope from the right, then rectangle areas at each recall
-    # step (recall moves at hits only), summed left to right
+    live = (best > 0.0) & (best >= thresholds.min())
+    rows = cand[live]
+    by_key = np.lexsort((-detections.scores[rows], key[rows]))  # in rank order within a key
+    rows, iou = rows[by_key], iou[live][by_key]
+    hits = _greedy_hits(key[rows], iou, thresholds)
+    # AP from the hits alone: a miss adds 0.0 to the running sum and lies
+    # below the precision of the hit before it, so it never sets the envelope
+    hit_row, hit_thr = np.nonzero(hits)
+    if hit_row.size == 0:
+        return aps
+    order = np.lexsort((-detections.scores, cls))
+    rank = np.empty(order.size, dtype=np.intp)  # place within the class, from 1
+    rank[order] = np.arange(1, order.size + 1) - np.searchsorted(cls[order], cls[order])
+    place = rank[rows[hit_row]]
+    cell = cls[rows[hit_row]] * thresholds.size + hit_thr  # flat (class, threshold)
+    by_cell = np.lexsort((place, cell))
+    cell, place = cell[by_cell], place[by_cell]
+    cells, at, k = _runs_of(cell)
+    n = n_truths[cells // thresholds.size][at]
+    tp = k + 1.0  # true positives up to and including this hit
+    precision = np.zeros((cells.size, k.max() + 1))
+    precision[at, k] = tp / place
     envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    steps = np.where(tp > 0.0, cum_tp / n_truths - (cum_tp - 1.0) / n_truths, 0.0) * envelope
-    return np.cumsum(steps, axis=1)[:, -1]
+    steps = np.zeros(precision.shape)
+    steps[at, k] = (tp / n - (tp - 1.0) / n) * envelope[at, k]
+    # rectangle areas at each recall step, summed left to right
+    aps.reshape(-1)[cells] = np.cumsum(steps, axis=1)[:, -1]
+    return aps
+
+
+def _greedy_hits(key, iou, thresholds) -> np.ndarray:
+    """(rows, thresholds) true positives of rows grouped by key, each group in
+    rank order, matched one to one to the group's truth columns: at each
+    threshold a row takes its best-overlapping truth still free at that
+    threshold, the first on ties, if that overlap is positive and reaches
+    the threshold. A column a group does not use reads tIoU 0, so it is
+    never taken.
+
+    All groups are matched side by side: step s takes the s-th row of every
+    group.
+    """
+    keys, group, step = _runs_of(key)
+    free = np.ones((keys.size, thresholds.size, iou.shape[1]), dtype=bool)
+    hits = np.zeros((key.size, thresholds.size), dtype=bool)
+    for s in range(step.max(initial=-1) + 1):
+        at = np.flatnonzero(step == s)
+        g = group[at]
+        open_iou = np.where(free[g], iou[at, None, :], -1.0)
+        j = np.argmax(open_iou, axis=2)
+        taken = np.take_along_axis(open_iou, j[..., None], axis=2)[..., 0]
+        hits[at] = (taken > 0.0) & (taken >= thresholds)
+        a, t = np.nonzero(hits[at])
+        free[g[a], t, j[a, t]] = False
+    return hits
 
 
 def average_precision(detections, ground_truths, tiou_threshold):
     """All-point interpolated AP with greedy one-to-one matching.
 
-    detections: Detections, or (score, interval) pairs; ground_truths:
-    (video_id-agnostic) intervals. Returns None when there is nothing to
-    detect, so callers can exclude the class from their mean.
-    Given a sequence of thresholds, returns one AP per threshold, all
-    matched in one pass over one tIoU matrix.
+    One group: detections are (score, interval) pairs and ground_truths
+    intervals. Returns None when there is nothing to detect, so callers can
+    exclude the class from their mean; given a sequence of thresholds, one
+    AP per threshold.
+
+    Every class at once: detections are Detections and ground_truths (m, 4)
+    rows (video, class, start, end). Returns a (classes, thresholds) array
+    for classes 0 to the largest index seen, NaN for a class without truths.
     """
+    thresholds = np.atleast_1d(np.asarray(tiou_threshold, dtype=np.float64))
+    if isinstance(detections, Detections):
+        return _class_aps(detections, np.asarray(ground_truths).reshape(-1, 4), thresholds)
     if len(ground_truths) == 0:
         return None
-    if isinstance(detections, Detections):
-        scores, intervals = detections.scores, detections.intervals
-    else:
-        scores = np.array([float(score) for score, _ in detections], dtype=np.float64)
-        intervals = np.array([tuple(interval) for _, interval in detections]).reshape(-1, 2)
-    order = np.argsort(-scores, kind="stable")
-    iou = temporal_iou_matrix(intervals[order], np.asarray(ground_truths).reshape(-1, 2))
-    thresholds = np.atleast_1d(np.asarray(tiou_threshold, dtype=np.float64))
-    aps = _interpolated_aps(_greedy_matches(iou, thresholds), len(ground_truths)).tolist()
+    scores = np.array([float(score) for score, _ in detections], dtype=np.float64)
+    intervals = np.array([tuple(interval) for _, interval in detections]).reshape(-1, 2)
+    truths = np.asarray(ground_truths).reshape(-1, 2)
+    zeros = np.zeros(scores.size, dtype=np.intp)
+    aps = _class_aps(Detections(zeros, zeros, intervals, scores),
+                     np.hstack([np.zeros((len(truths), 2), dtype=truths.dtype), truths]),
+                     thresholds)[0].tolist()
     return aps if np.ndim(tiou_threshold) else aps[0]
+
+
+def _episode_maps(episodes: list) -> np.ndarray:
+    """(episodes, MAP_TIOU_GRID) mAP of each (Detections, truths) episode over
+    its classes with truths, 0 where none has any.
+
+    All episodes are scored in one `average_precision` pass: episode e's
+    classes are offset past those of the episodes before it, so each
+    (episode, class) is ranked on its own.
+    """
+    classes = [1 + max(dets.class_index.max(initial=-1), truths[:, 1].max(initial=-1))
+               for dets, truths in episodes]
+    offset = np.cumsum([0] + classes)
+    parts = [(dets.video, dets.class_index + o, dets.intervals, dets.scores)
+             for (dets, _), o in zip(episodes, offset)]
+    detections = Detections(*(np.concatenate(arrays) for arrays in zip(*parts)))
+    truths = np.concatenate([truths + [0, o, 0, 0] for (_, truths), o in zip(episodes, offset)])
+    aps = average_precision(detections, truths, MAP_TIOU_GRID)
+    maps = np.zeros((len(episodes), len(MAP_TIOU_GRID)))
+    for e in range(len(episodes)):
+        rows = aps[offset[e] : offset[e + 1]]
+        rows = rows[~np.isnan(rows[:, 0])]
+        if rows.size:  # each threshold's mean along a contiguous row: a 1-D mean's bits
+            maps[e] = np.ascontiguousarray(rows.T).mean(axis=1)
+    return maps
 
 
 def detection_maps(detections: Detections, truths: np.ndarray) -> dict:
@@ -304,37 +390,32 @@ def detection_maps(detections: Detections, truths: np.ndarray) -> dict:
     equally overlapping truths a detection takes the earlier row. A
     detection only ever matches a truth of its own video.
     """
-    # offset each video into its own span so intervals from different videos
-    # never overlap
-    span = 1 + max(detections.intervals.max(initial=0), truths[:, 3].max(initial=0))
-    shifted = replace(detections,
-                      intervals=detections.intervals + span * detections.video[:, None])
-    truth_intervals = truths[:, 2:] + span * truths[:, :1]
-    per_class = [  # one AP per grid threshold, for each class with truths
-        average_precision(shifted.take(shifted.class_index == k),
-                          truth_intervals[truths[:, 1] == k], list(MAP_TIOU_GRID))
-        for k in sorted(set(truths[:, 1].tolist()))]
-    return {float(thr): float(np.mean([aps[i] for aps in per_class])) if per_class else 0.0
-            for i, thr in enumerate(MAP_TIOU_GRID)}
+    maps = _episode_maps([(detections, truths)])[0]
+    return dict(zip(map(float, MAP_TIOU_GRID), maps.tolist()))
 
 
-def _detection(params, remap: dict, proto: np.ndarray, queries: list, cfg):
-    """(map50, avg_map, maps) of (video, (T, d) embedding) query pairs; a
-    video carries its class_label and gt_intervals. Each query's activation
-    map is its segment weights times its cosines; the maps are stacked and
-    scored together as arrays, macro-averaged over classes. Detections from
-    every query count against every class: a proposal for class k on a query
-    of another class is a false positive for k."""
+def detection_scores(episodes: list) -> list:
+    """(map50, avg_map) of each (Detections, truths) episode, as
+    `detection_maps` scores it, all in one AP pass."""
+    return [(m[0], float(np.mean(m))) for m in _episode_maps(episodes).tolist()]
+
+
+def _episode_detections(params, remap: dict, proto: np.ndarray, queries: list, cfg):
+    """Detections and (m, 4) truth rows (query, class, start, end) of
+    (video, (T, d) embedding) query pairs; a video carries its class_label
+    and gt_intervals. Each query's activation map is its segment weights
+    times its cosines; the maps are stacked and their proposals found
+    together. Detections from every query count against every class: a
+    proposal for class k on a query of another class is a false positive
+    for k."""
     cams = [None] * len(queries)
     for at, res in _classify_stacks(params, [f for _, f in queries], proto, cfg):
         for i, cam in zip(at, res.weights[..., None] * res.cosines):
             cams[i] = cam
     truths = [(i, remap[video.class_label], start, end)
               for i, (video, _) in enumerate(queries) for start, end in video.gt_intervals]
-    detections = episode_proposals(np.concatenate(cams), [len(cam) for cam in cams])
-    maps = detection_maps(detections, np.array(truths).reshape(-1, 4))
-    avg_map = float(np.mean([maps[float(t)] for t in MAP_TIOU_GRID]))
-    return maps[0.5], avg_map, maps
+    return (episode_proposals(np.concatenate(cams), [len(cam) for cam in cams]),
+            np.array(truths, dtype=np.intp).reshape(-1, 4))
 
 
 def mean_ci(scores) -> tuple:
@@ -436,10 +517,10 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
                 params, [videos.query(entry) for entry in draw.queries],
                 [remap[entry.class_label] for entry in draw.queries], proto, cfg))
         else:
-            queries = [(entry, videos.query(entry)) for entry in draw.queries]
-            map50, avg_map, _ = _detection(params, remap, proto, queries, cfg)
-            per_episode.append((map50, avg_map))
-    return per_episode
+            per_episode.append(_episode_detections(
+                params, remap, proto, [(entry, videos.query(entry)) for entry in draw.queries],
+                cfg))
+    return detection_scores(per_episode) if mode == "detection" else per_episode
 
 
 def summarize(mode: str, per_episode: list, **meta) -> dict:

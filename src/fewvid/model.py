@@ -171,7 +171,9 @@ def load_checkpoint(path):
         raise TruncatedFileError(f"{path}: checkpoint ends inside its {header_len}-byte header")
     try:
         header = json.loads(blob[12 : 12 + header_len])
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    # JSONDecodeError, UnicodeDecodeError and an integer too long to convert
+    # are ValueErrors
+    except (ValueError, RecursionError) as err:
         raise DataError(f"{path}: corrupt checkpoint header: {err}") from err
     if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
             and isinstance(header.get("config"), dict)):

@@ -394,6 +394,39 @@ class TestGraphMechanics:
         ad.backward(y)
         assert float(leaf.grad) == 6.0
 
+    def test_shared_output_gradient_gives_independent_grads(self):
+        # add hands its own output gradient to both inputs: each leaf must get
+        # a private copy, and x + x must sum its two halves into one
+        w = ad.Tensor([[5.0, 7.0]])
+        a = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+        b = ad.Tensor([[3.0, 4.0]], requires_grad=True)
+        ad.backward(((a + b) * w).sum())
+        assert a.grad.tolist() == b.grad.tolist() == [[5.0, 7.0]]
+        a.grad[0, 0] = -1.0
+        assert b.grad.tolist() == [[5.0, 7.0]]
+        x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+        s = x + x
+        ad.backward((s * w).sum())
+        assert x.grad.tolist() == [[10.0, 14.0]]
+        assert s.grad.tolist() == [[5.0, 7.0]] and not np.shares_memory(x.grad, s.grad)
+
+    def test_first_gradient_is_never_another_nodes_array(self):
+        # sub passes its own output gradient on to its first input, which
+        # also gets a second gradient added in place
+        w, v = ad.Tensor([[5.0, 7.0]]), ad.Tensor([[1.0, 10.0]])
+        x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+        s = x - ad.Tensor([[3.0, 4.0]], requires_grad=True)
+        ad.backward((s * w).sum() + (x * v).sum())
+        assert x.grad.tolist() == [[6.0, 17.0]] and s.grad.tolist() == [[5.0, 7.0]]
+        assert not np.shares_memory(x.grad, s.grad)
+        # a backward that returns one fresh array for both of its inputs
+        a = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+        b = ad.Tensor([[3.0, 4.0]], requires_grad=True)
+        out = ad._node("twice", (a, b), lambda p, q: p + q, lambda g, o, p, q: (2.0 * g,) * 2)
+        ad.backward((out * w).sum())
+        assert a.grad.tolist() == b.grad.tolist() == [[10.0, 14.0]]
+        assert not np.shares_memory(a.grad, b.grad)
+
     def test_diamond_graph_single_visit(self):
         x = ad.Tensor(np.array(2.0), requires_grad=True)
         a = x * 3.0

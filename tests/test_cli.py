@@ -672,6 +672,36 @@ class TestNonUtf8Input:
         assert "accuracy" not in out
 
 
+class TestDeepNesting:
+    """JSON nested deeper than the parser's recursion limit is a data error
+    (exit 2) naming the file, not a RecursionError traceback."""
+
+    DEEP = "[" * 100_000
+
+    def test_manifest_entry(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        header, *entries = (root / "dataset" / "novel_manifest.jsonl").read_text().splitlines()
+        manifest = tmp_path / "novel_manifest.jsonl"
+        manifest.write_text("\n".join([header, self.DEEP, *entries]) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY + f"\ndata_dir = {tmp_path}\nckpt = {root / 'model.ckpt'}\n")
+        code, out, err = run(["eval-cls", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "malformed manifest" in err and str(manifest) in err
+        assert "accuracy" not in out
+
+    def test_checkpoint_header(self, workspace, tmp_path, capsys):
+        _, cfg_path = workspace
+        header = self.DEEP.encode()
+        ckpt = tmp_path / "deep.ckpt"
+        ckpt.write_bytes(b"FVCP" + struct.pack("<II", 1, len(header)) + header)
+        code, out, err = run(["eval-cls", "--config", str(cfg_path), "--ckpt", str(ckpt)],
+                             capsys)
+        assert code == 2
+        assert "corrupt checkpoint header" in err and str(ckpt) in err
+        assert "accuracy" not in out
+
+
 def _huge_transform(tensors):
     tensors[0]["shape"] = [2 ** 40, 2 ** 40]
     return tensors

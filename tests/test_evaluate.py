@@ -314,8 +314,9 @@ class TestEpisodeDetection:
                  novel.load_sequence(entry)).features)) for entry in draw.support])
         queries = [(q, model.embed_segments(params, q.features, grad=False))
                    for q in map(novel.load_sequence, draw.queries)]
-        result = evaluate._detection(params, remap, proto, queries, None)
-        return remap, proto, queries, result
+        found = evaluate._episode_detections(params, remap, proto, queries, None)
+        [(map50, avg_map)] = evaluate.detection_scores([found])
+        return remap, proto, queries, (map50, avg_map, evaluate.detection_maps(*found))
 
     @pytest.fixture(autouse=True)
     def _tmp(self, tmp_path):
@@ -803,6 +804,15 @@ def as_arrays(dets, truths):
     return detections, np.array(rows, dtype=int).reshape(-1, 4)
 
 
+def as_lists(detections, truths):
+    """Detections and (m, 4) truth rows as as_arrays takes them."""
+    by_class = {k: [] for k in range(1 + max(detections.class_index.max(initial=-1),
+                                             truths[:, 1].max(initial=-1)))}
+    for v, k, start, end in truths.tolist():
+        by_class[k].append((v, (start, end)))
+    return as_results(detections), by_class
+
+
 # small ranges so that duplicate intervals and tied scores are common
 intervals = st.builds(lambda s, n: (s, s + n), st.integers(0, 8), st.integers(1, 4))
 scores = st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(-1.0, 1.0))
@@ -887,6 +897,70 @@ class TestLoopOracles:
                 == loop_detection_maps(dets, truths, grid))
 
 
+def loop_scores(dets, truths):
+    """(map50, avg_map) of one episode from the loop oracle's maps."""
+    maps = loop_detection_maps(dets, truths, evaluate.MAP_TIOU_GRID)
+    return maps[0.5], float(np.mean([maps[float(t)] for t in evaluate.MAP_TIOU_GRID]))
+
+
+# each episode one edge case: (Det records, {class: [(video, interval)]})
+EDGE_EPISODES = [
+    # class 1 has truths and no detections, so it scores 0 inside the mean
+    ([Det(0, 0, (0, 2), 0.9)], {0: [(0, (0, 2))], 1: [(1, (3, 5))]}),
+    # no live rows: no detection reaches tIoU 0.5 with a truth of its video
+    ([Det(0, 0, (0, 4), 0.9), Det(1, 0, (0, 2), 0.8)], {0: [(0, (3, 8)), (2, (0, 2))]}),
+    # equal scores across videos: the earlier detection ranks first
+    ([Det(0, 0, (5, 6), 0.5), Det(1, 0, (0, 2), 0.5), Det(2, 0, (0, 2), 0.5)],
+     {0: [(1, (0, 2)), (2, (0, 2))]}),
+    # (0, 4) overlaps both truths by 0.5 and takes the first, which leaves
+    # (2, 4) for the second detection
+    ([Det(0, 0, (0, 4), 0.9), Det(0, 0, (2, 4), 0.8)], {0: [(0, (0, 2)), (0, (2, 4))]}),
+    # class 2 is detected but has no truths: it stays out of the class mean
+    ([Det(0, 2, (0, 2), 0.9), Det(0, 0, (0, 2), 0.4), Det(1, 0, (4, 6), 0.6)],
+     {0: [(0, (0, 2))], 1: [(1, (4, 6))], 2: []}),
+    # nothing to detect at all
+    ([Det(0, 0, (0, 2), 0.9)], {0: []}),
+    # nine classes with APs 1/r, whose sum over classes has other bits when
+    # NumPy adds along a strided axis
+    ([Det(1, k, (0, 2), 0.9) for k, r in enumerate([2, 6, 3, 2, 5, 2, 3, 4, 4])
+      for _ in range(r - 1)] + [Det(0, k, (0, 2), 0.5) for k in range(9)],
+     {k: [(0, (0, 2))] for k in range(9)}),
+]
+
+
+class TestCallScorer:
+    """`detection_scores` scores all of an evaluation call's episodes in one
+    AP pass; each episode must score as the loop oracle scores it alone."""
+
+    def test_edge_episodes(self):
+        got = evaluate.detection_scores([as_arrays(*ep) for ep in EDGE_EPISODES])
+        assert got == [loop_scores(*ep) for ep in EDGE_EPISODES]
+        assert got[0] == (0.5, 0.5) and got[1] == (0.0, 0.0) and got[5] == (0.0, 0.0)
+        assert got[2][0] == pytest.approx(2.0 / 3.0)  # hits at ranks 2 and 3 of 3
+        assert got[3][0] == 1.0 and got[4][0] == 0.25  # (0.5 + 0) / 2, class 2 left out
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5),
+           st.data())
+    def test_equals_loop_per_episode(self, shapes, data_):
+        # episodes of K classes and Q queries each, both ragged across episodes
+        found, want = [], []
+        for K, Q in shapes:
+            videos = st.integers(0, Q - 1)
+            dets = [Det(v, k, iv, s) for v, k, iv, s in data_.draw(st.lists(
+                st.tuples(videos, st.integers(0, K - 1), intervals, scores), max_size=20))]
+            truths = {k: data_.draw(st.lists(st.tuples(videos, intervals), max_size=3))
+                      for k in range(K)}
+            found.append(as_arrays(dets, truths))
+            want.append(loop_scores(dets, truths))
+        assert evaluate.detection_scores(found) == want
+        assert [evaluate.detection_maps(*ep) for ep in found] == [
+            loop_detection_maps(*as_lists(*ep), evaluate.MAP_TIOU_GRID) for ep in found]
+        # any subset of the episodes, in any order, scores the same rows
+        picks = data_.draw(st.lists(st.integers(0, len(found) - 1), min_size=1, max_size=3))
+        assert evaluate.detection_scores([found[i] for i in picks]) == [want[i] for i in picks]
+
+
 # query rows share their first axis, so a prototype row opposite it gives an
 # all-negative activation column and a zero row an all-zero one; repeated rows
 # tie scores and repeat runs across thresholds
@@ -938,8 +1012,10 @@ class TestEpisodePath:
             queries.append((video, f))
         remap = {k: k for k in range(K)}
         cfg, grid = LossConfig(sw=sw), evaluate.MAP_TIOU_GRID
-        assert (evaluate._detection(params, remap, proto, queries, cfg)
-                == loop_detection(params, remap, proto, queries, cfg, grid))
+        found = evaluate._episode_detections(params, remap, proto, queries, cfg)
+        map50, avg_map, maps = loop_detection(params, remap, proto, queries, cfg, grid)
+        assert evaluate.detection_scores([found]) == [(map50, avg_map)]
+        assert evaluate.detection_maps(*found) == maps
         assert (evaluate.classification_accuracy(
                     params, [f for _, f in queries],
                     [remap[video.class_label] for video, _ in queries], proto, cfg)

@@ -1,11 +1,12 @@
-"""Fuzzed inputs to the binary loaders: only DataError escapes.
+"""Fuzzed inputs to the loaders: only DataError escapes.
 
-One valid `.segf` file and one valid checkpoint are mutated (truncated,
-bit-flipped, extended, or given a rewritten header) and loaded. Whatever the
-mutation, `read_feature_file` and `load_checkpoint` either load the file or
-raise a DataError subclass, which the CLI turns into exit 2; any other
-exception would be a traceback and exit 1. A strict prefix of a valid file,
-or a valid file with bytes appended, must not load.
+One valid `.segf` file, one valid checkpoint and one valid novel manifest
+are mutated (truncated, bit-flipped, extended, or given rewritten header or
+entry fields) and loaded. Whatever the mutation, `read_feature_file`,
+`load_checkpoint` and `load_manifest` either load the file or raise a
+DataError subclass, which the CLI turns into exit 2; any other exception
+would be a traceback and exit 1. A strict prefix of a valid binary file, or
+one with bytes appended, must not load.
 """
 
 import json
@@ -27,6 +28,15 @@ def valid(tmp_path_factory):
     params = model.init_params(n_classes=2, d_in=4, d=3, kernel_width=2, attn_width=2, seed=0)
     model.save_checkpoint(params, root / "a.ckpt", {"seed": 0, "ablate": ["cl"]})
     return root / "fuzzed", (root / "a.segf").read_bytes(), (root / "a.ckpt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory):
+    """(scratch file path, valid novel manifest bytes)."""
+    root = tmp_path_factory.mktemp("fuzz_manifest")
+    data.generate_synthetic_dataset(data.SyntheticConfig(
+        n_base_classes=2, n_novel_classes=2, videos_per_class=2, T=4, d_in=3), root)
+    return root / "fuzzed.jsonl", (root / "novel_manifest.jsonl").read_bytes()
 
 
 # mutations that need no header knowledge: (kind, argument)
@@ -127,3 +137,70 @@ class TestCheckpointFuzz:
             blob = self.edit_header(blob, *mutation)
         load_or_data_error(model.load_checkpoint, path, blob,
                            must_fail=mutation[0] in ("truncate", "append"))
+
+    def test_integer_too_long_to_convert(self, valid):
+        path, _, blob = valid
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = blob[12 : 12 + header_len].replace(b'"seed": 0', b'"seed": ' + b"7" * 5000)
+        assert len(header) > header_len
+        blob = blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + header_len :]
+        load_or_data_error(model.load_checkpoint, path, blob, must_fail=True)
+
+
+class TestManifestFuzz:
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                    max_size=3),
+        max_leaves=6)
+    # raw JSON text that json.dumps does not make: nesting past the parser's
+    # recursion limit, and an integer too long to convert
+    DEEP = "[" * 100_000
+    RAW = st.one_of(st.sampled_from([10, 500, 100_000]).map(lambda n: "[" * n + "]" * n),
+                    st.just(DEEP), st.just("7" * 5000))
+    VALUE = st.one_of(JSON.map(json.dumps), RAW)
+    FIELD = st.sampled_from(["split", "class_names", "video_id", "class_label", "feature_file",
+                             "gt_intervals", "segment_roles"])
+    MUTATION = st.one_of(
+        TRUNCATE, FLIP,
+        st.tuples(st.just("append"), st.lists(st.one_of(st.text(max_size=12), VALUE),
+                                              min_size=1, max_size=3)),
+        st.tuples(st.just("line"), st.integers(0, 4), VALUE),
+        st.tuples(st.just("field"), st.integers(0, 4), FIELD, st.one_of(VALUE, st.none())))
+    MARK = "\0fuzzed"
+
+    @classmethod
+    def rewrite(cls, blob: bytes, kind: str, *args) -> bytes:
+        """Lines appended, or line `row` (0: the header) replaced by raw text,
+        or one of its fields set to raw JSON text (dropped if None)."""
+        lines = blob.decode().splitlines()
+        if kind == "append":
+            lines += args[0]
+        elif kind == "line":
+            row, text = args
+            lines[row % len(lines)] = text
+        else:
+            row, field, text = args
+            record = json.loads(lines[row % len(lines)])
+            record.pop(field, None)
+            if text is not None:
+                record[field] = cls.MARK
+            lines[row % len(lines)] = json.dumps(record).replace(json.dumps(cls.MARK), text or "")
+        return "\n".join(lines).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(MUTATION)
+    @example(("line", 0, DEEP))
+    @example(("line", 2, DEEP))
+    @example(("field", 1, "class_label", "7" * 5000))
+    @example(("field", 0, "class_names", DEEP))
+    @example(("field", 3, "gt_intervals", "[[[0, 1]]]"))
+    @example(("field", 0, "split", None))
+    @example(("append", ["{}", "[]"]))
+    def test_only_data_errors_escape(self, manifest, mutation):
+        path, blob = manifest
+        if mutation[0] in ("truncate", "flip"):
+            blob = mutate(blob, *mutation)
+        else:
+            blob = self.rewrite(blob, *mutation)
+        load_or_data_error(data.load_manifest, path, blob, must_fail=False)
