@@ -307,6 +307,24 @@ def take_rows(a: Tensor, index) -> Tensor:
     return _node("take_rows", (a,), lambda x: x[index], bwd)
 
 
+def take_per_row(a: Tensor, cols) -> Tensor:
+    """Entry cols[i] of each row i of a 2-D tensor, as an (n,) vector. The
+    backward writes each entry's gradient back to that entry, zeros elsewhere."""
+    cols = np.asarray(cols, dtype=np.intp)
+    if a.data.ndim != 2 or cols.shape != a.data.shape[:1]:
+        raise ShapeError("take_per_row", a.data.shape, cols.shape)
+    if cols.size and not 0 <= cols.min() <= cols.max() < a.data.shape[1]:
+        raise IndexError(f"take_per_row: column index outside [0, {a.data.shape[1]})")
+    rows = np.arange(cols.size)
+
+    def bwd(g, out, x):
+        gx = np.zeros_like(x)
+        gx[rows, cols] = g
+        return (gx,)
+
+    return _node("take_per_row", (a,), lambda x: x[rows, cols], bwd)
+
+
 def check_lengths(op: str, shape, lengths) -> np.ndarray:
     """Per-video row counts of a 2-D stack: each at least 1, summing to its rows."""
     lengths = np.asarray(lengths, dtype=np.intp)

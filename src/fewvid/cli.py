@@ -8,9 +8,7 @@ All CSV outputs are byte-reproducible for a fixed seed.
 
 import argparse
 import dataclasses
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +56,7 @@ def build_parser() -> _Parser:
         p.add_argument("--ablate", action="append", choices=ABLATABLE, default=None,
                        metavar="|".join(ABLATABLE),
                        help="disable a component (repeatable)")
-        p.add_argument("--jobs", type=int, help="parallel workers for evaluation")
+        p.add_argument("--jobs", type=int, help="must be 1: evaluation runs in one process")
     return parser
 
 
@@ -99,41 +97,22 @@ def cmd_train(cfg) -> int:
     return 0
 
 
-def _load_eval_assets(cfg):
+def _evaluate(cfg, mode) -> dict:
+    """`evaluate.evaluate` of the checkpoint on the novel split, in this
+    process, with the ablations the checkpoint records."""
     params, echo = model.load_checkpoint(cfg.ckpt)
     ablate = echo.get("ablate", [])
     if not (isinstance(ablate, list) and all(name in ABLATABLE for name in ablate)):
         raise DataError(f"{cfg.ckpt}: checkpoint config 'ablate' must be a list of names "
                         f"from {list(ABLATABLE)}, got {ablate!r}")
     manifest = data.load_manifest(Path(cfg.data_dir) / "novel_manifest.jsonl")
-    return params, manifest, dataclasses.replace(cfg, **dict.fromkeys(ablate, False))
-
-
-def _score_episodes(cfg, mode, episode_ids) -> list:
-    params, manifest, loss_cfg = _load_eval_assets(cfg)
-    return evaluate.episode_scores(params, manifest, mode, episode_ids, K=cfg.K, n=cfg.n,
-                                   q=cfg.q, seed=cfg.seed, cfg=loss_cfg)
-
-
-def _run_episodes(cfg, mode):
-    """Score the episodes in this process, or with --jobs N in N worker
-    processes that each score one contiguous run of them; either way the
-    per-episode scores come back in episode order."""
-    if cfg.jobs <= 1:
-        per_episode = _score_episodes(cfg, mode, range(cfg.episodes))
-    else:
-        workers = min(cfg.jobs, cfg.episodes)
-        bounds = [cfg.episodes * i // workers for i in range(workers + 1)]
-        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            parts = pool.map(_score_episodes, [cfg] * workers, [mode] * workers, chunks)
-            per_episode = [score for part in parts for score in part]
-    return evaluate.summarize(mode, per_episode, K=cfg.K, n=cfg.n, q=cfg.q, seed=cfg.seed)
+    return evaluate.evaluate(params, manifest, mode, K=cfg.K, n=cfg.n, q=cfg.q,
+                             episodes=cfg.episodes, seed=cfg.seed,
+                             cfg=dataclasses.replace(cfg, **dict.fromkeys(ablate, False)))
 
 
 def cmd_eval_cls(cfg) -> int:
-    report = _run_episodes(cfg, "classification")
+    report = _evaluate(cfg, "classification")
     mean, ci = report["accuracy_mean"], report["accuracy_ci"]
     print(f"{cfg.K}-way {cfg.n}-shot accuracy over {cfg.episodes} episodes: "
           f"{100.0 * mean:.2f} ± {100.0 * ci:.2f}")
@@ -144,7 +123,7 @@ def cmd_eval_cls(cfg) -> int:
 
 
 def cmd_eval_det(cfg) -> int:
-    report = _run_episodes(cfg, "detection")
+    report = _evaluate(cfg, "detection")
     print(f"mAP@0.50 over {cfg.episodes} episodes: "
           f"{100.0 * report['map50_mean']:.2f} ± {100.0 * report['map50_ci']:.2f}")
     print(f"average mAP (tIoU 0.50:0.05:0.95): "

@@ -38,6 +38,8 @@ class RunConfig(LossConfig, SyntheticConfig):
     q: int = 5
     episodes: int = 100
     # plumbing
+    # jobs accepts only 1: evaluation runs in the calling process. The key is
+    # kept while benchmarks/run.py still writes it; it goes once that stops.
     jobs: int = 1
     data_dir: str = "dataset"
     ckpt: str = "model.ckpt"
@@ -51,9 +53,11 @@ class RunConfig(LossConfig, SyntheticConfig):
         SyntheticConfig.validate(self)
         LossConfig.validate(self)
         for name in ("d", "kernel_width", "attn_width", "batch_size", "epochs",
-                     "K", "n", "q", "episodes", "jobs"):
+                     "K", "n", "q", "episodes"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.jobs != 1:
+            raise DataError(f"jobs must be 1 (evaluation runs in one process), got {self.jobs}")
         if self.lr <= 0:
             raise DataError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:

@@ -44,6 +44,7 @@ class SegmentFeatureSequence:
     class_label: int
     features: np.ndarray  # (T, d_in)
     gt_intervals: list = field(default_factory=list)  # half-open (start, end)
+    segment_roles: str = ""  # one of F/I/N per segment, or empty
 
     @property
     def T(self) -> int:
@@ -54,25 +55,23 @@ class SegmentFeatureSequence:
         return self.features.shape[1]
 
     def validate(self):
-        """Raise DataError naming the video unless its features are 2-D and
-        its intervals are sorted, do not overlap and end at or before T."""
+        """Raise DataError naming the video unless its features are 2-D, its
+        intervals are sorted, do not overlap and end at or before T, and its
+        segment_roles are empty or one per segment."""
         if self.features.ndim != 2:
             raise DataError(f"{self.video_id}: features must be 2-D, got {self.features.shape}")
-        check_intervals(self.video_id, self.gt_intervals, self.T)
+        prev_end = 0
+        for start, end in self.gt_intervals:
+            if not (0 <= start < end <= self.T):
+                raise DataError(f"{self.video_id}: interval ({start}, {end}) is not inside "
+                                f"its {self.T} segments")
+            if start < prev_end:
+                raise DataError(f"{self.video_id}: intervals overlap or are unsorted")
+            prev_end = end
+        if self.segment_roles and len(self.segment_roles) != self.T:
+            raise DataError(f"{self.video_id}: segment_roles has {len(self.segment_roles)} "
+                            f"roles for its {self.T} segments")
         return self
-
-
-def check_intervals(video_id: str, intervals, T: int):
-    """Raise DataError naming the video unless its (start, end) intervals
-    are sorted, do not overlap and lie inside its T segments."""
-    prev_end = 0
-    for start, end in intervals:
-        if not (0 <= start < end <= T):
-            raise DataError(f"{video_id}: interval ({start}, {end}) is not inside "
-                            f"its {T} segments")
-        if start < prev_end:
-            raise DataError(f"{video_id}: intervals overlap or are unsorted")
-        prev_end = end
 
 
 @dataclass
@@ -101,12 +100,17 @@ class DatasetManifest:
         return groups
 
     def load_sequence(self, entry: ManifestEntry) -> SegmentFeatureSequence:
-        feats = read_feature_file(os.path.join(self.root, entry.feature_file))
+        return self.sequence(entry, read_feature_file(os.path.join(self.root, entry.feature_file)))
+
+    def sequence(self, entry: ManifestEntry, features: np.ndarray) -> SegmentFeatureSequence:
+        """The entry's video over `features`, the rows of its feature file
+        (perhaps read for another entry of that file), checked against the entry."""
         return SegmentFeatureSequence(
             video_id=entry.video_id,
             class_label=entry.class_label,
-            features=feats,
+            features=features,
             gt_intervals=[tuple(iv) for iv in entry.gt_intervals],
+            segment_roles=entry.segment_roles,
         ).validate()
 
 
@@ -194,8 +198,8 @@ def _is_int(value) -> bool:
 def _check_entry(rec: dict, where: str, n_classes: int):
     """Raise DataError unless a manifest record has string video_id and
     feature_file, an int class_label indexing the header's n_classes
-    class_names, and a list of [start, end] int pairs with
-    0 <= start < end as gt_intervals."""
+    class_names, a list of [start, end] int pairs with 0 <= start < end as
+    gt_intervals, and, if present, a string of F/I/N as segment_roles."""
     for key in ("video_id", "feature_file"):
         if not isinstance(rec[key], str):
             raise DataError(f"{where}: {key} must be a string, got {rec[key]!r}")
@@ -210,6 +214,10 @@ def _check_entry(rec: dict, where: str, n_classes: int):
             and 0 <= iv[0] < iv[1] for iv in intervals)):
         raise DataError(f"{where}: gt_intervals must be a list of [start, end] integer "
                         f"pairs with 0 <= start < end, got {intervals!r}")
+    roles = rec.get("segment_roles", "")
+    if not (isinstance(roles, str) and set(roles) <= {ROLE_FG, ROLE_IBG, ROLE_NBG}):
+        raise DataError(f"{where}: segment_roles must be a string of {ROLE_FG}, {ROLE_IBG} "
+                        f"and {ROLE_NBG}, got {roles!r}")
 
 
 def load_manifest(path) -> DatasetManifest:

@@ -21,7 +21,7 @@ group side by side over the whole tIoU grid, and AP is summed from the hits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -456,23 +456,22 @@ class _NovelVideos:
     @staticmethod
     def _uses(params, manifest, draws):
         """(use key, raw rows) of each distinct use, files in order of first
-        use; each file is read once and checked against the parameters' d_in."""
-        by_file = {}  # feature file -> {use key: entry}
+        use; each file is read once and checked against the parameters' d_in,
+        and every entry that uses it is checked against its rows."""
+        by_file = {}  # feature file -> {use key: {id: each entry with that use}}
         for draw in draws:
-            for entry in draw.support:
-                by_file.setdefault(entry.feature_file, {}).setdefault(_support_key(entry), entry)
-            for entry in draw.queries:
-                by_file.setdefault(entry.feature_file, {}).setdefault(
-                    ("query", entry.feature_file), entry)
+            for key, entry in ([(_support_key(e), e) for e in draw.support]
+                               + [(("query", e.feature_file), e) for e in draw.queries]):
+                by_file.setdefault(entry.feature_file, {}).setdefault(key, {})[id(entry)] = entry
         for file, uses in by_file.items():
             seq = None
-            for key, entry in uses.items():
-                if seq is None:
-                    seq = manifest.load_sequence(entry)
-                    model_mod.check_feature_width(params, seq.features, file)
-                else:  # another entry of the same file: check its own intervals
-                    seq = replace(seq, video_id=entry.video_id,
-                                  gt_intervals=[tuple(iv) for iv in entry.gt_intervals]).validate()
+            for key, entries in uses.items():
+                for entry in entries.values():
+                    if seq is None:
+                        seq = manifest.load_sequence(entry)
+                        model_mod.check_feature_width(params, seq.features, file)
+                    else:  # another entry or use of the file: its own intervals and roles
+                        seq = manifest.sequence(entry, seq.features)
                 yield key, seq.features if key[0] == "query" else trim_support_video(seq).features
 
     def query(self, entry) -> np.ndarray:
@@ -487,7 +486,17 @@ def evaluate(params: model_mod.ModelParams, manifest, mode: str, K: int = 5, n: 
     """Run `episodes` independent episodes and aggregate with a 95% CI."""
     per_episode = episode_scores(params, manifest, mode, range(episodes), K=K, n=n, q=q,
                                  seed=seed, cfg=cfg)
-    return summarize(mode, per_episode, K=K, n=n, q=q, seed=seed)
+    report = {"mode": mode, "episodes": len(per_episode), "per_episode": per_episode,
+              "K": K, "n": n, "q": q, "seed": seed}
+    if mode == "classification":
+        mean, ci = mean_ci(per_episode)
+        report.update({"accuracy_mean": mean, "accuracy_ci": ci})
+    else:
+        m50, c50 = mean_ci([p[0] for p in per_episode])
+        mavg, cavg = mean_ci([p[1] for p in per_episode])
+        report.update({"map50_mean": m50, "map50_ci": c50,
+                       "avg_map_mean": mavg, "avg_map_ci": cavg})
+    return report
 
 
 def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_ids,
@@ -521,17 +530,3 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
                 params, remap, proto, [(entry, videos.query(entry)) for entry in draw.queries],
                 cfg))
     return detection_scores(per_episode) if mode == "detection" else per_episode
-
-
-def summarize(mode: str, per_episode: list, **meta) -> dict:
-    report = {"mode": mode, "episodes": len(per_episode), "per_episode": per_episode}
-    report.update(meta)
-    if mode == "classification":
-        mean, ci = mean_ci(per_episode)
-        report.update({"accuracy_mean": mean, "accuracy_ci": ci})
-    else:
-        m50, c50 = mean_ci([p[0] for p in per_episode])
-        mavg, cavg = mean_ci([p[1] for p in per_episode])
-        report.update({"map50_mean": m50, "map50_ci": c50,
-                       "avg_map_mean": mavg, "avg_map_ci": cavg})
-    return report

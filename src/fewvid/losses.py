@@ -105,9 +105,7 @@ def _cross_entropy(feats: ad.Tensor, labels: np.ndarray, classifier: ad.Tensor,
                    tau: float) -> ad.Tensor:
     """Mean over rows of -log softmax(tau * feats @ classifier.T)[row, label]."""
     probs = ad.softmax(tau * (feats @ classifier.T))
-    pick = np.zeros(probs.data.shape)
-    pick[np.arange(labels.size), labels] = 1.0
-    return -(ad.log((probs * ad.Tensor(pick)).sum(axis=1))).mean()
+    return -(ad.log(ad.take_per_row(probs, labels))).mean()
 
 
 def _stack(feats):
@@ -125,8 +123,6 @@ def soft_cls_loss(F: ad.Tensor, y, classifier: ad.Tensor,
     y one label per row (an int for a single video)."""
     cfg = cfg or LossConfig()
     labels = np.atleast_1d(np.asarray(y, dtype=np.intp))
-    if labels.shape != F.data.shape[:1]:
-        raise ValueError(f"{labels.size} labels for {F.data.shape[0]} video features")
     n_rows = classifier.data.shape[0]
     if labels.min() < 0 or labels.max() >= n_rows:
         raise ValueError(f"labels {labels.tolist()} out of range for {n_rows} classifier rows")

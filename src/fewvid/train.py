@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import DatasetManifest, check_intervals, read_feature_file, write_csv
+from .data import DatasetManifest, write_csv
 from .errors import DataError, NumericError
 from .evaluate import classification_accuracy
 from .losses import BatchVideo, LossConfig, total_loss
@@ -67,16 +67,15 @@ def load_training_videos(manifest: DatasetManifest):
     """All base videos in memory, labels remapped to classifier row indices.
 
     Raises DataError naming the file when a video's feature width differs
-    from the first video's, and naming the video when its intervals break
-    `check_intervals`.
+    from the first video's, and naming the video when its intervals or
+    segment roles do not fit its features (`SegmentFeatureSequence.validate`).
     """
     labels = manifest.class_labels()
     remap = {label: i for i, label in enumerate(labels)}
     videos, width = [], None
     for entry in manifest.entries:
         path = os.path.join(manifest.root, entry.feature_file)
-        features = read_feature_file(path)
-        check_intervals(entry.video_id, entry.gt_intervals, features.shape[0])
+        features = manifest.load_sequence(entry).features
         if width is None:
             width, first = features.shape[1], path
         elif features.shape[1] != width:

@@ -139,6 +139,30 @@ class TestMatmulAndShaping:
         with pytest.raises(ad.ShapeError):
             ad.take_rows(m, [[0]])
 
+    def test_take_per_row_picks_and_scatters(self):
+        m = RNG.normal(size=(4, 3))
+        cols = [2, 0, 2, 1]
+        np.testing.assert_array_equal(ad.take_per_row(ad.Tensor(m), cols).data,
+                                      m[np.arange(4), cols])
+        report = ad.grad_check(
+            lambda L: (ad.take_per_row(L["m"], cols) * L["w"]).sum(),
+            {"m": m, "w": RNG.normal(size=4)})
+        assert report.passed, report.summary()
+        leaf = ad.Tensor(m, requires_grad=True)
+        ad.backward(ad.take_per_row(leaf, cols).sum())
+        want = np.zeros((4, 3))
+        want[np.arange(4), cols] = 1.0
+        np.testing.assert_array_equal(leaf.grad, want)
+
+    def test_take_per_row_rejects_bad_cols(self):
+        m = ad.Tensor(np.ones((3, 2)))
+        with pytest.raises(IndexError):
+            ad.take_per_row(m, [0, 2, 1])
+        with pytest.raises(IndexError):
+            ad.take_per_row(m, [0, -1, 1])
+        with pytest.raises(ad.ShapeError):
+            ad.take_per_row(m, [0, 1])
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 60), st.integers(1, 5))
     def test_take_rows_backward_matches_add_at(self, seed, rows, n, d):

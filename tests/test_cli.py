@@ -294,15 +294,6 @@ class TestEval:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_eval_cls_jobs_matches_sequential(self, workspace, tmp_path, capsys):
-        root, cfg_path = workspace
-        seq = tmp_path / "seq.csv"
-        par = tmp_path / "par.csv"
-        assert run(["eval-cls", "--config", str(cfg_path), "--out", str(seq)], capsys)[0] == 0
-        assert run(["eval-cls", "--config", str(cfg_path), "--out", str(par),
-                    "--jobs", "2"], capsys)[0] == 0
-        assert seq.read_bytes() == par.read_bytes()
-
     def test_eval_det_smoke(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
         csv = tmp_path / "det.csv"
@@ -322,24 +313,31 @@ class TestEval:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_eval_det_jobs_matches_sequential(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["eval-cls", "eval-det"])
+    def test_jobs_1_writes_the_bytes_of_a_run_without_it(self, workspace, tmp_path, capsys,
+                                                         command):
+        # the benchmark's call form: jobs = 1 in the config file and --jobs 1
         root, cfg_path = workspace
-        seq = tmp_path / "seq.csv"
-        par = tmp_path / "par.csv"
-        assert run(["eval-det", "--config", str(cfg_path), "--out", str(seq)], capsys)[0] == 0
-        assert run(["eval-det", "--config", str(cfg_path), "--out", str(par),
-                    "--jobs", "2"], capsys)[0] == 0
-        assert seq.read_bytes() == par.read_bytes()
+        with_jobs = tmp_path / "jobs.cfg"
+        with_jobs.write_text(cfg_path.read_text() + "jobs = 1\n")
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "jobs.csv"
+        assert run([command, "--config", str(cfg_path), "--out", str(plain)], capsys)[0] == 0
+        assert run([command, "--config", str(with_jobs), "--out", str(flagged),
+                    "--jobs", "1"], capsys)[0] == 0
+        assert plain.read_bytes() == flagged.read_bytes()
 
-    def test_eval_more_jobs_than_episodes(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("where, value", [
+        ("flag", "2"), ("flag", "0"), ("flag", "-1"), ("config file", "2")])
+    def test_jobs_other_than_1_exits_2(self, workspace, tmp_path, capsys, where, value):
         root, cfg_path = workspace
-        seq = tmp_path / "seq.csv"
-        par = tmp_path / "par.csv"
-        assert run(["eval-cls", "--config", str(cfg_path), "--episodes", "2",
-                    "--out", str(seq)], capsys)[0] == 0
-        assert run(["eval-cls", "--config", str(cfg_path), "--episodes", "2",
-                    "--out", str(par), "--jobs", "3"], capsys)[0] == 0
-        assert seq.read_bytes() == par.read_bytes()
+        cfg = tmp_path / "jobs.cfg"
+        cfg.write_text(cfg_path.read_text() + (f"jobs = {value}\n" if where != "flag" else ""))
+        csv = tmp_path / "eval.csv"
+        code, out, err = run(["eval-cls", "--config", str(cfg), "--out", str(csv)]
+                             + (["--jobs", value] if where == "flag" else []), capsys)
+        assert code == 2
+        assert "data error" in err and "jobs must be 1" in err
+        assert "accuracy" not in out and not csv.exists()
 
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
@@ -482,6 +480,30 @@ class TestIntervalsAgainstVideo:
         assert "accuracy" not in out and "mAP" not in out
 
 
+class TestSegmentRolesAgainstVideo:
+    """Segment roles that are not one per segment are a data error naming
+    the video, whichever command loads its features."""
+
+    @pytest.mark.parametrize("command, split", [
+        ("train", "base"), ("inspect", "base"), ("eval-cls", "novel"), ("eval-det", "novel")])
+    def test_exits_2_naming_video(self, workspace, tmp_path, capsys, command, split):
+        cfg = fresh_corpus(workspace, tmp_path, capsys)
+        manifest = tmp_path / "ds" / f"{split}_manifest.jsonl"
+        header, *entries = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(
+            [header] + [json.dumps(dict(json.loads(e), segment_roles="FIN"))
+                        for e in entries]) + "\n")
+        new_ckpt = tmp_path / "new.ckpt"
+        argv = [command, "--config", str(cfg)] + (["--ckpt", str(new_ckpt)]
+                                                  if command == "train" else [])
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert re.search(rf"{split}_c\d{{3}}_v\d{{3}}: segment_roles has 3 roles for its "
+                         rf"10 segments", err)
+        assert not new_ckpt.exists()
+        assert "accuracy" not in out and "mAP" not in out and "video_id" not in out
+
+
 class TestBaseManifestChecks:
     """train applies the manifest rules inspect and evaluation apply."""
 
@@ -608,6 +630,7 @@ class TestManifestTypes:
         ("gt_intervals", [[1.5, 3.0]]), ("gt_intervals", [[0, "a"]]),
         ("gt_intervals", [[0, 1, 2]]), ("feature_file", 5), ("class_label", False),
         ("class_label", 6), ("class_label", -1),  # outside the header's 6 class_names
+        ("segment_roles", 5), ("segment_roles", "FXN"),
     ])
     def test_exits_2(self, workspace, tmp_path, capsys, command, field, value):
         root, _ = workspace

@@ -113,6 +113,14 @@ class TestManifest:
         assert entry.gt_intervals == [(1, 3), (5, 9)]
         assert entry.segment_roles == "IFFNIFFFFN"
 
+    def test_segment_roles_empty_or_absent_load_as_empty(self, tmp_path):
+        rec = {"video_id": "v", "class_label": 0, "feature_file": "v.segf",
+               "gt_intervals": [[0, 2]]}
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"split": "novel", "class_names": ["a"]}\n' + json.dumps(rec) + "\n"
+                        + json.dumps(dict(rec, segment_roles="")) + "\n")
+        assert [e.segment_roles for e in data.load_manifest(path).entries] == ["", ""]
+
     def test_malformed_manifest(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"split": "base", "class_names": []}\nnot json\n')
@@ -129,6 +137,8 @@ class TestManifest:
         ("gt_intervals", "0-3"), ("gt_intervals", [[1.5, 3.0]]), ("gt_intervals", [[0, "a"]]),
         ("gt_intervals", [[0, 1, 2]]), ("gt_intervals", [[0]]), ("gt_intervals", [[3, 3]]),
         ("gt_intervals", [[-1, 2]]), ("gt_intervals", [[0, True]]), ("gt_intervals", [5]),
+        ("segment_roles", 5), ("segment_roles", None), ("segment_roles", ["F"]),
+        ("segment_roles", "FXN"), ("segment_roles", "fin"),
     ])
     def test_entry_types_checked(self, tmp_path, field, value):
         rec = {"video_id": "v", "class_label": 0, "feature_file": "v.segf",

@@ -1,6 +1,7 @@
 """Prototype math, query classification, proposals, AP against a grid oracle."""
 
 import dataclasses
+import re
 import shutil
 
 import numpy as np
@@ -625,6 +626,23 @@ class TestCachedLoop:
         params = model.init_params(n_classes=3, d_in=7, d=5, seed=1)
         with pytest.raises(DataError, match="d_in = 7"):
             evaluate.evaluate(params, small_novel, "classification", K=2, n=1, q=1, episodes=1)
+
+    @pytest.mark.parametrize("twin_use", ["query after support", "query after query"])
+    @pytest.mark.parametrize("field, value, reason", [
+        ("segment_roles", "FIN", "segment_roles has 3 roles for its 10 segments"),
+        ("gt_intervals", [(0, 500)], "interval (0, 500) is not inside its 10 segments")])
+    def test_entry_sharing_a_file_is_checked(self, small_novel, twin_use, field, value,
+                                             reason):
+        # the twin's file is already read for the first entry, as a support
+        # (another use) or as a query (the same use, so one embedding)
+        first, other = small_novel.entries[:2]
+        twin = dataclasses.replace(first, video_id="twin", **{field: value})
+        support, queries = (([first], [twin]) if twin_use == "query after support"
+                            else ([other], [first, twin]))
+        draw = data.EpisodeDraw(classes=[first.class_label], support=support, queries=queries)
+        with pytest.raises(DataError, match=re.escape(f"twin: {reason}")):
+            evaluate._NovelVideos(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
+                                  small_novel, [draw])
 
 
 class TestMeanCi:

@@ -6,9 +6,11 @@ entry fields) and loaded. Whatever the mutation, `read_feature_file`,
 `load_checkpoint` and `load_manifest` either load the file or raise a
 DataError subclass, which the CLI turns into exit 2; any other exception
 would be a traceback and exit 1. A strict prefix of a valid binary file, or
-one with bytes appended, must not load.
+one with bytes appended, must not load. Config files, arbitrary bytes or a
+valid file with one line changed, are parsed and validated the same way.
 """
 
+import dataclasses
 import json
 import struct
 
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fewvid import data, model
+from fewvid import config, data, model
 from fewvid.errors import DataError
 
 
@@ -74,7 +76,7 @@ def load_or_data_error(load, path, blob: bytes, must_fail: bool):
         load(path)
     except DataError:
         return
-    assert not must_fail, "a strict prefix or an extension of a valid file loaded"
+    assert not must_fail, "a file that must not load loaded"
 
 
 class TestFeatureFileFuzz:
@@ -204,3 +206,68 @@ class TestManifestFuzz:
         else:
             blob = self.rewrite(blob, *mutation)
         load_or_data_error(data.load_manifest, path, blob, must_fail=False)
+
+
+class TestConfigFuzz:
+    """Config files are only parsed and validated, never run: a fuzzed
+    `episodes` or `d` can ask for unbounded work."""
+
+    # every key at its default, one `key = value` line each
+    VALID = "# every key\n" + "".join(
+        f"{f.name} = {getattr(config.RunConfig(), f.name)}\n"
+        for f in dataclasses.fields(config.RunConfig))
+    KEYS = sorted(config.FIELD_TYPES)
+    INT_KEYS = [k for k in KEYS if config.FIELD_TYPES[k] is int]
+    FLOAT_KEYS = [k for k in KEYS if config.FIELD_TYPES[k] is float]
+    # the last is too long for int() to convert
+    HUGE_INT = st.one_of(st.integers(min_value=2 ** 63).map(str),
+                         st.integers(max_value=-(2 ** 63)).map(str), st.just("9" * 5000))
+    # (kind, key, value text); the kinds in MUST_FAIL never validate
+    LINE = st.one_of(
+        st.tuples(st.just("unknown"),
+                  st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,12}", fullmatch=True).filter(
+                      lambda key: key not in config.FIELD_TYPES), st.text(max_size=8)),
+        st.tuples(st.just("value"), st.sampled_from(KEYS), st.text(max_size=12)),
+        st.tuples(st.just("non-finite"), st.sampled_from(FLOAT_KEYS), st.sampled_from(
+            ["nan", "-NaN", "inf", "-inf", "Infinity", "1e999", "-1e400", "9" * 400])),
+        st.tuples(st.just("huge"), st.sampled_from(INT_KEYS + FLOAT_KEYS), HUGE_INT),
+        st.tuples(st.just("jobs"), st.just("jobs"),
+                  st.one_of(st.integers().filter(lambda v: v != 1).map(str), HUGE_INT)),
+        st.tuples(st.just("non-utf-8"), st.sampled_from(KEYS), st.sampled_from(
+            [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"])))
+    MUST_FAIL = {"unknown", "non-finite", "jobs", "non-utf-8"}
+
+    @staticmethod
+    def load(path):
+        config.build_config(path, {}).validate()
+
+    def test_valid_file_loads_the_defaults(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text(self.VALID)
+        assert config.build_config(path, {}) == config.RunConfig()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=300))
+    @example(b"jobs = 2\n")
+    @example(b"d = " + b"9" * 5000 + b"\n")
+    def test_arbitrary_bytes(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("cfg", numbered=True) / "fuzzed.cfg"
+        load_or_data_error(self.load, path, blob, must_fail=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), LINE)
+    @example(0, ("jobs", "jobs", "0"))
+    @example(0, ("huge", "episodes", "9" * 5000))
+    @example(0, ("non-finite", "lr", "nan"))
+    def test_one_line_changed(self, tmp_path_factory, row, line):
+        kind, key, value = line
+        lines = self.VALID.encode().splitlines()
+        if key in config.FIELD_TYPES:  # the key's own line, so no later line resets it
+            row = lines.index(f"{key} = {getattr(config.RunConfig(), key)}".encode())
+        if kind == "non-utf-8":  # into the line's comment, so only the encoding is bad
+            lines[row] += b" # " + value
+        else:
+            lines[row % len(lines)] = f"{key} = {value}".encode()
+        path = tmp_path_factory.mktemp("cfg", numbered=True) / "fuzzed.cfg"
+        load_or_data_error(self.load, path, b"\n".join(lines) + b"\n",
+                           must_fail=kind in self.MUST_FAIL)
