@@ -21,18 +21,18 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
 
     # one 3-way 1-shot episode, dissected: episode 0 of seed 0
     draw = data.draw_episode(novel, K=3, n=1, q=2, seed=[0, 0])
-    remap = {label: i for i, label in enumerate(draw.classes)}
-    proto = evaluate.prototypes_from_means(3, [
-        (remap[entry.class_label], evaluate.support_mean(
-            result.params, data.trim_support_video(novel.load_sequence(entry)).features))
-        for entry in draw.support])
+    # the draw lists support and queries class by class, so position gives the class
+    proto = evaluate.prototypes(np.stack([
+        evaluate.support_mean(
+            result.params, data.trim_support_video(novel.load_sequence(entry)).features)
+        for entry in draw.support]), 3)
     print("episode classes:", draw.classes)
     print("prototype norms:", [round(float(np.linalg.norm(row)), 6) for row in proto])
 
-    qseq = novel.load_sequence(draw.queries[0])
+    qseq = novel.load_sequence(draw.queries[0])  # a query of the first class, index 0
     f = model.embed_segments(result.params, qseq.features, grad=False)
     verdict = evaluate.classify_query(result.params, f[None], proto)
-    print("query", qseq.video_id, "true class index", remap[qseq.class_label])
+    print("query", qseq.video_id, "true class index", 0)
     print("class probabilities:", np.round(verdict.probs[0], 4), "-> top1", verdict.top1[0])
 
     # aggregate accuracy with a 95% confidence interval over many episodes

@@ -19,19 +19,19 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
 
     # episode 0 of seed 0: prototypes from the trimmed support videos
     draw = data.draw_episode(novel, K=3, n=1, q=2, seed=[0, 0])
-    remap = {label: i for i, label in enumerate(draw.classes)}
-    proto = evaluate.prototypes_from_means(3, [
-        (remap[entry.class_label], evaluate.support_mean(
-            result.params, data.trim_support_video(novel.load_sequence(entry)).features))
-        for entry in draw.support])
+    # the draw lists support and queries class by class, so position gives the class
+    proto = evaluate.prototypes(np.stack([
+        evaluate.support_mean(
+            result.params, data.trim_support_video(novel.load_sequence(entry)).features)
+        for entry in draw.support]), 3)
 
     # activation: each segment's aggregation weight times its cosine to each prototype
-    qseq = novel.load_sequence(draw.queries[0])
+    qseq = novel.load_sequence(draw.queries[0])  # a query of the first class, column 0
     f = model.embed_segments(result.params, qseq.features, grad=False)
     verdict = evaluate.classify_query(result.params, f[None], proto)
     A = verdict.weights[0][:, None] * verdict.cosines[0]
     print("activation map shape:", A.shape, "(segments x episode classes)")
-    print("true class column, rounded:", np.round(A[:, remap[qseq.class_label]], 2))
+    print("true class column, rounded:", np.round(A[:, 0], 2))
     print("ground truth intervals:", qseq.gt_intervals)
 
     proposals = evaluate.episode_proposals(A, [A.shape[0]])

@@ -13,7 +13,7 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     workdir = Path(tmp)
     data.generate_synthetic_dataset(data.SyntheticConfig(), workdir)
     base = data.load_manifest(workdir / "base_manifest.jsonl")
-    result = train.train_base(base, losses.LossConfig(), seed=0)
+    result = train.train_base(base, losses.LossConfig(), epochs=8, seed=0)
 
     pools = {"F": [], "I": [], "N": []}
     for entry in base.entries:

@@ -8,6 +8,7 @@ All CSV outputs are byte-reproducible for a fixed seed.
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="fewvid",
@@ -97,6 +99,7 @@ def cmd_train(cfg) -> int:
     return 0
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")  # huge weights overflow: exit 3
 def _evaluate(cfg, mode) -> dict:
     """`evaluate.evaluate` of the checkpoint on the novel split, in this
     process, with the ablations the checkpoint records."""
@@ -142,6 +145,7 @@ def cmd_grad_check(cfg) -> int:
     return 0 if report.passed else 3
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")  # huge weights overflow: exit 3
 def cmd_inspect(cfg) -> int:
     params, _ = model.load_checkpoint(cfg.ckpt)
     manifest = data.load_manifest(Path(cfg.data_dir) / "base_manifest.jsonl")
@@ -192,7 +196,7 @@ def main(argv=None) -> int:
     except OSError as err:  # every read wraps its OSError in a DataError
         print(f"fewvid: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
-    except NumericError as err:
+    except (NumericError, FloatingPointError) as err:
         print(f"fewvid: numeric failure: {err}", file=sys.stderr)
         return 3
     except ValueError as err:

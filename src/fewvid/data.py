@@ -171,10 +171,11 @@ def read_feature_file(path) -> np.ndarray:
     if len(blob) > need:
         raise MalformedFileError(f"{path}: {len(blob) - need} bytes follow the declared "
                                  f"{t}x{d} matrix")
-    features = np.frombuffer(blob[16:need], dtype="<f4").reshape(t, d).astype(np.float64)
+    features = np.frombuffer(blob[16:need], dtype="<f4").reshape(t, d)
+    # checked before the cast: casting a signalling NaN warns
     if not np.isfinite(features).all():
         raise MalformedFileError(f"{path}: holds non-finite (nan or inf) feature values")
-    return features
+    return features.astype(np.float64)
 
 
 def save_manifest(manifest: DatasetManifest, path):
@@ -420,7 +421,7 @@ def trim_support_video(seq: SegmentFeatureSequence) -> SegmentFeatureSequence:
 @dataclass
 class EpisodeDraw:
     """An episode's videos as manifest entries, before anything is loaded."""
-    classes: list  # the K sampled novel labels, in remap order
+    classes: list  # the K sampled novel labels; episode class k is classes[k]
     support: list  # K*n entries, class by class
     queries: list  # K*q entries, class by class
 

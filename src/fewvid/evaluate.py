@@ -10,13 +10,16 @@ reports mean average precision over temporal-IoU thresholds.
 
 An evaluation call draws all its episodes first, reads each feature file
 they use once, and embeds their videos in a few stacked passes; an episode
-then only indexes those embeddings. Its queries are classified as one stack
-per distinct query length, and their proposals are found together on index
-arrays: one pass finds every run, and NMS steps through all (video, class)
-groups at once. The call's detection episodes are then scored in one AP
-pass: tIoU is taken only between a detection and the truths of its own video
-and class, only detections that can match are matched, every (video, class)
-group side by side over the whole tIoU grid, and AP is summed from the hits.
+then only indexes those embeddings. An episode lists its videos class by
+class, so a video's episode class is its position, and every prototype of
+the call comes from one reshape-mean of the stacked support means. An
+episode's queries are classified as one stack per distinct query length,
+and their proposals are found together on index arrays: one pass finds every
+run, and NMS steps through all (video, class) groups at once. The call's
+detection episodes are then scored in one AP pass: tIoU is taken only
+between a detection and the truths of its own video and class, only
+detections that can match are matched, every (video, class) group side by
+side over the whole tIoU grid, and AP is summed from the hits.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from .data import draw_episode, trim_support_video
-from .errors import DataError
 from .losses import LossConfig, aggregate_video_feature, self_weight
 from .pseudo import pseudo_label_bg
 
@@ -66,23 +68,14 @@ def support_mean(params: model_mod.ModelParams, features: np.ndarray) -> np.ndar
     return model_mod.embed_segments(params, features, grad=False).mean(axis=0)
 
 
-def prototypes_from_means(K: int, class_means) -> np.ndarray:
-    """(K, d): the mean of the support means of each episode class,
-    normalized, one row per class; a zero mean stays a zero row.
-
-    class_means: (episode class index, support mean) pairs, in support order.
-    """
-    sums = {k: [] for k in range(K)}
-    for k, mean in class_means:
-        sums[k].append(mean)
-    rows = []
-    for k in range(K):
-        if not sums[k]:
-            raise DataError(f"episode class {k} has no support videos")
-        mean = np.mean(sums[k], axis=0)
-        norm = np.linalg.norm(mean)
-        rows.append(mean / norm if norm > 0.0 else mean)
-    return np.stack(rows)
+def prototypes(support_means: np.ndarray, K: int) -> np.ndarray:
+    """(..., K, d) prototypes from a (..., K*n, d) stack of support means
+    listed class by class, as `draw_episode` lists the support: each class's
+    mean of its n means, normalized; a zero mean stays a zero row."""
+    *lead, rows, d = support_means.shape
+    means = support_means.reshape(*lead, K, rows // K, d).mean(axis=-2)
+    norm = np.sqrt(means[..., None, :] @ means[..., :, None])[..., 0]  # np.linalg.norm's dot
+    return means / np.where(norm > 0.0, norm, 1.0)
 
 
 def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarray,
@@ -400,20 +393,21 @@ def detection_scores(episodes: list) -> list:
     return [(m[0], float(np.mean(m))) for m in _episode_maps(episodes).tolist()]
 
 
-def _episode_detections(params, remap: dict, proto: np.ndarray, queries: list, cfg):
+def _episode_detections(params, proto: np.ndarray, queries: list, labels, cfg):
     """Detections and (m, 4) truth rows (query, class, start, end) of
-    (video, (T, d) embedding) query pairs; a video carries its class_label
-    and gt_intervals. Each query's activation map is its segment weights
-    times its cosines; the maps are stacked and their proposals found
-    together. Detections from every query count against every class: a
-    proposal for class k on a query of another class is a false positive
-    for k."""
+    (video, (T, d) embedding) query pairs, query i of episode class
+    labels[i]; a video carries its gt_intervals. Each query's activation map
+    is its segment weights times its cosines; the maps are stacked and their
+    proposals found together. Detections from every query count against
+    every class: a proposal for class k on a query of another class is a
+    false positive for k."""
     cams = [None] * len(queries)
     for at, res in _classify_stacks(params, [f for _, f in queries], proto, cfg):
         for i, cam in zip(at, res.weights[..., None] * res.cosines):
             cams[i] = cam
-    truths = [(i, remap[video.class_label], start, end)
-              for i, (video, _) in enumerate(queries) for start, end in video.gt_intervals]
+    truths = [(i, k, start, end)
+              for i, ((video, _), k) in enumerate(zip(queries, labels))
+              for start, end in video.gt_intervals]
     return (episode_proposals(np.concatenate(cams), [len(cam) for cam in cams]),
             np.array(truths, dtype=np.intp).reshape(-1, 4))
 
@@ -508,7 +502,8 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     reproduced independently. Every episode is drawn first; then each feature
     file they use is read once and all their videos are embedded in stacked
     passes (`_NovelVideos`), so a bad file is reported before any episode is
-    scored. An episode then only indexes those arrays.
+    scored. An episode then only indexes those arrays; its prototypes come
+    from one `prototypes` call over every episode's support means.
     """
     if mode not in ("classification", "detection"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -516,17 +511,15 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     draws = [draw_episode(manifest, K=K, n=n, q=q, seed=[seed, e], groups=groups)
              for e in episode_ids]
     videos = _NovelVideos(params, manifest, draws)
+    means = np.reshape([videos.support_mean(entry) for draw in draws for entry in draw.support],
+                       (len(draws), K * n, params.d))
+    labels = np.repeat(np.arange(K), q)  # the queries are listed class by class too
     per_episode = []
-    for draw in draws:
-        remap = {label: i for i, label in enumerate(draw.classes)}
-        proto = prototypes_from_means(K, [
-            (remap[entry.class_label], videos.support_mean(entry)) for entry in draw.support])
+    for draw, proto in zip(draws, prototypes(means, K)):
+        queries = [videos.query(entry) for entry in draw.queries]
         if mode == "classification":
-            per_episode.append(classification_accuracy(
-                params, [videos.query(entry) for entry in draw.queries],
-                [remap[entry.class_label] for entry in draw.queries], proto, cfg))
+            per_episode.append(classification_accuracy(params, queries, labels, proto, cfg))
         else:
-            per_episode.append(_episode_detections(
-                params, remap, proto, [(entry, videos.query(entry)) for entry in draw.queries],
-                cfg))
+            per_episode.append(_episode_detections(params, proto, list(zip(draw.queries, queries)),
+                                                   labels, cfg))
     return detection_scores(per_episode) if mode == "detection" else per_episode

@@ -3,10 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,8 +201,10 @@ class TestParserBasics:
         assert exc.value.code == 1
 
     def test_console_script_help(self):
+        # the child does not inherit pytest's pythonpath setting
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run([sys.executable, "-m", "fewvid.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "gen-data" in proc.stdout
 
@@ -254,6 +258,23 @@ class TestTrain:
         code, _, err = run(["train", "--config", str(cfg_path)], capsys)
         assert code == 2
         assert "cannot read feature file" in err
+
+    def test_divergence_exits_3_with_last_good_checkpoint_and_log(self, workspace, tmp_path,
+                                                                   capsys):
+        root, _ = workspace
+        ckpt, log = tmp_path / "diverged.ckpt", tmp_path / "diverged.csv"
+        ckpt.write_bytes(b"stale checkpoint from an earlier run")
+        cfg_path = tmp_path / "diverge.cfg"
+        cfg_path.write_text(TINY + f"\nlr = 1e160\nepochs = 5\ndata_dir = {root / 'dataset'}\n"
+                            f"ckpt = {ckpt}\nout = {log}\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+        assert code == 3
+        assert "numeric failure: non-finite loss at step" in err and str(ckpt) in err
+        saved, _ = model.load_checkpoint(ckpt)
+        for t in saved.tensors().values():
+            assert np.all(np.isfinite(t.data))
+        assert log.read_text().startswith("step,L_total,L_cls,L_contrast,L_bg,n_nbg\n")
 
     def test_ablate_soft_refused(self, workspace, capsys):
         _, cfg_path = workspace
@@ -565,6 +586,17 @@ class TestCheckpointAgainstCorpus:
                              capsys)
         assert code == 2
         assert "classifier holds non-finite" in err and "accuracy" not in out
+
+    @pytest.mark.parametrize("command", ["eval-cls", "eval-det", "inspect"])
+    def test_overflowing_weight_exits_3(self, workspace, tmp_path, capsys, command):
+        # finite but huge: the embedding overflows, which is a numeric failure
+        root, cfg_path = workspace
+        transform = model.load_checkpoint(root / "model.ckpt")[0].transform.data.copy()
+        transform[0, 0] = 1e308
+        ckpt = self.edited(workspace, tmp_path, transform=transform)
+        code, _, err = run([command, "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
+        assert code == 3
+        assert "numeric failure" in err and "overflow" in err
 
     @pytest.mark.parametrize("command", ["eval-cls", "eval-det", "inspect"])
     def test_checkpoint_narrower_than_corpus_exits_2(self, workspace, tmp_path, capsys,

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fewvid import data
 from fewvid.errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
@@ -85,6 +88,18 @@ class TestFeatureFile:
         data.write_feature_file(np.array([[0.0, 1.0], [value, 2.0]]), path)
         with pytest.raises(MalformedFileError, match="non-finite"):
             data.read_feature_file(path)
+
+    def test_signalling_nan_rejected_without_a_warning(self, tmp_path):
+        # casting a signalling NaN (bits 0x7f800001) to float64 warns
+        path = tmp_path / "snan.segf"
+        data.write_feature_file(np.zeros((2, 2)), path)
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedFileError, match="non-finite"):
+                data.read_feature_file(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.segf"
@@ -304,6 +319,15 @@ class TestEpisode:
         with pytest.raises(DataError) as err:
             data.draw_episode(novel, K=3, n=3, q=5, seed=0)
         assert "novel" in str(err.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_lists_videos_class_by_class(self, novel, K, n, q, seed, e):
+        # evaluation reads each video's episode class from its position
+        draw = data.draw_episode(novel, K=K, n=n, q=q, seed=[seed, e])
+        assert [entry.class_label for entry in draw.support] == list(np.repeat(draw.classes, n))
+        assert [entry.class_label for entry in draw.queries] == list(np.repeat(draw.classes, q))
 
     def test_precomputed_groups_draw_the_same(self, novel):
         groups = novel.by_class()

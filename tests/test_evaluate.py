@@ -82,37 +82,53 @@ def random_instance(rng):
 
 class TestPrototypes:
     def test_singleton_support(self):
-        proto = evaluate.prototypes_from_means(2, [(0, np.array([0.0, 1.0])),
-                                                   (1, np.array([1.0, 0.0]))])
+        proto = evaluate.prototypes(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
         np.testing.assert_allclose(proto, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
     def test_mean_then_normalize(self):
-        proto = evaluate.prototypes_from_means(2, [
-            (0, np.array([1.0, 0.0])), (0, np.array([0.0, 1.0])),
-            (1, np.array([-1.0, 0.0])), (1, np.array([-1.0, 0.0]))])
+        proto = evaluate.prototypes(np.array([[1.0, 0.0], [0.0, 1.0],
+                                              [-1.0, 0.0], [-1.0, 0.0]]), 2)
         r = np.sqrt(2.0) / 2.0
         np.testing.assert_allclose(proto, [[r, r], [-1.0, 0.0]], atol=1e-12)
 
     def test_antipodal_support_flags_degenerate(self):
         # a degenerate class is flagged by a zero row, which has cosine 0 to
         # every query
-        proto = evaluate.prototypes_from_means(2, [
-            (0, np.array([1.0, 0.0])), (0, np.array([-1.0, 0.0])),
-            (1, np.array([0.0, 1.0])), (1, np.array([0.0, 1.0]))])
+        proto = evaluate.prototypes(np.array([[1.0, 0.0], [-1.0, 0.0],
+                                              [0.0, 1.0], [0.0, 1.0]]), 2)
         np.testing.assert_array_equal(proto[0], 0.0)
         np.testing.assert_allclose(proto[1], [0.0, 1.0], atol=1e-12)
+
+    def test_zero_mean_class_stays_zero(self):
+        proto = evaluate.prototypes(np.array([[[0.0, 3.0], [0.0, 0.0], [4.0, 0.0]]]), 3)
+        assert proto.shape == (1, 3, 2)
+        np.testing.assert_array_equal(proto[0], [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
 
     def test_unit_norm_within_tolerance(self):
         p = model.init_params(n_classes=3, d_in=6, d=5, seed=1)
         rng = np.random.default_rng(2)
-        proto = evaluate.prototypes_from_means(3, [
-            (i % 3, evaluate.support_mean(p, rng.normal(size=(4, 6)))) for i in range(6)])
+        proto = evaluate.prototypes(np.stack([
+            evaluate.support_mean(p, rng.normal(size=(4, 6))) for _ in range(6)]), 3)
         assert proto.shape == (3, 5)
         assert np.all(np.abs(np.linalg.norm(proto, axis=1) - 1.0) < 1e-9)
 
-    def test_empty_class_rejected(self):
-        with pytest.raises(DataError, match="class 1 has no support"):
-            evaluate.prototypes_from_means(2, [(0, np.array([1.0, 0.0]))])
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6),
+           st.integers(1, 12), st.integers(1, 40))
+    def test_equals_per_class_loop(self, seed, E, K, n, d):
+        # magnitudes spread over decades make the summation order show;
+        # some classes average to exactly zero
+        rng = np.random.default_rng(seed)
+        means = rng.normal(size=(E, K * n, d)) * 10.0 ** rng.integers(-4, 5, size=(E, K * n, 1))
+        zero = rng.random((E, K)) < 0.2
+        means.reshape(E, K, n, d)[zero] = 0.0
+        want = []
+        for stack in means:
+            for k in range(K):
+                mean = np.mean(stack[k * n : (k + 1) * n], axis=0)
+                norm = np.linalg.norm(mean)
+                want.append(mean / norm if norm > 0.0 else mean)
+        assert evaluate.prototypes(means, K).tobytes() == np.stack(want).tobytes()
 
 
 def classify(params, features, proto):
@@ -166,24 +182,25 @@ class TestClassifyQuery:
 
 def episode_accuracy(support, queries, K):
     """classification_accuracy of (label, rows) queries against prototypes
-    from (label, rows) trimmed support videos, embedded by the identity head."""
+    from the rows of trimmed support videos listed class by class, embedded
+    by the identity head."""
     p = identity_params()
-    proto = evaluate.prototypes_from_means(K, [
-        (label, evaluate.support_mean(p, np.array(rows))) for label, rows in support])
+    proto = evaluate.prototypes(
+        np.stack([evaluate.support_mean(p, np.array(rows)) for rows in support]), K)
     embeddings = [model.embed_segments(p, np.array(rows), grad=False) for _, rows in queries]
     return evaluate.classification_accuracy(p, embeddings, [label for label, _ in queries], proto)
 
 
 class TestEpisodeAccuracy:
     def test_hand_placed_queries(self):
-        support = [(0, [[1.0, 0.0]]), (1, [[0.0, 1.0]])]
+        support = [[[1.0, 0.0]], [[0.0, 1.0]]]
         queries = [(0, [[1.0, 0.0]]),
                    (1, [[0.0, 1.0]]),
                    (1, [[1.0, 0.0]])]  # labeled 1, looks like 0
         assert episode_accuracy(support, queries, K=2) == pytest.approx(2.0 / 3.0)
 
     def test_all_correct(self):
-        support = [(0, [[1.0, 0.0]]), (1, [[0.0, 1.0]])]
+        support = [[[1.0, 0.0]], [[0.0, 1.0]]]
         queries = [(0, [[1.0, 0.0]]), (1, [[0.0, 1.0]])]
         assert episode_accuracy(support, queries, K=2) == 1.0
 
@@ -308,15 +325,16 @@ class TestEpisodeDetection:
     def scored(params, novel, draw):
         """remap, prototypes, (query video, embedding) pairs and the
         episode's (map50, avg_map, maps)."""
-        remap = {label: i for i, label in enumerate(draw.classes)}
-        proto = evaluate.prototypes_from_means(len(draw.classes), [
-            (remap[entry.class_label],
-             evaluate.support_mean(params, data.trim_support_video(
-                 novel.load_sequence(entry)).features)) for entry in draw.support])
+        K = len(draw.classes)
+        proto = evaluate.prototypes(np.stack([
+            evaluate.support_mean(params, data.trim_support_video(
+                novel.load_sequence(entry)).features) for entry in draw.support]), K)
         queries = [(q, model.embed_segments(params, q.features, grad=False))
                    for q in map(novel.load_sequence, draw.queries)]
-        found = evaluate._episode_detections(params, remap, proto, queries, None)
+        labels = np.repeat(np.arange(K), len(queries) // K)
+        found = evaluate._episode_detections(params, proto, queries, labels, None)
         [(map50, avg_map)] = evaluate.detection_scores([found])
+        remap = {label: i for i, label in enumerate(draw.classes)}  # for the oracle
         return remap, proto, queries, (map50, avg_map, evaluate.detection_maps(*found))
 
     @pytest.fixture(autouse=True)
@@ -613,7 +631,7 @@ class TestCachedLoop:
         features[0, 0] = np.nan
         data.write_feature_file(features, tmp_path / late)
         scored = []
-        monkeypatch.setattr(evaluate, "prototypes_from_means",
+        monkeypatch.setattr(evaluate, "classification_accuracy",
                             lambda *args: scored.append(1))
         with pytest.raises(DataError, match=f"{late}: holds non-finite"):
             evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
@@ -1028,15 +1046,15 @@ class TestEpisodePath:
                 video_id=f"q{i}", class_label=data_.draw(st.integers(0, K - 1)), features=f,
                 gt_intervals=list(zip(bounds[0::2], bounds[1::2])))
             queries.append((video, f))
-        remap = {k: k for k in range(K)}
+        remap = {k: k for k in range(K)}  # for the loops: labels are episode classes
+        labels = [video.class_label for video, _ in queries]
         cfg, grid = LossConfig(sw=sw), evaluate.MAP_TIOU_GRID
-        found = evaluate._episode_detections(params, remap, proto, queries, cfg)
+        found = evaluate._episode_detections(params, proto, queries, labels, cfg)
         map50, avg_map, maps = loop_detection(params, remap, proto, queries, cfg, grid)
         assert evaluate.detection_scores([found]) == [(map50, avg_map)]
         assert evaluate.detection_maps(*found) == maps
-        assert (evaluate.classification_accuracy(
-                    params, [f for _, f in queries],
-                    [remap[video.class_label] for video, _ in queries], proto, cfg)
+        assert (evaluate.classification_accuracy(params, [f for _, f in queries], labels,
+                                                 proto, cfg)
                 == loop_accuracy(params, remap, proto, queries, cfg))
 
     def test_length_grouped_means_equal_slice_reduce(self):

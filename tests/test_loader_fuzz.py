@@ -8,17 +8,25 @@ DataError subclass, which the CLI turns into exit 2; any other exception
 would be a traceback and exit 1. A strict prefix of a valid binary file, or
 one with bytes appended, must not load. Config files, arbitrary bytes or a
 valid file with one line changed, are parsed and validated the same way.
+
+The same mutations then go through the commands: on a tiny corpus and
+checkpoint, one file is fuzzed per example and every command that reads it
+runs with warnings turned into errors. Each must return 0, 2 or 3 and raise
+nothing.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fewvid import config, data, model
+from fewvid import cli, config, data, model
 from fewvid.errors import DataError
 
 
@@ -70,6 +78,14 @@ def mutate(blob: bytes, kind: str, arg) -> bytes:
     return blob + arg
 
 
+def segf_mutation(blob: bytes, mutation) -> bytes:
+    """A `.segf` file's bytes with one TestFeatureFileFuzz mutation applied."""
+    if mutation[0] == "field":  # u32 version, T or d_in
+        _, at, value = mutation
+        return blob[: 4 + 4 * at] + struct.pack("<I", value) + blob[8 + 4 * at :]
+    return mutate(blob, *mutation)
+
+
 def load_or_data_error(load, path, blob: bytes, must_fail: bool):
     path.write_bytes(blob)
     try:
@@ -89,12 +105,7 @@ class TestFeatureFileFuzz:
     @example(("append", b"\0"))
     def test_only_data_errors_escape(self, valid, mutation):
         path, blob, _ = valid
-        if mutation[0] == "field":  # u32 version, T or d_in
-            _, at, value = mutation
-            blob = blob[: 4 + 4 * at] + struct.pack("<I", value) + blob[8 + 4 * at :]
-        else:
-            blob = mutate(blob, *mutation)
-        load_or_data_error(data.read_feature_file, path, blob,
+        load_or_data_error(data.read_feature_file, path, segf_mutation(blob, mutation),
                            must_fail=mutation[0] in ("truncate", "append"))
 
 
@@ -124,6 +135,12 @@ class TestCheckpointFuzz:
         text = json.dumps(header).encode()
         return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len :]
 
+    @classmethod
+    def mutated(cls, blob: bytes, mutation) -> bytes:
+        if mutation[0] in ("truncate", "flip", "append"):
+            return mutate(blob, *mutation)
+        return cls.edit_header(blob, *mutation)
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(TRUNCATE, FLIP, APPEND, HEADER_EDIT))
     @example(("shape", 0, [2 ** 40, 2 ** 40]))  # wraps to 0 in int64
@@ -133,11 +150,7 @@ class TestCheckpointFuzz:
     @example(("append", b"\0" * 8))
     def test_only_data_errors_escape(self, valid, mutation):
         path, _, blob = valid
-        if mutation[0] in ("truncate", "flip", "append"):
-            blob = mutate(blob, *mutation)
-        else:
-            blob = self.edit_header(blob, *mutation)
-        load_or_data_error(model.load_checkpoint, path, blob,
+        load_or_data_error(model.load_checkpoint, path, self.mutated(blob, mutation),
                            must_fail=mutation[0] in ("truncate", "append"))
 
     def test_integer_too_long_to_convert(self, valid):
@@ -190,6 +203,12 @@ class TestManifestFuzz:
             lines[row % len(lines)] = json.dumps(record).replace(json.dumps(cls.MARK), text or "")
         return "\n".join(lines).encode()
 
+    @classmethod
+    def mutated(cls, blob: bytes, mutation) -> bytes:
+        if mutation[0] in ("truncate", "flip"):
+            return mutate(blob, *mutation)
+        return cls.rewrite(blob, *mutation)
+
     @settings(max_examples=300, deadline=None)
     @given(MUTATION)
     @example(("line", 0, DEEP))
@@ -201,11 +220,7 @@ class TestManifestFuzz:
     @example(("append", ["{}", "[]"]))
     def test_only_data_errors_escape(self, manifest, mutation):
         path, blob = manifest
-        if mutation[0] in ("truncate", "flip"):
-            blob = mutate(blob, *mutation)
-        else:
-            blob = self.rewrite(blob, *mutation)
-        load_or_data_error(data.load_manifest, path, blob, must_fail=False)
+        load_or_data_error(data.load_manifest, path, self.mutated(blob, mutation), must_fail=False)
 
 
 class TestConfigFuzz:
@@ -271,3 +286,137 @@ class TestConfigFuzz:
         path = tmp_path_factory.mktemp("cfg", numbered=True) / "fuzzed.cfg"
         load_or_data_error(self.load, path, b"\n".join(lines) + b"\n",
                            must_fail=kind in self.MUST_FAIL)
+
+
+CLI_CONFIG = """
+n_base_classes = 2
+n_novel_classes = 3
+videos_per_class = 3
+T = 6
+d_in = 4
+d = 4
+kernel_width = 2
+attn_width = 4
+epochs = 1
+batch_size = 8
+K = 2
+n = 1
+q = 1
+episodes = 2
+"""
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """(root, config path): a tiny corpus and a checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    cfg = root / "run.cfg"
+    cfg.write_text(CLI_CONFIG + f"data_dir = {root / 'data'}\nckpt = {root / 'model.ckpt'}\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen-data", "--config", str(cfg)]) == 0
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+    return root, cfg
+
+
+class TestCommandExitCodes:
+    """Each fuzzed file goes through the commands that read it. Config files
+    are only fuzzed in ways that fail at load, so no fuzzed value ever sets
+    the amount of work a command does."""
+
+    @staticmethod
+    def run_commands(corpus, commands, fuzzed, blob: bytes) -> list:
+        """Exit codes of the commands run with `fuzzed` holding `blob`, with
+        warnings as errors; the file's own bytes are put back after."""
+        root, cfg = corpus
+        kept = fuzzed.read_bytes()
+        fuzzed.write_bytes(blob)
+        # train writes its checkpoint and log aside, not over the corpus's
+        extra = {"train": ["--ckpt", str(root / "trained.ckpt")]}
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("error")
+                return [cli.main([command, "--config", str(cfg), *extra.get(command, [])])
+                        for command in commands]
+        finally:
+            fuzzed.write_bytes(kept)
+
+    def check(self, corpus, commands, fuzzed, blob: bytes):
+        codes = self.run_commands(corpus, commands, fuzzed, blob)
+        assert set(codes) <= {0, 2, 3}, dict(zip(commands, codes))
+
+    @staticmethod
+    def used_novel_files(corpus) -> list:
+        """The novel feature files the eval commands' episodes read."""
+        root, cfg = corpus
+        c = config.build_config(cfg, {})
+        novel = data.load_manifest(root / "data" / "novel_manifest.jsonl")
+        draws = [data.draw_episode(novel, c.K, c.n, c.q, [c.seed, e]) for e in range(c.episodes)]
+        return sorted({entry.feature_file for draw in draws
+                       for entry in draw.support + draw.queries})
+
+    def test_corpus_runs_clean(self, corpus):
+        _, cfg = corpus
+        commands = ["train", "eval-cls", "eval-det", "inspect"]
+        assert self.run_commands(corpus, commands, cfg, cfg.read_bytes()) == [0, 0, 0, 0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 99), st.one_of(TRUNCATE, FLIP, APPEND, TestFeatureFileFuzz.SEGF_FIELD))
+    @example(0, ("field", 1, 2 ** 32 - 1))
+    def test_novel_feature_file(self, corpus, which, mutation):
+        root, _ = corpus
+        files = self.used_novel_files(corpus)
+        path = root / "data" / files[which % len(files)]
+        self.check(corpus, ["eval-cls", "eval-det"], path,
+                   segf_mutation(path.read_bytes(), mutation))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 99), st.one_of(TRUNCATE, FLIP, APPEND, TestFeatureFileFuzz.SEGF_FIELD))
+    def test_base_feature_file(self, corpus, which, mutation):
+        root, _ = corpus
+        files = sorted((root / "data" / "base").iterdir())
+        path = files[which % len(files)]
+        self.check(corpus, ["train", "inspect"], path, segf_mutation(path.read_bytes(), mutation))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(TRUNCATE, FLIP, APPEND, TestCheckpointFuzz.HEADER_EDIT))
+    @example(("name", 1, "transform"))
+    @example(("flip", [3678]))  # a transform weight of this checkpoint becomes about 1e308
+    def test_checkpoint(self, corpus, mutation):
+        root, _ = corpus
+        path = root / "model.ckpt"
+        self.check(corpus, ["eval-cls", "eval-det", "inspect"], path,
+                   TestCheckpointFuzz.mutated(path.read_bytes(), mutation))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([("base", ["train", "inspect"]), ("novel", ["eval-cls", "eval-det"])]),
+           TestManifestFuzz.MUTATION)
+    @example(("novel", ["eval-cls", "eval-det"]), ("field", 1, "gt_intervals", "[]"))
+    def test_manifest(self, corpus, split, mutation):
+        root, _ = corpus
+        name, commands = split
+        path = root / "data" / f"{name}_manifest.jsonl"
+        self.check(corpus, commands, path, TestManifestFuzz.mutated(path.read_bytes(), mutation))
+
+    # lines that fail at load, whatever else the file says
+    PRINTABLE = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+    TYPED_KEYS = [k for k in TestConfigFuzz.KEYS if config.FIELD_TYPES[k] is not str]
+    FAILING_LINE = st.one_of(
+        TestConfigFuzz.LINE.filter(lambda line: line[0] in {"unknown", "non-finite", "non-utf-8"}),
+        # no int, float or bool parses from text that starts with a letter x
+        st.tuples(st.just("value"), st.sampled_from(TYPED_KEYS), PRINTABLE.map("x".__add__)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(FAILING_LINE)
+    @example(("value", "episodes", "x"))
+    def test_config_that_fails_at_load(self, corpus, line):
+        _, cfg = corpus
+        kind, key, value = line
+        blob = cfg.read_bytes()
+        if kind == "non-utf-8":  # into a comment, so only the encoding is bad
+            blob += b"# " + value + b"\n"
+        else:
+            blob += f"{key} = {value}\n".encode()
+        codes = self.run_commands(corpus, list(cli.COMMANDS), cfg, blob)
+        assert codes == [2] * len(cli.COMMANDS)
+
