@@ -99,7 +99,6 @@ def cmd_train(cfg) -> int:
     return 0
 
 
-@np.errstate(over="raise", invalid="raise", divide="raise")  # huge weights overflow: exit 3
 def _evaluate(cfg, mode) -> dict:
     """`evaluate.evaluate` of the checkpoint on the novel split, in this
     process, with the ablations the checkpoint records."""

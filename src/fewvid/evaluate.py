@@ -13,13 +13,15 @@ they use once, and embeds their videos in a few stacked passes; an episode
 then only indexes those embeddings. An episode lists its videos class by
 class, so a video's episode class is its position, and every prototype of
 the call comes from one reshape-mean of the stacked support means. An
-episode's queries are classified as one stack per distinct query length,
-and their proposals are found together on index arrays: one pass finds every
-run, and NMS steps through all (video, class) groups at once. The call's
-detection episodes are then scored in one AP pass: tIoU is taken only
-between a detection and the truths of its own video and class, only
-detections that can match are matched, every (video, class) group side by
-side over the whole tIoU grid, and AP is summed from the hits.
+episode's queries are classified as one stack per distinct query length.
+In detection the call's activation maps are stacked into one array, the
+embeddings are dropped, and proposals are found over that stack in passes of
+at most PROPOSAL_CHUNK videos: one pass finds every run, and NMS steps
+through all (video, class) groups at once. The call's episodes are then
+scored in one AP pass: tIoU is taken only between a detection and the truths
+of its own video and class, only detections that can match are matched,
+every (video, class) group side by side over the whole tIoU grid, and AP is
+summed from the hits.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .pseudo import pseudo_label_bg
 DEFAULT_PROPOSAL_THRESHOLDS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 2))
 MAP_TIOU_GRID = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
 EMBED_CHUNK = 32  # videos per stacked embedding pass; bounds the memory of one pass
+PROPOSAL_CHUNK = 256  # videos per proposal pass; bounds the memory of one pass
 
 
 @dataclass
@@ -350,14 +353,30 @@ def average_precision(detections, ground_truths, tiou_threshold):
     return aps if np.ndim(tiou_threshold) else aps[0]
 
 
-def _episode_maps(episodes: list) -> np.ndarray:
-    """(episodes, MAP_TIOU_GRID) mAP of each (Detections, truths) episode over
-    its classes with truths, 0 where none has any.
-
-    All episodes are scored in one `average_precision` pass: episode e's
-    classes are offset past those of the episodes before it, so each
-    (episode, class) is ranked on its own.
+def _maps(detections: Detections, truths: np.ndarray, offset) -> np.ndarray:
+    """(episodes, MAP_TIOU_GRID) mAP of each episode over its classes with
+    truths, 0 where none has any, from one `average_precision` pass over
+    the episodes' detections and truths; episode e's classes run from
+    offset[e] to offset[e + 1], so each (episode, class) is ranked on its own.
     """
+    aps = average_precision(detections, truths, MAP_TIOU_GRID)
+    maps = np.zeros((len(offset) - 1, len(MAP_TIOU_GRID)))
+    for e in range(len(maps)):
+        rows = aps[offset[e] : offset[e + 1]]
+        rows = rows[~np.isnan(rows[:, 0])]
+        if rows.size:  # each threshold's mean along a contiguous row: a 1-D mean's bits
+            maps[e] = np.ascontiguousarray(rows.T).mean(axis=1)
+    return maps
+
+
+def _map_pairs(maps: np.ndarray) -> list:
+    """(map50, avg_map) of each row of `_maps`."""
+    return [(m[0], float(np.mean(m))) for m in maps.tolist()]
+
+
+def _episode_maps(episodes: list) -> np.ndarray:
+    """`_maps` of (Detections, truths) episodes, each episode's classes
+    offset past those of the episodes before it."""
     classes = [1 + max(dets.class_index.max(initial=-1), truths[:, 1].max(initial=-1))
                for dets, truths in episodes]
     offset = np.cumsum([0] + classes)
@@ -365,14 +384,7 @@ def _episode_maps(episodes: list) -> np.ndarray:
              for (dets, _), o in zip(episodes, offset)]
     detections = Detections(*(np.concatenate(arrays) for arrays in zip(*parts)))
     truths = np.concatenate([truths + [0, o, 0, 0] for (_, truths), o in zip(episodes, offset)])
-    aps = average_precision(detections, truths, MAP_TIOU_GRID)
-    maps = np.zeros((len(episodes), len(MAP_TIOU_GRID)))
-    for e in range(len(episodes)):
-        rows = aps[offset[e] : offset[e + 1]]
-        rows = rows[~np.isnan(rows[:, 0])]
-        if rows.size:  # each threshold's mean along a contiguous row: a 1-D mean's bits
-            maps[e] = np.ascontiguousarray(rows.T).mean(axis=1)
-    return maps
+    return _maps(detections, truths, offset)
 
 
 def detection_maps(detections: Detections, truths: np.ndarray) -> dict:
@@ -390,26 +402,20 @@ def detection_maps(detections: Detections, truths: np.ndarray) -> dict:
 def detection_scores(episodes: list) -> list:
     """(map50, avg_map) of each (Detections, truths) episode, as
     `detection_maps` scores it, all in one AP pass."""
-    return [(m[0], float(np.mean(m))) for m in _episode_maps(episodes).tolist()]
+    return _map_pairs(_episode_maps(episodes))
 
 
-def _episode_detections(params, proto: np.ndarray, queries: list, labels, cfg):
-    """Detections and (m, 4) truth rows (query, class, start, end) of
-    (video, (T, d) embedding) query pairs, query i of episode class
-    labels[i]; a video carries its gt_intervals. Each query's activation map
-    is its segment weights times its cosines; the maps are stacked and their
-    proposals found together. Detections from every query count against
-    every class: a proposal for class k on a query of another class is a
-    false positive for k."""
-    cams = [None] * len(queries)
-    for at, res in _classify_stacks(params, [f for _, f in queries], proto, cfg):
-        for i, cam in zip(at, res.weights[..., None] * res.cosines):
-            cams[i] = cam
-    truths = [(i, k, start, end)
-              for i, ((video, _), k) in enumerate(zip(queries, labels))
-              for start, end in video.gt_intervals]
-    return (episode_proposals(np.concatenate(cams), [len(cam) for cam in cams]),
-            np.array(truths, dtype=np.intp).reshape(-1, 4))
+def _query_maps(params: model_mod.ModelParams, embeddings: list, proto: np.ndarray,
+                cfg: LossConfig = None) -> np.ndarray:
+    """(sum T_i, K) activation maps of (T_i, d) query embeddings, stacked in
+    order: each segment's aggregation weight times its cosines to the (K, d)
+    prototypes."""
+    first = np.cumsum([0] + [len(f) for f in embeddings])
+    A = np.empty((first[-1], len(proto)))
+    for at, res in _classify_stacks(params, embeddings, proto, cfg):
+        rows = (first[at, None] + np.arange(res.weights.shape[1])).ravel()
+        A[rows] = (res.weights[..., None] * res.cosines).reshape(rows.size, -1)
+    return A
 
 
 def mean_ci(scores) -> tuple:
@@ -475,6 +481,44 @@ class _NovelVideos:
         return self._kept[_support_key(entry)]
 
 
+def _episodes(params: model_mod.ModelParams, manifest, draws, K: int):
+    """(query embeddings, (K, d) prototypes) of each draw, in order. The
+    draws' videos are all embedded before the first is yielded
+    (`_NovelVideos`), and dropped once the last has been taken."""
+    videos = _NovelVideos(params, manifest, draws)
+    means = np.reshape([videos.support_mean(entry) for draw in draws for entry in draw.support],
+                       (len(draws), -1, params.d))
+    for draw, proto in zip(draws, prototypes(means, K)):
+        yield [videos.query(entry) for entry in draw.queries], proto
+
+
+def _call_maps(params, manifest, draws, K: int, cfg):
+    """`_query_maps` of every draw's queries, stacked in draw order, and each
+    query's length. The call's embeddings are dropped before it returns."""
+    maps, lengths = [], []
+    for queries, proto in _episodes(params, manifest, draws, K):
+        maps.append(_query_maps(params, queries, proto, cfg))
+        lengths += [len(f) for f in queries]
+    return np.concatenate(maps), lengths
+
+
+def _call_detections(A: np.ndarray, lengths: list, Q: int) -> Detections:
+    """`episode_proposals` of a call's stacked (sum T, K) activation maps,
+    found in passes of at most PROPOSAL_CHUNK videos; episode e's Q queries
+    are videos e*Q to e*Q + Q - 1 of the stack. Detections come back keyed
+    for `_maps`: video within its episode, class e*K + k. A query's
+    detections count against every class of its episode: a proposal for
+    class k on a query of another class is a false positive for k."""
+    K, ends = A.shape[1], np.cumsum(lengths)
+    parts = []
+    for v in range(0, len(lengths), PROPOSAL_CHUNK):
+        chunk = lengths[v : v + PROPOSAL_CHUNK]
+        dets = episode_proposals(A[ends[v] - chunk[0] : ends[v + len(chunk) - 1]], chunk)
+        episode, video = np.divmod(dets.video + v, Q)
+        parts.append((video, episode * K + dets.class_index, dets.intervals, dets.scores))
+    return Detections(*(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
 def evaluate(params: model_mod.ModelParams, manifest, mode: str, K: int = 5, n: int = 1,
              q: int = 5, episodes: int = 100, seed: int = 0, cfg: LossConfig = None) -> dict:
     """Run `episodes` independent episodes and aggregate with a 95% CI."""
@@ -493,6 +537,7 @@ def evaluate(params: model_mod.ModelParams, manifest, mode: str, K: int = 5, n: 
     return report
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")  # huge weights overflow
 def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_ids,
                    K: int = 5, n: int = 1, q: int = 5, seed: int = 0,
                    cfg: LossConfig = None) -> list:
@@ -503,23 +548,27 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     file they use is read once and all their videos are embedded in stacked
     passes (`_NovelVideos`), so a bad file is reported before any episode is
     scored. An episode then only indexes those arrays; its prototypes come
-    from one `prototypes` call over every episode's support means.
+    from one `prototypes` call over every episode's support means. Detection
+    stacks every episode's activation maps, drops the embeddings, and finds
+    the call's proposals in bounded passes and its APs in one pass.
+
+    Overflow and invalid arithmetic raise FloatingPointError: finite but
+    huge weights would otherwise give chance-level numbers.
     """
     if mode not in ("classification", "detection"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     groups = manifest.by_class()
     draws = [draw_episode(manifest, K=K, n=n, q=q, seed=[seed, e], groups=groups)
              for e in episode_ids]
-    videos = _NovelVideos(params, manifest, draws)
-    means = np.reshape([videos.support_mean(entry) for draw in draws for entry in draw.support],
-                       (len(draws), K * n, params.d))
-    labels = np.repeat(np.arange(K), q)  # the queries are listed class by class too
-    per_episode = []
-    for draw, proto in zip(draws, prototypes(means, K)):
-        queries = [videos.query(entry) for entry in draw.queries]
-        if mode == "classification":
-            per_episode.append(classification_accuracy(params, queries, labels, proto, cfg))
-        else:
-            per_episode.append(_episode_detections(params, proto, list(zip(draw.queries, queries)),
-                                                   labels, cfg))
-    return detection_scores(per_episode) if mode == "detection" else per_episode
+    if not draws:
+        return []
+    if mode == "classification":
+        labels = np.repeat(np.arange(K), q)  # the queries are listed class by class too
+        return [classification_accuracy(params, queries, labels, proto, cfg)
+                for queries, proto in _episodes(params, manifest, draws, K)]
+    detections = _call_detections(*_call_maps(params, manifest, draws, K, cfg), K * q)
+    truths = [(i, e * K + i // q, start, end)
+              for e, draw in enumerate(draws) for i, entry in enumerate(draw.queries)
+              for start, end in entry.gt_intervals]
+    return _map_pairs(_maps(detections, np.array(truths, dtype=np.intp).reshape(-1, 4),
+                            np.arange(len(draws) + 1) * K))

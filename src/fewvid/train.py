@@ -99,6 +99,9 @@ def _check_writable(path):
                         f"{err.strerror}") from err
 
 
+# a diverging step overflows before its loss turns non-finite; the finite-loss
+# check is the one place that decides what follows, so NumPy does not warn
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
                d: int = 64, kernel_width: int = 8, attn_width: int = 32,
                lr: float = 0.01, momentum: float = 0.9,

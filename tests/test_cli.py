@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,22 +260,45 @@ class TestTrain:
         assert code == 2
         assert "cannot read feature file" in err
 
-    def test_divergence_exits_3_with_last_good_checkpoint_and_log(self, workspace, tmp_path,
-                                                                   capsys):
+    @staticmethod
+    def diverging(workspace, tmp_path):
+        """A config that diverges at lr = 1e160, its checkpoint path holding a
+        stale file; returns (config, checkpoint, log) paths."""
         root, _ = workspace
         ckpt, log = tmp_path / "diverged.ckpt", tmp_path / "diverged.csv"
         ckpt.write_bytes(b"stale checkpoint from an earlier run")
         cfg_path = tmp_path / "diverge.cfg"
         cfg_path.write_text(TINY + f"\nlr = 1e160\nepochs = 5\ndata_dir = {root / 'dataset'}\n"
                             f"ckpt = {ckpt}\nout = {log}\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, _, err = run(["train", "--config", str(cfg_path)], capsys)
-        assert code == 3
+        return cfg_path, ckpt, log
+
+    @staticmethod
+    def assert_last_good(err, ckpt, log):
         assert "numeric failure: non-finite loss at step" in err and str(ckpt) in err
         saved, _ = model.load_checkpoint(ckpt)
         for t in saved.tensors().values():
             assert np.all(np.isfinite(t.data))
         assert log.read_text().startswith("step,L_total,L_cls,L_contrast,L_bg,n_nbg\n")
+
+    def test_divergence_exits_3_with_last_good_checkpoint_and_log(self, workspace, tmp_path,
+                                                                   capsys):
+        cfg_path, ckpt, log = self.diverging(workspace, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+        assert code == 3
+        self.assert_last_good(err, ckpt, log)
+
+    def test_divergence_under_warnings_as_errors_exits_3(self, workspace, tmp_path):
+        # a warning would end the run with a traceback before the checkpoint
+        cfg_path, ckpt, log = self.diverging(workspace, tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "fewvid.cli", "train",
+                               "--config", str(cfg_path)], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        self.assert_last_good(proc.stderr, ckpt, log)
 
     def test_ablate_soft_refused(self, workspace, capsys):
         _, cfg_path = workspace

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -312,6 +313,18 @@ class TestAveragePrecision:
         assert evaluate.average_precision(mapped, gts, 0.5) == pytest.approx(base, abs=1e-12)
 
 
+def episode_detections(params, proto, queries, labels, cfg):
+    """Detections and (m, 4) truth rows (query, class, start, end) of one
+    episode's (video, (T, d) embedding) query pairs, query i of episode
+    class labels[i], found as an evaluation call finds them."""
+    embeddings = [f for _, f in queries]
+    detections = evaluate.episode_proposals(evaluate._query_maps(params, embeddings, proto, cfg),
+                                            [len(f) for f in embeddings])
+    truths = [(i, k, start, end) for i, ((video, _), k) in enumerate(zip(queries, labels))
+              for start, end in video.gt_intervals]
+    return detections, np.array(truths, dtype=np.intp).reshape(-1, 4)
+
+
 class TestEpisodeDetection:
     def dataset_episode(self, seed=0):
         cfg = data.SyntheticConfig(
@@ -332,7 +345,7 @@ class TestEpisodeDetection:
         queries = [(q, model.embed_segments(params, q.features, grad=False))
                    for q in map(novel.load_sequence, draw.queries)]
         labels = np.repeat(np.arange(K), len(queries) // K)
-        found = evaluate._episode_detections(params, proto, queries, labels, None)
+        found = episode_detections(params, proto, queries, labels, None)
         [(map50, avg_map)] = evaluate.detection_scores([found])
         remap = {label: i for i, label in enumerate(draw.classes)}  # for the oracle
         return remap, proto, queries, (map50, avg_map, evaluate.detection_maps(*found))
@@ -432,6 +445,20 @@ class TestEvaluateLoop:
         params, novel = setup
         with pytest.raises(ValueError):
             evaluate.evaluate(params, novel, "segmentation")
+
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    def test_no_episodes_give_no_scores(self, setup, mode):
+        params, novel = setup
+        assert evaluate.episode_scores(params, novel, mode, [], K=2, n=1, q=2) == []
+
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    def test_huge_finite_weight_raises(self, setup, mode):
+        # the embedding overflows: an error, not warnings and chance-level scores
+        _, novel = setup
+        params = model.init_params(n_classes=3, d_in=8, d=8, seed=0)
+        params.transform.data[0, 0] = 1e308
+        with pytest.raises(FloatingPointError, match="overflow"):
+            evaluate.episode_scores(params, novel, mode, range(2), K=2, n=1, q=2)
 
 
 # --- per-episode oracle -----------------------------------------------------
@@ -618,6 +645,68 @@ class TestCachedLoop:
         got = evaluate.evaluate(params, mixed_novel, mode, K=K, n=n, q=q, episodes=episodes,
                                 seed=seed, cfg=cfg)["per_episode"]
         assert got == oracle_evaluate(params, mixed_novel, mode, K, n, q, episodes, seed, cfg)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("K, q", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("sw", [True, False])
+    def test_proposal_passes_across_episodes_equal_per_episode_oracle(
+            self, mixed_novel, monkeypatch, chunk, K, q, sw):
+        # episodes of 4 and of 3 queries: passes of 3 and of 2 videos cut
+        # across episodes, and mix 10- and 7-segment queries
+        monkeypatch.setattr(evaluate, "PROPOSAL_CHUNK", chunk)
+        params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=5)
+        cfg = LossConfig(sw=sw)
+        n, episodes, seed = 1, 5, 4
+        got = evaluate.evaluate(params, mixed_novel, "detection", K=K, n=n, q=q,
+                                episodes=episodes, seed=seed, cfg=cfg)["per_episode"]
+        assert got == oracle_evaluate(params, mixed_novel, "detection", K, n, q, episodes, seed,
+                                      cfg)
+
+    @pytest.mark.parametrize("chunk", [evaluate.PROPOSAL_CHUNK, 7])
+    def test_one_proposal_pass_per_chunk_and_one_ap_pass(self, mixed_novel, monkeypatch,
+                                                         chunk):
+        passes, ap_calls = [], []
+        proposals, ap = evaluate.episode_proposals, evaluate.average_precision
+
+        def counting_proposals(A, lengths):
+            passes.append(len(lengths))
+            return proposals(A, lengths)
+
+        def counting_ap(*args):
+            ap_calls.append(1)
+            return ap(*args)
+
+        monkeypatch.setattr(evaluate, "episode_proposals", counting_proposals)
+        monkeypatch.setattr(evaluate, "average_precision", counting_ap)
+        monkeypatch.setattr(evaluate, "PROPOSAL_CHUNK", chunk)
+        K, n, q = 3, 1, 3
+        episodes = chunk // (K * q) + 2
+        videos = episodes * K * q
+        evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
+                                mixed_novel, "detection", range(episodes), K=K, n=n, q=q)
+        assert len(passes) == -(-videos // chunk) > 1
+        assert sum(passes) == videos and max(passes) == chunk
+        assert len(ap_calls) == 1
+
+    def test_embeddings_dropped_before_first_proposal_pass(self, mixed_novel, monkeypatch):
+        built, alive = [], []
+
+        class Watched(evaluate._NovelVideos):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+
+        proposals = evaluate.episode_proposals
+
+        def watching_proposals(A, lengths):
+            alive.append([ref() is not None for ref in built])
+            return proposals(A, lengths)
+
+        monkeypatch.setattr(evaluate, "_NovelVideos", Watched)
+        monkeypatch.setattr(evaluate, "episode_proposals", watching_proposals)
+        evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
+                                mixed_novel, "detection", range(4), K=3, n=1, q=2)
+        assert alive and alive[0] == [False]
 
     def test_bad_file_reported_before_any_episode_is_scored(self, small_novel, tmp_path,
                                                              monkeypatch):
@@ -1049,7 +1138,7 @@ class TestEpisodePath:
         remap = {k: k for k in range(K)}  # for the loops: labels are episode classes
         labels = [video.class_label for video, _ in queries]
         cfg, grid = LossConfig(sw=sw), evaluate.MAP_TIOU_GRID
-        found = evaluate._episode_detections(params, proto, queries, labels, cfg)
+        found = episode_detections(params, proto, queries, labels, cfg)
         map50, avg_map, maps = loop_detection(params, remap, proto, queries, cfg, grid)
         assert evaluate.detection_scores([found]) == [(map50, avg_map)]
         assert evaluate.detection_maps(*found) == maps
