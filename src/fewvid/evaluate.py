@@ -12,9 +12,10 @@ An evaluation call draws all its episodes first, reads each feature file
 they use once, and embeds their videos in a few stacked passes; an episode
 then only indexes those embeddings. An episode lists its videos class by
 class, so a video's episode class is its position, and every prototype of
-the call comes from one reshape-mean of the stacked support means. An
-episode's queries are classified as one stack per distinct query length.
-In detection the call's activation maps are stacked into one array, the
+the call comes from one reshape-mean of the stacked support means. All the
+call's queries are classified together, each against its own episode's
+prototypes, in stacks of at most EMBED_CHUNK queries of one length. In
+detection the call's activation maps are stacked into one array, the
 embeddings are dropped, and proposals are found over that stack in passes of
 at most PROPOSAL_CHUNK videos: one pass finds every run, and NMS steps
 through all (video, class) groups at once. The call's episodes are then
@@ -39,7 +40,7 @@ from .pseudo import pseudo_label_bg
 
 DEFAULT_PROPOSAL_THRESHOLDS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 2))
 MAP_TIOU_GRID = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
-EMBED_CHUNK = 32  # videos per stacked embedding pass; bounds the memory of one pass
+EMBED_CHUNK = 32  # videos per stacked embedding or classification pass; bounds its memory
 PROPOSAL_CHUNK = 256  # videos per proposal pass; bounds the memory of one pass
 
 
@@ -84,15 +85,17 @@ def prototypes(support_means: np.ndarray, K: int) -> np.ndarray:
 def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarray,
                    cfg: LossConfig = None) -> ClassifiedQuery:
     """Aggregate each embedded query with background-aware weights, then
-    softmax over cosines to the (K, d) prototype matrix.
+    softmax over cosines to its prototypes.
 
-    f is a (Q, T, d) stack of equal-length queries classified together.
-    Every product is a stacked matmul that runs the one-query BLAS call on
-    each slice, and every sum runs along a contiguous last axis, so a
-    query's result has the same bits whatever else its stack holds.
+    f is a (Q, T, d) stack of equal-length queries classified together;
+    proto is one (K, d) prototype matrix for all of them or a (Q, K, d)
+    stack, one matrix per query. Every product is a stacked matmul that runs
+    the one-query BLAS call on each slice, and every sum runs along a
+    contiguous last axis, so a query's result has the same bits whatever
+    else its stack holds.
     """
     cfg = cfg or LossConfig()
-    cosines = f @ proto.T
+    cosines = f @ proto.swapaxes(-1, -2)
     i_bg = pseudo_label_bg(cosines)
     if cfg.sw:
         weights = self_weight(f, i_bg, cfg)
@@ -107,25 +110,32 @@ def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarr
 
 
 def _classify_stacks(params: model_mod.ModelParams, embeddings: list, proto: np.ndarray,
-                     cfg: LossConfig = None):
-    """Classify (T_i, d) query embeddings with one stacked classify_query
-    call per distinct length, lengths in order of first appearance.
+                     which: np.ndarray, cfg: LossConfig = None):
+    """Classify (T_i, d) query embeddings, query i against the (K, d)
+    prototypes proto[which[i]], in stacks of at most EMBED_CHUNK queries of
+    one length, lengths in order of first appearance.
 
     Yields (query indices, ClassifiedQuery of their stack) pairs.
     """
     groups = {}
     for i, f in enumerate(embeddings):
         groups.setdefault(f.shape[0], []).append(i)
-    for at in groups.values():
-        yield at, classify_query(params, np.stack([embeddings[i] for i in at]), proto, cfg)
+    for same_length in groups.values():
+        for start in range(0, len(same_length), EMBED_CHUNK):
+            at = np.array(same_length[start : start + EMBED_CHUNK])
+            yield at, classify_query(params, np.stack([embeddings[i] for i in at]),
+                                     proto[which[at]], cfg)
 
 
 def classification_accuracy(params: model_mod.ModelParams, embeddings: list, labels,
                             proto: np.ndarray, cfg: LossConfig = None) -> float:
     """Share of (T_i, d) query embeddings whose top class is their label."""
+    if not embeddings:
+        raise ValueError("cannot take the accuracy of no queries")
     labels = np.asarray(labels)
+    which = np.zeros(len(embeddings), dtype=np.intp)
     correct = sum(np.count_nonzero(res.top1 == labels[at])
-                  for at, res in _classify_stacks(params, embeddings, proto, cfg))
+                  for at, res in _classify_stacks(params, embeddings, proto[None], which, cfg))
     return correct / len(embeddings)
 
 
@@ -369,55 +379,6 @@ def _maps(detections: Detections, truths: np.ndarray, offset) -> np.ndarray:
     return maps
 
 
-def _map_pairs(maps: np.ndarray) -> list:
-    """(map50, avg_map) of each row of `_maps`."""
-    return [(m[0], float(np.mean(m))) for m in maps.tolist()]
-
-
-def _episode_maps(episodes: list) -> np.ndarray:
-    """`_maps` of (Detections, truths) episodes, each episode's classes
-    offset past those of the episodes before it."""
-    classes = [1 + max(dets.class_index.max(initial=-1), truths[:, 1].max(initial=-1))
-               for dets, truths in episodes]
-    offset = np.cumsum([0] + classes)
-    parts = [(dets.video, dets.class_index + o, dets.intervals, dets.scores)
-             for (dets, _), o in zip(episodes, offset)]
-    detections = Detections(*(np.concatenate(arrays) for arrays in zip(*parts)))
-    truths = np.concatenate([truths + [0, o, 0, 0] for (_, truths), o in zip(episodes, offset)])
-    return _maps(detections, truths, offset)
-
-
-def detection_maps(detections: Detections, truths: np.ndarray) -> dict:
-    """mAP at each tIoU threshold of MAP_TIOU_GRID over classes with ground
-    truth.
-
-    truths: (m, 4) rows (video, class, start, end) with start >= 0; of two
-    equally overlapping truths a detection takes the earlier row. A
-    detection only ever matches a truth of its own video.
-    """
-    maps = _episode_maps([(detections, truths)])[0]
-    return dict(zip(map(float, MAP_TIOU_GRID), maps.tolist()))
-
-
-def detection_scores(episodes: list) -> list:
-    """(map50, avg_map) of each (Detections, truths) episode, as
-    `detection_maps` scores it, all in one AP pass."""
-    return _map_pairs(_episode_maps(episodes))
-
-
-def _query_maps(params: model_mod.ModelParams, embeddings: list, proto: np.ndarray,
-                cfg: LossConfig = None) -> np.ndarray:
-    """(sum T_i, K) activation maps of (T_i, d) query embeddings, stacked in
-    order: each segment's aggregation weight times its cosines to the (K, d)
-    prototypes."""
-    first = np.cumsum([0] + [len(f) for f in embeddings])
-    A = np.empty((first[-1], len(proto)))
-    for at, res in _classify_stacks(params, embeddings, proto, cfg):
-        rows = (first[at, None] + np.arange(res.weights.shape[1])).ravel()
-        A[rows] = (res.weights[..., None] * res.cosines).reshape(rows.size, -1)
-    return A
-
-
 def mean_ci(scores) -> tuple:
     """Mean and half-width of the 95% interval (1.96 * sd / sqrt(E))."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -481,25 +442,31 @@ class _NovelVideos:
         return self._kept[_support_key(entry)]
 
 
-def _episodes(params: model_mod.ModelParams, manifest, draws, K: int):
-    """(query embeddings, (K, d) prototypes) of each draw, in order. The
-    draws' videos are all embedded before the first is yielded
-    (`_NovelVideos`), and dropped once the last has been taken."""
+def _classify_call(params: model_mod.ModelParams, manifest, draws, K: int, q: int, mode: str,
+                   cfg: LossConfig = None):
+    """Each episode's accuracy, or in detection the call's stacked (sum T, K)
+    activation maps (weight times cosine) and query lengths, from every
+    draw's queries in draw order, classified in call-wide stacks. The
+    embeddings (`_NovelVideos`) are dropped when it returns."""
     videos = _NovelVideos(params, manifest, draws)
     means = np.reshape([videos.support_mean(entry) for draw in draws for entry in draw.support],
                        (len(draws), -1, params.d))
-    for draw, proto in zip(draws, prototypes(means, K)):
-        yield [videos.query(entry) for entry in draw.queries], proto
-
-
-def _call_maps(params, manifest, draws, K: int, cfg):
-    """`_query_maps` of every draw's queries, stacked in draw order, and each
-    query's length. The call's embeddings are dropped before it returns."""
-    maps, lengths = [], []
-    for queries, proto in _episodes(params, manifest, draws, K):
-        maps.append(_query_maps(params, queries, proto, cfg))
-        lengths += [len(f) for f in queries]
-    return np.concatenate(maps), lengths
+    queries = [videos.query(entry) for draw in draws for entry in draw.queries]
+    Q = K * q  # an episode's queries, listed class by class
+    stacks = _classify_stacks(params, queries, prototypes(means, K),
+                              np.arange(len(queries)) // Q, cfg)
+    if mode == "classification":
+        hits = np.zeros(len(draws), dtype=np.intp)
+        for at, res in stacks:
+            np.add.at(hits, at // Q, res.top1 == at % Q // q)
+        return (hits / Q).tolist()
+    lengths = [len(f) for f in queries]
+    first = np.cumsum([0] + lengths)
+    A = np.empty((first[-1], K))
+    for at, res in stacks:
+        rows = (first[at, None] + np.arange(res.weights.shape[1])).ravel()
+        A[rows] = (res.weights[..., None] * res.cosines).reshape(rows.size, -1)
+    return A, lengths
 
 
 def _call_detections(A: np.ndarray, lengths: list, Q: int) -> Detections:
@@ -522,6 +489,8 @@ def _call_detections(A: np.ndarray, lengths: list, Q: int) -> Detections:
 def evaluate(params: model_mod.ModelParams, manifest, mode: str, K: int = 5, n: int = 1,
              q: int = 5, episodes: int = 100, seed: int = 0, cfg: LossConfig = None) -> dict:
     """Run `episodes` independent episodes and aggregate with a 95% CI."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
     per_episode = episode_scores(params, manifest, mode, range(episodes), K=K, n=n, q=q,
                                  seed=seed, cfg=cfg)
     report = {"mode": mode, "episodes": len(per_episode), "per_episode": per_episode,
@@ -547,28 +516,32 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     reproduced independently. Every episode is drawn first; then each feature
     file they use is read once and all their videos are embedded in stacked
     passes (`_NovelVideos`), so a bad file is reported before any episode is
-    scored. An episode then only indexes those arrays; its prototypes come
-    from one `prototypes` call over every episode's support means. Detection
-    stacks every episode's activation maps, drops the embeddings, and finds
-    the call's proposals in bounded passes and its APs in one pass.
+    scored. All the call's queries are then classified together
+    (`_classify_call`). Detection stacks their activation maps, drops the
+    embeddings, and finds the call's proposals in bounded passes and its APs
+    in one pass.
 
-    Overflow and invalid arithmetic raise FloatingPointError: finite but
-    huge weights would otherwise give chance-level numbers.
+    Raises ValueError when K, n or q is below 1. Overflow and invalid
+    arithmetic raise FloatingPointError: finite but huge weights would
+    otherwise give chance-level numbers.
     """
     if mode not in ("classification", "detection"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
+    for key, value in (("K", K), ("n", n), ("q", q)):
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value}")
     groups = manifest.by_class()
     draws = [draw_episode(manifest, K=K, n=n, q=q, seed=[seed, e], groups=groups)
              for e in episode_ids]
     if not draws:
         return []
     if mode == "classification":
-        labels = np.repeat(np.arange(K), q)  # the queries are listed class by class too
-        return [classification_accuracy(params, queries, labels, proto, cfg)
-                for queries, proto in _episodes(params, manifest, draws, K)]
-    detections = _call_detections(*_call_maps(params, manifest, draws, K, cfg), K * q)
+        return _classify_call(params, manifest, draws, K, q, mode, cfg)
+    detections = _call_detections(*_classify_call(params, manifest, draws, K, q, mode, cfg),
+                                  K * q)
     truths = [(i, e * K + i // q, start, end)
               for e, draw in enumerate(draws) for i, entry in enumerate(draw.queries)
               for start, end in entry.gt_intervals]
-    return _map_pairs(_maps(detections, np.array(truths, dtype=np.intp).reshape(-1, 4),
-                            np.arange(len(draws) + 1) * K))
+    maps = _maps(detections, np.array(truths, dtype=np.intp).reshape(-1, 4),
+                 np.arange(len(draws) + 1) * K)
+    return [(m[0], float(np.mean(m))) for m in maps.tolist()]

@@ -168,6 +168,8 @@ def training_accuracy(params: model_mod.ModelParams, manifest: DatasetManifest,
     The videos are classified as evaluation classifies queries, with the
     classifier's class rows as the prototypes and no autodiff graph.
     """
+    if not manifest.entries:
+        raise DataError("cannot take the training accuracy of an empty manifest")
     videos, _ = load_training_videos(manifest)
     embeddings = [model_mod.embed_segments(params, video.features, grad=False)
                   for video in videos]

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import shutil
+import warnings
 import weakref
 
 import numpy as np
@@ -193,6 +194,11 @@ def episode_accuracy(support, queries, K):
 
 
 class TestEpisodeAccuracy:
+    def test_no_queries_rejected(self):
+        proto = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="no queries"):
+            evaluate.classification_accuracy(identity_params(), [], [], proto)
+
     def test_hand_placed_queries(self):
         support = [[[1.0, 0.0]], [[0.0, 1.0]]]
         queries = [(0, [[1.0, 0.0]]),
@@ -316,13 +322,43 @@ class TestAveragePrecision:
 def episode_detections(params, proto, queries, labels, cfg):
     """Detections and (m, 4) truth rows (query, class, start, end) of one
     episode's (video, (T, d) embedding) query pairs, query i of episode
-    class labels[i], found as an evaluation call finds them."""
+    class labels[i], found as an evaluation call finds them: stacked
+    classification against the (K, d) prototypes, each segment's weight
+    times its cosines, proposals over the stacked maps."""
     embeddings = [f for _, f in queries]
-    detections = evaluate.episode_proposals(evaluate._query_maps(params, embeddings, proto, cfg),
-                                            [len(f) for f in embeddings])
+    cams = [None] * len(embeddings)
+    which = np.zeros(len(embeddings), dtype=np.intp)
+    for at, res in evaluate._classify_stacks(params, embeddings, proto[None], which, cfg):
+        for i, weights, cosines in zip(at, res.weights, res.cosines):
+            cams[i] = weights[:, None] * cosines
+    detections = evaluate.episode_proposals(np.concatenate(cams), [len(f) for f in embeddings])
     truths = [(i, k, start, end) for i, ((video, _), k) in enumerate(zip(queries, labels))
               for start, end in video.gt_intervals]
     return detections, np.array(truths, dtype=np.intp).reshape(-1, 4)
+
+
+def call_maps(episodes):
+    """`evaluate._maps` of (Detections, truths) episodes scored in one pass,
+    each episode's classes offset past those of the episodes before it, as
+    an evaluation call keys them."""
+    classes = [1 + max(dets.class_index.max(initial=-1), truths[:, 1].max(initial=-1))
+               for dets, truths in episodes]
+    offset = np.cumsum([0] + classes)
+    parts = [(dets.video, dets.class_index + o, dets.intervals, dets.scores)
+             for (dets, _), o in zip(episodes, offset)]
+    detections = evaluate.Detections(*(np.concatenate(arrays) for arrays in zip(*parts)))
+    truths = np.concatenate([truths + [0, o, 0, 0] for (_, truths), o in zip(episodes, offset)])
+    return evaluate._maps(detections, truths, offset)
+
+
+def map_pairs(maps):
+    """(map50, avg_map) of each row of `_maps`, as episode_scores reports them."""
+    return [(m[0], float(np.mean(m))) for m in maps.tolist()]
+
+
+def by_threshold(maps_row):
+    """One row of `_maps` as {tIoU threshold: mAP}, the loop oracles' form."""
+    return dict(zip(map(float, evaluate.MAP_TIOU_GRID), maps_row.tolist()))
 
 
 class TestEpisodeDetection:
@@ -345,10 +381,10 @@ class TestEpisodeDetection:
         queries = [(q, model.embed_segments(params, q.features, grad=False))
                    for q in map(novel.load_sequence, draw.queries)]
         labels = np.repeat(np.arange(K), len(queries) // K)
-        found = episode_detections(params, proto, queries, labels, None)
-        [(map50, avg_map)] = evaluate.detection_scores([found])
+        maps = call_maps([episode_detections(params, proto, queries, labels, None)])
+        [(map50, avg_map)] = map_pairs(maps)
         remap = {label: i for i, label in enumerate(draw.classes)}  # for the oracle
-        return remap, proto, queries, (map50, avg_map, evaluate.detection_maps(*found))
+        return remap, proto, queries, (map50, avg_map, by_threshold(maps[0]))
 
     @pytest.fixture(autouse=True)
     def _tmp(self, tmp_path):
@@ -450,6 +486,21 @@ class TestEvaluateLoop:
     def test_no_episodes_give_no_scores(self, setup, mode):
         params, novel = setup
         assert evaluate.episode_scores(params, novel, mode, [], K=2, n=1, q=2) == []
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("key", ["episodes", "K", "n", "q"])
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    def test_sizes_below_1_rejected_before_drawing(self, setup, monkeypatch, mode, key, value):
+        # a ValueError naming the key, not NaN means, warnings or a crash
+        params, novel = setup
+        drawn = []
+        monkeypatch.setattr(evaluate, "draw_episode", lambda *args, **kwargs: drawn.append(1))
+        sizes = {"K": 2, "n": 1, "q": 2, "episodes": 3, key: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{key} must be at least 1, got {value}$"):
+                evaluate.evaluate(params, novel, mode, **sizes)
+        assert not drawn
 
     @pytest.mark.parametrize("mode", ["classification", "detection"])
     def test_huge_finite_weight_raises(self, setup, mode):
@@ -720,8 +771,7 @@ class TestCachedLoop:
         features[0, 0] = np.nan
         data.write_feature_file(features, tmp_path / late)
         scored = []
-        monkeypatch.setattr(evaluate, "classification_accuracy",
-                            lambda *args: scored.append(1))
+        monkeypatch.setattr(evaluate, "classify_query", lambda *args: scored.append(1))
         with pytest.raises(DataError, match=f"{late}: holds non-finite"):
             evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
                                     dataclasses.replace(small_novel, root=tmp_path),
@@ -916,7 +966,7 @@ def as_results(detections):
 
 def as_arrays(dets, truths):
     """Det records and {class: [(video_id, interval)]} as the arrays
-    detection_maps takes."""
+    `_maps` takes."""
     code = {}
     for video_id in [d.video_id for d in dets] + [v for k in truths for v, _ in truths[k]]:
         code.setdefault(video_id, len(code))
@@ -1018,8 +1068,8 @@ class TestLoopOracles:
         truths = {k: data_.draw(st.lists(st.tuples(videos, intervals), max_size=4))
                   for k in range(K)}
         grid = evaluate.MAP_TIOU_GRID
-        assert (evaluate.detection_maps(*as_arrays(dets, truths))
-                == loop_detection_maps(dets, truths, grid))
+        maps = evaluate._maps(*as_arrays(dets, truths), [0, K])
+        assert [by_threshold(row) for row in maps] == [loop_detection_maps(dets, truths, grid)]
 
 
 def loop_scores(dets, truths):
@@ -1054,11 +1104,14 @@ EDGE_EPISODES = [
 
 
 class TestCallScorer:
-    """`detection_scores` scores all of an evaluation call's episodes in one
-    AP pass; each episode must score as the loop oracle scores it alone."""
+    """`_maps` scores all of an evaluation call's episodes in one AP pass;
+    each episode must score as the loop oracle scores it alone."""
 
     def test_edge_episodes(self):
-        got = evaluate.detection_scores([as_arrays(*ep) for ep in EDGE_EPISODES])
+        maps = call_maps([as_arrays(*ep) for ep in EDGE_EPISODES])
+        assert [by_threshold(row) for row in maps] == [
+            loop_detection_maps(*ep, evaluate.MAP_TIOU_GRID) for ep in EDGE_EPISODES]
+        got = map_pairs(maps)
         assert got == [loop_scores(*ep) for ep in EDGE_EPISODES]
         assert got[0] == (0.5, 0.5) and got[1] == (0.0, 0.0) and got[5] == (0.0, 0.0)
         assert got[2][0] == pytest.approx(2.0 / 3.0)  # hits at ranks 2 and 3 of 3
@@ -1078,12 +1131,13 @@ class TestCallScorer:
                       for k in range(K)}
             found.append(as_arrays(dets, truths))
             want.append(loop_scores(dets, truths))
-        assert evaluate.detection_scores(found) == want
-        assert [evaluate.detection_maps(*ep) for ep in found] == [
+        maps = call_maps(found)
+        assert map_pairs(maps) == want
+        assert [by_threshold(row) for row in maps] == [
             loop_detection_maps(*as_lists(*ep), evaluate.MAP_TIOU_GRID) for ep in found]
         # any subset of the episodes, in any order, scores the same rows
         picks = data_.draw(st.lists(st.integers(0, len(found) - 1), min_size=1, max_size=3))
-        assert evaluate.detection_scores([found[i] for i in picks]) == [want[i] for i in picks]
+        assert map_pairs(call_maps([found[i] for i in picks])) == [want[i] for i in picks]
 
 
 # query rows share their first axis, so a prototype row opposite it gives an
@@ -1138,10 +1192,10 @@ class TestEpisodePath:
         remap = {k: k for k in range(K)}  # for the loops: labels are episode classes
         labels = [video.class_label for video, _ in queries]
         cfg, grid = LossConfig(sw=sw), evaluate.MAP_TIOU_GRID
-        found = episode_detections(params, proto, queries, labels, cfg)
+        got = call_maps([episode_detections(params, proto, queries, labels, cfg)])
         map50, avg_map, maps = loop_detection(params, remap, proto, queries, cfg, grid)
-        assert evaluate.detection_scores([found]) == [(map50, avg_map)]
-        assert evaluate.detection_maps(*found) == maps
+        assert map_pairs(got) == [(map50, avg_map)]
+        assert by_threshold(got[0]) == maps
         assert (evaluate.classification_accuracy(params, [f for _, f in queries], labels,
                                                  proto, cfg)
                 == loop_accuracy(params, remap, proto, queries, cfg))
@@ -1196,40 +1250,45 @@ class TestNoGradPath:
 
 class TestStackedClassify:
     """classify_query on a (Q, T, d) stack gives each query the bits the
-    one-query formulas give it, and the episode paths call it once per
-    distinct query length."""
+    one-query formulas give it, with shared or per-query prototypes, and an
+    evaluation call classifies its queries in call-wide stacks of at most
+    EMBED_CHUNK queries of one length."""
 
     @settings(max_examples=300, deadline=None)
     # d = 0 stands for the tied 3-wide rows below
     @given(st.integers(0, 96), st.integers(1, 8), st.integers(1, 12), st.integers(1, 5),
-           st.booleans(), st.sampled_from([0, 3, 8, 64]))
-    @example(seed=0, Q=1, T=1, K=1, sw=True, d=8)
-    @example(seed=1, Q=1, T=7, K=3, sw=False, d=0)
-    @example(seed=2, Q=1, T=12, K=5, sw=True, d=64)
-    def test_equals_per_query_oracle(self, seed, Q, T, K, sw, d):
+           st.booleans(), st.sampled_from([0, 3, 8, 64]), st.booleans())
+    @example(seed=0, Q=1, T=1, K=1, sw=True, d=8, shared=True)
+    @example(seed=1, Q=1, T=7, K=3, sw=False, d=0, shared=True)
+    @example(seed=2, Q=1, T=12, K=5, sw=True, d=64, shared=True)
+    @example(seed=3, Q=4, T=5, K=3, sw=False, d=0, shared=False)
+    def test_equals_per_query_oracle(self, seed, Q, T, K, sw, d, shared):
+        # shared: one (K, d) matrix for the stack; else a (Q, K, d) stack
         rng = np.random.default_rng(seed)
+        protos = 1 if shared else Q
         if d == 0:
             # repeated segment and prototype rows tie the K-way maxima, within
             # a query and across prototypes
             d = 3
             f = ATOMS[rng.integers(0, 4, size=(Q, T))]
-            proto = PROTO_ROWS[rng.integers(0, 6, size=K)]
+            proto = PROTO_ROWS[rng.integers(0, 6, size=(protos, K))]
         else:
             f = rng.normal(size=(Q, T, d))
             f /= np.linalg.norm(f, axis=2, keepdims=True)
-            proto = rng.normal(size=(K, d))
-            proto /= np.linalg.norm(proto, axis=1, keepdims=True)
+            proto = rng.normal(size=(protos, K, d))
+            proto /= np.linalg.norm(proto, axis=2, keepdims=True)
         params = model.init_params(n_classes=2, d_in=d, d=d, kernel_width=3, seed=seed)
         cfg = LossConfig(sw=sw)
-        res = evaluate.classify_query(params, f, proto, cfg)
+        res = evaluate.classify_query(params, f, proto[0] if shared else proto, cfg)
         assert res.probs.shape == (Q, K) and res.weights.shape == (Q, T)
         for q in range(Q):
-            probs, top1, weights, i_bg = loop_classify_query(params, f[q], proto, cfg)
+            own = proto[0 if shared else q]
+            probs, top1, weights, i_bg = loop_classify_query(params, f[q], own, cfg)
             assert np.array_equal(res.probs[q], probs)
             assert np.array_equal(res.weights[q], weights)
-            assert np.array_equal(res.cosines[q], f[q] @ proto.T)
+            assert np.array_equal(res.cosines[q], f[q] @ own.T)
             assert (res.top1[q], res.i_bg[q]) == (top1, i_bg)
-            one = evaluate.classify_query(params, f[q][None], proto, cfg)
+            one = evaluate.classify_query(params, f[q][None], own, cfg)
             assert np.array_equal(one.probs[0], probs) and np.array_equal(one.weights[0], weights)
             assert (one.top1[0], one.i_bg[0]) == (top1, i_bg)
 
@@ -1242,25 +1301,33 @@ class TestStackedClassify:
                                 seed=2, cfg=cfg)["per_episode"]
         assert got == oracle_evaluate(params, mixed_novel, mode, 3, 1, 3, 6, 2, cfg)
 
+    @pytest.mark.parametrize("chunk", [2, 3, 4])
     @pytest.mark.parametrize("mode", ["classification", "detection"])
-    def test_one_call_per_episode_and_query_length(self, mixed_novel, monkeypatch, mode):
-        stacks = []
+    def test_call_wide_stacks_of_at_most_a_chunk(self, mixed_novel, monkeypatch, chunk, mode):
+        stacks = []  # (queries, length, distinct prototype matrices) of each call
         classify = evaluate.classify_query
 
-        def counting(params, f, *args, **kwargs):
-            stacks.append(f.shape)
-            return classify(params, f, *args, **kwargs)
+        def counting(params, f, proto, cfg):
+            stacks.append((len(f), f.shape[1], len({p.tobytes() for p in proto})))
+            return classify(params, f, proto, cfg)
 
         monkeypatch.setattr(evaluate, "classify_query", counting)
+        monkeypatch.setattr(evaluate, "EMBED_CHUNK", chunk)
         K, n, q, episodes, seed = 3, 1, 3, 12, 5
         evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
                                 mixed_novel, mode, range(episodes), K=K, n=n, q=q, seed=seed)
-        lengths = [len({entry.feature_file.split("/")[0] for entry in
-                        data.draw_episode(mixed_novel, K, n, q, [seed, e]).queries})
-                   for e in range(episodes)]
-        assert len(stacks) == sum(lengths) > episodes  # some episodes mix lengths
-        assert all(len(shape) == 3 for shape in stacks)
-        assert sum(shape[0] for shape in stacks) == episodes * K * q
+        counts = {}  # query length -> queries of the call, lengths in order of first use
+        for draw in draw_all(mixed_novel, K, n, q, episodes, seed):
+            for entry in draw.queries:
+                T = int(entry.feature_file.split("/")[0][1:])
+                counts[T] = counts.get(T, 0) + 1
+        assert len(counts) > 1
+        want = [(min(chunk, count - start), T) for T, count in counts.items()
+                for start in range(0, count, chunk)]
+        assert [stack[:2] for stack in stacks] == want
+        assert len(stacks) == sum(-(-count // chunk) for count in counts.values())
+        assert max(size for size, _, _ in stacks) == chunk
+        assert max(protos for _, _, protos in stacks) > 1  # a stack spans two episodes
 
 
 @pytest.fixture(scope="module")

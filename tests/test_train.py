@@ -152,6 +152,13 @@ class TestTrainBase:
         with pytest.raises(DataError):
             train.train_base(empty)
 
+    def test_accuracy_of_empty_manifest_rejected(self):
+        empty = data.DatasetManifest(split="base", class_names=[], root=".")
+        params = model.init_params(n_classes=3, d_in=8, d=8, seed=0)
+        with pytest.raises(DataError, match="cannot take the training accuracy of an empty "
+                                            "manifest"):
+            train.training_accuracy(params, empty)
+
 
 class TestGradcheckObjective:
     def test_standard_fixture_passes(self):
