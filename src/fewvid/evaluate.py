@@ -8,27 +8,28 @@ prototypes standing in for classifier rows. Detection scores every segment
 per class (weight times cosine), turns thresholded runs into proposals, and
 reports mean average precision over temporal-IoU thresholds.
 
-An evaluation call draws all its episodes first, reads each feature file
-they use once, and embeds their videos in a few stacked passes; an episode
-then only indexes those embeddings. An episode lists its videos class by
-class, so a video's episode class is its position, and every prototype of
-the call comes from one reshape-mean of the stacked support means. All the
-call's queries are classified together, each against its own episode's
-prototypes, in stacks of at most EMBED_CHUNK queries of one length. In
-detection the call's activation maps are stacked into one array, the
-embeddings are dropped, and proposals are found over that stack in passes of
-at most PROPOSAL_CHUNK videos: one pass finds every run, and NMS steps
-through all (video, class) groups at once. The call's episodes are then
-scored in one AP pass: tIoU is taken only between a detection and the truths
-of its own video and class, only detections that can match are matched,
-every (video, class) group side by side over the whole tIoU grid, and AP is
-summed from the hits.
+An evaluation call draws all its episodes first and reads each feature file
+they use once. It embeds each distinct use in passes that hold one role
+(query or support) and one length, so no video is padded, and keeps the
+results as arrays: one (n_T, T, d) array of query embeddings per length T
+and one array of support means. An episode lists its videos class by class,
+so a video's episode class is its position, and every prototype of the call
+comes from one reshape-mean of the support means gathered by one index. All
+the call's queries are classified together, each against its own episode's
+prototypes, in stacks of at most EMBED_CHUNK queries of one length, each
+gathered from its length's array by one index. In detection the call's
+activation maps are stacked into one array, the embeddings are dropped, and
+proposals are found over that stack in passes of at most PROPOSAL_CHUNK
+videos: one pass finds every run, and NMS steps through all (video, class)
+groups at once. The call's episodes are then scored in one AP pass: tIoU is
+taken only between a detection and the truths of its own video and class,
+only detections that can match are matched, every (video, class) group side
+by side over the whole tIoU grid, and AP is summed from the hits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -40,7 +41,8 @@ from .pseudo import pseudo_label_bg
 
 DEFAULT_PROPOSAL_THRESHOLDS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 2))
 MAP_TIOU_GRID = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
-EMBED_CHUNK = 32  # videos per stacked embedding or classification pass; bounds its memory
+EMBED_CHUNK = 32  # videos per embedding pass of one role and length, or queries per
+# classification stack of one length; bounds the memory of either
 PROPOSAL_CHUNK = 256  # videos per proposal pass; bounds the memory of one pass
 
 
@@ -109,22 +111,35 @@ def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarr
                            i_bg=i_bg, cosines=cosines)
 
 
-def _classify_stacks(params: model_mod.ModelParams, embeddings: list, proto: np.ndarray,
-                     which: np.ndarray, cfg: LossConfig = None):
-    """Classify (T_i, d) query embeddings, query i against the (K, d)
-    prototypes proto[which[i]], in stacks of at most EMBED_CHUNK queries of
-    one length, lengths in order of first appearance.
+def _by_length(embeddings: list):
+    """(T_i, d) embeddings as {T: (n_T, T, d) stack of those of length T},
+    with each embedding's length and row in its stack."""
+    length = np.array([len(f) for f in embeddings])
+    row, stacks = np.empty_like(length), {}
+    for T in np.unique(length):
+        at = np.flatnonzero(length == T)
+        row[at] = np.arange(at.size)
+        stacks[T] = np.stack([embeddings[i] for i in at])
+    return stacks, length, row
+
+
+def _classify_stacks(params: model_mod.ModelParams, embeddings: dict, length: np.ndarray,
+                     row: np.ndarray, proto: np.ndarray, which: np.ndarray,
+                     cfg: LossConfig = None):
+    """Classify queries, query i being row[i] of embeddings[length[i]], a
+    (n_T, T, d) array of embeddings of length T, against the (K, d)
+    prototypes proto[which[i]]. The queries are classified in stacks of at
+    most EMBED_CHUNK queries of one length, lengths in order of first
+    appearance; each stack is gathered from its length's array by one index.
 
     Yields (query indices, ClassifiedQuery of their stack) pairs.
     """
-    groups = {}
-    for i, f in enumerate(embeddings):
-        groups.setdefault(f.shape[0], []).append(i)
-    for same_length in groups.values():
-        for start in range(0, len(same_length), EMBED_CHUNK):
-            at = np.array(same_length[start : start + EMBED_CHUNK])
-            yield at, classify_query(params, np.stack([embeddings[i] for i in at]),
-                                     proto[which[at]], cfg)
+    _, first = np.unique(length, return_index=True)
+    for T in length[np.sort(first)]:
+        same_length = np.flatnonzero(length == T)
+        for start in range(0, same_length.size, EMBED_CHUNK):
+            at = same_length[start : start + EMBED_CHUNK]
+            yield at, classify_query(params, embeddings[T][row[at]], proto[which[at]], cfg)
 
 
 def classification_accuracy(params: model_mod.ModelParams, embeddings: list, labels,
@@ -135,7 +150,8 @@ def classification_accuracy(params: model_mod.ModelParams, embeddings: list, lab
     labels = np.asarray(labels)
     which = np.zeros(len(embeddings), dtype=np.intp)
     correct = sum(np.count_nonzero(res.top1 == labels[at])
-                  for at, res in _classify_stacks(params, embeddings, proto[None], which, cfg))
+                  for at, res in _classify_stacks(params, *_by_length(embeddings), proto[None],
+                                                  which, cfg))
     return correct / len(embeddings)
 
 
@@ -392,27 +408,62 @@ def _support_key(entry) -> tuple:
     return "support", entry.feature_file, tuple(tuple(iv) for iv in entry.gt_intervals)
 
 
+def _embed_pass(params, raws: list, T: int) -> np.ndarray:
+    """(n, T, d) embeddings of the first n <= EMBED_CHUNK (T, d_in) raw
+    videos of the list, in one pass. They are taken off the list before the
+    pass runs, so their memory is free once the pass has their stack."""
+    stack = np.concatenate(raws[:EMBED_CHUNK])
+    del raws[:EMBED_CHUNK]
+    f = model_mod.embed_segments(params, stack, grad=False, lengths=[T] * (len(stack) // T))
+    return f.reshape(-1, T, params.d)
+
+
+def _embed_queries(params, raws: list, T: int) -> np.ndarray:
+    """(n, T, d) embeddings of a list of n (T, d_in) raw videos, in passes
+    of at most EMBED_CHUNK videos that empty the list."""
+    n = len(raws)
+    for start in range(0, n, EMBED_CHUNK):
+        f = _embed_pass(params, raws, T)
+        if start == 0:  # allocated once the first pass's scratch memory is free
+            embedded = np.empty((n, T, params.d))
+        embedded[start : start + len(f)] = f
+        del f  # before the next pass
+    return embedded
+
+
 class _NovelVideos:
     """Embeddings of the videos an evaluation call's episodes use, all
     computed when it is built.
 
-    A video used as a query keeps its untrimmed (T, d) embedding, one used as
-    support its trimmed (d,) mean. Each distinct feature file is read once,
+    Each distinct feature file is read once, files in order of first use,
     also when its video serves in both roles: the support is trimmed in
-    memory. The videos are embedded in stacked passes of at most EMBED_CHUNK
-    videos, and each row has the bits its video gets embedded alone.
+    memory. Once every file is read, the distinct uses are grouped by role
+    (query or support) and length, and each group is embedded in passes of
+    at most EMBED_CHUNK videos, so a pass pads no video. Each row has the
+    bits its video gets embedded alone.
+
+    `queries` maps a length T to the (n_T, T, d) untrimmed embeddings of the
+    query videos of that length, `means` stacks the (d,) mean embedding of
+    each trimmed support, and `at` maps a use key to its (T, row) there.
     """
 
     def __init__(self, params: model_mod.ModelParams, manifest, draws):
-        self._kept = {}  # use key -> (T, d) query embedding or (d,) support mean
-        uses = self._uses(params, manifest, draws)
-        while chunk := list(islice(uses, EMBED_CHUNK)):
-            lengths = [rows.shape[0] for _, rows in chunk]
-            f = model_mod.embed_segments(params, np.concatenate([rows for _, rows in chunk]),
-                                         grad=False, lengths=lengths)
-            for (key, _), end, T in zip(chunk, np.cumsum(lengths), lengths):
-                rows = f[end - T : end]
-                self._kept[key] = rows if key[0] == "query" else rows.mean(axis=0)
+        groups = {"support": {}, "query": {}}  # role -> T -> (use keys, raw rows) in use order
+        for key, rows in self._uses(params, manifest, draws):
+            keys, raws = groups[key[0]].setdefault(rows.shape[0], ([], []))
+            keys.append(key)
+            raws.append(rows)
+        self.at = {}
+        for T, (keys, _) in groups["support"].items():
+            self.at.update((key, (T, row)) for row, key in enumerate(keys, len(self.at)))
+        for T, (keys, _) in groups["query"].items():
+            self.at.update((key, (T, row)) for row, key in enumerate(keys))
+        # supports first, so their raw rows are freed before the query arrays exist
+        self.means = np.concatenate([_embed_pass(params, raws, T).mean(axis=1)
+                                     for T, (keys, raws) in groups["support"].items()
+                                     for _ in keys[::EMBED_CHUNK]])
+        self.queries = {T: _embed_queries(params, raws, T)
+                        for T, (_, raws) in groups["query"].items()}
 
     @staticmethod
     def _uses(params, manifest, draws):
@@ -435,12 +486,6 @@ class _NovelVideos:
                         seq = manifest.sequence(entry, seq.features)
                 yield key, seq.features if key[0] == "query" else trim_support_video(seq).features
 
-    def query(self, entry) -> np.ndarray:
-        return self._kept["query", entry.feature_file]
-
-    def support_mean(self, entry) -> np.ndarray:
-        return self._kept[_support_key(entry)]
-
 
 def _classify_call(params: model_mod.ModelParams, manifest, draws, K: int, q: int, mode: str,
                    cfg: LossConfig = None):
@@ -449,18 +494,19 @@ def _classify_call(params: model_mod.ModelParams, manifest, draws, K: int, q: in
     draw's queries in draw order, classified in call-wide stacks. The
     embeddings (`_NovelVideos`) are dropped when it returns."""
     videos = _NovelVideos(params, manifest, draws)
-    means = np.reshape([videos.support_mean(entry) for draw in draws for entry in draw.support],
-                       (len(draws), -1, params.d))
-    queries = [videos.query(entry) for draw in draws for entry in draw.queries]
+    support = [videos.at[_support_key(entry)][1] for draw in draws for entry in draw.support]
+    means = videos.means[support].reshape(len(draws), -1, params.d)
+    length, row = np.array([videos.at["query", entry.feature_file]
+                            for draw in draws for entry in draw.queries]).T
     Q = K * q  # an episode's queries, listed class by class
-    stacks = _classify_stacks(params, queries, prototypes(means, K),
-                              np.arange(len(queries)) // Q, cfg)
+    stacks = _classify_stacks(params, videos.queries, length, row, prototypes(means, K),
+                              np.arange(length.size) // Q, cfg)
     if mode == "classification":
         hits = np.zeros(len(draws), dtype=np.intp)
         for at, res in stacks:
             np.add.at(hits, at // Q, res.top1 == at % Q // q)
         return (hits / Q).tolist()
-    lengths = [len(f) for f in queries]
+    lengths = length.tolist()
     first = np.cumsum([0] + lengths)
     A = np.empty((first[-1], K))
     for at, res in stacks:
@@ -514,9 +560,9 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
 
     Episode e is drawn with seed (seed, e), so any subset of episodes can be
     reproduced independently. Every episode is drawn first; then each feature
-    file they use is read once and all their videos are embedded in stacked
-    passes (`_NovelVideos`), so a bad file is reported before any episode is
-    scored. All the call's queries are then classified together
+    file they use is read once and all their videos are embedded in passes of
+    one role and one length (`_NovelVideos`), so a bad file is reported
+    before any episode is scored. All the call's queries are then classified together
     (`_classify_call`). Detection stacks their activation maps, drops the
     embeddings, and finds the call's proposals in bounded passes and its APs
     in one pass.

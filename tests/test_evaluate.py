@@ -328,7 +328,8 @@ def episode_detections(params, proto, queries, labels, cfg):
     embeddings = [f for _, f in queries]
     cams = [None] * len(embeddings)
     which = np.zeros(len(embeddings), dtype=np.intp)
-    for at, res in evaluate._classify_stacks(params, embeddings, proto[None], which, cfg):
+    for at, res in evaluate._classify_stacks(params, *evaluate._by_length(embeddings),
+                                             proto[None], which, cfg):
         for i, weights, cosines in zip(at, res.weights, res.cosines):
             cams[i] = weights[:, None] * cosines
     detections = evaluate.episode_proposals(np.concatenate(cams), [len(f) for f in embeddings])
@@ -602,6 +603,72 @@ def distinct_uses(draws):
     return len(queries) + len(supports)
 
 
+def use_roles(novel, draws):
+    """Role ("query" or "support") of each distinct use, keyed by the bytes
+    of the raw rows an evaluation call embeds for it: a query's whole file,
+    a support's trimmed rows."""
+    roles = {}
+    for draw in draws:
+        for entry in draw.queries:
+            roles[novel.load_sequence(entry).features.tobytes()] = "query"
+        for entry in draw.support:
+            rows = data.trim_support_video(novel.load_sequence(entry)).features
+            roles[rows.tobytes()] = "support"
+    assert len(roles) == distinct_uses(draws)  # no two uses embed the same rows
+    return roles
+
+
+def spy_passes(monkeypatch):
+    """A list that collects each `model.embed_segments` call's videos, as
+    their raw rows."""
+    passes = []
+    embed = model.embed_segments
+
+    def spy(params, raw, grad=True, lengths=None):
+        lengths = [len(raw)] if lengths is None else list(lengths)
+        passes.append(np.split(np.asarray(raw), np.cumsum(lengths)[:-1]))
+        return embed(params, raw, grad, lengths)
+
+    monkeypatch.setattr(model, "embed_segments", spy)
+    return passes
+
+
+def check_passes(passes, roles, chunk):
+    """Every use is embedded once, every pass holds videos of one role and
+    one length, and each (role, length) group takes ceil(count / chunk)
+    passes of at most chunk videos. Returns each group's count."""
+    embedded = [rows.tobytes() for videos in passes for rows in videos]
+    assert sorted(embedded) == sorted(roles)
+    sizes = {}
+    for videos in passes:
+        groups = {(roles[rows.tobytes()], len(rows)) for rows in videos}
+        assert len(groups) == 1 and 1 <= len(videos) <= chunk
+        group = groups.pop()
+        sizes[group] = sizes.get(group, 0) + len(videos)
+    assert {role for role, _ in sizes} == {"query", "support"}
+    assert len(passes) == sum(-(-count // chunk) for count in sizes.values())
+    assert max(len(videos) for videos in passes) == min(chunk, max(sizes.values()))
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def one_row_novel(tmp_path_factory):
+    """Three novel classes of five 6-segment videos, except that in each
+    class one video is cut to its first segment and one has a one-segment
+    interval, so as support it is trimmed to one row."""
+    cfg = data.SyntheticConfig(n_base_classes=1, n_novel_classes=3, videos_per_class=5,
+                               T=6, d_in=6, seed=3)
+    _, novel = data.generate_synthetic_dataset(cfg, tmp_path_factory.mktemp("one_row_novel"))
+    entries = []
+    for cut, narrow, *rest in novel.by_class().values():
+        path = novel.root / cut.feature_file
+        data.write_feature_file(data.read_feature_file(path)[:1], path)
+        entries += [dataclasses.replace(cut, gt_intervals=[(0, 1)],
+                                        segment_roles=cut.segment_roles[:1]),
+                    dataclasses.replace(narrow, gt_intervals=[(2, 3)]), *rest]
+    return dataclasses.replace(novel, entries=entries)
+
+
 @pytest.fixture(scope="module")
 def small_novel(tmp_path_factory):
     """Four novel classes of six videos: episodes reuse videos in both roles."""
@@ -639,47 +706,40 @@ class TestCachedLoop:
 
     @pytest.mark.parametrize("mode", ["classification", "detection"])
     def test_reads_each_file_once_and_embeds_in_chunks(self, small_novel, monkeypatch, mode):
-        reads, embeds = {}, []
-        read, embed = data.read_feature_file, model.embed_segments
+        episodes, K, n, q, seed, chunk = 30, 3, 2, 3, 4, 3
+        draws = draw_all(small_novel, K, n, q, episodes, seed)
+        roles = use_roles(small_novel, draws)
+        reads = {}
+        read = data.read_feature_file
 
         def counting_read(path):
             reads[str(path)] = reads.get(str(path), 0) + 1
             return read(path)
 
-        def counting_embed(*args, **kwargs):
-            embeds.append(1)
-            return embed(*args, **kwargs)
-
         monkeypatch.setattr(data, "read_feature_file", counting_read)
-        monkeypatch.setattr(model, "embed_segments", counting_embed)
-        episodes, K, n, q, seed = 30, 3, 2, 3, 4
+        passes = spy_passes(monkeypatch)
+        monkeypatch.setattr(evaluate, "EMBED_CHUNK", chunk)
         evaluate.evaluate(model.init_params(n_classes=3, d_in=6, d=5, seed=1), small_novel,
                           mode, K=K, n=n, q=q, episodes=episodes, seed=seed)
-        draws = draw_all(small_novel, K, n, q, episodes, seed)
         queries = {entry.feature_file for draw in draws for entry in draw.queries}
         supports = {entry.feature_file for draw in draws for entry in draw.support}
         assert queries & supports  # some video served in both roles
         assert sorted(reads.values()) == [1] * len(queries | supports)
-        assert len(embeds) <= -(-distinct_uses(draws) // evaluate.EMBED_CHUNK)
+        assert max(check_passes(passes, roles, chunk).values()) > chunk
 
-    @pytest.mark.parametrize("chunk", [evaluate.EMBED_CHUNK, 5])
+    @pytest.mark.parametrize("chunk", [evaluate.EMBED_CHUNK, 5, 3, 2])
     def test_no_pass_holds_more_than_a_chunk(self, mixed_novel, monkeypatch, chunk):
-        passes = []
-        embed = model.embed_segments
-
-        def counting_embed(params, raw, grad=True, lengths=None):
-            passes.append(1 if lengths is None else len(lengths))
-            return embed(params, raw, grad, lengths)
-
-        monkeypatch.setattr(model, "embed_segments", counting_embed)
-        monkeypatch.setattr(evaluate, "EMBED_CHUNK", chunk)
         K, n, q, episodes, seed = 3, 1, 3, 20, 2
+        roles = use_roles(mixed_novel, draw_all(mixed_novel, K, n, q, episodes, seed))
+        passes = spy_passes(monkeypatch)
+        monkeypatch.setattr(evaluate, "EMBED_CHUNK", chunk)
         evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
                                 mixed_novel, "classification", range(episodes), K=K, n=n, q=q,
                                 seed=seed)
-        uses = distinct_uses(draw_all(mixed_novel, K, n, q, episodes, seed))
-        assert sum(passes) == uses > chunk
-        assert max(passes) == chunk
+        sizes = check_passes(passes, roles, chunk)
+        assert len({T for _, T in sizes}) > 2  # queries of 10 and 7 rows, and trimmed supports
+        if chunk < evaluate.EMBED_CHUNK:
+            assert max(sizes.values()) > chunk  # some group needs more than one pass
 
     @pytest.mark.parametrize("chunk", [evaluate.EMBED_CHUNK, 5])
     @pytest.mark.parametrize("mode", ["classification", "detection"])
@@ -738,6 +798,47 @@ class TestCachedLoop:
         assert len(passes) == -(-videos // chunk) > 1
         assert sum(passes) == videos and max(passes) == chunk
         assert len(ap_calls) == 1
+
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    @pytest.mark.parametrize("sw", [True, False])
+    def test_one_row_videos_equal_per_episode_oracle(self, one_row_novel, monkeypatch, mode,
+                                                     sw):
+        # one-segment queries and supports trimmed to one row fill whole
+        # passes, which take embed_segments' one-row product
+        params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=5)
+        cfg = LossConfig(sw=sw)
+        K, n, q, episodes, seed = 3, 1, 2, 8, 1
+        want = oracle_evaluate(params, one_row_novel, mode, K, n, q, episodes, seed, cfg)
+        monkeypatch.setattr(evaluate, "EMBED_CHUNK", 2)
+        passes = spy_passes(monkeypatch)
+        assert evaluate.evaluate(params, one_row_novel, mode, K=K, n=n, q=q, episodes=episodes,
+                                 seed=seed, cfg=cfg)["per_episode"] == want
+        draws = draw_all(one_row_novel, K, n, q, episodes, seed)
+        queries = {entry.feature_file for draw in draws for entry in draw.queries
+                   if entry.gt_intervals == [(0, 1)]}
+        supports = {evaluate._support_key(entry) for draw in draws for entry in draw.support
+                    if sum(end - start for start, end in entry.gt_intervals) == 1}
+        assert queries and supports
+        one_row = [videos for videos in passes if len(videos[0]) == 1]
+        assert len(one_row) == -(-len(queries) // 2) + -(-len(supports) // 2)
+
+    @pytest.mark.parametrize("corpus", ["one_row_novel", "mixed_novel"])
+    def test_rows_equal_each_video_embedded_alone(self, request, monkeypatch, corpus):
+        novel = request.getfixturevalue(corpus)
+        monkeypatch.setattr(evaluate, "EMBED_CHUNK", 2)
+        params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=5)
+        draws = draw_all(novel, 3, 1, 2, 8, 1)
+        videos = evaluate._NovelVideos(params, novel, draws)
+        for draw in draws:
+            for entry in draw.queries:
+                T, row = videos.at["query", entry.feature_file]
+                alone = model.embed_segments(params, novel.load_sequence(entry).features,
+                                             grad=False)
+                assert np.array_equal(videos.queries[T][row], alone)
+            for entry in draw.support:
+                T, row = videos.at[evaluate._support_key(entry)]
+                trimmed = data.trim_support_video(novel.load_sequence(entry)).features
+                assert np.array_equal(videos.means[row], evaluate.support_mean(params, trimmed))
 
     def test_embeddings_dropped_before_first_proposal_pass(self, mixed_novel, monkeypatch):
         built, alive = [], []
