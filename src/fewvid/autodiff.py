@@ -7,11 +7,17 @@ accumulates adjoints in reverse topological order. Not a general framework:
 only the primitives the training objective needs exist, matmul is strictly
 2-D, and elementwise operands broadcast as in NumPy (a scalar against an
 array, or an (n, 1) column against an (n, k) matrix).
+
+A backward builds only what reaches a requires_grad leaf: an operand that
+needs no gradient (a constant) gets none, and a row gather (`take_rows`)
+returns just the rows it touches, which `backward` adds into the source's
+gradient in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,12 +103,21 @@ def _wrap(value) -> Tensor:
     return Tensor(value)
 
 
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside the source rows `index` (no repeats),
+    whose gradient rows are `rows`. `backward` adds it into its parent's
+    gradient in place and zero-fills only a parent's first gradient."""
+
+    index: np.ndarray
+    rows: np.ndarray
+
+
 def _node(op: str, inputs, fwd, bwd) -> Tensor:
     """Build an eagerly evaluated graph node.
 
     fwd: (*input_arrays) -> array.
-    bwd: (out_grad, out_value, *input_arrays) -> tuple of per-input grads
-    (None for inputs that need no gradient).
+    bwd: (out_grad, out_value, *input_arrays) -> tuple of per-input grads:
+    an array, a `RowGrad`, or None for an input that needs no gradient.
     """
     out = Tensor.__new__(Tensor)
     out.data = fwd(*[t.data for t in inputs])
@@ -163,7 +178,15 @@ def backward(root: Tensor) -> dict:
         for parent, g in zip(node.inputs, grads):
             if g is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
+            if isinstance(g, RowGrad):
+                # rows outside g.index keep their bits: a dense add of zeros
+                # would only turn a -0.0 there into 0.0
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                    parent.grad[g.index] = g.rows
+                else:
+                    parent.grad[g.index] += g.rows
+            elif parent.grad is None:
                 # keep an array the backward has just made for this input alone;
                 # copy a view, the node's own gradient, or one array given twice
                 owned = (g.base is None and g is not node.grad
@@ -187,53 +210,44 @@ def _match_reduce(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _check_elementwise(op: str, a: Tensor, b: Tensor):
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb or not sa or not sb:
+        return
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        np.broadcast_shapes(sa, sb)
     except ValueError:
-        raise ShapeError(op, a.data.shape, b.data.shape) from None
+        raise ShapeError(op, sa, sb) from None
+
+
+def _elementwise(op: str, a: Tensor, b: Tensor, fwd, grad_a, grad_b) -> Tensor:
+    """A broadcasting binary node. grad_a / grad_b: (g, x, y) -> the output-shaped
+    gradient of an operand, reduced to its shape; an operand that needs no
+    gradient gets None, and its gradient is never formed."""
+    _check_elementwise(op, a, b)
+
+    def bwd(g, out, x, y):
+        return (_match_reduce(grad_a(g, x, y), x.shape) if a.requires_grad else None,
+                _match_reduce(grad_b(g, x, y), y.shape) if b.requires_grad else None)
+
+    return _node(op, (a, b), fwd, bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise("add", a, b)
-    return _node(
-        "add",
-        (a, b),
-        lambda x, y: x + y,
-        lambda g, out, x, y: (_match_reduce(g, x.shape), _match_reduce(g, y.shape)),
-    )
+    return _elementwise("add", a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise("sub", a, b)
-    return _node(
-        "sub",
-        (a, b),
-        lambda x, y: x - y,
-        lambda g, out, x, y: (_match_reduce(g, x.shape), _match_reduce(-g, y.shape)),
-    )
+    return _elementwise("sub", a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise("mul", a, b)
-    return _node(
-        "mul",
-        (a, b),
-        lambda x, y: x * y,
-        lambda g, out, x, y: (_match_reduce(g * y, x.shape), _match_reduce(g * x, y.shape)),
-    )
+    return _elementwise("mul", a, b, lambda x, y: x * y,
+                        lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise("div", a, b)
-    return _node(
-        "div",
-        (a, b),
-        lambda x, y: x / y,
-        lambda g, out, x, y: (
-            _match_reduce(g / y, x.shape),
-            _match_reduce(-g * x / (y * y), y.shape),
-        ),
-    )
+    return _elementwise("div", a, b, lambda x, y: x / y,
+                        lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -243,7 +257,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         "matmul",
         (a, b),
         lambda x, y: x @ y,
-        lambda g, out, x, y: (g @ y.T, x.T @ g),
+        lambda g, out, x, y: (g @ y.T if a.requires_grad else None,
+                              x.T @ g if b.requires_grad else None),
     )
 
 
@@ -277,10 +292,11 @@ def concat_rows(tensors) -> Tensor:
 def take_rows(a: Tensor, index) -> Tensor:
     """Rows `index` of a 2-D tensor, in that order; an index may repeat.
 
-    The backward adds each output row's gradient into its source row: one
-    `np.add.reduceat` over the gradient rows in stable-sorted index order,
-    so each source row gets its first gradient row plus the sum of the rest.
-    A sorted index needs no reordering, and one without repeats no sums.
+    The backward sums each source row's gradient rows: one `np.add.reduceat`
+    over the gradient rows in stable-sorted index order, so each source row
+    gets its first gradient row plus the sum of the rest. A sorted index
+    needs no reordering, and one without repeats no sums. It returns only
+    those rows, as a `RowGrad`.
     """
     index = np.asarray(index, dtype=np.intp)
     if a.data.ndim != 2 or index.ndim != 1:
@@ -294,15 +310,12 @@ def take_rows(a: Tensor, index) -> Tensor:
     run_starts = np.ones(index.size, dtype=bool)
     run_starts[1:] = sorted_index[1:] != sorted_index[:-1]
     firsts = np.flatnonzero(run_starts)
+    repeats = firsts.size < index.size
+    sources = sorted_index[firsts] if repeats else sorted_index
 
     def bwd(g, out, x):
-        gx = np.zeros_like(x)
         rows = g if order is None else g[order]
-        if firsts.size == index.size:
-            gx[sorted_index] = rows
-        elif index.size:
-            gx[sorted_index[firsts]] = np.add.reduceat(rows, firsts, axis=0)
-        return (gx,)
+        return (RowGrad(sources, np.add.reduceat(rows, firsts, axis=0) if repeats else rows),)
 
     return _node("take_rows", (a,), lambda x: x[index], bwd)
 
@@ -379,26 +392,38 @@ def square(a: Tensor) -> Tensor:
     return _node("square", (a,), np.square, lambda g, out, x: (2.0 * x * g,))
 
 
+def _normalized_rows(x: np.ndarray):
+    """(each row of x over its norm plus NORM_EPS, the (n, 1) row norms)."""
+    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    return x / (norms + NORM_EPS), norms
+
+
 def l2_normalize_rows_forward(x: np.ndarray) -> np.ndarray:
     """Each row of a plain 2-D array over its norm plus NORM_EPS."""
-    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-    return x / (norms + NORM_EPS)
+    return _normalized_rows(x)[0]
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
-    """Scale each row to unit norm; an all-zero row stays zero (guard NORM_EPS)."""
+    """Scale each row to unit norm; an all-zero row stays zero (guard NORM_EPS).
+    The backward reuses the row norms of the latest forward evaluation."""
     if a.data.ndim != 2:
         raise ShapeError("l2_normalize_rows", a.data.shape)
+    norms = None
+
+    def fwd(x):
+        nonlocal norms
+        out, norms = _normalized_rows(x)
+        return out
 
     def bwd(g, out, x):
-        norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
         denom = norms + NORM_EPS
+        nonzero = norms > 0.0
         dot = np.sum(g * x, axis=1, keepdims=True)
-        gx = g / denom - x * dot / (np.where(norms > 0.0, norms, 1.0) * denom * denom)
+        gx = g / denom - x * dot / (np.where(nonzero, norms, 1.0) * denom * denom)
         # zero rows: function is flat at the origin under the guard, take 0
-        return (np.where(norms > 0.0, gx, 0.0),)
+        return (gx if nonzero.all() else np.where(nonzero, gx, 0.0),)
 
-    return _node("l2_normalize_rows", (a,), l2_normalize_rows_forward, bwd)
+    return _node("l2_normalize_rows", (a,), fwd, bwd)
 
 
 def softmax_forward(x: np.ndarray) -> np.ndarray:
@@ -483,6 +508,13 @@ class ConvGrid:
         return flat if self.rows is None else flat[self.rows]
 
 
+def _tap_block(kv: np.ndarray, t_max: int) -> np.ndarray:
+    """The (d, w) kernel as a contiguous (w, t_max, d) block: slab j repeats
+    tap column kv[:, j] on every row, so multiplying a video's (t_max, d)
+    slab by it runs over one contiguous stretch, not a strided column."""
+    return np.repeat(kv.T[:, None, :], t_max, axis=1)
+
+
 def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,
                              grid: ConvGrid = None) -> np.ndarray:
     """`depthwise_conv1d` on plain arrays: (T, d) by (d, w) kernel -> (T, d),
@@ -495,9 +527,10 @@ def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,
             lengths = check_lengths("depthwise_conv1d", xv.shape, lengths)
         grid = ConvGrid(xv, kv.shape[1], lengths)
     t_max = grid.shape[1]
+    taps = _tap_block(kv, t_max)
     out = np.zeros(grid.shape, dtype=xv.dtype)
     for j in range(kv.shape[1]):
-        out += grid.padded[:, j : j + t_max] * kv[:, j]
+        out += grid.padded[:, j : j + t_max] * taps[j]
     return grid.gather(out)
 
 
@@ -532,8 +565,9 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
         gsp[:, w - 1 - pad : w - 1 - pad + t_max] = gs
         gx = np.zeros(gs.shape)
         gk = np.zeros_like(kv)
+        taps = _tap_block(kv, t_max)
         for j in range(w):
-            gx += gsp[:, w - 1 - j : w - 1 - j + t_max] * kv[:, j]
+            gx += gsp[:, w - 1 - j : w - 1 - j + t_max] * taps[j]
             gk[:, j] = np.sum((gs * xp[:, j : j + t_max]).reshape(-1, gs.shape[2]), axis=0)
         return (grid.gather(gx), gk)
 

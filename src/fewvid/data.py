@@ -27,6 +27,7 @@ from .errors import (BadMagicError, DataError, MalformedFileError, TruncatedFile
 
 SEGF_MAGIC = b"SEGF"
 SEGF_VERSION = 1
+READ_CHUNK = 1 << 16  # read size past the first read of a file that grew
 
 # roles used in manifests and inspection output
 ROLE_FG = "F"
@@ -129,10 +130,22 @@ def write_feature_file(features: np.ndarray, path):
 
 def read_file(path, what: str, text: bool = False):
     """The file's bytes, or with `text` its UTF-8 text. Raises DataError
-    "cannot read {what} {path}: ..." when it cannot be read or decoded."""
+    "cannot read {what} {path}: ..." when it cannot be read or decoded.
+
+    Reads with `os.read` until end of file; the first read asks for the size
+    `os.fstat` gives plus one byte, so a regular file takes one read and an
+    empty one at end of file.
+    """
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks, size = [], os.fstat(fd).st_size + 1
+            while chunk := os.read(fd, size):
+                chunks.append(chunk)
+                size = READ_CHUNK
+        finally:
+            os.close(fd)
+        blob = b"".join(chunks)
         return blob.decode("utf-8") if text else blob
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {what} {path}: {err}") from err

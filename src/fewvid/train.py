@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import DatasetManifest, write_csv
+from .data import DatasetManifest, read_feature_file, write_csv
 from .errors import DataError, NumericError
 from .evaluate import classification_accuracy
 from .losses import BatchVideo, LossConfig, total_loss
@@ -75,7 +75,7 @@ def load_training_videos(manifest: DatasetManifest):
     videos, width = [], None
     for entry in manifest.entries:
         path = os.path.join(manifest.root, entry.feature_file)
-        features = manifest.load_sequence(entry).features
+        features = manifest.sequence(entry, read_feature_file(path)).features
         if width is None:
             width, first = features.shape[1], path
         elif features.shape[1] != width:

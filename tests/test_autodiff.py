@@ -403,6 +403,198 @@ class TestConv:
             ad.depthwise_conv1d(ad.Tensor(np.ones((7, 2))), ad.Tensor(np.ones((2, 3))), lengths)
 
 
+def unbroadcast(v, shape):
+    """Sum v over the axes an operand of `shape` was stretched along."""
+    if v.shape == shape:
+        return v
+    lead = v.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
+                                      if n == 1 and v.shape[lead + i] != 1)
+    return np.sum(v, axis=axes).reshape(shape)
+
+
+# the dense gradient of each operand, as every backward formed it for both
+DENSE_GRADS = {
+    "add": (lambda g, x, y: g, lambda g, x, y: g),
+    "sub": (lambda g, x, y: g, lambda g, x, y: -g),
+    "mul": (lambda g, x, y: g * y, lambda g, x, y: g * x),
+    "div": (lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y)),
+}
+
+
+class TestConstantOperands:
+    """A backward forms no gradient for an operand that needs none, and the
+    other operand's gradient keeps the dense formula's bits."""
+
+    @pytest.mark.parametrize("op", sorted(DENSE_GRADS))
+    @pytest.mark.parametrize("shapes", [((3, 4), (3, 4)), ((3, 4), ()), ((), (3, 4)),
+                                        ((3, 4), (3, 1)), ((3, 1), (3, 4))])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_elementwise(self, op, shapes, constant):
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(size=s) + 3.0 for s in shapes]  # divisors away from zero
+        operands = [ad.Tensor(v, requires_grad=i != constant) for i, v in enumerate(arrays)]
+        out = getattr(ad, op)(*operands)
+        g = rng.normal(size=out.data.shape)
+        grads = out._bwd(g, out.data, *arrays)
+        learned = 1 - constant
+        assert grads[constant] is None
+        want = unbroadcast(DENSE_GRADS[op][learned](g, *arrays), arrays[learned].shape)
+        assert grads[learned].tobytes() == want.tobytes()
+
+        ad.backward((out * ad.Tensor(g)).sum())
+        assert operands[constant].grad is None
+        assert operands[learned].grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_matmul(self, constant):
+        rng = np.random.default_rng(4)
+        x, y, g = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        a, b = ad.Tensor(x, requires_grad=constant != 0), ad.Tensor(y, requires_grad=constant != 1)
+        out = a @ b
+        grads = out._bwd(g, out.data, x, y)
+        assert grads[constant] is None
+        want = x.T @ g if constant == 0 else g @ y.T
+        assert grads[1 - constant].tobytes() == want.tobytes()
+
+
+def dense_take_rows_grad(g, index, rows):
+    """take_rows' gradient as a zero-filled (rows, d) array: each source row
+    gets its first gradient row plus the sum of the rest, in index order."""
+    index = np.asarray(index, dtype=np.intp)
+    order = np.argsort(index, kind="stable")
+    sorted_index, sorted_g = index[order], g[order]
+    firsts = np.flatnonzero(np.r_[True, sorted_index[1:] != sorted_index[:-1]]) if index.size else index
+    gx = np.zeros((rows, g.shape[1]))
+    if index.size:
+        gx[sorted_index[firsts]] = np.add.reduceat(sorted_g, firsts, axis=0)
+    return gx
+
+
+TAKE_INDICES = {
+    "sorted": [0, 2, 3, 6],
+    "unsorted": [5, 1, 6, 0, 3],
+    "repeated": [4, 1, 4, 4, 0, 1, 6, 4],
+    "empty": [],
+}
+
+
+class TestTakeRowsGradient:
+    """take_rows' backward returns only the rows it touches; `backward` adds
+    them into the source's gradient in place."""
+
+    @pytest.mark.parametrize("name", sorted(TAKE_INDICES))
+    def test_returns_only_summed_rows(self, name):
+        index = TAKE_INDICES[name]
+        rng = np.random.default_rng(8)
+        x, g = rng.normal(size=(7, 3)), rng.normal(size=(len(index), 3))
+        out = ad.take_rows(ad.Tensor(x, requires_grad=True), index)
+        (rows,) = out._bwd(g, out.data, x)
+        assert isinstance(rows, ad.RowGrad)
+        assert sorted(rows.index.tolist()) == sorted(set(index))
+        assert rows.rows.shape == (len(set(index)), 3)
+        dense = dense_take_rows_grad(g, index, 7)
+        assert rows.rows.tobytes() == dense[rows.index].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(TAKE_INDICES))
+    def test_first_gradient(self, name):
+        index = TAKE_INDICES[name]
+        rng = np.random.default_rng(9)
+        leaf = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        g = rng.normal(size=(len(index), 3))
+        ad.backward((ad.take_rows(leaf, index) * ad.Tensor(g)).sum())
+        assert leaf.grad.tobytes() == dense_take_rows_grad(g, index, 7).tobytes()
+
+    @pytest.mark.parametrize("first", sorted(TAKE_INDICES))
+    @pytest.mark.parametrize("later", sorted(TAKE_INDICES))
+    def test_later_gradient(self, first, later):
+        # two gathers from one source: whichever arrives second is added in place
+        rng = np.random.default_rng(10)
+        leaf = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        g1 = rng.normal(size=(len(TAKE_INDICES[first]), 3))
+        g2 = rng.normal(size=(len(TAKE_INDICES[later]), 3))
+        ad.backward((ad.take_rows(leaf, TAKE_INDICES[first]) * ad.Tensor(g1)).sum()
+                    + (ad.take_rows(leaf, TAKE_INDICES[later]) * ad.Tensor(g2)).sum())
+        want = (dense_take_rows_grad(g1, TAKE_INDICES[first], 7)
+                + dense_take_rows_grad(g2, TAKE_INDICES[later], 7))
+        assert leaf.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(TAKE_INDICES))
+    def test_after_a_dense_gradient(self, name):
+        index = TAKE_INDICES[name]
+        rng = np.random.default_rng(11)
+        leaf = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        g, p = rng.normal(size=(len(index), 3)), rng.normal(size=(7, 3))
+        ad.backward((ad.take_rows(leaf, index) * ad.Tensor(g)).sum() + (leaf * ad.Tensor(p)).sum())
+        assert leaf.grad.tobytes() == (p + dense_take_rows_grad(g, index, 7)).tobytes()
+
+    def test_rows_outside_the_index_keep_their_bits(self):
+        # the dense product's gradient (-0.0 in row 0) reaches the leaf
+        # first; adding the gather's rows leaves row 0 as it is
+        leaf = ad.Tensor(np.ones((3, 1)), requires_grad=True)
+        dense, gather = leaf * 0.0, ad.take_rows(leaf, [2])
+        root = (dense * ad.Tensor([[-1.0], [0.0], [2.0]])).sum() + (gather * 4.0).sum()
+        order = ad._topo(root)
+        assert order.index(dense) > order.index(gather)  # visited first going back
+        ad.backward(root)
+        assert leaf.grad.tolist() == [[0.0], [0.0], [4.0]]
+        assert np.signbit(leaf.grad[0, 0]) and not np.signbit(leaf.grad[1, 0])
+
+
+def per_tap_conv(xs, k, gs):
+    """Outputs, input gradients (one per video) and the kernel gradient of a
+    depthwise conv over videos `xs`, written tap by tap: each output adds
+    x_j * k[:, j] for j = 0..w-1 to a zero start, each padded input row
+    collects g * k[:, j] in that order, and each kernel column is one sum
+    over the stack's rows."""
+    w = k.shape[1]
+    pad = (w - 1) // 2
+    outs, gxs, prods = [], [], [[] for _ in range(w)]
+    for x, g in zip(xs, gs):
+        t = x.shape[0]
+        xp = np.zeros((t + w - 1, x.shape[1]))
+        xp[pad : pad + t] = x
+        out, gxp = np.zeros_like(x), np.zeros_like(xp)
+        for j in range(w):
+            out += xp[j : j + t] * k[:, j]
+            gxp[j : j + t] += g * k[:, j]
+            prods[j].append(g * xp[j : j + t])
+        outs.append(out)
+        gxs.append(gxp[pad : pad + t])
+    gk = np.stack([np.sum(np.concatenate(p), axis=0) for p in prods], axis=1)
+    return outs, gxs, gk
+
+
+class TestConvPerTap:
+    """The conv and its no-grad forward against `per_tap_conv`, bit for bit."""
+
+    @pytest.mark.parametrize("lengths, w", [
+        ([5, 1, 3, 12], 4),  # mixed lengths
+        ([1, 1, 1], 3),  # one-row videos
+        ([2, 3, 1], 8),  # T < w
+        ([20, 20, 20, 20], 8),  # equal lengths: the grid is a view of the stack
+        ([9], 5),  # one video in a stack
+        (None, 6),  # one video, no lengths
+    ])
+    def test_matches(self, lengths, w):
+        rng = np.random.default_rng(12)
+        d = 4
+        sizes = lengths or [11]
+        xs = [rng.normal(size=(t, d)) for t in sizes]
+        gs = [rng.normal(size=(t, d)) for t in sizes]
+        k = rng.normal(size=(d, w))
+        outs, gxs, gk = per_tap_conv(xs, k, gs)
+
+        stack = np.concatenate(xs)
+        assert ad.depthwise_conv1d_forward(stack, k, lengths).tobytes() == np.concatenate(outs).tobytes()
+        x, kernel = ad.Tensor(stack, requires_grad=True), ad.Tensor(k, requires_grad=True)
+        out = ad.depthwise_conv1d(x, kernel, lengths)
+        assert out.data.tobytes() == np.concatenate(outs).tobytes()
+        ad.backward((out * ad.Tensor(np.concatenate(gs))).sum())
+        assert x.grad.tobytes() == np.concatenate(gxs).tobytes()
+        assert kernel.grad.tobytes() == gk.tobytes()
+
+
 class TestGraphMechanics:
     def test_forward_recomputes_after_leaf_change(self):
         leaf = ad.Tensor([[1.0, 2.0]], requires_grad=True)

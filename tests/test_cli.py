@@ -980,6 +980,14 @@ GOLDEN_TRAIN_SHA256 = {
          "ff8e4e011afdb7aa58602b1be844538e73a25b5d77b665c8d0cf31bf614f6512"),
     ("cl",): ("94d3764992817b1398337d50927416ccb300d003cf02f151d0d36278001f912b",
               "bba579733bf441a84712e5981f530fc5df30822e148d51e9a0030ecf7e97bb68"),
+    # the bg-off head gathers its class rows, so a row gather's gradient
+    # lands on a parameter; sw off is the one run through the attention net
+    ("bg",): ("b2f4c5413d9adcf8663cf7a58cf594eea45b8037e01360659310109621b9ba18",
+              "b86d3f74354bf8b0f4e5a5618a3ad142a9119b75867bceb81fb96d66d55ec5f6"),
+    ("sw",): ("8ac73d367fe73da77837000d99457eb74caedea17098a673271fb34f53edb313",
+              "0e725c4822b8944c502ee81024658f1fe5c1eebeeb862e0b4d02abc215c5e6d5"),
+    ("bg", "sw", "cl"): ("58b909e416150edc2f39483132eef18cbb772ffc39291ec48f1a1cb2c7d883cd",
+                         "ecf741a2c3fd5187cb5e25a8a1b3ce5780fee0d1a01fa4e314f1a7463884d0f1"),
 }
 
 

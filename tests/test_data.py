@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -106,6 +108,52 @@ class TestFeatureFile:
         data.write_feature_file(np.ones((2, 3)), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         with pytest.raises(MalformedFileError, match="4 bytes follow"):
+            data.read_feature_file(path)
+
+
+class TestReadFile:
+    """`data.read_file`, the one read path for manifests, feature files,
+    configs and checkpoints."""
+
+    @pytest.mark.parametrize("size", [0, 1, 5000])
+    def test_reads_whole_file(self, tmp_path, size):
+        blob = np.random.default_rng(size).bytes(size)
+        (tmp_path / "f").write_bytes(blob)
+        assert data.read_file(tmp_path / "f", "file") == blob
+
+    def test_reads_past_a_stale_size(self, tmp_path, monkeypatch):
+        # a file longer than fstat said when it was opened is read to its end
+        blob = np.random.default_rng(1).bytes(3 * data.READ_CHUNK + 5)
+        (tmp_path / "f").write_bytes(blob)
+        monkeypatch.setattr(data.os, "fstat", lambda fd: os.stat_result((0,) * 10))
+        assert data.read_file(tmp_path / "f", "file") == blob
+
+    def test_text(self, tmp_path):
+        (tmp_path / "t").write_bytes("a = é\n".encode())
+        assert data.read_file(tmp_path / "t", "config file", text=True) == "a = é\n"
+        (tmp_path / "bad").write_bytes(b"\xff\xfe")
+        with pytest.raises(DataError, match=f"cannot read config file {re.escape(str(tmp_path / 'bad'))}: "):
+            data.read_file(tmp_path / "bad", "config file", text=True)
+
+    def test_missing_file_named(self, tmp_path):
+        path = tmp_path / "absent"
+        with pytest.raises(DataError, match=f"cannot read manifest {re.escape(str(path))}: .*No such file"):
+            data.read_file(path, "manifest")
+
+    def test_directory_named(self, tmp_path):
+        with pytest.raises(DataError, match=f"cannot read checkpoint {re.escape(str(tmp_path))}: .*Is a directory"):
+            data.read_file(tmp_path, "checkpoint")
+
+    def test_unreadable_file_named(self, tmp_path, monkeypatch):
+        # file modes do not stop a root user, so the refusal is simulated
+        path = tmp_path / "locked.segf"
+        path.write_bytes(b"SEGF")
+
+        def refuse(fd, n):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(data.os, "read", refuse)
+        with pytest.raises(DataError, match=f"cannot read feature file {re.escape(str(path))}: .*Permission denied"):
             data.read_feature_file(path)
 
 
