@@ -61,18 +61,25 @@ class SegmentFeatureSequence:
         segment_roles are empty or one per segment."""
         if self.features.ndim != 2:
             raise DataError(f"{self.video_id}: features must be 2-D, got {self.features.shape}")
-        prev_end = 0
-        for start, end in self.gt_intervals:
-            if not (0 <= start < end <= self.T):
-                raise DataError(f"{self.video_id}: interval ({start}, {end}) is not inside "
-                                f"its {self.T} segments")
-            if start < prev_end:
-                raise DataError(f"{self.video_id}: intervals overlap or are unsorted")
-            prev_end = end
-        if self.segment_roles and len(self.segment_roles) != self.T:
-            raise DataError(f"{self.video_id}: segment_roles has {len(self.segment_roles)} "
-                            f"roles for its {self.T} segments")
+        check_segments(self.video_id, self.gt_intervals, self.segment_roles, self.T)
         return self
+
+
+def check_segments(video_id: str, gt_intervals, segment_roles: str, T: int):
+    """Raise DataError naming the video unless its (start, end) intervals are
+    sorted, do not overlap and lie inside its T segments, and its
+    segment_roles are empty or one per segment."""
+    prev_end = 0
+    for start, end in gt_intervals:
+        if not (0 <= start < end <= T):
+            raise DataError(f"{video_id}: interval ({start}, {end}) is not inside "
+                            f"its {T} segments")
+        if start < prev_end:
+            raise DataError(f"{video_id}: intervals overlap or are unsorted")
+        prev_end = end
+    if segment_roles and len(segment_roles) != T:
+        raise DataError(f"{video_id}: segment_roles has {len(segment_roles)} "
+                        f"roles for its {T} segments")
 
 
 @dataclass
@@ -209,29 +216,31 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_entry(rec: dict, where: str, n_classes: int):
-    """Raise DataError unless a manifest record has string video_id and
-    feature_file, an int class_label indexing the header's n_classes
-    class_names, a list of [start, end] int pairs with 0 <= start < end as
-    gt_intervals, and, if present, a string of F/I/N as segment_roles."""
+def _entry_problem(rec: dict, n_classes: int):
+    """What is wrong with a manifest record, or None when it has string
+    video_id and feature_file, an int class_label indexing the header's
+    n_classes class_names, a list of [start, end] int pairs with
+    0 <= start < end as gt_intervals, and, if present, a string of F/I/N as
+    segment_roles."""
     for key in ("video_id", "feature_file"):
         if not isinstance(rec[key], str):
-            raise DataError(f"{where}: {key} must be a string, got {rec[key]!r}")
+            return f"{key} must be a string, got {rec[key]!r}"
     if not _is_int(rec["class_label"]):
-        raise DataError(f"{where}: class_label must be an integer, got {rec['class_label']!r}")
+        return f"class_label must be an integer, got {rec['class_label']!r}"
     if not 0 <= rec["class_label"] < n_classes:
-        raise DataError(f"{where}: class_label {rec['class_label']} is outside the "
-                        f"{n_classes} class_names of the header")
+        return (f"class_label {rec['class_label']} is outside the "
+                f"{n_classes} class_names of the header")
     intervals = rec["gt_intervals"]
     if not (isinstance(intervals, list) and all(
             isinstance(iv, list) and len(iv) == 2 and _is_int(iv[0]) and _is_int(iv[1])
             and 0 <= iv[0] < iv[1] for iv in intervals)):
-        raise DataError(f"{where}: gt_intervals must be a list of [start, end] integer "
-                        f"pairs with 0 <= start < end, got {intervals!r}")
+        return (f"gt_intervals must be a list of [start, end] integer "
+                f"pairs with 0 <= start < end, got {intervals!r}")
     roles = rec.get("segment_roles", "")
     if not (isinstance(roles, str) and set(roles) <= {ROLE_FG, ROLE_IBG, ROLE_NBG}):
-        raise DataError(f"{where}: segment_roles must be a string of {ROLE_FG}, {ROLE_IBG} "
-                        f"and {ROLE_NBG}, got {roles!r}")
+        return (f"segment_roles must be a string of {ROLE_FG}, {ROLE_IBG} "
+                f"and {ROLE_NBG}, got {roles!r}")
+    return None
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -249,7 +258,9 @@ def load_manifest(path) -> DatasetManifest:
                             f"got {manifest.class_names!r}")
         for i, line in enumerate(lines[1:]):
             rec = json.loads(line)
-            _check_entry(rec, f"{path}: entry {i}", len(manifest.class_names))
+            problem = _entry_problem(rec, len(manifest.class_names))
+            if problem:
+                raise DataError(f"{path}: entry {i}: {problem}")
             manifest.entries.append(ManifestEntry(
                 video_id=rec["video_id"],
                 class_label=rec["class_label"],

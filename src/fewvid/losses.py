@@ -7,7 +7,10 @@ non-informative background (NBG) segments. A margin contrastive loss pulls
 NBG segments from different videos together and pushes them away from
 high-confidence foreground/informative segments, so that "uninformative"
 becomes a compact region of the embedding space instead of a blanket
-suppression of everything the base classifier does not recognize.
+suppression of everything the base classifier does not recognize. The
+contrastive term is one graph node over the two pools; its hardest pairs
+come from one Gram product, used only to filter candidates whose exact
+distances then decide.
 
 Aggregation weights come either from the per-video self-weighting (distance
 to the video's own pseudo-labeled background segment) or, in the baseline
@@ -143,8 +146,52 @@ def bg_cls_loss(nbg_feats, classifier: ad.Tensor, cfg: LossConfig = None) -> ad.
 
 def _summed_squares(diffs: np.ndarray) -> np.ndarray:
     """Sum of squares along the last axis of difference rows (squared in
-    place), with the bits of the graph's square(diff).sum() on one pair."""
+    place), with the bits of the squared distance `contrastive_loss` takes
+    for one pair."""
     return np.square(diffs, out=diffs).sum(axis=-1)
+
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+
+
+def _hardest_pairs(nb: np.ndarray, fg):
+    """The farthest NBG pair (i, j), i < j, and the closest FG+IBG-to-NBG
+    pair (k, l) of plain (n, d) and (m, d) pools (fg may be None), each None
+    when its pool is too small.
+
+    One Gram product estimates every pair's squared distance as
+    |a|^2 + |b|^2 - 2 a.b. The estimate only filters: a pair stays a
+    candidate unless its estimate is further than a rounding bound from the
+    best estimate, and each candidate's distance is then taken exactly by
+    `_summed_squares`. The pick is the first exact best candidate, NBG pairs
+    in `np.triu_indices` order and cross pairs FG-row-major, so it is the
+    first exact best pair over all pairs, ties included: an estimate is
+    within (2d + 5) eps (|a|^2 + |b|^2) of the exact distance, and the bound
+    8 (d + 3) eps max|row|^2 (plus the smallest normal, for underflow) is
+    at least twice that at its largest. A NaN estimate or bound keeps every pair, and
+    so does a bound whose 8 max|row|^2 overflows, before any estimate can.
+    """
+    n, d = nb.shape
+    rows = nb if fg is None else np.concatenate([nb, fg])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", rows, rows)
+        est = sq[:, None] + sq[:n] - 2.0 * (rows @ nb.T)  # est[r, a]: rows[r] to nb[a]
+        tol = 8.0 * sq.max() * ((d + 3) * _EPS) + _TINY
+        pull_low = est[:n].max() - tol
+        push_high = est[n:].min(initial=np.inf) + tol
+    pull = push = None
+    if n >= 2:
+        first, second = np.nonzero(~(est[:n] < pull_low))
+        upper = first < second
+        first, second = first[upper], second[upper]
+        at = np.argmax(_summed_squares(nb[first] - nb[second]))
+        pull = first[at], second[at]
+    if fg is not None:
+        k, l = np.nonzero(~(est[n:] > push_high))
+        at = np.argmin(_summed_squares(fg[k] - nb[l]))
+        push = k[at], l[at]
+    return pull, push
 
 
 def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tensor:
@@ -155,32 +202,61 @@ def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tenso
     `margin` apart. Either term is dropped when its pool is too small. Each
     pool is a Tensor of rows or a list of row Tensors.
 
-    Only the chosen pair carries a gradient, so each pair is picked on plain
-    arrays and only its two rows enter the graph. Ties go to the first pair,
-    NBG pairs in `np.triu_indices` order and cross pairs FG-row-major, as a
-    max/min over every pair would pick.
+    Both pairs are picked on plain arrays in one `_hardest_pairs` call, ties
+    to the first pair, and stay fixed when `autodiff.forward` re-evaluates
+    the graph. The loss is one graph node over the two pools, and only the
+    chosen pairs' rows get a gradient. Its forward and backward do the float
+    operations of the chain gather rows, subtract, square, sum (then
+    beta * relu(margin - closest) for the push, and pull + push) in that
+    chain's order, so the value keeps its bits, and so do the pools'
+    gradient rows when the node is the first to give them a gradient.
     """
     cfg = cfg or LossConfig()
     nb, fg = _stack(nbg_feats), _stack(fgibg_feats)
-    terms = []
-    if nb is not None and nb.data.shape[0] >= 2:
-        first, second = np.triu_indices(nb.data.shape[0], 1)
-        at = np.argmax(_summed_squares(nb.data[first] - nb.data[second]))
-        i, j = first[at], second[at]
-        diff = ad.take_rows(nb, [i]) - ad.take_rows(nb, [j])
-        terms.append(ad.square(diff).sum())
-    if nb is not None and fg is not None:
-        dist = _summed_squares(fg.data[:, None] - nb.data[None])
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        cross = ad.take_rows(fg, [i]) - ad.take_rows(nb, [j])
-        closest = ad.square(cross).sum()
-        terms.append(cfg.beta * ad.relu(cfg.margin - closest))
-    if not terms:
+    if nb is None:
         return ad.Tensor(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
+    pull, push = _hardest_pairs(nb.data, None if fg is None else fg.data)
+    if pull is None and push is None:
+        return ad.Tensor(0.0)
+    margin, beta = cfg.margin, cfg.beta
+
+    def fwd(nbv, fgv=None):
+        total = None
+        if pull is not None:
+            total = np.square(nbv[pull[0]] - nbv[pull[1]]).sum()
+        if push is not None:
+            closest = np.square(fgv[push[0]] - nbv[push[1]]).sum()
+            hinge = beta * ad.relu_forward(margin - closest)
+            total = hinge if total is None else total + hinge
+        return total
+
+    def bwd(g, out, nbv, fgv=None):
+        # the chain's gradient rows, the NBG ones summed in the order its
+        # backward reaches them: pull rows i then j, then push row l
+        nb_rows, nb_grads, g_fg = [], [], None
+        if pull is not None:
+            g_pull = 2.0 * (nbv[pull[0]] - nbv[pull[1]]) * g
+            nb_rows += pull
+            nb_grads += [g_pull, -g_pull]
+        if push is not None:
+            cross = fgv[push[0]] - nbv[push[1]]
+            active = margin - np.square(cross).sum() > 0.0
+            g_push = 2.0 * cross * -(g * beta * active)
+            nb_rows.append(push[1])
+            nb_grads.append(-g_push)
+            if fg.requires_grad:
+                g_fg = ad.RowGrad(np.array([push[0]]), g_push[None])
+        g_nb = None
+        if nb.requires_grad:
+            dense = np.zeros_like(nbv)
+            dense[nb_rows[0]] = nb_grads[0]
+            for row, grad in zip(nb_rows[1:], nb_grads[1:]):
+                dense[row] += grad
+            index = sorted(set(nb_rows))
+            g_nb = ad.RowGrad(np.array(index), dense[index])
+        return (g_nb,) if fg is None else (g_nb, g_fg)
+
+    return ad._node("contrastive", (nb,) if fg is None else (nb, fg), fwd, bwd)
 
 
 @dataclass
@@ -217,13 +293,14 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
     head = params.classifier if cfg.bg else model_mod.class_rows(params)
     l_cls = soft_cls_loss(F, [video.label for video in batch], head, cfg)
 
-    nbg = ad.take_rows(f, labels.bg_rows[labels.is_nbg])
-    fgibg = ad.take_rows(f, labels.fg_rows)
+    # each pool is gathered only when a term reads it
+    if cfg.bg or cfg.cl:
+        nbg = ad.take_rows(f, labels.bg_rows[labels.is_nbg])
 
     loss = l_cls
     l_contrast = ad.Tensor(0.0)
     if cfg.cl:
-        l_contrast = contrastive_loss(nbg, fgibg, cfg)
+        l_contrast = contrastive_loss(nbg, ad.take_rows(f, labels.fg_rows), cfg)
         loss = loss + cfg.gamma1 * l_contrast
     l_bg = ad.Tensor(0.0)
     if cfg.bg:
@@ -235,7 +312,7 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
         "l_cls": float(l_cls.data),
         "l_contrast": float(l_contrast.data),
         "l_bg": float(l_bg.data),
-        "n_nbg": nbg.data.shape[0],
+        "n_nbg": int(np.count_nonzero(labels.is_nbg)),
         "labels": labels,
     }
     return loss, stats

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import DatasetManifest, read_feature_file, write_csv
+from .data import DatasetManifest, check_segments, read_feature_file, write_csv
 from .errors import DataError, NumericError
 from .evaluate import classification_accuracy
 from .losses import BatchVideo, LossConfig, total_loss
@@ -68,14 +68,16 @@ def load_training_videos(manifest: DatasetManifest):
 
     Raises DataError naming the file when a video's feature width differs
     from the first video's, and naming the video when its intervals or
-    segment roles do not fit its features (`SegmentFeatureSequence.validate`).
+    segment roles do not fit its rows (`data.check_segments`).
     """
     labels = manifest.class_labels()
     remap = {label: i for i, label in enumerate(labels)}
     videos, width = [], None
     for entry in manifest.entries:
         path = os.path.join(manifest.root, entry.feature_file)
-        features = manifest.sequence(entry, read_feature_file(path)).features
+        features = read_feature_file(path)
+        check_segments(entry.video_id, entry.gt_intervals, entry.segment_roles,
+                       features.shape[0])
         if width is None:
             width, first = features.shape[1], path
         elif features.shape[1] != width:

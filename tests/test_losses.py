@@ -1,5 +1,7 @@
 """Loss values against closed forms and an independent numpy reimplementation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,6 +261,239 @@ class TestHardestPairAgainstAllPairs:
         np.testing.assert_array_equal(nb.grad, [[-2.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
         np.testing.assert_array_equal(fg.grad, [[0.0, -1.0]])
 
+
+def gathered_pair_contrastive(nb, fg, cfg):
+    """`contrastive_loss` as a chain of graph primitives: each hardest pair
+    picked over every pair from broadcast differences, its two rows gathered
+    into take_rows -> sub -> square -> sum, the push through
+    beta * relu(margin - closest). The one-node loss must keep its bits."""
+    terms = []
+    if nb.data.shape[0] >= 2:
+        first, second = np.triu_indices(nb.data.shape[0], 1)
+        at = np.argmax(np.square(nb.data[first] - nb.data[second]).sum(axis=-1))
+        diff = ad.take_rows(nb, [first[at]]) - ad.take_rows(nb, [second[at]])
+        terms.append(ad.square(diff).sum())
+    if nb.data.shape[0] and fg.data.shape[0]:
+        dist = np.square(fg.data[:, None] - nb.data[None]).sum(axis=-1)
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        closest = ad.square(ad.take_rows(fg, [i]) - ad.take_rows(nb, [j])).sum()
+        terms.append(cfg.beta * ad.relu(cfg.margin - closest))
+    total = ad.Tensor(0.0)
+    for i, t in enumerate(terms):
+        total = t if i == 0 else total + t
+    return total
+
+
+def loss_and_pool_grads(build, nb, fg, cfg):
+    """(loss, NBG pool gradient, FG+IBG pool gradient) of `build` on fresh
+    leaves, a pool without a gradient as zeros."""
+    pools = ad.Tensor(nb, requires_grad=True), ad.Tensor(fg, requires_grad=True)
+    loss = build(*pools, cfg)
+    ad.backward(loss)
+    return (np.asarray(loss.data),
+            *(np.zeros_like(p.data) if p.grad is None else p.grad for p in pools))
+
+
+def exhaustive_pairs(nb, fg):
+    """The first farthest NBG pair (np.triu_indices order) and the first
+    closest cross pair (FG-row-major), over every pair."""
+    pull = push = None
+    if len(nb) >= 2:
+        first, second = np.triu_indices(len(nb), 1)
+        at = np.argmax(((nb[first] - nb[second]) ** 2).sum(axis=1))
+        pull = (first[at], second[at])
+    if len(nb) and len(fg):
+        dist = ((fg[:, None] - nb[None]) ** 2).sum(axis=2)
+        push = np.unravel_index(np.argmin(dist), dist.shape)
+    return pull, push
+
+
+def gram_estimates(nb, fg):
+    """Every pull and cross pair's squared distance as |a|^2 + |b|^2 - 2 a.b,
+    in the exhaustive orders."""
+    sq_nb, sq_fg = (nb * nb).sum(axis=1), (fg * fg).sum(axis=1)
+    first, second = np.triu_indices(len(nb), 1)
+    pull = sq_nb[first] + sq_nb[second] - 2.0 * (nb @ nb.T)[first, second]
+    cross = sq_fg[:, None] + sq_nb[None] - 2.0 * (fg @ nb.T)
+    return pull, cross
+
+
+def near_tied_pools(seed, offset, d=8, n_nb=6, n_fg=5):
+    """Rows of norm about `offset` that differ from one common row by a few
+    ulps: every squared distance is far below the Gram estimate's rounding."""
+    rng = np.random.default_rng(seed)
+    common = offset * rng.normal(size=d) / np.sqrt(d)
+    step = np.spacing(np.abs(common))
+    nb = common + rng.integers(-3, 4, size=(n_nb, d)) * step
+    fg = common + rng.integers(-3, 4, size=(n_fg, d)) * step
+    return nb, fg
+
+
+class TestNearTiedPools:
+    """The Gram estimate only filters: where it misorders pairs, the exact
+    distances still pick, and the node keeps the chain's bits."""
+
+    @pytest.mark.parametrize("offset", [1e4, 1e5, 1e6])
+    def test_pick_loss_and_gradients_equal_all_pairs(self, offset):
+        cfg = losses.LossConfig()
+        misordered = 0
+        for seed in range(40):
+            nb, fg = near_tied_pools(seed, offset)
+            pull, push = losses._hardest_pairs(nb, fg)
+            want_pull, want_push = exhaustive_pairs(nb, fg)
+            assert (pull, push) == (want_pull, tuple(want_push))
+            est_pull, est_cross = gram_estimates(nb, fg)
+            first, second = np.triu_indices(len(nb), 1)
+            misordered += (first[np.argmax(est_pull)], second[np.argmax(est_pull)]) != pull
+            misordered += np.unravel_index(np.argmin(est_cross), est_cross.shape) != push
+            got = loss_and_pool_grads(losses.contrastive_loss, nb, fg, cfg)
+            want = loss_and_pool_grads(all_pairs_contrastive, nb, fg, cfg)
+            chain = loss_and_pool_grads(gathered_pair_contrastive, nb, fg, cfg)
+            assert got[0].tobytes() == want[0].tobytes() == chain[0].tobytes()
+            for g, w, c in zip(got[1:], want[1:], chain[1:]):
+                np.testing.assert_array_equal(g, w)
+                assert g.tobytes() == c.tobytes()
+        # the fixture is one the estimate alone gets wrong
+        assert misordered >= 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, 7), st.integers(1, 4),
+           st.sampled_from([1e-3, 1e3]))
+    def test_scaled_pools(self, seed, n_nb, n_fg, d, scale):
+        # duplicated rows and tied distances, as in TestHardestPairAgainstAllPairs,
+        # with every hinge active (1e-3) or active only on duplicates (1e3)
+        rng = np.random.default_rng(seed)
+        base = scale * rng.integers(-2, 3, size=(4, d)) / 2.0
+        nb = base[rng.integers(0, 3, size=n_nb)].reshape(n_nb, d)
+        fg = base[rng.integers(0, 4, size=n_fg)].reshape(n_fg, d)
+        cfg = losses.LossConfig()
+        got = loss_and_pool_grads(losses.contrastive_loss, nb, fg, cfg)
+        want = loss_and_pool_grads(all_pairs_contrastive, nb, fg, cfg)
+        chain = loss_and_pool_grads(gathered_pair_contrastive, nb, fg, cfg)
+        assert got[0].tobytes() == want[0].tobytes() == chain[0].tobytes()
+        for g, w, c in zip(got[1:], want[1:], chain[1:]):
+            np.testing.assert_array_equal(g, w)
+            assert g.tobytes() == c.tobytes()
+        if n_nb:
+            pull, push = losses._hardest_pairs(nb, fg if n_fg else None)
+            want_pull, want_push = exhaustive_pairs(nb, fg)
+            assert pull == want_pull
+            assert push == (None if want_push is None else tuple(want_push))
+
+
+def recorded_warnings(build, nb, fg, cfg):
+    """(loss, NBG gradient, FG+IBG gradient) and the set of NumPy warnings
+    `build` and its backward emit under NumPy's default error handling."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("always")
+        out = loss_and_pool_grads(build, nb, fg, cfg)
+    return out, {(w.category, str(w.message)) for w in caught}
+
+
+def nonfinite_pools():
+    rng = np.random.default_rng(5)
+    nb, fg = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
+    cases = {}
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf),
+                        ("huge", 1e200)):
+        for pool in ("nb", "fg"):
+            a, b = nb.copy(), fg.copy()
+            (a if pool == "nb" else b)[2, 1] = value
+            cases[f"{name}-in-{pool}"] = (a, b)
+    a = nb.copy()
+    a[1] = np.nan
+    cases["nan-row"] = (a, fg)
+    cases["all-inf"] = (np.full_like(nb, np.inf), np.full_like(fg, np.inf))
+    # finite distances whose Gram estimate overflows: |a|^2 + |b|^2 of the
+    # closest cross pair (0, 0) is past the largest float, so its estimate is
+    # inf, while the farther pair (0, 1) has a finite one
+    p, q = np.sqrt(np.finfo(float).max * np.array([0.55, 0.01]))
+    cases["estimate-overflows"] = (np.array([[0.8 * p, 0.6 * p], [-q, 0.0]]),
+                                   np.array([[p, 0.0]]))
+    return cases
+
+
+class TestNonFinitePools:
+    """NaN, inf or overflowing rows give the chain's value and gradients, no
+    exception, and no NumPy warning that the chain does not emit."""
+
+    @pytest.mark.parametrize("case", sorted(nonfinite_pools()))
+    def test_value_gradients_and_warnings(self, case):
+        nb, fg = nonfinite_pools()[case]
+        cfg = losses.LossConfig()
+        got, got_warned = recorded_warnings(losses.contrastive_loss, nb, fg, cfg)
+        want, want_warned = recorded_warnings(gathered_pair_contrastive, nb, fg, cfg)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert got_warned <= want_warned
+        if case.startswith("nan"):
+            assert np.isnan(got[0])
+
+    def test_pull_only_nan_pool(self):
+        nb = np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])
+        loss = losses.contrastive_loss(ad.Tensor(nb), [])
+        assert np.isnan(loss.data)
+
+
+class TestContrastiveNode:
+    """The loss is one graph node whose backward matches central
+    differences while its pairs stay frozen."""
+
+    @staticmethod
+    def check(nb, fg):
+        """Grad-check the node on leaf pools; returns each pool's gradient."""
+        cfg = losses.LossConfig()
+        params = {"nb": nb} if fg is None else {"nb": nb, "fg": fg}
+        grads = {}
+
+        def builder(leaves):
+            loss = losses.contrastive_loss(leaves["nb"], leaves.get("fg"), cfg)
+            assert loss.op == "contrastive"
+            assert loss.inputs == tuple(leaves.values())
+            return loss
+
+        report = ad.grad_check(builder, params, h=1e-6, tol=1e-6)
+        assert report.passed, report.summary()
+        leaves = {name: ad.Tensor(value, requires_grad=True) for name, value in params.items()}
+        ad.backward(builder(leaves))
+        return {name: leaf.grad for name, leaf in leaves.items()}
+
+    @staticmethod
+    def rows_with_gradient(g):
+        return np.flatnonzero(g.any(axis=1)).tolist()
+
+    def test_pull_only(self):
+        rng = np.random.default_rng(11)
+        grads = self.check(rng.normal(size=(5, 3)), None)
+        assert len(self.rows_with_gradient(grads["nb"])) == 2
+
+    def test_push_only(self):
+        rng = np.random.default_rng(12)
+        grads = self.check(0.2 * rng.normal(size=(1, 3)), 0.2 * rng.normal(size=(4, 3)))
+        assert self.rows_with_gradient(grads["nb"]) == [0]
+        assert len(self.rows_with_gradient(grads["fg"])) == 1
+
+    def test_both_terms(self):
+        rng = np.random.default_rng(13)
+        grads = self.check(0.3 * rng.normal(size=(4, 3)), 0.3 * rng.normal(size=(5, 3)))
+        assert len(self.rows_with_gradient(grads["nb"])) in (2, 3)
+        assert len(self.rows_with_gradient(grads["fg"])) == 1
+
+    def test_hinge_inactive_gives_zero_pool_gradient(self):
+        nb = np.array([[0.0, 0.0, 0.0]])
+        fg = np.array([[2.0, 0.0, 0.0], [0.0, -3.0, 0.0]])  # closest 4 >= margin 2
+        grads = self.check(nb, fg)
+        assert not grads["nb"].any() and not grads["fg"].any()
+        assert float(losses.contrastive_loss(ad.Tensor(nb), ad.Tensor(fg)).data) == 0.0
+
+    def test_forward_keeps_the_pair(self):
+        nb = ad.Tensor([[0.0, 0.0], [2.0, 0.0], [1.0, 0.5]])
+        loss = losses.contrastive_loss(nb, [])
+        assert float(loss.data) == 4.0  # pair (0, 1)
+        nb.data[2] = [0.0, 9.0]  # now the farthest pair would be (1, 2)
+        assert float(ad.forward(loss).data) == 4.0
+
+
 def make_fixture(seed=0, B=2, T=8, d_in=8, d=8, n_classes=3):
     rng = np.random.default_rng(seed)
     params = model.init_params(n_classes=n_classes, d_in=d_in, d=d, seed=seed)
@@ -390,6 +625,42 @@ class TestTotalLoss:
         monkeypatch.setattr(pseudo, "pseudo_label_video", counting)
         losses.total_loss(params, batch, t_n=0.5)
         assert rows_labeled == [31]
+
+    @staticmethod
+    def graph_size(root):
+        """Distinct nodes reachable from root through their inputs, root included."""
+        seen, stack = {id(root)}, [root]
+        while stack:
+            for parent in stack.pop().inputs:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        return len(seen)
+
+    def test_full_objective_graph_size(self):
+        # t_n 2 flags every video, so both contrastive terms and the bg loss are live
+        params, batch = make_fixture(seed=8, B=16, T=20, d_in=32, d=64, n_classes=20)
+        loss, stats = losses.total_loss(params, batch, losses.LossConfig(), t_n=2.0)
+        assert stats["n_nbg"] == 16
+        assert self.graph_size(loss) == 50
+
+    @pytest.mark.parametrize("bg,cl,pools", [(True, True, 2), (False, True, 2),
+                                             (True, False, 1), (False, False, 0)])
+    def test_gathers_only_the_pools_a_term_reads(self, monkeypatch, bg, cl, pools):
+        params, batch = make_fixture(seed=9, B=3)
+        gathers = []
+        take_rows = ad.take_rows
+
+        def counting(a, index):
+            if a is not params.classifier:  # bg off gathers the class rows
+                gathers.append(len(index))
+            return take_rows(a, index)
+
+        monkeypatch.setattr(ad, "take_rows", counting)
+        cfg = losses.LossConfig(bg=bg, cl=cl, sw=False)  # sw gathers the BG rows itself
+        _, stats = losses.total_loss(params, batch, cfg, t_n=2.0)
+        assert len(gathers) == pools
+        assert type(stats["n_nbg"]) is int and stats["n_nbg"] == 3
 
 
 class TestRotationInvariance:
