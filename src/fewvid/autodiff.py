@@ -508,11 +508,41 @@ class ConvGrid:
         return flat if self.rows is None else flat[self.rows]
 
 
-def _tap_block(kv: np.ndarray, t_max: int) -> np.ndarray:
-    """The (d, w) kernel as a contiguous (w, t_max, d) block: slab j repeats
-    tap column kv[:, j] on every row, so multiplying a video's (t_max, d)
-    slab by it runs over one contiguous stretch, not a strided column."""
-    return np.repeat(kv.T[:, None, :], t_max, axis=1)
+def _windows(padded: np.ndarray, t_max: int, reverse: bool = False) -> np.ndarray:
+    """A read-only (w, videos, t_max, d) view of a (videos, t_max + w - 1, d)
+    padded grid: slab j holds rows j .. j + t_max - 1 of every video, or with
+    `reverse` rows w - 1 - j .. w - 2 - j + t_max.
+
+    The taps lead, so an einsum over this view and `_taps` adds tap j = 0,
+    1, ..., w - 1 in turn to each output's zero start, as a loop over taps
+    would. Window strides: tap and row 8 d bytes, channel 8, video
+    8 d (t_max + w - 1).
+    """
+    n, rows, d = padded.shape
+    s_video, s_row, s_col = padded.strides
+    start = padded[:, rows - t_max :] if reverse else padded
+    return np.lib.stride_tricks.as_strided(
+        start, (rows - t_max + 1, n, t_max, d),
+        (-s_row if reverse else s_row, s_video, s_row, s_col), writeable=False)
+
+
+def _taps(kv: np.ndarray, shape) -> np.ndarray:
+    """The (d, w) kernel as a read-only (w, videos, t_max, d) operand for
+    `_windows`: entry [j, v, t, c] is kv[c, j].
+
+    einsum (at its default optimize=False) sums in the axis order NumPy's
+    iterator picks from the operands' strides, and may add a run along its
+    innermost axis in several partial sums, not in order. The taps sit two
+    rows apart in a (w, 2, d) block, so their stride, 16 d bytes, ties
+    neither the windows' row nor their channel stride, and the iterator
+    keeps them outermost. With a plain (w, d) kernel at d = 1, the tap, row
+    and channel steps are all 8 bytes, and the iterator can move the taps
+    innermost.
+    """
+    d, w = kv.shape
+    block = np.zeros((w, 2, d), dtype=kv.dtype)
+    block[:, 0] = kv.T
+    return np.broadcast_to(block[:, :1, None], (w,) + tuple(shape))
 
 
 def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,
@@ -520,18 +550,15 @@ def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,
     """`depthwise_conv1d` on plain arrays: (T, d) by (d, w) kernel -> (T, d),
     with `lengths` as there. `grid`, when given, is xv's `ConvGrid`.
 
-    Every output adds its taps in order j = 0..w-1 to a zero start.
+    One einsum over the grid's tap-leading windows: every output adds its
+    taps in order j = 0..w-1 to a zero start.
     """
     if grid is None:
         if lengths is not None:
             lengths = check_lengths("depthwise_conv1d", xv.shape, lengths)
         grid = ConvGrid(xv, kv.shape[1], lengths)
-    t_max = grid.shape[1]
-    taps = _tap_block(kv, t_max)
-    out = np.zeros(grid.shape, dtype=xv.dtype)
-    for j in range(kv.shape[1]):
-        out += grid.padded[:, j : j + t_max] * taps[j]
-    return grid.gather(out)
+    windows = _windows(grid.padded, grid.shape[1])
+    return grid.gather(np.einsum("jvtc,jvtc->vtc", windows, _taps(kv, grid.shape)))
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
@@ -543,6 +570,11 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
     With `lengths`, x stacks videos of those lengths and each is padded on
     its own: the output rows equal one call per video, bit for bit. The
     backward reuses the forward's `ConvGrid`.
+
+    The output, input gradient and kernel gradient are one einsum each over
+    tap-leading windows of a padded grid (`_windows`, `_taps`). Each output
+    and input gradient row adds its taps in order j = 0..w-1 to a zero start;
+    each kernel gradient entry is one in-order sum over the grid's rows.
     """
     if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[0]:
         raise ShapeError("depthwise_conv1d", x.data.shape, kernel.data.shape)
@@ -563,12 +595,8 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
         # same terms in the same order as adding each tap's products to its rows
         gsp = np.zeros_like(xp)
         gsp[:, w - 1 - pad : w - 1 - pad + t_max] = gs
-        gx = np.zeros(gs.shape)
-        gk = np.zeros_like(kv)
-        taps = _tap_block(kv, t_max)
-        for j in range(w):
-            gx += gsp[:, w - 1 - j : w - 1 - j + t_max] * taps[j]
-            gk[:, j] = np.sum((gs * xp[:, j : j + t_max]).reshape(-1, gs.shape[2]), axis=0)
+        gx = np.einsum("jvtc,jvtc->vtc", _windows(gsp, t_max, reverse=True), _taps(kv, grid.shape))
+        gk = np.einsum("vtc,jvtc->cj", gs, _windows(xp, t_max))
         return (grid.gather(gx), gk)
 
     return _node("depthwise_conv1d", (x, kernel), fwd, bwd)

@@ -192,8 +192,11 @@ def main(argv=None) -> int:
     except DataError as err:
         print(f"fewvid: data error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:  # every read wraps its OSError in a DataError
-        print(f"fewvid: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
+    except OSError as err:
+        # file reads and writes raise DataError; an OSError naming no file
+        # comes from writing to standard output
+        where = err.filename or "standard output"
+        print(f"fewvid: cannot write {where}: {err.strerror or err}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as err:
         print(f"fewvid: numeric failure: {err}", file=sys.stderr)

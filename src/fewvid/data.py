@@ -14,6 +14,7 @@ foreground too unless the background handling is careful.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -129,10 +130,22 @@ def write_feature_file(features: np.ndarray, path):
     if features.ndim != 2:
         raise DataError(f"feature matrix must be 2-D, got shape {features.shape}")
     t, d = features.shape
-    with open(path, "wb") as fh:
+    with open_for_writing(path, "wb") as fh:
         fh.write(SEGF_MAGIC)
         fh.write(struct.pack("<III", SEGF_VERSION, t, d))
         fh.write(features.tobytes())
+
+
+@contextlib.contextmanager
+def open_for_writing(path, mode: str = "w"):
+    """`open(path, mode)` for writing, raising DataError "cannot write
+    {path}: ..." for an OSError from opening, writing or closing the file:
+    the OSError of a failed write or close names no file."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as err:
+        raise DataError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def read_file(path, what: str, text: bool = False):
@@ -170,7 +183,7 @@ def csv_text(columns, rows) -> str:
 
 def write_csv(path, columns, rows):
     """Write `csv_text(columns, rows)` to `path`."""
-    with open(path, "w") as fh:
+    with open_for_writing(path) as fh:
         fh.write(csv_text(columns, rows))
 
 
@@ -200,7 +213,7 @@ def read_feature_file(path) -> np.ndarray:
 
 def save_manifest(manifest: DatasetManifest, path):
     path = Path(path)
-    with open(path, "w") as fh:
+    with open_for_writing(path) as fh:
         fh.write(json.dumps({"split": manifest.split, "class_names": manifest.class_names}) + "\n")
         for e in manifest.entries:
             fh.write(json.dumps({

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import read_file
+from .data import open_for_writing, read_file
 from .errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
                      VersionError)
 
@@ -149,7 +149,7 @@ def save_checkpoint(params: ModelParams, path, config_echo: dict = None):
         "config": config_echo or {},
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with open_for_writing(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(blob)))
         fh.write(blob)

@@ -1,5 +1,7 @@
 """Gradient correctness for every primitive, checked against central differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -568,17 +570,21 @@ def per_tap_conv(xs, k, gs):
 class TestConvPerTap:
     """The conv and its no-grad forward against `per_tap_conv`, bit for bit."""
 
-    @pytest.mark.parametrize("lengths, w", [
-        ([5, 1, 3, 12], 4),  # mixed lengths
-        ([1, 1, 1], 3),  # one-row videos
-        ([2, 3, 1], 8),  # T < w
-        ([20, 20, 20, 20], 8),  # equal lengths: the grid is a view of the stack
-        ([9], 5),  # one video in a stack
-        (None, 6),  # one video, no lengths
+    @pytest.mark.parametrize("lengths, w, d", [
+        ([5, 1, 3, 12], 4, 4),  # mixed lengths
+        ([1, 1, 1], 3, 4),  # one-row videos
+        ([2, 3, 1], 8, 4),  # T < w
+        ([20, 20, 20, 20], 8, 4),  # equal lengths: the grid is a view of the stack
+        ([9], 5, 4),  # one video in a stack
+        (None, 6, 4),  # one video, no lengths
+        # the shapes that run, where NumPy's iterator picks the summation order
+        ([20] * 16, 8, 64),  # a training batch
+        ([20] * 32, 8, 64),  # an evaluation pass
+        ([12, 311, 40, 97, 150, 23, 311, 64], 8, 64),  # ragged long videos
+        ([9, 14, 30, 8], 8, 1),  # one channel
     ])
-    def test_matches(self, lengths, w):
+    def test_matches(self, lengths, w, d):
         rng = np.random.default_rng(12)
-        d = 4
         sizes = lengths or [11]
         xs = [rng.normal(size=(t, d)) for t in sizes]
         gs = [rng.normal(size=(t, d)) for t in sizes]
@@ -592,7 +598,32 @@ class TestConvPerTap:
         assert out.data.tobytes() == np.concatenate(outs).tobytes()
         ad.backward((out * ad.Tensor(np.concatenate(gs))).sum())
         assert x.grad.tobytes() == np.concatenate(gxs).tobytes()
-        assert kernel.grad.tobytes() == gk.tobytes()
+        if d > 1:
+            assert kernel.grad.tobytes() == gk.tobytes()
+        else:  # NumPy sums a single column pairwise, so the rounding can differ
+            np.testing.assert_allclose(kernel.grad, gk, rtol=1e-12, atol=1e-12)
+
+    def test_temporaries_stay_below_three_outputs(self):
+        """One forward, and one backward, of a 32 x 20 x 64 stack each peak at
+        no more than 3x the output's bytes of new memory."""
+        rng = np.random.default_rng(3)
+        lengths = [20] * 32
+        xv, g = rng.normal(size=(2, sum(lengths), 64))
+        kv = rng.normal(size=(64, 8))
+        x, kernel = ad.Tensor(xv), ad.Tensor(kv, requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.depthwise_conv1d(x, kernel, lengths)
+            forward_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out._bwd(g, out.data, xv, kv)
+            backward_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= 3 * xv.nbytes
+        assert backward_peak <= 3 * xv.nbytes
 
 
 class TestGraphMechanics:

@@ -1,6 +1,7 @@
 """Exit codes, config precedence, reproducible outputs of every subcommand."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -452,6 +453,26 @@ class TestUnwritableOutput:
         assert "cannot write" in err and str(path) in err
         assert not steps  # a train run that cannot save fails before its first step
         assert (tmp_path / "file").read_text() == "keep"
+
+
+class FullStream:
+    """Standard output on a full device: every write raises an OSError that
+    names no file."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_full_standard_output_exits_2_naming_it(workspace, capsys, monkeypatch):
+    _, cfg_path = workspace
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    code = cli.main(["eval-cls", "--config", str(cfg_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "fewvid: cannot write standard output: No space left on device\n")
 
 
 def fresh_corpus(workspace, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Feature-file format, manifests, synthetic generator, and episode drawing."""
 
+import errno
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fewvid import data
+from fewvid import data, model
 from fewvid.errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
                            VersionError)
 
@@ -155,6 +156,57 @@ class TestReadFile:
         monkeypatch.setattr(data.os, "read", refuse)
         with pytest.raises(DataError, match=f"cannot read feature file {re.escape(str(path))}: .*Permission denied"):
             data.read_feature_file(path)
+
+
+class FullDiskFile:
+    """A file opened for writing whose `write` or `close` fails as on a full
+    disk: an OSError that names no file."""
+
+    def __init__(self, fh, failing):
+        self.fh, self.failing = fh, failing
+
+    def _fail(self, method):
+        if self.failing == method:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, blob):
+        self._fail("write")
+        return self.fh.write(blob)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        self._fail("close")
+
+
+def fill_disk(monkeypatch, failing):
+    """Make every file `data` opens a `FullDiskFile` failing at `failing`."""
+    monkeypatch.setattr(data, "open", lambda path, mode="r": FullDiskFile(open(path, mode), failing),
+                        raising=False)
+
+
+WRITERS = {
+    "write_csv": lambda path: data.write_csv(path, ("a", "b"), [(1, 0.5)]),
+    "write_feature_file": lambda path: data.write_feature_file(np.ones((2, 3)), path),
+    "save_manifest": lambda path: data.save_manifest(data.DatasetManifest("base", ["a"]), path),
+    "save_checkpoint": lambda path: model.save_checkpoint(
+        model.init_params(n_classes=2, d_in=3, d=4, kernel_width=3, attn_width=4), path),
+}
+
+
+class TestWriteFailure:
+    """A write or close that fails raises DataError naming the path."""
+
+    @pytest.mark.parametrize("failing", ["write", "close"])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_names_path(self, tmp_path, monkeypatch, writer, failing):
+        path = tmp_path / "out"
+        fill_disk(monkeypatch, failing)
+        with pytest.raises(DataError) as err:
+            WRITERS[writer](path)
+        assert str(err.value) == f"cannot write {path}: No space left on device"
 
 
 class TestManifest:
