@@ -480,32 +480,28 @@ class ConvGrid:
     exactly as on its own.
     """
 
-    def __init__(self, xv: np.ndarray, w: int, lengths=None):
-        if lengths is None:  # one video
-            self.shape = (1,) + xv.shape
-        else:
-            self.shape = (lengths.size, int(lengths.max()), xv.shape[1])
-        self.rows = None  # each stack row's row of the flattened grid; None: all of them
-        if lengths is not None and lengths.min() != self.shape[1]:
-            video = np.repeat(np.arange(lengths.size), lengths)
-            self.rows = (np.arange(xv.shape[0]) + video * self.shape[1]
-                         - np.repeat(np.cumsum(lengths) - lengths, lengths))
-        n, t_max, d = self.shape
-        self.padded = np.zeros((n, t_max + w - 1, d), dtype=xv.dtype)
-        self.padded[:, (w - 1) // 2 : (w - 1) // 2 + t_max] = self.scatter(xv)
+    def __init__(self, xv: np.ndarray, w: int, lengths: np.ndarray):
+        self.shape, self.w = (lengths.size, int(lengths.max()), xv.shape[1]), w
+        # the (videos, T_max) cells that hold the stack's rows; None: all of them
+        self.mask = None if lengths.min() == self.shape[1] else (
+            np.arange(self.shape[1]) < lengths[:, None])
+        self.padded = self.pad(xv, (w - 1) // 2)
 
-    def scatter(self, stack: np.ndarray) -> np.ndarray:
-        """The output grid of a stack laid out like the one the grid was built from."""
-        if self.rows is None:
-            return stack.reshape(self.shape)
-        grid = np.zeros(self.shape, dtype=stack.dtype)
-        grid.reshape(-1, self.shape[2])[self.rows] = stack
-        return grid
+    def pad(self, stack: np.ndarray, top: int) -> np.ndarray:
+        """A zeroed (videos, T_max + w - 1, d) grid holding each video's rows
+        of a stack laid out like the one the grid was built from, from row
+        `top` of its slab."""
+        n, t_max, d = self.shape
+        padded = np.zeros((n, t_max + self.w - 1, d), dtype=stack.dtype)
+        if self.mask is None:
+            padded[:, top : top + t_max] = stack.reshape(self.shape)
+        else:
+            padded[:, top : top + t_max][self.mask] = stack
+        return padded
 
     def gather(self, grid: np.ndarray) -> np.ndarray:
         """The stack's rows of an output grid."""
-        flat = grid.reshape(-1, self.shape[2])
-        return flat if self.rows is None else flat[self.rows]
+        return grid.reshape(-1, self.shape[2]) if self.mask is None else grid[self.mask]
 
 
 def _windows(padded: np.ndarray, t_max: int, reverse: bool = False) -> np.ndarray:
@@ -554,8 +550,8 @@ def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,
     taps in order j = 0..w-1 to a zero start.
     """
     if grid is None:
-        if lengths is not None:
-            lengths = check_lengths("depthwise_conv1d", xv.shape, lengths)
+        lengths = check_lengths("depthwise_conv1d", xv.shape,
+                                [len(xv)] if lengths is None else lengths)
         grid = ConvGrid(xv, kv.shape[1], lengths)
     windows = _windows(grid.padded, grid.shape[1])
     return grid.gather(np.einsum("jvtc,jvtc->vtc", windows, _taps(kv, grid.shape)))
@@ -578,8 +574,8 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
     """
     if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[0]:
         raise ShapeError("depthwise_conv1d", x.data.shape, kernel.data.shape)
-    if lengths is not None:
-        lengths = check_lengths("depthwise_conv1d", x.data.shape, lengths)
+    lengths = check_lengths("depthwise_conv1d", x.data.shape,
+                            [len(x.data)] if lengths is None else lengths)
     w = kernel.data.shape[1]
     grid = None  # set by each forward evaluation, read by the backward
 
@@ -589,14 +585,14 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
         return depthwise_conv1d_forward(xv, kv, grid=grid)
 
     def bwd(g, out, xv, kv):
-        xp, gs = grid.padded, grid.scatter(g)
-        t_max, pad = gs.shape[1], (w - 1) // 2
-        # input row t collects gs[t + pad - j] * k_j over taps j = 0..w-1: the
-        # same terms in the same order as adding each tap's products to its rows
-        gsp = np.zeros_like(xp)
-        gsp[:, w - 1 - pad : w - 1 - pad + t_max] = gs
+        t_max, top = grid.shape[1], w // 2
+        # with g laid w // 2 rows down each slab, input row t collects
+        # g[t + (w - 1) // 2 - j] * k_j over taps j = 0..w-1: the same terms in
+        # the same order as adding each tap's products to its rows
+        gsp = grid.pad(g, top)
+        gk = np.einsum("vtc,jvtc->cj", gsp[:, top : top + t_max], _windows(grid.padded, t_max))
         gx = np.einsum("jvtc,jvtc->vtc", _windows(gsp, t_max, reverse=True), _taps(kv, grid.shape))
-        gk = np.einsum("vtc,jvtc->cj", gs, _windows(xp, t_max))
+        del gsp  # before the gather copies the stack's rows out of gx
         return (grid.gather(gx), gk)
 
     return _node("depthwise_conv1d", (x, kernel), fwd, bwd)

@@ -148,17 +148,18 @@ def cmd_grad_check(cfg) -> int:
 def cmd_inspect(cfg) -> int:
     params, _ = model.load_checkpoint(cfg.ckpt)
     manifest = data.load_manifest(Path(cfg.data_dir) / "base_manifest.jsonl")
-    rows, logits = [], []
+    rows, raws = [], []
     for entry in manifest.entries:
         seq = manifest.load_sequence(entry)
         model.check_feature_width(params, seq.features, entry.feature_file)
-        f = model.embed_segments(params, seq.features, grad=False)
-        logits.append(model.segment_logits(params, f))
+        raws.append(seq.features)
         rows += [(seq.video_id, i) for i in range(seq.T)]
+    embedded, length, slot = evaluate.embed_by_length(params, raws)
+    logits = {T: model.segment_logits(params, embedded.pop(T)) for T in list(embedded)}
     # a header-only manifest has no videos to label and prints only the header
-    stack = np.concatenate(logits) if logits else np.zeros((0, params.n_classes))
-    rec = pseudo.pseudo_label_video(stack, [len(x) for x in logits], t_n=cfg.t_n,
-                                    M=cfg.top_m or None)
+    stack = (np.concatenate([logits[T][r] for T, r in zip(length, slot)]) if rows
+             else np.zeros((0, params.n_classes)))
+    rec = pseudo.pseudo_label_video(stack, length.tolist(), t_n=cfg.t_n, M=cfg.top_m or None)
     columns = ("video_id", "segment", "max_logit", "role")
     table = [(*row, score, role)
              for row, score, role in zip(rows, rec.max_logits, pseudo.segment_roles(rec))]

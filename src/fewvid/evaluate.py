@@ -8,14 +8,15 @@ prototypes standing in for classifier rows. Detection scores every segment
 per class (weight times cosine), turns thresholded runs into proposals, and
 reports mean average precision over temporal-IoU thresholds.
 
-An evaluation call draws all its episodes first and reads each feature file
-they use once. It embeds each distinct use in passes that hold one role
-(query or support) and one length, so no video is padded, and keeps the
-results as arrays: one (n_T, T, d) array of query embeddings per length T
-and one array of support means. An episode lists its videos class by class,
-so a video's episode class is its position, and every prototype of the call
-comes from one reshape-mean of the support means gathered by one index. All
-the call's queries are classified together, each against its own episode's
+Every no-grad embedding of a set of videos goes through `embed_by_length`:
+passes of at most EMBED_CHUNK videos of one length, so no video is padded,
+kept as one (n_T, T, d) array per length T. An evaluation call draws all its
+episodes first and reads each feature file they use once. It embeds the
+distinct trimmed supports, keeping only their means, and then the distinct
+queries. An episode lists its videos class by class, so a video's episode
+class is its position, and every prototype of the call comes from one
+reshape-mean of the support means gathered by one index. All the call's
+queries are classified together, each against its own episode's
 prototypes, in stacks of at most EMBED_CHUNK queries of one length, each
 gathered from its length's array by one index. In detection the call's
 activation maps are stacked into one array, the embeddings are dropped, and
@@ -41,7 +42,7 @@ from .pseudo import pseudo_label_bg
 
 DEFAULT_PROPOSAL_THRESHOLDS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 2))
 MAP_TIOU_GRID = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
-EMBED_CHUNK = 32  # videos per embedding pass of one role and length, or queries per
+EMBED_CHUNK = 32  # videos per embedding pass of one length, or queries per
 # classification stack of one length; bounds the memory of either
 PROPOSAL_CHUNK = 256  # videos per proposal pass; bounds the memory of one pass
 
@@ -111,16 +112,34 @@ def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarr
                            i_bg=i_bg, cosines=cosines)
 
 
-def _by_length(embeddings: list):
-    """(T_i, d) embeddings as {T: (n_T, T, d) stack of those of length T},
-    with each embedding's length and row in its stack."""
-    length = np.array([len(f) for f in embeddings])
-    row, stacks = np.empty_like(length), {}
-    for T in np.unique(length):
-        at = np.flatnonzero(length == T)
-        row[at] = np.arange(at.size)
-        stacks[T] = np.stack([embeddings[i] for i in at])
-    return stacks, length, row
+def embed_by_length(params: model_mod.ModelParams, raws):
+    """Embeddings of (T_i, d_in) raw videos as ({T: (n_T, T, d) array of the
+    videos of length T}, each video's length, each video's row in its
+    length's array): lengths in order of first appearance, rows in list
+    order.
+
+    The videos of one length are embedded in passes of at most EMBED_CHUNK,
+    so no pass pads a video, and each row has the bits of its video embedded
+    alone. The function keeps its own references to the raw videos and drops
+    a pass's once they are stacked, so a caller that keeps no other
+    reference to them has their memory back pass by pass.
+    """
+    raws = dict(enumerate(raws))
+    length = np.array([len(x) for x in raws.values()], dtype=np.intp)
+    row, embedded = np.empty_like(length), {}
+    _, first = np.unique(length, return_index=True)
+    for T in length[np.sort(first)].tolist():
+        same_length = np.flatnonzero(length == T)
+        row[same_length] = np.arange(same_length.size)
+        for start in range(0, same_length.size, EMBED_CHUNK):
+            at = same_length[start : start + EMBED_CHUNK].tolist()
+            f = model_mod.embed_segments(params, np.concatenate([raws.pop(i) for i in at]),
+                                         grad=False, lengths=[T] * len(at))
+            if start == 0:  # allocated once the first pass's scratch memory is free
+                embedded[T] = np.empty((same_length.size, T, params.d))
+            embedded[T][start : start + len(at)] = f.reshape(-1, T, params.d)
+            del f  # before the next pass
+    return embedded, length, row
 
 
 def _classify_stacks(params: model_mod.ModelParams, embeddings: dict, length: np.ndarray,
@@ -142,17 +161,18 @@ def _classify_stacks(params: model_mod.ModelParams, embeddings: dict, length: np
             yield at, classify_query(params, embeddings[T][row[at]], proto[which[at]], cfg)
 
 
-def classification_accuracy(params: model_mod.ModelParams, embeddings: list, labels,
+def classification_accuracy(params: model_mod.ModelParams, raws: list, labels,
                             proto: np.ndarray, cfg: LossConfig = None) -> float:
-    """Share of (T_i, d) query embeddings whose top class is their label."""
-    if not embeddings:
+    """Share of (T_i, d_in) raw query videos whose top class is their label,
+    the videos embedded by `embed_by_length`."""
+    if not raws:
         raise ValueError("cannot take the accuracy of no queries")
     labels = np.asarray(labels)
-    which = np.zeros(len(embeddings), dtype=np.intp)
+    which = np.zeros(len(raws), dtype=np.intp)
     correct = sum(np.count_nonzero(res.top1 == labels[at])
-                  for at, res in _classify_stacks(params, *_by_length(embeddings), proto[None],
-                                                  which, cfg))
-    return correct / len(embeddings)
+                  for at, res in _classify_stacks(params, *embed_by_length(params, raws),
+                                                  proto[None], which, cfg))
+    return correct / len(raws)
 
 
 def _tiou(start_a, end_a, start_b, end_b) -> np.ndarray:
@@ -408,39 +428,15 @@ def _support_key(entry) -> tuple:
     return "support", entry.feature_file, tuple(tuple(iv) for iv in entry.gt_intervals)
 
 
-def _embed_pass(params, raws: list, T: int) -> np.ndarray:
-    """(n, T, d) embeddings of the first n <= EMBED_CHUNK (T, d_in) raw
-    videos of the list, in one pass. They are taken off the list before the
-    pass runs, so their memory is free once the pass has their stack."""
-    stack = np.concatenate(raws[:EMBED_CHUNK])
-    del raws[:EMBED_CHUNK]
-    f = model_mod.embed_segments(params, stack, grad=False, lengths=[T] * (len(stack) // T))
-    return f.reshape(-1, T, params.d)
-
-
-def _embed_queries(params, raws: list, T: int) -> np.ndarray:
-    """(n, T, d) embeddings of a list of n (T, d_in) raw videos, in passes
-    of at most EMBED_CHUNK videos that empty the list."""
-    n = len(raws)
-    for start in range(0, n, EMBED_CHUNK):
-        f = _embed_pass(params, raws, T)
-        if start == 0:  # allocated once the first pass's scratch memory is free
-            embedded = np.empty((n, T, params.d))
-        embedded[start : start + len(f)] = f
-        del f  # before the next pass
-    return embedded
-
-
 class _NovelVideos:
     """Embeddings of the videos an evaluation call's episodes use, all
     computed when it is built.
 
     Each distinct feature file is read once, files in order of first use,
     also when its video serves in both roles: the support is trimmed in
-    memory. Once every file is read, the distinct uses are grouped by role
-    (query or support) and length, and each group is embedded in passes of
-    at most EMBED_CHUNK videos, so a pass pads no video. Each row has the
-    bits its video gets embedded alone.
+    memory. Once every file is read, the trimmed supports and then the
+    queries are embedded by `embed_by_length`, so a pass pads no video and
+    each row has the bits its video gets embedded alone.
 
     `queries` maps a length T to the (n_T, T, d) untrimmed embeddings of the
     query videos of that length, `means` stacks the (d,) mean embedding of
@@ -448,22 +444,18 @@ class _NovelVideos:
     """
 
     def __init__(self, params: model_mod.ModelParams, manifest, draws):
-        groups = {"support": {}, "query": {}}  # role -> T -> (use keys, raw rows) in use order
+        uses = {"support": {}, "query": {}}  # role -> {use key: raw rows}, in use order
         for key, rows in self._uses(params, manifest, draws):
-            keys, raws = groups[key[0]].setdefault(rows.shape[0], ([], []))
-            keys.append(key)
-            raws.append(rows)
-        self.at = {}
-        for T, (keys, _) in groups["support"].items():
-            self.at.update((key, (T, row)) for row, key in enumerate(keys, len(self.at)))
-        for T, (keys, _) in groups["query"].items():
-            self.at.update((key, (T, row)) for row, key in enumerate(keys))
+            uses[key[0]][key] = rows
+        keys = {role: list(raws) for role, raws in uses.items()}
         # supports first, so their raw rows are freed before the query arrays exist
-        self.means = np.concatenate([_embed_pass(params, raws, T).mean(axis=1)
-                                     for T, (keys, raws) in groups["support"].items()
-                                     for _ in keys[::EMBED_CHUNK]])
-        self.queries = {T: _embed_queries(params, raws, T)
-                        for T, (_, raws) in groups["query"].items()}
+        embedded, length, _ = embed_by_length(params, list(uses.pop("support").values()))
+        self.means = np.empty((length.size, params.d))
+        for T in list(embedded):  # each array freed once its means are taken
+            self.means[length == T] = embedded.pop(T).mean(axis=1)
+        self.at = dict(zip(keys["support"], zip(length.tolist(), range(length.size))))
+        self.queries, length, row = embed_by_length(params, list(uses.pop("query").values()))
+        self.at.update(zip(keys["query"], zip(length.tolist(), row.tolist())))
 
     @staticmethod
     def _uses(params, manifest, draws):
@@ -560,12 +552,12 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
 
     Episode e is drawn with seed (seed, e), so any subset of episodes can be
     reproduced independently. Every episode is drawn first; then each feature
-    file they use is read once and all their videos are embedded in passes of
-    one role and one length (`_NovelVideos`), so a bad file is reported
-    before any episode is scored. All the call's queries are then classified together
-    (`_classify_call`). Detection stacks their activation maps, drops the
-    embeddings, and finds the call's proposals in bounded passes and its APs
-    in one pass.
+    file they use is read once, and the supports and then the queries are
+    embedded in passes of one length (`_NovelVideos`), so a bad file is
+    reported before any episode is scored. All the call's queries are then
+    classified together (`_classify_call`). Detection stacks their
+    activation maps, drops the embeddings, and finds the call's proposals in
+    bounded passes and its APs in one pass.
 
     Raises ValueError when K, n or q is below 1. Overflow and invalid
     arithmetic raise FloatingPointError: finite but huge weights would

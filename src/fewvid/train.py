@@ -168,14 +168,17 @@ def training_accuracy(params: model_mod.ModelParams, manifest: DatasetManifest,
     """Fraction of base videos whose aggregated feature lands on its own class.
 
     The videos are classified as evaluation classifies queries, with the
-    classifier's class rows as the prototypes and no autodiff graph.
+    classifier's class rows as the prototypes and no autodiff graph. Raises
+    DataError naming the file when the videos' feature width is not the
+    parameters' d_in.
     """
     if not manifest.entries:
         raise DataError("cannot take the training accuracy of an empty manifest")
-    videos, _ = load_training_videos(manifest)
-    embeddings = [model_mod.embed_segments(params, video.features, grad=False)
-                  for video in videos]
-    return classification_accuracy(params, embeddings, [video.label for video in videos],
+    videos, _ = load_training_videos(manifest)  # all as wide as the first
+    model_mod.check_feature_width(params, videos[0].features,
+                                  os.path.join(manifest.root, manifest.entries[0].feature_file))
+    return classification_accuracy(params, [video.features for video in videos],
+                                   [video.label for video in videos],
                                    params.classifier.data[:params.n_classes], loss_cfg)
 
 

@@ -625,6 +625,24 @@ class TestConvPerTap:
         assert forward_peak <= 3 * xv.nbytes
         assert backward_peak <= 3 * xv.nbytes
 
+    def test_ragged_backward_stays_below_four_stacks(self):
+        """The backward of 32 videos of 12-20 rows peaks at no more than 4x
+        the stack's bytes of new memory: the output gradient goes straight
+        into its padded grid."""
+        rng = np.random.default_rng(3)
+        lengths = rng.integers(12, 21, size=32).tolist()
+        xv, g = rng.normal(size=(2, sum(lengths), 64))
+        kv = rng.normal(size=(64, 8))
+        out = ad.depthwise_conv1d(ad.Tensor(xv), ad.Tensor(kv, requires_grad=True), lengths)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out._bwd(g, out.data, xv, kv)
+            backward_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert backward_peak <= 4 * xv.nbytes
+
 
 class TestGraphMechanics:
     def test_forward_recomputes_after_leaf_change(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from fewvid import autodiff as ad
-from fewvid import cli, config, data, model, train
+from fewvid import cli, config, data, evaluate, model, pseudo, train
 from fewvid.data import SyntheticConfig
 from fewvid.errors import DataError
 from fewvid.losses import LossConfig, total_loss
@@ -912,6 +913,57 @@ class TestInspect:
             assert run(["inspect", "--config", str(cfg_path), "--out", str(path)], capsys)[0] == 0
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestMixedLengthBase:
+    """inspect and training_accuracy on a base split of 10-, 7-, 4- and
+    1-segment videos, embedded in passes of at most two videos of one
+    length, equal their per-video oracles."""
+
+    LENGTHS = (10, 7, 1, 4, 7, 10)
+
+    @pytest.fixture
+    def mixed(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evaluate, "EMBED_CHUNK", 2)
+        cfg = fresh_corpus(workspace, tmp_path, capsys)
+        path = tmp_path / "ds" / "base_manifest.jsonl"
+        base = data.load_manifest(path)
+        entries = []
+        for entry, T in zip(base.entries, itertools.cycle(self.LENGTHS)):
+            file = base.root / entry.feature_file
+            data.write_feature_file(data.read_feature_file(file)[:T], file)
+            entries.append(dataclasses.replace(entry, gt_intervals=[(0, T)],
+                                               segment_roles=entry.segment_roles[:T]))
+        data.save_manifest(dataclasses.replace(base, entries=entries), path)
+        params, _ = model.load_checkpoint(workspace[0] / "model.ckpt")
+        return cfg, data.load_manifest(path), params
+
+    def test_inspect_equals_per_video_oracle(self, mixed, capsys):
+        cfg, base, params = mixed
+        run_cfg = config.build_config(cfg)
+        rows, logits = [], []
+        for entry in base.entries:
+            seq = base.load_sequence(entry)
+            f = model.embed_segments(params, seq.features, grad=False)
+            logits.append(model.segment_logits(params, f))
+            rows += [(seq.video_id, i) for i in range(seq.T)]
+        assert {len(x) for x in logits} == set(self.LENGTHS)
+        rec = pseudo.pseudo_label_video(np.concatenate(logits), [len(x) for x in logits],
+                                        t_n=run_cfg.t_n, M=run_cfg.top_m or None)
+        table = [(*row, score, role)
+                 for row, score, role in zip(rows, rec.max_logits, pseudo.segment_roles(rec))]
+        code, out, _ = run(["inspect", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert out == data.csv_text(("video_id", "segment", "max_logit", "role"), table)
+
+    def test_training_accuracy_equals_per_video_oracle(self, mixed):
+        _, base, params = mixed
+        videos, _ = train.load_training_videos(base)
+        proto = params.classifier.data[:params.n_classes]
+        correct = [evaluate.classify_query(
+            params, model.embed_segments(params, video.features, grad=False)[None],
+            proto).top1[0] == video.label for video in videos]
+        assert train.training_accuracy(params, base) == sum(correct) / len(videos)
 
 
 GOLDEN = """

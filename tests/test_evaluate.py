@@ -189,8 +189,8 @@ def episode_accuracy(support, queries, K):
     p = identity_params()
     proto = evaluate.prototypes(
         np.stack([evaluate.support_mean(p, np.array(rows)) for rows in support]), K)
-    embeddings = [model.embed_segments(p, np.array(rows), grad=False) for _, rows in queries]
-    return evaluate.classification_accuracy(p, embeddings, [label for label, _ in queries], proto)
+    return evaluate.classification_accuracy(p, [np.array(rows) for _, rows in queries],
+                                            [label for label, _ in queries], proto)
 
 
 class TestEpisodeAccuracy:
@@ -198,6 +198,15 @@ class TestEpisodeAccuracy:
         proto = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="no queries"):
             evaluate.classification_accuracy(identity_params(), [], [], proto)
+
+    def test_leaves_the_callers_videos(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "EMBED_CHUNK", 2)
+        raws = [np.array(rows) for rows in ([[1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]],
+                                            [[0.0, 1.0]], [[1.0, 0.0]], [[0.5, 1.0]])]
+        before = list(raws)
+        proto = np.array([[1.0, 0.0], [0.0, 1.0]])
+        evaluate.classification_accuracy(identity_params(), raws, [0, 1, 1, 0, 1], proto)
+        assert len(raws) == len(before) and all(a is b for a, b in zip(raws, before))
 
     def test_hand_placed_queries(self):
         support = [[[1.0, 0.0]], [[0.0, 1.0]]]
@@ -319,6 +328,19 @@ class TestAveragePrecision:
         assert evaluate.average_precision(mapped, gts, 0.5) == pytest.approx(base, abs=1e-12)
 
 
+def by_length(embeddings):
+    """(T_i, d) embeddings laid out as `evaluate.embed_by_length` returns
+    embedded videos: {T: (n_T, T, d) stack of those of length T}, each
+    embedding's length and its row in its stack."""
+    length = np.array([len(f) for f in embeddings])
+    row, stacks = np.empty_like(length), {}
+    for T in np.unique(length):
+        at = np.flatnonzero(length == T)
+        row[at] = np.arange(at.size)
+        stacks[T] = np.stack([embeddings[i] for i in at])
+    return stacks, length, row
+
+
 def episode_detections(params, proto, queries, labels, cfg):
     """Detections and (m, 4) truth rows (query, class, start, end) of one
     episode's (video, (T, d) embedding) query pairs, query i of episode
@@ -328,7 +350,7 @@ def episode_detections(params, proto, queries, labels, cfg):
     embeddings = [f for _, f in queries]
     cams = [None] * len(embeddings)
     which = np.zeros(len(embeddings), dtype=np.intp)
-    for at, res in evaluate._classify_stacks(params, *evaluate._by_length(embeddings),
+    for at, res in evaluate._classify_stacks(params, *by_length(embeddings),
                                              proto[None], which, cfg):
         for i, weights, cosines in zip(at, res.weights, res.cosines):
             cams[i] = weights[:, None] * cosines
@@ -840,6 +862,27 @@ class TestCachedLoop:
                 trimmed = data.trim_support_video(novel.load_sequence(entry)).features
                 assert np.array_equal(videos.means[row], evaluate.support_mean(params, trimmed))
 
+    def test_each_pass_frees_its_raw_rows(self, monkeypatch):
+        # the caller keeps no reference to the videos, so each pass's raw
+        # rows are gone once it has stacked them
+        monkeypatch.setattr(evaluate, "EMBED_CHUNK", 2)
+        rng, refs, alive = np.random.default_rng(0), [], []
+        embed = model.embed_segments
+
+        def video(T):
+            rows = rng.normal(size=(T, 2))
+            refs.append(weakref.ref(rows))
+            return rows
+
+        def spy(params, raw, grad=True, lengths=None):
+            alive.append([ref() is not None for ref in refs])
+            return embed(params, raw, grad, lengths)
+
+        monkeypatch.setattr(model, "embed_segments", spy)
+        evaluate.embed_by_length(identity_params(), [video(T) for T in (3, 3, 1, 3)])
+        assert alive == [[False, False, True, True], [False, False, True, False],
+                         [False, False, False, False]]
+
     def test_embeddings_dropped_before_first_proposal_pass(self, mixed_novel, monkeypatch):
         built, alive = [], []
 
@@ -1297,9 +1340,10 @@ class TestEpisodePath:
         map50, avg_map, maps = loop_detection(params, remap, proto, queries, cfg, grid)
         assert map_pairs(got) == [(map50, avg_map)]
         assert by_threshold(got[0]) == maps
+        embedded = [(video, model.embed_segments(params, f, grad=False)) for video, f in queries]
         assert (evaluate.classification_accuracy(params, [f for _, f in queries], labels,
                                                  proto, cfg)
-                == loop_accuracy(params, remap, proto, queries, cfg))
+                == loop_accuracy(params, remap, proto, embedded, cfg))
 
     def test_length_grouped_means_equal_slice_reduce(self):
         # lengths 1-40 cross the 8-wide blocks of NumPy's pairwise sum at 8

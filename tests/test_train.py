@@ -1,5 +1,6 @@
 """Optimizer arithmetic, the training loop, determinism, divergence handling."""
 
+import re
 import warnings
 
 import numpy as np
@@ -158,6 +159,13 @@ class TestTrainBase:
         with pytest.raises(DataError, match="cannot take the training accuracy of an empty "
                                             "manifest"):
             train.training_accuracy(params, empty)
+
+    def test_accuracy_checks_feature_width(self, tiny_dataset):
+        base, _ = tiny_dataset
+        params = model.init_params(n_classes=3, d_in=8, d=8, seed=0)
+        with pytest.raises(DataError, match=re.escape(f"{base.entries[0].feature_file}: "
+                                                      f"features are 10 wide")):
+            train.training_accuracy(params, base)
 
 
 class TestGradcheckObjective:
