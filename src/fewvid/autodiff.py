@@ -4,9 +4,16 @@ Just enough machinery to train the embedding head: a Tensor wraps a numpy
 array and remembers the primitive that produced it, `forward` re-evaluates a
 built graph in place (used by the finite-difference checker), and `backward`
 accumulates adjoints in reverse topological order. Not a general framework:
-only the primitives the training objective needs exist, matmul is strictly
-2-D, and elementwise operands broadcast as in NumPy (a scalar against an
-array, or an (n, 1) column against an (n, k) matrix).
+matmul is strictly 2-D, and elementwise operands broadcast as in NumPy (a
+scalar against an array, or an (n, 1) column against an (n, k) matrix).
+
+The training graph is one node per layer: `model` and `losses` build the
+embedding, the self-weighting, the aggregation and each cross entropy with
+`_node`, a hand-written forward and backward each. Every formula they share
+with a primitive here has one copy, as a plain-array `*_forward` or
+`*_backward` function (row normalization, softmax, sigmoid, divisor,
+depthwise conv, row-gather reduce) that both call. The primitives serve the
+attention baseline, the class-row gather and the tests.
 
 A backward builds only what reaches a requires_grad leaf: an operand that
 needs no gradient (a constant) gets none, and a row gather (`take_rows`)
@@ -245,9 +252,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                         lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
+def divisor_backward(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient of x / y with respect to y, at the output's shape."""
+    return -g * x / (y * y)
+
+
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("div", a, b, lambda x, y: x / y,
-                        lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+    return _elementwise("div", a, b, lambda x, y: x / y, lambda g, x, y: g / y, divisor_backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -289,35 +300,57 @@ def concat_rows(tensors) -> Tensor:
     return _node("concat_rows", tuple(tensors), lambda *xs: np.concatenate(xs, axis=0), bwd)
 
 
+def check_rows(op: str, shape, index) -> np.ndarray:
+    """A 1-D row index into a 2-D array of `shape`, as intp."""
+    index = np.asarray(index, dtype=np.intp)
+    if len(shape) != 2 or index.ndim != 1:
+        raise ShapeError(op, shape, index.shape)
+    if index.size and not 0 <= index.min() <= index.max() < shape[0]:
+        raise IndexError(f"{op}: row index outside [0, {shape[0]})")
+    return index
+
+
+class RowGather(NamedTuple):
+    """Where the gradient rows of a gather by a 1-D row index go: `order`
+    stable-sorts the index (None when it is sorted already), `firsts` starts
+    each run of one source row in sorted order, and `sources` names the
+    distinct source rows, ascending."""
+
+    order: np.ndarray
+    firsts: np.ndarray
+    sources: np.ndarray
+
+    @classmethod
+    def of(cls, index: np.ndarray) -> "RowGather":
+        order, sorted_index = None, index
+        if np.any(index[1:] < index[:-1]):
+            order = np.argsort(index, kind="stable")
+            sorted_index = index[order]
+        run_starts = np.ones(index.size, dtype=bool)
+        run_starts[1:] = sorted_index[1:] != sorted_index[:-1]
+        firsts = np.flatnonzero(run_starts)
+        return cls(order, firsts, sorted_index[firsts])
+
+
+def take_rows_backward(g: np.ndarray, gather: RowGather) -> RowGrad:
+    """The source gradient of a row gather whose output gradient is g, as a
+    `RowGrad`: one `np.add.reduceat` over the gradient rows in stable-sorted
+    index order, so each source row gets its first gradient row plus the sum
+    of the rest. A sorted index needs no reordering, and one without repeats
+    no sums."""
+    rows = g if gather.order is None else g[gather.order]
+    if gather.sources.size < rows.shape[0]:
+        rows = np.add.reduceat(rows, gather.firsts, axis=0)
+    return RowGrad(gather.sources, rows)
+
+
 def take_rows(a: Tensor, index) -> Tensor:
     """Rows `index` of a 2-D tensor, in that order; an index may repeat.
-
-    The backward sums each source row's gradient rows: one `np.add.reduceat`
-    over the gradient rows in stable-sorted index order, so each source row
-    gets its first gradient row plus the sum of the rest. A sorted index
-    needs no reordering, and one without repeats no sums. It returns only
-    those rows, as a `RowGrad`.
-    """
-    index = np.asarray(index, dtype=np.intp)
-    if a.data.ndim != 2 or index.ndim != 1:
-        raise ShapeError("take_rows", a.data.shape, index.shape)
-    if index.size and not 0 <= index.min() <= index.max() < a.data.shape[0]:
-        raise IndexError(f"take_rows: row index outside [0, {a.data.shape[0]})")
-    order, sorted_index = None, index
-    if np.any(index[1:] < index[:-1]):
-        order = np.argsort(index, kind="stable")
-        sorted_index = index[order]
-    run_starts = np.ones(index.size, dtype=bool)
-    run_starts[1:] = sorted_index[1:] != sorted_index[:-1]
-    firsts = np.flatnonzero(run_starts)
-    repeats = firsts.size < index.size
-    sources = sorted_index[firsts] if repeats else sorted_index
-
-    def bwd(g, out, x):
-        rows = g if order is None else g[order]
-        return (RowGrad(sources, np.add.reduceat(rows, firsts, axis=0) if repeats else rows),)
-
-    return _node("take_rows", (a,), lambda x: x[index], bwd)
+    The backward (`take_rows_backward`) returns only the rows it touches."""
+    index = check_rows("take_rows", a.data.shape, index)
+    gather = RowGather.of(index)
+    return _node("take_rows", (a,), lambda x: x[index],
+                 lambda g, out, x: (take_rows_backward(g, gather),))
 
 
 def take_per_row(a: Tensor, cols) -> Tensor:
@@ -372,8 +405,13 @@ def sigmoid_forward(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def sigmoid_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The input gradient of the logistic function whose output is `out`."""
+    return g * out * (1.0 - out)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    return _node("sigmoid", (a,), sigmoid_forward, lambda g, out, x: (g * out * (1.0 - out),))
+    return _node("sigmoid", (a,), sigmoid_forward, lambda g, out, x: (sigmoid_backward(g, out),))
 
 
 def log(a: Tensor) -> Tensor:
@@ -392,15 +430,26 @@ def square(a: Tensor) -> Tensor:
     return _node("square", (a,), np.square, lambda g, out, x: (2.0 * x * g,))
 
 
-def _normalized_rows(x: np.ndarray):
-    """(each row of x over its norm plus NORM_EPS, the (n, 1) row norms)."""
+def normalized_rows(x: np.ndarray):
+    """(each row of a plain 2-D array over its norm plus NORM_EPS, the (n, 1)
+    row norms)."""
     norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
     return x / (norms + NORM_EPS), norms
 
 
 def l2_normalize_rows_forward(x: np.ndarray) -> np.ndarray:
     """Each row of a plain 2-D array over its norm plus NORM_EPS."""
-    return _normalized_rows(x)[0]
+    return normalized_rows(x)[0]
+
+
+def l2_normalize_rows_backward(g: np.ndarray, x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The input gradient of `normalized_rows` at x, whose row norms are `norms`;
+    an all-zero row, where the guarded function is flat, gets 0."""
+    denom = norms + NORM_EPS
+    nonzero = norms > 0.0
+    dot = np.sum(g * x, axis=1, keepdims=True)
+    gx = g / denom - x * dot / (np.where(nonzero, norms, 1.0) * denom * denom)
+    return gx if nonzero.all() else np.where(nonzero, gx, 0.0)
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
@@ -412,18 +461,11 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
     def fwd(x):
         nonlocal norms
-        out, norms = _normalized_rows(x)
+        out, norms = normalized_rows(x)
         return out
 
-    def bwd(g, out, x):
-        denom = norms + NORM_EPS
-        nonzero = norms > 0.0
-        dot = np.sum(g * x, axis=1, keepdims=True)
-        gx = g / denom - x * dot / (np.where(nonzero, norms, 1.0) * denom * denom)
-        # zero rows: function is flat at the origin under the guard, take 0
-        return (gx if nonzero.all() else np.where(nonzero, gx, 0.0),)
-
-    return _node("l2_normalize_rows", (a,), fwd, bwd)
+    return _node("l2_normalize_rows", (a,), fwd,
+                 lambda g, out, x: (l2_normalize_rows_backward(g, x, norms),))
 
 
 def softmax_forward(x: np.ndarray) -> np.ndarray:
@@ -432,14 +474,15 @@ def softmax_forward(x: np.ndarray) -> np.ndarray:
     return ex / np.sum(ex, axis=1, keepdims=True)
 
 
+def softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The input gradient of a row softmax whose output is `out`."""
+    inner = np.sum(g * out, axis=1, keepdims=True)
+    return (g - inner) * out
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over each row of a 2-D tensor."""
-
-    def bwd(g, out, x):
-        inner = np.sum(g * out, axis=1, keepdims=True)
-        return ((g - inner) * out,)
-
-    return _node("softmax", (a,), softmax_forward, bwd)
+    return _node("softmax", (a,), softmax_forward, lambda g, out, x: (softmax_backward(g, out),))
 
 
 def _reduce(a: Tensor, kind: str, axis, keepdims: bool = False) -> Tensor:
@@ -557,6 +600,23 @@ def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,
     return grid.gather(np.einsum("jvtc,jvtc->vtc", windows, _taps(kv, grid.shape)))
 
 
+def depthwise_conv1d_backward(g: np.ndarray, kv: np.ndarray, grid: ConvGrid):
+    """(input gradient, kernel gradient) of `depthwise_conv1d_forward` by the
+    (d, w) kernel kv on the input's `grid`, for the output gradient g.
+
+    With g laid w // 2 rows down each slab, input row t collects
+    g[t + (w - 1) // 2 - j] * k_j over taps j = 0..w-1: the same terms in
+    the same order as adding each tap's products to its rows. Each kernel
+    gradient entry is one in-order sum over the grid's rows.
+    """
+    t_max, top = grid.shape[1], grid.w // 2
+    gsp = grid.pad(g, top)
+    gk = np.einsum("vtc,jvtc->cj", gsp[:, top : top + t_max], _windows(grid.padded, t_max))
+    gx = np.einsum("jvtc,jvtc->vtc", _windows(gsp, t_max, reverse=True), _taps(kv, grid.shape))
+    del gsp  # before the gather copies the stack's rows out of gx
+    return grid.gather(gx), gk
+
+
 def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
     """Per-channel 1-D convolution along axis 0 with "same" zero padding.
 
@@ -584,18 +644,8 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
         grid = ConvGrid(xv, w, lengths)
         return depthwise_conv1d_forward(xv, kv, grid=grid)
 
-    def bwd(g, out, xv, kv):
-        t_max, top = grid.shape[1], w // 2
-        # with g laid w // 2 rows down each slab, input row t collects
-        # g[t + (w - 1) // 2 - j] * k_j over taps j = 0..w-1: the same terms in
-        # the same order as adding each tap's products to its rows
-        gsp = grid.pad(g, top)
-        gk = np.einsum("vtc,jvtc->cj", gsp[:, top : top + t_max], _windows(grid.padded, t_max))
-        gx = np.einsum("jvtc,jvtc->vtc", _windows(gsp, t_max, reverse=True), _taps(kv, grid.shape))
-        del gsp  # before the gather copies the stack's rows out of gx
-        return (grid.gather(gx), gk)
-
-    return _node("depthwise_conv1d", (x, kernel), fwd, bwd)
+    return _node("depthwise_conv1d", (x, kernel), fwd,
+                 lambda g, out, xv, kv: depthwise_conv1d_backward(g, kv, grid))
 
 
 @dataclass

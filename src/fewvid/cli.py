@@ -144,17 +144,22 @@ def cmd_grad_check(cfg) -> int:
     return 0 if report.passed else 3
 
 
+def _checked_features(params, manifest, entry) -> np.ndarray:
+    """The raw rows of a manifest entry, as wide as the checkpoint's d_in."""
+    features = manifest.load_sequence(entry).features
+    model.check_feature_width(params, features, entry.feature_file)
+    return features
+
+
 @np.errstate(over="raise", invalid="raise", divide="raise")  # huge weights overflow: exit 3
 def cmd_inspect(cfg) -> int:
     params, _ = model.load_checkpoint(cfg.ckpt)
     manifest = data.load_manifest(Path(cfg.data_dir) / "base_manifest.jsonl")
-    rows, raws = [], []
-    for entry in manifest.entries:
-        seq = manifest.load_sequence(entry)
-        model.check_feature_width(params, seq.features, entry.feature_file)
-        raws.append(seq.features)
-        rows += [(seq.video_id, i) for i in range(seq.T)]
-    embedded, length, slot = evaluate.embed_by_length(params, raws)
+    # a temporary list, so each pass's raw rows are freed once it has stacked them
+    embedded, length, slot = evaluate.embed_by_length(
+        params, [_checked_features(params, manifest, entry) for entry in manifest.entries])
+    rows = [(entry.video_id, i) for entry, T in zip(manifest.entries, length.tolist())
+            for i in range(T)]
     logits = {T: model.segment_logits(params, embedded.pop(T)) for T in list(embedded)}
     # a header-only manifest has no videos to label and prints only the header
     stack = (np.concatenate([logits[T][r] for T, r in zip(length, slot)]) if rows

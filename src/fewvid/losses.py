@@ -10,7 +10,9 @@ becomes a compact region of the embedding space instead of a blanket
 suppression of everything the base classifier does not recognize. The
 contrastive term is one graph node over the two pools; its hardest pairs
 come from one Gram product, used only to filter candidates whose exact
-distances then decide.
+distances then decide. The batch's self-weighting, its aggregation and each
+cross entropy are one graph node too, each with the float operations of the
+primitive chain it replaces, in that chain's order.
 
 Aggregation weights come either from the per-video self-weighting (distance
 to the video's own pseudo-labeled background segment) or, in the baseline
@@ -72,14 +74,45 @@ def self_weight(f, i_bg, cfg: LossConfig = None):
         # each video's BG row as a C-ordered (d, 1) column, like the graph's transpose
         at = np.reshape(i_bg, np.shape(i_bg) + (1, 1))
         cos = f @ np.take_along_axis(f, at, axis=-2).swapaxes(-1, -2).copy()
-        sigmoid = ad.sigmoid_forward
     elif np.ndim(i_bg):
-        cos = (f * ad.take_rows(f, i_bg)).sum(axis=1, keepdims=True)
-        sigmoid = ad.sigmoid
+        return _self_weight_rows(f, i_bg, cfg)
     else:
         cos = f @ ad.take_rows(f, [i_bg]).T
-        sigmoid = ad.sigmoid
+    return _weight_curve(cos, cfg)
+
+
+def _weight_curve(cos, cfg: LossConfig):
+    """sigmoid(tau_s * ((1 - c) - cos)) of a Tensor or a plain array."""
+    sigmoid = ad.sigmoid if isinstance(cos, ad.Tensor) else ad.sigmoid_forward
     return sigmoid(cfg.tau_s * ((1.0 - cfg.c) - cos))
+
+
+def _self_weight_rows(f: ad.Tensor, i_bg, cfg: LossConfig) -> ad.Tensor:
+    """`self_weight` of a stack f with the BG row of every row's video, as
+    one graph node over (f, f).
+
+    Its forward and backward do the float operations of the chain
+    take_rows -> mul -> sum(axis=1, keepdims) -> (1 - c) - cos -> tau_s * ->
+    sigmoid in that order. The backward gives the first input the mul's
+    dense gradient and the second the gather's `RowGrad`, so `backward` adds
+    them into f's gradient in the chain's order.
+    """
+    index = ad.check_rows("self_weight", f.data.shape, i_bg)
+    if index.shape != f.data.shape[:1]:
+        raise ad.ShapeError("self_weight", f.data.shape, index.shape)
+    gather = ad.RowGather.of(index)
+    bg = None  # each row's BG row, from the latest forward evaluation
+
+    def fwd(fv, _):
+        nonlocal bg
+        bg = fv[index]
+        return _weight_curve(np.sum(fv * bg, axis=1, keepdims=True), cfg)
+
+    def bwd(g, out, fv, _):
+        g_cos = -(ad.sigmoid_backward(g, out) * cfg.tau_s)
+        return g_cos * bg, ad.take_rows_backward(g_cos * fv, gather)
+
+    return ad._node("self_weight", (f, f), fwd, bwd)
 
 
 def aggregate_video_feature(f, weights, lengths=None):
@@ -92,23 +125,83 @@ def aggregate_video_feature(f, weights, lengths=None):
     (Q, 1, d).
     """
     if lengths is not None:
-        num, den = ad.segment_sum(weights * f, lengths), ad.segment_sum(weights, lengths)
-    elif isinstance(f, ad.Tensor):
+        return _aggregate_videos(f, weights, lengths)
+    if isinstance(f, ad.Tensor):
         num, den = weights.T @ f, weights.sum()
     else:
         # each video's weights summed along its own contiguous T axis
         num = weights.swapaxes(-1, -2) @ f
         den = weights[..., 0].sum(axis=-1)[..., None, None]
-    if np.any((den.data if isinstance(den, ad.Tensor) else den) == 0):
-        raise ValueError("cannot aggregate with weights that sum to zero")
+    _check_weight_sums(den.data if isinstance(den, ad.Tensor) else den)
     return num / den
+
+
+def _check_weight_sums(den):
+    if np.any(den == 0):
+        raise ValueError("cannot aggregate with weights that sum to zero")
+
+
+def _aggregate_videos(f: ad.Tensor, weights: ad.Tensor, lengths) -> ad.Tensor:
+    """`aggregate_video_feature` of a stack of videos, as one graph node over
+    (weights, f) that keeps each video's weighted sum `num` and weight sum
+    `den` from its latest forward evaluation.
+
+    Its forward and backward do the float operations of the chain
+    mul -> segment_sum (num), segment_sum (den) -> div in that order; the
+    weights' gradient is the mul's part plus the repeated den part.
+    """
+    lengths = ad.check_lengths("aggregate_video_feature", f.data.shape, lengths)
+    if weights.data.shape != f.data.shape[:1] + (1,):
+        raise ad.ShapeError("aggregate_video_feature", f.data.shape, weights.data.shape)
+    starts = np.cumsum(lengths) - lengths
+    num = den = None
+
+    def fwd(wv, fv):
+        nonlocal num, den
+        num = np.add.reduceat(wv * fv, starts, axis=0)
+        den = np.add.reduceat(wv, starts, axis=0)
+        _check_weight_sums(den)
+        return num / den
+
+    def bwd(g, out, wv, fv):
+        g_wf = np.repeat(g / den, lengths, axis=0)
+        g_w = None
+        if weights.requires_grad:
+            g_den = np.sum(ad.divisor_backward(g, num, den), axis=1, keepdims=True)
+            g_w = np.sum(g_wf * fv, axis=1, keepdims=True) + np.repeat(g_den, lengths, axis=0)
+        return g_w, (g_wf * wv if f.requires_grad else None)
+
+    return ad._node("aggregate", (weights, f), fwd, bwd)
 
 
 def _cross_entropy(feats: ad.Tensor, labels: np.ndarray, classifier: ad.Tensor,
                    tau: float) -> ad.Tensor:
-    """Mean over rows of -log softmax(tau * feats @ classifier.T)[row, label]."""
-    probs = ad.softmax(tau * (feats @ classifier.T))
-    return -(ad.log(ad.take_per_row(probs, labels))).mean()
+    """Mean over rows of -log softmax(tau * feats @ classifier.T)[row, label],
+    as one graph node over (feats, classifier) that keeps the transposed
+    classifier and the softmax of its latest forward evaluation.
+
+    Its forward and backward do the float operations of the chain
+    transpose -> matmul -> tau * -> softmax -> take_per_row -> log -> mean ->
+    neg in that order, so the loss and both gradients keep their bits.
+    """
+    rows = np.arange(labels.size)
+    classifier_t = probs = None
+
+    def fwd(xv, wv):
+        nonlocal classifier_t, probs
+        classifier_t = wv.T.copy()
+        probs = ad.softmax_forward(tau * (xv @ classifier_t))
+        return np.asarray(-np.mean(np.log(probs[rows, labels])))
+
+    def bwd(g, out, xv, wv):
+        # neg, mean and log: each picked probability's gradient is -(g / n) / p
+        g_probs = np.zeros_like(probs)
+        g_probs[rows, labels] = -(g / labels.size) / probs[rows, labels]
+        g_logits = ad.softmax_backward(g_probs, probs) * tau
+        return (g_logits @ classifier_t.T if feats.requires_grad else None,
+                (xv.T @ g_logits).T if classifier.requires_grad else None)
+
+    return ad._node("cross_entropy", (feats, classifier), fwd, bwd)
 
 
 def _stack(feats):

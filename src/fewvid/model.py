@@ -3,10 +3,11 @@
 A raw (T, d_in) segment-feature matrix is mapped per segment through a
 linear transform, a depthwise temporal convolution over neighboring
 segments, and row-wise L2 normalization, so every embedded segment lives on
-the unit sphere and classifier logits are plain cosines. The classifier has
-one row per base class plus one background row; its rows are kept unit-norm
-by the trainer. The small attention net is only used by the soft-attention
-baseline configuration.
+the unit sphere and classifier logits are plain cosines. With a gradient,
+the embedding is one graph node over the transform and the kernel. The
+classifier has one row per base class plus one background row; its rows are
+kept unit-norm by the trainer. The small attention net is only used by the
+soft-attention baseline configuration.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def _rows_t(weight: ad.Tensor) -> np.ndarray:
 
 
 def embed_segments(params: ModelParams, raw, grad: bool = True, lengths=None):
-    """(T, d_in) raw features -> (T, d) unit-norm embeddings.
+    """(T, d_in) raw feature array -> (T, d) unit-norm embeddings, as one
+    graph node over the transform and the temporal kernel.
 
     With `lengths`, raw stacks videos of those lengths (one batch, one
     graph) and the temporal convolution pads each video on its own. With
@@ -106,10 +108,40 @@ def embed_segments(params: ModelParams, raw, grad: bool = True, lengths=None):
             transformed[ones] = (raw[ones, None] @ weight)[:, 0]
         mixed = ad.depthwise_conv1d_forward(transformed, params.temporal_kernel.data, lengths)
         return ad.l2_normalize_rows_forward(mixed)
-    x = raw if isinstance(raw, ad.Tensor) else ad.Tensor(raw)
-    transformed = x @ params.transform.T
-    mixed = ad.depthwise_conv1d(transformed, params.temporal_kernel, lengths)
-    return ad.l2_normalize_rows(mixed)
+    return _embedding_node(params, raw, lengths)
+
+
+def _embedding_node(params: ModelParams, raw, lengths) -> ad.Tensor:
+    """`embed_segments`'s graph: one node over (transform, temporal_kernel)
+    that keeps the conv's `ConvGrid`, the conv output and its row norms from
+    its latest forward evaluation.
+
+    Its forward and backward do the float operations of the chain
+    transpose -> matmul -> depthwise_conv1d -> l2_normalize_rows in that
+    order, so the rows and both gradients keep their bits.
+    """
+    x = np.array(raw, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.d_in:
+        raise ad.ShapeError("embed_segments", x.shape, params.transform.data.shape)
+    lengths = ad.check_lengths("embed_segments", x.shape, [len(x)] if lengths is None else lengths)
+    transform, kernel = params.transform, params.temporal_kernel
+    grid = mixed = norms = None
+
+    def fwd(tv, kv):
+        nonlocal grid, mixed, norms
+        transformed = x @ tv.T.copy()
+        grid = ad.ConvGrid(transformed, kv.shape[1], lengths)
+        mixed = ad.depthwise_conv1d_forward(transformed, kv, grid=grid)
+        out, norms = ad.normalized_rows(mixed)
+        return out
+
+    def bwd(g, out, tv, kv):
+        g_transformed, g_kernel = ad.depthwise_conv1d_backward(
+            ad.l2_normalize_rows_backward(g, mixed, norms), kv, grid)
+        return ((x.T @ g_transformed).T if transform.requires_grad else None,
+                g_kernel if kernel.requires_grad else None)
+
+    return ad._node("embed_segments", (transform, kernel), fwd, bwd)
 
 
 def segment_logits(params: ModelParams, f):

@@ -644,6 +644,86 @@ class TestConvPerTap:
         assert backward_peak <= 4 * xv.nbytes
 
 
+def primitive_input_grad(op, x, g):
+    """The gradient a one-input primitive `op` gives its leaf input x when
+    its output's gradient is g."""
+    leaf = ad.Tensor(x, requires_grad=True)
+    ad.backward((op(leaf) * ad.Tensor(g)).sum())
+    return leaf.grad
+
+
+class TestBackwardHelpers:
+    """Each `*_backward` helper gives what the primitive that calls it gives,
+    and what central differences of its forward give."""
+
+    @staticmethod
+    def numeric(forward, x, g, h=1e-6):
+        return numeric_grad(lambda p: float(np.sum(forward(p["x"]) * g)), {"x": x.copy()}, h)["x"]
+
+    def test_l2_normalize_rows(self):
+        rng = np.random.default_rng(20)
+        x, g = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        x[2] = 0.0  # the flat zero row gets 0
+        got = ad.l2_normalize_rows_backward(g, x, ad.normalized_rows(x)[1])
+        assert got.tobytes() == primitive_input_grad(ad.l2_normalize_rows, x, g).tobytes()
+        assert not got[2].any()
+        rows = [0, 1, 3, 4]
+        np.testing.assert_allclose(got[rows], self.numeric(ad.l2_normalize_rows_forward, x, g)[rows],
+                                   rtol=1e-6, atol=1e-8)
+
+    def test_softmax(self):
+        rng = np.random.default_rng(21)
+        x, g = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+        got = ad.softmax_backward(g, ad.softmax_forward(x))
+        assert got.tobytes() == primitive_input_grad(ad.softmax, x, g).tobytes()
+        np.testing.assert_allclose(got, self.numeric(ad.softmax_forward, x, g), rtol=1e-6, atol=1e-8)
+
+    def test_sigmoid(self):
+        rng = np.random.default_rng(22)
+        x, g = 3.0 * rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
+        got = ad.sigmoid_backward(g, ad.sigmoid_forward(x))
+        assert got.tobytes() == primitive_input_grad(ad.sigmoid, x, g).tobytes()
+        np.testing.assert_allclose(got, self.numeric(ad.sigmoid_forward, x, g), rtol=1e-6, atol=1e-8)
+
+    def test_divisor(self):
+        rng = np.random.default_rng(23)
+        x, y, g = rng.normal(size=(3, 4)), rng.uniform(0.5, 2.0, size=(3, 4)), rng.normal(size=(3, 4))
+        got = ad.divisor_backward(g, x, y)
+        assert got.tobytes() == primitive_input_grad(lambda t: ad.Tensor(x) / t, y, g).tobytes()
+        np.testing.assert_allclose(got, self.numeric(lambda v: x / v, y, g), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("lengths, w, d", [([5, 1, 3, 12], 4, 4), ([1, 1, 1], 3, 4),
+                                               ([20, 20, 20], 8, 4), ([2, 3, 1], 8, 4)])
+    def test_depthwise_conv1d(self, lengths, w, d):
+        rng = np.random.default_rng(24)
+        xs = [rng.normal(size=(t, d)) for t in lengths]
+        gs = [rng.normal(size=(t, d)) for t in lengths]
+        k = rng.normal(size=(d, w))
+        _, gxs, gk = per_tap_conv(xs, k, gs)
+        stack, g = np.concatenate(xs), np.concatenate(gs)
+        got_x, got_k = ad.depthwise_conv1d_backward(
+            g, k, ad.ConvGrid(stack, w, np.array(lengths)))
+        assert got_x.tobytes() == np.concatenate(gxs).tobytes()
+        assert got_k.tobytes() == gk.tobytes()
+        x, kernel = ad.Tensor(stack, requires_grad=True), ad.Tensor(k, requires_grad=True)
+        ad.backward((ad.depthwise_conv1d(x, kernel, lengths) * ad.Tensor(g)).sum())
+        assert (x.grad.tobytes(), kernel.grad.tobytes()) == (got_x.tobytes(), got_k.tobytes())
+
+    @pytest.mark.parametrize("name", sorted(TAKE_INDICES))
+    def test_take_rows(self, name):
+        index = np.array(TAKE_INDICES[name], dtype=np.intp)
+        rng = np.random.default_rng(25)
+        x, g = rng.normal(size=(7, 3)), rng.normal(size=(index.size, 3))
+        gather = ad.RowGather.of(index)
+        assert (gather.order is None) == bool(np.all(index[1:] >= index[:-1]))
+        got = ad.take_rows_backward(g, gather)
+        assert got.index.tolist() == sorted(set(index.tolist()))
+        dense = dense_take_rows_grad(g, index, 7)
+        assert got.rows.tobytes() == dense[got.index].tobytes()
+        assert dense.tobytes() == primitive_input_grad(
+            lambda t: ad.take_rows(t, index), x, g).tobytes()
+
+
 class TestGraphMechanics:
     def test_forward_recomputes_after_leaf_change(self):
         leaf = ad.Tensor([[1.0, 2.0]], requires_grad=True)

@@ -11,11 +11,13 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import primitive_chains as chains
 from fewvid import autodiff as ad
 from fewvid import cli, config, data, evaluate, model, pseudo, train
 from fewvid.data import SyntheticConfig
@@ -955,6 +957,55 @@ class TestMixedLengthBase:
         code, out, _ = run(["inspect", "--config", str(cfg)], capsys)
         assert code == 0
         assert out == data.csv_text(("video_id", "segment", "max_logit", "role"), table)
+
+    def test_inspect_frees_each_pass_raw_rows(self, mixed, capsys, monkeypatch):
+        cfg, _, _ = mixed
+        refs, alive, passes = [], [], []
+        read, embed = data.read_feature_file, model.embed_segments
+
+        def tracked_read(path):
+            rows = read(path)
+            refs.append(weakref.ref(rows))
+            return rows
+
+        def spy(params, raw, grad=True, lengths=None):
+            alive.append(sum(ref() is not None for ref in refs))
+            passes.append(len(lengths))
+            return embed(params, raw, grad, lengths)
+
+        monkeypatch.setattr(data, "read_feature_file", tracked_read)
+        monkeypatch.setattr(model, "embed_segments", spy)
+        assert run(["inspect", "--config", str(cfg)], capsys)[0] == 0
+        # at each pass only the videos later passes embed are alive
+        assert max(passes) == 2
+        assert alive == (len(refs) - np.cumsum(passes)).tolist()
+
+    @pytest.mark.parametrize("ablate", [(), ("bg",), ("sw",), ("bg", "sw", "cl")],
+                             ids=lambda a: "+".join(a) or "full")
+    def test_training_bytes_equal_the_primitive_chains(self, mixed, ablate, tmp_path, monkeypatch):
+        # the golden corpus has one video length; batches of this split reach
+        # the conv's ragged grid and one-row videos in training
+        _, base, _ = mixed
+        loss_cfg = LossConfig(**dict.fromkeys(ablate, False))
+        batches, blobs = [], []
+        total = train.total_loss
+
+        def recording(params, batch, *args, **kwargs):
+            batches.append([len(video.features) for video in batch])
+            return total(params, batch, *args, **kwargs)
+
+        monkeypatch.setattr(train, "total_loss", recording)
+        for side in ("nodes", "chains"):
+            if side == "chains":
+                chains.install(monkeypatch)
+            ckpt, log = tmp_path / f"{side}.ckpt", tmp_path / f"{side}.csv"
+            train.train_base(base, loss_cfg, d=8, epochs=3, batch_size=4, seed=5, t_n=0.5,
+                             ckpt_path=ckpt, log_path=log)
+            blobs.append((ckpt.read_bytes(), log.read_bytes()))
+        assert blobs[0] == blobs[1]
+        assert any(1 in b and len(set(b)) > 1 for b in batches)
+        n_nbg = [int(line.split(",")[-1]) for line in blobs[0][1].decode().splitlines()[1:]]
+        assert any(n_nbg)
 
     def test_training_accuracy_equals_per_video_oracle(self, mixed):
         _, base, params = mixed

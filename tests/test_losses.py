@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import primitive_chains as chains
 from fewvid import autodiff as ad
 from fewvid import losses, model, pseudo
 
@@ -642,7 +643,10 @@ class TestTotalLoss:
         params, batch = make_fixture(seed=8, B=16, T=20, d_in=32, d=64, n_classes=20)
         loss, stats = losses.total_loss(params, batch, losses.LossConfig(), t_n=2.0)
         assert stats["n_nbg"] == 16
-        assert self.graph_size(loss) == 50
+        # 3 parameter leaves, one node per layer (embedding, self-weight,
+        # aggregate, normalize, cross entropy, two pool gathers, contrastive,
+        # bg cross entropy) and the weighted sum of the terms
+        assert self.graph_size(loss) == 18
 
     @pytest.mark.parametrize("bg,cl,pools", [(True, True, 2), (False, True, 2),
                                              (True, False, 1), (False, False, 0)])
@@ -857,3 +861,189 @@ class TestBatchedAgainstPerVideoOracle:
             assert got_nbg == 0
         if t_n == 2.0:
             assert got_nbg == len(batch)
+
+
+def node_and_chain(build_node, build_chain, make_leaves, g):
+    """(output bytes, gradient bytes of each leaf) of the node and of its
+    chain, each on fresh leaves, with the output's gradient g."""
+    results = []
+    for build in (build_node, build_chain):
+        leaves = make_leaves()
+        out = build(*leaves)
+        ad.backward(chains.weighted(out, g))
+        results.append((np.asarray(out.data).tobytes(),
+                        [None if t.grad is None else t.grad.tobytes() for t in leaves]))
+    return results
+
+
+def video_lengths(max_length=9):
+    return st.lists(st.integers(1, max_length), min_size=1, max_size=6)
+
+
+def bg_index(rng, lengths, per_video):
+    """Each row's BG row: one row of each video, as `total_loss` gives it
+    (sorted, repeated), or any rows, unsorted and repeated."""
+    n = sum(lengths)
+    if per_video:
+        starts = np.cumsum(lengths) - lengths
+        return np.repeat(starts + [rng.integers(t) for t in lengths], lengths)
+    return rng.integers(0, n, size=n)
+
+
+class TestLayerNodesAgainstChains:
+    """Each layer node keeps its primitive chain's bits: its value and the
+    gradient of every input."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), video_lengths(), st.integers(1, 8), st.booleans())
+    def test_self_weight(self, seed, lengths, d, per_video):
+        rng = np.random.default_rng(seed)
+        n = sum(lengths)
+        fv, g = rng.normal(size=(n, d)), rng.normal(size=(n, 1))
+        index = bg_index(rng, lengths, per_video)
+        cfg = losses.LossConfig(tau_s=rng.uniform(1.0, 10.0), c=rng.uniform(0.0, 2.0))
+        got, want = node_and_chain(
+            lambda f: losses.self_weight(f, index, cfg),
+            lambda f: chains.chain_self_weight(f, index, cfg),
+            lambda: [ad.Tensor(fv, requires_grad=True)], g)
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), video_lengths(), st.integers(1, 8), st.booleans())
+    def test_aggregate(self, seed, lengths, d, weights_grad):
+        rng = np.random.default_rng(seed)
+        n = sum(lengths)
+        fv, wv = rng.normal(size=(n, d)), rng.uniform(0.01, 1.0, size=(n, 1))
+        got, want = node_and_chain(
+            lambda w, f: losses.aggregate_video_feature(f, w, lengths),
+            lambda w, f: chains.chain_aggregate(f, w, lengths),
+            lambda: [ad.Tensor(wv, requires_grad=weights_grad), ad.Tensor(fv, requires_grad=True)],
+            rng.normal(size=(len(lengths), d)))
+        assert got == want
+        assert (got[1][0] is None) == (not weights_grad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 6), st.integers(1, 8),
+           st.booleans(), st.booleans())
+    def test_cross_entropy(self, seed, n, n_rows, d, class_rows, feats_grad):
+        # class_rows: the head is a gather of the classifier, as with bg off
+        rng = np.random.default_rng(seed)
+        fv, wv = rng.normal(size=(n, d)), rng.normal(size=(n_rows, d))
+        labels = rng.integers(0, n_rows - class_rows, size=n)
+        tau = rng.uniform(1.0, 20.0)
+
+        def leaves():
+            return [ad.Tensor(fv, requires_grad=feats_grad), ad.Tensor(wv, requires_grad=True)]
+
+        def head(w):
+            return ad.take_rows(w, np.arange(n_rows - 1)) if class_rows else w
+
+        got, want = node_and_chain(
+            lambda x, w: losses._cross_entropy(x, labels, head(w), tau),
+            lambda x, w: chains.chain_cross_entropy(x, labels, head(w), tau),
+            leaves, rng.normal())
+        assert got == want
+
+    def test_repeated_bg_rows_sum_in_index_order(self):
+        # one source row read by every row of the stack, unsorted
+        rng = np.random.default_rng(3)
+        fv, g = rng.normal(size=(6, 4)), rng.normal(size=(6, 1))
+        index = np.array([4, 4, 1, 4, 1, 4])
+        got, want = node_and_chain(
+            lambda f: losses.self_weight(f, index), lambda f: chains.chain_self_weight(
+                f, index, losses.LossConfig()),
+            lambda: [ad.Tensor(fv, requires_grad=True)], g)
+        assert got == want
+
+    def test_self_weight_rejects_a_short_index(self):
+        with pytest.raises(ad.ShapeError):
+            losses.self_weight(ad.Tensor(np.ones((3, 2))), np.array([0, 0]))
+        with pytest.raises(IndexError):
+            losses.self_weight(ad.Tensor(np.ones((3, 2))), np.array([0, 3, 0]))
+
+    def test_aggregate_rejects_zero_weight_sums(self):
+        with pytest.raises(ValueError):
+            losses.aggregate_video_feature(ad.Tensor(np.ones((3, 2))),
+                                           ad.Tensor([[1.0], [0.0], [0.0]]), [1, 2])
+        with pytest.raises(ad.ShapeError):
+            losses.aggregate_video_feature(ad.Tensor(np.ones((3, 2))),
+                                           ad.Tensor(np.ones((3, 2))), [1, 2])
+
+
+def layer_nodes(rng):
+    """{name: (builder of a scalar root over its leaves, leaf arrays)}: each
+    loss layer node on its own, its output weighted by a fixed gradient."""
+    lengths, index = [3, 1, 4], np.array([2, 2, 2, 3, 6, 4, 6, 6])
+    g_w, g_f = rng.normal(size=(8, 1)), rng.normal(size=(3, 5))
+    labels = rng.integers(0, 4, size=5)
+    return {
+        "self_weight": (lambda L: chains.weighted(losses.self_weight(L["f"], index), g_w),
+                        {"f": 0.3 * rng.normal(size=(8, 5))}),
+        "aggregate": (lambda L: chains.weighted(
+            losses.aggregate_video_feature(L["f"], L["w"], lengths), g_f),
+            {"w": rng.uniform(0.1, 1.0, size=(8, 1)), "f": rng.normal(size=(8, 5))}),
+        "cross_entropy": (lambda L: losses._cross_entropy(L["x"], labels, L["w"], 3.0),
+                          {"x": 0.3 * rng.normal(size=(5, 5)), "w": rng.normal(size=(4, 5))}),
+    }
+
+
+class TestLayerNodes:
+    @pytest.mark.parametrize("name", ["self_weight", "aggregate", "cross_entropy"])
+    def test_grad_check(self, name):
+        builder, arrays = layer_nodes(np.random.default_rng(4))[name]
+        report = ad.grad_check(builder, arrays, h=1e-5, tol=1e-6)
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("name", ["self_weight", "aggregate", "cross_entropy"])
+    def test_forward_after_a_change_equals_a_fresh_graph(self, name):
+        rng = np.random.default_rng(5)
+        builder, arrays = layer_nodes(rng)[name]
+        leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        root = builder(leaves)
+        for leaf in leaves.values():
+            leaf.data += 0.1 * rng.normal(size=leaf.data.shape)
+        ad.forward(root)
+        ad.backward(root)
+        fresh = {k: ad.Tensor(t.data, requires_grad=True) for k, t in leaves.items()}
+        fresh_root = builder(fresh)
+        ad.backward(fresh_root)
+        assert root.data.tobytes() == fresh_root.data.tobytes()
+        for k in leaves:
+            assert leaves[k].grad.tobytes() == fresh[k].grad.tobytes(), k
+
+
+class TestObjectiveAgainstChains:
+    """`total_loss` built from the layer nodes equals it built from the
+    primitive chains, bit for bit: loss, stats and every parameter gradient,
+    on ragged batches with one-row videos and empty or one-row NBG pools."""
+
+    @staticmethod
+    def loss_and_grads(params, batch, cfg, t_n):
+        leaves = params.copy()
+        loss, stats = losses.total_loss(leaves, batch, cfg, t_n=t_n)
+        ad.backward(loss)
+        return (loss.data.tobytes(), {k: v for k, v in stats.items() if k != "labels"},
+                {k: None if t.grad is None else t.grad.tobytes()
+                 for k, t in leaves.tensors().items()})
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"bg{c.bg:d}sw{c.sw:d}cl{c.cl:d}")
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), video_lengths(12), st.sampled_from([-2.0, 0.3, 2.0]),
+           st.integers(1, 8))
+    def test_loss_stats_and_grads(self, cfg, seed, lengths, t_n, width):
+        rng = np.random.default_rng(seed)
+        params = model.init_params(n_classes=4, d_in=6, d=5, kernel_width=width, seed=seed)
+        batch = [losses.BatchVideo(features=rng.normal(size=(t, 6)), label=int(rng.integers(4)))
+                 for t in lengths]
+        got = self.loss_and_grads(params, batch, cfg, t_n)
+        with pytest.MonkeyPatch.context() as patch:
+            chains.install(patch)
+            want = self.loss_and_grads(params, batch, cfg, t_n)
+        assert got == want
+
+    def test_chains_rebuild_the_primitive_graph(self, monkeypatch):
+        # the oracle objective is the graph the nodes replaced: 50 nodes
+        chains.install(monkeypatch)
+        params, batch = make_fixture(seed=8, B=16, T=20, d_in=32, d=64, n_classes=20)
+        loss, _ = losses.total_loss(params, batch, losses.LossConfig(), t_n=2.0)
+        assert TestTotalLoss.graph_size(loss) == 50

@@ -1,11 +1,14 @@
 """Embedding head, cosine classifier, attention net, checkpoint format."""
 
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import primitive_chains as chains
 from fewvid import autodiff as ad
 from fewvid import model
 from fewvid.errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
@@ -112,6 +115,73 @@ class TestLogits:
         logits = model.segment_logits(p, f)
         assert np.all(logits.data <= 1.0 + 1e-9)
         assert np.all(logits.data >= -1.0 - 1e-9)
+
+
+class TestEmbeddingNode:
+    """The graph path is one node over (transform, temporal_kernel) that
+    keeps the bits of its primitive chain: rows and both gradients."""
+
+    @staticmethod
+    def rows_and_grads(build, params, raw, g):
+        p = params.copy()
+        out = build(p)
+        ad.backward(chains.weighted(out, g))
+        return out.data.tobytes(), p.transform.grad.tobytes(), p.temporal_kernel.grad.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           st.booleans(), st.integers(1, 8), st.integers(1, 6), st.integers(1, 6))
+    def test_equals_chain(self, seed, lengths, stacked, width, d_in, d):
+        # one-row videos included; without `lengths` the stack is one video
+        rng = np.random.default_rng(seed)
+        params = model.init_params(n_classes=3, d_in=d_in, d=d, kernel_width=width, seed=seed)
+        n = sum(lengths)
+        raw, g = rng.normal(size=(n, d_in)), rng.normal(size=(n, d))
+        lengths = lengths if stacked else None
+        got = self.rows_and_grads(lambda p: model.embed_segments(p, raw, lengths=lengths),
+                                  params, raw, g)
+        want = self.rows_and_grads(lambda p: chains.chain_embedding(p, raw, lengths),
+                                   params, raw, g)
+        assert got == want
+
+    def test_one_node_over_the_two_weights(self):
+        p = model.init_params(n_classes=3, d_in=4, d=3, seed=1)
+        f = model.embed_segments(p, np.ones((5, 4)), lengths=[2, 3])
+        assert f.op == "embed_segments"
+        assert f.inputs == (p.transform, p.temporal_kernel)
+
+    @staticmethod
+    def builder(params, raw, lengths, g):
+        def build(leaves):
+            p = dataclasses.replace(params, **leaves)
+            return chains.weighted(model.embed_segments(p, raw, lengths=lengths), g)
+        return build
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(3)
+        params = model.init_params(n_classes=3, d_in=4, d=3, kernel_width=5, seed=3)
+        build = self.builder(params, rng.normal(size=(9, 4)), [4, 1, 4], rng.normal(size=(9, 3)))
+        arrays = {k: params.tensors()[k].data for k in ("transform", "temporal_kernel")}
+        report = ad.grad_check(build, arrays, h=1e-5, tol=1e-6)
+        assert report.passed, report.summary()
+
+    def test_forward_after_a_change_equals_a_fresh_graph(self):
+        rng = np.random.default_rng(4)
+        params = model.init_params(n_classes=3, d_in=4, d=3, kernel_width=5, seed=4)
+        build = self.builder(params, rng.normal(size=(9, 4)), [4, 1, 4], rng.normal(size=(9, 3)))
+        leaves = {k: ad.Tensor(params.tensors()[k].data, requires_grad=True)
+                  for k in ("transform", "temporal_kernel")}
+        root = build(leaves)
+        for leaf in leaves.values():
+            leaf.data += 0.1 * rng.normal(size=leaf.data.shape)
+        ad.forward(root)
+        ad.backward(root)
+        fresh = {k: ad.Tensor(t.data, requires_grad=True) for k, t in leaves.items()}
+        fresh_root = build(fresh)
+        ad.backward(fresh_root)
+        assert root.data.tobytes() == fresh_root.data.tobytes()
+        for k in leaves:
+            assert leaves[k].grad.tobytes() == fresh[k].grad.tobytes(), k
 
 
 class TestAttention:

@@ -1,5 +1,6 @@
 """Optimizer arithmetic, the training loop, determinism, divergence handling."""
 
+import itertools
 import re
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from fewvid import autodiff as ad
-from fewvid import data, model, train
+from fewvid import cli, data, model, train
 from fewvid.errors import DataError, NumericError
 from fewvid.losses import LossConfig
 
@@ -188,3 +189,14 @@ class TestGradcheckObjective:
         assert stats["n_nbg"] >= 2  # both contrastive terms and the bg loss are live
         assert stats["l_contrast"] > 0.0
         assert stats["l_bg"] > 0.0
+
+    @pytest.mark.parametrize("ablate", [subset for r in range(4)
+                                        for subset in itertools.combinations(cli.ABLATABLE, r)],
+                             ids=lambda a: "+".join(a) or "none")
+    def test_every_ablation_passes(self, ablate):
+        # sw off reaches the aggregation through the attention net, bg off
+        # the cross entropy through the class rows
+        cfg = LossConfig(**dict.fromkeys(ablate, False))
+        arrays, builder = train.gradcheck_objective(loss_cfg=cfg)
+        report = ad.grad_check(builder, arrays, h=1e-5, tol=1e-5)
+        assert report.passed, report.summary()
