@@ -396,13 +396,11 @@ def segment_sum(a: Tensor, lengths) -> Tensor:
 
 
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function on a plain array."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-safe logistic function on a plain array: with e = exp(-|x|),
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, so exp never
+    overflows. -|x| is taken as min(x, -x), which keeps a NaN's bits."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:

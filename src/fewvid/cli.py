@@ -101,13 +101,16 @@ def cmd_train(cfg) -> int:
 
 def _evaluate(cfg, mode) -> dict:
     """`evaluate.evaluate` of the checkpoint on the novel split, in this
-    process, with the ablations the checkpoint records."""
+    process, with the ablations the checkpoint records. `--out` is checked
+    once the inputs are loaded, before any episode is drawn."""
     params, echo = model.load_checkpoint(cfg.ckpt)
     ablate = echo.get("ablate", [])
     if not (isinstance(ablate, list) and all(name in ABLATABLE for name in ablate)):
         raise DataError(f"{cfg.ckpt}: checkpoint config 'ablate' must be a list of names "
                         f"from {list(ABLATABLE)}, got {ablate!r}")
     manifest = data.load_manifest(Path(cfg.data_dir) / "novel_manifest.jsonl")
+    if cfg.out:
+        data.check_writable(cfg.out)
     return evaluate.evaluate(params, manifest, mode, K=cfg.K, n=cfg.n, q=cfg.q,
                              episodes=cfg.episodes, seed=cfg.seed,
                              cfg=dataclasses.replace(cfg, **dict.fromkeys(ablate, False)))
@@ -155,6 +158,8 @@ def _checked_features(params, manifest, entry) -> np.ndarray:
 def cmd_inspect(cfg) -> int:
     params, _ = model.load_checkpoint(cfg.ckpt)
     manifest = data.load_manifest(Path(cfg.data_dir) / "base_manifest.jsonl")
+    if cfg.out:  # before any feature file is read
+        data.check_writable(cfg.out)
     # a temporary list, so each pass's raw rows are freed once it has stacked them
     embedded, length, slot = evaluate.embed_by_length(
         params, [_checked_features(params, manifest, entry) for entry in manifest.entries])

@@ -102,12 +102,6 @@ class DatasetManifest:
     def class_labels(self):
         return sorted({e.class_label for e in self.entries})
 
-    def by_class(self):
-        groups = {}
-        for e in self.entries:
-            groups.setdefault(e.class_label, []).append(e)
-        return groups
-
     def load_sequence(self, entry: ManifestEntry) -> SegmentFeatureSequence:
         return self.sequence(entry, read_feature_file(os.path.join(self.root, entry.feature_file)))
 
@@ -146,6 +140,27 @@ def open_for_writing(path, mode: str = "w"):
             yield fh
     except OSError as err:
         raise DataError(f"cannot write {path}: {err.strerror or err}") from err
+
+
+def check_writable(path, make_parent: bool = False):
+    """Raise DataError naming `path` unless a file can be written there: it
+    is not a directory, no directory on its way is a file, and its parent
+    exists, or with `make_parent` can be created (it is created). An
+    existing file is left as it is."""
+    path = Path(path)
+    if path.is_dir():
+        raise DataError(f"cannot write {path}: it is a directory")
+    file = next((parent for parent in path.parents if parent.is_file()), None)
+    if file:
+        raise DataError(f"cannot write {path}: {file} is a file")
+    if make_parent:
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise DataError(f"cannot write {path}: cannot create its directory: "
+                            f"{err.strerror}") from err
+    elif not path.parent.is_dir():
+        raise DataError(f"cannot write {path}: {path.parent} does not exist")
 
 
 def read_file(path, what: str, text: bool = False):
@@ -463,25 +478,35 @@ class EpisodeDraw:
     queries: list  # K*q entries, class by class
 
 
-def draw_episode(novel: DatasetManifest, K: int, n: int, q: int, seed,
-                 groups: dict = None) -> EpisodeDraw:
-    """Draw K classes then n support + q query videos per class, all without
-    replacement. Reads no feature file. `groups` is `novel.by_class()`, for
-    callers that draw many episodes from one manifest."""
-    rng = np.random.default_rng(seed)
-    groups = novel.by_class() if groups is None else groups
-    labels = sorted(groups)
-    if K > len(labels):
-        raise DataError(f"episode needs {K} classes but the manifest has {len(labels)}")
-    classes = [labels[i] for i in rng.choice(len(labels), size=K, replace=False)]
-    support, queries = [], []
-    for label in classes:
-        pool = groups[label]
-        if len(pool) < n + q:
-            name = novel.class_names[label]
-            raise DataError(f"class {name} has {len(pool)} videos, episode needs {n + q}")
-        picks = rng.choice(len(pool), size=n + q, replace=False)
-        support.extend(pool[j] for j in picks[:n])
-        queries.extend(pool[j] for j in picks[n:])
-    return EpisodeDraw(classes=classes, support=support, queries=queries)
+def draw_episodes(novel: DatasetManifest, K: int, n: int, q: int, seeds):
+    """Draw one episode per seed, from `default_rng(seed)` alone: K classes,
+    then n support + q query videos per class, all without replacement.
+    Reads no feature file. Returns the (E, K) sampled labels and the
+    (E, K*n) support and (E, K*q) query indices into `novel.entries`,
+    listed class by class. The class pools, in manifest order, are built
+    once per call."""
+    seeds = list(seeds)
+    E = len(seeds)
+    label = np.array([e.class_label for e in novel.entries], dtype=np.intp)
+    labels, size = np.unique(label, return_counts=True)
+    pools = np.split(np.argsort(label, kind="stable"), np.cumsum(size)[:-1])
+    if E and K > labels.size:
+        raise DataError(f"episode needs {K} classes but the manifest has {labels.size}")
+    classes, picks = np.empty((E, K), dtype=np.intp), np.empty((E, K, n + q), dtype=np.intp)
+    for e, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        classes[e] = rng.choice(labels.size, size=K, replace=False)
+        for k, c in enumerate(classes[e].tolist()):
+            if size[c] < n + q:
+                name = novel.class_names[labels[c]]
+                raise DataError(f"class {name} has {size[c]} videos, episode needs {n + q}")
+            picks[e, k] = rng.choice(pools[c], size=n + q, replace=False)
+    return labels[classes], picks[..., :n].reshape(E, K * n), picks[..., n:].reshape(E, K * q)
 
+
+def draw_episode(novel: DatasetManifest, K: int, n: int, q: int, seed) -> EpisodeDraw:
+    """The one episode `draw_episodes` draws for `seed`, as manifest entries."""
+    classes, support, queries = draw_episodes(novel, K, n, q, [seed])
+    return EpisodeDraw(classes=classes[0].tolist(),
+                       support=[novel.entries[i] for i in support[0]],
+                       queries=[novel.entries[i] for i in queries[0]])

@@ -11,21 +11,22 @@ reports mean average precision over temporal-IoU thresholds.
 Every no-grad embedding of a set of videos goes through `embed_by_length`:
 passes of at most EMBED_CHUNK videos of one length, so no video is padded,
 kept as one (n_T, T, d) array per length T. An evaluation call draws all its
-episodes first and reads each feature file they use once. It embeds the
-distinct trimmed supports, keeping only their means, and then the distinct
-queries. An episode lists its videos class by class, so a video's episode
-class is its position, and every prototype of the call comes from one
-reshape-mean of the support means gathered by one index. All the call's
-queries are classified together, each against its own episode's
-prototypes, in stacks of at most EMBED_CHUNK queries of one length, each
-gathered from its length's array by one index. In detection the call's
-activation maps are stacked into one array, the embeddings are dropped, and
-proposals are found over that stack in passes of at most PROPOSAL_CHUNK
-videos: one pass finds every run, and NMS steps through all (video, class)
-groups at once. The call's episodes are then scored in one AP pass: tIoU is
-taken only between a detection and the truths of its own video and class,
-only detections that can match are matched, every (video, class) group side
-by side over the whole tIoU grid, and AP is summed from the hits.
+episodes first, as arrays of manifest-entry indices, finds their distinct uses
+with np.unique and reads each feature file once. It embeds the distinct
+trimmed supports, keeping only their means, and then the distinct queries. An
+episode lists its videos class by class, so a video's episode class is its
+position, and every prototype of the call comes from one reshape-mean of the
+support means gathered by one index. All the call's queries are classified
+together, each against its own episode's prototypes, in stacks of at most
+EMBED_CHUNK queries of one length, each gathered from its length's array by
+one index. In detection the call's activation maps are stacked into one array,
+the embeddings are dropped, and proposals are found over that stack in passes
+of at most PROPOSAL_CHUNK videos: one pass finds every run, and NMS steps
+through all (video, class) groups at once. The call's episodes are then scored
+in one AP pass: tIoU is taken only between a detection and the truths of its
+own video and class, only detections that can match are matched, every (video,
+class) group side by side over the whole tIoU grid, and AP is summed from the
+hits.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import draw_episode, trim_support_video
+from .data import draw_episodes, trim_support_video
 from .losses import LossConfig, aggregate_video_feature, self_weight
 from .pseudo import pseudo_label_bg
 
@@ -424,77 +425,77 @@ def mean_ci(scores) -> tuple:
     return mean, float(1.96 * scores.std(ddof=1) / np.sqrt(scores.size))
 
 
-def _support_key(entry) -> tuple:
-    return "support", entry.feature_file, tuple(tuple(iv) for iv in entry.gt_intervals)
+def _distinct_uses(slots: np.ndarray, key):
+    """The distinct uses of (E, m) entry indices, a use being the value of
+    key(entry index), numbered in first-use order: each use's first entry,
+    and each slot's use as an (E, m) array."""
+    entries, inverse = np.unique(slots.ravel(), return_inverse=True)
+    ids = {}
+    use = np.array([ids.setdefault(key(i), len(ids)) for i in entries.tolist()])[inverse]
+    _, first, inverse = np.unique(use, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return slots.ravel()[first[order]], np.argsort(order)[inverse].reshape(slots.shape)
 
 
-class _NovelVideos:
-    """Embeddings of the videos an evaluation call's episodes use, all
-    computed when it is built.
+def _checked_videos(params: model_mod.ModelParams, manifest, slots: np.ndarray) -> dict:
+    """{entry index: its video checked against its file's rows} for the
+    indices in `slots`; each file is read once, in first-use order, and
+    checked against the parameters' d_in."""
+    distinct, first = np.unique(slots, return_index=True)
+    rows, videos = {}, {}  # feature file -> its rows
+    for i in distinct[np.argsort(first)].tolist():
+        entry = manifest.entries[i]
+        if entry.feature_file in rows:
+            videos[i] = manifest.sequence(entry, rows[entry.feature_file])
+        else:
+            videos[i] = manifest.load_sequence(entry)
+            model_mod.check_feature_width(params, videos[i].features, entry.feature_file)
+            rows[entry.feature_file] = videos[i].features
+    return videos
 
-    Each distinct feature file is read once, files in order of first use,
-    also when its video serves in both roles: the support is trimmed in
-    memory. Once every file is read, the trimmed supports and then the
-    queries are embedded by `embed_by_length`, so a pass pads no video and
-    each row has the bits its video gets embedded alone.
 
-    `queries` maps a length T to the (n_T, T, d) untrimmed embeddings of the
-    query videos of that length, `means` stacks the (d,) mean embedding of
-    each trimmed support, and `at` maps a use key to its (T, row) there.
+def _call_videos(params: model_mod.ModelParams, manifest, support: np.ndarray,
+                 queries: np.ndarray):
+    """Embeddings of the videos of an evaluation call's (E, K*n) support and
+    (E, K*q) query entry indices: the (E, K*n, d) support means, the query
+    embeddings ({T: (n_T, T, d) array}), and each query slot's length and
+    row there as (E*K*q,) arrays.
+
+    Each feature file is read once (`_checked_videos`); a support is trimmed
+    in memory. A query use is a file, a support use a file and its
+    intervals. The distinct trimmed supports and then the distinct queries
+    are embedded by `embed_by_length`.
     """
-
-    def __init__(self, params: model_mod.ModelParams, manifest, draws):
-        uses = {"support": {}, "query": {}}  # role -> {use key: raw rows}, in use order
-        for key, rows in self._uses(params, manifest, draws):
-            uses[key[0]][key] = rows
-        keys = {role: list(raws) for role, raws in uses.items()}
-        # supports first, so their raw rows are freed before the query arrays exist
-        embedded, length, _ = embed_by_length(params, list(uses.pop("support").values()))
-        self.means = np.empty((length.size, params.d))
-        for T in list(embedded):  # each array freed once its means are taken
-            self.means[length == T] = embedded.pop(T).mean(axis=1)
-        self.at = dict(zip(keys["support"], zip(length.tolist(), range(length.size))))
-        self.queries, length, row = embed_by_length(params, list(uses.pop("query").values()))
-        self.at.update(zip(keys["query"], zip(length.tolist(), row.tolist())))
-
-    @staticmethod
-    def _uses(params, manifest, draws):
-        """(use key, raw rows) of each distinct use, files in order of first
-        use; each file is read once and checked against the parameters' d_in,
-        and every entry that uses it is checked against its rows."""
-        by_file = {}  # feature file -> {use key: {id: each entry with that use}}
-        for draw in draws:
-            for key, entry in ([(_support_key(e), e) for e in draw.support]
-                               + [(("query", e.feature_file), e) for e in draw.queries]):
-                by_file.setdefault(entry.feature_file, {}).setdefault(key, {})[id(entry)] = entry
-        for file, uses in by_file.items():
-            seq = None
-            for key, entries in uses.items():
-                for entry in entries.values():
-                    if seq is None:
-                        seq = manifest.load_sequence(entry)
-                        model_mod.check_feature_width(params, seq.features, file)
-                    else:  # another entry or use of the file: its own intervals and roles
-                        seq = manifest.sequence(entry, seq.features)
-                yield key, seq.features if key[0] == "query" else trim_support_video(seq).features
+    entries = manifest.entries
+    seqs = _checked_videos(params, manifest, np.concatenate([support, queries], axis=1))
+    support_uses, support_use = _distinct_uses(
+        support, lambda i: (entries[i].feature_file, tuple(map(tuple, entries[i].gt_intervals))))
+    query_uses, query_use = _distinct_uses(queries, lambda i: entries[i].feature_file)
+    raws = {"support": [trim_support_video(seqs[i]).features for i in support_uses.tolist()],
+            "query": [seqs[i].features for i in query_uses.tolist()]}
+    del seqs  # so each embedding pass frees its raw rows
+    # supports first, so their raw rows are freed before the query arrays exist
+    embedded, length, _ = embed_by_length(params, raws.pop("support"))
+    means = np.empty((length.size, params.d))
+    for T in list(embedded):  # each array freed once its means are taken
+        means[length == T] = embedded.pop(T).mean(axis=1)
+    embedded, length, row = embed_by_length(params, raws.pop("query"))
+    return means[support_use], embedded, length[query_use].ravel(), row[query_use].ravel()
 
 
-def _classify_call(params: model_mod.ModelParams, manifest, draws, K: int, q: int, mode: str,
-                   cfg: LossConfig = None):
+def _classify_call(params: model_mod.ModelParams, manifest, support: np.ndarray,
+                   queries: np.ndarray, K: int, q: int, mode: str, cfg: LossConfig = None):
     """Each episode's accuracy, or in detection the call's stacked (sum T, K)
-    activation maps (weight times cosine) and query lengths, from every
-    draw's queries in draw order, classified in call-wide stacks. The
-    embeddings (`_NovelVideos`) are dropped when it returns."""
-    videos = _NovelVideos(params, manifest, draws)
-    support = [videos.at[_support_key(entry)][1] for draw in draws for entry in draw.support]
-    means = videos.means[support].reshape(len(draws), -1, params.d)
-    length, row = np.array([videos.at["query", entry.feature_file]
-                            for draw in draws for entry in draw.queries]).T
+    activation maps (weight times cosine) and query lengths, from the (E,
+    K*n) support and (E, K*q) query entry indices of its episodes, all its
+    queries classified in call-wide stacks in slot order. The embeddings
+    (`_call_videos`) are dropped when it returns."""
+    means, embedded, length, row = _call_videos(params, manifest, support, queries)
     Q = K * q  # an episode's queries, listed class by class
-    stacks = _classify_stacks(params, videos.queries, length, row, prototypes(means, K),
+    stacks = _classify_stacks(params, embedded, length, row, prototypes(means, K),
                               np.arange(length.size) // Q, cfg)
     if mode == "classification":
-        hits = np.zeros(len(draws), dtype=np.intp)
+        hits = np.zeros(len(queries), dtype=np.intp)
         for at, res in stacks:
             np.add.at(hits, at // Q, res.top1 == at % Q // q)
         return (hits / Q).tolist()
@@ -551,11 +552,11 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     """Accuracy, or (map50, avg_map), of each episode in `episode_ids`.
 
     Episode e is drawn with seed (seed, e), so any subset of episodes can be
-    reproduced independently. Every episode is drawn first; then each feature
-    file they use is read once, and the supports and then the queries are
-    embedded in passes of one length (`_NovelVideos`), so a bad file is
-    reported before any episode is scored. All the call's queries are then
-    classified together (`_classify_call`). Detection stacks their
+    reproduced independently. Every episode is drawn first (`draw_episodes`);
+    then each feature file they use is read once, and the supports and then
+    the queries are embedded in passes of one length (`_call_videos`), so a
+    bad file is reported before any episode is scored. All the call's
+    queries are then classified together (`_classify_call`). Detection stacks their
     activation maps, drops the embeddings, and finds the call's proposals in
     bounded passes and its APs in one pass.
 
@@ -568,18 +569,18 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     for key, value in (("K", K), ("n", n), ("q", q)):
         if value < 1:
             raise ValueError(f"{key} must be at least 1, got {value}")
-    groups = manifest.by_class()
-    draws = [draw_episode(manifest, K=K, n=n, q=q, seed=[seed, e], groups=groups)
-             for e in episode_ids]
-    if not draws:
+    _, support, queries = draw_episodes(manifest, K, n, q, [[seed, e] for e in episode_ids])
+    if not len(queries):
         return []
     if mode == "classification":
-        return _classify_call(params, manifest, draws, K, q, mode, cfg)
-    detections = _call_detections(*_classify_call(params, manifest, draws, K, q, mode, cfg),
-                                  K * q)
-    truths = [(i, e * K + i // q, start, end)
-              for e, draw in enumerate(draws) for i, entry in enumerate(draw.queries)
-              for start, end in entry.gt_intervals]
-    maps = _maps(detections, np.array(truths, dtype=np.intp).reshape(-1, 4),
-                 np.arange(len(draws) + 1) * K)
+        return _classify_call(params, manifest, support, queries, K, q, mode, cfg)
+    detections = _call_detections(
+        *_classify_call(params, manifest, support, queries, K, q, mode, cfg), K * q)
+    # truths keyed as the detections: video within its episode, class e*K + k
+    intervals = [manifest.entries[i].gt_intervals for i in queries.ravel().tolist()]
+    episode, video = np.divmod(np.repeat(np.arange(queries.size), list(map(len, intervals))),
+                               K * q)
+    rows = np.array([iv for ivs in intervals for iv in ivs], dtype=np.intp).reshape(-1, 2)
+    maps = _maps(detections, np.column_stack([video, episode * K + video // q, rows]),
+                 np.arange(len(queries) + 1) * K)
     return [(m[0], float(np.mean(m))) for m in maps.tolist()]

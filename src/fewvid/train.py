@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import DatasetManifest, check_segments, read_feature_file, write_csv
+from .data import (DatasetManifest, check_segments, check_writable, read_feature_file,
+                   write_csv)
 from .errors import DataError, NumericError
 from .evaluate import classification_accuracy
 from .losses import BatchVideo, LossConfig, total_loss
@@ -87,20 +87,6 @@ def load_training_videos(manifest: DatasetManifest):
     return videos, labels
 
 
-def _check_writable(path):
-    """Raise DataError naming `path` unless a file can be written there: it
-    is not a directory and its parent exists or can be created (it is
-    created). An existing file is left as it is."""
-    path = Path(path)
-    if path.is_dir():
-        raise DataError(f"cannot write {path}: it is a directory")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise DataError(f"cannot write {path}: cannot create its directory: "
-                        f"{err.strerror}") from err
-
-
 # a diverging step overflows before its loss turns non-finite; the finite-loss
 # check is the one place that decides what follows, so NumPy does not warn
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -121,7 +107,7 @@ def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
     videos, label_order = load_training_videos(manifest)
     for path in (ckpt_path, log_path):
         if path:
-            _check_writable(path)
+            check_writable(path, make_parent=True)
     n_classes = len(label_order)
     d_in = videos[0].features.shape[1]
     params = model_mod.init_params(

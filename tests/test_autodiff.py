@@ -94,6 +94,41 @@ class TestElementwise:
         np.testing.assert_allclose(leaf.grad, 2.0 * x, rtol=1e-8, atol=1e-8)
 
 
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+                  2.2250738585072014e-308, 709.8, -709.8, 745.2, -745.2, 746.0, -746.0, 1e300,
+                  -1e300, *np.array([0x7FF0000000000001, 0xFFF8000000000123, 0x7FF8DEAD00000000],
+                                    dtype=np.uint64).view(np.float64)]  # and NaN payloads
+
+
+def sigmoid_masked(x):
+    """The logistic function by boolean gathers and scatters: the form
+    `sigmoid_forward` replaced, kept as its oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoidKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), max_size=48),
+           st.sampled_from([(-1,), (-1, 1), (1, -1, 1)]))
+    def test_bytes_equal_masked_form(self, values, shape):
+        # under evaluation's error state: neither form may raise where the other does not
+        x = np.array(values, dtype=np.float64).reshape(shape)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = ad.sigmoid_forward(x)
+            want = sigmoid_masked(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_every_special_value(self):
+        x = np.array(SPECIAL_FLOATS)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert ad.sigmoid_forward(x).tobytes() == sigmoid_masked(x).tobytes()
+
+
 class TestMatmulAndShaping:
     def test_matmul(self):
         a = RNG.normal(size=(3, 4))

@@ -458,6 +458,37 @@ class TestUnwritableOutput:
         assert (tmp_path / "file").read_text() == "keep"
 
 
+    @pytest.mark.parametrize("command, flag", [
+        ("eval-cls", "--out"), ("eval-det", "--out"), ("inspect", "--out"), ("train", "--out"),
+        ("train", "--ckpt")])
+    @pytest.mark.parametrize("target", ["file/x.csv", "file/sub/x.csv", "dir", "nodir/x.csv"])
+    def test_checked_before_any_work(self, workspace, tmp_path, capsys, monkeypatch, command,
+                                     flag, target):
+        # nothing is embedded or scored; a file on the way is named as one
+        _, cfg_path = workspace
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("keep")
+        path = tmp_path / target
+        work = []
+        embed, classify = model.embed_segments, evaluate.classify_query
+        monkeypatch.setattr(model, "embed_segments",
+                            lambda *args, **kwargs: work.append("embed") or embed(*args, **kwargs))
+        monkeypatch.setattr(evaluate, "classify_query",
+                            lambda *args: work.append("score") or classify(*args))
+        code, _, err = run([command, "--config", str(cfg_path), flag, str(path)], capsys)
+        if target == "nodir/x.csv" and command == "train":  # train makes its directories
+            assert code == 0 and path.exists()
+            return
+        why = {"file/x.csv": f"{tmp_path / 'file'} is a file",
+               "file/sub/x.csv": f"{tmp_path / 'file'} is a file",
+               "dir": "it is a directory",
+               "nodir/x.csv": f"{tmp_path / 'nodir'} does not exist"}[target]
+        assert (code, err) == (2, f"fewvid: data error: cannot write {path}: {why}\n")
+        assert not work
+        assert (tmp_path / "file").read_text() == "keep"
+        assert not (tmp_path / "nodir").exists()
+
+
 class FullStream:
     """Standard output on a full device: every write raises an OSError that
     names no file."""

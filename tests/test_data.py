@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import dataclasses
 import re
 import struct
 import warnings
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fewvid import data, model
 from fewvid.errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
@@ -380,6 +381,29 @@ def novel(tmp_path_factory):
     return manifest
 
 
+def listed_draw(novel, K, n, q, seed):
+    """The episode draw as entry lists, grouped per episode: the form the
+    call-level draw must reproduce, RNG call for RNG call."""
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for entry in novel.entries:
+        groups.setdefault(entry.class_label, []).append(entry)
+    labels = sorted(groups)
+    if K > len(labels):
+        raise DataError(f"episode needs {K} classes but the manifest has {len(labels)}")
+    classes = [labels[i] for i in rng.choice(len(labels), size=K, replace=False)]
+    support, queries = [], []
+    for label in classes:
+        pool = groups[label]
+        if len(pool) < n + q:
+            name = novel.class_names[label]
+            raise DataError(f"class {name} has {len(pool)} videos, episode needs {n + q}")
+        picks = rng.choice(len(pool), size=n + q, replace=False)
+        support.extend(pool[j] for j in picks[:n])
+        queries.extend(pool[j] for j in picks[n:])
+    return data.EpisodeDraw(classes=classes, support=support, queries=queries)
+
+
 class TestEpisode:
     def test_counts(self, novel):
         draw = data.draw_episode(novel, K=3, n=1, q=3, seed=0)
@@ -429,9 +453,47 @@ class TestEpisode:
         assert [entry.class_label for entry in draw.support] == list(np.repeat(draw.classes, n))
         assert [entry.class_label for entry in draw.queries] == list(np.repeat(draw.classes, q))
 
-    def test_precomputed_groups_draw_the_same(self, novel):
-        groups = novel.by_class()
-        for e in range(20):
-            plain = data.draw_episode(novel, K=3, n=1, q=2, seed=[5, e])
-            grouped = data.draw_episode(novel, K=3, n=1, q=2, seed=[5, e], groups=groups)
-            assert plain == grouped
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 5), max_size=6) | st.lists(st.integers(0, 2**32 - 1),
+                                                              max_size=3),
+           st.permutations(range(18)), st.integers(9, 18))
+    @example(K=4, n=1, q=1, seed=0, ids=[0], order=list(range(18)), kept=18)
+    @example(K=2, n=3, q=4, seed=0, ids=[3, 1], order=list(range(18)), kept=18)
+    @example(K=3, n=1, q=1, seed=2, ids=[], order=list(range(18)), kept=9)
+    def test_call_draw_equals_each_episode(self, novel, K, n, q, seed, ids, order, kept):
+        # a manifest of some entries in shuffled order: uneven classes, each
+        # pool in manifest order; unsorted and repeated episode ids
+        manifest = dataclasses.replace(novel, entries=[novel.entries[i] for i in order[:kept]])
+        listed, error = [], None
+        try:
+            listed = [listed_draw(manifest, K, n, q, [seed, e]) for e in ids]
+        except DataError as err:
+            error = str(err)
+        if error:
+            with pytest.raises(DataError) as got:
+                data.draw_episodes(manifest, K, n, q, [[seed, e] for e in ids])
+            assert str(got.value) == error
+            return
+        classes, support, queries = data.draw_episodes(manifest, K, n, q,
+                                                       [[seed, e] for e in ids])
+        assert (classes.shape, support.shape, queries.shape) == (
+            (len(ids), K), (len(ids), K * n), (len(ids), K * q))
+        for e, want in zip(ids, listed):
+            draw = data.draw_episode(manifest, K, n, q, [seed, e])
+            assert draw == want
+            assert all(a is b for a, b in zip(draw.support + draw.queries,
+                                              want.support + want.queries))
+        for e, want in enumerate(listed):
+            assert classes[e].tolist() == want.classes
+            assert [manifest.entries[i] for i in support[e]] == want.support
+            assert [manifest.entries[i] for i in queries[e]] == want.queries
+
+    def test_error_texts(self, novel):
+        with pytest.raises(DataError, match=r"^episode needs 4 classes but the manifest has 3$"):
+            data.draw_episodes(novel, 4, 1, 1, [[0, 0]])
+        with pytest.raises(DataError, match=r"^class novel\d\d has 6 videos, episode needs 7$"):
+            data.draw_episodes(novel, 2, 3, 4, [[0, 0]])
+        # no episode, no error
+        assert [a.shape for a in data.draw_episodes(novel, 4, 1, 1, [])] == [(0, 4), (0, 4),
+                                                                             (0, 4)]

@@ -517,7 +517,7 @@ class TestEvaluateLoop:
         # a ValueError naming the key, not NaN means, warnings or a crash
         params, novel = setup
         drawn = []
-        monkeypatch.setattr(evaluate, "draw_episode", lambda *args, **kwargs: drawn.append(1))
+        monkeypatch.setattr(evaluate, "draw_episodes", lambda *args, **kwargs: drawn.append(1))
         sizes = {"K": 2, "n": 1, "q": 2, "episodes": 3, key: value}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -554,9 +554,17 @@ class OracleEpisode:
         return {label: i for i, label in enumerate(self.classes)}
 
 
+def by_class(manifest) -> dict:
+    """{class label: its entries in manifest order}."""
+    groups = {}
+    for entry in manifest.entries:
+        groups.setdefault(entry.class_label, []).append(entry)
+    return groups
+
+
 def oracle_sample_episode(novel, K, n, q, seed):
     rng = np.random.default_rng(seed)
-    groups = novel.by_class()
+    groups = by_class(novel)
     labels = sorted(groups)
     classes = [labels[i] for i in rng.choice(len(labels), size=K, replace=False)]
     support, queries = [], []
@@ -617,11 +625,15 @@ def draw_all(novel, K, n, q, episodes, seed):
     return [data.draw_episode(novel, K, n, q, [seed, e]) for e in range(episodes)]
 
 
+def support_use(entry) -> tuple:
+    """A support use: the feature file and the intervals it is trimmed to."""
+    return entry.feature_file, tuple(map(tuple, entry.gt_intervals))
+
+
 def distinct_uses(draws):
     """Distinct query videos plus distinct (feature file, intervals) supports."""
     queries = {entry.feature_file for draw in draws for entry in draw.queries}
-    supports = {(entry.feature_file, tuple(map(tuple, entry.gt_intervals)))
-                for draw in draws for entry in draw.support}
+    supports = {support_use(entry) for draw in draws for entry in draw.support}
     return len(queries) + len(supports)
 
 
@@ -682,7 +694,7 @@ def one_row_novel(tmp_path_factory):
                                T=6, d_in=6, seed=3)
     _, novel = data.generate_synthetic_dataset(cfg, tmp_path_factory.mktemp("one_row_novel"))
     entries = []
-    for cut, narrow, *rest in novel.by_class().values():
+    for cut, narrow, *rest in by_class(novel).values():
         path = novel.root / cut.feature_file
         data.write_feature_file(data.read_feature_file(path)[:1], path)
         entries += [dataclasses.replace(cut, gt_intervals=[(0, 1)],
@@ -838,7 +850,7 @@ class TestCachedLoop:
         draws = draw_all(one_row_novel, K, n, q, episodes, seed)
         queries = {entry.feature_file for draw in draws for entry in draw.queries
                    if entry.gt_intervals == [(0, 1)]}
-        supports = {evaluate._support_key(entry) for draw in draws for entry in draw.support
+        supports = {support_use(entry) for draw in draws for entry in draw.support
                     if sum(end - start for start, end in entry.gt_intervals) == 1}
         assert queries and supports
         one_row = [videos for videos in passes if len(videos[0]) == 1]
@@ -849,18 +861,32 @@ class TestCachedLoop:
         novel = request.getfixturevalue(corpus)
         monkeypatch.setattr(evaluate, "EMBED_CHUNK", 2)
         params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=5)
-        draws = draw_all(novel, 3, 1, 2, 8, 1)
-        videos = evaluate._NovelVideos(params, novel, draws)
-        for draw in draws:
-            for entry in draw.queries:
-                T, row = videos.at["query", entry.feature_file]
-                alone = model.embed_segments(params, novel.load_sequence(entry).features,
-                                             grad=False)
-                assert np.array_equal(videos.queries[T][row], alone)
-            for entry in draw.support:
-                T, row = videos.at[evaluate._support_key(entry)]
-                trimmed = data.trim_support_video(novel.load_sequence(entry)).features
-                assert np.array_equal(videos.means[row], evaluate.support_mean(params, trimmed))
+        _, support, queries = data.draw_episodes(novel, 3, 1, 2, [[1, e] for e in range(8)])
+        means, embedded, length, rows = evaluate._call_videos(params, novel, support, queries)
+        for slot, entry in enumerate(novel.entries[i] for i in queries.ravel()):
+            T, row = length[slot], rows[slot]
+            alone = model.embed_segments(params, novel.load_sequence(entry).features,
+                                         grad=False)
+            assert np.array_equal(embedded[T][row], alone)
+        for (e, s), i in np.ndenumerate(support):
+            trimmed = data.trim_support_video(novel.load_sequence(novel.entries[i])).features
+            assert np.array_equal(means[e, s], evaluate.support_mean(params, trimmed))
+
+    def test_entries_sharing_a_file_are_trimmed_apart(self, small_novel):
+        # a support use is a file and its intervals: a twin entry of the same
+        # file with other intervals is its own support, as a query it is not
+        params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=5)
+        first, other = small_novel.entries[:2]
+        twin = dataclasses.replace(first, video_id="twin", gt_intervals=[(0, 2)])
+        assert twin.gt_intervals != first.gt_intervals
+        novel = dataclasses.replace(small_novel, entries=[first, other, twin])
+        means, embedded, length, rows = evaluate._call_videos(
+            params, novel, np.array([[0, 2], [2, 0]]), np.array([[1, 0], [2, 1]]))
+        for (e, s), i in np.ndenumerate([[0, 2], [2, 0]]):
+            trimmed = data.trim_support_video(novel.load_sequence(novel.entries[i])).features
+            assert np.array_equal(means[e, s], evaluate.support_mean(params, trimmed))
+        assert [a.shape[0] for a in embedded.values()] == [2]  # files, not entries
+        assert rows.tolist() == [0, 1, 1, 0]
 
     def test_each_pass_frees_its_raw_rows(self, monkeypatch):
         # the caller keeps no reference to the videos, so each pass's raw
@@ -884,20 +910,21 @@ class TestCachedLoop:
                          [False, False, False, False]]
 
     def test_embeddings_dropped_before_first_proposal_pass(self, mixed_novel, monkeypatch):
-        built, alive = [], []
+        built, alive = [], []  # per call, a weak reference to each embedding array
+        call_videos = evaluate._call_videos
 
-        class Watched(evaluate._NovelVideos):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(weakref.ref(self))
+        def watched(*args):
+            means, embedded, length, row = call_videos(*args)
+            built.append([weakref.ref(array) for array in [means, *embedded.values()]])
+            return means, embedded, length, row
 
         proposals = evaluate.episode_proposals
 
         def watching_proposals(A, lengths):
-            alive.append([ref() is not None for ref in built])
+            alive.append([any(ref() is not None for ref in refs) for refs in built])
             return proposals(A, lengths)
 
-        monkeypatch.setattr(evaluate, "_NovelVideos", Watched)
+        monkeypatch.setattr(evaluate, "_call_videos", watched)
         monkeypatch.setattr(evaluate, "episode_proposals", watching_proposals)
         evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
                                 mixed_novel, "detection", range(4), K=3, n=1, q=2)
@@ -938,12 +965,12 @@ class TestCachedLoop:
         # (another use) or as a query (the same use, so one embedding)
         first, other = small_novel.entries[:2]
         twin = dataclasses.replace(first, video_id="twin", **{field: value})
-        support, queries = (([first], [twin]) if twin_use == "query after support"
-                            else ([other], [first, twin]))
-        draw = data.EpisodeDraw(classes=[first.class_label], support=support, queries=queries)
+        novel = dataclasses.replace(small_novel, entries=[first, other, twin])
+        support, queries = (([[0]], [[2]]) if twin_use == "query after support"
+                            else ([[1]], [[0, 2]]))
         with pytest.raises(DataError, match=re.escape(f"twin: {reason}")):
-            evaluate._NovelVideos(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
-                                  small_novel, [draw])
+            evaluate._call_videos(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
+                                  novel, np.array(support), np.array(queries))
 
 
 class TestMeanCi:

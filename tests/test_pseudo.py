@@ -10,6 +10,45 @@ from hypothesis.extra import numpy as hnp
 from fewvid import pseudo
 
 
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+                  2.2250738585072014e-308, 709.8, -709.8, 745.2, -745.2, 746.0, -746.0, 1e300,
+                  -1e300, *np.array([0x7FF0000000000001, 0xFFF8000000000123, 0x7FF8DEAD00000000],
+                                    dtype=np.uint64).view(np.float64)]  # and NaN payloads
+
+
+def segment_scores_reduced(logits):
+    """Each segment's best class logit by one reduction along the class
+    axis: the form `_segment_scores` replaced, kept as its oracle."""
+    return np.asarray(logits, dtype=np.float64).max(axis=-1)
+
+
+def one_nan(x):
+    """x with every NaN set to the one NaN np.nan: the reduction's NaN bits
+    depend on where the NaN sits in its SIMD blocks, so only NaN-ness is
+    compared."""
+    return np.where(np.isnan(x), np.nan, x)
+
+
+class TestSegmentScoresKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.lists(st.integers(0, 5), max_size=2),
+                                            st.integers(1, 37)).map(lambda t: (*t[0], t[1])),
+                      elements=st.floats() | st.sampled_from(SPECIAL_FLOATS)))
+    def test_bytes_equal_reduction(self, logits):
+        # K from 1 to 37 columns, stacks of up to two leading axes
+        got, want = pseudo._segment_scores(logits), segment_scores_reduced(logits)
+        assert got.shape == want.shape
+        assert one_nan(got).tobytes() == one_nan(want).tobytes()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+
+    @pytest.mark.parametrize("shape", [(7, 1), (32, 20, 5), (320, 20), (2, 3, 33)])
+    def test_finite_and_signed_zero_bytes(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, *rng.normal(size=6)]
+        logits = rng.choice(values, size=shape)
+        assert pseudo._segment_scores(logits).tobytes() == segment_scores_reduced(logits).tobytes()
+
+
 # deliberately dumb reference implementations: python loops, no numpy tricks
 def oracle_bg(logits):
     best_idx, best_val = 0, math.inf
