@@ -20,6 +20,7 @@ from . import data, evaluate, model, pseudo, train
 from .errors import DataError, NumericError
 
 ABLATABLE = ("bg", "sw", "cl")
+INSPECT_BLOCK = 64  # base videos read, embedded and scored together; bounds inspect's memory
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,16 +161,19 @@ def cmd_inspect(cfg) -> int:
     manifest = data.load_manifest(Path(cfg.data_dir) / "base_manifest.jsonl")
     if cfg.out:  # before any feature file is read
         data.check_writable(cfg.out)
-    # a temporary list, so each pass's raw rows are freed once it has stacked them
-    embedded, length, slot = evaluate.embed_by_length(
-        params, [_checked_features(params, manifest, entry) for entry in manifest.entries])
-    rows = [(entry.video_id, i) for entry, T in zip(manifest.entries, length.tolist())
-            for i in range(T)]
-    logits = {T: model.segment_logits(params, embedded.pop(T)) for T in list(embedded)}
+    logits, lengths = [], []  # each video's (T, classes) logits, in manifest order
+    for b in range(0, len(manifest.entries), INSPECT_BLOCK):
+        # a temporary list, so each pass's raw rows are freed once it has stacked them
+        embedded, length, slot = evaluate.embed_by_length(params, [
+            _checked_features(params, manifest, entry)
+            for entry in manifest.entries[b : b + INSPECT_BLOCK]])
+        block = {T: model.segment_logits(params, embedded.pop(T)) for T in list(embedded)}
+        logits += [block[T][r] for T, r in zip(length.tolist(), slot.tolist())]
+        lengths += length.tolist()
+    rows = [(entry.video_id, i) for entry, T in zip(manifest.entries, lengths) for i in range(T)]
     # a header-only manifest has no videos to label and prints only the header
-    stack = (np.concatenate([logits[T][r] for T, r in zip(length, slot)]) if rows
-             else np.zeros((0, params.n_classes)))
-    rec = pseudo.pseudo_label_video(stack, length.tolist(), t_n=cfg.t_n, M=cfg.top_m or None)
+    stack = np.concatenate(logits) if logits else np.zeros((0, params.n_classes))
+    rec = pseudo.pseudo_label_video(stack, lengths, t_n=cfg.t_n, M=cfg.top_m or None)
     columns = ("video_id", "segment", "max_logit", "role")
     table = [(*row, score, role)
              for row, score, role in zip(rows, rec.max_logits, pseudo.segment_roles(rec))]

@@ -13,20 +13,29 @@ passes of at most EMBED_CHUNK videos of one length, so no video is padded,
 kept as one (n_T, T, d) array per length T. An evaluation call draws all its
 episodes first, as arrays of manifest-entry indices, finds their distinct uses
 with np.unique and reads each feature file once. It embeds the distinct
-trimmed supports, keeping only their means, and then the distinct queries. An
-episode lists its videos class by class, so a video's episode class is its
-position, and every prototype of the call comes from one reshape-mean of the
-support means gathered by one index. All the call's queries are classified
-together, each against its own episode's prototypes, in stacks of at most
-EMBED_CHUNK queries of one length, each gathered from its length's array by
-one index. In detection the call's activation maps are stacked into one array,
-the embeddings are dropped, and proposals are found over that stack in passes
-of at most PROPOSAL_CHUNK videos: one pass finds every run, and NMS steps
-through all (video, class) groups at once. The call's episodes are then scored
-in one AP pass: tIoU is taken only between a detection and the truths of its
-own video and class, only detections that can match are matched, every (video,
-class) group side by side over the whole tIoU grid, and AP is summed from the
-hits.
+trimmed supports, keeping only their means, and then the distinct queries.
+It then scores its episodes in blocks of at most EPISODE_BLOCK, so what grows
+with the episode count is only index arrays. An episode lists its videos
+class by class, so a video's episode class is its position, and every
+prototype of a block comes from one reshape-mean of the support means
+gathered by one index. All the block's queries are classified together, each
+against its own episode's prototypes, in stacks of at most EMBED_CHUNK
+queries of one length, each gathered from its length's array by one index.
+In detection the block's activation maps are stacked into one array, and
+proposals are found over that stack in passes of at most PROPOSAL_CHUNK
+videos, the last block's once the embeddings are dropped: one pass finds
+every run, and NMS steps through all (video, class) groups at once. The block's
+episodes are then scored in one AP pass: tIoU is taken only between a
+detection and the truths of its own video and class, only detections that
+can match are matched, every (video, class) group side by side over the
+whole tIoU grid, and AP is summed from the hits.
+
+The detection tail sorts only distinct integer keys, with NumPy's default
+(unstable) argsort: no tie is left for the sort to order, so no stable sort
+is needed. Runs are deduplicated that way, and `_ranked` ranks proposals and
+detections by group and score. Interval endpoints must be integers with
+start < end: NMS then tests tIoU >= 0.5 as 3 * inter >= len_a + len_b and
+never divides; AP matching keeps `_tiou`.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ MAP_TIOU_GRID = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
 EMBED_CHUNK = 32  # videos per embedding pass of one length, or queries per
 # classification stack of one length; bounds the memory of either
 PROPOSAL_CHUNK = 256  # videos per proposal pass; bounds the memory of one pass
+EPISODE_BLOCK = 100  # episodes classified and scored together; bounds a call's memory
 
 
 @dataclass
@@ -197,28 +207,44 @@ def _runs(A: np.ndarray, lengths, thresholds):
 
     A stacks the videos' (T_i, K) activation maps, `lengths` gives each T_i.
     Returns video, class, start and end index arrays; no run crosses a video
-    boundary.
+    boundary, and every run has integer endpoints with start < end, as
+    `_nms_keep` requires. A column whose max is not positive gets the level
+    +inf, which nothing is above. Starts and ends come from one flatnonzero
+    of the edges. Copies are found by one unstable argsort of distinct
+    integers, a run's key times the threshold count plus its threshold's
+    index: within a column the flat order is threshold by threshold, so the
+    copy with the lowest threshold index is the first listed, whatever the
+    thresholds' order or repeats.
     """
-    lengths = np.asarray(lengths)
+    lengths, n_thr = np.asarray(lengths), len(thresholds)
     K, T = A.shape[1], int(lengths.max())
     cams = np.full((lengths.size, K, T), -np.inf)  # padding is above no threshold
     cams.transpose(0, 2, 1)[np.arange(T) < lengths[:, None]] = A
-    colmax = cams.max(axis=2)
-    levels = colmax[:, :, None] * np.asarray(thresholds, dtype=np.float64)
+    colmax = cams.max(axis=2)[:, :, None]
+    levels = np.where(colmax > 0.0, colmax * np.asarray(thresholds, dtype=np.float64), np.inf)
     above = np.zeros(levels.shape + (T + 2,), dtype=np.int8)  # a zero before and after
-    above[..., 1:-1] = (cams[:, :, None, :] > levels[..., None]) & (colmax > 0.0)[:, :, None, None]
-    # flat order is (video, class, threshold, position), so the k-th rise
-    # pairs with the k-th fall
-    edges = np.diff(above, axis=3).ravel()
-    column, start = np.divmod(np.flatnonzero(edges == 1), T + 1)
-    end = np.flatnonzero(edges == -1) % (T + 1)
-    column //= levels.shape[2]  # video * K + class
+    above[..., 1:-1] = cams[:, :, None, :] > levels[..., None]
+    # flat order is (video, class, threshold, position), so edges alternate:
+    # each rise is followed by its fall
+    edge = np.flatnonzero(np.diff(above, axis=3).ravel() != 0)  # nonzero is fastest on bools
+    # floor division by a scalar is far cheaper than divmod or %
+    row = edge[0::2] // (T + 1)  # (video * K + class) * n_thr + threshold index
+    start, end = edge[0::2] - row * (T + 1), edge[1::2] - row * (T + 1)
+    column = row // n_thr  # video * K + class
     # a repeated run has its first copy's score and tIoU 1 with it, so NMS
     # would drop it anyway; drop it before
     key = (column * (T + 1) + start) * (T + 1) + end
-    first = np.sort(np.unique(key, return_index=True)[1])
-    video, cls = np.divmod(column[first], K)
-    return video, cls, start[first], end[first]
+    order = np.argsort(key * n_thr + (row - column * n_thr))
+    # the first of each key in sorted order, found inline: `_runs_of` would
+    # also gather by mask, which costs more than the rest of this step
+    sorted_key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = sorted_key[1:] != sorted_key[:-1]
+    keep = np.zeros(key.size, dtype=bool)
+    keep[order[first]] = True
+    at = np.flatnonzero(keep)
+    video = column[at] // K
+    return video, column[at] - video * K, start[at], end[at]
 
 
 def _run_means(A: np.ndarray, first_row, cls, length) -> np.ndarray:
@@ -246,27 +272,53 @@ def _runs_of(sorted_key: np.ndarray):
     return sorted_key[opens], run, np.arange(sorted_key.size) - np.flatnonzero(opens)[run]
 
 
+def _ranked(group, scores) -> np.ndarray:
+    """np.lexsort((-scores, group)): indices by group ascending, each group
+    highest score first, tied scores (0.0 and -0.0 tie) in index order.
+    Scores must not be NaN.
+
+    One unstable argsort of the scores gives each index its score's place
+    among the distinct scores, best first, so tied scores share a place; one
+    unstable argsort of the distinct integers (group, place, index) then
+    puts each run of tied scores back in index order. Keys that would not
+    fit in int64 fall back to np.lexsort.
+    """
+    n = scores.size
+    by_score = np.argsort(-scores)
+    ranked = scores[by_score]
+    place = np.empty(n, dtype=np.intp)  # inline: `_runs_of` would hold more temporaries
+    place[by_score] = np.cumsum(np.r_[False, ranked[1:] != ranked[:-1]])
+    n_places = int(place.max(initial=0)) + 1
+    if (int(np.abs(group).max(initial=0)) + 1) * n_places * max(n, 1) >= 2**63:
+        return np.lexsort((-scores, group))
+    return np.argsort((group * n_places + place) * n + np.arange(n))
+
+
 def _nms_keep(group, intervals, scores) -> np.ndarray:
     """Indices that greedy non-maximum suppression at tIoU 0.5 keeps within
     each group: groups in ascending order, each highest score first, ties
-    keeping the earlier index.
+    keeping the earlier index (`_ranked`).
 
     All groups are suppressed side by side: step r takes the r-th best
-    candidate of every group.
+    candidate of every group, laid out as a (rank, group) slot matrix whose
+    empty slots are never kept. Endpoints must be integers with start < end:
+    a clash, tIoU >= 0.5, is then exactly 3 * inter >= len_a + len_b, so no
+    step divides.
     """
     if scores.size == 0:
         return np.zeros(0, dtype=np.intp)
-    order = np.lexsort((-scores, group))
+    order = _ranked(group, scores)
     _, col, rank = _runs_of(group[order])
     slots = np.full((rank.max() + 1, col[-1] + 1), -1)  # candidate by (rank, group)
     slots[rank, col] = order
     start, end = intervals[slots, 0], intervals[slots, 1]
+    length = end - start
     suppressed, kept = slots < 0, np.zeros(slots.shape, dtype=bool)
     for r in range(slots.shape[0]):
         kept[r] = ~suppressed[r]
         later = slice(r + 1, None)
-        clashes = _tiou(start[r], end[r], start[later], end[later]) >= 0.5
-        suppressed[later] |= clashes & kept[r]
+        inter = np.minimum(end[r], end[later]) - np.maximum(start[r], start[later])
+        suppressed[later] |= (3 * inter >= length[r] + length[later]) & kept[r]
     return slots.T[kept.T]
 
 
@@ -293,6 +345,11 @@ def _class_aps(detections: Detections, truths: np.ndarray, thresholds: np.ndarra
     only ever matches a truth of its own video and class, so tIoU is taken
     only for those pairs, and only detections that reach the lowest
     threshold on one of them (the live rows) are matched.
+
+    Every sort is NumPy's default (unstable) argsort with no tie left to
+    order: `_ranked` for detections by class or (video, class) key and
+    score, and distinct integer keys (key and row, cell and place) for the
+    truths and the hits.
     """
     video, cls = detections.video, detections.class_index
     t_video, t_cls = truths[:, 0].astype(np.intp), truths[:, 1].astype(np.intp)
@@ -301,10 +358,10 @@ def _class_aps(detections: Detections, truths: np.ndarray, thresholds: np.ndarra
     aps = np.zeros((n_classes, thresholds.size))
     aps[n_truths == 0] = np.nan
     # each detection's truths: the run of its (video, class) key among the
-    # truths sorted stably by key, so their columns keep truth row order
+    # truths sorted by key and then row, so their columns keep truth row order
     n_keys = n_classes * (1 + max(video.max(initial=-1), t_video.max(initial=-1)))
     key, t_key = video * n_classes + cls, t_video * n_classes + t_cls
-    t_order = np.argsort(t_key, kind="stable")
+    t_order = np.argsort(t_key * t_key.size + np.arange(t_key.size))
     count = np.bincount(t_key, minlength=n_keys)
     first, count = (np.cumsum(count) - count)[key], count[key]
     cand = np.flatnonzero(count)
@@ -319,7 +376,7 @@ def _class_aps(detections: Detections, truths: np.ndarray, thresholds: np.ndarra
     best = iou.max(axis=1)
     live = (best > 0.0) & (best >= thresholds.min())
     rows = cand[live]
-    by_key = np.lexsort((-detections.scores[rows], key[rows]))  # in rank order within a key
+    by_key = _ranked(key[rows], detections.scores[rows])  # in rank order within a key
     rows, iou = rows[by_key], iou[live][by_key]
     hits = _greedy_hits(key[rows], iou, thresholds)
     # AP from the hits alone: a miss adds 0.0 to the running sum and lies
@@ -327,12 +384,12 @@ def _class_aps(detections: Detections, truths: np.ndarray, thresholds: np.ndarra
     hit_row, hit_thr = np.nonzero(hits)
     if hit_row.size == 0:
         return aps
-    order = np.lexsort((-detections.scores, cls))
+    order = _ranked(cls, detections.scores)
     rank = np.empty(order.size, dtype=np.intp)  # place within the class, from 1
     rank[order] = np.arange(1, order.size + 1) - np.searchsorted(cls[order], cls[order])
     place = rank[rows[hit_row]]
     cell = cls[rows[hit_row]] * thresholds.size + hit_thr  # flat (class, threshold)
-    by_cell = np.lexsort((place, cell))
+    by_cell = np.argsort(cell * (order.size + 1) + place)  # distinct (cell, place) keys
     cell, place = cell[by_cell], place[by_cell]
     cells, at, k = _runs_of(cell)
     n = n_truths[cells // thresholds.size][at]
@@ -457,9 +514,10 @@ def _checked_videos(params: model_mod.ModelParams, manifest, slots: np.ndarray) 
 def _call_videos(params: model_mod.ModelParams, manifest, support: np.ndarray,
                  queries: np.ndarray):
     """Embeddings of the videos of an evaluation call's (E, K*n) support and
-    (E, K*q) query entry indices: the (E, K*n, d) support means, the query
-    embeddings ({T: (n_T, T, d) array}), and each query slot's length and
-    row there as (E*K*q,) arrays.
+    (E, K*q) query entry indices: the distinct supports' means and each
+    support slot's row there as an (E, K*n) array, the query embeddings
+    ({T: (n_T, T, d) array}), and each query slot's length and row there as
+    (E*K*q,) arrays. Only the index arrays grow with E.
 
     Each feature file is read once (`_checked_videos`); a support is trimmed
     in memory. A query use is a file, a support use a file and its
@@ -480,22 +538,22 @@ def _call_videos(params: model_mod.ModelParams, manifest, support: np.ndarray,
     for T in list(embedded):  # each array freed once its means are taken
         means[length == T] = embedded.pop(T).mean(axis=1)
     embedded, length, row = embed_by_length(params, raws.pop("query"))
-    return means[support_use], embedded, length[query_use].ravel(), row[query_use].ravel()
+    return means, support_use, embedded, length[query_use].ravel(), row[query_use].ravel()
 
 
-def _classify_call(params: model_mod.ModelParams, manifest, support: np.ndarray,
-                   queries: np.ndarray, K: int, q: int, mode: str, cfg: LossConfig = None):
-    """Each episode's accuracy, or in detection the call's stacked (sum T, K)
-    activation maps (weight times cosine) and query lengths, from the (E,
-    K*n) support and (E, K*q) query entry indices of its episodes, all its
-    queries classified in call-wide stacks in slot order. The embeddings
-    (`_call_videos`) are dropped when it returns."""
-    means, embedded, length, row = _call_videos(params, manifest, support, queries)
+def _classify_block(params: model_mod.ModelParams, support_means: np.ndarray, embedded: dict,
+                    length: np.ndarray, row: np.ndarray, K: int, q: int, mode: str,
+                    cfg: LossConfig = None):
+    """Each episode's accuracy, or in detection the stacked (sum T, K)
+    activation maps (weight times cosine) and query lengths, of a block of
+    episodes given by their (E, K*n, d) support means and each query slot's
+    length and row in `embedded`, all its queries classified in block-wide
+    stacks in slot order."""
     Q = K * q  # an episode's queries, listed class by class
-    stacks = _classify_stacks(params, embedded, length, row, prototypes(means, K),
+    stacks = _classify_stacks(params, embedded, length, row, prototypes(support_means, K),
                               np.arange(length.size) // Q, cfg)
     if mode == "classification":
-        hits = np.zeros(len(queries), dtype=np.intp)
+        hits = np.zeros(len(support_means), dtype=np.intp)
         for at, res in stacks:
             np.add.at(hits, at // Q, res.top1 == at % Q // q)
         return (hits / Q).tolist()
@@ -509,7 +567,7 @@ def _classify_call(params: model_mod.ModelParams, manifest, support: np.ndarray,
 
 
 def _call_detections(A: np.ndarray, lengths: list, Q: int) -> Detections:
-    """`episode_proposals` of a call's stacked (sum T, K) activation maps,
+    """`episode_proposals` of a block's stacked (sum T, K) activation maps,
     found in passes of at most PROPOSAL_CHUNK videos; episode e's Q queries
     are videos e*Q to e*Q + Q - 1 of the stack. Detections come back keyed
     for `_maps`: video within its episode, class e*K + k. A query's
@@ -555,10 +613,13 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     reproduced independently. Every episode is drawn first (`draw_episodes`);
     then each feature file they use is read once, and the supports and then
     the queries are embedded in passes of one length (`_call_videos`), so a
-    bad file is reported before any episode is scored. All the call's
-    queries are then classified together (`_classify_call`). Detection stacks their
-    activation maps, drops the embeddings, and finds the call's proposals in
-    bounded passes and its APs in one pass.
+    bad file is reported before any episode is scored. The episodes are then
+    scored in blocks of at most EPISODE_BLOCK, so that what grows with the
+    episode count is only index arrays; episodes are independent, so the
+    blocks change no score. Each block's queries are classified together
+    (`_classify_block`); detection stacks their activation maps and finds the
+    block's proposals and APs (`_block_maps`), the last block once the
+    embeddings are dropped.
 
     Raises ValueError when K, n or q is below 1. Overflow and invalid
     arithmetic raise FloatingPointError: finite but huge weights would
@@ -572,10 +633,25 @@ def episode_scores(params: model_mod.ModelParams, manifest, mode: str, episode_i
     _, support, queries = draw_episodes(manifest, K, n, q, [[seed, e] for e in episode_ids])
     if not len(queries):
         return []
-    if mode == "classification":
-        return _classify_call(params, manifest, support, queries, K, q, mode, cfg)
-    detections = _call_detections(
-        *_classify_call(params, manifest, support, queries, K, q, mode, cfg), K * q)
+    means, support_use, embedded, length, row = _call_videos(params, manifest, support, queries)
+    Q, scores = K * q, []
+    for b in range(0, len(queries), EPISODE_BLOCK):
+        e, at = slice(b, b + EPISODE_BLOCK), slice(b * Q, (b + EPISODE_BLOCK) * Q)
+        result = _classify_block(params, means[support_use[e]], embedded, length[at], row[at],
+                                 K, q, mode, cfg)
+        if mode == "detection":  # each rebinding frees what the next step no longer needs
+            if b + EPISODE_BLOCK >= len(queries):  # the last block's proposals run
+                means = embedded = None  # without the embeddings
+            result = _call_detections(*result, Q)  # the AP pass runs without the maps
+            result = _block_maps(manifest, queries[e], result, K, q)
+        scores += result
+    return scores
+
+
+def _block_maps(manifest, queries: np.ndarray, detections: Detections, K: int, q: int) -> list:
+    """(map50, avg_map) of each episode of a block, from its (E, K*q) query
+    entry indices and its detections (`_call_detections`), all its APs in
+    one pass (`_maps`)."""
     # truths keyed as the detections: video within its episode, class e*K + k
     intervals = [manifest.entries[i].gt_intervals for i in queries.ravel().tolist()]
     episode, video = np.divmod(np.repeat(np.arange(queries.size), list(map(len, intervals))),

@@ -1048,6 +1048,43 @@ class TestMixedLengthBase:
         assert train.training_accuracy(params, base) == sum(correct) / len(videos)
 
 
+class TestInspectBlocks:
+    """inspect reads, embeds and takes logits INSPECT_BLOCK base videos at a
+    time, then labels all of them in one pseudo-label call."""
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_any_block_prints_the_same_csv(self, workspace, capsys, monkeypatch, block):
+        _, cfg_path = workspace
+        code, whole, _ = run(["inspect", "--config", str(cfg_path)], capsys)
+        assert code == 0
+        reads, read_at_pass, labels = [], [], []
+        read, embed, label = data.read_feature_file, model.embed_segments, pseudo.pseudo_label_video
+
+        def counting_read(path):
+            reads.append(path)
+            return read(path)
+
+        def spy(params, raw, grad=True, lengths=None):
+            read_at_pass.append(len(reads))
+            return embed(params, raw, grad, lengths)
+
+        def counting_label(*args, **kwargs):
+            labels.append(len(reads))
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(data, "read_feature_file", counting_read)
+        monkeypatch.setattr(model, "embed_segments", spy)
+        monkeypatch.setattr(pseudo, "pseudo_label_video", counting_label)
+        monkeypatch.setattr(cli, "INSPECT_BLOCK", block)
+        assert run(["inspect", "--config", str(cfg_path)], capsys) == (0, whole, "")
+        # each block's passes run once it is read and before the next is
+        n = len(reads)
+        assert n > 2 * block
+        assert read_at_pass == sorted(read_at_pass)
+        assert set(read_at_pass) == {min(b + block, n) for b in range(0, n, block)}
+        assert labels == [n]
+
+
 GOLDEN = """
 n_base_classes = 3
 n_novel_classes = 4

@@ -738,6 +738,34 @@ class TestCachedLoop:
         assert subset == [full[4], full[1], full[7]]
         assert len(set(map(str, full))) > 1  # the episodes differ
 
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    def test_episode_blocks_score_as_one_block(self, small_novel, monkeypatch, mode, block):
+        # a call reads and embeds its videos once, then scores EPISODE_BLOCK
+        # episodes at a time; episodes are independent, so every block size
+        # gives the same scores
+        params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=3)
+        whole = evaluate.episode_scores(params, small_novel, mode, range(8), K=3, n=1, q=2,
+                                        seed=6)
+        reads, read_at_block = [], []
+        read, protos = data.read_feature_file, evaluate.prototypes
+
+        def counting_read(path):
+            reads.append(str(path))
+            return read(path)
+
+        def counting_prototypes(support_means, K):
+            read_at_block.append((len(reads), len(support_means)))
+            return protos(support_means, K)
+
+        monkeypatch.setattr(data, "read_feature_file", counting_read)
+        monkeypatch.setattr(evaluate, "prototypes", counting_prototypes)
+        monkeypatch.setattr(evaluate, "EPISODE_BLOCK", block)
+        assert evaluate.episode_scores(params, small_novel, mode, range(8), K=3, n=1, q=2,
+                                       seed=6) == whole
+        assert len(set(reads)) == len(reads)
+        assert read_at_block == [(len(reads), min(block, 8 - b)) for b in range(0, 8, block)]
+
     @pytest.mark.parametrize("mode", ["classification", "detection"])
     def test_reads_each_file_once_and_embeds_in_chunks(self, small_novel, monkeypatch, mode):
         episodes, K, n, q, seed, chunk = 30, 3, 2, 3, 4, 3
@@ -862,7 +890,8 @@ class TestCachedLoop:
         monkeypatch.setattr(evaluate, "EMBED_CHUNK", 2)
         params = model.init_params(n_classes=3, d_in=6, d=5, kernel_width=3, seed=5)
         _, support, queries = data.draw_episodes(novel, 3, 1, 2, [[1, e] for e in range(8)])
-        means, embedded, length, rows = evaluate._call_videos(params, novel, support, queries)
+        means, support_use, embedded, length, rows = evaluate._call_videos(params, novel, support,
+                                                                           queries)
         for slot, entry in enumerate(novel.entries[i] for i in queries.ravel()):
             T, row = length[slot], rows[slot]
             alone = model.embed_segments(params, novel.load_sequence(entry).features,
@@ -870,7 +899,7 @@ class TestCachedLoop:
             assert np.array_equal(embedded[T][row], alone)
         for (e, s), i in np.ndenumerate(support):
             trimmed = data.trim_support_video(novel.load_sequence(novel.entries[i])).features
-            assert np.array_equal(means[e, s], evaluate.support_mean(params, trimmed))
+            assert np.array_equal(means[support_use[e, s]], evaluate.support_mean(params, trimmed))
 
     def test_entries_sharing_a_file_are_trimmed_apart(self, small_novel):
         # a support use is a file and its intervals: a twin entry of the same
@@ -880,11 +909,11 @@ class TestCachedLoop:
         twin = dataclasses.replace(first, video_id="twin", gt_intervals=[(0, 2)])
         assert twin.gt_intervals != first.gt_intervals
         novel = dataclasses.replace(small_novel, entries=[first, other, twin])
-        means, embedded, length, rows = evaluate._call_videos(
+        means, support_use, embedded, length, rows = evaluate._call_videos(
             params, novel, np.array([[0, 2], [2, 0]]), np.array([[1, 0], [2, 1]]))
         for (e, s), i in np.ndenumerate([[0, 2], [2, 0]]):
             trimmed = data.trim_support_video(novel.load_sequence(novel.entries[i])).features
-            assert np.array_equal(means[e, s], evaluate.support_mean(params, trimmed))
+            assert np.array_equal(means[support_use[e, s]], evaluate.support_mean(params, trimmed))
         assert [a.shape[0] for a in embedded.values()] == [2]  # files, not entries
         assert rows.tolist() == [0, 1, 1, 0]
 
@@ -914,9 +943,9 @@ class TestCachedLoop:
         call_videos = evaluate._call_videos
 
         def watched(*args):
-            means, embedded, length, row = call_videos(*args)
+            means, support_use, embedded, length, row = call_videos(*args)
             built.append([weakref.ref(array) for array in [means, *embedded.values()]])
-            return means, embedded, length, row
+            return means, support_use, embedded, length, row
 
         proposals = evaluate.episode_proposals
 
@@ -1241,6 +1270,94 @@ class TestLoopOracles:
         grid = evaluate.MAP_TIOU_GRID
         maps = evaluate._maps(*as_arrays(dets, truths), [0, K])
         assert [by_threshold(row) for row in maps] == [loop_detection_maps(dets, truths, grid)]
+
+
+class TestRankingKernels:
+    """The detection tail ranks with unstable sorts of distinct keys and tests
+    NMS clashes without dividing; each equals the stable sort or tIoU form
+    it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3),
+                              st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]) | st.floats(-2.0, 2.0)),
+                    max_size=40))
+    @example([])
+    @example([(1, 0.0), (0, -0.0), (1, -0.0), (1, 0.0), (0, 0.0), (0, -0.0)])
+    def test_ranked_equals_lexsort(self, items):
+        # groups unsorted and repeated; ties, including 0.0 against -0.0
+        group = np.array([g for g, _ in items], dtype=np.intp)
+        scores = np.array([s for _, s in items], dtype=np.float64)
+        got, want = evaluate._ranked(group, scores), np.lexsort((-scores, group))
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_ranked_keys_past_int64(self):
+        # (group, place, index) keys of these groups would overflow int64
+        group = np.array([2**60, -(2**60), 2**60, 5, 2**60])
+        scores = np.array([0.5, 0.5, 0.5, 1.0, 0.75])
+        assert evaluate._ranked(group, scores).tolist() == [1, 3, 4, 0, 2]
+
+    def test_nms_clash_equals_tiou_at_one_half(self):
+        # every ordered pair of intervals with integer endpoints in 0..40 is
+        # its own NMS group: the lower-scored interval is kept exactly when
+        # its tIoU with the higher-scored one is below 0.5
+        start, end = np.triu_indices(41, k=1)
+        intervals = np.stack([start, end], axis=1)
+        for lo in range(0, start.size, 100):  # keeps each call's arrays small
+            a, b = (x.ravel() for x in np.meshgrid(np.arange(lo, min(lo + 100, start.size)),
+                                                   np.arange(start.size), indexing="ij"))
+            kept = np.zeros(2 * a.size, dtype=bool)
+            kept[evaluate._nms_keep(np.repeat(np.arange(a.size), 2),
+                                    intervals[np.column_stack([a, b]).ravel()],
+                                    np.tile([1.0, 0.0], a.size))] = True
+            clash = evaluate._tiou(start[a], end[a], start[b], end[b]) >= 0.5
+            assert kept[0::2].all()
+            assert (kept[1::2] == ~clash).all()
+
+    def test_tied_overlaps_take_the_first_listed_of_many_truths(self):
+        # (s, s + 4) overlaps the truths (s, s + 2) and (s + 2, s + 4) by tIoU
+        # 0.5 each and takes the one listed first, which decides whether the
+        # later (s + 2, s + 4) still finds its truth free. The truths of two
+        # videos are listed in shuffled order, so sorting them by (video,
+        # class) key must keep each key's rows in order.
+        starts = range(0, 300, 10)
+        listed = [(v, iv) for s in starts for v in (0, 1) for iv in ((s, s + 2), (s + 2, s + 4))]
+        truths = {0: [listed[i] for i in np.random.default_rng(3).permutation(len(listed))]}
+        dets = [Det(v, 0, (s + a, s + 4), 0.9 - a / 4 - s * 1e-4 - v * 1e-5)
+                for a in (0, 2) for s in starts for v in (0, 1)]
+        maps = evaluate._maps(*as_arrays(dets, truths), [0, 1])
+        want = loop_detection_maps(dets, truths, evaluate.MAP_TIOU_GRID)
+        assert [by_threshold(row) for row in maps] == [want]
+        assert 0.0 < want[0.5] < 1.0  # some later detection found its truth taken
+
+    def test_runs_keep_the_first_listed_copy(self):
+        # unsorted and repeated thresholds: a run that several thresholds
+        # find is kept where the threshold list first finds it
+        cams = [np.array([[0.2, 0.9], [0.9, 0.2], [0.9, 0.2], [0.2, 0.9]]),
+                np.array([[0.5, -1.0], [0.1, -1.0]])]
+        runs = evaluate._runs(np.concatenate(cams), [4, 2], [0.5, 0.1, 0.5, 0.95])
+        assert list(zip(*(x.tolist() for x in runs))) == [
+            (0, 0, 1, 3), (0, 0, 0, 4), (0, 1, 0, 1), (0, 1, 3, 4), (0, 1, 0, 4),
+            (1, 0, 0, 1), (1, 0, 0, 2)]
+
+    def test_detection_tail_makes_no_stable_sorts(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        lengths = [12, 20, 8, 20, 1]
+        A = rng.choice([-0.5, 0.0, 0.3, 0.5, 0.8, 1.0], size=(sum(lengths), 3))  # many ties
+        dets = evaluate.episode_proposals(A, lengths)
+        # truths on some detections, so hits and their ranking are reached
+        truths = np.column_stack([dets.video, dets.class_index, dets.intervals])[::3]
+        grid = np.array(evaluate.MAP_TIOU_GRID)
+        aps = evaluate._class_aps(dets, truths, grid)
+        assert (aps > 0).any()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the detection tail called a stable sort")
+
+        monkeypatch.setattr(np, "lexsort", refuse)
+        monkeypatch.setattr(np, "unique", refuse)
+        again = evaluate.episode_proposals(A, lengths)
+        assert as_results(again) == as_results(dets)
+        assert evaluate._class_aps(again, truths, grid).tobytes() == aps.tobytes()
 
 
 def loop_scores(dets, truths):
