@@ -1,19 +1,16 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Just enough machinery to train the embedding head: a Tensor wraps a numpy
-array and remembers the primitive that produced it, `forward` re-evaluates a
+array and remembers the node that produced it, `forward` re-evaluates a
 built graph in place (used by the finite-difference checker), and `backward`
-accumulates adjoints in reverse topological order. Not a general framework:
-matmul is strictly 2-D, and elementwise operands broadcast as in NumPy (a
-scalar against an array, or an (n, 1) column against an (n, k) matrix).
+accumulates adjoints in reverse topological order.
 
-The training graph is one node per layer: `model` and `losses` build the
-embedding, the self-weighting, the aggregation and each cross entropy with
-`_node`, a hand-written forward and backward each. Every formula they share
-with a primitive here has one copy, as a plain-array `*_forward` or
-`*_backward` function (row normalization, softmax, sigmoid, divisor,
-depthwise conv, row-gather reduce) that both call. The primitives serve the
-attention baseline, the class-row gather and the tests.
+Each layer of the training graph is one `_node` with a hand-written forward
+and backward, built in `model` and `losses`. The formulas they share with
+evaluation's no-grad path live here once, as plain-array `*_forward` and
+`*_backward` functions. The only other graph ops are the row gather and the
+row normalization that training builds, and `matmul`, `transpose` and
+`concat_rows` for list pools and the logits of a Tensor.
 
 A backward builds only what reaches a requires_grad leaf: an operand that
 needs no gradient (a constant) gets none, and a row gather (`take_rows`)
@@ -32,7 +29,7 @@ NORM_EPS = 1e-12
 
 
 class ShapeError(ValueError):
-    """Incompatible operand shapes for a primitive."""
+    """Incompatible operand shapes for a graph op."""
 
     def __init__(self, op: str, *shapes):
         self.op = op
@@ -66,48 +63,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
-    # reductions as methods so the module namespace keeps the builtins
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return _reduce(self, "sum", axis, keepdims)
-
-    def mean(self, axis=None) -> "Tensor":
-        return _reduce(self, "mean", axis)
-
-    def max(self, axis=None) -> "Tensor":
-        return _reduce(self, "max", axis)
-
-    def min(self, axis=None) -> "Tensor":
-        return _reduce(self, "min", axis)
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def _wrap(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
 
 
 class RowGrad(NamedTuple):
@@ -204,61 +161,9 @@ def backward(root: Tensor) -> dict:
     return leaves
 
 
-def _match_reduce(g: np.ndarray, shape) -> np.ndarray:
-    """Inverse of broadcasting: sum g over the axes an operand of `shape` was
-    stretched along."""
-    shape = tuple(shape)
-    if g.shape == shape:
-        return g
-    lead = g.ndim - len(shape)
-    stretched = tuple(range(lead)) + tuple(
-        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
-    return np.sum(g, axis=stretched).reshape(shape)
-
-
-def _check_elementwise(op: str, a: Tensor, b: Tensor):
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb or not sa or not sb:
-        return
-    try:
-        np.broadcast_shapes(sa, sb)
-    except ValueError:
-        raise ShapeError(op, sa, sb) from None
-
-
-def _elementwise(op: str, a: Tensor, b: Tensor, fwd, grad_a, grad_b) -> Tensor:
-    """A broadcasting binary node. grad_a / grad_b: (g, x, y) -> the output-shaped
-    gradient of an operand, reduced to its shape; an operand that needs no
-    gradient gets None, and its gradient is never formed."""
-    _check_elementwise(op, a, b)
-
-    def bwd(g, out, x, y):
-        return (_match_reduce(grad_a(g, x, y), x.shape) if a.requires_grad else None,
-                _match_reduce(grad_b(g, x, y), y.shape) if b.requires_grad else None)
-
-    return _node(op, (a, b), fwd, bwd)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("add", a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("sub", a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("mul", a, b, lambda x, y: x * y,
-                        lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
 def divisor_backward(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The gradient of x / y with respect to y, at the output's shape."""
     return -g * x / (y * y)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("div", a, b, lambda x, y: x / y, lambda g, x, y: g / y, divisor_backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -353,24 +258,6 @@ def take_rows(a: Tensor, index) -> Tensor:
                  lambda g, out, x: (take_rows_backward(g, gather),))
 
 
-def take_per_row(a: Tensor, cols) -> Tensor:
-    """Entry cols[i] of each row i of a 2-D tensor, as an (n,) vector. The
-    backward writes each entry's gradient back to that entry, zeros elsewhere."""
-    cols = np.asarray(cols, dtype=np.intp)
-    if a.data.ndim != 2 or cols.shape != a.data.shape[:1]:
-        raise ShapeError("take_per_row", a.data.shape, cols.shape)
-    if cols.size and not 0 <= cols.min() <= cols.max() < a.data.shape[1]:
-        raise IndexError(f"take_per_row: column index outside [0, {a.data.shape[1]})")
-    rows = np.arange(cols.size)
-
-    def bwd(g, out, x):
-        gx = np.zeros_like(x)
-        gx[rows, cols] = g
-        return (gx,)
-
-    return _node("take_per_row", (a,), lambda x: x[rows, cols], bwd)
-
-
 def check_lengths(op: str, shape, lengths) -> np.ndarray:
     """Per-video row counts of a 2-D stack: each at least 1, summing to its rows."""
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -378,21 +265,6 @@ def check_lengths(op: str, shape, lengths) -> np.ndarray:
             or lengths.min() < 1 or lengths.sum() != shape[0]):
         raise ShapeError(op, shape, lengths.shape)
     return lengths
-
-
-def segment_sum(a: Tensor, lengths) -> Tensor:
-    """Sum each run of consecutive rows: (sum(lengths), k) -> (len(lengths), k).
-
-    Every run must hold at least one row.
-    """
-    lengths = check_lengths("segment_sum", a.data.shape, lengths)
-    starts = np.cumsum(lengths) - lengths
-    return _node(
-        "segment_sum",
-        (a,),
-        lambda x: np.add.reduceat(x, starts, axis=0),
-        lambda g, out, x: (np.repeat(g, lengths, axis=0),),
-    )
 
 
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:
@@ -408,24 +280,8 @@ def sigmoid_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return g * out * (1.0 - out)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    return _node("sigmoid", (a,), sigmoid_forward, lambda g, out, x: (sigmoid_backward(g, out),))
-
-
-def log(a: Tensor) -> Tensor:
-    return _node("log", (a,), np.log, lambda g, out, x: (g / x,))
-
-
 def relu_forward(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
-
-
-def relu(a: Tensor) -> Tensor:
-    return _node("relu", (a,), relu_forward, lambda g, out, x: (g * (x > 0.0),))
-
-
-def square(a: Tensor) -> Tensor:
-    return _node("square", (a,), np.square, lambda g, out, x: (2.0 * x * g,))
 
 
 def normalized_rows(x: np.ndarray):
@@ -476,38 +332,6 @@ def softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The input gradient of a row softmax whose output is `out`."""
     inner = np.sum(g * out, axis=1, keepdims=True)
     return (g - inner) * out
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over each row of a 2-D tensor."""
-    return _node("softmax", (a,), softmax_forward, lambda g, out, x: (softmax_backward(g, out),))
-
-
-def _reduce(a: Tensor, kind: str, axis, keepdims: bool = False) -> Tensor:
-    reduce_fn = {"sum": np.sum, "mean": np.mean, "max": np.max, "min": np.min}[kind]
-
-    def fwd(x):
-        return np.asarray(reduce_fn(x, axis=axis, keepdims=keepdims))
-
-    def bwd(g, out, x):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        if kind in ("sum", "mean"):
-            gx = np.broadcast_to(g, x.shape).copy()
-            if kind == "mean":
-                gx /= x.size if axis is None else x.shape[axis]
-            return (gx,)
-        # max/min subgradient: the first attaining index (row-major) takes it all
-        argfn = np.argmax if kind == "max" else np.argmin
-        gx = np.zeros_like(x)
-        if axis is None:
-            gx.flat[argfn(x)] = g
-        else:
-            idx = np.expand_dims(argfn(x, axis=axis), axis)
-            np.put_along_axis(gx, idx, g, axis=axis)
-        return (gx,)
-
-    return _node(kind, (a,), fwd, bwd)
 
 
 class ConvGrid:
@@ -584,11 +408,17 @@ def _taps(kv: np.ndarray, shape) -> np.ndarray:
 
 def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,
                              grid: ConvGrid = None) -> np.ndarray:
-    """`depthwise_conv1d` on plain arrays: (T, d) by (d, w) kernel -> (T, d),
-    with `lengths` as there. `grid`, when given, is xv's `ConvGrid`.
+    """Per-channel 1-D convolution along axis 0 with "same" zero padding.
 
-    One einsum over the grid's tap-leading windows: every output adds its
-    taps in order j = 0..w-1 to a zero start.
+    xv is (T, d), kv is (d, w); output (T, d) with
+    out[i, c] = sum_j xv[i + j - pad_left, c] * kv[c, j], zeros outside,
+    pad_left = (w - 1) // 2 so a delta kernel at that tap is the identity.
+    With `lengths`, xv stacks videos of those lengths and each is padded on
+    its own: the output rows equal one call per video, bit for bit. `grid`,
+    when given, is xv's `ConvGrid`.
+
+    One einsum over the grid's tap-leading windows (`_windows`, `_taps`):
+    every output adds its taps in order j = 0..w-1 to a zero start.
     """
     if grid is None:
         lengths = check_lengths("depthwise_conv1d", xv.shape,
@@ -613,37 +443,6 @@ def depthwise_conv1d_backward(g: np.ndarray, kv: np.ndarray, grid: ConvGrid):
     gx = np.einsum("jvtc,jvtc->vtc", _windows(gsp, t_max, reverse=True), _taps(kv, grid.shape))
     del gsp  # before the gather copies the stack's rows out of gx
     return grid.gather(gx), gk
-
-
-def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths=None) -> Tensor:
-    """Per-channel 1-D convolution along axis 0 with "same" zero padding.
-
-    x is (T, d), kernel is (d, w); output (T, d) with
-    out[i, c] = sum_j x[i + j - pad_left, c] * kernel[c, j], zeros outside,
-    pad_left = (w - 1) // 2 so a delta kernel at that tap is the identity.
-    With `lengths`, x stacks videos of those lengths and each is padded on
-    its own: the output rows equal one call per video, bit for bit. The
-    backward reuses the forward's `ConvGrid`.
-
-    The output, input gradient and kernel gradient are one einsum each over
-    tap-leading windows of a padded grid (`_windows`, `_taps`). Each output
-    and input gradient row adds its taps in order j = 0..w-1 to a zero start;
-    each kernel gradient entry is one in-order sum over the grid's rows.
-    """
-    if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[0]:
-        raise ShapeError("depthwise_conv1d", x.data.shape, kernel.data.shape)
-    lengths = check_lengths("depthwise_conv1d", x.data.shape,
-                            [len(x.data)] if lengths is None else lengths)
-    w = kernel.data.shape[1]
-    grid = None  # set by each forward evaluation, read by the backward
-
-    def fwd(xv, kv):
-        nonlocal grid
-        grid = ConvGrid(xv, w, lengths)
-        return depthwise_conv1d_forward(xv, kv, grid=grid)
-
-    return _node("depthwise_conv1d", (x, kernel), fwd,
-                 lambda g, out, xv, kv: depthwise_conv1d_backward(g, kv, grid))
 
 
 @dataclass

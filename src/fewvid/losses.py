@@ -10,9 +10,10 @@ becomes a compact region of the embedding space instead of a blanket
 suppression of everything the base classifier does not recognize. The
 contrastive term is one graph node over the two pools; its hardest pairs
 come from one Gram product, used only to filter candidates whose exact
-distances then decide. The batch's self-weighting, its aggregation and each
-cross entropy are one graph node too, each with the float operations of the
-primitive chain it replaces, in that chain's order.
+distances then decide. The batch's self-weighting, its aggregation, each
+cross entropy and the weighted sum of the terms are one graph node too, each
+with the float operations of the primitive chain it replaces, in that
+chain's order (the chains are kept as test oracles).
 
 Aggregation weights come either from the per-video self-weighting (distance
 to the video's own pseudo-labeled background segment) or, in the baseline
@@ -67,24 +68,22 @@ def self_weight(f, i_bg, cfg: LossConfig = None):
     a batch it may instead be an index array naming, for every row of f, the
     BG row of that row's video. A plain (Q, T, d) array f stacks Q videos of
     one length, with a (Q,) i_bg, and gives (Q, T, 1) weights. A Tensor f
-    gives a graph node; a plain array gives a plain array.
+    gives a graph node (`_self_weight_rows`); a plain array gives a plain
+    array.
     """
     cfg = cfg or LossConfig()
-    if not isinstance(f, ad.Tensor):
-        # each video's BG row as a C-ordered (d, 1) column, like the graph's transpose
-        at = np.reshape(i_bg, np.shape(i_bg) + (1, 1))
-        cos = f @ np.take_along_axis(f, at, axis=-2).swapaxes(-1, -2).copy()
-    elif np.ndim(i_bg):
+    if isinstance(f, ad.Tensor):
+        if np.ndim(i_bg) == 0:
+            i_bg = np.full(len(f.data), i_bg)
         return _self_weight_rows(f, i_bg, cfg)
-    else:
-        cos = f @ ad.take_rows(f, [i_bg]).T
-    return _weight_curve(cos, cfg)
+    # each video's BG row as a C-ordered (d, 1) column
+    at = np.reshape(i_bg, np.shape(i_bg) + (1, 1))
+    return _weight_curve(f @ np.take_along_axis(f, at, axis=-2).swapaxes(-1, -2).copy(), cfg)
 
 
-def _weight_curve(cos, cfg: LossConfig):
-    """sigmoid(tau_s * ((1 - c) - cos)) of a Tensor or a plain array."""
-    sigmoid = ad.sigmoid if isinstance(cos, ad.Tensor) else ad.sigmoid_forward
-    return sigmoid(cfg.tau_s * ((1.0 - cfg.c) - cos))
+def _weight_curve(cos: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """sigmoid(tau_s * ((1 - c) - cos)) of a plain array."""
+    return ad.sigmoid_forward(cfg.tau_s * ((1.0 - cfg.c) - cos))
 
 
 def _self_weight_rows(f: ad.Tensor, i_bg, cfg: LossConfig) -> ad.Tensor:
@@ -118,21 +117,18 @@ def _self_weight_rows(f: ad.Tensor, i_bg, cfg: LossConfig) -> ad.Tensor:
 def aggregate_video_feature(f, weights, lengths=None):
     """(1, d) convex combination of segment features, weights normalized.
 
-    Takes Tensors or plain arrays, and returns the same kind. With `lengths`
-    (Tensors only), f and weights stack videos of those lengths and each
-    video gets its own row of the (len(lengths), d) result. Plain (Q, T, d)
-    features with (Q, T, 1) weights stack Q videos of one length and give
-    (Q, 1, d).
+    Takes Tensors or plain arrays, and returns the same kind. Tensors give
+    one graph node (`_aggregate_videos`); with `lengths` (Tensors only), f
+    and weights stack videos of those lengths and each video gets its own
+    row of the (len(lengths), d) result. Plain (Q, T, d) features with
+    (Q, T, 1) weights stack Q videos of one length and give (Q, 1, d).
     """
-    if lengths is not None:
-        return _aggregate_videos(f, weights, lengths)
     if isinstance(f, ad.Tensor):
-        num, den = weights.T @ f, weights.sum()
-    else:
-        # each video's weights summed along its own contiguous T axis
-        num = weights.swapaxes(-1, -2) @ f
-        den = weights[..., 0].sum(axis=-1)[..., None, None]
-    _check_weight_sums(den.data if isinstance(den, ad.Tensor) else den)
+        return _aggregate_videos(f, weights, [len(f.data)] if lengths is None else lengths)
+    # each video's weights summed along its own contiguous T axis
+    num = weights.swapaxes(-1, -2) @ f
+    den = weights[..., 0].sum(axis=-1)[..., None, None]
+    _check_weight_sums(den)
     return num / den
 
 
@@ -219,6 +215,8 @@ def soft_cls_loss(F: ad.Tensor, y, classifier: ad.Tensor,
     y one label per row (an int for a single video)."""
     cfg = cfg or LossConfig()
     labels = np.atleast_1d(np.asarray(y, dtype=np.intp))
+    if labels.shape != F.data.shape[:1]:
+        raise ad.ShapeError("soft_cls_loss", F.data.shape, labels.shape)
     n_rows = classifier.data.shape[0]
     if labels.min() < 0 or labels.max() >= n_rows:
         raise ValueError(f"labels {labels.tolist()} out of range for {n_rows} classifier rows")
@@ -352,6 +350,25 @@ def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tenso
     return ad._node("contrastive", (nb,) if fg is None else (nb, fg), fwd, bwd)
 
 
+def _loss_sum(first: ad.Tensor, weighted: list) -> ad.Tensor:
+    """first + gamma * term for each (gamma, term) of `weighted`, added left
+    to right, as one graph node whose backward gives `first` its gradient g
+    and each term g * gamma; with no terms, `first` comes back as it is."""
+    if not weighted:
+        return first
+    gammas = [gamma for gamma, _ in weighted]
+
+    def fwd(total, *terms):
+        for gamma, term in zip(gammas, terms):
+            total = total + gamma * term
+        return total
+
+    def bwd(g, out, *values):
+        return (g,) + tuple(g * gamma for gamma in gammas)
+
+    return ad._node("loss_sum", (first,) + tuple(term for _, term in weighted), fwd, bwd)
+
+
 @dataclass
 class BatchVideo:
     features: np.ndarray  # (T, d_in) raw segment features
@@ -390,15 +407,16 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
     if cfg.bg or cfg.cl:
         nbg = ad.take_rows(f, labels.bg_rows[labels.is_nbg])
 
-    loss = l_cls
+    weighted = []
     l_contrast = ad.Tensor(0.0)
     if cfg.cl:
         l_contrast = contrastive_loss(nbg, ad.take_rows(f, labels.fg_rows), cfg)
-        loss = loss + cfg.gamma1 * l_contrast
+        weighted.append((cfg.gamma1, l_contrast))
     l_bg = ad.Tensor(0.0)
     if cfg.bg:
         l_bg = bg_cls_loss(nbg, params.classifier, cfg)
-        loss = loss + cfg.gamma2 * l_bg
+        weighted.append((cfg.gamma2, l_bg))
+    loss = _loss_sum(l_cls, weighted)
 
     stats = {
         "l_total": float(loss.data),

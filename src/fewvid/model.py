@@ -7,7 +7,8 @@ the unit sphere and classifier logits are plain cosines. With a gradient,
 the embedding is one graph node over the transform and the kernel. The
 classifier has one row per base class plus one background row; its rows are
 kept unit-norm by the trainer. The small attention net is only used by the
-soft-attention baseline configuration.
+soft-attention baseline configuration; with a gradient it is one graph node
+too, and its forward is the no-grad path's `_attention`.
 """
 
 from __future__ import annotations
@@ -77,12 +78,6 @@ def init_params(n_classes: int, d_in: int, d: int = 64, kernel_width: int = 8,
     )
 
 
-def _rows_t(weight: ad.Tensor) -> np.ndarray:
-    # a C-ordered copy of the transpose, as the graph's transpose node makes,
-    # so array products equal the graph's bit for bit
-    return weight.data.T.copy()
-
-
 def embed_segments(params: ModelParams, raw, grad: bool = True, lengths=None):
     """(T, d_in) raw feature array -> (T, d) unit-norm embeddings, as one
     graph node over the transform and the temporal kernel.
@@ -98,7 +93,7 @@ def embed_segments(params: ModelParams, raw, grad: bool = True, lengths=None):
     """
     if not grad:
         raw = np.asarray(raw, dtype=np.float64)
-        weight = _rows_t(params.transform)
+        weight = params.transform.data.T.copy()  # C-ordered, as the node's forward makes it
         transformed = raw @ weight
         if lengths is not None:
             lengths = ad.check_lengths("embed_segments", raw.shape, lengths)
@@ -159,17 +154,52 @@ def class_rows(params: ModelParams) -> ad.Tensor:
     return ad.take_rows(params.classifier, np.arange(params.n_classes))
 
 
+def _attention(f: np.ndarray, attn_hidden: np.ndarray, attn_out: np.ndarray):
+    """(hidden activations, weights) of the attention net on plain arrays:
+    relu(f @ attn_hidden.T), then sigmoid(hidden @ attn_out.T), each
+    transpose a C-ordered copy as the graph's transpose node made it."""
+    hidden = ad.relu_forward(f @ attn_hidden.T.copy())
+    return hidden, ad.sigmoid_forward(hidden @ attn_out.T.copy())
+
+
 def baseline_attention(params: ModelParams, f):
     """(T, 1) per-segment weights in (0, 1) from a tiny two-layer net.
 
-    A Tensor f gives a graph node; a plain array gives a plain array, and a
-    plain (Q, T, d) stack of videos gives (Q, T, 1).
+    A Tensor f gives one graph node over (f, attn_hidden, attn_out); a plain
+    array gives a plain array, and a plain (Q, T, d) stack of videos gives
+    (Q, T, 1). Both run `_attention`.
     """
     if not isinstance(f, ad.Tensor):
-        hidden = ad.relu_forward(f @ _rows_t(params.attn_hidden))
-        return ad.sigmoid_forward(hidden @ _rows_t(params.attn_out))
-    hidden = ad.relu(f @ params.attn_hidden.T)
-    return ad.sigmoid(hidden @ params.attn_out.T)
+        return _attention(f, params.attn_hidden.data, params.attn_out.data)[1]
+    return _attention_node(f, params.attn_hidden, params.attn_out)
+
+
+def _attention_node(f: ad.Tensor, attn_hidden: ad.Tensor, attn_out: ad.Tensor) -> ad.Tensor:
+    """`baseline_attention`'s graph: one node that keeps the hidden
+    activations of its latest forward evaluation.
+
+    Its backward does the float operations of the chain's backward,
+    transpose -> matmul -> relu -> transpose -> matmul -> sigmoid, in that
+    order, so every input gradient keeps its bits.
+    """
+    hidden = None
+
+    def fwd(fv, hv, ov):
+        nonlocal hidden
+        hidden, out = _attention(fv, hv, ov)
+        return out
+
+    def bwd(g, out, fv, hv, ov):
+        # each matmul's backward multiplies by the transpose of the C-ordered
+        # copy the chain's transpose node held
+        hidden_w, out_w = hv.T.copy(), ov.T.copy()
+        g_logit = ad.sigmoid_backward(g, out)
+        g_pre = (g_logit @ out_w.T) * (hidden > 0.0)  # relu passes where it was positive
+        return (g_pre @ hidden_w.T if f.requires_grad else None,
+                (fv.T @ g_pre).T if attn_hidden.requires_grad else None,
+                (hidden.T @ g_logit).T if attn_out.requires_grad else None)
+
+    return ad._node("attention", (f, attn_hidden, attn_out), fwd, bwd)
 
 
 def save_checkpoint(params: ModelParams, path, config_echo: dict = None):

@@ -1,11 +1,20 @@
 """The training objective's layers as chains of autodiff primitives.
 
 Each layer of the training graph is one node: the embedding
-(`model._embedding_node`), the self-weighting (`losses._self_weight_rows`),
-the aggregation (`losses._aggregate_videos`) and the cross entropy
-(`losses._cross_entropy`). These are the primitive chains those nodes
-replaced, kept as the oracles they must equal bit for bit, value and input
-gradients. `install` builds the whole objective from them.
+(`model._embedding_node`), the attention baseline (`model._attention_node`),
+the self-weighting (`losses._self_weight_rows`), the aggregation
+(`losses._aggregate_videos`), the cross entropy (`losses._cross_entropy`)
+and the weighted loss sum (`losses._loss_sum`). These are the primitive
+chains those nodes replaced, kept as the oracles they must equal bit for
+bit, value and input gradients. `install` builds the whole objective from
+them.
+
+The primitives below are built only by these chains and the tests, so they
+live here rather than in `fewvid.autodiff`. Each is one `ad._node` whose
+backward forms no gradient for an operand that needs none. Elementwise
+operands broadcast as in NumPy (a scalar against an array, or an (n, 1)
+column against an (n, k) matrix), and a plain number is taken as a
+constant Tensor.
 """
 
 import numpy as np
@@ -14,40 +23,240 @@ from fewvid import autodiff as ad
 from fewvid import losses, model
 
 
+def _wrap(value) -> ad.Tensor:
+    return value if isinstance(value, ad.Tensor) else ad.Tensor(value)
+
+
+def _match_reduce(g, shape):
+    """Inverse of broadcasting: sum g over the axes an operand of `shape` was
+    stretched along."""
+    shape = tuple(shape)
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    stretched = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
+    return np.sum(g, axis=stretched).reshape(shape)
+
+
+def _elementwise(op, a, b, fwd, grad_a, grad_b):
+    """A broadcasting binary node. grad_a / grad_b: (g, x, y) -> the output-shaped
+    gradient of an operand, reduced to its shape; an operand that needs no
+    gradient gets None, and its gradient is never formed."""
+    a, b = _wrap(a), _wrap(b)
+    sa, sb = a.data.shape, b.data.shape
+    if sa != sb and sa and sb:
+        try:
+            np.broadcast_shapes(sa, sb)
+        except ValueError:
+            raise ad.ShapeError(op, sa, sb) from None
+
+    def bwd(g, out, x, y):
+        return (_match_reduce(grad_a(g, x, y), x.shape) if a.requires_grad else None,
+                _match_reduce(grad_b(g, x, y), y.shape) if b.requires_grad else None)
+
+    return ad._node(op, (a, b), fwd, bwd)
+
+
+def add(a, b):
+    return _elementwise("add", a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+
+
+def sub(a, b):
+    return _elementwise("sub", a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
+
+
+def mul(a, b):
+    return _elementwise("mul", a, b, lambda x, y: x * y,
+                        lambda g, x, y: g * y, lambda g, x, y: g * x)
+
+
+def div(a, b):
+    return _elementwise("div", a, b, lambda x, y: x / y, lambda g, x, y: g / y,
+                        ad.divisor_backward)
+
+
+def neg(a):
+    return mul(a, -1.0)
+
+
+def take_per_row(a, cols):
+    """Entry cols[i] of each row i of a 2-D tensor, as an (n,) vector. The
+    backward writes each entry's gradient back to that entry, zeros elsewhere."""
+    cols = np.asarray(cols, dtype=np.intp)
+    if a.data.ndim != 2 or cols.shape != a.data.shape[:1]:
+        raise ad.ShapeError("take_per_row", a.data.shape, cols.shape)
+    if cols.size and not 0 <= cols.min() <= cols.max() < a.data.shape[1]:
+        raise IndexError(f"take_per_row: column index outside [0, {a.data.shape[1]})")
+    rows = np.arange(cols.size)
+
+    def bwd(g, out, x):
+        gx = np.zeros_like(x)
+        gx[rows, cols] = g
+        return (gx,)
+
+    return ad._node("take_per_row", (a,), lambda x: x[rows, cols], bwd)
+
+
+def segment_sum(a, lengths):
+    """Sum each run of consecutive rows: (sum(lengths), k) -> (len(lengths), k).
+    Every run must hold at least one row."""
+    lengths = ad.check_lengths("segment_sum", a.data.shape, lengths)
+    starts = np.cumsum(lengths) - lengths
+    return ad._node("segment_sum", (a,), lambda x: np.add.reduceat(x, starts, axis=0),
+                    lambda g, out, x: (np.repeat(g, lengths, axis=0),))
+
+
+def sigmoid(a):
+    return ad._node("sigmoid", (a,), ad.sigmoid_forward,
+                    lambda g, out, x: (ad.sigmoid_backward(g, out),))
+
+
+def log(a):
+    return ad._node("log", (a,), np.log, lambda g, out, x: (g / x,))
+
+
+def relu(a):
+    return ad._node("relu", (a,), ad.relu_forward, lambda g, out, x: (g * (x > 0.0),))
+
+
+def square(a):
+    return ad._node("square", (a,), np.square, lambda g, out, x: (2.0 * x * g,))
+
+
+def softmax(a):
+    """Softmax over each row of a 2-D tensor."""
+    return ad._node("softmax", (a,), ad.softmax_forward,
+                    lambda g, out, x: (ad.softmax_backward(g, out),))
+
+
+def _reduce(a, kind, axis, keepdims=False):
+    reduce_fn = {"sum": np.sum, "mean": np.mean, "max": np.max, "min": np.min}[kind]
+
+    def fwd(x):
+        return np.asarray(reduce_fn(x, axis=axis, keepdims=keepdims))
+
+    def bwd(g, out, x):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        if kind in ("sum", "mean"):
+            gx = np.broadcast_to(g, x.shape).copy()
+            if kind == "mean":
+                gx /= x.size if axis is None else x.shape[axis]
+            return (gx,)
+        # max/min subgradient: the first attaining index (row-major) takes it all
+        argfn = np.argmax if kind == "max" else np.argmin
+        gx = np.zeros_like(x)
+        if axis is None:
+            gx.flat[argfn(x)] = g
+        else:
+            np.put_along_axis(gx, np.expand_dims(argfn(x, axis=axis), axis), g, axis=axis)
+        return (gx,)
+
+    return ad._node(kind, (a,), fwd, bwd)
+
+
+def reduce_sum(a, axis=None, keepdims=False):
+    return _reduce(a, "sum", axis, keepdims)
+
+
+def reduce_mean(a, axis=None):
+    return _reduce(a, "mean", axis)
+
+
+def reduce_max(a, axis=None):
+    return _reduce(a, "max", axis)
+
+
+def reduce_min(a, axis=None):
+    return _reduce(a, "min", axis)
+
+
+def depthwise_conv1d(x, kernel, lengths=None):
+    """`ad.depthwise_conv1d_forward` as a graph node over (x, kernel), whose
+    backward reuses the `ConvGrid` of its latest forward evaluation."""
+    if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[0]:
+        raise ad.ShapeError("depthwise_conv1d", x.data.shape, kernel.data.shape)
+    lengths = ad.check_lengths("depthwise_conv1d", x.data.shape,
+                               [len(x.data)] if lengths is None else lengths)
+    w = kernel.data.shape[1]
+    grid = None
+
+    def fwd(xv, kv):
+        nonlocal grid
+        grid = ad.ConvGrid(xv, w, lengths)
+        return ad.depthwise_conv1d_forward(xv, kv, grid=grid)
+
+    return ad._node("depthwise_conv1d", (x, kernel), fwd,
+                    lambda g, out, xv, kv: ad.depthwise_conv1d_backward(g, kv, grid))
+
+
 def chain_embedding(params, raw, lengths):
     """transpose -> matmul -> depthwise_conv1d -> l2_normalize_rows."""
     transformed = ad.Tensor(raw) @ params.transform.T
-    return ad.l2_normalize_rows(ad.depthwise_conv1d(transformed, params.temporal_kernel, lengths))
+    return ad.l2_normalize_rows(depthwise_conv1d(transformed, params.temporal_kernel, lengths))
+
+
+def chain_attention(f, attn_hidden, attn_out):
+    """transpose -> matmul -> relu -> transpose -> matmul -> sigmoid."""
+    return sigmoid(relu(f @ attn_hidden.T) @ attn_out.T)
+
+
+def _weight_curve(cos, cfg):
+    """(1 - c) - cos -> tau_s * -> sigmoid."""
+    return sigmoid(mul(cfg.tau_s, sub(1.0 - cfg.c, cos)))
 
 
 def chain_self_weight(f, i_bg, cfg):
     """take_rows -> mul -> sum -> (1 - c) - cos -> tau_s * -> sigmoid."""
-    cos = (f * ad.take_rows(f, i_bg)).sum(axis=1, keepdims=True)
-    return ad.sigmoid(cfg.tau_s * ((1.0 - cfg.c) - cos))
+    return _weight_curve(reduce_sum(mul(f, ad.take_rows(f, i_bg)), axis=1, keepdims=True), cfg)
 
 
 def chain_aggregate(f, weights, lengths):
     """mul -> segment_sum, segment_sum -> div."""
-    num, den = ad.segment_sum(weights * f, lengths), ad.segment_sum(weights, lengths)
+    num, den = segment_sum(mul(weights, f), lengths), segment_sum(weights, lengths)
     if np.any(den.data == 0):
         raise ValueError("cannot aggregate with weights that sum to zero")
-    return num / den
+    return div(num, den)
 
 
 def chain_cross_entropy(feats, labels, classifier, tau):
     """transpose -> matmul -> tau * -> softmax -> take_per_row -> log -> mean -> neg."""
-    probs = ad.softmax(tau * (feats @ classifier.T))
-    return -(ad.log(ad.take_per_row(probs, labels))).mean()
+    probs = softmax(mul(tau, feats @ classifier.T))
+    return neg(reduce_mean(log(take_per_row(probs, labels))))
+
+
+def chain_loss_sum(first, weighted):
+    """first, then + gamma * term for each (gamma, term): a mul and an add each."""
+    loss = first
+    for gamma, term in weighted:
+        loss = add(loss, mul(gamma, term))
+    return loss
 
 
 def install(monkeypatch):
     """Build every layer of the training objective from its chain."""
     monkeypatch.setattr(model, "_embedding_node", chain_embedding)
+    monkeypatch.setattr(model, "_attention_node", chain_attention)
     monkeypatch.setattr(losses, "_self_weight_rows", chain_self_weight)
     monkeypatch.setattr(losses, "_aggregate_videos", chain_aggregate)
     monkeypatch.setattr(losses, "_cross_entropy", chain_cross_entropy)
+    monkeypatch.setattr(losses, "_loss_sum", chain_loss_sum)
+
+
+def video_self_weight(f, i_bg, cfg):
+    """One video's self-weights by a product with its BG row:
+    f @ take_rows(f, [i_bg]).T -> (1 - c) - cos -> tau_s * -> sigmoid, the
+    one-video graph the array path of `losses.self_weight` equals."""
+    return _weight_curve(f @ ad.take_rows(f, [i_bg]).T, cfg)
+
+
+def video_aggregate(f, weights):
+    """One video's aggregate weights.T @ f / weights.sum(), the one-video
+    graph the array path of `losses.aggregate_video_feature` equals."""
+    return div(weights.T @ f, reduce_sum(weights))
 
 
 def weighted(out, g):
     """A scalar root whose gradient at `out` is exactly g."""
-    return (out * ad.Tensor(g)).sum()
+    return reduce_sum(mul(out, ad.Tensor(g)))

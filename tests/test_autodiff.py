@@ -1,4 +1,6 @@
-"""Gradient correctness for every primitive, checked against central differences."""
+"""Gradient correctness of the engine, its graph ops and plain-array helpers,
+and of the oracle primitives in `primitive_chains`, checked against central
+differences."""
 
 import tracemalloc
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import primitive_chains as pc
 from fewvid import autodiff as ad
 
 
@@ -54,7 +57,8 @@ class TestElementwise:
         a = RNG.normal(size=(3, 4))
         b = RNG.normal(size=(3, 4)) + 3.0  # keep divisors away from zero
         assert_matches_numeric(
-            lambda L: ((L["a"] + L["b"]) * L["a"] - L["b"] / L["a"].max()).sum(),
+            lambda L: pc.reduce_sum(pc.sub(pc.mul(pc.add(L["a"], L["b"]), L["a"]),
+                                           pc.div(L["b"], pc.reduce_max(L["a"])))),
             lambda p: np.sum((p["a"] + p["b"]) * p["a"] - p["b"] / np.max(p["a"])),
             {"a": a + 2.0, "b": b},
         )
@@ -62,7 +66,7 @@ class TestElementwise:
     def test_scalar_broadcast(self):
         a = RNG.normal(size=(2, 5))
         assert_matches_numeric(
-            lambda L: (L["a"] * L["s"] + L["s"]).sum(),
+            lambda L: pc.reduce_sum(pc.add(pc.mul(L["a"], L["s"]), L["s"])),
             lambda p: np.sum(p["a"] * p["s"] + p["s"]),
             {"a": a, "s": np.array(1.7)},
         )
@@ -71,7 +75,8 @@ class TestElementwise:
         a = RNG.normal(size=(4, 3))
         c = RNG.normal(size=(4, 1)) + 3.0
         assert_matches_numeric(
-            lambda L: ad.square(L["a"] * L["c"] - L["a"] / L["c"] + L["c"]).sum(),
+            lambda L: pc.reduce_sum(pc.square(pc.add(
+                pc.sub(pc.mul(L["a"], L["c"]), pc.div(L["a"], L["c"])), L["c"]))),
             lambda p: np.sum((p["a"] * p["c"] - p["a"] / p["c"] + p["c"]) ** 2),
             {"a": a, "c": c},
         )
@@ -79,8 +84,9 @@ class TestElementwise:
     def test_unary_chain(self):
         a = RNG.uniform(0.5, 2.0, size=(4, 3))
         assert_matches_numeric(
-            lambda L: (ad.log(L["a"]) + ad.sigmoid(L["a"])
-                       + ad.relu(L["a"] - 1.0) + ad.square(L["a"])).sum(),
+            lambda L: pc.reduce_sum(pc.add(pc.add(pc.add(pc.log(L["a"]), pc.sigmoid(L["a"])),
+                                                  pc.relu(pc.sub(L["a"], 1.0))),
+                                           pc.square(L["a"]))),
             lambda p: np.sum(np.log(p["a"]) + 1.0 / (1.0 + np.exp(-p["a"]))
                              + np.maximum(p["a"] - 1.0, 0.0) + p["a"] ** 2),
             {"a": a},
@@ -90,7 +96,7 @@ class TestElementwise:
         # d/dx sum(x^2) = 2x has no truncation error to speak of
         x = RNG.normal(size=(5,))
         leaf = ad.Tensor(x, requires_grad=True)
-        ad.backward(ad.square(leaf).sum())
+        ad.backward(pc.reduce_sum(pc.square(leaf)))
         np.testing.assert_allclose(leaf.grad, 2.0 * x, rtol=1e-8, atol=1e-8)
 
 
@@ -134,7 +140,7 @@ class TestMatmulAndShaping:
         a = RNG.normal(size=(3, 4))
         b = RNG.normal(size=(4, 2))
         assert_matches_numeric(
-            lambda L: (L["a"] @ L["b"]).sum(),
+            lambda L: pc.reduce_sum(L["a"] @ L["b"]),
             lambda p: np.sum(p["a"] @ p["b"]),
             {"a": a, "b": b},
         )
@@ -143,7 +149,7 @@ class TestMatmulAndShaping:
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(2, 3))
         assert_matches_numeric(
-            lambda L: (L["a"].T @ L["b"]).sum(),
+            lambda L: pc.reduce_sum(L["a"].T @ L["b"]),
             lambda p: np.sum(p["a"].T @ p["b"]),
             {"a": a, "b": b},
         )
@@ -152,7 +158,7 @@ class TestMatmulAndShaping:
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(4, 3))
         assert_matches_numeric(
-            lambda L: ad.square(ad.concat_rows([L["a"], L["b"]])).sum(),
+            lambda L: pc.reduce_sum(pc.square(ad.concat_rows([L["a"], L["b"]]))),
             lambda p: np.sum(np.concatenate([p["a"], p["b"]], axis=0) ** 2),
             {"a": a, "b": b},
         )
@@ -162,7 +168,7 @@ class TestMatmulAndShaping:
         index = [2, 0, 2, 3, 2]
         np.testing.assert_array_equal(ad.take_rows(ad.Tensor(m), index).data, m[index])
         assert_matches_numeric(
-            lambda L: ad.square(ad.take_rows(L["m"], index) * L["w"]).sum(),
+            lambda L: pc.reduce_sum(pc.square(pc.mul(ad.take_rows(L["m"], index), L["w"]))),
             lambda p: np.sum((p["m"][index] * p["w"]) ** 2),
             {"m": m, "w": RNG.normal(size=(5, 3))},
         )
@@ -179,14 +185,14 @@ class TestMatmulAndShaping:
     def test_take_per_row_picks_and_scatters(self):
         m = RNG.normal(size=(4, 3))
         cols = [2, 0, 2, 1]
-        np.testing.assert_array_equal(ad.take_per_row(ad.Tensor(m), cols).data,
+        np.testing.assert_array_equal(pc.take_per_row(ad.Tensor(m), cols).data,
                                       m[np.arange(4), cols])
         report = ad.grad_check(
-            lambda L: (ad.take_per_row(L["m"], cols) * L["w"]).sum(),
+            lambda L: pc.reduce_sum(pc.mul(pc.take_per_row(L["m"], cols), L["w"])),
             {"m": m, "w": RNG.normal(size=4)})
         assert report.passed, report.summary()
         leaf = ad.Tensor(m, requires_grad=True)
-        ad.backward(ad.take_per_row(leaf, cols).sum())
+        ad.backward(pc.reduce_sum(pc.take_per_row(leaf, cols)))
         want = np.zeros((4, 3))
         want[np.arange(4), cols] = 1.0
         np.testing.assert_array_equal(leaf.grad, want)
@@ -194,11 +200,11 @@ class TestMatmulAndShaping:
     def test_take_per_row_rejects_bad_cols(self):
         m = ad.Tensor(np.ones((3, 2)))
         with pytest.raises(IndexError):
-            ad.take_per_row(m, [0, 2, 1])
+            pc.take_per_row(m, [0, 2, 1])
         with pytest.raises(IndexError):
-            ad.take_per_row(m, [0, -1, 1])
+            pc.take_per_row(m, [0, -1, 1])
         with pytest.raises(ad.ShapeError):
-            ad.take_per_row(m, [0, 1])
+            pc.take_per_row(m, [0, 1])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 60), st.integers(1, 5))
@@ -211,7 +217,7 @@ class TestMatmulAndShaping:
         g = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
         leaf = ad.Tensor(rng.normal(size=(rows, d)), requires_grad=True)
         out = ad.take_rows(leaf, index)
-        ad.backward((out * ad.Tensor(g)).sum())
+        ad.backward(pc.weighted(out, g))
         want = np.zeros((rows, d))
         np.add.at(want, index, g)
         if n == 0 or np.bincount(index).max() <= 2:
@@ -223,10 +229,10 @@ class TestMatmulAndShaping:
     def test_segment_sum(self):
         a = RNG.normal(size=(6, 3))
         lengths = [2, 1, 3]
-        got = ad.segment_sum(ad.Tensor(a), lengths).data
+        got = pc.segment_sum(ad.Tensor(a), lengths).data
         np.testing.assert_allclose(got, [a[:2].sum(0), a[2], a[3:].sum(0)], rtol=1e-15)
         assert_matches_numeric(
-            lambda L: ad.square(ad.segment_sum(L["a"], lengths) * L["w"]).sum(),
+            lambda L: pc.reduce_sum(pc.square(pc.mul(pc.segment_sum(L["a"], lengths), L["w"]))),
             lambda p: np.sum((np.stack([p["a"][:2].sum(0), p["a"][2], p["a"][3:].sum(0)])
                               * p["w"]) ** 2),
             {"a": a, "w": RNG.normal(size=(3, 3))},
@@ -235,14 +241,14 @@ class TestMatmulAndShaping:
     @pytest.mark.parametrize("lengths", [[2, 3], [1, 0, 5], [7], [], [[6]]])
     def test_segment_sum_rejects_bad_lengths(self, lengths):
         with pytest.raises(ad.ShapeError):
-            ad.segment_sum(ad.Tensor(np.ones((6, 2))), lengths)
+            pc.segment_sum(ad.Tensor(np.ones((6, 2))), lengths)
 
 
 class TestNormalizeAndSoftmax:
     def test_l2_normalize_rows(self):
         a = RNG.normal(size=(4, 6))
         assert_matches_numeric(
-            lambda L: (ad.l2_normalize_rows(L["a"]) * L["w"]).sum(),
+            lambda L: pc.reduce_sum(pc.mul(ad.l2_normalize_rows(L["a"]), L["w"])),
             lambda p: np.sum(p["a"] / (np.linalg.norm(p["a"], axis=1, keepdims=True) + 1e-12) * p["w"]),
             {"a": a, "w": RNG.normal(size=(4, 6))},
         )
@@ -253,13 +259,13 @@ class TestNormalizeAndSoftmax:
         leaf = ad.Tensor(a, requires_grad=True)
         out = ad.l2_normalize_rows(leaf)
         np.testing.assert_array_equal(out.data[0], 0.0)
-        ad.backward(out.sum())
+        ad.backward(pc.reduce_sum(out))
         np.testing.assert_array_equal(leaf.grad[0], 0.0)
         assert np.all(np.isfinite(leaf.grad))
 
     def test_softmax_rows_sum_to_one(self):
         a = RNG.normal(size=(5, 7)) * 30.0  # large logits must not overflow
-        s = ad.softmax(ad.Tensor(a))
+        s = pc.softmax(ad.Tensor(a))
         np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-10)
 
     def test_softmax_grad(self):
@@ -271,7 +277,7 @@ class TestNormalizeAndSoftmax:
             return e / e.sum(axis=1, keepdims=True)
 
         assert_matches_numeric(
-            lambda L: (ad.softmax(L["a"]) * L["w"]).sum(),
+            lambda L: pc.reduce_sum(pc.mul(pc.softmax(L["a"]), L["w"])),
             lambda p: np.sum(np_softmax(p["a"]) * p["w"]),
             {"a": a, "w": w},
         )
@@ -282,8 +288,8 @@ class TestNormalizeAndSoftmax:
         v = RNG.normal(size=(1, 8))
         un = ad.l2_normalize_rows(ad.Tensor(u))
         vn = ad.l2_normalize_rows(ad.Tensor(v))
-        dist2 = ad.square(un - vn).sum()
-        cos = (un * vn).sum()
+        dist2 = pc.reduce_sum(pc.square(pc.sub(un, vn)))
+        cos = pc.reduce_sum(pc.mul(un, vn))
         assert abs(float(dist2.data) - (2.0 - 2.0 * float(cos.data))) < 1e-10
 
 
@@ -293,13 +299,15 @@ class TestReductions:
         w = RNG.normal(size=(3, 4))
         for axis in (None, 0, 1):
             assert_matches_numeric(
-                lambda L, ax=axis: ad.square(L["a"].mean(ax)).sum() + L["a"].sum(ax).sum(),
+                lambda L, ax=axis: pc.add(pc.reduce_sum(pc.square(pc.reduce_mean(L["a"], ax))),
+                                          pc.reduce_sum(pc.reduce_sum(L["a"], ax))),
                 lambda p, ax=axis: np.sum(np.mean(p["a"], axis=ax) ** 2) + np.sum(p["a"]),
                 {"a": a},
             )
             # keepdims keeps the reduced axis, so the result broadcasts back
             assert_matches_numeric(
-                lambda L, ax=axis: ad.square(L["a"].sum(ax, keepdims=True) * w).sum(),
+                lambda L, ax=axis: pc.reduce_sum(
+                    pc.square(pc.mul(pc.reduce_sum(L["a"], ax, keepdims=True), w))),
                 lambda p, ax=axis: np.sum((np.sum(p["a"], axis=ax, keepdims=True) * w) ** 2),
                 {"a": a},
             )
@@ -308,7 +316,8 @@ class TestReductions:
         a = RNG.normal(size=(4, 5))
         for axis in (None, 0, 1):
             assert_matches_numeric(
-                lambda L, ax=axis: (L["a"].max(ax) - L["a"].min(ax)).sum(),
+                lambda L, ax=axis: pc.reduce_sum(pc.sub(pc.reduce_max(L["a"], ax),
+                                                        pc.reduce_min(L["a"], ax))),
                 lambda p, ax=axis: np.sum(np.max(p["a"], axis=ax) - np.min(p["a"], axis=ax)),
                 {"a": a},
             )
@@ -316,13 +325,13 @@ class TestReductions:
     def test_max_tie_goes_to_first_index(self):
         a = np.array([[1.0, 3.0, 3.0, 0.0]])
         leaf = ad.Tensor(a, requires_grad=True)
-        ad.backward(leaf.max())
+        ad.backward(pc.reduce_max(leaf))
         np.testing.assert_array_equal(leaf.grad, [[0.0, 1.0, 0.0, 0.0]])
 
     def test_min_tie_goes_to_first_index(self):
         a = np.array([[2.0, -1.0], [-1.0, 5.0]])
         leaf = ad.Tensor(a, requires_grad=True)
-        ad.backward(leaf.min())
+        ad.backward(pc.reduce_min(leaf))
         np.testing.assert_array_equal(leaf.grad, [[0.0, 1.0], [0.0, 0.0]])
 
 
@@ -332,7 +341,7 @@ class TestConv:
         w = 4
         k = np.zeros((3, w))
         k[:, (w - 1) // 2] = 1.0  # delta at the center tap
-        out = ad.depthwise_conv1d(ad.Tensor(x), ad.Tensor(k))
+        out = pc.depthwise_conv1d(ad.Tensor(x), ad.Tensor(k))
         np.testing.assert_allclose(out.data, x, atol=1e-15)
 
     def test_conv_grad(self):
@@ -349,7 +358,7 @@ class TestConv:
             return out
 
         assert_matches_numeric(
-            lambda L: ad.square(ad.depthwise_conv1d(L["x"], L["k"])).sum(),
+            lambda L: pc.reduce_sum(pc.square(pc.depthwise_conv1d(L["x"], L["k"]))),
             lambda p: np.sum(np_conv(p["x"], p["k"]) ** 2),
             {"x": x, "k": k},
         )
@@ -366,8 +375,8 @@ class TestConv:
 
         x = ad.Tensor(np.concatenate(xs), requires_grad=True)
         kernel = ad.Tensor(k, requires_grad=True)
-        out = ad.depthwise_conv1d(x, kernel, lengths)
-        ad.backward((out * ad.Tensor(np.concatenate(ws))).sum())
+        out = pc.depthwise_conv1d(x, kernel, lengths)
+        ad.backward(pc.weighted(out, np.concatenate(ws)))
         np.testing.assert_array_equal(
             out.data, np.concatenate([ad.depthwise_conv1d_forward(xv, k) for xv in xs]))
         np.testing.assert_array_equal(
@@ -377,9 +386,9 @@ class TestConv:
         for xv, wv in zip(xs, ws):
             leaf = ad.Tensor(xv, requires_grad=True)
             kleaf = ad.Tensor(k, requires_grad=True)
-            one = ad.depthwise_conv1d(leaf, kleaf)
+            one = pc.depthwise_conv1d(leaf, kleaf)
             np.testing.assert_array_equal(one.data, ad.depthwise_conv1d_forward(xv, k))
-            ad.backward((one * ad.Tensor(wv)).sum())
+            ad.backward(pc.weighted(one, wv))
             x_grads.append(leaf.grad)
             k_grad += kleaf.grad
         # input rows see the same taps in the same order; the kernel gradient
@@ -410,8 +419,8 @@ class TestConv:
             want_gk[:, j] = np.sum(gs * xp[j : j + sweep], axis=0)
 
         x, kernel = ad.Tensor(xv, requires_grad=True), ad.Tensor(k, requires_grad=True)
-        out = ad.depthwise_conv1d(x, kernel, lengths)
-        ad.backward((out * ad.Tensor(g)).sum())
+        out = pc.depthwise_conv1d(x, kernel, lengths)
+        ad.backward(pc.weighted(out, g))
         assert out.data.tobytes() == want_out[rows].tobytes()
         assert x.grad.tobytes() == want_gxp[rows + pad].tobytes()
         if d > 1:
@@ -424,20 +433,20 @@ class TestConv:
         lengths = [4, 6, 1]
         x = ad.Tensor(rng.normal(size=(11, 3)), requires_grad=True)
         kernel = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        root = ad.square(ad.depthwise_conv1d(x, kernel, lengths)).sum()
+        root = pc.reduce_sum(pc.square(pc.depthwise_conv1d(x, kernel, lengths)))
         x.data[:] = rng.normal(size=(11, 3))  # a new input under the built graph
         ad.forward(root)
         ad.backward(root)
 
         x2, kernel2 = (ad.Tensor(t.data, requires_grad=True) for t in (x, kernel))
-        ad.backward(ad.square(ad.depthwise_conv1d(x2, kernel2, lengths)).sum())
+        ad.backward(pc.reduce_sum(pc.square(pc.depthwise_conv1d(x2, kernel2, lengths))))
         np.testing.assert_array_equal(x.grad, x2.grad)
         np.testing.assert_array_equal(kernel.grad, kernel2.grad)
 
     @pytest.mark.parametrize("lengths", [[3, 3], [7, 0], [], [[7]]])
     def test_rejects_bad_lengths(self, lengths):
         with pytest.raises(ad.ShapeError):
-            ad.depthwise_conv1d(ad.Tensor(np.ones((7, 2))), ad.Tensor(np.ones((2, 3))), lengths)
+            pc.depthwise_conv1d(ad.Tensor(np.ones((7, 2))), ad.Tensor(np.ones((2, 3))), lengths)
 
 
 def unbroadcast(v, shape):
@@ -471,7 +480,7 @@ class TestConstantOperands:
         rng = np.random.default_rng(3)
         arrays = [rng.normal(size=s) + 3.0 for s in shapes]  # divisors away from zero
         operands = [ad.Tensor(v, requires_grad=i != constant) for i, v in enumerate(arrays)]
-        out = getattr(ad, op)(*operands)
+        out = getattr(pc, op)(*operands)
         g = rng.normal(size=out.data.shape)
         grads = out._bwd(g, out.data, *arrays)
         learned = 1 - constant
@@ -479,7 +488,7 @@ class TestConstantOperands:
         want = unbroadcast(DENSE_GRADS[op][learned](g, *arrays), arrays[learned].shape)
         assert grads[learned].tobytes() == want.tobytes()
 
-        ad.backward((out * ad.Tensor(g)).sum())
+        ad.backward(pc.weighted(out, g))
         assert operands[constant].grad is None
         assert operands[learned].grad.tobytes() == want.tobytes()
 
@@ -539,7 +548,7 @@ class TestTakeRowsGradient:
         rng = np.random.default_rng(9)
         leaf = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
         g = rng.normal(size=(len(index), 3))
-        ad.backward((ad.take_rows(leaf, index) * ad.Tensor(g)).sum())
+        ad.backward(pc.weighted(ad.take_rows(leaf, index), g))
         assert leaf.grad.tobytes() == dense_take_rows_grad(g, index, 7).tobytes()
 
     @pytest.mark.parametrize("first", sorted(TAKE_INDICES))
@@ -550,8 +559,8 @@ class TestTakeRowsGradient:
         leaf = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
         g1 = rng.normal(size=(len(TAKE_INDICES[first]), 3))
         g2 = rng.normal(size=(len(TAKE_INDICES[later]), 3))
-        ad.backward((ad.take_rows(leaf, TAKE_INDICES[first]) * ad.Tensor(g1)).sum()
-                    + (ad.take_rows(leaf, TAKE_INDICES[later]) * ad.Tensor(g2)).sum())
+        ad.backward(pc.add(pc.weighted(ad.take_rows(leaf, TAKE_INDICES[first]), g1),
+                           pc.weighted(ad.take_rows(leaf, TAKE_INDICES[later]), g2)))
         want = (dense_take_rows_grad(g1, TAKE_INDICES[first], 7)
                 + dense_take_rows_grad(g2, TAKE_INDICES[later], 7))
         assert leaf.grad.tobytes() == want.tobytes()
@@ -562,15 +571,16 @@ class TestTakeRowsGradient:
         rng = np.random.default_rng(11)
         leaf = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
         g, p = rng.normal(size=(len(index), 3)), rng.normal(size=(7, 3))
-        ad.backward((ad.take_rows(leaf, index) * ad.Tensor(g)).sum() + (leaf * ad.Tensor(p)).sum())
+        ad.backward(pc.add(pc.weighted(ad.take_rows(leaf, index), g), pc.weighted(leaf, p)))
         assert leaf.grad.tobytes() == (p + dense_take_rows_grad(g, index, 7)).tobytes()
 
     def test_rows_outside_the_index_keep_their_bits(self):
         # the dense product's gradient (-0.0 in row 0) reaches the leaf
         # first; adding the gather's rows leaves row 0 as it is
         leaf = ad.Tensor(np.ones((3, 1)), requires_grad=True)
-        dense, gather = leaf * 0.0, ad.take_rows(leaf, [2])
-        root = (dense * ad.Tensor([[-1.0], [0.0], [2.0]])).sum() + (gather * 4.0).sum()
+        dense, gather = pc.mul(leaf, 0.0), ad.take_rows(leaf, [2])
+        root = pc.add(pc.weighted(dense, [[-1.0], [0.0], [2.0]]),
+                      pc.reduce_sum(pc.mul(gather, 4.0)))
         order = ad._topo(root)
         assert order.index(dense) > order.index(gather)  # visited first going back
         ad.backward(root)
@@ -629,9 +639,9 @@ class TestConvPerTap:
         stack = np.concatenate(xs)
         assert ad.depthwise_conv1d_forward(stack, k, lengths).tobytes() == np.concatenate(outs).tobytes()
         x, kernel = ad.Tensor(stack, requires_grad=True), ad.Tensor(k, requires_grad=True)
-        out = ad.depthwise_conv1d(x, kernel, lengths)
+        out = pc.depthwise_conv1d(x, kernel, lengths)
         assert out.data.tobytes() == np.concatenate(outs).tobytes()
-        ad.backward((out * ad.Tensor(np.concatenate(gs))).sum())
+        ad.backward(pc.weighted(out, np.concatenate(gs)))
         assert x.grad.tobytes() == np.concatenate(gxs).tobytes()
         if d > 1:
             assert kernel.grad.tobytes() == gk.tobytes()
@@ -649,7 +659,7 @@ class TestConvPerTap:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = ad.depthwise_conv1d(x, kernel, lengths)
+            out = pc.depthwise_conv1d(x, kernel, lengths)
             forward_peak = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -668,7 +678,7 @@ class TestConvPerTap:
         lengths = rng.integers(12, 21, size=32).tolist()
         xv, g = rng.normal(size=(2, sum(lengths), 64))
         kv = rng.normal(size=(64, 8))
-        out = ad.depthwise_conv1d(ad.Tensor(xv), ad.Tensor(kv, requires_grad=True), lengths)
+        out = pc.depthwise_conv1d(ad.Tensor(xv), ad.Tensor(kv, requires_grad=True), lengths)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -683,7 +693,7 @@ def primitive_input_grad(op, x, g):
     """The gradient a one-input primitive `op` gives its leaf input x when
     its output's gradient is g."""
     leaf = ad.Tensor(x, requires_grad=True)
-    ad.backward((op(leaf) * ad.Tensor(g)).sum())
+    ad.backward(pc.weighted(op(leaf), g))
     return leaf.grad
 
 
@@ -710,21 +720,21 @@ class TestBackwardHelpers:
         rng = np.random.default_rng(21)
         x, g = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
         got = ad.softmax_backward(g, ad.softmax_forward(x))
-        assert got.tobytes() == primitive_input_grad(ad.softmax, x, g).tobytes()
+        assert got.tobytes() == primitive_input_grad(pc.softmax, x, g).tobytes()
         np.testing.assert_allclose(got, self.numeric(ad.softmax_forward, x, g), rtol=1e-6, atol=1e-8)
 
     def test_sigmoid(self):
         rng = np.random.default_rng(22)
         x, g = 3.0 * rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
         got = ad.sigmoid_backward(g, ad.sigmoid_forward(x))
-        assert got.tobytes() == primitive_input_grad(ad.sigmoid, x, g).tobytes()
+        assert got.tobytes() == primitive_input_grad(pc.sigmoid, x, g).tobytes()
         np.testing.assert_allclose(got, self.numeric(ad.sigmoid_forward, x, g), rtol=1e-6, atol=1e-8)
 
     def test_divisor(self):
         rng = np.random.default_rng(23)
         x, y, g = rng.normal(size=(3, 4)), rng.uniform(0.5, 2.0, size=(3, 4)), rng.normal(size=(3, 4))
         got = ad.divisor_backward(g, x, y)
-        assert got.tobytes() == primitive_input_grad(lambda t: ad.Tensor(x) / t, y, g).tobytes()
+        assert got.tobytes() == primitive_input_grad(lambda t: pc.div(x, t), y, g).tobytes()
         np.testing.assert_allclose(got, self.numeric(lambda v: x / v, y, g), rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("lengths, w, d", [([5, 1, 3, 12], 4, 4), ([1, 1, 1], 3, 4),
@@ -741,7 +751,7 @@ class TestBackwardHelpers:
         assert got_x.tobytes() == np.concatenate(gxs).tobytes()
         assert got_k.tobytes() == gk.tobytes()
         x, kernel = ad.Tensor(stack, requires_grad=True), ad.Tensor(k, requires_grad=True)
-        ad.backward((ad.depthwise_conv1d(x, kernel, lengths) * ad.Tensor(g)).sum())
+        ad.backward(pc.weighted(pc.depthwise_conv1d(x, kernel, lengths), g))
         assert (x.grad.tobytes(), kernel.grad.tobytes()) == (got_x.tobytes(), got_k.tobytes())
 
     @pytest.mark.parametrize("name", sorted(TAKE_INDICES))
@@ -762,7 +772,7 @@ class TestBackwardHelpers:
 class TestGraphMechanics:
     def test_forward_recomputes_after_leaf_change(self):
         leaf = ad.Tensor([[1.0, 2.0]], requires_grad=True)
-        out = ad.square(leaf).sum()
+        out = pc.reduce_sum(pc.square(leaf))
         assert float(out.data) == 5.0
         leaf.data[0, 0] = 3.0
         assert float(ad.forward(out).data) == 13.0
@@ -770,7 +780,7 @@ class TestGraphMechanics:
     def test_reused_node_gradient_accumulates(self):
         # y = x*x via sharing one node twice: dy/dx = 2x
         leaf = ad.Tensor(np.array(3.0), requires_grad=True)
-        y = leaf * leaf
+        y = pc.mul(leaf, leaf)
         ad.backward(y)
         assert float(leaf.grad) == 6.0
 
@@ -780,13 +790,13 @@ class TestGraphMechanics:
         w = ad.Tensor([[5.0, 7.0]])
         a = ad.Tensor([[1.0, 2.0]], requires_grad=True)
         b = ad.Tensor([[3.0, 4.0]], requires_grad=True)
-        ad.backward(((a + b) * w).sum())
+        ad.backward(pc.reduce_sum(pc.mul(pc.add(a, b), w)))
         assert a.grad.tolist() == b.grad.tolist() == [[5.0, 7.0]]
         a.grad[0, 0] = -1.0
         assert b.grad.tolist() == [[5.0, 7.0]]
         x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
-        s = x + x
-        ad.backward((s * w).sum())
+        s = pc.add(x, x)
+        ad.backward(pc.reduce_sum(pc.mul(s, w)))
         assert x.grad.tolist() == [[10.0, 14.0]]
         assert s.grad.tolist() == [[5.0, 7.0]] and not np.shares_memory(x.grad, s.grad)
 
@@ -795,41 +805,42 @@ class TestGraphMechanics:
         # also gets a second gradient added in place
         w, v = ad.Tensor([[5.0, 7.0]]), ad.Tensor([[1.0, 10.0]])
         x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
-        s = x - ad.Tensor([[3.0, 4.0]], requires_grad=True)
-        ad.backward((s * w).sum() + (x * v).sum())
+        s = pc.sub(x, ad.Tensor([[3.0, 4.0]], requires_grad=True))
+        ad.backward(pc.add(pc.reduce_sum(pc.mul(s, w)), pc.reduce_sum(pc.mul(x, v))))
         assert x.grad.tolist() == [[6.0, 17.0]] and s.grad.tolist() == [[5.0, 7.0]]
         assert not np.shares_memory(x.grad, s.grad)
         # a backward that returns one fresh array for both of its inputs
         a = ad.Tensor([[1.0, 2.0]], requires_grad=True)
         b = ad.Tensor([[3.0, 4.0]], requires_grad=True)
         out = ad._node("twice", (a, b), lambda p, q: p + q, lambda g, o, p, q: (2.0 * g,) * 2)
-        ad.backward((out * w).sum())
+        ad.backward(pc.reduce_sum(pc.mul(out, w)))
         assert a.grad.tolist() == b.grad.tolist() == [[10.0, 14.0]]
         assert not np.shares_memory(a.grad, b.grad)
 
     def test_diamond_graph_single_visit(self):
         x = ad.Tensor(np.array(2.0), requires_grad=True)
-        a = x * 3.0
-        y = a * a + a  # d/dx = 2*9x + 3 = 39 at x=2
+        a = pc.mul(x, 3.0)
+        y = pc.add(pc.mul(a, a), a)  # d/dx = 2*9x + 3 = 39 at x=2
         ad.backward(y)
         assert float(x.grad) == pytest.approx(39.0)
 
     def test_backward_rejects_nonscalar(self):
         leaf = ad.Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ad.ShapeError):
-            ad.backward(leaf * 2.0)
+            ad.backward(pc.mul(leaf, 2.0))
 
     def test_no_grad_constant_stays_clean(self):
         c = ad.Tensor([[1.0, 2.0]])
         leaf = ad.Tensor([[3.0, 4.0]], requires_grad=True)
-        ad.backward((c * leaf).sum())
+        ad.backward(pc.reduce_sum(pc.mul(c, leaf)))
         assert c.grad is None
         np.testing.assert_array_equal(leaf.grad, [[1.0, 2.0]])
 
     def test_repeat_evaluation_is_bit_identical(self):
         x = RNG.normal(size=(6, 4))
         leaf = ad.Tensor(x, requires_grad=True)
-        out = ad.softmax(ad.l2_normalize_rows(leaf) @ ad.Tensor(RNG.normal(size=(4, 3)))).sum()
+        logits = ad.l2_normalize_rows(leaf) @ ad.Tensor(RNG.normal(size=(4, 3)))
+        out = pc.reduce_sum(pc.softmax(logits))
         first = out.data.copy()
         for _ in range(3):
             ad.forward(out)
@@ -840,10 +851,10 @@ class TestShapeErrors:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: ad.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2)))),
+            lambda: pc.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2)))),
             lambda: ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3)))),
             lambda: ad.matmul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones((3, 2)))),
-            lambda: ad.depthwise_conv1d(ad.Tensor(np.ones((5, 3))), ad.Tensor(np.ones((4, 2)))),
+            lambda: pc.depthwise_conv1d(ad.Tensor(np.ones((5, 3))), ad.Tensor(np.ones((4, 2)))),
             lambda: ad.concat_rows([ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 4)))]),
             lambda: ad.l2_normalize_rows(ad.Tensor(np.ones(4))),
         ],
@@ -859,7 +870,7 @@ class TestGradCheckHarness:
     def test_passes_on_clean_graph(self):
         def builder(L):
             z = ad.l2_normalize_rows(L["a"]) @ L["b"]
-            return ad.softmax(z).max() + ad.square(z).mean()
+            return pc.add(pc.reduce_max(pc.softmax(z)), pc.reduce_mean(pc.square(z)))
 
         report = ad.grad_check(
             builder,
@@ -873,11 +884,11 @@ class TestGradCheckHarness:
 
     def test_detects_corrupted_backward(self):
         def builder(L):
-            out = ad.square(L["a"])
+            out = pc.square(L["a"])
             # sabotage: bias the adjoint the way a wrong formula would
             good = out._bwd
             out._bwd = lambda g, o, x: (good(g, o, x)[0] + 0.1,)
-            return out.sum()
+            return pc.reduce_sum(out)
 
         report = ad.grad_check(builder, {"a": RNG.normal(size=(2, 3))}, tol=1e-4)
         assert not report.passed
@@ -889,7 +900,7 @@ class TestGradCheckHarness:
 
         def builder(L):
             leaves_seen.update(L)
-            return ad.square(L["a"]).sum()
+            return pc.reduce_sum(pc.square(L["a"]))
 
         ad.grad_check(builder, {"a": a})
         np.testing.assert_array_equal(leaves_seen["a"].data, a)
@@ -907,7 +918,7 @@ def test_chain_grads_match_numeric(rows, cols, seed):
     w = rng.normal(size=(cols, 3))
 
     def expr_t(L):
-        return (ad.softmax(ad.l2_normalize_rows(L["a"]) @ L["w"]).max(1)).mean()
+        return pc.reduce_mean(pc.reduce_max(pc.softmax(ad.l2_normalize_rows(L["a"]) @ L["w"]), 1))
 
     def expr_np(p):
         n = p["a"] / (np.linalg.norm(p["a"], axis=1, keepdims=True) + 1e-12)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import primitive_chains as chains
 from fewvid import autodiff as ad
 from fewvid import data, evaluate, model
 from fewvid.errors import DataError
@@ -1505,13 +1506,15 @@ class TestEpisodePath:
 
 
 class TestNoGradPath:
-    """The array path evaluation uses equals the autodiff forward bit for bit."""
+    """The array path evaluation uses equals the autodiff forward bit for bit:
+    the embedding's and the attention's nodes, and the one-video graphs of
+    the self-weighting and the aggregation, which training's nodes agree
+    with within rounding."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.integers(1, 12),
            st.integers(1, 10), st.integers(1, 9))
     def test_equals_autodiff_forward(self, seed, T, d_in, d, width):
-        from fewvid import autodiff as ad
         from fewvid.losses import aggregate_video_feature, self_weight
 
         p = model.init_params(n_classes=3, d_in=d_in, d=d, kernel_width=width, seed=seed)
@@ -1524,17 +1527,22 @@ class TestNoGradPath:
         np.testing.assert_array_equal(f, graph.data)
         np.testing.assert_array_equal(model.segment_logits(p, f),
                                       model.segment_logits(p, graph).data)
-        w_graph = self_weight(graph, i_bg)
+        w_graph = chains.video_self_weight(graph, i_bg, LossConfig())
         w = self_weight(f, i_bg)
         np.testing.assert_array_equal(w, w_graph.data)
         np.testing.assert_array_equal(aggregate_video_feature(f, w),
-                                      aggregate_video_feature(graph, w_graph).data)
+                                      chains.video_aggregate(graph, w_graph).data)
         attn_graph = model.baseline_attention(p, graph)
         attn = model.baseline_attention(p, f)
         np.testing.assert_array_equal(attn, attn_graph.data)
+        np.testing.assert_array_equal(
+            attn, chains.chain_attention(graph, p.attn_hidden, p.attn_out).data)
         np.testing.assert_array_equal(aggregate_video_feature(f, attn),
-                                      aggregate_video_feature(graph, attn_graph).data)
+                                      chains.video_aggregate(graph, attn_graph).data)
         assert isinstance(graph, ad.Tensor) and not isinstance(f, ad.Tensor)
+        np.testing.assert_allclose(self_weight(graph, i_bg).data, w, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(aggregate_video_feature(graph, attn_graph).data[0],
+                                   aggregate_video_feature(f, attn)[0], rtol=1e-12, atol=1e-12)
 
 
 class TestStackedClassify:

@@ -113,6 +113,16 @@ class TestSoftCls:
         with pytest.raises(ValueError):
             losses.soft_cls_loss(ad.Tensor(np.ones((1, 2))), 5, rows([1, 0], [0, 1]))
 
+    def test_label_count_must_match_rows(self):
+        # one label for three rows used to score row 0 alone, with no
+        # gradient for rows 1 and 2
+        F = ad.Tensor(np.eye(3), requires_grad=True)
+        classifier = rows([1, 0, 0], [0, 1, 0], [0, 0, 1])
+        for y in (1, [0, 1], [0, 1, 2, 0]):
+            with pytest.raises(ad.ShapeError):
+                losses.soft_cls_loss(F, y, classifier)
+        assert losses.soft_cls_loss(F, [0, 1, 2], classifier).data.shape == ()
+
     def test_video_feature_renormalized(self):
         F = ad.Tensor(np.array([[3.0, 0.0]]))  # deliberately not unit norm
         loss = losses.soft_cls_loss(F, 0, rows([1, 0], [0, 1]))
@@ -201,16 +211,17 @@ def all_pairs_contrastive(nb, fg, cfg):
     terms = []
     if nb.data.shape[0] >= 2:
         first, second = np.triu_indices(nb.data.shape[0], 1)
-        terms.append(ad.square(ad.take_rows(nb, first) - ad.take_rows(nb, second))
-                     .sum(axis=1).max())
+        terms.append(chains.reduce_max(chains.reduce_sum(chains.square(
+            chains.sub(ad.take_rows(nb, first), ad.take_rows(nb, second))), axis=1)))
     if nb.data.shape[0] and fg.data.shape[0]:
         n_fg, n_nb = fg.data.shape[0], nb.data.shape[0]
-        cross = (ad.take_rows(fg, np.repeat(np.arange(n_fg), n_nb))
-                 - ad.take_rows(nb, np.tile(np.arange(n_nb), n_fg)))
-        terms.append(cfg.beta * ad.relu(cfg.margin - ad.square(cross).sum(axis=1).min()))
+        cross = chains.sub(ad.take_rows(fg, np.repeat(np.arange(n_fg), n_nb)),
+                           ad.take_rows(nb, np.tile(np.arange(n_nb), n_fg)))
+        closest = chains.reduce_min(chains.reduce_sum(chains.square(cross), axis=1))
+        terms.append(chains.mul(cfg.beta, chains.relu(chains.sub(cfg.margin, closest))))
     total = ad.Tensor(0.0)
     for i, t in enumerate(terms):
-        total = t if i == 0 else total + t
+        total = t if i == 0 else chains.add(total, t)
     return total
 
 
@@ -272,16 +283,17 @@ def gathered_pair_contrastive(nb, fg, cfg):
     if nb.data.shape[0] >= 2:
         first, second = np.triu_indices(nb.data.shape[0], 1)
         at = np.argmax(np.square(nb.data[first] - nb.data[second]).sum(axis=-1))
-        diff = ad.take_rows(nb, [first[at]]) - ad.take_rows(nb, [second[at]])
-        terms.append(ad.square(diff).sum())
+        diff = chains.sub(ad.take_rows(nb, [first[at]]), ad.take_rows(nb, [second[at]]))
+        terms.append(chains.reduce_sum(chains.square(diff)))
     if nb.data.shape[0] and fg.data.shape[0]:
         dist = np.square(fg.data[:, None] - nb.data[None]).sum(axis=-1)
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        closest = ad.square(ad.take_rows(fg, [i]) - ad.take_rows(nb, [j])).sum()
-        terms.append(cfg.beta * ad.relu(cfg.margin - closest))
+        closest = chains.reduce_sum(chains.square(
+            chains.sub(ad.take_rows(fg, [i]), ad.take_rows(nb, [j]))))
+        terms.append(chains.mul(cfg.beta, chains.relu(chains.sub(cfg.margin, closest))))
     total = ad.Tensor(0.0)
     for i, t in enumerate(terms):
-        total = t if i == 0 else total + t
+        total = t if i == 0 else chains.add(total, t)
     return total
 
 
@@ -646,7 +658,7 @@ class TestTotalLoss:
         # 3 parameter leaves, one node per layer (embedding, self-weight,
         # aggregate, normalize, cross entropy, two pool gathers, contrastive,
         # bg cross entropy) and the weighted sum of the terms
-        assert self.graph_size(loss) == 18
+        assert self.graph_size(loss) == 13
 
     @pytest.mark.parametrize("bg,cl,pools", [(True, True, 2), (False, True, 2),
                                              (True, False, 1), (False, False, 0)])
@@ -726,10 +738,10 @@ def _oracle_cross_diff_matrices(na, nb):
 
 
 def _oracle_soft_cls(F, y, classifier, cfg):
-    probs = ad.softmax(cfg.tau * (ad.l2_normalize_rows(F) @ classifier.T))
+    probs = chains.softmax(chains.mul(cfg.tau, ad.l2_normalize_rows(F) @ classifier.T))
     pick = np.zeros((1, classifier.data.shape[0]))
     pick[0, y] = 1.0
-    return -ad.log((probs * ad.Tensor(pick)).sum())
+    return chains.neg(chains.log(chains.weighted(probs, pick)))
 
 
 def _oracle_bg_cls(nbg_feats, classifier, cfg):
@@ -737,10 +749,11 @@ def _oracle_bg_cls(nbg_feats, classifier, cfg):
         return ad.Tensor(0.0)
     rows = ad.concat_rows(nbg_feats)
     n_rows = classifier.data.shape[0]
-    probs = ad.softmax(cfg.tau * (rows @ classifier.T))
+    probs = chains.softmax(chains.mul(cfg.tau, rows @ classifier.T))
     pick = np.zeros((len(nbg_feats), n_rows))
     pick[:, n_rows - 1] = 1.0
-    return -(ad.log((probs * ad.Tensor(pick)).sum(axis=1))).mean()
+    picked = chains.reduce_sum(chains.mul(probs, ad.Tensor(pick)), axis=1)
+    return chains.neg(chains.reduce_mean(chains.log(picked)))
 
 
 def _oracle_contrastive(nbg_feats, fgibg_feats, cfg):
@@ -748,19 +761,19 @@ def _oracle_contrastive(nbg_feats, fgibg_feats, cfg):
     if len(nbg_feats) >= 2:
         stack = ad.concat_rows(nbg_feats)
         diffs = ad.Tensor(_oracle_pair_diff_matrix(len(nbg_feats))) @ stack
-        terms.append(ad.square(diffs).sum(axis=1).max())
+        terms.append(chains.reduce_max(chains.reduce_sum(chains.square(diffs), axis=1)))
     if nbg_feats and fgibg_feats:
         fg = ad.concat_rows(fgibg_feats)
         nb = ad.concat_rows(nbg_feats)
         ra, rb = _oracle_cross_diff_matrices(fg.data.shape[0], nb.data.shape[0])
-        cross = ad.Tensor(ra) @ fg - ad.Tensor(rb) @ nb
-        closest = ad.square(cross).sum(axis=1).min()
-        terms.append(cfg.beta * ad.relu(cfg.margin - closest))
+        cross = chains.sub(ad.Tensor(ra) @ fg, ad.Tensor(rb) @ nb)
+        closest = chains.reduce_min(chains.reduce_sum(chains.square(cross), axis=1))
+        terms.append(chains.mul(cfg.beta, chains.relu(chains.sub(cfg.margin, closest))))
     if not terms:
         return ad.Tensor(0.0)
     total = terms[0]
     for t in terms[1:]:
-        total = total + t
+        total = chains.add(total, t)
     return total
 
 
@@ -770,8 +783,8 @@ def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
     start = 0
     for video in batch:
         x = ad.Tensor(video.features)
-        f = ad.l2_normalize_rows(ad.depthwise_conv1d(x @ params.transform.T,
-                                                     params.temporal_kernel))
+        f = ad.l2_normalize_rows(chains.depthwise_conv1d(x @ params.transform.T,
+                                                         params.temporal_kernel))
         class_rows = ad.Tensor(np.eye(n + 1)[:n]) @ params.classifier
         base_logits = f @ class_rows.T
         T = f.data.shape[0]
@@ -782,11 +795,10 @@ def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
         start += T
         if cfg.sw:
             cos = f @ (_oracle_one_hot_row(i_bg, f.data.shape[0]) @ f).T
-            weights = ad.sigmoid(cfg.tau_s * ((1.0 - cfg.c) - cos))
+            weights = chains.sigmoid(chains.mul(cfg.tau_s, chains.sub(1.0 - cfg.c, cos)))
         else:
-            hidden = ad.relu(f @ params.attn_hidden.T)
-            weights = ad.sigmoid(hidden @ params.attn_out.T)
-        F = (weights.T @ f) / weights.sum()
+            weights = chains.chain_attention(f, params.attn_hidden, params.attn_out)
+        F = chains.video_aggregate(f, weights)
         head = params.classifier if cfg.bg else ad.Tensor(np.eye(n + 1)[:n]) @ params.classifier
         cls_terms.append(_oracle_soft_cls(F, video.label, head, cfg))
         if is_nbg:
@@ -798,12 +810,14 @@ def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
             fgibg_pool.append(ad.Tensor(sel) @ f)
     l_cls = cls_terms[0]
     for t in cls_terms[1:]:
-        l_cls = l_cls + t
-    loss = l_cls / float(len(cls_terms))
+        l_cls = chains.add(l_cls, t)
+    loss = chains.div(l_cls, float(len(cls_terms)))
     if cfg.cl:
-        loss = loss + cfg.gamma1 * _oracle_contrastive(nbg_pool, fgibg_pool, cfg)
+        l_contrast = _oracle_contrastive(nbg_pool, fgibg_pool, cfg)
+        loss = chains.add(loss, chains.mul(cfg.gamma1, l_contrast))
     if cfg.bg:
-        loss = loss + cfg.gamma2 * _oracle_bg_cls(nbg_pool, params.classifier, cfg)
+        l_bg = _oracle_bg_cls(nbg_pool, params.classifier, cfg)
+        loss = chains.add(loss, chains.mul(cfg.gamma2, l_bg))
     return loss, len(nbg_pool), records
 
 
@@ -861,6 +875,45 @@ class TestBatchedAgainstPerVideoOracle:
             assert got_nbg == 0
         if t_n == 2.0:
             assert got_nbg == len(batch)
+
+
+# what `autodiff` exposed before the oracle primitives moved to `primitive_chains`
+MOVED_NAMES = ("add", "sub", "mul", "div", "take_per_row", "segment_sum", "log", "square",
+               "_reduce", "sigmoid", "relu", "softmax", "depthwise_conv1d", "_wrap",
+               "_match_reduce", "_check_elementwise", "_elementwise")
+MOVED_METHODS = ("sum", "mean", "max", "min", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__neg__")
+
+
+class TestOpInventory:
+    """A training step on a ragged batch with a one-row video builds only
+    the layer nodes, the row gathers and the video features'
+    normalization, under every subset of the objective."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"bg{c.bg:d}sw{c.sw:d}cl{c.cl:d}")
+    def test_total_loss_ops(self, cfg):
+        rng = np.random.default_rng(0)
+        params = model.init_params(n_classes=4, d_in=6, d=5, seed=0)
+        batch = [losses.BatchVideo(features=rng.normal(size=(t, 6)), label=t % 4)
+                 for t in (5, 1, 8, 3)]
+        loss, stats = losses.total_loss(params, batch, cfg, t_n=2.0)  # every video NBG
+        assert stats["n_nbg"] == len(batch)
+        order = ad._topo(loss)
+        want = {"leaf", "embed_segments", "aggregate", "l2_normalize_rows", "cross_entropy",
+                "self_weight" if cfg.sw else "attention"}
+        if cfg.bg or cfg.cl:
+            want |= {"take_rows", "loss_sum"}
+        if not cfg.bg:
+            want.add("take_rows")  # the class rows
+        if cfg.cl:
+            want.add("contrastive")
+        assert {node.op for node in order} == want
+        if cfg == losses.LossConfig():
+            assert len(order) == 13
+
+    def test_moved_primitives_are_gone(self):
+        assert [name for name in MOVED_NAMES if hasattr(ad, name)] == []
+        assert [name for name in MOVED_METHODS if hasattr(ad.Tensor, name)] == []
 
 
 def node_and_chain(build_node, build_chain, make_leaves, g):
@@ -955,6 +1008,48 @@ class TestLayerNodesAgainstChains:
             lambda: [ad.Tensor(fv, requires_grad=True)], g)
         assert got == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), video_lengths(), st.integers(1, 8), st.integers(1, 6),
+           st.sampled_from([(True, True, True), (True, False, True), (False, True, False)]))
+    def test_attention(self, seed, lengths, d, hidden, needs_grad):
+        # needs_grad: (f, attn_hidden, attn_out); f is a ragged stack of videos
+        rng = np.random.default_rng(seed)
+        n = sum(lengths)
+        arrays = rng.normal(size=(n, d)), rng.normal(size=(hidden, d)), rng.normal(size=(1, hidden))
+        got, want = node_and_chain(
+            model._attention_node, chains.chain_attention,
+            lambda: [ad.Tensor(a, requires_grad=r) for a, r in zip(arrays, needs_grad)],
+            rng.normal(size=(n, 1)))
+        assert got == want
+        assert [g is None for g in got[1]] == [not r for r in needs_grad]
+        assert model._attention(*arrays)[1].tobytes() == got[0]  # the no-grad forward
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (2,), (1, 2)]),
+           st.sampled_from([(True, True), (False, True), (True, False), (False, False)]))
+    def test_loss_sum(self, seed, terms, pooled):
+        # terms: the weighted terms present (1 contrastive, 2 bg); pooled:
+        # whether each term's pool had rows, else it is the constant 0.0
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, size=3)
+        gammas = rng.uniform(0.0, 2.0, size=3)
+
+        def leaves():
+            return [ad.Tensor(values[0], requires_grad=True)] + [
+                ad.Tensor(values[t], requires_grad=True) if pooled[t - 1] else ad.Tensor(0.0)
+                for t in terms]
+
+        def weighted_terms(rest):
+            return [(gammas[t], term) for t, term in zip(terms, rest)]
+
+        got, want = node_and_chain(
+            lambda first, *rest: losses._loss_sum(first, weighted_terms(rest)),
+            lambda first, *rest: chains.chain_loss_sum(first, weighted_terms(rest)),
+            leaves, rng.normal())
+        assert got == want
+        lone = ad.Tensor(1.0)
+        assert losses._loss_sum(lone, []) is lone
+
     def test_self_weight_rejects_a_short_index(self):
         with pytest.raises(ad.ShapeError):
             losses.self_weight(ad.Tensor(np.ones((3, 2))), np.array([0, 0]))
@@ -984,17 +1079,27 @@ def layer_nodes(rng):
             {"w": rng.uniform(0.1, 1.0, size=(8, 1)), "f": rng.normal(size=(8, 5))}),
         "cross_entropy": (lambda L: losses._cross_entropy(L["x"], labels, L["w"], 3.0),
                           {"x": 0.3 * rng.normal(size=(5, 5)), "w": rng.normal(size=(4, 5))}),
+        "attention": (lambda L: chains.weighted(
+            model._attention_node(L["f"], L["h"], L["o"]), g_w),
+            {"f": rng.normal(size=(8, 5)), "h": rng.normal(size=(3, 5)),
+             "o": rng.normal(size=(1, 3))}),
+        "loss_sum": (lambda L: losses._loss_sum(
+            L["cls"], [(0.3, ad.Tensor(0.0)), (1.7, chains.reduce_sum(chains.square(L["bg"])))]),
+            {"cls": rng.normal(size=()), "bg": rng.normal(size=(2, 3))}),
     }
 
 
+LAYER_NODES = ["self_weight", "aggregate", "cross_entropy", "attention", "loss_sum"]
+
+
 class TestLayerNodes:
-    @pytest.mark.parametrize("name", ["self_weight", "aggregate", "cross_entropy"])
+    @pytest.mark.parametrize("name", LAYER_NODES)
     def test_grad_check(self, name):
         builder, arrays = layer_nodes(np.random.default_rng(4))[name]
         report = ad.grad_check(builder, arrays, h=1e-5, tol=1e-6)
         assert report.passed, report.summary()
 
-    @pytest.mark.parametrize("name", ["self_weight", "aggregate", "cross_entropy"])
+    @pytest.mark.parametrize("name", LAYER_NODES)
     def test_forward_after_a_change_equals_a_fresh_graph(self, name):
         rng = np.random.default_rng(5)
         builder, arrays = layer_nodes(rng)[name]
