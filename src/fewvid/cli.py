@@ -148,15 +148,12 @@ def cmd_grad_check(cfg) -> int:
     return 0 if report.passed else 3
 
 
-def _checked_features(params, manifest, entry) -> np.ndarray:
-    """The raw rows of a manifest entry, as wide as the checkpoint's d_in."""
-    features = manifest.load_sequence(entry).features
-    model.check_feature_width(params, features, entry.feature_file)
-    return features
-
-
 @np.errstate(over="raise", invalid="raise", divide="raise")  # huge weights overflow: exit 3
 def cmd_inspect(cfg) -> int:
+    """Write each base video's per-segment best class logit and pseudo-label
+    role as CSV. The videos are read (`DatasetManifest.read_videos`, against
+    the checkpoint's d_in: each file once per block, every entry checked),
+    embedded and scored INSPECT_BLOCK at a time, then labeled in one call."""
     params, _ = model.load_checkpoint(cfg.ckpt)
     manifest = data.load_manifest(Path(cfg.data_dir) / "base_manifest.jsonl")
     if cfg.out:  # before any feature file is read
@@ -164,9 +161,8 @@ def cmd_inspect(cfg) -> int:
     logits, lengths = [], []  # each video's (T, classes) logits, in manifest order
     for b in range(0, len(manifest.entries), INSPECT_BLOCK):
         # a temporary list, so each pass's raw rows are freed once it has stacked them
-        embedded, length, slot = evaluate.embed_by_length(params, [
-            _checked_features(params, manifest, entry)
-            for entry in manifest.entries[b : b + INSPECT_BLOCK]])
+        embedded, length, slot = evaluate.embed_by_length(params, list(manifest.read_videos(
+            range(len(manifest.entries))[b : b + INSPECT_BLOCK], params.d_in).values()))
         block = {T: model.segment_logits(params, embedded.pop(T)) for T in list(embedded)}
         logits += [block[T][r] for T, r in zip(length.tolist(), slot.tolist())]
         lengths += length.tolist()

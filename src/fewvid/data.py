@@ -116,6 +116,34 @@ class DatasetManifest:
             segment_roles=entry.segment_roles,
         ).validate()
 
+    def read_videos(self, indices, d_in: int = None) -> dict:
+        """{entry index: its checked (T, d_in) feature rows} for the entry
+        indices in `indices` (any shape), in first-use order.
+
+        Each feature file is read once; entries that share it share its rows.
+        Every entry is checked against its rows (`check_segments`), and then
+        each file's width against `d_in`, the checkpoint's, or with d_in None
+        against the first file read. Raises DataError naming the video or the
+        file.
+        """
+        distinct, first = np.unique(np.asarray(indices, dtype=np.intp), return_index=True)
+        files, videos, source = {}, {}, "the checkpoint"  # feature file -> its rows
+        for i in distinct[np.argsort(first)].tolist():
+            entry = self.entries[i]
+            rows = files.get(entry.feature_file)
+            if rows is None:
+                path = os.path.join(self.root, entry.feature_file)
+                rows = files[entry.feature_file] = read_feature_file(path)
+            check_segments(entry.video_id, entry.gt_intervals, entry.segment_roles, len(rows))
+            # a shared file's rows passed when first read, so only a file just read can fail
+            if d_in is None:
+                d_in, source = rows.shape[1], path
+            elif rows.shape[1] != d_in:
+                raise DataError(f"{path}: features are {rows.shape[1]} wide, but {source} is "
+                                f"{d_in} wide (d_in = {d_in})")
+            videos[i] = rows
+        return videos
+
 
 def write_feature_file(features: np.ndarray, path):
     """Serialize a (T, d_in) matrix: magic, u32 version, u32 T, u32 d_in,

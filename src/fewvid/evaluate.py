@@ -11,24 +11,25 @@ reports mean average precision over temporal-IoU thresholds.
 Every no-grad embedding of a set of videos goes through `embed_by_length`:
 passes of at most EMBED_CHUNK videos of one length, so no video is padded,
 kept as one (n_T, T, d) array per length T. An evaluation call draws all its
-episodes first, as arrays of manifest-entry indices, finds their distinct uses
-with np.unique and reads each feature file once. It embeds the distinct
-trimmed supports, keeping only their means, and then the distinct queries.
-It then scores its episodes in blocks of at most EPISODE_BLOCK, so what grows
-with the episode count is only index arrays. An episode lists its videos
-class by class, so a video's episode class is its position, and every
-prototype of a block comes from one reshape-mean of the support means
-gathered by one index. All the block's queries are classified together, each
-against its own episode's prototypes, in stacks of at most EMBED_CHUNK
-queries of one length, each gathered from its length's array by one index.
-In detection the block's activation maps are stacked into one array, and
-proposals are found over that stack in passes of at most PROPOSAL_CHUNK
-videos, the last block's once the embeddings are dropped: one pass finds
-every run, and NMS steps through all (video, class) groups at once. The block's
-episodes are then scored in one AP pass: tIoU is taken only between a
-detection and the truths of its own video and class, only detections that
-can match are matched, every (video, class) group side by side over the
-whole tIoU grid, and AP is summed from the hits.
+episodes first, as arrays of manifest-entry indices, reads their videos with
+`DatasetManifest.read_videos` (each feature file once, every entry checked
+against its rows, every file against the checkpoint's d_in) and finds their
+distinct uses with np.unique. It embeds the distinct trimmed supports, keeping
+only their means, and then the distinct queries. It then scores its episodes
+in blocks of at most EPISODE_BLOCK, so what grows with the episode count is
+only index arrays. An episode lists its videos class by class, so a video's
+episode class is its position, and every prototype of a block comes from one
+reshape-mean of the support means gathered by one index. All the block's
+queries are classified together, each against its own episode's prototypes, in
+stacks of at most EMBED_CHUNK queries of one length, each gathered from its
+length's array by one index. In detection the block's activation maps are
+stacked into one array, and proposals are found over that stack in passes of
+at most PROPOSAL_CHUNK videos, the last block's once the embeddings are
+dropped: one pass finds every run, and NMS steps through all (video, class)
+groups at once. The block's episodes are then scored in one AP pass: tIoU is
+taken only between a detection and the truths of its own video and class, only
+detections that can match are matched, every (video, class) group side by side
+over the whole tIoU grid, and AP is summed from the hits.
 
 The detection tail sorts only distinct integer keys, with NumPy's default
 (unstable) argsort: no tie is left for the sort to order, so no stable sort
@@ -494,23 +495,6 @@ def _distinct_uses(slots: np.ndarray, key):
     return slots.ravel()[first[order]], np.argsort(order)[inverse].reshape(slots.shape)
 
 
-def _checked_videos(params: model_mod.ModelParams, manifest, slots: np.ndarray) -> dict:
-    """{entry index: its video checked against its file's rows} for the
-    indices in `slots`; each file is read once, in first-use order, and
-    checked against the parameters' d_in."""
-    distinct, first = np.unique(slots, return_index=True)
-    rows, videos = {}, {}  # feature file -> its rows
-    for i in distinct[np.argsort(first)].tolist():
-        entry = manifest.entries[i]
-        if entry.feature_file in rows:
-            videos[i] = manifest.sequence(entry, rows[entry.feature_file])
-        else:
-            videos[i] = manifest.load_sequence(entry)
-            model_mod.check_feature_width(params, videos[i].features, entry.feature_file)
-            rows[entry.feature_file] = videos[i].features
-    return videos
-
-
 def _call_videos(params: model_mod.ModelParams, manifest, support: np.ndarray,
                  queries: np.ndarray):
     """Embeddings of the videos of an evaluation call's (E, K*n) support and
@@ -519,19 +503,22 @@ def _call_videos(params: model_mod.ModelParams, manifest, support: np.ndarray,
     ({T: (n_T, T, d) array}), and each query slot's length and row there as
     (E*K*q,) arrays. Only the index arrays grow with E.
 
-    Each feature file is read once (`_checked_videos`); a support is trimmed
-    in memory. A query use is a file, a support use a file and its
+    The videos are read by `DatasetManifest.read_videos`, against the
+    parameters' d_in: each feature file once, every entry checked. Only the
+    distinct supports become sequences (`manifest.sequence`), which are
+    trimmed in memory. A query use is a file, a support use a file and its
     intervals. The distinct trimmed supports and then the distinct queries
     are embedded by `embed_by_length`.
     """
     entries = manifest.entries
-    seqs = _checked_videos(params, manifest, np.concatenate([support, queries], axis=1))
+    rows = manifest.read_videos(np.concatenate([support, queries], axis=1), params.d_in)
     support_uses, support_use = _distinct_uses(
         support, lambda i: (entries[i].feature_file, tuple(map(tuple, entries[i].gt_intervals))))
     query_uses, query_use = _distinct_uses(queries, lambda i: entries[i].feature_file)
-    raws = {"support": [trim_support_video(seqs[i]).features for i in support_uses.tolist()],
-            "query": [seqs[i].features for i in query_uses.tolist()]}
-    del seqs  # so each embedding pass frees its raw rows
+    raws = {"support": [trim_support_video(manifest.sequence(entries[i], rows[i])).features
+                        for i in support_uses.tolist()],
+            "query": [rows[i] for i in query_uses.tolist()]}
+    del rows  # so each embedding pass frees its raw rows
     # supports first, so their raw rows are freed before the query arrays exist
     embedded, length, _ = embed_by_length(params, raws.pop("support"))
     means = np.empty((length.size, params.d))

@@ -273,7 +273,8 @@ def load_checkpoint(path):
 
 def _check_loaded(params: ModelParams, path):
     """Raise DataError unless the tensors' (matrix) shapes agree with each
-    other and their values are all finite."""
+    other, the classifier has a class row besides the background row, and
+    their values are all finite."""
     shapes = {name: t.data.shape for name, t in params.tensors().items()}
     d, d_in = shapes["transform"]
     h = shapes["attn_hidden"][0]
@@ -284,16 +285,12 @@ def _check_loaded(params: ModelParams, path):
         raise DataError(f"{path}: checkpoint shapes {shapes} disagree; expected transform "
                         f"(d, d_in), temporal_kernel (d, w), classifier (N+1, d), "
                         f"attn_hidden (h, d), attn_out (1, h)")
+    if shapes["classifier"][0] < 2:
+        raise DataError(f"{path}: checkpoint classifier has only its background row, "
+                        f"no class row")
     for name, t in params.tensors().items():
         if not np.all(np.isfinite(t.data)):
             raise DataError(f"{path}: checkpoint tensor {name} holds non-finite values")
-
-
-def check_feature_width(params: ModelParams, features: np.ndarray, source):
-    """Raise DataError unless the (T, d_in) features match the parameters' d_in."""
-    if features.shape[1] != params.d_in:
-        raise DataError(f"{source}: features are {features.shape[1]} wide, the checkpoint "
-                        f"expects d_in = {params.d_in}")
 
 
 def delta_kernel(d: int, width: int = 8) -> np.ndarray:

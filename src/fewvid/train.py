@@ -9,15 +9,13 @@ to the unit sphere after every step so logits stay cosines.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import (DatasetManifest, check_segments, check_writable, read_feature_file,
-                   write_csv)
+from .data import DatasetManifest, check_writable, write_csv
 from .errors import DataError, NumericError
 from .evaluate import classification_accuracy
 from .losses import BatchVideo, LossConfig, total_loss
@@ -63,28 +61,14 @@ class TrainResult:
     label_order: list  # classifier row index -> original class label
 
 
-def load_training_videos(manifest: DatasetManifest):
-    """All base videos in memory, labels remapped to classifier row indices.
-
-    Raises DataError naming the file when a video's feature width differs
-    from the first video's, and naming the video when its intervals or
-    segment roles do not fit its rows (`data.check_segments`).
-    """
+def load_training_videos(manifest: DatasetManifest, d_in: int = None):
+    """All base videos' rows (`DatasetManifest.read_videos`, with `d_in`),
+    labels remapped to classifier row indices."""
     labels = manifest.class_labels()
     remap = {label: i for i, label in enumerate(labels)}
-    videos, width = [], None
-    for entry in manifest.entries:
-        path = os.path.join(manifest.root, entry.feature_file)
-        features = read_feature_file(path)
-        check_segments(entry.video_id, entry.gt_intervals, entry.segment_roles,
-                       features.shape[0])
-        if width is None:
-            width, first = features.shape[1], path
-        elif features.shape[1] != width:
-            raise DataError(f"{path}: features are {features.shape[1]} wide, but "
-                            f"{first} is {width} wide")
-        videos.append(BatchVideo(features=features, label=remap[entry.class_label]))
-    return videos, labels
+    rows = manifest.read_videos(range(len(manifest.entries)), d_in)
+    return [BatchVideo(features=features, label=remap[entry.class_label])
+            for entry, features in zip(manifest.entries, rows.values())], labels
 
 
 # a diverging step overflows before its loss turns non-finite; the finite-loss
@@ -153,16 +137,15 @@ def training_accuracy(params: model_mod.ModelParams, manifest: DatasetManifest,
                       loss_cfg: LossConfig = None) -> float:
     """Fraction of base videos whose aggregated feature lands on its own class.
 
-    The videos are classified as evaluation classifies queries, with the
-    classifier's class rows as the prototypes and no autodiff graph. Raises
-    DataError naming the file when the videos' feature width is not the
-    parameters' d_in.
+    The videos are read as training reads them, but checked against the
+    parameters' d_in (`load_training_videos`), so a file of another width is
+    a DataError naming it. They are classified as evaluation classifies
+    queries, with the classifier's class rows as the prototypes and no
+    autodiff graph.
     """
     if not manifest.entries:
         raise DataError("cannot take the training accuracy of an empty manifest")
-    videos, _ = load_training_videos(manifest)  # all as wide as the first
-    model_mod.check_feature_width(params, videos[0].features,
-                                  os.path.join(manifest.root, manifest.entries[0].feature_file))
+    videos, _ = load_training_videos(manifest, params.d_in)
     return classification_accuracy(params, [video.features for video in videos],
                                    [video.label for video in videos],
                                    params.classifier.data[:params.n_classes], loss_cfg)

@@ -667,6 +667,17 @@ class TestCheckpointAgainstCorpus:
         assert "classifier holds non-finite" in err and "accuracy" not in out
 
     @pytest.mark.parametrize("command", ["eval-cls", "eval-det", "inspect"])
+    def test_background_row_alone_exits_2(self, workspace, tmp_path, capsys, command):
+        # evaluation never reads the class rows, so only loading can reject the checkpoint
+        root, cfg_path = workspace
+        background = model.load_checkpoint(root / "model.ckpt")[0].classifier.data[-1:]
+        ckpt = self.edited(workspace, tmp_path, classifier=background.copy())
+        code, out, err = run([command, "--config", str(cfg_path), "--ckpt", str(ckpt)], capsys)
+        assert code == 2
+        assert f"{ckpt}: checkpoint classifier has only its background row" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["eval-cls", "eval-det", "inspect"])
     def test_overflowing_weight_exits_3(self, workspace, tmp_path, capsys, command):
         # finite but huge: the embedding overflows, which is a numeric failure
         root, cfg_path = workspace
@@ -709,6 +720,62 @@ class TestBaseWidthMismatch:
         assert code == 2
         assert victim.name in err and "7 wide" in err and "8 wide" in err
         assert not (tmp_path / "model.ckpt").exists()
+
+
+class TestSharedBaseFile:
+    """train and inspect read a feature file that two base entries share
+    once a call (inspect once a block), and check both entries."""
+
+    def twinned(self, workspace, tmp_path, capsys, **fields):
+        """Config of a fresh corpus whose base manifest lists a twin of its
+        first entry, with `fields` changed, second; and the shared file."""
+        cfg = fresh_corpus(workspace, tmp_path, capsys)
+        manifest = tmp_path / "ds" / "base_manifest.jsonl"
+        header, first, *rest = manifest.read_text().splitlines()
+        twin = json.dumps(dict(json.loads(first), video_id="twin", **fields))
+        manifest.write_text("\n".join([header, first, twin, *rest]) + "\n")
+        return cfg, tmp_path / "ds" / json.loads(first)["feature_file"]
+
+    def argv(self, command, cfg, tmp_path):
+        new_ckpt = ["--ckpt", str(tmp_path / "new.ckpt")] if command == "train" else []
+        return [command, "--config", str(cfg)] + new_ckpt
+
+    def counted_reads(self, monkeypatch):
+        reads, read = [], data.read_feature_file
+
+        def counting_read(path):
+            reads.append(Path(path))
+            return read(path)
+
+        monkeypatch.setattr(data, "read_feature_file", counting_read)
+        return reads
+
+    @pytest.mark.parametrize("command", ["train", "inspect"])
+    def test_file_read_once_a_call(self, workspace, tmp_path, capsys, monkeypatch, command):
+        cfg, shared = self.twinned(workspace, tmp_path, capsys)
+        reads = self.counted_reads(monkeypatch)
+        code, out, _ = run(self.argv(command, cfg, tmp_path), capsys)
+        assert code == 0
+        assert reads.count(shared) == 1 and len(reads) == len(set(reads)) == 18
+        if command == "inspect":  # the twin is a video of its own
+            assert out.count("\ntwin,") == 10
+
+    @pytest.mark.parametrize("block, shared_reads", [(1, 2), (2, 1)])
+    def test_inspect_reads_it_once_a_block(self, workspace, tmp_path, capsys, monkeypatch,
+                                           block, shared_reads):
+        cfg, shared = self.twinned(workspace, tmp_path, capsys)
+        reads = self.counted_reads(monkeypatch)
+        monkeypatch.setattr(cli, "INSPECT_BLOCK", block)
+        assert run(["inspect", "--config", str(cfg)], capsys)[0] == 0
+        assert reads.count(shared) == shared_reads and len(reads) == 17 + shared_reads
+
+    @pytest.mark.parametrize("command", ["train", "inspect"])
+    def test_twin_with_bad_intervals_exits_2(self, workspace, tmp_path, capsys, command):
+        cfg, _ = self.twinned(workspace, tmp_path, capsys, gt_intervals=[[0, 500]])
+        code, out, err = run(self.argv(command, cfg, tmp_path), capsys)
+        assert code == 2
+        assert "data error: twin: interval (0, 500) is not inside its 10 segments" in err
+        assert out == "" and not (tmp_path / "new.ckpt").exists()
 
 
 class TestNonFiniteConfig:

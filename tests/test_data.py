@@ -282,6 +282,81 @@ class TestManifest:
             data.load_manifest(path)
 
 
+class TestReadVideos:
+    """`DatasetManifest.read_videos`, the one reader of every command's videos."""
+
+    WIDTHS = {"a.segf": (4, 3), "b.segf": (5, 3), "c.segf": (4, 5)}  # file -> (T, d_in)
+
+    def manifest(self, tmp_path, *entries):
+        """A manifest of (video_id, feature_file, gt_intervals, segment_roles)
+        entries over WIDTHS' files."""
+        for name, shape in self.WIDTHS.items():
+            data.write_feature_file(np.ones(shape), tmp_path / name)
+        return data.DatasetManifest(split="base", class_names=["x"], root=tmp_path, entries=[
+            data.ManifestEntry(video_id=v, class_label=0, feature_file=f, gt_intervals=iv,
+                               segment_roles=roles) for v, f, iv, roles in entries])
+
+    def counted(self, monkeypatch):
+        reads, read = [], data.read_feature_file
+
+        def counting_read(path):
+            reads.append(os.path.basename(path))
+            return read(path)
+
+        monkeypatch.setattr(data, "read_feature_file", counting_read)
+        return reads
+
+    def test_shared_file_read_once(self, tmp_path, monkeypatch):
+        manifest = self.manifest(tmp_path, ("a", "a.segf", [(0, 2)], ""),
+                                 ("b", "b.segf", [], ""), ("twin", "a.segf", [(1, 4)], "FFFI"))
+        reads = self.counted(monkeypatch)
+        videos = manifest.read_videos([0, 1, 2, 2, 0])
+        assert reads == ["a.segf", "b.segf"]
+        assert videos[2] is videos[0] and videos[0].shape == (4, 3)
+        assert videos[1].shape == (5, 3)
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("gt_intervals", [(0, 5)], "interval (0, 5) is not inside its 4 segments"),
+        ("gt_intervals", [(2, 3), (0, 1)], "intervals overlap or are unsorted"),
+        ("segment_roles", "FIN", "segment_roles has 3 roles for its 4 segments")])
+    def test_entry_sharing_a_file_is_checked(self, tmp_path, field, value, reason):
+        manifest = self.manifest(tmp_path, ("a", "a.segf", [(0, 2)], ""),
+                                 ("twin", "a.segf", [], ""))
+        manifest.entries[1] = dataclasses.replace(manifest.entries[1], **{field: value})
+        with pytest.raises(DataError) as err:
+            manifest.read_videos([0, 1])
+        assert str(err.value) == f"twin: {reason}"
+
+    @pytest.mark.parametrize("indices, order", [
+        ([[2, 1], [1, 0]], [2, 1, 0]), (np.array([[[1]], [[0]]]), [1, 0]), (range(3), [0, 1, 2]),
+        ([], [])])
+    def test_indices_of_any_shape_in_first_use_order(self, tmp_path, indices, order):
+        manifest = self.manifest(tmp_path, ("a", "a.segf", [], ""), ("b", "b.segf", [], ""),
+                                 ("c", "a.segf", [], ""))
+        assert list(manifest.read_videos(indices, d_in=3)) == order
+
+    def test_matching_width_passes(self, tmp_path):
+        manifest = self.manifest(tmp_path, ("a", "a.segf", [], ""), ("b", "b.segf", [], ""))
+        videos = manifest.read_videos([1, 0], d_in=3)
+        assert [v.shape for v in videos.values()] == [(5, 3), (4, 3)]
+
+    @pytest.mark.parametrize("d_in, source", [(None, "a.segf"), (3, None)],
+                             ids=["first file", "checkpoint"])
+    def test_mismatch_names_source_and_width(self, tmp_path, d_in, source):
+        manifest = self.manifest(tmp_path, ("a", "a.segf", [], ""), ("c", "c.segf", [], ""))
+        source = tmp_path / source if source else "the checkpoint"
+        with pytest.raises(DataError) as err:
+            manifest.read_videos([0, 1], d_in)
+        assert str(err.value) == (f"{tmp_path / 'c.segf'}: features are 5 wide, but {source} "
+                                  f"is 3 wide (d_in = 3)")
+
+    @pytest.mark.parametrize("d_in", [None, 3])
+    def test_entry_error_before_width_error(self, tmp_path, d_in):
+        manifest = self.manifest(tmp_path, ("a", "a.segf", [], ""), ("c", "c.segf", [(0, 9)], ""))
+        with pytest.raises(DataError, match=re.escape("c: interval (0, 9) is not inside")):
+            manifest.read_videos([0, 1], d_in)
+
+
 SMALL = data.SyntheticConfig(
     n_base_classes=4, n_novel_classes=3, videos_per_class=6, T=12, d_in=8, seed=3)
 

@@ -369,12 +369,3 @@ class TestCheckpointLayout:
 
         with pytest.raises(DataError, match="must be non-empty matrices, got transform shape"):
             model.load_checkpoint(rewrite_checkpoint(self.saved(tmp_path), edit))
-
-
-class TestFeatureWidth:
-    def test_matching_width_passes(self):
-        model.check_feature_width(tiny_params(d_in=2), np.ones((3, 2)), "v")
-
-    def test_mismatch_names_source_and_width(self):
-        with pytest.raises(DataError, match="v.segf: features are 5 wide.*d_in = 2"):
-            model.check_feature_width(tiny_params(d_in=2), np.ones((3, 5)), "v.segf")
