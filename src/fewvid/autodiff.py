@@ -12,6 +12,12 @@ evaluation's no-grad path live here once, as plain-array `*_forward` and
 row normalization that training builds, and `matmul`, `transpose` and
 `concat_rows` for list pools and the logits of a Tensor.
 
+The helpers that run once per training step or evaluation stack call
+NumPy's ufuncs, array methods (`x.sum`, `x.max`, `x.any`) and integer
+indexing, not the module-level wrappers, whose Python-level cost at these
+sizes is as large as the arithmetic; each keeps the wrapper's ufunc,
+operands, order and dtype, so the bits are the same.
+
 A backward builds only what reaches a requires_grad leaf: an operand that
 needs no gradient (a constant) gets none, and a row gather (`take_rows`)
 returns just the rows it touches, which `backward` adds into the source's
@@ -146,7 +152,7 @@ def backward(root: Tensor) -> dict:
                 # rows outside g.index keep their bits: a dense add of zeros
                 # would only turn a -0.0 there into 0.0
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
+                    parent.grad = np.zeros(parent.data.shape)
                     parent.grad[g.index] = g.rows
                 else:
                     parent.grad[g.index] += g.rows
@@ -228,7 +234,7 @@ class RowGather(NamedTuple):
     @classmethod
     def of(cls, index: np.ndarray) -> "RowGather":
         order, sorted_index = None, index
-        if np.any(index[1:] < index[:-1]):
+        if (index[1:] < index[:-1]).any():
             order = np.argsort(index, kind="stable")
             sorted_index = index[order]
         run_starts = np.ones(index.size, dtype=bool)
@@ -270,9 +276,11 @@ def check_lengths(op: str, shape, lengths) -> np.ndarray:
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function on a plain array: with e = exp(-|x|),
     1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, so exp never
-    overflows. -|x| is taken as min(x, -x), which keeps a NaN's bits."""
+    overflows. -|x| is taken as min(x, -x), which keeps a NaN's bits, and
+    1 + e is taken once for both branches."""
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    one_plus_e = 1.0 + e
+    return np.where(x >= 0, 1.0 / one_plus_e, e / one_plus_e)
 
 
 def sigmoid_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -287,7 +295,7 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 def normalized_rows(x: np.ndarray):
     """(each row of a plain 2-D array over its norm plus NORM_EPS, the (n, 1)
     row norms)."""
-    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
     return x / (norms + NORM_EPS), norms
 
 
@@ -301,7 +309,7 @@ def l2_normalize_rows_backward(g: np.ndarray, x: np.ndarray, norms: np.ndarray) 
     an all-zero row, where the guarded function is flat, gets 0."""
     denom = norms + NORM_EPS
     nonzero = norms > 0.0
-    dot = np.sum(g * x, axis=1, keepdims=True)
+    dot = (g * x).sum(axis=1, keepdims=True)
     gx = g / denom - x * dot / (np.where(nonzero, norms, 1.0) * denom * denom)
     return gx if nonzero.all() else np.where(nonzero, gx, 0.0)
 
@@ -324,13 +332,13 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
 def softmax_forward(x: np.ndarray) -> np.ndarray:
     """Softmax over each row of a plain 2-D array, shifted by the row max."""
-    ex = np.exp(x - np.max(x, axis=1, keepdims=True))
-    return ex / np.sum(ex, axis=1, keepdims=True)
+    ex = np.exp(x - x.max(axis=1, keepdims=True))
+    return ex / ex.sum(axis=1, keepdims=True)
 
 
 def softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The input gradient of a row softmax whose output is `out`."""
-    inner = np.sum(g * out, axis=1, keepdims=True)
+    inner = (g * out).sum(axis=1, keepdims=True)
     return (g - inner) * out
 
 

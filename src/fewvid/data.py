@@ -485,11 +485,18 @@ def generate_synthetic_dataset(cfg: SyntheticConfig, out_dir):
     return manifests["base"], manifests["novel"]
 
 
+def trim_support_rows(video_id: str, features: np.ndarray, gt_intervals) -> np.ndarray:
+    """The rows of a video's annotated foreground segments, concatenated in
+    order; the intervals must already be checked against the rows
+    (`check_segments`)."""
+    if not gt_intervals:
+        raise DataError(f"{video_id}: cannot trim without ground-truth intervals")
+    return np.concatenate([features[s:e] for s, e in gt_intervals], axis=0)
+
+
 def trim_support_video(seq: SegmentFeatureSequence) -> SegmentFeatureSequence:
     """Keep only the annotated foreground segments, concatenated in order."""
-    if not seq.gt_intervals:
-        raise DataError(f"{seq.video_id}: cannot trim without ground-truth intervals")
-    rows = np.concatenate([seq.features[s:e] for s, e in seq.gt_intervals], axis=0)
+    rows = trim_support_rows(seq.video_id, seq.features, seq.gt_intervals)
     return SegmentFeatureSequence(
         video_id=seq.video_id,
         class_label=seq.class_label,

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .data import draw_episodes, trim_support_video
+from .data import draw_episodes, trim_support_rows
 from .losses import LossConfig, aggregate_video_feature, self_weight
 from .pseudo import pseudo_label_bg
 
@@ -120,7 +120,7 @@ def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarr
     norm = np.sqrt(F @ F.swapaxes(1, 2))  # the dot product np.linalg.norm takes
     Fn = (F / (norm + 1e-12)).swapaxes(1, 2)
     probs = ad.softmax_forward((proto @ Fn)[..., 0])
-    return ClassifiedQuery(probs=probs, top1=np.argmax(probs, axis=1), weights=weights[..., 0],
+    return ClassifiedQuery(probs=probs, top1=probs.argmax(axis=1), weights=weights[..., 0],
                            i_bg=i_bg, cosines=cosines)
 
 
@@ -419,12 +419,13 @@ def _greedy_hits(key, iou, thresholds) -> np.ndarray:
     keys, group, step = _runs_of(key)
     free = np.ones((keys.size, thresholds.size, iou.shape[1]), dtype=bool)
     hits = np.zeros((key.size, thresholds.size), dtype=bool)
+    thr = np.arange(thresholds.size)
     for s in range(step.max(initial=-1) + 1):
         at = np.flatnonzero(step == s)
         g = group[at]
         open_iou = np.where(free[g], iou[at, None, :], -1.0)
-        j = np.argmax(open_iou, axis=2)
-        taken = np.take_along_axis(open_iou, j[..., None], axis=2)[..., 0]
+        j = open_iou.argmax(axis=2)
+        taken = open_iou[np.arange(at.size)[:, None], thr, j]
         hits[at] = (taken > 0.0) & (taken >= thresholds)
         a, t = np.nonzero(hits[at])
         free[g[a], t, j[a, t]] = False
@@ -504,18 +505,18 @@ def _call_videos(params: model_mod.ModelParams, manifest, support: np.ndarray,
     (E*K*q,) arrays. Only the index arrays grow with E.
 
     The videos are read by `DatasetManifest.read_videos`, against the
-    parameters' d_in: each feature file once, every entry checked. Only the
-    distinct supports become sequences (`manifest.sequence`), which are
-    trimmed in memory. A query use is a file, a support use a file and its
-    intervals. The distinct trimmed supports and then the distinct queries
-    are embedded by `embed_by_length`.
+    parameters' d_in: each feature file once, every entry checked. Each
+    distinct support is trimmed from its checked rows (`trim_support_rows`).
+    A query use is a file, a support use a file and its intervals. The
+    distinct trimmed supports and then the distinct queries are embedded by
+    `embed_by_length`.
     """
     entries = manifest.entries
     rows = manifest.read_videos(np.concatenate([support, queries], axis=1), params.d_in)
     support_uses, support_use = _distinct_uses(
         support, lambda i: (entries[i].feature_file, tuple(map(tuple, entries[i].gt_intervals))))
     query_uses, query_use = _distinct_uses(queries, lambda i: entries[i].feature_file)
-    raws = {"support": [trim_support_video(manifest.sequence(entries[i], rows[i])).features
+    raws = {"support": [trim_support_rows(entries[i].video_id, rows[i], entries[i].gt_intervals)
                         for i in support_uses.tolist()],
             "query": [rows[i] for i in query_uses.tolist()]}
     del rows  # so each embedding pass frees its raw rows
@@ -540,10 +541,10 @@ def _classify_block(params: model_mod.ModelParams, support_means: np.ndarray, em
     stacks = _classify_stacks(params, embedded, length, row, prototypes(support_means, K),
                               np.arange(length.size) // Q, cfg)
     if mode == "classification":
-        hits = np.zeros(len(support_means), dtype=np.intp)
+        hit = np.empty(length.size, dtype=bool)  # each query slot's top class is its own
         for at, res in stacks:
-            np.add.at(hits, at // Q, res.top1 == at % Q // q)
-        return (hits / Q).tolist()
+            hit[at] = res.top1 == at % Q // q
+        return (hit.reshape(-1, Q).sum(axis=1) / Q).tolist()
     lengths = length.tolist()
     first = np.cumsum([0] + lengths)
     A = np.empty((first[-1], K))

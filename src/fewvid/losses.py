@@ -69,16 +69,16 @@ def self_weight(f, i_bg, cfg: LossConfig = None):
     BG row of that row's video. A plain (Q, T, d) array f stacks Q videos of
     one length, with a (Q,) i_bg, and gives (Q, T, 1) weights. A Tensor f
     gives a graph node (`_self_weight_rows`); a plain array gives a plain
-    array.
+    array, each video's BG row gathered by one integer index into a fresh
+    C-ordered (d, 1) column, so the product is the one-video BLAS call.
     """
     cfg = cfg or LossConfig()
     if isinstance(f, ad.Tensor):
         if np.ndim(i_bg) == 0:
             i_bg = np.full(len(f.data), i_bg)
         return _self_weight_rows(f, i_bg, cfg)
-    # each video's BG row as a C-ordered (d, 1) column
-    at = np.reshape(i_bg, np.shape(i_bg) + (1, 1))
-    return _weight_curve(f @ np.take_along_axis(f, at, axis=-2).swapaxes(-1, -2).copy(), cfg)
+    bg = f[np.arange(len(f)), i_bg] if np.ndim(i_bg) else f[i_bg].copy()
+    return _weight_curve(f @ bg[..., None], cfg)
 
 
 def _weight_curve(cos: np.ndarray, cfg: LossConfig) -> np.ndarray:
@@ -105,7 +105,7 @@ def _self_weight_rows(f: ad.Tensor, i_bg, cfg: LossConfig) -> ad.Tensor:
     def fwd(fv, _):
         nonlocal bg
         bg = fv[index]
-        return _weight_curve(np.sum(fv * bg, axis=1, keepdims=True), cfg)
+        return _weight_curve((fv * bg).sum(axis=1, keepdims=True), cfg)
 
     def bwd(g, out, fv, _):
         g_cos = -(ad.sigmoid_backward(g, out) * cfg.tau_s)
@@ -133,7 +133,7 @@ def aggregate_video_feature(f, weights, lengths=None):
 
 
 def _check_weight_sums(den):
-    if np.any(den == 0):
+    if (den == 0).any():
         raise ValueError("cannot aggregate with weights that sum to zero")
 
 
@@ -163,8 +163,8 @@ def _aggregate_videos(f: ad.Tensor, weights: ad.Tensor, lengths) -> ad.Tensor:
         g_wf = np.repeat(g / den, lengths, axis=0)
         g_w = None
         if weights.requires_grad:
-            g_den = np.sum(ad.divisor_backward(g, num, den), axis=1, keepdims=True)
-            g_w = np.sum(g_wf * fv, axis=1, keepdims=True) + np.repeat(g_den, lengths, axis=0)
+            g_den = ad.divisor_backward(g, num, den).sum(axis=1, keepdims=True)
+            g_w = (g_wf * fv).sum(axis=1, keepdims=True) + np.repeat(g_den, lengths, axis=0)
         return g_w, (g_wf * wv if f.requires_grad else None)
 
     return ad._node("aggregate", (weights, f), fwd, bwd)
@@ -187,11 +187,11 @@ def _cross_entropy(feats: ad.Tensor, labels: np.ndarray, classifier: ad.Tensor,
         nonlocal classifier_t, probs
         classifier_t = wv.T.copy()
         probs = ad.softmax_forward(tau * (xv @ classifier_t))
-        return np.asarray(-np.mean(np.log(probs[rows, labels])))
+        return np.asarray(-np.log(probs[rows, labels]).mean())
 
     def bwd(g, out, xv, wv):
         # neg, mean and log: each picked probability's gradient is -(g / n) / p
-        g_probs = np.zeros_like(probs)
+        g_probs = np.zeros(probs.shape)
         g_probs[rows, labels] = -(g / labels.size) / probs[rows, labels]
         g_logits = ad.softmax_backward(g_probs, probs) * tau
         return (g_logits @ classifier_t.T if feats.requires_grad else None,
@@ -276,11 +276,11 @@ def _hardest_pairs(nb: np.ndarray, fg):
         first, second = np.nonzero(~(est[:n] < pull_low))
         upper = first < second
         first, second = first[upper], second[upper]
-        at = np.argmax(_summed_squares(nb[first] - nb[second]))
+        at = _summed_squares(nb[first] - nb[second]).argmax()
         pull = first[at], second[at]
     if fg is not None:
         k, l = np.nonzero(~(est[n:] > push_high))
-        at = np.argmin(_summed_squares(fg[k] - nb[l]))
+        at = _summed_squares(fg[k] - nb[l]).argmin()
         push = k[at], l[at]
     return pull, push
 
@@ -339,7 +339,7 @@ def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tenso
                 g_fg = ad.RowGrad(np.array([push[0]]), g_push[None])
         g_nb = None
         if nb.requires_grad:
-            dense = np.zeros_like(nbv)
+            dense = np.zeros(nbv.shape)
             dense[nb_rows[0]] = nb_grads[0]
             for row, grad in zip(nb_rows[1:], nb_grads[1:]):
                 dense[row] += grad

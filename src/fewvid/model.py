@@ -66,7 +66,8 @@ def init_params(n_classes: int, d_in: int, d: int = 64, kernel_width: int = 8,
     """Gaussian init scaled by 1/sqrt(fan_in); classifier rows start unit-norm."""
     rng = np.random.default_rng(seed)
     classifier = rng.normal(size=(n_classes + 1, d))
-    classifier /= np.linalg.norm(classifier, axis=1, keepdims=True)
+    # each row over its norm, with the arithmetic of np.linalg.norm
+    classifier /= np.sqrt((classifier * classifier).sum(axis=1, keepdims=True))
     return ModelParams(
         transform=ad.Tensor(rng.normal(scale=d_in ** -0.5, size=(d, d_in)), requires_grad=True),
         temporal_kernel=ad.Tensor(rng.normal(scale=kernel_width ** -0.5, size=(d, kernel_width)),

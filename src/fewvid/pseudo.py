@@ -26,11 +26,18 @@ def default_m(T):
 
 def _segment_scores(logits: np.ndarray) -> np.ndarray:
     """Per-segment best class logit: a running maximum over the class
-    columns, faster than a reduction along short rows."""
+    columns, faster than a reduction along short rows.
+
+    A zero maximum comes back as +0.0: which zero np.maximum keeps from a
+    tie of +0.0 and -0.0 depends on the SIMD loop NumPy dispatches, so the
+    scores add 0.0, which is exact for every other value. A NaN comes back
+    as a quiet NaN; a signalling one raises the "invalid" flag.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     scores = logits[..., 0].copy()  # not a view of the caller's logits
     for k in range(1, logits.shape[-1]):
         np.maximum(scores, logits[..., k], out=scores)
+    scores += 0.0
     return scores
 
 
@@ -40,7 +47,7 @@ def pseudo_label_bg(logits: np.ndarray):
     (T, C) logits of one video give one index; a (Q, T, C) stack of videos
     gives a (Q,) index array, one BG segment per video.
     """
-    return np.argmin(_segment_scores(logits), axis=-1)
+    return _segment_scores(logits).argmin(axis=-1)
 
 
 def select_fg_ibg(logits: np.ndarray, M: int) -> list:
@@ -82,7 +89,7 @@ def pseudo_label_video(logits: np.ndarray, lengths, t_n: float = 0.25,
     valid = np.arange(lengths.max(initial=1)) < lengths[:, None]
     padded = np.full(valid.shape, np.inf)
     padded[valid] = scores
-    i_bg = np.argmin(padded, axis=1)
+    i_bg = padded.argmin(axis=1)
     m = np.clip(default_m(lengths) if M is None else M, 0, lengths - 1)
     # rank the other segments by descending score, ties by index
     left_out = ~valid

@@ -33,8 +33,9 @@ class OptimizerState:
 def nesterov_step(tensors: dict, grads: dict, state: OptimizerState):
     """v <- mu*v - lr*g; p <- p + mu*v - lr*g. Updates tensors in place.
 
-    The tensor named "classifier", if present, gets its rows rescaled to unit
-    norm after the update.
+    Each velocity starts at zero and is made once, at its tensor's first
+    step. The tensor named "classifier", if present, gets its rows rescaled
+    to unit norm after the update, with np.linalg.norm's arithmetic.
     """
     for name, tensor in tensors.items():
         g = grads.get(name)
@@ -43,13 +44,15 @@ def nesterov_step(tensors: dict, grads: dict, state: OptimizerState):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != tensor.data.shape:
             raise ad.ShapeError("nesterov_step", tensor.data.shape, g.shape)
-        v = state.velocity.setdefault(name, np.zeros_like(tensor.data))
+        v = state.velocity.get(name)
+        if v is None:
+            v = state.velocity[name] = np.zeros(tensor.data.shape)
         v *= state.momentum
         v -= state.lr * g
         tensor.data += state.momentum * v - state.lr * g
     if "classifier" in tensors:
         w = tensors["classifier"].data
-        norms = np.linalg.norm(w, axis=-1, keepdims=True)
+        norms = np.sqrt((w * w).sum(axis=-1, keepdims=True))
         w /= np.where(norms > 0.0, norms, 1.0)
     return tensors, state
 

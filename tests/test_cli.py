@@ -1192,10 +1192,14 @@ class TestGoldenEvalBytes:
     """Evaluation CSVs of a fixed tiny run, byte for byte.
 
     The bytes were written by the evaluation code before an episode's queries
-    were classified as one stack, with NumPy 2.4.6 on OpenBLAS 0.3.31
-    (scipy-openblas, Haswell kernels), one BLAS thread or two. A refactor of
-    evaluation that keeps its numerics must keep them; a different NumPy or
-    BLAS build may round differently and need them re-recorded.
+    were classified as one stack, with NumPy 2.4.6 and scipy-openblas 0.3.31,
+    one BLAS thread or two. `np.show_config()` and `np.show_runtime()` report
+    that build as OpenBLAS built with DYNAMIC_ARCH, which picks its kernels
+    for the CPU at run time (the "Haswell" it prints is the build's target,
+    not the kernels that ran), and NumPy's SIMD baseline X86_V2 with dispatch
+    up to AVX512_SPR, on a CPU with AVX-512. A refactor of evaluation that
+    keeps its numerics must keep them; a different NumPy or BLAS build may
+    round differently and need them re-recorded.
     """
 
     @pytest.mark.parametrize("command", ["eval-cls", "eval-det"])
@@ -1217,7 +1221,7 @@ class TestGoldenInspectBytes:
     to stdout.
 
     The hash was written by the inspect code that labeled all base videos in
-    one call, with NumPy 2.4.6 on OpenBLAS 0.3.31 (one BLAS thread or two).
+    one call, on the build `TestGoldenEvalBytes` names.
     A refactor that keeps the numerics must keep it.
     """
 
@@ -1255,10 +1259,10 @@ class TestGoldenTrainBytes:
 
     The hashes were written by the training step that gathered every
     contrastive pair into the graph and padded the convolution with zero rows
-    between videos, with NumPy 2.4.6 on OpenBLAS 0.3.31 (one BLAS thread or
-    two). A refactor of training that keeps its numerics must keep them; a
-    different NumPy or BLAS build may round differently and need them
-    re-recorded.
+    between videos, on the build `TestGoldenEvalBytes` names; under
+    OPENBLAS_CORETYPE=Haswell three of them fail. A refactor of training that
+    keeps its numerics must keep them; a different NumPy or BLAS build may
+    round differently and need them re-recorded.
     """
 
     @pytest.mark.parametrize("ablate", GOLDEN_TRAIN_SHA256, ids=lambda a: "-".join(a) or "full")
@@ -1271,6 +1275,33 @@ class TestGoldenTrainBytes:
         assert code == 0 and "trained 12 steps" in out
         digest = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (ckpt, log))
         assert digest == GOLDEN_TRAIN_SHA256[ablate]
+
+
+class TestHotLoopsCallNoWrappers:
+    """Evaluation and the training step call NumPy's array methods and
+    integer indexing, not the wrappers `np.take_along_axis`, `np.zeros_like`
+    and `np.linalg.norm`, whose Python-level cost at these sizes is as large
+    as the arithmetic."""
+
+    WRAPPERS = [(np, "take_along_axis"), (np, "zeros_like"), (np.linalg, "norm")]
+
+    def test_eval_and_train_steps(self, golden_run, tmp_path, capsys, monkeypatch):
+        calls = []
+        for module, name in self.WRAPPERS:
+            def spy(*args, _name=name, _wrapped=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _wrapped(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        for command in ("eval-cls", "eval-det"):
+            argv = [command, "--config", str(golden_run), "--out", str(tmp_path / "out.csv")]
+            assert run(argv, capsys)[0] == 0
+        cfg = tmp_path / "train.cfg"  # 18 base videos in batches of 9: two steps
+        cfg.write_text(golden_run.read_text().replace("batch_size = 8", "batch_size = 9"))
+        argv = ["train", "--config", str(cfg), "--ckpt", str(tmp_path / "t.ckpt"),
+                "--out", str(tmp_path / "t.log.csv")]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and "trained 2 steps" in out
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
