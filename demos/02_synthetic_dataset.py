@@ -22,10 +22,10 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
 
     base = data.load_manifest(workdir / "base_manifest.jsonl")
     entry = base.entries[0]
-    seq = base.load_sequence(entry)
+    rows = base.read_videos([0])[0]  # entry 0's rows, checked against the entry
     print("\nfirst video:", entry.video_id, "class", entry.class_label)
-    print("feature block:", seq.features.shape, seq.features.dtype)
-    print("ground-truth intervals:", seq.gt_intervals)
+    print("feature block:", rows.shape, rows.dtype)
+    print("ground-truth intervals:", entry.gt_intervals)
     print("segment roles (F=foreground, I=informative BG, N=non-informative BG):")
     print(" ", entry.segment_roles)
     print("role counts over the base split:",
@@ -37,5 +37,5 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
           "payload:", len(raw) - 16, "bytes")
 
     # support videos are trimmed to their ground-truth intervals before use
-    trimmed = data.trim_support_video(seq)
-    print("trimmed support:", seq.features.shape, "->", trimmed.features.shape)
+    trimmed = data.trim_support_rows(entry.video_id, rows, entry.gt_intervals)
+    print("trimmed support:", rows.shape, "->", trimmed.shape)

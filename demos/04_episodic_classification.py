@@ -19,20 +19,23 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
 
     result = train.train_base(base, losses.LossConfig(), d=24, epochs=12, seed=0)
 
-    # one 3-way 1-shot episode, dissected: episode 0 of seed 0
-    draw = data.draw_episode(novel, K=3, n=1, q=2, seed=[0, 0])
-    # the draw lists support and queries class by class, so position gives the class
+    # one 3-way 1-shot episode, dissected: episode 0 of seed 0, as entry indices
+    [classes], [support], [queries] = data.draw_episodes(novel, K=3, n=1, q=2, seeds=[[0, 0]])
+    rows = novel.read_videos(np.concatenate([support, queries]), result.params.d_in)
+    # the draw lists support and queries class by class, so position gives the class;
+    # a support is trimmed to its intervals and its segment embeddings averaged
     proto = evaluate.prototypes(np.stack([
-        evaluate.support_mean(
-            result.params, data.trim_support_video(novel.load_sequence(entry)).features)
-        for entry in draw.support]), 3)
-    print("episode classes:", draw.classes)
+        model.embed_segments(result.params, data.trim_support_rows(
+            novel.entries[i].video_id, rows[i], novel.entries[i].gt_intervals),
+            grad=False).mean(axis=0)
+        for i in support.tolist()]), 3)
+    print("episode classes:", classes.tolist())
     print("prototype norms:", [round(float(np.linalg.norm(row)), 6) for row in proto])
 
-    qseq = novel.load_sequence(draw.queries[0])  # a query of the first class, index 0
-    f = model.embed_segments(result.params, qseq.features, grad=False)
+    query = queries[0].item()  # a query of the first class, index 0
+    f = model.embed_segments(result.params, rows[query], grad=False)
     verdict = evaluate.classify_query(result.params, f[None], proto)
-    print("query", qseq.video_id, "true class index", 0)
+    print("query", novel.entries[query].video_id, "true class index", 0)
     print("class probabilities:", np.round(verdict.probs[0], 4), "-> top1", verdict.top1[0])
 
     # aggregate accuracy with a 95% confidence interval over many episodes

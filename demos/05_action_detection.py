@@ -17,22 +17,24 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     novel = data.load_manifest(workdir / "novel_manifest.jsonl")
     result = train.train_base(base, losses.LossConfig(), d=24, epochs=12, seed=0)
 
-    # episode 0 of seed 0: prototypes from the trimmed support videos
-    draw = data.draw_episode(novel, K=3, n=1, q=2, seed=[0, 0])
+    # episode 0 of seed 0, as entry indices: prototypes from the trimmed support videos
+    _, [support], [queries] = data.draw_episodes(novel, K=3, n=1, q=2, seeds=[[0, 0]])
+    rows = novel.read_videos(np.concatenate([support, queries]), result.params.d_in)
     # the draw lists support and queries class by class, so position gives the class
     proto = evaluate.prototypes(np.stack([
-        evaluate.support_mean(
-            result.params, data.trim_support_video(novel.load_sequence(entry)).features)
-        for entry in draw.support]), 3)
+        model.embed_segments(result.params, data.trim_support_rows(
+            novel.entries[i].video_id, rows[i], novel.entries[i].gt_intervals),
+            grad=False).mean(axis=0)
+        for i in support.tolist()]), 3)
 
     # activation: each segment's aggregation weight times its cosine to each prototype
-    qseq = novel.load_sequence(draw.queries[0])  # a query of the first class, column 0
-    f = model.embed_segments(result.params, qseq.features, grad=False)
+    query = queries[0].item()  # a query of the first class, column 0
+    f = model.embed_segments(result.params, rows[query], grad=False)
     verdict = evaluate.classify_query(result.params, f[None], proto)
     A = verdict.weights[0][:, None] * verdict.cosines[0]
     print("activation map shape:", A.shape, "(segments x episode classes)")
     print("true class column, rounded:", np.round(A[:, 0], 2))
-    print("ground truth intervals:", qseq.gt_intervals)
+    print("ground truth intervals:", novel.entries[query].gt_intervals)
 
     proposals = evaluate.episode_proposals(A, [A.shape[0]])
     for i in np.argsort(-proposals.scores, kind="stable")[:4]:

@@ -276,9 +276,14 @@ def check_lengths(op: str, shape, lengths) -> np.ndarray:
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function on a plain array: with e = exp(-|x|),
     1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, so exp never
-    overflows. -|x| is taken as min(x, -x), which keeps a NaN's bits, and
-    1 + e is taken once for both branches."""
-    e = np.exp(np.minimum(x, -x))
+    overflows, and 1 + e is taken once for both branches.
+
+    -|x| is taken as min(0 - x, x). The subtraction makes a signalling NaN
+    quiet and raises the invalid flag, and np.minimum returns the first of
+    two NaNs, so on every SIMD loop a NaN comes back as that NaN made quiet,
+    sign and payload kept, and only a signalling NaN raises invalid (exp
+    alone raises for it on AVX2 loops and not on AVX-512 ones)."""
+    e = np.exp(np.minimum(0.0 - x, x))
     one_plus_e = 1.0 + e
     return np.where(x >= 0, 1.0 / one_plus_e, e / one_plus_e)
 

@@ -52,24 +52,13 @@ class SegmentFeatureSequence:
     def T(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def d_in(self) -> int:
-        return self.features.shape[1]
-
-    def validate(self):
-        """Raise DataError naming the video unless its features are 2-D, its
-        intervals are sorted, do not overlap and end at or before T, and its
-        segment_roles are empty or one per segment."""
-        if self.features.ndim != 2:
-            raise DataError(f"{self.video_id}: features must be 2-D, got {self.features.shape}")
-        check_segments(self.video_id, self.gt_intervals, self.segment_roles, self.T)
-        return self
-
 
 def check_segments(video_id: str, gt_intervals, segment_roles: str, T: int):
     """Raise DataError naming the video unless its (start, end) intervals are
     sorted, do not overlap and lie inside its T segments, and its
-    segment_roles are empty or one per segment."""
+    segment_roles are empty or one per segment: the check every entry's
+    rows pass before use (`DatasetManifest.read_videos` and
+    `DatasetManifest.load_sequence`)."""
     prev_end = 0
     for start, end in gt_intervals:
         if not (0 <= start < end <= T):
@@ -103,18 +92,18 @@ class DatasetManifest:
         return sorted({e.class_label for e in self.entries})
 
     def load_sequence(self, entry: ManifestEntry) -> SegmentFeatureSequence:
-        return self.sequence(entry, read_feature_file(os.path.join(self.root, entry.feature_file)))
-
-    def sequence(self, entry: ManifestEntry, features: np.ndarray) -> SegmentFeatureSequence:
-        """The entry's video over `features`, the rows of its feature file
-        (perhaps read for another entry of that file), checked against the entry."""
+        """The entry's video: its feature file's rows (`read_feature_file`),
+        checked against the entry as `read_videos` checks them
+        (`check_segments`). Raises DataError naming the video or the file."""
+        features = read_feature_file(os.path.join(self.root, entry.feature_file))
+        check_segments(entry.video_id, entry.gt_intervals, entry.segment_roles, len(features))
         return SegmentFeatureSequence(
             video_id=entry.video_id,
             class_label=entry.class_label,
             features=features,
             gt_intervals=[tuple(iv) for iv in entry.gt_intervals],
             segment_roles=entry.segment_roles,
-        ).validate()
+        )
 
     def read_videos(self, indices, d_in: int = None) -> dict:
         """{entry index: its checked (T, d_in) feature rows} for the entry
@@ -494,25 +483,6 @@ def trim_support_rows(video_id: str, features: np.ndarray, gt_intervals) -> np.n
     return np.concatenate([features[s:e] for s, e in gt_intervals], axis=0)
 
 
-def trim_support_video(seq: SegmentFeatureSequence) -> SegmentFeatureSequence:
-    """Keep only the annotated foreground segments, concatenated in order."""
-    rows = trim_support_rows(seq.video_id, seq.features, seq.gt_intervals)
-    return SegmentFeatureSequence(
-        video_id=seq.video_id,
-        class_label=seq.class_label,
-        features=rows,
-        gt_intervals=[(0, rows.shape[0])],
-    )
-
-
-@dataclass
-class EpisodeDraw:
-    """An episode's videos as manifest entries, before anything is loaded."""
-    classes: list  # the K sampled novel labels; episode class k is classes[k]
-    support: list  # K*n entries, class by class
-    queries: list  # K*q entries, class by class
-
-
 def draw_episodes(novel: DatasetManifest, K: int, n: int, q: int, seeds):
     """Draw one episode per seed, from `default_rng(seed)` alone: K classes,
     then n support + q query videos per class, all without replacement.
@@ -537,11 +507,3 @@ def draw_episodes(novel: DatasetManifest, K: int, n: int, q: int, seeds):
                 raise DataError(f"class {name} has {size[c]} videos, episode needs {n + q}")
             picks[e, k] = rng.choice(pools[c], size=n + q, replace=False)
     return labels[classes], picks[..., :n].reshape(E, K * n), picks[..., n:].reshape(E, K * q)
-
-
-def draw_episode(novel: DatasetManifest, K: int, n: int, q: int, seed) -> EpisodeDraw:
-    """The one episode `draw_episodes` draws for `seed`, as manifest entries."""
-    classes, support, queries = draw_episodes(novel, K, n, q, [seed])
-    return EpisodeDraw(classes=classes[0].tolist(),
-                       support=[novel.entries[i] for i in support[0]],
-                       queries=[novel.entries[i] for i in queries[0]])

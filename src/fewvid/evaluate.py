@@ -82,14 +82,9 @@ class ClassifiedQuery:
     cosines: np.ndarray  # (Q, T, K) cosine of each segment to each prototype
 
 
-def support_mean(params: model_mod.ModelParams, features: np.ndarray) -> np.ndarray:
-    """(d,) mean segment embedding of one trimmed support video."""
-    return model_mod.embed_segments(params, features, grad=False).mean(axis=0)
-
-
 def prototypes(support_means: np.ndarray, K: int) -> np.ndarray:
     """(..., K, d) prototypes from a (..., K*n, d) stack of support means
-    listed class by class, as `draw_episode` lists the support: each class's
+    listed class by class, as `draw_episodes` lists the support: each class's
     mean of its n means, normalized; a zero mean stays a zero row."""
     *lead, rows, d = support_means.shape
     means = support_means.reshape(*lead, K, rows // K, d).mean(axis=-2)
@@ -131,10 +126,11 @@ def embed_by_length(params: model_mod.ModelParams, raws):
     order.
 
     The videos of one length are embedded in passes of at most EMBED_CHUNK,
-    so no pass pads a video, and each row has the bits of its video embedded
-    alone. The function keeps its own references to the raw videos and drops
-    a pass's once they are stacked, so a caller that keeps no other
-    reference to them has their memory back pass by pass.
+    so no pass pads a video. Each row has the bits of its video embedded
+    alone on OpenBLAS's SkylakeX kernels, not on its Haswell ones. The
+    function keeps its own references to the raw videos and drops a pass's
+    once they are stacked, so a caller that keeps no other reference to
+    them has their memory back pass by pass.
     """
     raws = dict(enumerate(raws))
     length = np.array([len(x) for x in raws.values()], dtype=np.intp)

@@ -2,7 +2,11 @@
 and of the oracle primitives in `primitive_chains`, checked against central
 differences."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,15 +104,18 @@ class TestElementwise:
         np.testing.assert_allclose(leaf.grad, 2.0 * x, rtol=1e-8, atol=1e-8)
 
 
-SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
                   2.2250738585072014e-308, 709.8, -709.8, 745.2, -745.2, 746.0, -746.0, 1e300,
-                  -1e300, *np.array([0x7FF0000000000001, 0xFFF8000000000123, 0x7FF8DEAD00000000],
-                                    dtype=np.uint64).view(np.float64)]  # and NaN payloads
+                  -1e300]
+QUIET_BIT = np.uint64(1 << 51)
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0xFFF8000000000123, 0x7FF8DEAD00000000,
+            0x7FF0000000000001, 0xFFF0000000000101, 0x7FF4000000000000]  # quiet, then signalling
+NANS = st.sampled_from(NAN_BITS).map(lambda bits: np.uint64(bits).view(np.float64))
 
 
 def sigmoid_masked(x):
     """The logistic function by boolean gathers and scatters: the form
-    `sigmoid_forward` replaced, kept as its oracle."""
+    `sigmoid_forward` replaced, kept as its oracle for inputs other than NaN."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -117,9 +124,28 @@ def sigmoid_masked(x):
     return out
 
 
+def check_sigmoid_contract(x):
+    """`sigmoid_forward`'s contract under evaluation's error state, on any
+    SIMD loop: a number or an infinity gives the masked form's bytes, a NaN
+    gives that NaN with its quiet bit set, and it raises FloatingPointError
+    exactly when x holds a signalling NaN."""
+    nan = np.isnan(x)
+    signalling = nan & ((x.view(np.uint64) & QUIET_BIT) == 0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        if signalling.any():
+            with pytest.raises(FloatingPointError):
+                ad.sigmoid_forward(x)
+        want = sigmoid_masked(x[~nan])
+        with np.errstate(invalid="ignore"):
+            got = ad.sigmoid_forward(x)
+    assert got.shape == x.shape
+    assert got[~nan].tobytes() == want.tobytes()
+    assert (got[nan].view(np.uint64) == x[nan].view(np.uint64) | QUIET_BIT).all()
+
+
 class TestSigmoidKernel:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), max_size=48),
+    @given(st.lists(st.floats(allow_nan=False) | st.sampled_from(SPECIAL_FLOATS), max_size=48),
            st.sampled_from([(-1,), (-1, 1), (1, -1, 1)]))
     def test_bytes_equal_masked_form(self, values, shape):
         # under evaluation's error state: neither form may raise where the other does not
@@ -129,10 +155,37 @@ class TestSigmoidKernel:
             want = sigmoid_masked(x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False) | NANS, max_size=48),
+           st.sampled_from([(-1,), (1, -1, 1)]))
+    def test_nan_comes_back_quiet(self, values, shape):
+        check_sigmoid_contract(np.array(values, dtype=np.float64).reshape(shape))
+
     def test_every_special_value(self):
-        x = np.array(SPECIAL_FLOATS)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            assert ad.sigmoid_forward(x).tobytes() == sigmoid_masked(x).tobytes()
+        nans = np.array(NAN_BITS, dtype=np.uint64).view(np.float64)
+        check_sigmoid_contract(np.array(SPECIAL_FLOATS))
+        for size in (1, 7, 33):  # scalar, partial and whole SIMD lanes
+            for nan in nans:
+                x = np.resize(np.array(SPECIAL_FLOATS), size)
+                x[size // 2] = nan
+                check_sigmoid_contract(x)
+
+    def test_contract_holds_on_avx2_loops(self):
+        # NumPy picks its SIMD loops at import, so a fresh process takes the
+        # AVX2 ones, and exp there raises for a signalling NaN
+        script = ("import sys; sys.path[:0] = sys.argv[1:]\n"
+                  "from hypothesis import settings\n"
+                  "settings.register_profile('fresh', database=None)\n"
+                  "settings.load_profile('fresh')\n"
+                  "from test_autodiff import TestSigmoidKernel\n"
+                  "for name in ('test_bytes_equal_masked_form', 'test_nan_comes_back_quiet',\n"
+                  "             'test_every_special_value'):\n"
+                  "    getattr(TestSigmoidKernel(), name)()\n")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        src = Path(ad.__file__).parents[1]
+        run = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent), str(src)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
 
 
 class TestMatmulAndShaping:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fewvid import data, model
+from fewvid import data, evaluate, model
 from fewvid.errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
                            VersionError)
 
@@ -283,7 +283,8 @@ class TestManifest:
 
 
 class TestReadVideos:
-    """`DatasetManifest.read_videos`, the one reader of every command's videos."""
+    """`DatasetManifest.read_videos`, the one reader of every command's
+    videos, and `load_sequence`, which checks an entry as it does."""
 
     WIDTHS = {"a.segf": (4, 3), "b.segf": (5, 3), "c.segf": (4, 5)}  # file -> (T, d_in)
 
@@ -326,6 +327,17 @@ class TestReadVideos:
         with pytest.raises(DataError) as err:
             manifest.read_videos([0, 1])
         assert str(err.value) == f"twin: {reason}"
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("gt_intervals", [(3, 5)], "interval (3, 5) is not inside its 4 segments"),
+        ("segment_roles", "FIFIF", "segment_roles has 5 roles for its 4 segments")])
+    def test_load_sequence_checks_the_entry(self, tmp_path, field, value, reason):
+        manifest = self.manifest(tmp_path, ("a", "a.segf", [(0, 2)], "FFII"))
+        assert manifest.load_sequence(manifest.entries[0]).gt_intervals == [(0, 2)]
+        entry = dataclasses.replace(manifest.entries[0], **{field: value})
+        with pytest.raises(DataError) as err:
+            manifest.load_sequence(entry)
+        assert str(err.value) == f"a: {reason}"
 
     @pytest.mark.parametrize("indices, order", [
         ([[2, 1], [1, 0]], [2, 1, 0]), (np.array([[[1]], [[0]]]), [1, 0]), (range(3), [0, 1, 2]),
@@ -422,31 +434,33 @@ class TestGenerator:
 
 
 class TestTrim:
-    def seq(self, T=10, intervals=None):
-        feats = np.arange(T * 2, dtype=float).reshape(T, 2)
-        return data.SegmentFeatureSequence(
-            video_id="v", class_label=0, features=feats, gt_intervals=intervals or [])
+    FEATURES = np.arange(20, dtype=float).reshape(10, 2)
 
     def test_single_interval(self):
-        out = data.trim_support_video(self.seq(intervals=[(2, 5)]))
-        assert out.T == 3
-        np.testing.assert_array_equal(out.features, self.seq().features[2:5])
-        assert out.gt_intervals == [(0, 3)]
+        out = data.trim_support_rows("v", self.FEATURES, [(2, 5)])
+        np.testing.assert_array_equal(out, self.FEATURES[2:5])
 
     def test_full_cover_is_identity(self):
-        src = self.seq(intervals=[(0, 10)])
-        out = data.trim_support_video(src)
-        np.testing.assert_array_equal(out.features, src.features)
-        assert out.gt_intervals == [(0, 10)]
+        out = data.trim_support_rows("v", self.FEATURES, [(0, 10)])
+        np.testing.assert_array_equal(out, self.FEATURES)
 
     def test_two_intervals(self):
-        out = data.trim_support_video(self.seq(intervals=[(1, 3), (7, 9)]))
-        assert out.T == 4
-        np.testing.assert_array_equal(out.features, self.seq().features[[1, 2, 7, 8]])
+        out = data.trim_support_rows("v", self.FEATURES, [(1, 3), (7, 9)])
+        np.testing.assert_array_equal(out, self.FEATURES[[1, 2, 7, 8]])
 
     def test_empty_intervals_error(self):
-        with pytest.raises(DataError):
-            data.trim_support_video(self.seq())
+        with pytest.raises(DataError, match="^v: cannot trim without ground-truth intervals$"):
+            data.trim_support_rows("v", self.FEATURES, [])
+
+
+class TestOneHandleOnANovelVideo:
+    def test_per_video_wrappers_are_gone(self):
+        # an entry index and its checked rows are the only handle on a novel
+        # video: episodes are index arrays, supports are trimmed rows
+        gone = [(data, "draw_episode"), (data, "EpisodeDraw"), (data, "trim_support_video"),
+                (evaluate, "support_mean"), (data.DatasetManifest, "sequence"),
+                (data.SegmentFeatureSequence, "validate"), (data.SegmentFeatureSequence, "d_in")]
+        assert [name for owner, name in gone if hasattr(owner, name)] == []
 
 
 @pytest.fixture(scope="module")
@@ -456,9 +470,15 @@ def novel(tmp_path_factory):
     return manifest
 
 
+def labels_of(manifest, indices) -> list:
+    """The class labels of the manifest entries at `indices`."""
+    return [manifest.entries[i].class_label for i in indices]
+
+
 def listed_draw(novel, K, n, q, seed):
-    """The episode draw as entry lists, grouped per episode: the form the
-    call-level draw must reproduce, RNG call for RNG call."""
+    """One episode's (sampled labels, support entries, query entries), drawn
+    with entry lists: the form the call-level draw must reproduce, RNG call
+    for RNG call."""
     rng = np.random.default_rng(seed)
     groups = {}
     for entry in novel.entries:
@@ -476,47 +496,46 @@ def listed_draw(novel, K, n, q, seed):
         picks = rng.choice(len(pool), size=n + q, replace=False)
         support.extend(pool[j] for j in picks[:n])
         queries.extend(pool[j] for j in picks[n:])
-    return data.EpisodeDraw(classes=classes, support=support, queries=queries)
+    return classes, support, queries
 
 
 class TestEpisode:
     def test_counts(self, novel):
-        draw = data.draw_episode(novel, K=3, n=1, q=3, seed=0)
-        assert len(draw.support) == 3
-        assert len(draw.queries) == 9
-        assert len(set(draw.classes)) == 3
-        assert [e.class_label for e in draw.support] == draw.classes  # class by class
+        classes, support, queries = data.draw_episodes(novel, K=3, n=1, q=3, seeds=[0])
+        assert (classes.shape, support.shape, queries.shape) == ((1, 3), (1, 3), (1, 9))
+        assert len(set(classes[0].tolist())) == 3
+        assert labels_of(novel, support[0]) == classes[0].tolist()  # class by class
 
     def test_deterministic(self, novel):
-        a = data.draw_episode(novel, K=3, n=2, q=2, seed=9)
-        b = data.draw_episode(novel, K=3, n=2, q=2, seed=9)
-        assert a == b
-        for x, y in zip(a.support, b.support):
-            assert (novel.load_sequence(x).features.tobytes()
-                    == novel.load_sequence(y).features.tobytes())
+        a = data.draw_episodes(novel, K=3, n=2, q=2, seeds=[9])
+        b = data.draw_episodes(novel, K=3, n=2, q=2, seeds=[9])
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_support_queries_disjoint(self, novel):
-        draw = data.draw_episode(novel, K=3, n=2, q=2, seed=4)
-        assert not {e.video_id for e in draw.support} & {e.video_id for e in draw.queries}
+        _, support, queries = data.draw_episodes(novel, K=3, n=2, q=2, seeds=[4])
+        assert not ({novel.entries[i].video_id for i in support[0]}
+                    & {novel.entries[i].video_id for i in queries[0]})
 
     def test_support_is_trimmed(self, novel):
-        draw = data.draw_episode(novel, K=3, n=1, q=1, seed=2)
-        for entry in draw.support:
-            s = data.trim_support_video(novel.load_sequence(entry))
-            assert s.gt_intervals == [(0, s.T)]
-            assert s.T < SMALL.T  # generator keeps some background in every video
+        _, support, _ = data.draw_episodes(novel, K=3, n=1, q=1, seeds=[2])
+        rows = novel.read_videos(support)
+        for i in support[0].tolist():
+            entry = novel.entries[i]
+            trimmed = data.trim_support_rows(entry.video_id, rows[i], entry.gt_intervals)
+            assert len(trimmed) == sum(end - start for start, end in entry.gt_intervals)
+            assert len(trimmed) < SMALL.T  # generator keeps some background in every video
 
     def test_query_classes_within_sampled(self, novel):
-        draw = data.draw_episode(novel, K=2, n=1, q=2, seed=7)
-        assert {e.class_label for e in draw.queries} <= set(draw.classes)
+        classes, _, queries = data.draw_episodes(novel, K=2, n=1, q=2, seeds=[7])
+        assert set(labels_of(novel, queries[0])) <= set(classes[0].tolist())
 
     def test_too_many_classes(self, novel):
         with pytest.raises(DataError):
-            data.draw_episode(novel, K=99, n=1, q=1, seed=0)
+            data.draw_episodes(novel, K=99, n=1, q=1, seeds=[0])
 
     def test_too_few_videos_names_class(self, novel):
         with pytest.raises(DataError) as err:
-            data.draw_episode(novel, K=3, n=3, q=5, seed=0)
+            data.draw_episodes(novel, K=3, n=3, q=5, seeds=[0])
         assert "novel" in str(err.value)
 
     @settings(max_examples=100, deadline=None)
@@ -524,9 +543,9 @@ class TestEpisode:
            st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     def test_lists_videos_class_by_class(self, novel, K, n, q, seed, e):
         # evaluation reads each video's episode class from its position
-        draw = data.draw_episode(novel, K=K, n=n, q=q, seed=[seed, e])
-        assert [entry.class_label for entry in draw.support] == list(np.repeat(draw.classes, n))
-        assert [entry.class_label for entry in draw.queries] == list(np.repeat(draw.classes, q))
+        classes, support, queries = data.draw_episodes(novel, K=K, n=n, q=q, seeds=[[seed, e]])
+        assert labels_of(novel, support[0]) == list(np.repeat(classes[0], n))
+        assert labels_of(novel, queries[0]) == list(np.repeat(classes[0], q))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
@@ -550,19 +569,17 @@ class TestEpisode:
                 data.draw_episodes(manifest, K, n, q, [[seed, e] for e in ids])
             assert str(got.value) == error
             return
-        classes, support, queries = data.draw_episodes(manifest, K, n, q,
-                                                       [[seed, e] for e in ids])
+        drawn = data.draw_episodes(manifest, K, n, q, [[seed, e] for e in ids])
+        classes, support, queries = drawn
         assert (classes.shape, support.shape, queries.shape) == (
             (len(ids), K), (len(ids), K * n), (len(ids), K * q))
-        for e, want in zip(ids, listed):
-            draw = data.draw_episode(manifest, K, n, q, [seed, e])
-            assert draw == want
-            assert all(a is b for a, b in zip(draw.support + draw.queries,
-                                              want.support + want.queries))
-        for e, want in enumerate(listed):
-            assert classes[e].tolist() == want.classes
-            assert [manifest.entries[i] for i in support[e]] == want.support
-            assert [manifest.entries[i] for i in queries[e]] == want.queries
+        for row, (e, want) in enumerate(zip(ids, listed)):
+            alone = data.draw_episodes(manifest, K, n, q, [[seed, e]])
+            assert all(np.array_equal(one[0], call[row]) for one, call in zip(alone, drawn))
+            assert classes[row].tolist() == want[0]
+            for indices, entries in ((support[row], want[1]), (queries[row], want[2])):
+                assert len(indices) == len(entries)
+                assert all(manifest.entries[i] is entry for i, entry in zip(indices, entries))
 
     def test_error_texts(self, novel):
         with pytest.raises(DataError, match=r"^episode needs 4 classes but the manifest has 3$"):

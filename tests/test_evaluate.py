@@ -17,6 +17,18 @@ from fewvid.errors import DataError
 from fewvid.losses import LossConfig
 
 
+def support_mean(params, rows):
+    """(d,) mean segment embedding of one trimmed support video, embedded alone."""
+    return model.embed_segments(params, rows, grad=False).mean(axis=0)
+
+
+def trimmed_rows(novel, entry):
+    """The entry's checked rows trimmed to its intervals: the raw rows an
+    evaluation call embeds for it as a support."""
+    rows = novel.load_sequence(entry).features
+    return data.trim_support_rows(entry.video_id, rows, entry.gt_intervals)
+
+
 def identity_params(d=2, n_classes=2, width=4):
     p = model.init_params(n_classes=n_classes, d_in=d, d=d, kernel_width=width, seed=0)
     p.transform.data[:] = np.eye(d)
@@ -111,7 +123,7 @@ class TestPrototypes:
         p = model.init_params(n_classes=3, d_in=6, d=5, seed=1)
         rng = np.random.default_rng(2)
         proto = evaluate.prototypes(np.stack([
-            evaluate.support_mean(p, rng.normal(size=(4, 6))) for _ in range(6)]), 3)
+            support_mean(p, rng.normal(size=(4, 6))) for _ in range(6)]), 3)
         assert proto.shape == (3, 5)
         assert np.all(np.abs(np.linalg.norm(proto, axis=1) - 1.0) < 1e-9)
 
@@ -189,7 +201,7 @@ def episode_accuracy(support, queries, K):
     by the identity head."""
     p = identity_params()
     proto = evaluate.prototypes(
-        np.stack([evaluate.support_mean(p, np.array(rows)) for rows in support]), K)
+        np.stack([support_mean(p, np.array(rows)) for rows in support]), K)
     return evaluate.classification_accuracy(p, [np.array(rows) for _, rows in queries],
                                             [label for label, _ in queries], proto)
 
@@ -392,22 +404,24 @@ class TestEpisodeDetection:
             T=14, d_in=8, seed=seed)
         root = self.tmp / f"ds{seed}"
         _, novel = data.generate_synthetic_dataset(cfg, root)
-        return novel, data.draw_episode(novel, K=2, n=1, q=2, seed=[1, 0])
+        # episode 0 of seed 1: its sampled labels, support and query entries
+        classes, support, queries = data.draw_episodes(novel, K=2, n=1, q=2, seeds=[[1, 0]])
+        return (novel, classes[0].tolist(), [novel.entries[i] for i in support[0]],
+                [novel.entries[i] for i in queries[0]])
 
     @staticmethod
-    def scored(params, novel, draw):
+    def scored(params, novel, classes, support, queries):
         """remap, prototypes, (query video, embedding) pairs and the
         episode's (map50, avg_map, maps)."""
-        K = len(draw.classes)
+        K = len(classes)
         proto = evaluate.prototypes(np.stack([
-            evaluate.support_mean(params, data.trim_support_video(
-                novel.load_sequence(entry)).features) for entry in draw.support]), K)
+            support_mean(params, trimmed_rows(novel, entry)) for entry in support]), K)
         queries = [(q, model.embed_segments(params, q.features, grad=False))
-                   for q in map(novel.load_sequence, draw.queries)]
+                   for q in map(novel.load_sequence, queries)]
         labels = np.repeat(np.arange(K), len(queries) // K)
         maps = call_maps([episode_detections(params, proto, queries, labels, None)])
         [(map50, avg_map)] = map_pairs(maps)
-        remap = {label: i for i, label in enumerate(draw.classes)}  # for the oracle
+        remap = {label: i for i, label in enumerate(classes)}  # for the oracle
         return remap, proto, queries, (map50, avg_map, by_threshold(maps[0]))
 
     @pytest.fixture(autouse=True)
@@ -415,16 +429,16 @@ class TestEpisodeDetection:
         self.tmp = tmp_path
 
     def test_matches_per_video_oracle(self):
-        novel, draw = self.dataset_episode()
+        novel, *draw = self.dataset_episode()
         params = model.init_params(n_classes=3, d_in=8, d=8, seed=2)
-        remap, proto, queries, (map50, avg_map, maps) = self.scored(params, novel, draw)
+        remap, proto, queries, (map50, avg_map, maps) = self.scored(params, novel, *draw)
         # the cached path draws the same episode as episode 0 of seed 1
         assert evaluate.episode_scores(params, novel, "detection", [0], K=2, n=1, q=2,
                                        seed=1) == [(map50, avg_map)]
 
         # independent aggregation: group detections and truths per video,
         # run the grid oracle per class, macro-average
-        K = len(draw.classes)
+        K = len(remap)
         per_class_dets = {k: {} for k in range(K)}
         per_class_gts = {k: {} for k in range(K)}
         for q, f in queries:
@@ -547,7 +561,7 @@ class TestEvaluateLoop:
 class OracleEpisode:
     K: int
     classes: list  # the K sampled novel labels, in remap order
-    support: list  # K*n trimmed sequences
+    support: list  # K*n (class label, trimmed rows) pairs
     queries: list  # K*q untrimmed sequences
 
     @property
@@ -573,7 +587,7 @@ def oracle_sample_episode(novel, K, n, q, seed):
         pool = groups[label]
         picks = rng.choice(len(pool), size=n + q, replace=False)
         for j in picks[:n]:
-            support.append(data.trim_support_video(novel.load_sequence(pool[j])))
+            support.append((label, trimmed_rows(novel, pool[j])))
         for j in picks[n:]:
             queries.append(novel.load_sequence(pool[j]))
     return OracleEpisode(K=K, classes=classes, support=support, queries=queries)
@@ -582,9 +596,8 @@ def oracle_sample_episode(novel, K, n, q, seed):
 def oracle_prototypes(params, ep):
     remap = ep.class_remap
     sums = {k: [] for k in range(ep.K)}
-    for s in ep.support:
-        sums[remap[s.class_label]].append(
-            model.embed_segments(params, s.features, grad=False).mean(axis=0))
+    for label, rows in ep.support:
+        sums[remap[label]].append(support_mean(params, rows))
     vectors = []
     for k in range(ep.K):
         mean = np.mean(sums[k], axis=0)
@@ -623,7 +636,11 @@ def oracle_evaluate(params, novel, mode, K, n, q, episodes, seed, cfg):
 
 
 def draw_all(novel, K, n, q, episodes, seed):
-    return [data.draw_episode(novel, K, n, q, [seed, e]) for e in range(episodes)]
+    """Each episode's (support entries, query entries), as `draw_episodes`
+    draws them for an evaluation call."""
+    _, support, queries = data.draw_episodes(novel, K, n, q, [[seed, e] for e in range(episodes)])
+    return [([novel.entries[i] for i in s], [novel.entries[i] for i in qs])
+            for s, qs in zip(support, queries)]
 
 
 def support_use(entry) -> tuple:
@@ -633,8 +650,8 @@ def support_use(entry) -> tuple:
 
 def distinct_uses(draws):
     """Distinct query videos plus distinct (feature file, intervals) supports."""
-    queries = {entry.feature_file for draw in draws for entry in draw.queries}
-    supports = {support_use(entry) for draw in draws for entry in draw.support}
+    queries = {entry.feature_file for _, entries in draws for entry in entries}
+    supports = {support_use(entry) for entries, _ in draws for entry in entries}
     return len(queries) + len(supports)
 
 
@@ -643,12 +660,11 @@ def use_roles(novel, draws):
     of the raw rows an evaluation call embeds for it: a query's whole file,
     a support's trimmed rows."""
     roles = {}
-    for draw in draws:
-        for entry in draw.queries:
+    for support, queries in draws:
+        for entry in queries:
             roles[novel.load_sequence(entry).features.tobytes()] = "query"
-        for entry in draw.support:
-            rows = data.trim_support_video(novel.load_sequence(entry)).features
-            roles[rows.tobytes()] = "support"
+        for entry in support:
+            roles[trimmed_rows(novel, entry).tobytes()] = "support"
     assert len(roles) == distinct_uses(draws)  # no two uses embed the same rows
     return roles
 
@@ -784,8 +800,8 @@ class TestCachedLoop:
         monkeypatch.setattr(evaluate, "EMBED_CHUNK", chunk)
         evaluate.evaluate(model.init_params(n_classes=3, d_in=6, d=5, seed=1), small_novel,
                           mode, K=K, n=n, q=q, episodes=episodes, seed=seed)
-        queries = {entry.feature_file for draw in draws for entry in draw.queries}
-        supports = {entry.feature_file for draw in draws for entry in draw.support}
+        queries = {entry.feature_file for _, entries in draws for entry in entries}
+        supports = {entry.feature_file for entries, _ in draws for entry in entries}
         assert queries & supports  # some video served in both roles
         assert sorted(reads.values()) == [1] * len(queries | supports)
         assert max(check_passes(passes, roles, chunk).values()) > chunk
@@ -877,9 +893,9 @@ class TestCachedLoop:
         assert evaluate.evaluate(params, one_row_novel, mode, K=K, n=n, q=q, episodes=episodes,
                                  seed=seed, cfg=cfg)["per_episode"] == want
         draws = draw_all(one_row_novel, K, n, q, episodes, seed)
-        queries = {entry.feature_file for draw in draws for entry in draw.queries
+        queries = {entry.feature_file for _, entries in draws for entry in entries
                    if entry.gt_intervals == [(0, 1)]}
-        supports = {support_use(entry) for draw in draws for entry in draw.support
+        supports = {support_use(entry) for entries, _ in draws for entry in entries
                     if sum(end - start for start, end in entry.gt_intervals) == 1}
         assert queries and supports
         one_row = [videos for videos in passes if len(videos[0]) == 1]
@@ -899,8 +915,8 @@ class TestCachedLoop:
                                          grad=False)
             assert np.array_equal(embedded[T][row], alone)
         for (e, s), i in np.ndenumerate(support):
-            trimmed = data.trim_support_video(novel.load_sequence(novel.entries[i])).features
-            assert np.array_equal(means[support_use[e, s]], evaluate.support_mean(params, trimmed))
+            trimmed = trimmed_rows(novel, novel.entries[i])
+            assert np.array_equal(means[support_use[e, s]], support_mean(params, trimmed))
 
     def test_entries_sharing_a_file_are_trimmed_apart(self, small_novel):
         # a support use is a file and its intervals: a twin entry of the same
@@ -913,8 +929,8 @@ class TestCachedLoop:
         means, support_use, embedded, length, rows = evaluate._call_videos(
             params, novel, np.array([[0, 2], [2, 0]]), np.array([[1, 0], [2, 1]]))
         for (e, s), i in np.ndenumerate([[0, 2], [2, 0]]):
-            trimmed = data.trim_support_video(novel.load_sequence(novel.entries[i])).features
-            assert np.array_equal(means[support_use[e, s]], evaluate.support_mean(params, trimmed))
+            trimmed = trimmed_rows(novel, novel.entries[i])
+            assert np.array_equal(means[support_use[e, s]], support_mean(params, trimmed))
         assert [a.shape[0] for a in embedded.values()] == [2]  # files, not entries
         assert rows.tolist() == [0, 1, 1, 0]
 
@@ -964,9 +980,9 @@ class TestCachedLoop:
                                                              monkeypatch):
         K, n, q, episodes, seed = 2, 1, 1, 12, 3
         draws = draw_all(small_novel, K, n, q, episodes, seed)
-        first = {entry.feature_file for entry in draws[0].support + draws[0].queries}
-        late = next(entry.feature_file for draw in draws[1:]
-                    for entry in draw.support + draw.queries if entry.feature_file not in first)
+        first = {entry.feature_file for entry in draws[0][0] + draws[0][1]}
+        late = next(entry.feature_file for support, queries in draws[1:]
+                    for entry in support + queries if entry.feature_file not in first)
         shutil.copytree(small_novel.root, tmp_path, dirs_exist_ok=True)
         features = data.read_feature_file(tmp_path / late)
         features[0, 0] = np.nan
@@ -1614,8 +1630,8 @@ class TestStackedClassify:
         evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
                                 mixed_novel, mode, range(episodes), K=K, n=n, q=q, seed=seed)
         counts = {}  # query length -> queries of the call, lengths in order of first use
-        for draw in draw_all(mixed_novel, K, n, q, episodes, seed):
-            for entry in draw.queries:
+        for _, queries in draw_all(mixed_novel, K, n, q, episodes, seed):
+            for entry in queries:
                 T = int(entry.feature_file.split("/")[0][1:])
                 counts[T] = counts.get(T, 0) + 1
         assert len(counts) > 1

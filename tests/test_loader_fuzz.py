@@ -351,9 +351,9 @@ class TestCommandExitCodes:
         root, cfg = corpus
         c = config.build_config(cfg, {})
         novel = data.load_manifest(root / "data" / "novel_manifest.jsonl")
-        draws = [data.draw_episode(novel, c.K, c.n, c.q, [c.seed, e]) for e in range(c.episodes)]
-        return sorted({entry.feature_file for draw in draws
-                       for entry in draw.support + draw.queries})
+        _, support, queries = data.draw_episodes(novel, c.K, c.n, c.q,
+                                                 [[c.seed, e] for e in range(c.episodes)])
+        return sorted({novel.entries[i].feature_file for i in [*support.flat, *queries.flat]})
 
     def test_corpus_runs_clean(self, corpus):
         _, cfg = corpus
