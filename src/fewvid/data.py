@@ -483,27 +483,129 @@ def trim_support_rows(video_id: str, features: np.ndarray, gt_intervals) -> np.n
     return np.concatenate([features[s:e] for s, e in gt_intervals], axis=0)
 
 
+EPISODE_SLICE = 256  # episodes sampled together; bounds the memory of their streams
+FLOYD_MAX_POP = 10000  # above it, Generator.choice tail-shuffles a sample above pop // 50
+
+
 def draw_episodes(novel: DatasetManifest, K: int, n: int, q: int, seeds):
-    """Draw one episode per seed, from `default_rng(seed)` alone: K classes,
-    then n support + q query videos per class, all without replacement.
-    Reads no feature file. Returns the (E, K) sampled labels and the
-    (E, K*n) support and (E, K*q) query indices into `novel.entries`,
-    listed class by class. The class pools, in manifest order, are built
-    once per call."""
+    """Draw one episode per seed, as `default_rng(seed)` alone draws it with
+    `Generator.choice`: K classes, then n support + q query videos per
+    class, all without replacement. Reads no feature file. Returns the
+    (E, K) sampled labels and the (E, K*n) support and (E, K*q) query
+    indices into `novel.entries`, listed class by class. The class pools,
+    in manifest order, are built once per call.
+
+    Each episode's draws come from `PCG64(seed)`, the bit generator
+    `default_rng(seed)` makes, as a stream of uint32: each `random_raw`
+    value's low half, then its high half. NEP 19 keeps that stream stable
+    across NumPy versions. The episodes of a slice of EPISODE_SLICE are
+    sampled together, first their classes and then every class's pool
+    (`_choose`), with the algorithms `choice(pop, size, replace=False)`
+    runs: Floyd's sampling, then a shuffle of the picks, each draw in
+    [0, r] Lemire's bounded integer (Lemire, "Fast Random Integer
+    Generation in an Interval", ACM TOMACS 2019). An episode is drawn by
+    `default_rng(seed)` and `choice` instead (`_choice_episode`), in draw
+    order, when a bounded draw rejects its uint32 (about 1 in 10^8), when
+    a population above FLOYD_MAX_POP would be tail-shuffled, when the seed
+    makes no PCG64 (a Generator, or one `default_rng` rejects), or when
+    one of its classes holds fewer than n + q videos, so that the first
+    failing episode raises the error it always did.
+    """
     seeds = list(seeds)
-    E = len(seeds)
+    E, m = len(seeds), n + q
     label = np.array([e.class_label for e in novel.entries], dtype=np.intp)
     labels, size = np.unique(label, return_counts=True)
-    pools = np.split(np.argsort(label, kind="stable"), np.cumsum(size)[:-1])
+    order = np.argsort(label, kind="stable")  # the class pools, one after another
+    start = np.cumsum(size) - size
     if E and K > labels.size:
         raise DataError(f"episode needs {K} classes but the manifest has {labels.size}")
-    classes, picks = np.empty((E, K), dtype=np.intp), np.empty((E, K, n + q), dtype=np.intp)
-    for e, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        classes[e] = rng.choice(labels.size, size=K, replace=False)
-        for k, c in enumerate(classes[e].tolist()):
-            if size[c] < n + q:
-                name = novel.class_names[labels[c]]
-                raise DataError(f"class {name} has {size[c]} videos, episode needs {n + q}")
-            picks[e, k] = rng.choice(pools[c], size=n + q, replace=False)
-    return labels[classes], picks[..., :n].reshape(E, K * n), picks[..., n:].reshape(E, K * q)
+    classes = np.empty((E, K), dtype=np.intp)
+    support, queries = np.empty((E, K, n), dtype=np.intp), np.empty((E, K, q), dtype=np.intp)
+    # uint32 draws of an episode: K classes, then K pools, each a Floyd pass and a shuffle
+    words = (max(2 * K - 1, 0) + K * max(2 * m - 1, 0) + 1) // 2
+    for first in range(0, E, EPISODE_SLICE):
+        S = min(EPISODE_SLICE, E - first)
+        raw, redo = np.zeros((S, words), dtype="<u8"), np.zeros(S, dtype=bool)
+        for e, seed in enumerate(seeds[first:first + S]):
+            try:
+                raw[e] = np.random.PCG64(seed).random_raw(words)
+            except (TypeError, ValueError):  # the reference path raises it or takes the
+                redo[e] = True  # Generator or BitGenerator as it is
+        stream = raw.view("<u4")  # (S, 2 * words)
+        drawn, at, rejected = _choose(stream, np.arange(S), np.zeros(S, dtype=np.intp),
+                                      np.full(S, labels.size), K)
+        redo |= rejected | (size[drawn] < m).any(axis=1)
+        keep = np.flatnonzero(~redo)
+        pop = size[drawn[keep]]
+        draws = 2 * m - 1 - (pop == m)  # Floyd's first step draws nothing from a pool of m
+        offset = at[keep, None] + np.cumsum(draws, axis=1) - draws
+        picks, _, rejected = _choose(stream, np.repeat(keep, K), offset.ravel(), pop.ravel(), m)
+        picks = order[start[drawn[keep]].ravel()[:, None] + picks].reshape(len(keep), K, m)
+        redo[keep] |= rejected.reshape(len(keep), K).any(axis=1)
+        kept = first + keep
+        classes[kept], support[kept], queries[kept] = drawn[keep], picks[..., :n], picks[..., n:]
+        for e in (first + np.flatnonzero(redo)).tolist():
+            classes[e], picks = _choice_episode(novel, labels, size, seeds[e], K, m)
+            picks = order[start[classes[e]][:, None] + picks]
+            support[e], queries[e] = picks[:, :n], picks[:, n:]
+    return labels[classes], support.reshape(E, K * n), queries.reshape(E, K * q)
+
+
+def _choice_episode(novel: DatasetManifest, labels, size, seed, K: int, m: int) -> tuple:
+    """One episode as `default_rng(seed)` draws it: K of the class indices
+    into `labels` and `size`, then m positions in each class's pool, with
+    `Generator.choice`. Raises DataError for a class of fewer than m videos."""
+    rng = np.random.default_rng(seed)
+    classes = rng.choice(labels.size, size=K, replace=False)
+    picks = np.empty((K, m), dtype=np.intp)
+    for k, c in enumerate(classes.tolist()):
+        if size[c] < m:
+            name = novel.class_names[labels[c]]
+            raise DataError(f"class {name} has {size[c]} videos, episode needs {m}")
+        picks[k] = rng.choice(size[c], size=m, replace=False)
+    return classes, picks
+
+
+def _choose(stream: np.ndarray, row: np.ndarray, at: np.ndarray, pop: np.ndarray,
+            size: int) -> tuple:
+    """`Generator.choice(pop[i], size, replace=False)` for each row i, drawn
+    from the uint32 stream `stream[row[i]]` from offset `at[i]` on.
+
+    Floyd's sampling: for j = pop - size ... pop - 1, draw v in [0, j] and
+    take j instead if v is taken; j = 0 draws nothing. Then a shuffle: for
+    i = size - 1 ... 1, swap pick i with the pick at a draw in [0, i].
+    Returns the (R, size) picks, each row's offset past its draws, and the
+    rows whose picks `choice` would make otherwise: a rejected draw
+    (`_bounded`), or a population above FLOYD_MAX_POP with size above
+    pop // 50.
+    """
+    R = len(row)
+    picks = np.empty((R, size), dtype=np.intp)
+    redo = (pop > FLOYD_MAX_POP) & (size > pop // 50)
+    for t in range(size):
+        j = pop - size + t
+        v, rejected = _bounded(stream[row, at], j)
+        taken = (picks[:, :t] == v[:, None]).any(axis=1)
+        picks[:, t] = np.where(taken, j, v)
+        redo |= rejected
+        at = at + (j > 0)
+    every = np.arange(R)
+    for i in range(size - 1, 0, -1):
+        k, rejected = _bounded(stream[row, at], i)
+        swapped = picks[every, k]
+        picks[every, k] = picks[:, i]
+        picks[:, i] = swapped
+        redo |= rejected
+        at = at + 1
+    return picks, at, redo
+
+
+def _bounded(x: np.ndarray, r) -> tuple:
+    """Lemire's draw in [0, r] from each uint32 in `x`, as NumPy's bounded
+    integers make it: the high 32 bits of x * (r + 1). Also returns which x
+    it rejects, those whose low 32 bits are below 2**32 mod (r + 1), where
+    NumPy would draw again."""
+    span = np.asarray(r, dtype=np.uint64) + np.uint64(1)
+    product = x.astype(np.uint64) * span
+    return (product >> np.uint64(32)).astype(np.intp), (
+        product & np.uint64(0xFFFFFFFF)) < np.uint64(1 << 32) % span

@@ -1,8 +1,11 @@
 """Exit codes, config precedence, reproducible outputs of every subcommand."""
 
+import ast
+import contextlib
 import dataclasses
 import errno
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -1169,6 +1172,43 @@ noise_std = 0.3
 seed = 11
 """
 
+# the build the golden bytes and hashes below were recorded on, as
+# `np.show_config()` and `np.show_runtime()` report it
+GOLDEN_BUILD = ("NumPy 2.4.6, SIMD baseline X86_V2 with dispatch up to AVX512_SPR, on a CPU "
+                "with AVX-512; scipy-openblas 0.3.31 built with DYNAMIC_ARCH, which picks its "
+                "kernels for the CPU at run time")
+
+
+def running_build() -> str:
+    """The build this process runs: NumPy's version, the SIMD targets
+    `np.show_runtime()` reports, the BLAS `np.show_config()` names, and the
+    environment variables that choose NumPy's loops or OpenBLAS's kernels,
+    where set."""
+    runtime = io.StringIO()
+    with contextlib.redirect_stdout(runtime):
+        np.show_runtime()
+    simd = {key: " ".join(ast.literal_eval(names)) or "none" for key, names in re.findall(
+        r"'(baseline|found|not_found)': (\[.*?\])", runtime.getvalue(), re.S)}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas_config = " ".join(blas.get("openblas configuration", "").split())
+    build = (f"NumPy {np.__version__}, SIMD baseline {simd.get('baseline')}, dispatch targets "
+             f"found {simd.get('found')}, not found {simd.get('not_found')}; BLAS "
+             f"{blas.get('name')} {blas.get('version')} ({blas_config})")
+    chosen = [f"{name}={os.environ[name]}" for name in ("OPENBLAS_CORETYPE",
+                                                          "NPY_DISABLE_CPU_FEATURES")
+              if name in os.environ]
+    return build + "".join(f"; {setting}" for setting in chosen)
+
+
+def golden_mismatch() -> str:
+    """The assertion message of a golden test: both builds, since another
+    build may round differently without any change to the code."""
+    return (f"golden bytes differ\n  recorded on: {GOLDEN_BUILD}\n"
+            f"  running on:  {running_build()}\n"
+            "On a build other than the recorded one, run these tests at the previous commit "
+            "on the same build to tell a numerics change from a kernel change.")
+
+
 GOLDEN_CSVS = {
     ("eval-cls", False): "episode,accuracy\n0,0.5\n1,0.66666666666666663\n2,0.16666666666666666\n"
                          "3,0.5\n4,0.83333333333333337\n",
@@ -1194,12 +1234,13 @@ class TestGoldenEvalBytes:
     The bytes were written by the evaluation code before an episode's queries
     were classified as one stack, with NumPy 2.4.6 and scipy-openblas 0.3.31,
     one BLAS thread or two. `np.show_config()` and `np.show_runtime()` report
-    that build as OpenBLAS built with DYNAMIC_ARCH, which picks its kernels
-    for the CPU at run time (the "Haswell" it prints is the build's target,
-    not the kernels that ran), and NumPy's SIMD baseline X86_V2 with dispatch
-    up to AVX512_SPR, on a CPU with AVX-512. A refactor of evaluation that
-    keeps its numerics must keep them; a different NumPy or BLAS build may
-    round differently and need them re-recorded.
+    that build (GOLDEN_BUILD) as OpenBLAS built with DYNAMIC_ARCH, which picks
+    its kernels for the CPU at run time (the "Haswell" it prints is the
+    build's target, not the kernels that ran), and NumPy's SIMD baseline
+    X86_V2 with dispatch up to AVX512_SPR, on a CPU with AVX-512. A refactor
+    of evaluation that keeps its numerics must keep them; a different NumPy
+    or BLAS build may round differently and need them re-recorded, so a
+    mismatch names that build and the running one (`golden_mismatch`).
     """
 
     @pytest.mark.parametrize("command", ["eval-cls", "eval-det"])
@@ -1209,7 +1250,7 @@ class TestGoldenEvalBytes:
         argv = [command, "--config", str(golden_run), "--out", str(out)]
         code, _, _ = run(argv + (["--ablate", "sw"] if ablate_sw else []), capsys)
         assert code == 0
-        assert out.read_bytes() == GOLDEN_CSVS[(command, ablate_sw)].encode()
+        assert out.read_bytes() == GOLDEN_CSVS[(command, ablate_sw)].encode(), golden_mismatch()
 
 
 # inspect's CSV on the golden corpus and checkpoint: 217 lines, 9358 bytes
@@ -1229,12 +1270,14 @@ class TestGoldenInspectBytes:
         out = tmp_path / "inspect.csv"
         code, stdout, _ = run(["inspect", "--config", str(golden_run), "--out", str(out)], capsys)
         assert code == 0 and stdout == f"wrote 18 videos to {out}\n"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_INSPECT_SHA256
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_INSPECT_SHA256, (
+            golden_mismatch())
 
     def test_stdout(self, golden_run, capsys):
         code, stdout, _ = run(["inspect", "--config", str(golden_run)], capsys)
         assert code == 0
-        assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_INSPECT_SHA256
+        assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_INSPECT_SHA256, (
+            golden_mismatch())
 
 
 GOLDEN_TRAIN_SHA256 = {
@@ -1274,7 +1317,7 @@ class TestGoldenTrainBytes:
         code, out, _ = run(argv + [f"--ablate={a}" for a in ablate], capsys)
         assert code == 0 and "trained 12 steps" in out
         digest = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (ckpt, log))
-        assert digest == GOLDEN_TRAIN_SHA256[ablate]
+        assert digest == GOLDEN_TRAIN_SHA256[ablate], golden_mismatch()
 
 
 class TestHotLoopsCallNoWrappers:

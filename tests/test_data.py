@@ -7,6 +7,7 @@ import os
 import dataclasses
 import re
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -555,6 +556,9 @@ class TestEpisode:
     @example(K=4, n=1, q=1, seed=0, ids=[0], order=list(range(18)), kept=18)
     @example(K=2, n=3, q=4, seed=0, ids=[3, 1], order=list(range(18)), kept=18)
     @example(K=3, n=1, q=1, seed=2, ids=[], order=list(range(18)), kept=9)
+    # a pool of exactly n + q and K of K classes: Floyd's first step draws nothing
+    @example(K=2, n=2, q=4, seed=5, ids=[0, 1, 2, 3], order=list(range(18)), kept=18)
+    @example(K=3, n=1, q=2, seed=5, ids=[0, 1, 2, 3], order=list(range(18)), kept=18)
     def test_call_draw_equals_each_episode(self, novel, K, n, q, seed, ids, order, kept):
         # a manifest of some entries in shuffled order: uneven classes, each
         # pool in manifest order; unsorted and repeated episode ids
@@ -589,3 +593,76 @@ class TestEpisode:
         # no episode, no error
         assert [a.shape for a in data.draw_episodes(novel, 4, 1, 1, [])] == [(0, 4), (0, 4),
                                                                              (0, 4)]
+
+
+def entries_manifest(sizes) -> data.DatasetManifest:
+    """A manifest of entries only, classes interleaved: `sizes[c]` videos of
+    class c, no feature file behind any of them."""
+    labels = [c for v in range(max(sizes)) for c in range(len(sizes)) if v < sizes[c]]
+    return data.DatasetManifest(
+        split="novel", class_names=[f"novel{c:02d}" for c in range(len(sizes))],
+        entries=[data.ManifestEntry(f"v{i}", c, f"v{i}.segf", [(0, 1)])
+                 for i, c in enumerate(labels)])
+
+
+def assert_listed(manifest, K, n, q, seeds):
+    """`draw_episodes` equals `listed_draw` on every seed."""
+    classes, support, queries = data.draw_episodes(manifest, K, n, q, seeds)
+    for row, seed in enumerate(seeds):
+        want = listed_draw(manifest, K, n, q, seed)
+        assert classes[row].tolist() == want[0]
+        assert [manifest.entries[i] for i in support[row]] == want[1]
+        assert [manifest.entries[i] for i in queries[row]] == want[2]
+
+
+class TestEpisodeStreams:
+    """The call-level draw samples each episode from its PCG64 stream and
+    hands `Generator.choice` the episodes that stream cannot give."""
+
+    def test_benchmark_shape_call(self):
+        # 5-way 1-shot 5-query, 100 episodes, 10 classes of 30 videos
+        assert_listed(entries_manifest([30] * 10), 5, 1, 5, [[3, e] for e in range(100)])
+
+    def test_rejected_draw_is_flagged(self):
+        # 5 of 10 classes: Floyd's first draw is in [0, 5], which rejects a
+        # uint32 whose x * 6 has its low 32 bits below 2**32 mod 6 = 4
+        stream = np.full((1, 64), 2**32 - 1, dtype=np.uint32)  # never rejected
+        stream[0, 0] = 0
+        _, _, redo = data._choose(stream, np.array([0]), np.array([0]), np.array([10]), 5)
+        assert redo.tolist() == [True]
+        stream[0, 0] = 1  # 6 is not below 4
+        _, _, redo = data._choose(stream, np.array([0]), np.array([0]), np.array([10]), 5)
+        assert redo.tolist() == [False]
+
+    def test_rejected_episode_equals_choice(self, monkeypatch):
+        class FirstWordZero(np.random.PCG64):
+            """PCG64 whose first uint32 is 0. `default_rng` makes its own
+            PCG64, so only the call-level stream starts with it."""
+            def random_raw(self, size=None):
+                raw = super().random_raw(size)
+                raw[0] &= np.uint64(0xFFFFFFFF00000000)
+                return raw
+
+        manifest = entries_manifest([30] * 10)
+        seeds = [[3, e] for e in range(4)]
+        monkeypatch.setattr(np.random, "PCG64", FirstWordZero)
+        assert_listed(manifest, 5, 1, 5, seeds)
+
+    def test_tail_shuffled_pool_equals_choice(self):
+        # a pool above FLOYD_MAX_POP whose sample is above pop // 50: NumPy
+        # shuffles its tail instead of Floyd's sampling
+        manifest = entries_manifest([10001])
+        assert_listed(manifest, 1, 100, 200, [[8, e] for e in range(2)])
+
+    def test_memory_of_a_long_call(self):
+        # only index arrays grow with the episode count: 4000 episodes peak
+        # within twice the arrays they return
+        manifest = entries_manifest([30] * 10)
+        seeds = [[0, e] for e in range(4000)]
+        tracemalloc.start()
+        try:
+            drawn = data.draw_episodes(manifest, 5, 1, 5, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sum(a.nbytes for a in drawn)
