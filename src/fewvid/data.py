@@ -257,32 +257,30 @@ def save_manifest(manifest: DatasetManifest, path):
             }) + "\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _entry_problem(rec: dict, n_classes: int):
     """What is wrong with a manifest record, or None when it has string
     video_id and feature_file, an int class_label indexing the header's
     n_classes class_names, a list of [start, end] int pairs with
     0 <= start < end as gt_intervals, and, if present, a string of F/I/N as
-    segment_roles."""
+    segment_roles. The record comes from json.loads, whose values have
+    exactly the types str, int, float, bool, list, dict or None, so exact
+    type tests keep a bool out of int."""
     for key in ("video_id", "feature_file"):
-        if not isinstance(rec[key], str):
+        if type(rec[key]) is not str:
             return f"{key} must be a string, got {rec[key]!r}"
-    if not _is_int(rec["class_label"]):
-        return f"class_label must be an integer, got {rec['class_label']!r}"
-    if not 0 <= rec["class_label"] < n_classes:
-        return (f"class_label {rec['class_label']} is outside the "
-                f"{n_classes} class_names of the header")
+    label = rec["class_label"]
+    if type(label) is not int:
+        return f"class_label must be an integer, got {label!r}"
+    if not 0 <= label < n_classes:
+        return f"class_label {label} is outside the {n_classes} class_names of the header"
     intervals = rec["gt_intervals"]
-    if not (isinstance(intervals, list) and all(
-            isinstance(iv, list) and len(iv) == 2 and _is_int(iv[0]) and _is_int(iv[1])
-            and 0 <= iv[0] < iv[1] for iv in intervals)):
-        return (f"gt_intervals must be a list of [start, end] integer "
-                f"pairs with 0 <= start < end, got {intervals!r}")
+    for iv in intervals if type(intervals) is list else [None]:  # a non-list: one bad pair
+        if not (type(iv) is list and len(iv) == 2 and type(iv[0]) is int
+                and type(iv[1]) is int and 0 <= iv[0] < iv[1]):
+            return (f"gt_intervals must be a list of [start, end] integer "
+                    f"pairs with 0 <= start < end, got {intervals!r}")
     roles = rec.get("segment_roles", "")
-    if not (isinstance(roles, str) and set(roles) <= {ROLE_FG, ROLE_IBG, ROLE_NBG}):
+    if type(roles) is not str or roles.strip(ROLE_FG + ROLE_IBG + ROLE_NBG):
         return (f"segment_roles must be a string of {ROLE_FG}, {ROLE_IBG} "
                 f"and {ROLE_NBG}, got {roles!r}")
     return None

@@ -33,10 +33,10 @@ over the whole tIoU grid, and AP is summed from the hits.
 
 The detection tail sorts only distinct integer keys, with NumPy's default
 (unstable) argsort: no tie is left for the sort to order, so no stable sort
-is needed. Runs are deduplicated that way, and `_ranked` ranks proposals and
-detections by group and score. Interval endpoints must be integers with
-start < end: NMS then tests tIoU >= 0.5 as 3 * inter >= len_a + len_b and
-never divides; AP matching keeps `_tiou`.
+is needed. `_ranked` ranks proposals and detections that way; `_runs` finds
+repeated runs with no sort. Interval endpoints must be non-negative integers
+with start < end: NMS then tests tIoU >= 0.5 as 3 * inter >= len_a + len_b
+on narrow integers and never divides; AP matching keeps `_tiou`.
 """
 
 from __future__ import annotations
@@ -202,46 +202,45 @@ def _runs(A: np.ndarray, lengths, thresholds):
     to right; a repeated (video, class, start, end) is kept at its first
     place only.
 
-    A stacks the videos' (T_i, K) activation maps, `lengths` gives each T_i.
-    Returns video, class, start and end index arrays; no run crosses a video
+    A stacks the videos' (T_i, K) activation maps, `lengths` gives each T_i;
+    the thresholds must be non-decreasing (ValueError otherwise). Returns
+    video, class, start and end index arrays; no run crosses a video
     boundary, and every run has integer endpoints with start < end, as
     `_nms_keep` requires. A column whose max is not positive gets the level
     +inf, which nothing is above. Starts and ends come from one flatnonzero
-    of the edges. Copies are found by one unstable argsort of distinct
-    integers, a run's key times the threshold count plus its threshold's
-    index: within a column the flat order is threshold by threshold, so the
-    copy with the lowest threshold index is the first listed, whatever the
-    thresholds' order or repeats.
+    of the edges. The levels of a column never fall, so a run at threshold
+    index i > 0 lies inside one run at i - 1, and repeats an earlier run
+    exactly when neither cell around it is above level i - 1.
     """
-    lengths, n_thr = np.asarray(lengths), len(thresholds)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    if not (thresholds[1:] >= thresholds[:-1]).all():
+        raise ValueError(f"proposal thresholds must be non-decreasing, got {thresholds.tolist()}")
+    lengths, n_thr = np.asarray(lengths), thresholds.size
     K, T = A.shape[1], int(lengths.max())
-    cams = np.full((lengths.size, K, T), -np.inf)  # padding is above no threshold
-    cams.transpose(0, 2, 1)[np.arange(T) < lengths[:, None]] = A
+    if (lengths == T).all():  # no padding: a (video, class, position) view
+        cams = A.reshape(lengths.size, T, K).transpose(0, 2, 1)
+    else:
+        cams = np.full((lengths.size, K, T), -np.inf)  # padding is above no threshold
+        cams.transpose(0, 2, 1)[np.arange(T) < lengths[:, None]] = A
     colmax = cams.max(axis=2)[:, :, None]
-    levels = np.where(colmax > 0.0, colmax * np.asarray(thresholds, dtype=np.float64), np.inf)
-    above = np.zeros(levels.shape + (T + 2,), dtype=np.int8)  # a zero before and after
-    above[..., 1:-1] = cams[:, :, None, :] > levels[..., None]
+    levels = np.where(colmax > 0.0, colmax * thresholds, np.inf)
+    above = np.zeros(levels.shape + (T + 2,), dtype=bool)  # a False before and after
+    np.greater(cams[:, :, None, :], levels[..., None], out=above[..., 1:-1])
     # flat order is (video, class, threshold, position), so edges alternate:
     # each rise is followed by its fall
-    edge = np.flatnonzero(np.diff(above, axis=3).ravel() != 0)  # nonzero is fastest on bools
+    flat = above.ravel()
+    edge = np.flatnonzero(flat[1:] != flat[:-1])
+    rise, fall = edge[0::2], edge[1::2]  # the cell before the run, its last cell
     # floor division by a scalar is far cheaper than divmod or %
-    row = edge[0::2] // (T + 1)  # (video * K + class) * n_thr + threshold index
-    start, end = edge[0::2] - row * (T + 1), edge[1::2] - row * (T + 1)
+    row = rise // (T + 2)  # (video * K + class) * n_thr + threshold index
     column = row // n_thr  # video * K + class
     # a repeated run has its first copy's score and tIoU 1 with it, so NMS
-    # would drop it anyway; drop it before
-    key = (column * (T + 1) + start) * (T + 1) + end
-    order = np.argsort(key * n_thr + (row - column * n_thr))
-    # the first of each key in sorted order, found inline: `_runs_of` would
-    # also gather by mask, which costs more than the rest of this step
-    sorted_key = key[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = sorted_key[1:] != sorted_key[:-1]
-    keep = np.zeros(key.size, dtype=bool)
-    keep[order[first]] = True
-    at = np.flatnonzero(keep)
-    video = column[at] // K
-    return video, column[at] - video * K, start[at], end[at]
+    # would drop it anyway; drop it before. At threshold index 0 the gathers
+    # read another row, and are ignored.
+    at = np.flatnonzero((row == column * n_thr) | flat[rise - (T + 2)] | flat[fall - (T + 1)])
+    row, column = row[at], column[at]
+    video = column // K
+    return video, column - video * K, rise[at] - row * (T + 2), fall[at] - row * (T + 2)
 
 
 def _run_means(A: np.ndarray, first_row, cls, length) -> np.ndarray:
@@ -298,9 +297,11 @@ def _nms_keep(group, intervals, scores) -> np.ndarray:
 
     All groups are suppressed side by side: step r takes the r-th best
     candidate of every group, laid out as a (rank, group) slot matrix whose
-    empty slots are never kept. Endpoints must be integers with start < end:
-    a clash, tIoU >= 0.5, is then exactly 3 * inter >= len_a + len_b, so no
-    step divides.
+    empty slots are never kept. Endpoints must be non-negative integers with
+    start < end: a clash, tIoU >= 0.5, is then exactly 3 * inter >=
+    len_a + len_b, so no step divides. With endpoints in [0, m], 3 * inter
+    lies in [-3m, 3m], so the steps run on the narrowest integer type that
+    holds -3m.
     """
     if scores.size == 0:
         return np.zeros(0, dtype=np.intp)
@@ -308,7 +309,8 @@ def _nms_keep(group, intervals, scores) -> np.ndarray:
     _, col, rank = _runs_of(group[order])
     slots = np.full((rank.max() + 1, col[-1] + 1), -1)  # candidate by (rank, group)
     slots[rank, col] = order
-    start, end = intervals[slots, 0], intervals[slots, 1]
+    narrow = intervals.astype(np.min_scalar_type(-3 * int(intervals.max())))
+    start, end = narrow[slots, 0], narrow[slots, 1]
     length = end - start
     suppressed, kept = slots < 0, np.zeros(slots.shape, dtype=bool)
     for r in range(slots.shape[0]):

@@ -1,11 +1,8 @@
 """Exit codes, config precedence, reproducible outputs of every subcommand."""
 
-import ast
-import contextlib
 import dataclasses
 import errno
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -21,6 +18,7 @@ import numpy as np
 import pytest
 
 import primitive_chains as chains
+from builds import golden_mismatch
 from fewvid import autodiff as ad
 from fewvid import cli, config, data, evaluate, model, pseudo, train
 from fewvid.data import SyntheticConfig
@@ -1057,7 +1055,8 @@ class TestMixedLengthBase:
                  for row, score, role in zip(rows, rec.max_logits, pseudo.segment_roles(rec))]
         code, out, _ = run(["inspect", "--config", str(cfg)], capsys)
         assert code == 0
-        assert out == data.csv_text(("video_id", "segment", "max_logit", "role"), table)
+        assert out == data.csv_text(("video_id", "segment", "max_logit", "role"), table), (
+            golden_mismatch("inspect differs from its per-video oracle"))
 
     def test_inspect_frees_each_pass_raw_rows(self, mixed, capsys, monkeypatch):
         cfg, _, _ = mixed
@@ -1172,43 +1171,6 @@ noise_std = 0.3
 seed = 11
 """
 
-# the build the golden bytes and hashes below were recorded on, as
-# `np.show_config()` and `np.show_runtime()` report it
-GOLDEN_BUILD = ("NumPy 2.4.6, SIMD baseline X86_V2 with dispatch up to AVX512_SPR, on a CPU "
-                "with AVX-512; scipy-openblas 0.3.31 built with DYNAMIC_ARCH, which picks its "
-                "kernels for the CPU at run time")
-
-
-def running_build() -> str:
-    """The build this process runs: NumPy's version, the SIMD targets
-    `np.show_runtime()` reports, the BLAS `np.show_config()` names, and the
-    environment variables that choose NumPy's loops or OpenBLAS's kernels,
-    where set."""
-    runtime = io.StringIO()
-    with contextlib.redirect_stdout(runtime):
-        np.show_runtime()
-    simd = {key: " ".join(ast.literal_eval(names)) or "none" for key, names in re.findall(
-        r"'(baseline|found|not_found)': (\[.*?\])", runtime.getvalue(), re.S)}
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    blas_config = " ".join(blas.get("openblas configuration", "").split())
-    build = (f"NumPy {np.__version__}, SIMD baseline {simd.get('baseline')}, dispatch targets "
-             f"found {simd.get('found')}, not found {simd.get('not_found')}; BLAS "
-             f"{blas.get('name')} {blas.get('version')} ({blas_config})")
-    chosen = [f"{name}={os.environ[name]}" for name in ("OPENBLAS_CORETYPE",
-                                                          "NPY_DISABLE_CPU_FEATURES")
-              if name in os.environ]
-    return build + "".join(f"; {setting}" for setting in chosen)
-
-
-def golden_mismatch() -> str:
-    """The assertion message of a golden test: both builds, since another
-    build may round differently without any change to the code."""
-    return (f"golden bytes differ\n  recorded on: {GOLDEN_BUILD}\n"
-            f"  running on:  {running_build()}\n"
-            "On a build other than the recorded one, run these tests at the previous commit "
-            "on the same build to tell a numerics change from a kernel change.")
-
-
 GOLDEN_CSVS = {
     ("eval-cls", False): "episode,accuracy\n0,0.5\n1,0.66666666666666663\n2,0.16666666666666666\n"
                          "3,0.5\n4,0.83333333333333337\n",
@@ -1234,7 +1196,7 @@ class TestGoldenEvalBytes:
     The bytes were written by the evaluation code before an episode's queries
     were classified as one stack, with NumPy 2.4.6 and scipy-openblas 0.3.31,
     one BLAS thread or two. `np.show_config()` and `np.show_runtime()` report
-    that build (GOLDEN_BUILD) as OpenBLAS built with DYNAMIC_ARCH, which picks
+    that build (`builds.GOLDEN_BUILD`) as OpenBLAS built with DYNAMIC_ARCH, which picks
     its kernels for the CPU at run time (the "Haswell" it prints is the
     build's target, not the kernels that ran), and NumPy's SIMD baseline
     X86_V2 with dispatch up to AVX512_SPR, on a CPU with AVX-512. A refactor

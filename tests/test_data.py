@@ -283,6 +283,83 @@ class TestManifest:
             data.load_manifest(path)
 
 
+def reference_entry_problem(rec: dict, n_classes: int):
+    """`data._entry_problem` as a chain of isinstance tests and one set
+    inclusion per field: the oracle its one-pass form must equal."""
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    for key in ("video_id", "feature_file"):
+        if not isinstance(rec[key], str):
+            return f"{key} must be a string, got {rec[key]!r}"
+    if not is_int(rec["class_label"]):
+        return f"class_label must be an integer, got {rec['class_label']!r}"
+    if not 0 <= rec["class_label"] < n_classes:
+        return (f"class_label {rec['class_label']} is outside the "
+                f"{n_classes} class_names of the header")
+    intervals = rec["gt_intervals"]
+    if not (isinstance(intervals, list) and all(
+            isinstance(iv, list) and len(iv) == 2 and is_int(iv[0]) and is_int(iv[1])
+            and 0 <= iv[0] < iv[1] for iv in intervals)):
+        return (f"gt_intervals must be a list of [start, end] integer "
+                f"pairs with 0 <= start < end, got {intervals!r}")
+    roles = rec.get("segment_roles", "")
+    if not (isinstance(roles, str) and set(roles) <= {data.ROLE_FG, data.ROLE_IBG, data.ROLE_NBG}):
+        return (f"segment_roles must be a string of {data.ROLE_FG}, {data.ROLE_IBG} "
+                f"and {data.ROLE_NBG}, got {roles!r}")
+    return None
+
+
+ABSENT = object()  # a field left out of the record
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text("FINab0", max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=6)
+pairs = st.lists(st.integers(0, 12), min_size=2, max_size=2, unique=True).map(sorted)
+good_records = st.fixed_dictionaries({
+    "video_id": st.text(max_size=3), "class_label": st.integers(0, 4),  # of 5 classes
+    "feature_file": st.text(max_size=3), "gt_intervals": st.lists(pairs, max_size=3),
+    "segment_roles": st.text("FIN", max_size=6)})
+# each field's bad values, with good ones among them; a bad interval list
+# mostly holds good pairs and one out of order, negative, bool, float,
+# short, long or nested item
+bad_pairs = (st.lists(st.integers(-2, 12) | st.booleans() | st.floats(-1.0, 12.0),
+                      min_size=2, max_size=2)
+             | st.lists(st.integers(-2, 12), max_size=3) | json_values)
+mutations = {
+    "video_id": json_values, "feature_file": json_values,
+    "class_label": st.integers(-3, 8) | json_values,
+    "gt_intervals": st.builds(lambda good, bad, at: good[:at] + [bad] + good[at:],
+                              st.lists(pairs, max_size=3), bad_pairs, st.integers(0, 3))
+                    | json_values,
+    "segment_roles": st.text("FINfx ", min_size=1, max_size=6) | json_values | st.just(ABSENT),
+}
+
+
+GOOD_RECORD = {"video_id": "v", "class_label": 1, "feature_file": "v.segf",
+               "gt_intervals": [[0, 2], [4, 5]], "segment_roles": "FIN"}
+
+
+class TestEntryProblemOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(good_records, st.data())
+    @example(GOOD_RECORD, None)
+    # a bool that orders as an int, a non-list, a role letter among others
+    @example(dict(GOOD_RECORD, class_label=True), None)
+    @example(dict(GOOD_RECORD, gt_intervals=[[0, 2], [0, True]]), None)
+    @example(dict(GOOD_RECORD, gt_intervals="0-3"), None)
+    @example(dict(GOOD_RECORD, segment_roles="FxN"), None)
+    def test_one_pass_check_equals_reference(self, rec, data_):
+        if data_ is not None:  # None: the record as given
+            for field in data_.draw(st.lists(st.sampled_from(sorted(mutations)), min_size=1,
+                                             max_size=2, unique=True)):
+                rec[field] = data_.draw(mutations[field], label=field)
+        # records as a manifest line holds them: the types json.loads yields
+        rec = json.loads(json.dumps({k: v for k, v in rec.items() if v is not ABSENT}))
+        assert data._entry_problem(rec, 5) == reference_entry_problem(rec, 5)
+
+
 class TestReadVideos:
     """`DatasetManifest.read_videos`, the one reader of every command's
     videos, and `load_sequence`, which checks an entry as it does."""

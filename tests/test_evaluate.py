@@ -1215,7 +1215,11 @@ grid_thresholds = st.sampled_from([0.0, 0.3] + [float(t) for t in evaluate.MAP_T
 class TestLoopOracles:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(activations, min_size=1, max_size=12), min_size=1, max_size=4),
-           st.lists(st.sampled_from([-0.1, 0.0, 0.1, 0.35, 0.5, 0.9, 1.5]), max_size=9))
+           st.lists(st.sampled_from([-0.1, 0.0, 0.1, 0.35, 0.5, 0.9, 1.5]), max_size=9).map(sorted))
+    # videos of one length, read as a view of the stack
+    @example([[0.2, 0.8, 0.5, 0.8], [1.0, 0.4, 0.0, 0.5]], [0.1, 0.5, 0.5, 0.9])
+    # videos of two lengths, padded with -inf
+    @example([[0.2, 0.8, 0.5, 0.8], [1.0, 0.4]], [-0.1, 0.5, 0.5, 0.9])
     def test_runs_above(self, columns, thresholds):
         # ragged videos of one class, stacked: no run crosses a video boundary;
         # a threshold above 1 would find runs in a negative column if
@@ -1313,11 +1317,13 @@ class TestRankingKernels:
         scores = np.array([0.5, 0.5, 0.5, 1.0, 0.75])
         assert evaluate._ranked(group, scores).tolist() == [1, 3, 4, 0, 2]
 
-    def test_nms_clash_equals_tiou_at_one_half(self):
-        # every ordered pair of intervals with integer endpoints in 0..40 is
+    @staticmethod
+    def assert_nms_clash_equals_tiou(points):
+        # every ordered pair of intervals with endpoints among the points is
         # its own NMS group: the lower-scored interval is kept exactly when
         # its tIoU with the higher-scored one is below 0.5
-        start, end = np.triu_indices(41, k=1)
+        i, j = np.triu_indices(len(points), k=1)
+        start, end = np.asarray(points)[i], np.asarray(points)[j]
         intervals = np.stack([start, end], axis=1)
         for lo in range(0, start.size, 100):  # keeps each call's arrays small
             a, b = (x.ravel() for x in np.meshgrid(np.arange(lo, min(lo + 100, start.size)),
@@ -1329,6 +1335,18 @@ class TestRankingKernels:
             clash = evaluate._tiou(start[a], end[a], start[b], end[b]) >= 0.5
             assert kept[0::2].all()
             assert (kept[1::2] == ~clash).all()
+
+    def test_nms_clash_equals_tiou_at_one_half(self):
+        self.assert_nms_clash_equals_tiou(range(41))
+
+    # the largest endpoints that int8, int16 and int32 steps hold, and one more
+    @pytest.mark.parametrize("m", [42, 43, 10922, 10923, 715827882, 715827883])
+    def test_nms_clash_at_integer_width_limits(self, m):
+        # intervals up to the whole [0, m], and endpoints around the places
+        # where tIoU crosses 0.5, so the steps reach 3 * inter = +-3m
+        cuts = [m // 4, m // 3, m // 2, 2 * m // 3, 3 * m // 4]
+        self.assert_nms_clash_equals_tiou(np.unique(
+            [0, 1, 2, m - 2, m - 1, m] + [c + d for c in cuts for d in (-1, 0, 1)]))
 
     def test_tied_overlaps_take_the_first_listed_of_many_truths(self):
         # (s, s + 4) overlaps the truths (s, s + 2) and (s + 2, s + 4) by tIoU
@@ -1347,14 +1365,30 @@ class TestRankingKernels:
         assert 0.0 < want[0.5] < 1.0  # some later detection found its truth taken
 
     def test_runs_keep_the_first_listed_copy(self):
-        # unsorted and repeated thresholds: a run that several thresholds
-        # find is kept where the threshold list first finds it
+        # repeated thresholds: a run that several thresholds find is kept
+        # where the threshold list first finds it
         cams = [np.array([[0.2, 0.9], [0.9, 0.2], [0.9, 0.2], [0.2, 0.9]]),
                 np.array([[0.5, -1.0], [0.1, -1.0]])]
-        runs = evaluate._runs(np.concatenate(cams), [4, 2], [0.5, 0.1, 0.5, 0.95])
+        runs = evaluate._runs(np.concatenate(cams), [4, 2], [0.1, 0.5, 0.5, 0.95])
         assert list(zip(*(x.tolist() for x in runs))) == [
-            (0, 0, 1, 3), (0, 0, 0, 4), (0, 1, 0, 1), (0, 1, 3, 4), (0, 1, 0, 4),
-            (1, 0, 0, 1), (1, 0, 0, 2)]
+            (0, 0, 0, 4), (0, 0, 1, 3), (0, 1, 0, 4), (0, 1, 0, 1), (0, 1, 3, 4),
+            (1, 0, 0, 2), (1, 0, 0, 1)]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            evaluate._runs(np.concatenate(cams), [4, 2], [0.5, 0.1, 0.5, 0.95])
+
+    def test_runs_sort_nothing(self, monkeypatch):
+        # repeats are found from the threshold order, not by sorting the runs
+        rng = np.random.default_rng(5)
+        lengths = [12, 20, 8, 20, 1]
+        A = rng.choice([-0.5, 0.0, 0.3, 0.5, 0.8, 1.0], size=(sum(lengths), 3))
+        want = evaluate._runs(A, lengths, evaluate.DEFAULT_PROPOSAL_THRESHOLDS)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_runs sorted its runs")
+
+        monkeypatch.setattr(np, "argsort", refuse)
+        got = evaluate._runs(A, lengths, evaluate.DEFAULT_PROPOSAL_THRESHOLDS)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
 
     def test_detection_tail_makes_no_stable_sorts(self, monkeypatch):
         rng = np.random.default_rng(5)

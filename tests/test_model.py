@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import primitive_chains as chains
+from builds import golden_mismatch
 from fewvid import autodiff as ad
 from fewvid import model
 from fewvid.errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
@@ -71,7 +72,8 @@ class TestEmbed:
         ends = np.cumsum(lengths)
         for video, end, T in zip(videos, ends, lengths):
             one = model.embed_segments(p, video, grad=False)
-            assert np.array_equal(stacked[end - T : end], one)
+            assert np.array_equal(stacked[end - T : end], one), golden_mismatch(
+                f"the stacked rows of a {T}-segment video differ from one call on it")
 
     def test_stacked_inference_rejects_bad_lengths(self):
         p = model.init_params(n_classes=3, d_in=6, d=5, seed=2)
