@@ -336,9 +336,9 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
 
 def softmax_forward(x: np.ndarray) -> np.ndarray:
-    """Softmax over each row of a plain 2-D array, shifted by the row max."""
-    ex = np.exp(x - x.max(axis=1, keepdims=True))
-    return ex / ex.sum(axis=1, keepdims=True)
+    """Softmax over the last axis of a plain array, shifted by its max."""
+    ex = np.exp(x - x.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -20,16 +20,19 @@ in blocks of at most EPISODE_BLOCK, so what grows with the episode count is
 only index arrays. An episode lists its videos class by class, so a video's
 episode class is its position, and every prototype of a block comes from one
 reshape-mean of the support means gathered by one index. All the block's
-queries are classified together, each against its own episode's prototypes, in
-stacks of at most EMBED_CHUNK queries of one length, each gathered from its
-length's array by one index. In detection the block's activation maps are
-stacked into one array, and proposals are found over that stack in passes of
-at most PROPOSAL_CHUNK videos, the last block's once the embeddings are
-dropped: one pass finds every run, and NMS steps through all (video, class)
-groups at once. The block's episodes are then scored in one AP pass: tIoU is
-taken only between a detection and the truths of its own video and class, only
-detections that can match are matched, every (video, class) group side by side
-over the whole tIoU grid, and AP is summed from the hits.
+query uses are classified together, each against its own episode's
+prototypes, video-major: each distinct video of a stack is copied once from
+its length's array and broadcast against the prototypes of all its uses, in
+stacks of one length and one use count, at most EMBED_CHUNK videos and
+STACK_USES uses (`_classify_stacks`). In detection the block's activation
+maps are stacked into one array, and proposals are found over that stack in
+passes of at most PROPOSAL_CHUNK videos, the last block's once the
+embeddings are dropped: one pass finds every run, and NMS steps through all
+(video, class) groups at once. The block's episodes are then scored in one
+AP pass: tIoU is taken only between a detection and the truths of its own
+video and class, only detections that can match are matched, every (video,
+class) group side by side over the whole tIoU grid, and AP is summed from
+the hits.
 
 The detection tail sorts only distinct integer keys, with NumPy's default
 (unstable) argsort: no tie is left for the sort to order, so no stable sort
@@ -53,8 +56,9 @@ from .pseudo import pseudo_label_bg
 
 DEFAULT_PROPOSAL_THRESHOLDS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 2))
 MAP_TIOU_GRID = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
-EMBED_CHUNK = 32  # videos per embedding pass of one length, or queries per
-# classification stack of one length; bounds the memory of either
+EMBED_CHUNK = 32  # videos per embedding pass of one length, or distinct queries
+# per classification stack of one length; bounds the memory of either
+STACK_USES = 8 * EMBED_CHUNK  # query uses per classification stack; bounds its memory
 PROPOSAL_CHUNK = 256  # videos per proposal pass; bounds the memory of one pass
 EPISODE_BLOCK = 100  # episodes classified and scored together; bounds a call's memory
 
@@ -74,12 +78,13 @@ class Detections:
 
 @dataclass
 class ClassifiedQuery:
-    """A stack of Q queries' classifications, one row per query."""
-    probs: np.ndarray  # (Q, K) softmax over the prototypes
-    top1: np.ndarray  # (Q,)
-    weights: np.ndarray  # (Q, T) aggregation weight of each segment
-    i_bg: np.ndarray  # (Q,) pseudo-labeled background segment
-    cosines: np.ndarray  # (Q, T, K) cosine of each segment to each prototype
+    """A stack of query uses' classifications, one row per use: the leading
+    dims ... are those of the stack's uses."""
+    probs: np.ndarray  # (..., K) softmax over the prototypes
+    top1: np.ndarray  # (...)
+    weights: np.ndarray  # (..., T) aggregation weight of each segment
+    i_bg: np.ndarray  # (...) pseudo-labeled background segment
+    cosines: np.ndarray  # (..., T, K) cosine of each segment to each prototype
 
 
 def prototypes(support_means: np.ndarray, K: int) -> np.ndarray:
@@ -97,12 +102,17 @@ def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarr
     """Aggregate each embedded query with background-aware weights, then
     softmax over cosines to its prototypes.
 
-    f is a (Q, T, d) stack of equal-length queries classified together;
-    proto is one (K, d) prototype matrix for all of them or a (Q, K, d)
-    stack, one matrix per query. Every product is a stacked matmul that runs
-    the one-query BLAS call on each slice, and every sum runs along a
-    contiguous last axis, so a query's result has the same bits whatever
-    else its stack holds.
+    f is a (..., T, d) stack of equal-length query embeddings and proto a
+    (..., K, d) stack of prototype matrices; their leading dims broadcast to
+    those of the uses classified. A (V, 1, T, d) stack of V distinct videos
+    against (V, r, K, d) prototypes classifies r uses of each video from one
+    copy of it; a (Q, T, d) stack against one (K, d) matrix classifies Q
+    queries against the same prototypes. Every product is a stacked matmul
+    that runs the one-query BLAS call on each slice (a broadcast slice of f
+    is the same contiguous (T, d) block), and every sum runs along a
+    contiguous last axis, so a use's result has the same bits whatever else
+    its stack holds. The attention weights of `--ablate sw` depend on the
+    video alone and are taken once per video.
     """
     cfg = cfg or LossConfig()
     cosines = f @ proto.swapaxes(-1, -2)
@@ -111,11 +121,14 @@ def classify_query(params: model_mod.ModelParams, f: np.ndarray, proto: np.ndarr
         weights = self_weight(f, i_bg, cfg)
     else:
         weights = model_mod.baseline_attention(params, f)
-    F = aggregate_video_feature(f, weights)  # (Q, 1, d)
-    norm = np.sqrt(F @ F.swapaxes(1, 2))  # the dot product np.linalg.norm takes
-    Fn = (F / (norm + 1e-12)).swapaxes(1, 2)
+    F = aggregate_video_feature(f, weights)  # (..., 1, d)
+    norm = np.sqrt(F @ F.swapaxes(-1, -2))  # the dot product np.linalg.norm takes
+    Fn = (F / (norm + 1e-12)).swapaxes(-1, -2)
     probs = ad.softmax_forward((proto @ Fn)[..., 0])
-    return ClassifiedQuery(probs=probs, top1=probs.argmax(axis=1), weights=weights[..., 0],
+    weights = weights[..., 0]
+    if not cfg.sw:  # one row per video: one per use
+        weights = np.broadcast_to(weights, cosines.shape[:-1])
+    return ClassifiedQuery(probs=probs, top1=probs.argmax(axis=-1), weights=weights,
                            i_bg=i_bg, cosines=cosines)
 
 
@@ -153,20 +166,44 @@ def embed_by_length(params: model_mod.ModelParams, raws):
 def _classify_stacks(params: model_mod.ModelParams, embeddings: dict, length: np.ndarray,
                      row: np.ndarray, proto: np.ndarray, which: np.ndarray,
                      cfg: LossConfig = None):
-    """Classify queries, query i being row[i] of embeddings[length[i]], a
-    (n_T, T, d) array of embeddings of length T, against the (K, d)
-    prototypes proto[which[i]]. The queries are classified in stacks of at
-    most EMBED_CHUNK queries of one length, lengths in order of first
-    appearance; each stack is gathered from its length's array by one index.
+    """Classify query uses, use i being video row[i] of embeddings[length[i]],
+    a (n_T, T, d) array of embeddings of length T, against the (K, d)
+    prototypes proto[which[i]].
 
-    Yields (query indices, ClassifiedQuery of their stack) pairs.
+    Classification is video-major. Within each length (in order of first
+    appearance) the uses are ordered by use count and video, stably, so the
+    videos with equally many uses r form one run of r uses each. They are
+    classified in stacks of at most EMBED_CHUNK videos and STACK_USES uses:
+    one (V, 1, T, d) copy of the V videos against their uses' (V, r, K, d)
+    prototypes. A video with more than STACK_USES uses has them split over
+    stacks of one video each, all against one copy of it.
+
+    Yields (use indices, ClassifiedQuery of those uses) pairs, both flat in
+    the same order.
     """
     _, first = np.unique(length, return_index=True)
     for T in length[np.sort(first)]:
         same_length = np.flatnonzero(length == T)
-        for start in range(0, same_length.size, EMBED_CHUNK):
-            at = same_length[start : start + EMBED_CHUNK]
-            yield at, classify_query(params, embeddings[T][row[at]], proto[which[at]], cfg)
+        slot_video = row[same_length]
+        uses = np.bincount(slot_video)  # each video's uses
+        slots = same_length[np.argsort(uses[slot_video] * uses.size + slot_video,
+                                       kind="stable")]
+        videos_of = np.bincount(uses)  # videos_of[r]: how many videos have r uses
+        videos_of[0] = 0  # videos of length T that this block does not use
+        end = 0
+        for r in np.flatnonzero(videos_of).tolist():
+            by_video = slots[end : end + r * videos_of[r]].reshape(-1, r)  # (videos, r) uses
+            end += by_video.size
+            video = row[by_video[:, 0]]
+            width = min(r, STACK_USES)
+            height = min(EMBED_CHUNK, STACK_USES // width)
+            for v in range(0, len(video), height):
+                f = embeddings[T][video[v : v + height], None]  # one copy of each video
+                for c in range(0, r, width):
+                    at = by_video[v : v + height, c : c + width]
+                    res = classify_query(params, f, proto[which[at]], cfg)
+                    yield at.ravel(), ClassifiedQuery(*(x.reshape(at.size, *x.shape[2:])
+                                                        for x in vars(res).values()))
 
 
 def classification_accuracy(params: model_mod.ModelParams, raws: list, labels,
@@ -533,8 +570,8 @@ def _classify_block(params: model_mod.ModelParams, support_means: np.ndarray, em
     """Each episode's accuracy, or in detection the stacked (sum T, K)
     activation maps (weight times cosine) and query lengths, of a block of
     episodes given by their (E, K*n, d) support means and each query slot's
-    length and row in `embedded`, all its queries classified in block-wide
-    stacks in slot order."""
+    length and row in `embedded`, all its query slots classified together
+    in video-major stacks (`_classify_stacks`)."""
     Q = K * q  # an episode's queries, listed class by class
     stacks = _classify_stacks(params, embedded, length, row, prototypes(support_means, K),
                               np.arange(length.size) // Q, cfg)

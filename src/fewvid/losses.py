@@ -22,6 +22,7 @@ configuration, from the global attention net.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,18 +67,21 @@ def self_weight(f, i_bg, cfg: LossConfig = None):
     near 0 for segments that look like the background, near 1 for segments
     far from it. i_bg is the BG row of one video; for a Tensor f that stacks
     a batch it may instead be an index array naming, for every row of f, the
-    BG row of that row's video. A plain (Q, T, d) array f stacks Q videos of
-    one length, with a (Q,) i_bg, and gives (Q, T, 1) weights. A Tensor f
-    gives a graph node (`_self_weight_rows`); a plain array gives a plain
-    array, each video's BG row gathered by one integer index into a fresh
-    C-ordered (d, 1) column, so the product is the one-video BLAS call.
+    BG row of that row's video. A plain (..., T, d) array f stacks videos of
+    one length, with i_bg broadcasting against its leading dims, and gives
+    (..., T, 1) weights: a (V, 1, T, d) stack of V videos with a (V, r) i_bg
+    weighs r uses of each video. A Tensor f gives a graph node
+    (`_self_weight_rows`); a plain array gives a plain array, each use's BG
+    row taken by one flat row index into a fresh C-ordered (..., d) array
+    whose (..., d, 1) columns make each product the one-video BLAS call.
     """
     cfg = cfg or LossConfig()
     if isinstance(f, ad.Tensor):
         if np.ndim(i_bg) == 0:
             i_bg = np.full(len(f.data), i_bg)
         return _self_weight_rows(f, i_bg, cfg)
-    bg = f[np.arange(len(f)), i_bg] if np.ndim(i_bg) else f[i_bg].copy()
+    video = np.arange(math.prod(f.shape[:-2])).reshape(f.shape[:-2])  # each stacked video
+    bg = f.reshape(-1, f.shape[-1]).take(video * f.shape[-2] + i_bg, axis=0)
     return _weight_curve(f @ bg[..., None], cfg)
 
 
@@ -120,8 +124,9 @@ def aggregate_video_feature(f, weights, lengths=None):
     Takes Tensors or plain arrays, and returns the same kind. Tensors give
     one graph node (`_aggregate_videos`); with `lengths` (Tensors only), f
     and weights stack videos of those lengths and each video gets its own
-    row of the (len(lengths), d) result. Plain (Q, T, d) features with
-    (Q, T, 1) weights stack Q videos of one length and give (Q, 1, d).
+    row of the (len(lengths), d) result. Plain (..., T, d) features with
+    (..., T, 1) weights stack videos of one length, their leading dims
+    broadcasting, and give (..., 1, d).
     """
     if isinstance(f, ad.Tensor):
         return _aggregate_videos(f, weights, [len(f.data)] if lengths is None else lengths)

@@ -167,8 +167,8 @@ def baseline_attention(params: ModelParams, f):
     """(T, 1) per-segment weights in (0, 1) from a tiny two-layer net.
 
     A Tensor f gives one graph node over (f, attn_hidden, attn_out); a plain
-    array gives a plain array, and a plain (Q, T, d) stack of videos gives
-    (Q, T, 1). Both run `_attention`.
+    array gives a plain array, and a plain (..., T, d) stack of videos gives
+    (..., T, 1). Both run `_attention`.
     """
     if not isinstance(f, ad.Tensor):
         return _attention(f, params.attn_hidden.data, params.attn_out.data)[1]

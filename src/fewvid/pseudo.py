@@ -44,8 +44,8 @@ def _segment_scores(logits: np.ndarray) -> np.ndarray:
 def pseudo_label_bg(logits: np.ndarray):
     """Index of the segment with the smallest best-class score; first on ties.
 
-    (T, C) logits of one video give one index; a (Q, T, C) stack of videos
-    gives a (Q,) index array, one BG segment per video.
+    (T, C) logits of one video give one index; a (..., T, C) stack of
+    videos gives a (...) index array, one BG segment per video.
     """
     return _segment_scores(logits).argmin(axis=-1)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import shutil
+import tracemalloc
 import warnings
 import weakref
 
@@ -1596,10 +1597,11 @@ class TestNoGradPath:
 
 
 class TestStackedClassify:
-    """classify_query on a (Q, T, d) stack gives each query the bits the
-    one-query formulas give it, with shared or per-query prototypes, and an
-    evaluation call classifies its queries in call-wide stacks of at most
-    EMBED_CHUNK queries of one length."""
+    """classify_query on a stack of uses gives each use the bits the
+    one-query formulas give it, with shared, per-query or per-use
+    prototypes, and an evaluation call classifies its queries video-major:
+    one copy of each distinct video against all its uses' prototypes, in
+    stacks of one length and one use count."""
 
     @settings(max_examples=300, deadline=None)
     # d = 0 stands for the tied 3-wide rows below
@@ -1648,33 +1650,169 @@ class TestStackedClassify:
                                 seed=2, cfg=cfg)["per_episode"]
         assert got == oracle_evaluate(params, mixed_novel, mode, 3, 1, 3, 6, 2, cfg)
 
-    @pytest.mark.parametrize("chunk", [2, 3, 4])
-    @pytest.mark.parametrize("mode", ["classification", "detection"])
-    def test_call_wide_stacks_of_at_most_a_chunk(self, mixed_novel, monkeypatch, chunk, mode):
-        stacks = []  # (queries, length, distinct prototype matrices) of each call
-        classify = evaluate.classify_query
+    @settings(max_examples=60, deadline=None)
+    # d = 0 stands for the tied 3-wide rows of `unit_stacks`
+    @given(st.integers(0, 96), st.integers(1, 3), st.integers(1, 6), st.integers(1, 12),
+           st.integers(1, 5), st.booleans(), st.sampled_from([0, 3, 8, 64]))
+    @example(seed=0, V=1, r=1, T=1, K=1, sw=True, d=8)
+    @example(seed=1, V=2, r=evaluate.STACK_USES + 1, T=3, K=2, sw=True, d=8)
+    @example(seed=2, V=1, r=evaluate.STACK_USES + 1, T=4, K=3, sw=False, d=0)
+    @example(seed=3, V=3, r=2, T=12, K=5, sw=False, d=64)
+    def test_broadcast_uses_equal_one_query_calls(self, seed, V, r, T, K, sw, d):
+        # V videos, each classified against r prototype matrices from one copy
+        rng = np.random.default_rng(seed)
+        f, proto = unit_stacks(rng, (V, T), (V, r, K), d)
+        params = model.init_params(n_classes=2, d_in=f.shape[-1], d=f.shape[-1],
+                                   kernel_width=3, seed=seed)
+        cfg = LossConfig(sw=sw)
+        res = evaluate.classify_query(params, f[:, None], proto, cfg)
+        assert res.probs.shape == (V, r, K) and res.weights.shape == (V, r, T)
+        assert res.cosines.shape == (V, r, T, K) and res.top1.shape == res.i_bg.shape == (V, r)
+        for v, u in np.ndindex(V, r):
+            one = evaluate.classify_query(params, f[v][None], proto[v, u], cfg)
+            for got, want in zip(vars(res).values(), vars(one).values()):
+                assert np.array_equal(got[v, u], want[0])
+        probs, top1, weights, i_bg = loop_classify_query(params, f[-1], proto[-1, -1], cfg)
+        assert np.array_equal(res.probs[-1, -1], probs)
+        assert np.array_equal(res.weights[-1, -1], weights)
+        assert (res.top1[-1, -1], res.i_bg[-1, -1]) == (top1, i_bg)
 
-        def counting(params, f, proto, cfg):
-            stacks.append((len(f), f.shape[1], len({p.tobytes() for p in proto})))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
+           st.integers(1, 60), st.integers(1, 4), st.integers(1, 4), st.integers(1, 9),
+           st.booleans(), st.sampled_from([0, 3, 8]))
+    @example(seed=0, lengths=[5], uses=12, episodes=2, chunk=2, cap=3, sw=True, d=8)
+    @example(seed=1, lengths=[1, 7], uses=40, episodes=3, chunk=4, cap=1, sw=False, d=0)
+    def test_stacks_equal_one_query_calls(self, seed, lengths, uses, episodes, chunk, cap, sw,
+                                          d):
+        # mixed lengths, videos used once or many times, caps below a video's uses
+        rng = np.random.default_rng(seed)
+        K = 3
+        embeddings = {T: unit_stacks(rng, (int(rng.integers(1, 5)), T), (0, K), d)[0]
+                      for T in lengths}
+        proto = unit_stacks(rng, (0, 1), (episodes, K), d)[1]
+        length = np.array(lengths)[rng.integers(0, len(lengths), uses)]
+        # a few videos take most uses, so some are used more often than the cap
+        row = (rng.random(uses) ** 3 * [len(embeddings[T]) for T in length.tolist()]).astype(int)
+        which = rng.integers(0, episodes, uses)
+        d = proto.shape[-1]
+        params = model.init_params(n_classes=2, d_in=d, d=d, kernel_width=3, seed=seed)
+        cfg = LossConfig(sw=sw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluate, "EMBED_CHUNK", chunk)
+            patch.setattr(evaluate, "STACK_USES", cap)
+            stacks = list(evaluate._classify_stacks(params, embeddings, length, row, proto,
+                                                    which, cfg))
+        at = np.concatenate([at for at, _ in stacks])
+        assert np.array_equal(np.sort(at), np.arange(uses))  # every use exactly once
+        for at, res in stacks:
+            assert at.size <= cap and len(set(length[at].tolist())) == 1
+            for j, i in enumerate(at.tolist()):
+                one = evaluate.classify_query(params, embeddings[length[i]][row[i]][None],
+                                              proto[which[i]], cfg)
+                for got, want in zip(vars(res).values(), vars(one).values()):
+                    assert np.array_equal(got[j], want[0])
+
+    @pytest.mark.parametrize("chunk, cap", [(2, 16), (3, 4), (4, 5)])
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    def test_video_major_stacks(self, mixed_novel, monkeypatch, chunk, cap, mode):
+        calls, stacks = [], []  # (the block's arguments, use indices, f, proto) of each stack
+        classify, stacks_of = evaluate.classify_query, evaluate._classify_stacks
+
+        def spying(params, f, proto, cfg):
+            calls.append((f, proto))
             return classify(params, f, proto, cfg)
 
-        monkeypatch.setattr(evaluate, "classify_query", counting)
+        def recording(*args):  # each stack yields after its classify_query call
+            for at, res in stacks_of(*args):
+                stacks.append((args, at, *calls[-1]))
+                yield at, res
+
+        monkeypatch.setattr(evaluate, "classify_query", spying)
+        monkeypatch.setattr(evaluate, "_classify_stacks", recording)
         monkeypatch.setattr(evaluate, "EMBED_CHUNK", chunk)
+        monkeypatch.setattr(evaluate, "STACK_USES", cap)
+        K, n, q, episodes, seed = 3, 1, 3, 12, 5
+        params = model.init_params(n_classes=3, d_in=6, d=5, seed=1)
+        got = evaluate.episode_scores(params, mixed_novel, mode, range(episodes), K=K, n=n, q=q,
+                                      seed=seed)
+        assert got == oracle_evaluate(params, mixed_novel, mode, K, n, q, episodes, seed,
+                                      LossConfig())
+        (args,) = {id(args): args for args, *_ in stacks}.values()  # one block
+        _, embedded, length, row, block_proto, which, _ = args
+        uses = {}  # (length, row) -> the video's uses in the block
+        for video in zip(length.tolist(), row.tolist()):
+            uses[video] = uses.get(video, 0) + 1
+        assert len(set(length.tolist())) > 1 and max(uses.values()) > 4
+        for _, at, f, proto in stacks:
+            V, r = proto.shape[:2]
+            T = f.shape[2]
+            assert f.shape[:2] == (V, 1) and at.size == V * r  # one copy of each video
+            assert V <= chunk and at.size <= cap
+            assert set(length[at].tolist()) == {T}  # one length
+            video = row[at].reshape(V, r)
+            assert (video == video[:, :1]).all() and len(set(video[:, 0].tolist())) == V
+            counts = {uses[T, v] for v in video[:, 0].tolist()}
+            assert len(counts) == 1  # one use count
+            assert counts == {r} or (V == 1 and r <= cap < counts.pop())  # split past the cap
+            assert np.array_equal(f[:, 0], embedded[T][video[:, 0]])
+            assert np.array_equal(proto, block_proto[which[at]].reshape(proto.shape))
+        at = np.concatenate([at for _, at, _, _ in stacks])
+        assert np.array_equal(np.sort(at), np.arange(length.size))  # every use exactly once
+        assert max(len(set(which[at].tolist())) for _, at, _, _ in stacks) > 1  # spans episodes
+        assert max(proto.shape[1] for *_, proto in stacks) > 1  # a video's uses share a stack
+        assert any(uses[f.shape[2], row[at[0]]] > at.size for _, at, f, _ in stacks) == (
+            cap < max(uses.values()))  # a video used past the cap is split
+
+    @pytest.mark.parametrize("mode", ["classification", "detection"])
+    def test_no_stack_copies_a_query_per_use(self, mixed_novel, monkeypatch, mode):
+        copies = []  # rows of f passed by each stack
+        classify = evaluate.classify_query
+
+        def spying(params, f, proto, cfg):
+            assert f.ndim == 4 and f.shape[1] == 1 and proto.shape[0] == f.shape[0]
+            copies.append(len(f))
+            return classify(params, f, proto, cfg)
+
+        monkeypatch.setattr(evaluate, "classify_query", spying)
         K, n, q, episodes, seed = 3, 1, 3, 12, 5
         evaluate.episode_scores(model.init_params(n_classes=3, d_in=6, d=5, seed=1),
                                 mixed_novel, mode, range(episodes), K=K, n=n, q=q, seed=seed)
-        counts = {}  # query length -> queries of the call, lengths in order of first use
-        for _, queries in draw_all(mixed_novel, K, n, q, episodes, seed):
-            for entry in queries:
-                T = int(entry.feature_file.split("/")[0][1:])
-                counts[T] = counts.get(T, 0) + 1
-        assert len(counts) > 1
-        want = [(min(chunk, count - start), T) for T, count in counts.items()
-                for start in range(0, count, chunk)]
-        assert [stack[:2] for stack in stacks] == want
-        assert len(stacks) == sum(-(-count // chunk) for count in counts.values())
-        assert max(size for size, _, _ in stacks) == chunk
-        assert max(protos for _, _, protos in stacks) > 1  # a stack spans two episodes
+        queries = [entry.feature_file for _, entries in draw_all(mixed_novel, K, n, q, episodes,
+                                                                   seed) for entry in entries]
+        assert sum(copies) == len(set(queries)) < len(queries)
+
+
+class TestCallMemory:
+    def test_long_call_peaks_near_a_short_call(self, tmp_path):
+        # only index arrays grow with the episode count: a 1000-episode
+        # 5-way 1-shot 5-query call peaks above a 100-episode one by at most
+        # 8 int64 per slot of its 1000 episodes
+        cfg = data.SyntheticConfig(n_base_classes=1, n_novel_classes=10, videos_per_class=12,
+                                   T=20, d_in=32, seed=3)
+        _, novel = data.generate_synthetic_dataset(cfg, tmp_path)
+        params = model.init_params(n_classes=1, d_in=32, d=64, kernel_width=3, seed=0)
+        peaks = []
+        for episodes in (100, 1000):
+            tracemalloc.start()
+            try:
+                evaluate.episode_scores(params, novel, "classification", range(episodes))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 8 * 8 * 1000 * 5 * (1 + 5)
+
+
+def unit_stacks(rng, f_shape, proto_shape, d):
+    """(f_shape + (d,)) unit query rows and (proto_shape + (d,)) unit
+    prototype rows; d = 0 stands for tied 3-wide rows (ATOMS, PROTO_ROWS),
+    which tie the K-way maxima within a query and across prototypes."""
+    if d == 0:
+        return (ATOMS[rng.integers(0, 4, size=f_shape)],
+                PROTO_ROWS[rng.integers(0, 6, size=proto_shape)])
+    f, proto = rng.normal(size=f_shape + (d,)), rng.normal(size=proto_shape + (d,))
+    return (f / np.linalg.norm(f, axis=-1, keepdims=True),
+            proto / np.linalg.norm(proto, axis=-1, keepdims=True))
 
 
 @pytest.fixture(scope="module")
