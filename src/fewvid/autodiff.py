@@ -12,11 +12,15 @@ evaluation's no-grad path live here once, as plain-array `*_forward` and
 row normalization that training builds, and `matmul`, `transpose` and
 `concat_rows` for list pools and the logits of a Tensor.
 
-The helpers that run once per training step or evaluation stack call
-NumPy's ufuncs, array methods (`x.sum`, `x.max`, `x.any`) and integer
-indexing, not the module-level wrappers, whose Python-level cost at these
-sizes is as large as the arithmetic; each keeps the wrapper's ufunc,
-operands, order and dtype, so the bits are the same.
+The helpers that run once per training step or evaluation stack call no
+NumPy wrapper written in Python where a C function does the same work; at
+these sizes a wrapper costs as much as the arithmetic. A reduction is its
+ufunc's `reduce` (`np.add.reduce`, not `x.sum` or `np.sum`, which on NumPy
+2.x run `_core/_methods.py` wrappers), a strided view is built by the
+`np.ndarray` constructor, and the rest are ufuncs, integer indexing and the
+array methods that are pure C (`argmax`, `argmin`, `argsort`, `copy`,
+`cumsum`, `repeat`, `nonzero`, `sort`, `take`). Each keeps the wrapper's
+ufunc, operands, order and dtype, so the bits are the same.
 
 A backward builds only what reaches a requires_grad leaf: an operand that
 needs no gradient (a constant) gets none, and a row gather (`take_rows`)
@@ -136,7 +140,8 @@ def backward(root: Tensor) -> dict:
     order = _topo(root)
     for node in order:
         node.grad = None
-    root.grad = np.ones_like(root.data)
+    root.grad = np.empty_like(root.data)
+    root.grad.fill(1.0)
     leaves = {}
     for node in reversed(order):
         if node.grad is None or not node.requires_grad:
@@ -216,7 +221,7 @@ def check_rows(op: str, shape, index) -> np.ndarray:
     index = np.asarray(index, dtype=np.intp)
     if len(shape) != 2 or index.ndim != 1:
         raise ShapeError(op, shape, index.shape)
-    if index.size and not 0 <= index.min() <= index.max() < shape[0]:
+    if index.size and not 0 <= np.minimum.reduce(index) <= np.maximum.reduce(index) < shape[0]:
         raise IndexError(f"{op}: row index outside [0, {shape[0]})")
     return index
 
@@ -234,12 +239,13 @@ class RowGather(NamedTuple):
     @classmethod
     def of(cls, index: np.ndarray) -> "RowGather":
         order, sorted_index = None, index
-        if (index[1:] < index[:-1]).any():
-            order = np.argsort(index, kind="stable")
+        if np.logical_or.reduce(index[1:] < index[:-1], axis=None):
+            order = index.argsort(kind="stable")
             sorted_index = index[order]
-        run_starts = np.ones(index.size, dtype=bool)
+        run_starts = np.empty(index.size, dtype=bool)
+        run_starts.fill(True)
         run_starts[1:] = sorted_index[1:] != sorted_index[:-1]
-        firsts = np.flatnonzero(run_starts)
+        firsts = run_starts.nonzero()[0]
         return cls(order, firsts, sorted_index[firsts])
 
 
@@ -268,7 +274,7 @@ def check_lengths(op: str, shape, lengths) -> np.ndarray:
     """Per-video row counts of a 2-D stack: each at least 1, summing to its rows."""
     lengths = np.asarray(lengths, dtype=np.intp)
     if (len(shape) != 2 or lengths.ndim != 1 or lengths.size == 0
-            or lengths.min() < 1 or lengths.sum() != shape[0]):
+            or np.minimum.reduce(lengths) < 1 or np.add.reduce(lengths) != shape[0]):
         raise ShapeError(op, shape, lengths.shape)
     return lengths
 
@@ -300,7 +306,7 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 def normalized_rows(x: np.ndarray):
     """(each row of a plain 2-D array over its norm plus NORM_EPS, the (n, 1)
     row norms)."""
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
     return x / (norms + NORM_EPS), norms
 
 
@@ -314,9 +320,9 @@ def l2_normalize_rows_backward(g: np.ndarray, x: np.ndarray, norms: np.ndarray) 
     an all-zero row, where the guarded function is flat, gets 0."""
     denom = norms + NORM_EPS
     nonzero = norms > 0.0
-    dot = (g * x).sum(axis=1, keepdims=True)
+    dot = np.add.reduce(g * x, axis=1, keepdims=True)
     gx = g / denom - x * dot / (np.where(nonzero, norms, 1.0) * denom * denom)
-    return gx if nonzero.all() else np.where(nonzero, gx, 0.0)
+    return gx if np.logical_and.reduce(nonzero, axis=None) else np.where(nonzero, gx, 0.0)
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
@@ -337,13 +343,13 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
 def softmax_forward(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a plain array, shifted by its max."""
-    ex = np.exp(x - x.max(axis=-1, keepdims=True))
-    return ex / ex.sum(axis=-1, keepdims=True)
+    ex = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return ex / np.add.reduce(ex, axis=-1, keepdims=True)
 
 
 def softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The input gradient of a row softmax whose output is `out`."""
-    inner = (g * out).sum(axis=1, keepdims=True)
+    inner = np.add.reduce(g * out, axis=1, keepdims=True)
     return (g - inner) * out
 
 
@@ -359,9 +365,9 @@ class ConvGrid:
     """
 
     def __init__(self, xv: np.ndarray, w: int, lengths: np.ndarray):
-        self.shape, self.w = (lengths.size, int(lengths.max()), xv.shape[1]), w
+        self.shape, self.w = (lengths.size, int(np.maximum.reduce(lengths)), xv.shape[1]), w
         # the (videos, T_max) cells that hold the stack's rows; None: all of them
-        self.mask = None if lengths.min() == self.shape[1] else (
+        self.mask = None if np.minimum.reduce(lengths) == self.shape[1] else (
             np.arange(self.shape[1]) < lengths[:, None])
         self.padded = self.pad(xv, (w - 1) // 2)
 
@@ -390,14 +396,16 @@ def _windows(padded: np.ndarray, t_max: int, reverse: bool = False) -> np.ndarra
     The taps lead, so an einsum over this view and `_taps` adds tap j = 0,
     1, ..., w - 1 in turn to each output's zero start, as a loop over taps
     would. Window strides: tap and row 8 d bytes, channel 8, video
-    8 d (t_max + w - 1).
+    8 d (t_max + w - 1); reversed, the tap stride is -8 d and slab 0 starts
+    w - 1 rows down. The view is built on the C-contiguous grid's buffer.
     """
     n, rows, d = padded.shape
     s_video, s_row, s_col = padded.strides
-    start = padded[:, rows - t_max :] if reverse else padded
-    return np.lib.stride_tricks.as_strided(
-        start, (rows - t_max + 1, n, t_max, d),
-        (-s_row if reverse else s_row, s_video, s_row, s_col), writeable=False)
+    view = np.ndarray((rows - t_max + 1, n, t_max, d), padded.dtype, padded,
+                      (rows - t_max) * s_row if reverse else 0,
+                      (-s_row if reverse else s_row, s_video, s_row, s_col))
+    view.flags.writeable = False
+    return view
 
 
 def _taps(kv: np.ndarray, shape) -> np.ndarray:
@@ -416,7 +424,12 @@ def _taps(kv: np.ndarray, shape) -> np.ndarray:
     d, w = kv.shape
     block = np.zeros((w, 2, d), dtype=kv.dtype)
     block[:, 0] = kv.T
-    return np.broadcast_to(block[:, :1, None], (w,) + tuple(shape))
+    s_tap, _, s_col = block.strides
+    # a length-1 axis steps 0 bytes, as in a view np.broadcast_to makes
+    view = np.ndarray((w,) + tuple(shape), block.dtype, block, 0,
+                      (s_tap if w > 1 else 0, 0, 0, s_col if d > 1 else 0))
+    view.flags.writeable = False
+    return view
 
 
 def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,

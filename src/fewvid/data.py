@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,15 +186,19 @@ def read_file(path, what: str, text: bool = False):
     "cannot read {what} {path}: ..." when it cannot be read or decoded.
 
     Reads with `os.read` until end of file; the first read asks for the size
-    `os.fstat` gives plus one byte, so a regular file takes one read and an
-    empty one at end of file.
+    `os.fstat` gives plus one byte. A regular file that gives fewer bytes
+    than asked is at its end, so it takes that one read; anything else (a
+    pipe, a file that grew since `fstat`) is read until an empty read.
     """
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
-            chunks, size = [], os.fstat(fd).st_size + 1
+            st = os.fstat(fd)
+            chunks, size = [], st.st_size + 1
             while chunk := os.read(fd, size):
                 chunks.append(chunk)
+                if len(chunk) < size and stat.S_ISREG(st.st_mode):
+                    break
                 size = READ_CHUNK
         finally:
             os.close(fd)
@@ -225,7 +230,7 @@ def read_feature_file(path) -> np.ndarray:
         raise BadMagicError(f"{path}: expected magic {SEGF_MAGIC!r}, got {blob[:4]!r}")
     if len(blob) < 16:
         raise TruncatedFileError(f"{path}: header needs 16 bytes, file has {len(blob)}")
-    version, t, d = struct.unpack("<III", blob[4:16])
+    version, t, d = struct.unpack_from("<III", blob, 4)
     if version != SEGF_VERSION:
         raise VersionError(f"{path}: unsupported version {version}, expected {SEGF_VERSION}")
     if t == 0 or d == 0:
@@ -236,9 +241,9 @@ def read_feature_file(path) -> np.ndarray:
     if len(blob) > need:
         raise MalformedFileError(f"{path}: {len(blob) - need} bytes follow the declared "
                                  f"{t}x{d} matrix")
-    features = np.frombuffer(blob[16:need], dtype="<f4").reshape(t, d)
+    features = np.frombuffer(blob, "<f4", count=t * d, offset=16).reshape(t, d)
     # checked before the cast: casting a signalling NaN warns
-    if not np.isfinite(features).all():
+    if not np.logical_and.reduce(np.isfinite(features), axis=None):
         raise MalformedFileError(f"{path}: holds non-finite (nan or inf) feature values")
     return features.astype(np.float64)
 

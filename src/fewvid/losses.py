@@ -77,8 +77,9 @@ def self_weight(f, i_bg, cfg: LossConfig = None):
     """
     cfg = cfg or LossConfig()
     if isinstance(f, ad.Tensor):
-        if np.ndim(i_bg) == 0:
-            i_bg = np.full(len(f.data), i_bg)
+        i_bg = np.asarray(i_bg)
+        if i_bg.ndim == 0:
+            i_bg = i_bg.repeat(len(f.data))
         return _self_weight_rows(f, i_bg, cfg)
     video = np.arange(math.prod(f.shape[:-2])).reshape(f.shape[:-2])  # each stacked video
     bg = f.reshape(-1, f.shape[-1]).take(video * f.shape[-2] + i_bg, axis=0)
@@ -109,7 +110,7 @@ def _self_weight_rows(f: ad.Tensor, i_bg, cfg: LossConfig) -> ad.Tensor:
     def fwd(fv, _):
         nonlocal bg
         bg = fv[index]
-        return _weight_curve((fv * bg).sum(axis=1, keepdims=True), cfg)
+        return _weight_curve(np.add.reduce(fv * bg, axis=1, keepdims=True), cfg)
 
     def bwd(g, out, fv, _):
         g_cos = -(ad.sigmoid_backward(g, out) * cfg.tau_s)
@@ -132,13 +133,13 @@ def aggregate_video_feature(f, weights, lengths=None):
         return _aggregate_videos(f, weights, [len(f.data)] if lengths is None else lengths)
     # each video's weights summed along its own contiguous T axis
     num = weights.swapaxes(-1, -2) @ f
-    den = weights[..., 0].sum(axis=-1)[..., None, None]
+    den = np.add.reduce(weights[..., 0], axis=-1)[..., None, None]
     _check_weight_sums(den)
     return num / den
 
 
 def _check_weight_sums(den):
-    if (den == 0).any():
+    if np.logical_or.reduce(den == 0, axis=None):
         raise ValueError("cannot aggregate with weights that sum to zero")
 
 
@@ -154,7 +155,7 @@ def _aggregate_videos(f: ad.Tensor, weights: ad.Tensor, lengths) -> ad.Tensor:
     lengths = ad.check_lengths("aggregate_video_feature", f.data.shape, lengths)
     if weights.data.shape != f.data.shape[:1] + (1,):
         raise ad.ShapeError("aggregate_video_feature", f.data.shape, weights.data.shape)
-    starts = np.cumsum(lengths) - lengths
+    starts = lengths.cumsum() - lengths
     num = den = None
 
     def fwd(wv, fv):
@@ -165,11 +166,11 @@ def _aggregate_videos(f: ad.Tensor, weights: ad.Tensor, lengths) -> ad.Tensor:
         return num / den
 
     def bwd(g, out, wv, fv):
-        g_wf = np.repeat(g / den, lengths, axis=0)
+        g_wf = (g / den).repeat(lengths, axis=0)
         g_w = None
         if weights.requires_grad:
-            g_den = ad.divisor_backward(g, num, den).sum(axis=1, keepdims=True)
-            g_w = (g_wf * fv).sum(axis=1, keepdims=True) + np.repeat(g_den, lengths, axis=0)
+            g_den = np.add.reduce(ad.divisor_backward(g, num, den), axis=1, keepdims=True)
+            g_w = np.add.reduce(g_wf * fv, axis=1, keepdims=True) + g_den.repeat(lengths, axis=0)
         return g_w, (g_wf * wv if f.requires_grad else None)
 
     return ad._node("aggregate", (weights, f), fwd, bwd)
@@ -192,7 +193,7 @@ def _cross_entropy(feats: ad.Tensor, labels: np.ndarray, classifier: ad.Tensor,
         nonlocal classifier_t, probs
         classifier_t = wv.T.copy()
         probs = ad.softmax_forward(tau * (xv @ classifier_t))
-        return np.asarray(-np.log(probs[rows, labels]).mean())
+        return np.asarray(-(np.add.reduce(np.log(probs[rows, labels]), axis=None) / labels.size))
 
     def bwd(g, out, xv, wv):
         # neg, mean and log: each picked probability's gradient is -(g / n) / p
@@ -219,11 +220,11 @@ def soft_cls_loss(F: ad.Tensor, y, classifier: ad.Tensor,
     against classifier rows, averaged over videos: F has one row per video,
     y one label per row (an int for a single video)."""
     cfg = cfg or LossConfig()
-    labels = np.atleast_1d(np.asarray(y, dtype=np.intp))
+    labels = np.array(y, dtype=np.intp, ndmin=1)
     if labels.shape != F.data.shape[:1]:
         raise ad.ShapeError("soft_cls_loss", F.data.shape, labels.shape)
     n_rows = classifier.data.shape[0]
-    if labels.min() < 0 or labels.max() >= n_rows:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= n_rows:
         raise ValueError(f"labels {labels.tolist()} out of range for {n_rows} classifier rows")
     return _cross_entropy(ad.l2_normalize_rows(F), labels, classifier, cfg.tau)
 
@@ -236,15 +237,16 @@ def bg_cls_loss(nbg_feats, classifier: ad.Tensor, cfg: LossConfig = None) -> ad.
     rows = _stack(nbg_feats)
     if rows is None:
         return ad.Tensor(0.0)
-    bg_row = classifier.data.shape[0] - 1
-    return _cross_entropy(rows, np.full(rows.data.shape[0], bg_row), classifier, cfg.tau)
+    labels = np.empty(rows.data.shape[0], dtype=np.intp)
+    labels.fill(classifier.data.shape[0] - 1)  # the BG row
+    return _cross_entropy(rows, labels, classifier, cfg.tau)
 
 
 def _summed_squares(diffs: np.ndarray) -> np.ndarray:
     """Sum of squares along the last axis of difference rows (squared in
     place), with the bits of the squared distance `contrastive_loss` takes
     for one pair."""
-    return np.square(diffs, out=diffs).sum(axis=-1)
+    return np.add.reduce(np.square(diffs, out=diffs), axis=-1)
 
 
 _EPS = np.finfo(np.float64).eps
@@ -273,18 +275,18 @@ def _hardest_pairs(nb: np.ndarray, fg):
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("ij,ij->i", rows, rows)
         est = sq[:, None] + sq[:n] - 2.0 * (rows @ nb.T)  # est[r, a]: rows[r] to nb[a]
-        tol = 8.0 * sq.max() * ((d + 3) * _EPS) + _TINY
-        pull_low = est[:n].max() - tol
-        push_high = est[n:].min(initial=np.inf) + tol
+        tol = 8.0 * np.maximum.reduce(sq) * ((d + 3) * _EPS) + _TINY
+        pull_low = np.maximum.reduce(est[:n], axis=None) - tol
+        push_high = np.minimum.reduce(est[n:], axis=None, initial=np.inf) + tol
     pull = push = None
     if n >= 2:
-        first, second = np.nonzero(~(est[:n] < pull_low))
+        first, second = (~(est[:n] < pull_low)).nonzero()
         upper = first < second
         first, second = first[upper], second[upper]
         at = _summed_squares(nb[first] - nb[second]).argmax()
         pull = first[at], second[at]
     if fg is not None:
-        k, l = np.nonzero(~(est[n:] > push_high))
+        k, l = (~(est[n:] > push_high)).nonzero()
         at = _summed_squares(fg[k] - nb[l]).argmin()
         push = k[at], l[at]
     return pull, push
@@ -319,9 +321,9 @@ def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tenso
     def fwd(nbv, fgv=None):
         total = None
         if pull is not None:
-            total = np.square(nbv[pull[0]] - nbv[pull[1]]).sum()
+            total = np.add.reduce(np.square(nbv[pull[0]] - nbv[pull[1]]), axis=None)
         if push is not None:
-            closest = np.square(fgv[push[0]] - nbv[push[1]]).sum()
+            closest = np.add.reduce(np.square(fgv[push[0]] - nbv[push[1]]), axis=None)
             hinge = beta * ad.relu_forward(margin - closest)
             total = hinge if total is None else total + hinge
         return total
@@ -336,7 +338,7 @@ def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tenso
             nb_grads += [g_pull, -g_pull]
         if push is not None:
             cross = fgv[push[0]] - nbv[push[1]]
-            active = margin - np.square(cross).sum() > 0.0
+            active = margin - np.add.reduce(np.square(cross), axis=None) > 0.0
             g_push = 2.0 * cross * -(g * beta * active)
             nb_rows.append(push[1])
             nb_grads.append(-g_push)
@@ -401,7 +403,7 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
         model_mod.segment_logits(params, f.data), lengths, t_n=t_n, M=top_m)
 
     if cfg.sw:
-        weights = self_weight(f, np.repeat(labels.bg_rows, lengths), cfg)
+        weights = self_weight(f, labels.bg_rows.repeat(lengths), cfg)
     else:
         weights = model_mod.baseline_attention(params, f)
     F = aggregate_video_feature(f, weights, lengths)
@@ -428,7 +430,7 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
         "l_cls": float(l_cls.data),
         "l_contrast": float(l_contrast.data),
         "l_bg": float(l_bg.data),
-        "n_nbg": int(np.count_nonzero(labels.is_nbg)),
+        "n_nbg": int(np.add.reduce(labels.is_nbg)),
         "labels": labels,
     }
     return loss, stats

@@ -67,7 +67,7 @@ def init_params(n_classes: int, d_in: int, d: int = 64, kernel_width: int = 8,
     rng = np.random.default_rng(seed)
     classifier = rng.normal(size=(n_classes + 1, d))
     # each row over its norm, with the arithmetic of np.linalg.norm
-    classifier /= np.sqrt((classifier * classifier).sum(axis=1, keepdims=True))
+    classifier /= np.sqrt(np.add.reduce(classifier * classifier, axis=1, keepdims=True))
     return ModelParams(
         transform=ad.Tensor(rng.normal(scale=d_in ** -0.5, size=(d, d_in)), requires_grad=True),
         temporal_kernel=ad.Tensor(rng.normal(scale=kernel_width ** -0.5, size=(d, kernel_width)),
@@ -100,7 +100,7 @@ def embed_segments(params: ModelParams, raw, grad: bool = True, lengths=None):
             lengths = ad.check_lengths("embed_segments", raw.shape, lengths)
             # NumPy hands a one-row product to gemv, whose bits can differ
             # from a gemm row, so a one-row video gets its own one-row product
-            ones = (np.cumsum(lengths) - 1)[lengths == 1]
+            ones = (lengths.cumsum() - 1)[lengths == 1]
             transformed[ones] = (raw[ones, None] @ weight)[:, 0]
         mixed = ad.depthwise_conv1d_forward(transformed, params.temporal_kernel.data, lengths)
         return ad.l2_normalize_rows_forward(mixed)

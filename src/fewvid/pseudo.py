@@ -84,19 +84,21 @@ def pseudo_label_video(logits: np.ndarray, lengths, t_n: float = 0.25,
     """
     scores = _segment_scores(logits)
     lengths = np.asarray(lengths, dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
+    starts = lengths.cumsum() - lengths
     # one (V, T_max) row per video, padded with +inf so argmin skips the padding
-    valid = np.arange(lengths.max(initial=1)) < lengths[:, None]
-    padded = np.full(valid.shape, np.inf)
+    valid = np.arange(np.maximum.reduce(lengths, initial=1)) < lengths[:, None]
+    padded = np.empty(valid.shape)
+    padded.fill(np.inf)
     padded[valid] = scores
     i_bg = padded.argmin(axis=1)
-    m = np.clip(default_m(lengths) if M is None else M, 0, lengths - 1)
+    m = np.minimum(np.maximum(default_m(lengths) if M is None else M, 0), lengths - 1)
     # rank the other segments by descending score, ties by index
     left_out = ~valid
     left_out[np.arange(lengths.size), i_bg] = True
-    order = np.lexsort((-padded, left_out), axis=1)[:, :m.max(initial=0)]
+    order = np.lexsort((-padded, left_out), axis=1)[:, :np.maximum.reduce(m, initial=0)]
     kept = np.arange(order.shape[1]) < m[:, None]
-    fg = np.sort(np.where(kept, order, valid.shape[1]), axis=1)
+    fg = np.where(kept, order, valid.shape[1])
+    fg.sort(axis=1)
     bg_rows = starts + i_bg
     return PseudoLabelRecord(bg_rows=bg_rows, is_nbg=scores[bg_rows] < t_n,
                              fg_rows=(starts[:, None] + fg)[kept], max_logits=scores)

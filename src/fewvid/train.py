@@ -52,7 +52,7 @@ def nesterov_step(tensors: dict, grads: dict, state: OptimizerState):
         tensor.data += state.momentum * v - state.lr * g
     if "classifier" in tensors:
         w = tensors["classifier"].data
-        norms = np.sqrt((w * w).sum(axis=-1, keepdims=True))
+        norms = np.sqrt(np.add.reduce(w * w, axis=-1, keepdims=True))
         w /= np.where(norms > 0.0, norms, 1.0)
     return tensors, state
 

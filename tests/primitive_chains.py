@@ -15,6 +15,10 @@ backward forms no gradient for an operand that needs none. Elementwise
 operands broadcast as in NumPy (a scalar against an array, or an (n, 1)
 column against an (n, k) matrix), and a plain number is taken as a
 constant Tensor.
+
+`strided_windows` and `broadcast_taps` build the conv's operand views as
+NumPy's stride tricks build them, the oracles of `ad._windows` and
+`ad._taps`, which build the same views with the `np.ndarray` constructor.
 """
 
 import numpy as np
@@ -189,6 +193,27 @@ def depthwise_conv1d(x, kernel, lengths=None):
 
     return ad._node("depthwise_conv1d", (x, kernel), fwd,
                     lambda g, out, xv, kv: ad.depthwise_conv1d_backward(g, kv, grid))
+
+
+def strided_windows(padded, t_max, reverse=False):
+    """`ad._windows` by `as_strided`: slab j of the read-only view holds rows
+    j .. j + t_max - 1 of every video of the padded grid, or with `reverse`
+    rows w - 1 - j .. w - 2 - j + t_max."""
+    n, rows, d = padded.shape
+    s_video, s_row, s_col = padded.strides
+    start = padded[:, rows - t_max :] if reverse else padded
+    return np.lib.stride_tricks.as_strided(
+        start, (rows - t_max + 1, n, t_max, d),
+        (-s_row if reverse else s_row, s_video, s_row, s_col), writeable=False)
+
+
+def broadcast_taps(kv, shape):
+    """`ad._taps` by `broadcast_to`: the (d, w) kernel as a read-only
+    (w, videos, t_max, d) view of a (w, 2, d) block of its taps."""
+    d, w = kv.shape
+    block = np.zeros((w, 2, d), dtype=kv.dtype)
+    block[:, 0] = kv.T
+    return np.broadcast_to(block[:, :1, None], (w,) + tuple(shape))
 
 
 def chain_embedding(params, raw, lengths):

@@ -742,6 +742,39 @@ class TestConvPerTap:
         assert backward_peak <= 4 * xv.nbytes
 
 
+class TestConvViews:
+    """`ad._windows` and `ad._taps`, built by the `np.ndarray` constructor,
+    are the views `primitive_chains` builds by stride tricks: the same
+    shape, strides, dtype, values and read-only flag, on the grid's own
+    memory."""
+
+    @staticmethod
+    def assert_same_view(got, want, memory):
+        assert (got.shape, got.strides, got.dtype) == (want.shape, want.strides, want.dtype)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and not want.flags.writeable
+        assert np.shares_memory(got, memory)
+
+    @pytest.mark.parametrize("lengths", [[6, 6, 6], [5, 1, 3, 12], [1], [4]],
+                             ids=["equal", "ragged", "one-row", "one-video"])
+    @pytest.mark.parametrize("w", [1, 2, 5, 8])
+    @pytest.mark.parametrize("d", [1, 3])  # d = 1: all three steps of a plain kernel tie
+    def test_match_stride_tricks(self, lengths, w, d):
+        rng = np.random.default_rng(31)
+        lengths = np.array(lengths)
+        grid = ad.ConvGrid(rng.normal(size=(lengths.sum(), d)), w, lengths)
+        t_max = grid.shape[1]
+        # the forward's input grid and the backward's output-gradient grid
+        for padded in (grid.padded, grid.pad(rng.normal(size=(lengths.sum(), d)), w // 2)):
+            for reverse in (False, True):
+                self.assert_same_view(ad._windows(padded, t_max, reverse),
+                                      pc.strided_windows(padded, t_max, reverse), padded)
+        kv = rng.normal(size=(d, w))
+        got = ad._taps(kv, grid.shape)
+        self.assert_same_view(got, pc.broadcast_taps(kv, grid.shape), got.base)
+        assert got[:, 0, 0].T.tobytes() == kv.tobytes()
+
+
 def primitive_input_grad(op, x, g):
     """The gradient a one-input primitive `op` gives its leaf input x when
     its output's gradient is g."""

@@ -6,6 +6,7 @@ import json
 import os
 import dataclasses
 import re
+import stat
 import struct
 import tracemalloc
 import warnings
@@ -130,6 +131,47 @@ class TestReadFile:
         (tmp_path / "f").write_bytes(blob)
         monkeypatch.setattr(data.os, "fstat", lambda fd: os.stat_result((0,) * 10))
         assert data.read_file(tmp_path / "f", "file") == blob
+
+    @pytest.mark.parametrize("size", [0, 1, 5000])
+    def test_regular_file_takes_one_read(self, tmp_path, monkeypatch, size):
+        blob = np.random.default_rng(size).bytes(size)
+        (tmp_path / "f").write_bytes(blob)
+        asked, read = [], os.read
+
+        def spy(fd, n):
+            asked.append(n)
+            return read(fd, n)
+
+        monkeypatch.setattr(data.os, "read", spy)
+        assert data.read_file(tmp_path / "f", "file") == blob
+        assert asked == [size + 1]
+
+    def test_reads_a_regular_file_past_a_stale_size(self, tmp_path, monkeypatch):
+        # a regular file that grew since fstat fills the first read and is
+        # read on to its end
+        blob = np.random.default_rng(2).bytes(2 * data.READ_CHUNK + 7)
+        (tmp_path / "f").write_bytes(blob)
+        stale = os.stat_result((stat.S_IFREG,) + (0,) * 5 + (10,) + (0,) * 3)
+        monkeypatch.setattr(data.os, "fstat", lambda fd: stale)
+        assert data.read_file(tmp_path / "f", "file") == blob
+
+    def test_reads_a_pipe_whole(self, monkeypatch):
+        # fstat gives a pipe no size, and a read of a pipe returns only what
+        # its writer has written so far (here 4096 bytes at a time), so a
+        # short read is not its end: it is read until an empty read
+        blob = np.random.default_rng(3).bytes(40_000)  # fits the pipe buffer
+        read = os.read
+        monkeypatch.setattr(data.os, "read", lambda fd, n: read(fd, min(n, 4096)))
+        out, into = os.pipe()
+        try:
+            os.write(into, blob)
+            os.close(into)
+            into = None
+            assert data.read_file(f"/dev/fd/{out}", "file") == blob
+        finally:
+            os.close(out)
+            if into is not None:
+                os.close(into)
 
     def test_text(self, tmp_path):
         (tmp_path / "t").write_bytes("a = é\n".encode())

@@ -1,6 +1,9 @@
 """Loss values against closed forms and an independent numpy reimplementation."""
 
+import os
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import primitive_chains as chains
 from fewvid import autodiff as ad
-from fewvid import losses, model, pseudo
+from fewvid import losses, model, pseudo, train
 
 
 def unit(v):
@@ -914,6 +917,96 @@ class TestOpInventory:
     def test_moved_primitives_are_gone(self):
         assert [name for name in MOVED_NAMES if hasattr(ad, name)] == []
         assert [name for name in MOVED_METHODS if hasattr(ad.Tensor, name)] == []
+
+
+def training_step(params, batch, cfg, state, t_n=0.25):
+    """One step as `train.train_base` takes it: the loss, its backward and
+    the Nesterov update."""
+    loss, _ = losses.total_loss(params, batch, cfg, t_n=t_n)
+    ad.backward(loss)
+    grads = {name: t.grad for name, t in params.tensors().items() if t.grad is not None}
+    train.nesterov_step(params.tensors(), grads, state)
+
+
+NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
+ERRSTATE_CODES = {f.__code__ for f in vars(np.errstate).values() if hasattr(f, "__code__")}
+
+
+def numpy_frame_allowed(code) -> bool:
+    """Whether a training step may run this NumPy Python function: the
+    dispatcher of a C function (a function of `_core/multiarray.py`, or
+    one named `*_dispatcher`), `np.einsum`, or a method of `np.errstate`."""
+    path = code.co_filename
+    return (path.endswith(os.path.join("_core", "multiarray.py"))
+            or code.co_name.endswith("_dispatcher")
+            or (path.endswith("einsumfunc.py") and code.co_name == "einsum")
+            or code in ERRSTATE_CODES)
+
+
+def profiled_calls(run):
+    """(the Python calls run() makes, counted as `sys.setprofile` "call"
+    events, and a line naming each NumPy function outside
+    `numpy_frame_allowed` it ran and that function's caller)."""
+    calls, stray = 0, []
+
+    def where(code):
+        return "/".join(Path(code.co_filename).parts[-2:]) + f" {code.co_name}"
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event != "call":
+            return
+        calls += 1
+        code = frame.f_code
+        if code.co_filename.startswith(NUMPY_DIR) and not numpy_frame_allowed(code):
+            caller = frame.f_back
+            stray.append(f"{where(code)}, called from {where(caller.f_code)} "
+                         f"line {caller.f_lineno}")
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls, stray
+
+
+class TestStepRunsNoNumpyPython:
+    """A training step, from `total_loss` to `nesterov_step`, runs no NumPy
+    function written in Python but C functions' dispatchers, `np.einsum`
+    and `np.errstate`: reductions are ufunc `reduce` calls, the conv's views
+    come from the `np.ndarray` constructor, and the rest are ufuncs and C
+    array methods."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"bg{c.bg:d}sw{c.sw:d}cl{c.cl:d}")
+    def test_two_steps(self, cfg):
+        rng = np.random.default_rng(0)
+        params = model.init_params(n_classes=4, d_in=6, d=5, seed=0)
+        # ragged, with a one-row video, every video NBG: every pool and node runs
+        batch = [losses.BatchVideo(features=rng.normal(size=(t, 6)), label=t % 4)
+                 for t in (5, 1, 8, 3)]
+        state = train.OptimizerState()
+
+        def two_steps():  # the first makes the velocities, the second reuses them
+            for _ in range(2):
+                training_step(params, batch, cfg, state, t_n=2.0)
+
+        _, stray = profiled_calls(two_steps)
+        assert not stray, "NumPy Python functions in a training step:\n" + "\n".join(
+            dict.fromkeys(stray))
+
+    def test_full_step_call_budget(self):
+        """A 16-video step of the full objective at the benchmark's sizes
+        makes at most 260 Python calls (370 when reductions ran NumPy's
+        `_methods` wrappers and the conv's views `as_strided`)."""
+        rng = np.random.default_rng(0)
+        params = model.init_params(n_classes=20, d_in=32, d=64, seed=0)
+        batch = [losses.BatchVideo(features=rng.normal(size=(20, 32)), label=i % 20)
+                 for i in range(16)]
+        cfg, state = losses.LossConfig(), train.OptimizerState()
+        training_step(params, batch, cfg, state)
+        calls, _ = profiled_calls(lambda: training_step(params, batch, cfg, state))
+        assert calls <= 260
 
 
 def node_and_chain(build_node, build_chain, make_leaves, g):
