@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fewvid import data, losses, model, train
+from fewvid import data, evaluate, losses, model, train
 
 with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     workdir = Path(tmp)
@@ -30,8 +30,15 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
         print(f"step {step:3d}  total {total:7.4f}  cls {cls:7.4f}  "
               f"contrast {contrast:6.4f}  bg {bg:6.4f}  nbg {n_nbg}")
 
-    acc = train.training_accuracy(result.params, base)
-    print(f"\nbase-class video accuracy after training: {acc:.3f}")
+    # each base video classified as evaluation classifies a query, against
+    # the classifier's class rows
+    videos, _ = train.load_training_videos(base)
+    embedded, length, row = evaluate.embed_by_length(result.params,
+                                                     [video.features for video in videos])
+    class_rows = result.params.classifier.data[:result.params.n_classes]
+    correct = [evaluate.classify_query(result.params, embedded[T][r], class_rows).top1
+               == video.label for video, T, r in zip(videos, length.tolist(), row.tolist())]
+    print(f"\nbase-class video accuracy after training: {np.mean(correct):.3f}")
 
     # classifier rows stay unit-length because they are re-normalized every step
     params, echo = model.load_checkpoint(workdir / "model.ckpt")

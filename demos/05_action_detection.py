@@ -42,10 +42,9 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
         print(f"proposal class {proposals.class_index[i]} interval {(start, end)} "
               f"score {proposals.scores[i]:.3f}")
 
-    # interval overlap and single-class average precision on a toy example
-    print("\ntIoU((0,4),(2,6)) =", evaluate.temporal_iou((0, 4), (2, 6)))
+    # single-class average precision on a toy example
     dets = [(0.9, (0, 4)), (0.8, (9, 12)), (0.7, (4, 7))]
-    print("AP@0.5 with GT (0,4),(5,7):",
+    print("\nAP@0.5 with GT (0,4),(5,7):",
           evaluate.average_precision(dets, [(0, 4), (5, 7)], 0.5))
 
     # the same episode scored by the evaluation loop

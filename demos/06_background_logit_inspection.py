@@ -16,10 +16,10 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     result = train.train_base(base, losses.LossConfig(), epochs=8, seed=0)
 
     pools = {"F": [], "I": [], "N": []}
-    for entry in base.entries:
-        seq = base.load_sequence(entry)
-        f = model.embed_segments(result.params, seq.features)
-        row_max = model.segment_logits(result.params, f).data.max(axis=1)
+    videos = base.read_videos(range(len(base.entries)))
+    for entry, rows in zip(base.entries, videos.values()):
+        f = model.embed_segments(result.params, rows, grad=False)
+        row_max = model.segment_logits(result.params, f).max(axis=1)
         for i, role in enumerate(entry.segment_roles):
             pools[role].append(row_max[i])
 

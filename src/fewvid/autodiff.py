@@ -9,8 +9,7 @@ Each layer of the training graph is one `_node` with a hand-written forward
 and backward, built in `model` and `losses`. The formulas they share with
 evaluation's no-grad path live here once, as plain-array `*_forward` and
 `*_backward` functions. The only other graph ops are the row gather and the
-row normalization that training builds, and `matmul`, `transpose` and
-`concat_rows` for list pools and the logits of a Tensor.
+row normalization that training builds.
 
 The helpers that run once per training step or evaluation stack call no
 NumPy wrapper written in Python where a C function does the same work; at
@@ -66,15 +65,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class RowGrad(NamedTuple):
@@ -175,45 +167,6 @@ def backward(root: Tensor) -> dict:
 def divisor_backward(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The gradient of x / y with respect to y, at the output's shape."""
     return -g * x / (y * y)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError("matmul", a.data.shape, b.data.shape)
-    return _node(
-        "matmul",
-        (a, b),
-        lambda x, y: x @ y,
-        lambda g, out, x, y: (g @ y.T if a.requires_grad else None,
-                              x.T @ g if b.requires_grad else None),
-    )
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("transpose", a.data.shape)
-    return _node("transpose", (a,), lambda x: x.T.copy(), lambda g, out, x: (g.T,))
-
-
-def concat_rows(tensors) -> Tensor:
-    """Stack 2-D tensors along axis 0; all must share the column count."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat_rows", ())
-    cols = tensors[0].data.shape[1] if tensors[0].data.ndim == 2 else None
-    for t in tensors:
-        if t.data.ndim != 2 or t.data.shape[1] != cols:
-            raise ShapeError("concat_rows", tensors[0].data.shape, t.data.shape)
-    sizes = [t.data.shape[0] for t in tensors]
-
-    def bwd(g, out, *xs):
-        grads, at = [], 0
-        for n in sizes:
-            grads.append(g[at : at + n])
-            at += n
-        return tuple(grads)
-
-    return _node("concat_rows", tuple(tensors), lambda *xs: np.concatenate(xs, axis=0), bwd)
 
 
 def check_rows(op: str, shape, index) -> np.ndarray:

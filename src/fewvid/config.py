@@ -45,10 +45,6 @@ class RunConfig(LossConfig, SyntheticConfig):
     ckpt: str = "model.ckpt"
     out: str = ""
 
-    def synthetic_config(self) -> SyntheticConfig:
-        """The corpus settings: a RunConfig is a SyntheticConfig."""
-        return self
-
     def validate(self):
         SyntheticConfig.validate(self)
         LossConfig.validate(self)

@@ -41,25 +41,11 @@ NBG_FRACTION = 0.4  # share of non-FG segments that are non-informative
 FG_FRACTION_RANGE = (0.25, 0.5)  # share of segments inside ground-truth intervals
 
 
-@dataclass
-class SegmentFeatureSequence:
-    video_id: str
-    class_label: int
-    features: np.ndarray  # (T, d_in)
-    gt_intervals: list = field(default_factory=list)  # half-open (start, end)
-    segment_roles: str = ""  # one of F/I/N per segment, or empty
-
-    @property
-    def T(self) -> int:
-        return self.features.shape[0]
-
-
 def check_segments(video_id: str, gt_intervals, segment_roles: str, T: int):
     """Raise DataError naming the video unless its (start, end) intervals are
     sorted, do not overlap and lie inside its T segments, and its
     segment_roles are empty or one per segment: the check every entry's
-    rows pass before use (`DatasetManifest.read_videos` and
-    `DatasetManifest.load_sequence`)."""
+    rows pass before use (`DatasetManifest.read_videos`)."""
     prev_end = 0
     for start, end in gt_intervals:
         if not (0 <= start < end <= T):
@@ -91,20 +77,6 @@ class DatasetManifest:
 
     def class_labels(self):
         return sorted({e.class_label for e in self.entries})
-
-    def load_sequence(self, entry: ManifestEntry) -> SegmentFeatureSequence:
-        """The entry's video: its feature file's rows (`read_feature_file`),
-        checked against the entry as `read_videos` checks them
-        (`check_segments`). Raises DataError naming the video or the file."""
-        features = read_feature_file(os.path.join(self.root, entry.feature_file))
-        check_segments(entry.video_id, entry.gt_intervals, entry.segment_roles, len(features))
-        return SegmentFeatureSequence(
-            video_id=entry.video_id,
-            class_label=entry.class_label,
-            features=features,
-            gt_intervals=[tuple(iv) for iv in entry.gt_intervals],
-            segment_roles=entry.segment_roles,
-        )
 
     def read_videos(self, indices, d_in: int = None) -> dict:
         """{entry index: its checked (T, d_in) feature rows} for the entry

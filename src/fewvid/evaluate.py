@@ -206,31 +206,12 @@ def _classify_stacks(params: model_mod.ModelParams, embeddings: dict, length: np
                                                         for x in vars(res).values()))
 
 
-def classification_accuracy(params: model_mod.ModelParams, raws: list, labels,
-                            proto: np.ndarray, cfg: LossConfig = None) -> float:
-    """Share of (T_i, d_in) raw query videos whose top class is their label,
-    the videos embedded by `embed_by_length`."""
-    if not raws:
-        raise ValueError("cannot take the accuracy of no queries")
-    labels = np.asarray(labels)
-    which = np.zeros(len(raws), dtype=np.intp)
-    correct = sum(np.count_nonzero(res.top1 == labels[at])
-                  for at, res in _classify_stacks(params, *embed_by_length(params, raws),
-                                                  proto[None], which, cfg))
-    return correct / len(raws)
-
-
 def _tiou(start_a, end_a, start_b, end_b) -> np.ndarray:
     """tIoU of half-open intervals given by broadcastable endpoint arrays,
     0 where they do not overlap."""
     inter = np.minimum(end_a, end_b) - np.maximum(start_a, start_b)
     union = (end_a - start_a) + (end_b - start_b) - inter
     return np.divide(inter, union, out=np.zeros(inter.shape), where=inter > 0)
-
-
-def temporal_iou(a, b) -> float:
-    """tIoU of two half-open intervals."""
-    return float(_tiou(a[0], a[1], b[0], b[1]))
 
 
 def _runs(A: np.ndarray, lengths, thresholds):

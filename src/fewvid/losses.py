@@ -206,12 +206,9 @@ def _cross_entropy(feats: ad.Tensor, labels: np.ndarray, classifier: ad.Tensor,
     return ad._node("cross_entropy", (feats, classifier), fwd, bwd)
 
 
-def _stack(feats):
-    """Feature rows as one Tensor, from a Tensor or a list of row Tensors;
-    None when there are no rows."""
-    if isinstance(feats, ad.Tensor):
-        return feats if feats.data.shape[0] else None
-    return ad.concat_rows(feats) if feats else None
+def _rows(feats: ad.Tensor):
+    """A pool of feature rows, or None when it has no rows."""
+    return feats if feats.data.shape[0] else None
 
 
 def soft_cls_loss(F: ad.Tensor, y, classifier: ad.Tensor,
@@ -229,12 +226,12 @@ def soft_cls_loss(F: ad.Tensor, y, classifier: ad.Tensor,
     return _cross_entropy(ad.l2_normalize_rows(F), labels, classifier, cfg.tau)
 
 
-def bg_cls_loss(nbg_feats, classifier: ad.Tensor, cfg: LossConfig = None) -> ad.Tensor:
-    """Mean cross entropy of NBG segment features (a Tensor of rows or a
-    list of row Tensors) against the BG row (the last classifier row); zero
-    when the batch has no NBG."""
+def bg_cls_loss(nbg_feats: ad.Tensor, classifier: ad.Tensor,
+                cfg: LossConfig = None) -> ad.Tensor:
+    """Mean cross entropy of NBG segment features (a Tensor of rows) against
+    the BG row (the last classifier row); zero when the batch has no NBG."""
     cfg = cfg or LossConfig()
-    rows = _stack(nbg_feats)
+    rows = _rows(nbg_feats)
     if rows is None:
         return ad.Tensor(0.0)
     labels = np.empty(rows.data.shape[0], dtype=np.intp)
@@ -292,13 +289,14 @@ def _hardest_pairs(nb: np.ndarray, fg):
     return pull, push
 
 
-def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tensor:
+def contrastive_loss(nbg_feats: ad.Tensor, fgibg_feats: ad.Tensor,
+                     cfg: LossConfig = None) -> ad.Tensor:
     """Hardest-pair contrastive objective on squared Euclidean distances.
 
     Pull: the farthest pair of NBG features (they should all look alike).
     Push: hinge on the closest NBG-to-foreground pair staying at least
     `margin` apart. Either term is dropped when its pool is too small. Each
-    pool is a Tensor of rows or a list of row Tensors.
+    pool is a Tensor of rows.
 
     Both pairs are picked on plain arrays in one `_hardest_pairs` call, ties
     to the first pair, and stay fixed when `autodiff.forward` re-evaluates
@@ -310,7 +308,7 @@ def contrastive_loss(nbg_feats, fgibg_feats, cfg: LossConfig = None) -> ad.Tenso
     gradient rows when the node is the first to give them a gradient.
     """
     cfg = cfg or LossConfig()
-    nb, fg = _stack(nbg_feats), _stack(fgibg_feats)
+    nb, fg = _rows(nbg_feats), _rows(fgibg_feats)
     if nb is None:
         return ad.Tensor(0.0)
     pull, push = _hardest_pairs(nb.data, None if fg is None else fg.data)

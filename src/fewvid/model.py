@@ -54,12 +54,6 @@ class ModelParams:
     def tensors(self) -> dict:
         return {name: getattr(self, name) for name in PARAM_ORDER}
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{
-            name: ad.Tensor(t.data.copy(), requires_grad=True)
-            for name, t in self.tensors().items()
-        })
-
 
 def init_params(n_classes: int, d_in: int, d: int = 64, kernel_width: int = 8,
                 attn_width: int = 32, seed: int = 0) -> ModelParams:
@@ -140,14 +134,10 @@ def _embedding_node(params: ModelParams, raw, lengths) -> ad.Tensor:
     return ad._node("embed_segments", (transform, kernel), fwd, bwd)
 
 
-def segment_logits(params: ModelParams, f):
-    """Cosine logits against the class rows, without the background row.
-
-    A Tensor f gives a graph node; a plain array gives a plain array.
-    """
-    if not isinstance(f, ad.Tensor):
-        return f @ params.classifier.data[:params.n_classes].T.copy()
-    return f @ class_rows(params).T
+def segment_logits(params: ModelParams, f: np.ndarray) -> np.ndarray:
+    """Cosine logits of plain embedded rows against the class rows, without
+    the background row."""
+    return f @ params.classifier.data[:params.n_classes].T.copy()
 
 
 def class_rows(params: ModelParams) -> ad.Tensor:
@@ -292,10 +282,3 @@ def _check_loaded(params: ModelParams, path):
     for name, t in params.tensors().items():
         if not np.all(np.isfinite(t.data)):
             raise DataError(f"{path}: checkpoint tensor {name} holds non-finite values")
-
-
-def delta_kernel(d: int, width: int = 8) -> np.ndarray:
-    """Identity kernel for the temporal convolution (single center tap)."""
-    k = np.zeros((d, width))
-    k[:, (width - 1) // 2] = 1.0
-    return k

@@ -50,17 +50,6 @@ def pseudo_label_bg(logits: np.ndarray):
     return _segment_scores(logits).argmin(axis=-1)
 
 
-def select_fg_ibg(logits: np.ndarray, M: int) -> list:
-    """Indices (ascending) of the M segments with the largest best-class
-    scores; ties prefer the lower index."""
-    scores = _segment_scores(logits)
-    T = scores.shape[0]
-    if not 1 <= M <= T - 1:
-        raise ValueError(f"M must satisfy 1 <= M <= T-1 = {T - 1}, got {M}")
-    top = np.argsort(-scores, kind="stable")[:M]
-    return sorted(int(i) for i in top)
-
-
 @dataclass
 class PseudoLabelRecord:
     """Pseudo-labels of a batch of V videos, as rows of its stacked logits."""

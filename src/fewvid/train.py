@@ -17,7 +17,6 @@ from . import autodiff as ad
 from . import model as model_mod
 from .data import DatasetManifest, check_writable, write_csv
 from .errors import DataError, NumericError
-from .evaluate import classification_accuracy
 from .losses import BatchVideo, LossConfig, total_loss
 
 LOG_COLUMNS = ("step", "L_total", "L_cls", "L_contrast", "L_bg", "n_nbg")
@@ -64,12 +63,12 @@ class TrainResult:
     label_order: list  # classifier row index -> original class label
 
 
-def load_training_videos(manifest: DatasetManifest, d_in: int = None):
-    """All base videos' rows (`DatasetManifest.read_videos`, with `d_in`),
-    labels remapped to classifier row indices."""
+def load_training_videos(manifest: DatasetManifest):
+    """All base videos' rows (`DatasetManifest.read_videos`), labels
+    remapped to classifier row indices."""
     labels = manifest.class_labels()
     remap = {label: i for i, label in enumerate(labels)}
-    rows = manifest.read_videos(range(len(manifest.entries)), d_in)
+    rows = manifest.read_videos(range(len(manifest.entries)))
     return [BatchVideo(features=features, label=remap[entry.class_label])
             for entry, features in zip(manifest.entries, rows.values())], labels
 
@@ -134,24 +133,6 @@ def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
     if log_path:
         write_csv(log_path, LOG_COLUMNS, log_rows)
     return TrainResult(params=params, log_rows=log_rows, label_order=label_order)
-
-
-def training_accuracy(params: model_mod.ModelParams, manifest: DatasetManifest,
-                      loss_cfg: LossConfig = None) -> float:
-    """Fraction of base videos whose aggregated feature lands on its own class.
-
-    The videos are read as training reads them, but checked against the
-    parameters' d_in (`load_training_videos`), so a file of another width is
-    a DataError naming it. They are classified as evaluation classifies
-    queries, with the classifier's class rows as the prototypes and no
-    autodiff graph.
-    """
-    if not manifest.entries:
-        raise DataError("cannot take the training accuracy of an empty manifest")
-    videos, _ = load_training_videos(manifest, params.d_in)
-    return classification_accuracy(params, [video.features for video in videos],
-                                   [video.label for video in videos],
-                                   params.classifier.data[:params.n_classes], loss_cfg)
 
 
 def gradcheck_objective(seed: int = 0, loss_cfg: LossConfig = None):

@@ -9,12 +9,12 @@ chains those nodes replaced, kept as the oracles they must equal bit for
 bit, value and input gradients. `install` builds the whole objective from
 them.
 
-The primitives below are built only by these chains and the tests, so they
-live here rather than in `fewvid.autodiff`. Each is one `ad._node` whose
-backward forms no gradient for an operand that needs none. Elementwise
-operands broadcast as in NumPy (a scalar against an array, or an (n, 1)
-column against an (n, k) matrix), and a plain number is taken as a
-constant Tensor.
+The primitives below, `matmul`, `transpose` and `concat_rows` among them,
+are built only by these chains and the tests, so they live here rather than
+in `fewvid.autodiff`. Each is one `ad._node` whose backward forms no
+gradient for an operand that needs none. Elementwise operands broadcast as
+in NumPy (a scalar against an array, or an (n, 1) column against an (n, k)
+matrix), and a plain number is taken as a constant Tensor.
 
 `strided_windows` and `broadcast_taps` build the conv's operand views as
 NumPy's stride tricks build them, the oracles of `ad._windows` and
@@ -82,6 +82,51 @@ def div(a, b):
 
 def neg(a):
     return mul(a, -1.0)
+
+
+def matmul(a, b):
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ad.ShapeError("matmul", a.data.shape, b.data.shape)
+    return ad._node(
+        "matmul",
+        (a, b),
+        lambda x, y: x @ y,
+        lambda g, out, x, y: (g @ y.T if a.requires_grad else None,
+                              x.T @ g if b.requires_grad else None),
+    )
+
+
+def transpose(a):
+    """The transpose of a 2-D tensor, as a C-ordered copy."""
+    if a.data.ndim != 2:
+        raise ad.ShapeError("transpose", a.data.shape)
+    return ad._node("transpose", (a,), lambda x: x.T.copy(), lambda g, out, x: (g.T,))
+
+
+def concat_rows(tensors):
+    """Stack 2-D tensors along axis 0; all must share the column count."""
+    tensors = list(tensors)
+    if not tensors:
+        raise ad.ShapeError("concat_rows", ())
+    cols = tensors[0].data.shape[1] if tensors[0].data.ndim == 2 else None
+    for t in tensors:
+        if t.data.ndim != 2 or t.data.shape[1] != cols:
+            raise ad.ShapeError("concat_rows", tensors[0].data.shape, t.data.shape)
+    sizes = [t.data.shape[0] for t in tensors]
+
+    def bwd(g, out, *xs):
+        grads, at = [], 0
+        for n in sizes:
+            grads.append(g[at : at + n])
+            at += n
+        return tuple(grads)
+
+    return ad._node("concat_rows", tuple(tensors), lambda *xs: np.concatenate(xs, axis=0), bwd)
+
+
+def matmul_t(a, b):
+    """a @ b.T: transpose -> matmul."""
+    return matmul(a, transpose(b))
 
 
 def take_per_row(a, cols):
@@ -218,13 +263,13 @@ def broadcast_taps(kv, shape):
 
 def chain_embedding(params, raw, lengths):
     """transpose -> matmul -> depthwise_conv1d -> l2_normalize_rows."""
-    transformed = ad.Tensor(raw) @ params.transform.T
+    transformed = matmul_t(ad.Tensor(raw), params.transform)
     return ad.l2_normalize_rows(depthwise_conv1d(transformed, params.temporal_kernel, lengths))
 
 
 def chain_attention(f, attn_hidden, attn_out):
     """transpose -> matmul -> relu -> transpose -> matmul -> sigmoid."""
-    return sigmoid(relu(f @ attn_hidden.T) @ attn_out.T)
+    return sigmoid(matmul_t(relu(matmul_t(f, attn_hidden)), attn_out))
 
 
 def _weight_curve(cos, cfg):
@@ -247,7 +292,7 @@ def chain_aggregate(f, weights, lengths):
 
 def chain_cross_entropy(feats, labels, classifier, tau):
     """transpose -> matmul -> tau * -> softmax -> take_per_row -> log -> mean -> neg."""
-    probs = softmax(mul(tau, feats @ classifier.T))
+    probs = softmax(mul(tau, matmul_t(feats, classifier)))
     return neg(reduce_mean(log(take_per_row(probs, labels))))
 
 
@@ -273,13 +318,13 @@ def video_self_weight(f, i_bg, cfg):
     """One video's self-weights by a product with its BG row:
     f @ take_rows(f, [i_bg]).T -> (1 - c) - cos -> tau_s * -> sigmoid, the
     one-video graph the array path of `losses.self_weight` equals."""
-    return _weight_curve(f @ ad.take_rows(f, [i_bg]).T, cfg)
+    return _weight_curve(matmul_t(f, ad.take_rows(f, [i_bg])), cfg)
 
 
 def video_aggregate(f, weights):
     """One video's aggregate weights.T @ f / weights.sum(), the one-video
     graph the array path of `losses.aggregate_video_feature` equals."""
-    return div(weights.T @ f, reduce_sum(weights))
+    return div(matmul(transpose(weights), f), reduce_sum(weights))
 
 
 def weighted(out, g):

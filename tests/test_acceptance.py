@@ -29,7 +29,7 @@ def ablation(tmp_path_factory):
     cfg = config.build_config(ACCEPTANCE_CFG, {})
     root = tmp_path_factory.mktemp("acceptance")
     t0 = time.time()
-    data.generate_synthetic_dataset(cfg.synthetic_config(), root / "ds")
+    data.generate_synthetic_dataset(cfg, root / "ds")
     base = data.load_manifest(root / "ds" / "base_manifest.jsonl")
     novel = data.load_manifest(root / "ds" / "novel_manifest.jsonl")
     variants = {
@@ -65,9 +65,8 @@ class TestCriterion2ClosedForms:
         w = losses.self_weight(ad.Tensor(f), 0).data
         sw_mid = abs(w[1, 0] - 0.5)
         sw_same = abs(w[0, 0] - 1.0 / (1.0 + np.exp(4.0)))
-        contrast = losses.contrastive_loss(
-            [ad.Tensor([[1.0, 0.0]]), ad.Tensor([[0.0, 1.0]])],
-            [ad.Tensor([[1.0, 0.0]])])
+        contrast = losses.contrastive_loss(ad.Tensor([[1.0, 0.0], [0.0, 1.0]]),
+                                           ad.Tensor([[1.0, 0.0]]))
         c_err = abs(float(contrast.data) - 4.0)
         ok = sw_mid < 1e-9 and sw_same < 1e-9 and c_err < 1e-9
         announce(capfd, "2 closed-form values", ok,
@@ -88,15 +87,17 @@ class TestCriterion3PseudoLabelOracle:
             M = int(rng.integers(1, T))
             row_max = [max(row) for row in logits.tolist()]
             want_bg = min(range(T), key=lambda i: (row_max[i], i))
-            remaining = list(range(T))
+            # training's FG+IBG set: the top M segments other than the BG one
+            remaining = [i for i in range(T) if i != want_bg]
             want_top = []
-            for _ in range(M):
+            for _ in range(min(M, T - 1)):
                 pick = max(remaining, key=lambda i: (row_max[i], -i))
                 remaining.remove(pick)
                 want_top.append(pick)
-            if pseudo.pseudo_label_bg(logits) != want_bg:
+            rec = pseudo.pseudo_label_video(logits, [T], M=M)
+            if pseudo.pseudo_label_bg(logits) != want_bg or rec.bg_rows.tolist() != [want_bg]:
                 mismatches += 1
-            elif list(pseudo.select_fg_ibg(logits, M)) != sorted(want_top):
+            elif rec.fg_rows.tolist() != sorted(want_top):
                 mismatches += 1
         announce(capfd, "3 pseudo-label oracle", mismatches == 0,
                  f"{mismatches}/1000 mismatches vs exhaustive scan, ties included")
@@ -154,7 +155,7 @@ class TestCriterion4MetricOracle:
             worst = max(worst, abs((got if dets else 0.0) - want))
             for a in [iv for _, iv in dets]:
                 for b in gts:
-                    if evaluate.temporal_iou(a, b) != exact_iou(a, b):
+                    if float(evaluate._tiou(a[0], a[1], b[0], b[1])) != exact_iou(a, b):
                         iou_exact = False
         announce(capfd, "4 detection metric oracle", worst < 1e-9 and iou_exact,
                  f"max AP deviation {worst:.2e} < 1e-9 over 200 instances, tIoU exact")
@@ -222,10 +223,8 @@ class TestCriterion7InvarianceSuite:
                 F = losses.aggregate_video_feature(ft, sw)
                 return np.array([
                     float(losses.soft_cls_loss(F, 1, wt).data),
-                    float(losses.bg_cls_loss([ad.Tensor(fv[:1])], wt).data),
-                    float(losses.contrastive_loss(
-                        [ad.Tensor(fv[:1]), ad.Tensor(fv[1:2])],
-                        [ad.Tensor(fv[2:3])]).data),
+                    float(losses.bg_cls_loss(ad.Tensor(fv[:1]), wt).data),
+                    float(losses.contrastive_loss(ad.Tensor(fv[:2]), ad.Tensor(fv[2:3])).data),
                 ])
 
             if not np.allclose(all_losses(f, W), all_losses(f @ Q, W @ Q),
@@ -238,9 +237,9 @@ class TestCriterion7InvarianceSuite:
             logits = np.round(rng.uniform(-1, 1, size=(T, N)) * 2) / 2
             shift = float(rng.uniform(-10, 10))
             M = int(rng.integers(1, T))
+            labels = [pseudo.pseudo_label_video(x, [T], M=M) for x in (logits, logits + shift)]
             if (pseudo.pseudo_label_bg(logits) != pseudo.pseudo_label_bg(logits + shift)
-                    or list(pseudo.select_fg_ibg(logits, M))
-                    != list(pseudo.select_fg_ibg(logits + shift, M))):
+                    or labels[0].fg_rows.tolist() != labels[1].fg_rows.tolist()):
                 failures.append("shift")
                 break
 
@@ -277,10 +276,10 @@ class TestCriterion8BackgroundSeparation:
         params = ablation["results"]["full"][0]
         manifest = ablation["base"]
         pools = {data.ROLE_FG: [], data.ROLE_NBG: []}
-        for entry in manifest.entries:
-            seq = manifest.load_sequence(entry)
-            f = model.embed_segments(params, seq.features)
-            row_max = model.segment_logits(params, f).data.max(axis=1)
+        videos = manifest.read_videos(range(len(manifest.entries)))
+        for entry, rows in zip(manifest.entries, videos.values()):
+            f = model.embed_segments(params, rows, grad=False)
+            row_max = model.segment_logits(params, f).max(axis=1)
             for i, role in enumerate(entry.segment_roles):
                 if role in pools:
                     pools[role].append(row_max[i])

@@ -193,7 +193,7 @@ class TestMatmulAndShaping:
         a = RNG.normal(size=(3, 4))
         b = RNG.normal(size=(4, 2))
         assert_matches_numeric(
-            lambda L: pc.reduce_sum(L["a"] @ L["b"]),
+            lambda L: pc.reduce_sum(pc.matmul(L["a"], L["b"])),
             lambda p: np.sum(p["a"] @ p["b"]),
             {"a": a, "b": b},
         )
@@ -202,7 +202,7 @@ class TestMatmulAndShaping:
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(2, 3))
         assert_matches_numeric(
-            lambda L: pc.reduce_sum(L["a"].T @ L["b"]),
+            lambda L: pc.reduce_sum(pc.matmul(pc.transpose(L["a"]), L["b"])),
             lambda p: np.sum(p["a"].T @ p["b"]),
             {"a": a, "b": b},
         )
@@ -211,7 +211,7 @@ class TestMatmulAndShaping:
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(4, 3))
         assert_matches_numeric(
-            lambda L: pc.reduce_sum(pc.square(ad.concat_rows([L["a"], L["b"]]))),
+            lambda L: pc.reduce_sum(pc.square(pc.concat_rows([L["a"], L["b"]]))),
             lambda p: np.sum(np.concatenate([p["a"], p["b"]], axis=0) ** 2),
             {"a": a, "b": b},
         )
@@ -550,7 +550,7 @@ class TestConstantOperands:
         rng = np.random.default_rng(4)
         x, y, g = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
         a, b = ad.Tensor(x, requires_grad=constant != 0), ad.Tensor(y, requires_grad=constant != 1)
-        out = a @ b
+        out = pc.matmul(a, b)
         grads = out._bwd(g, out.data, x, y)
         assert grads[constant] is None
         want = x.T @ g if constant == 0 else g @ y.T
@@ -925,7 +925,7 @@ class TestGraphMechanics:
     def test_repeat_evaluation_is_bit_identical(self):
         x = RNG.normal(size=(6, 4))
         leaf = ad.Tensor(x, requires_grad=True)
-        logits = ad.l2_normalize_rows(leaf) @ ad.Tensor(RNG.normal(size=(4, 3)))
+        logits = pc.matmul(ad.l2_normalize_rows(leaf), ad.Tensor(RNG.normal(size=(4, 3))))
         out = pc.reduce_sum(pc.softmax(logits))
         first = out.data.copy()
         for _ in range(3):
@@ -938,10 +938,10 @@ class TestShapeErrors:
         "build",
         [
             lambda: pc.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2)))),
-            lambda: ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3)))),
-            lambda: ad.matmul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones((3, 2)))),
+            lambda: pc.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3)))),
+            lambda: pc.matmul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones((3, 2)))),
             lambda: pc.depthwise_conv1d(ad.Tensor(np.ones((5, 3))), ad.Tensor(np.ones((4, 2)))),
-            lambda: ad.concat_rows([ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 4)))]),
+            lambda: pc.concat_rows([ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 4)))]),
             lambda: ad.l2_normalize_rows(ad.Tensor(np.ones(4))),
         ],
     )
@@ -955,7 +955,7 @@ class TestShapeErrors:
 class TestGradCheckHarness:
     def test_passes_on_clean_graph(self):
         def builder(L):
-            z = ad.l2_normalize_rows(L["a"]) @ L["b"]
+            z = pc.matmul(ad.l2_normalize_rows(L["a"]), L["b"])
             return pc.add(pc.reduce_max(pc.softmax(z)), pc.reduce_mean(pc.square(z)))
 
         report = ad.grad_check(
@@ -1004,7 +1004,8 @@ def test_chain_grads_match_numeric(rows, cols, seed):
     w = rng.normal(size=(cols, 3))
 
     def expr_t(L):
-        return pc.reduce_mean(pc.reduce_max(pc.softmax(ad.l2_normalize_rows(L["a"]) @ L["w"]), 1))
+        z = pc.matmul(ad.l2_normalize_rows(L["a"]), L["w"])
+        return pc.reduce_mean(pc.reduce_max(pc.softmax(z), 1))
 
     def expr_np(p):
         n = p["a"] / (np.linalg.norm(p["a"], axis=1, keepdims=True) + 1e-12)

@@ -404,7 +404,7 @@ class TestEntryProblemOracle:
 
 class TestReadVideos:
     """`DatasetManifest.read_videos`, the one reader of every command's
-    videos, and `load_sequence`, which checks an entry as it does."""
+    videos."""
 
     WIDTHS = {"a.segf": (4, 3), "b.segf": (5, 3), "c.segf": (4, 5)}  # file -> (T, d_in)
 
@@ -447,17 +447,6 @@ class TestReadVideos:
         with pytest.raises(DataError) as err:
             manifest.read_videos([0, 1])
         assert str(err.value) == f"twin: {reason}"
-
-    @pytest.mark.parametrize("field, value, reason", [
-        ("gt_intervals", [(3, 5)], "interval (3, 5) is not inside its 4 segments"),
-        ("segment_roles", "FIFIF", "segment_roles has 5 roles for its 4 segments")])
-    def test_load_sequence_checks_the_entry(self, tmp_path, field, value, reason):
-        manifest = self.manifest(tmp_path, ("a", "a.segf", [(0, 2)], "FFII"))
-        assert manifest.load_sequence(manifest.entries[0]).gt_intervals == [(0, 2)]
-        entry = dataclasses.replace(manifest.entries[0], **{field: value})
-        with pytest.raises(DataError) as err:
-            manifest.load_sequence(entry)
-        assert str(err.value) == f"a: {reason}"
 
     @pytest.mark.parametrize("indices, order", [
         ([[2, 1], [1, 0]], [2, 1, 0]), (np.array([[[1]], [[0]]]), [1, 0]), (range(3), [0, 1, 2]),
@@ -513,10 +502,10 @@ class TestGenerator:
     def test_roles_partition_and_intervals_valid(self, tmp_path):
         base, novel = data.generate_synthetic_dataset(SMALL, tmp_path)
         for manifest in (base, novel):
-            for entry in manifest.entries:
-                seq = manifest.load_sequence(entry)
+            videos = manifest.read_videos(range(len(manifest.entries)))
+            for entry, rows in zip(manifest.entries, videos.values()):
                 roles = entry.segment_roles
-                assert len(roles) == seq.T
+                assert len(roles) == len(rows)
                 fg_from_intervals = set()
                 for start, end in entry.gt_intervals:
                     fg_from_intervals.update(range(start, end))
@@ -549,8 +538,7 @@ class TestGenerator:
     def test_manifest_paths_resolve(self, tmp_path):
         base, _ = data.generate_synthetic_dataset(SMALL, tmp_path)
         reloaded = data.load_manifest(tmp_path / "base_manifest.jsonl")
-        seq = reloaded.load_sequence(reloaded.entries[0])
-        assert seq.features.shape == (SMALL.T, SMALL.d_in)
+        assert reloaded.read_videos([0])[0].shape == (SMALL.T, SMALL.d_in)
 
 
 class TestTrim:
@@ -579,7 +567,7 @@ class TestOneHandleOnANovelVideo:
         # video: episodes are index arrays, supports are trimmed rows
         gone = [(data, "draw_episode"), (data, "EpisodeDraw"), (data, "trim_support_video"),
                 (evaluate, "support_mean"), (data.DatasetManifest, "sequence"),
-                (data.SegmentFeatureSequence, "validate"), (data.SegmentFeatureSequence, "d_in")]
+                (data, "SegmentFeatureSequence"), (data.DatasetManifest, "load_sequence")]
         assert [name for owner, name in gone if hasattr(owner, name)] == []
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import primitive_chains as chains
+from reference import classification_accuracy, delta_kernel
 from fewvid import autodiff as ad
 from fewvid import data, evaluate, model
 from fewvid.errors import DataError
@@ -23,17 +24,37 @@ def support_mean(params, rows):
     return model.embed_segments(params, rows, grad=False).mean(axis=0)
 
 
+def entry_rows(novel, entry):
+    """The entry's checked rows, read by `read_videos`: the raw rows an
+    evaluation call embeds for it as a query."""
+    i = novel.entries.index(entry)
+    return novel.read_videos([i])[i]
+
+
 def trimmed_rows(novel, entry):
     """The entry's checked rows trimmed to its intervals: the raw rows an
     evaluation call embeds for it as a support."""
-    rows = novel.load_sequence(entry).features
-    return data.trim_support_rows(entry.video_id, rows, entry.gt_intervals)
+    return data.trim_support_rows(entry.video_id, entry_rows(novel, entry), entry.gt_intervals)
+
+
+@dataclasses.dataclass
+class Query:
+    """A query video as the loop oracles below read it."""
+    video_id: object
+    class_label: int
+    features: np.ndarray  # (T, d_in) raw rows
+    gt_intervals: list  # half-open (start, end)
+
+
+def query_of(novel, entry) -> Query:
+    return Query(entry.video_id, entry.class_label, entry_rows(novel, entry),
+                 [tuple(iv) for iv in entry.gt_intervals])
 
 
 def identity_params(d=2, n_classes=2, width=4):
     p = model.init_params(n_classes=n_classes, d_in=d, d=d, kernel_width=width, seed=0)
     p.transform.data[:] = np.eye(d)
-    p.temporal_kernel.data[:] = model.delta_kernel(d, width)
+    p.temporal_kernel.data[:] = delta_kernel(d, width)
     return p
 
 
@@ -197,29 +218,23 @@ class TestClassifyQuery:
 
 
 def episode_accuracy(support, queries, K):
-    """classification_accuracy of (label, rows) queries against prototypes
+    """`classification_accuracy` of (label, rows) queries against prototypes
     from the rows of trimmed support videos listed class by class, embedded
     by the identity head."""
     p = identity_params()
     proto = evaluate.prototypes(
         np.stack([support_mean(p, np.array(rows)) for rows in support]), K)
-    return evaluate.classification_accuracy(p, [np.array(rows) for _, rows in queries],
-                                            [label for label, _ in queries], proto)
+    return classification_accuracy(p, [np.array(rows) for _, rows in queries],
+                                   [label for label, _ in queries], proto)
 
 
 class TestEpisodeAccuracy:
-    def test_no_queries_rejected(self):
-        proto = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="no queries"):
-            evaluate.classification_accuracy(identity_params(), [], [], proto)
-
     def test_leaves_the_callers_videos(self, monkeypatch):
         monkeypatch.setattr(evaluate, "EMBED_CHUNK", 2)
         raws = [np.array(rows) for rows in ([[1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]],
                                             [[0.0, 1.0]], [[1.0, 0.0]], [[0.5, 1.0]])]
         before = list(raws)
-        proto = np.array([[1.0, 0.0], [0.0, 1.0]])
-        evaluate.classification_accuracy(identity_params(), raws, [0, 1, 1, 0, 1], proto)
+        evaluate.embed_by_length(identity_params(), raws)
         assert len(raws) == len(before) and all(a is b for a, b in zip(raws, before))
 
     def test_hand_placed_queries(self):
@@ -270,19 +285,24 @@ class TestProposals:
         assert keep.tolist() == [1, 2]
 
 
+def tiou(a, b) -> float:
+    """`evaluate._tiou`, the tIoU AP matching takes, of two intervals."""
+    return float(evaluate._tiou(a[0], a[1], b[0], b[1]))
+
+
 class TestTemporalIou:
     def test_examples(self):
-        assert evaluate.temporal_iou((0, 2), (1, 3)) == pytest.approx(1.0 / 3.0)
-        assert evaluate.temporal_iou((2, 5), (2, 5)) == 1.0
-        assert evaluate.temporal_iou((0, 2), (4, 6)) == 0.0
+        assert tiou((0, 2), (1, 3)) == pytest.approx(1.0 / 3.0)
+        assert tiou((2, 5), (2, 5)) == 1.0
+        assert tiou((0, 2), (4, 6)) == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 50), st.integers(1, 10), st.integers(0, 50), st.integers(1, 10))
     def test_symmetric_and_bounded(self, s1, l1, s2, l2):
         a, b = (s1, s1 + l1), (s2, s2 + l2)
-        assert evaluate.temporal_iou(a, b) == evaluate.temporal_iou(b, a)
-        assert 0.0 <= evaluate.temporal_iou(a, b) <= 1.0
-        assert (evaluate.temporal_iou(a, b) == 1.0) == (a == b)
+        assert tiou(a, b) == tiou(b, a)
+        assert 0.0 <= tiou(a, b) <= 1.0
+        assert (tiou(a, b) == 1.0) == (a == b)
 
     def test_exact_integer_arithmetic(self):
         rng = np.random.default_rng(6)
@@ -293,7 +313,7 @@ class TestTemporalIou:
             inter = max(0, min(a[1], b[1]) - max(a[0], b[0]))
             union = (a[1] - a[0]) + (b[1] - b[0]) - inter
             want = inter / union if inter else 0.0
-            assert evaluate.temporal_iou(a, b) == want
+            assert tiou(a, b) == want
 
 
 class TestAveragePrecision:
@@ -418,7 +438,7 @@ class TestEpisodeDetection:
         proto = evaluate.prototypes(np.stack([
             support_mean(params, trimmed_rows(novel, entry)) for entry in support]), K)
         queries = [(q, model.embed_segments(params, q.features, grad=False))
-                   for q in map(novel.load_sequence, queries)]
+                   for q in (query_of(novel, entry) for entry in queries)]
         labels = np.repeat(np.arange(K), len(queries) // K)
         maps = call_maps([episode_detections(params, proto, queries, labels, None)])
         [(map50, avg_map)] = map_pairs(maps)
@@ -590,7 +610,7 @@ def oracle_sample_episode(novel, K, n, q, seed):
         for j in picks[:n]:
             support.append((label, trimmed_rows(novel, pool[j])))
         for j in picks[n:]:
-            queries.append(novel.load_sequence(pool[j]))
+            queries.append(query_of(novel, pool[j]))
     return OracleEpisode(K=K, classes=classes, support=support, queries=queries)
 
 
@@ -663,7 +683,7 @@ def use_roles(novel, draws):
     roles = {}
     for support, queries in draws:
         for entry in queries:
-            roles[novel.load_sequence(entry).features.tobytes()] = "query"
+            roles[entry_rows(novel, entry).tobytes()] = "query"
         for entry in support:
             roles[trimmed_rows(novel, entry).tobytes()] = "support"
     assert len(roles) == distinct_uses(draws)  # no two uses embed the same rows
@@ -912,8 +932,7 @@ class TestCachedLoop:
                                                                            queries)
         for slot, entry in enumerate(novel.entries[i] for i in queries.ravel()):
             T, row = length[slot], rows[slot]
-            alone = model.embed_segments(params, novel.load_sequence(entry).features,
-                                         grad=False)
+            alone = model.embed_segments(params, entry_rows(novel, entry), grad=False)
             assert np.array_equal(embedded[T][row], alone)
         for (e, s), i in np.ndenumerate(support):
             trimmed = trimmed_rows(novel, novel.entries[i])
@@ -1036,7 +1055,7 @@ class TestMeanCi:
 
 
 # --- loop oracles -----------------------------------------------------------
-# The scoring code as plain Python loops, one temporal_iou call per pair and
+# The scoring code as plain Python loops, one tIoU per pair and
 # the matching re-run at every threshold. The array code must reproduce it
 # exactly: same intervals, same order, same float bits.
 
@@ -1525,9 +1544,8 @@ class TestEpisodePath:
             f = ATOMS[data_.draw(st.lists(st.integers(0, 3), min_size=T, max_size=T))]
             # 0-2 truths; labels are drawn, so some classes have none
             bounds = sorted(data_.draw(st.lists(st.integers(0, T), unique=True, max_size=4)))
-            video = data.SegmentFeatureSequence(
-                video_id=f"q{i}", class_label=data_.draw(st.integers(0, K - 1)), features=f,
-                gt_intervals=list(zip(bounds[0::2], bounds[1::2])))
+            video = Query(video_id=f"q{i}", class_label=data_.draw(st.integers(0, K - 1)),
+                          features=f, gt_intervals=list(zip(bounds[0::2], bounds[1::2])))
             queries.append((video, f))
         remap = {k: k for k in range(K)}  # for the loops: labels are episode classes
         labels = [video.class_label for video, _ in queries]
@@ -1537,8 +1555,7 @@ class TestEpisodePath:
         assert map_pairs(got) == [(map50, avg_map)]
         assert by_threshold(got[0]) == maps
         embedded = [(video, model.embed_segments(params, f, grad=False)) for video, f in queries]
-        assert (evaluate.classification_accuracy(params, [f for _, f in queries], labels,
-                                                 proto, cfg)
+        assert (classification_accuracy(params, [f for _, f in queries], labels, proto, cfg)
                 == loop_accuracy(params, remap, proto, embedded, cfg))
 
     def test_length_grouped_means_equal_slice_reduce(self):
@@ -1577,7 +1594,7 @@ class TestNoGradPath:
         f = model.embed_segments(p, raw, grad=False)
         np.testing.assert_array_equal(f, graph.data)
         np.testing.assert_array_equal(model.segment_logits(p, f),
-                                      model.segment_logits(p, graph).data)
+                                      chains.matmul_t(graph, model.class_rows(p)).data)
         w_graph = chains.video_self_weight(graph, i_bg, LossConfig())
         w = self_weight(f, i_bg)
         np.testing.assert_array_equal(w, w_graph.data)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import primitive_chains as chains
+from reference import copy_params
 from fewvid import autodiff as ad
 from fewvid import losses, model, pseudo, train
 
@@ -21,6 +22,9 @@ def unit(v):
 
 def rows(*vs):
     return ad.Tensor(np.array([unit(v) for v in vs]))
+
+
+NO_ROWS = ad.Tensor(np.zeros((0, 2)))  # an empty pool of 2-D features
 
 
 def random_orthogonal(rng, d):
@@ -135,57 +139,56 @@ class TestSoftCls:
 class TestBgCls:
     def test_nbg_on_its_row(self):
         classifier = rows([1, 0], [0, 1])  # last row is the background row
-        loss = losses.bg_cls_loss([ad.Tensor(np.array([[0.0, 1.0]]))], classifier)
+        loss = losses.bg_cls_loss(ad.Tensor(np.array([[0.0, 1.0]])), classifier)
         assert float(loss.data) == pytest.approx(np.log1p(np.exp(-10.0)), rel=1e-9)
 
     def test_uniform_three_rows(self):
         classifier = rows([1, 0, 0], [0, 1, 0], [0, 0, 1])
         feat = ad.Tensor(unit([1, 1, 1])[None, :])
-        loss = losses.bg_cls_loss([feat], classifier)
+        loss = losses.bg_cls_loss(feat, classifier)
         assert float(loss.data) == pytest.approx(np.log(3.0), rel=1e-9)
 
     def test_empty_batch_is_zero(self):
-        assert float(losses.bg_cls_loss([], rows([1, 0], [0, 1])).data) == 0.0
+        assert float(losses.bg_cls_loss(NO_ROWS, rows([1, 0], [0, 1])).data) == 0.0
 
     def test_averages_over_segments(self):
         classifier = rows([1, 0], [0, 1])
-        a = ad.Tensor(np.array([[0.0, 1.0]]))
-        b = ad.Tensor(np.array([[1.0, 0.0]]))
-        both = losses.bg_cls_loss([a, b], classifier)
-        la = losses.bg_cls_loss([a], classifier)
-        lb = losses.bg_cls_loss([b], classifier)
+        a, b = [[0.0, 1.0]], [[1.0, 0.0]]
+        both = losses.bg_cls_loss(ad.Tensor(a + b), classifier)
+        la = losses.bg_cls_loss(ad.Tensor(a), classifier)
+        lb = losses.bg_cls_loss(ad.Tensor(b), classifier)
         assert float(both.data) == pytest.approx((float(la.data) + float(lb.data)) / 2.0, rel=1e-12)
 
 
 class TestContrastive:
     def test_reference_fixture(self):
-        nbg = [ad.Tensor([[1.0, 0.0]]), ad.Tensor([[0.0, 1.0]])]
-        fgibg = [ad.Tensor([[1.0, 0.0]])]
+        nbg = ad.Tensor([[1.0, 0.0], [0.0, 1.0]])
+        fgibg = ad.Tensor([[1.0, 0.0]])
         loss = losses.contrastive_loss(nbg, fgibg)
         assert abs(float(loss.data) - 4.0) < 1e-9
 
     def test_margin_exactly_met(self):
-        nbg = [ad.Tensor([[1.0, 0.0]]), ad.Tensor([[1.0, 0.0]])]
-        fgibg = [ad.Tensor([[0.0, 1.0]])]
+        nbg = ad.Tensor([[1.0, 0.0], [1.0, 0.0]])
+        fgibg = ad.Tensor([[0.0, 1.0]])
         assert float(losses.contrastive_loss(nbg, fgibg).data) == pytest.approx(0.0, abs=1e-12)
 
     def test_antipodal_nbg(self):
-        nbg = [ad.Tensor([[1.0, 0.0]]), ad.Tensor([[-1.0, 0.0]])]
-        loss = losses.contrastive_loss(nbg, [])
+        nbg = ad.Tensor([[1.0, 0.0], [-1.0, 0.0]])
+        loss = losses.contrastive_loss(nbg, NO_ROWS)
         assert float(loss.data) == pytest.approx(4.0, abs=1e-12)
 
     def test_single_nbg_only_hinge(self):
-        nbg = [ad.Tensor([[1.0, 0.0]])]
-        fgibg = [ad.Tensor([[1.0, 0.0]])]
+        nbg = ad.Tensor([[1.0, 0.0]])
+        fgibg = ad.Tensor([[1.0, 0.0]])
         assert float(losses.contrastive_loss(nbg, fgibg).data) == pytest.approx(2.0, abs=1e-12)
 
     def test_empty_pools_give_zero(self):
-        assert float(losses.contrastive_loss([], []).data) == 0.0
-        assert float(losses.contrastive_loss([], [ad.Tensor([[1.0, 0.0]])]).data) == 0.0
+        assert float(losses.contrastive_loss(NO_ROWS, NO_ROWS).data) == 0.0
+        assert float(losses.contrastive_loss(NO_ROWS, ad.Tensor([[1.0, 0.0]])).data) == 0.0
 
     def test_beta_scales_hinge(self):
-        nbg = [ad.Tensor([[1.0, 0.0]]), ad.Tensor([[0.0, 1.0]])]
-        fgibg = [ad.Tensor([[1.0, 0.0]])]
+        nbg = ad.Tensor([[1.0, 0.0], [0.0, 1.0]])
+        fgibg = ad.Tensor([[1.0, 0.0]])
         cfg = losses.LossConfig(beta=0.5)
         assert float(losses.contrastive_loss(nbg, fgibg, cfg).data) == pytest.approx(3.0, abs=1e-12)
 
@@ -193,13 +196,11 @@ class TestContrastive:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 6))
     def test_nonnegative_and_hinge_cutoff(self, seed, n_nbg, n_fg):
         rng = np.random.default_rng(seed)
-        nbg = [ad.Tensor(unit(rng.normal(size=4))[None, :]) for _ in range(n_nbg)]
-        fg = [ad.Tensor(unit(rng.normal(size=4))[None, :]) for _ in range(n_fg)]
+        nb = np.array([unit(rng.normal(size=4)) for _ in range(n_nbg)])
+        fgm = np.array([unit(rng.normal(size=4)) for _ in range(n_fg)])
         cfg = losses.LossConfig()
-        total = float(losses.contrastive_loss(nbg, fg, cfg).data)
+        total = float(losses.contrastive_loss(ad.Tensor(nb), ad.Tensor(fgm), cfg).data)
         assert total >= 0.0
-        nb = np.concatenate([t.data for t in nbg])
-        fgm = np.concatenate([t.data for t in fg])
         cross = ((fgm[:, None, :] - nb[None, :, :]) ** 2).sum(-1)
         pos = max(((nb[i] - nb[j]) ** 2).sum() for i in range(n_nbg) for j in range(i + 1, n_nbg))
         if cross.min() >= cfg.margin:
@@ -447,7 +448,7 @@ class TestNonFinitePools:
 
     def test_pull_only_nan_pool(self):
         nb = np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])
-        loss = losses.contrastive_loss(ad.Tensor(nb), [])
+        loss = losses.contrastive_loss(ad.Tensor(nb), NO_ROWS)
         assert np.isnan(loss.data)
 
 
@@ -463,7 +464,7 @@ class TestContrastiveNode:
         grads = {}
 
         def builder(leaves):
-            loss = losses.contrastive_loss(leaves["nb"], leaves.get("fg"), cfg)
+            loss = losses.contrastive_loss(leaves["nb"], leaves.get("fg", NO_ROWS), cfg)
             assert loss.op == "contrastive"
             assert loss.inputs == tuple(leaves.values())
             return loss
@@ -504,7 +505,7 @@ class TestContrastiveNode:
 
     def test_forward_keeps_the_pair(self):
         nb = ad.Tensor([[0.0, 0.0], [2.0, 0.0], [1.0, 0.5]])
-        loss = losses.contrastive_loss(nb, [])
+        loss = losses.contrastive_loss(nb, NO_ROWS)
         assert float(loss.data) == 4.0  # pair (0, 1)
         nb.data[2] = [0.0, 9.0]  # now the farthest pair would be (1, 2)
         assert float(ad.forward(loss).data) == 4.0
@@ -702,9 +703,8 @@ class TestRotationInvariance:
             F = losses.aggregate_video_feature(ft, sw)
             return (
                 float(losses.soft_cls_loss(F, 1, wt, cfg).data),
-                float(losses.bg_cls_loss([ad.Tensor(fv[:1]), ad.Tensor(fv[1:2])], wt, cfg).data),
-                float(losses.contrastive_loss(
-                    [ad.Tensor(fv[:1]), ad.Tensor(fv[1:2])], [ad.Tensor(fv[2:3])], cfg).data),
+                float(losses.bg_cls_loss(ad.Tensor(fv[:2]), wt, cfg).data),
+                float(losses.contrastive_loss(ad.Tensor(fv[:2]), ad.Tensor(fv[2:3]), cfg).data),
                 tuple(sw.data[:, 0]),
             )
 
@@ -741,7 +741,7 @@ def _oracle_cross_diff_matrices(na, nb):
 
 
 def _oracle_soft_cls(F, y, classifier, cfg):
-    probs = chains.softmax(chains.mul(cfg.tau, ad.l2_normalize_rows(F) @ classifier.T))
+    probs = chains.softmax(chains.mul(cfg.tau, chains.matmul_t(ad.l2_normalize_rows(F), classifier)))
     pick = np.zeros((1, classifier.data.shape[0]))
     pick[0, y] = 1.0
     return chains.neg(chains.log(chains.weighted(probs, pick)))
@@ -750,9 +750,9 @@ def _oracle_soft_cls(F, y, classifier, cfg):
 def _oracle_bg_cls(nbg_feats, classifier, cfg):
     if not nbg_feats:
         return ad.Tensor(0.0)
-    rows = ad.concat_rows(nbg_feats)
+    rows = chains.concat_rows(nbg_feats)
     n_rows = classifier.data.shape[0]
-    probs = chains.softmax(chains.mul(cfg.tau, rows @ classifier.T))
+    probs = chains.softmax(chains.mul(cfg.tau, chains.matmul_t(rows, classifier)))
     pick = np.zeros((len(nbg_feats), n_rows))
     pick[:, n_rows - 1] = 1.0
     picked = chains.reduce_sum(chains.mul(probs, ad.Tensor(pick)), axis=1)
@@ -762,14 +762,14 @@ def _oracle_bg_cls(nbg_feats, classifier, cfg):
 def _oracle_contrastive(nbg_feats, fgibg_feats, cfg):
     terms = []
     if len(nbg_feats) >= 2:
-        stack = ad.concat_rows(nbg_feats)
-        diffs = ad.Tensor(_oracle_pair_diff_matrix(len(nbg_feats))) @ stack
+        stack = chains.concat_rows(nbg_feats)
+        diffs = chains.matmul(ad.Tensor(_oracle_pair_diff_matrix(len(nbg_feats))), stack)
         terms.append(chains.reduce_max(chains.reduce_sum(chains.square(diffs), axis=1)))
     if nbg_feats and fgibg_feats:
-        fg = ad.concat_rows(fgibg_feats)
-        nb = ad.concat_rows(nbg_feats)
+        fg = chains.concat_rows(fgibg_feats)
+        nb = chains.concat_rows(nbg_feats)
         ra, rb = _oracle_cross_diff_matrices(fg.data.shape[0], nb.data.shape[0])
-        cross = chains.sub(ad.Tensor(ra) @ fg, ad.Tensor(rb) @ nb)
+        cross = chains.sub(chains.matmul(ad.Tensor(ra), fg), chains.matmul(ad.Tensor(rb), nb))
         closest = chains.reduce_min(chains.reduce_sum(chains.square(cross), axis=1))
         terms.append(chains.mul(cfg.beta, chains.relu(chains.sub(cfg.margin, closest))))
     if not terms:
@@ -786,10 +786,10 @@ def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
     start = 0
     for video in batch:
         x = ad.Tensor(video.features)
-        f = ad.l2_normalize_rows(chains.depthwise_conv1d(x @ params.transform.T,
+        f = ad.l2_normalize_rows(chains.depthwise_conv1d(chains.matmul_t(x, params.transform),
                                                          params.temporal_kernel))
-        class_rows = ad.Tensor(np.eye(n + 1)[:n]) @ params.classifier
-        base_logits = f @ class_rows.T
+        class_rows = chains.matmul(ad.Tensor(np.eye(n + 1)[:n]), params.classifier)
+        base_logits = chains.matmul_t(f, class_rows)
         T = f.data.shape[0]
         rec = pseudo.pseudo_label_video(base_logits.data, [T], t_n=t_n, M=top_m)
         i_bg, is_nbg, fg_ibg = int(rec.bg_rows[0]), bool(rec.is_nbg[0]), rec.fg_rows.tolist()
@@ -797,20 +797,21 @@ def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
         records.append((start + i_bg, is_nbg, [start + i for i in fg_ibg], rec.max_logits))
         start += T
         if cfg.sw:
-            cos = f @ (_oracle_one_hot_row(i_bg, f.data.shape[0]) @ f).T
+            cos = chains.matmul_t(f, chains.matmul(_oracle_one_hot_row(i_bg, f.data.shape[0]), f))
             weights = chains.sigmoid(chains.mul(cfg.tau_s, chains.sub(1.0 - cfg.c, cos)))
         else:
             weights = chains.chain_attention(f, params.attn_hidden, params.attn_out)
         F = chains.video_aggregate(f, weights)
-        head = params.classifier if cfg.bg else ad.Tensor(np.eye(n + 1)[:n]) @ params.classifier
+        head = (params.classifier if cfg.bg
+                else chains.matmul(ad.Tensor(np.eye(n + 1)[:n]), params.classifier))
         cls_terms.append(_oracle_soft_cls(F, video.label, head, cfg))
         if is_nbg:
-            nbg_pool.append(_oracle_one_hot_row(i_bg, f.data.shape[0]) @ f)
+            nbg_pool.append(chains.matmul(_oracle_one_hot_row(i_bg, f.data.shape[0]), f))
         if fg_ibg:
             sel = np.zeros((len(fg_ibg), f.data.shape[0]))
             for r, idx in enumerate(fg_ibg):
                 sel[r, idx] = 1.0
-            fgibg_pool.append(ad.Tensor(sel) @ f)
+            fgibg_pool.append(chains.matmul(ad.Tensor(sel), f))
     l_cls = cls_terms[0]
     for t in cls_terms[1:]:
         l_cls = chains.add(l_cls, t)
@@ -825,7 +826,7 @@ def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
 
 
 def loss_and_grads(build, params):
-    leaves = params.copy()
+    leaves = copy_params(params)
     loss, *rest = build(leaves)
     ad.backward(loss)
     grads = {name: t.grad for name, t in leaves.tensors().items()}
@@ -1217,7 +1218,7 @@ class TestObjectiveAgainstChains:
 
     @staticmethod
     def loss_and_grads(params, batch, cfg, t_n):
-        leaves = params.copy()
+        leaves = copy_params(params)
         loss, stats = losses.total_loss(leaves, batch, cfg, t_n=t_n)
         ad.backward(loss)
         return (loss.data.tobytes(), {k: v for k, v in stats.items() if k != "labels"},

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import primitive_chains as chains
 from builds import golden_mismatch
+from reference import copy_params, delta_kernel
 from fewvid import autodiff as ad
 from fewvid import model
 from fewvid.errors import (BadMagicError, DataError, MalformedFileError, TruncatedFileError,
@@ -19,7 +20,7 @@ from fewvid.errors import (BadMagicError, DataError, MalformedFileError, Truncat
 def tiny_params(d=2, d_in=2, n_classes=2, width=4):
     p = model.init_params(n_classes=n_classes, d_in=d_in, d=d, kernel_width=width, seed=0)
     p.transform.data[:] = np.eye(d, d_in)
-    p.temporal_kernel.data[:] = model.delta_kernel(d, width)
+    p.temporal_kernel.data[:] = delta_kernel(d, width)
     return p
 
 
@@ -42,7 +43,7 @@ class TestEmbed:
 
     def test_delta_kernel_is_permutation_equivariant(self):
         p = model.init_params(n_classes=3, d_in=4, d=4, seed=3)
-        p.temporal_kernel.data[:] = model.delta_kernel(4, 8)
+        p.temporal_kernel.data[:] = delta_kernel(4, 8)
         raw = np.random.default_rng(4).normal(size=(6, 4))
         perm = np.random.default_rng(5).permutation(6)
         direct = model.embed_segments(p, raw[perm]).data
@@ -86,37 +87,33 @@ class TestLogits:
         p = tiny_params()
         p.classifier.data[:] = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         p.classifier.data[2] = [np.sqrt(0.5), -np.sqrt(0.5)]
-        f = ad.Tensor(np.array([[0.6, 0.8]]))
-        logits = model.segment_logits(p, f)
-        assert logits.data.shape == (1, 2)
-        np.testing.assert_allclose(logits.data, [[0.6, 0.8]], atol=1e-12)
+        logits = model.segment_logits(p, np.array([[0.6, 0.8]]))
+        assert logits.shape == (1, 2)
+        np.testing.assert_allclose(logits, [[0.6, 0.8]], atol=1e-12)
 
     def test_self_similarity_is_one(self):
         p = model.init_params(n_classes=4, d_in=4, d=4, seed=6)
-        f = ad.Tensor(p.classifier.data[1:2].copy())
-        logits = model.segment_logits(p, f)
-        assert logits.data[0, 1] == pytest.approx(1.0)
+        logits = model.segment_logits(p, p.classifier.data[1:2].copy())
+        assert logits[0, 1] == pytest.approx(1.0)
 
     def test_orthogonal_gives_zero(self):
         p = tiny_params()
         p.classifier.data[:2] = np.array([[1.0, 0.0], [1.0, 0.0]])
-        logits = model.segment_logits(p, ad.Tensor(np.array([[0.0, 1.0]])))
-        np.testing.assert_allclose(logits.data, 0.0, atol=1e-12)
+        logits = model.segment_logits(p, np.array([[0.0, 1.0]]))
+        np.testing.assert_allclose(logits, 0.0, atol=1e-12)
 
     def test_bg_row_left_out(self):
         p = model.init_params(n_classes=4, d_in=4, d=4, seed=7)
         f = np.random.default_rng(8).normal(size=(3, 4))
-        logits = model.segment_logits(p, ad.Tensor(f)).data
+        logits = model.segment_logits(p, f)
         np.testing.assert_array_equal(logits, f @ p.classifier.data[:4].T)
-        np.testing.assert_array_equal(model.segment_logits(p, f), logits)
 
     def test_bounded_for_unit_features(self):
         p = model.init_params(n_classes=5, d_in=8, d=8, seed=9)
         raw = np.random.default_rng(10).normal(size=(16, 8))
-        f = model.embed_segments(p, raw)
-        logits = model.segment_logits(p, f)
-        assert np.all(logits.data <= 1.0 + 1e-9)
-        assert np.all(logits.data >= -1.0 - 1e-9)
+        logits = model.segment_logits(p, model.embed_segments(p, raw, grad=False))
+        assert np.all(logits <= 1.0 + 1e-9)
+        assert np.all(logits >= -1.0 - 1e-9)
 
 
 class TestEmbeddingNode:
@@ -125,7 +122,7 @@ class TestEmbeddingNode:
 
     @staticmethod
     def rows_and_grads(build, params, raw, g):
-        p = params.copy()
+        p = copy_params(params)
         out = build(p)
         ad.backward(chains.weighted(out, g))
         return out.data.tobytes(), p.transform.grad.tobytes(), p.temporal_kernel.grad.tobytes()
@@ -221,12 +218,6 @@ class TestInit:
         b = model.init_params(n_classes=3, d_in=5, d=4, seed=14)
         for name, t in a.tensors().items():
             assert t.data.tobytes() == b.tensors()[name].data.tobytes()
-
-    def test_copy_is_independent(self):
-        a = model.init_params(n_classes=3, d_in=5, d=4, seed=15)
-        b = a.copy()
-        b.transform.data[:] = 0.0
-        assert not np.allclose(a.transform.data, 0.0)
 
 
 class TestCheckpoint:

@@ -77,6 +77,16 @@ def oracle_top_m(logits, M):
     return sorted(chosen)
 
 
+def oracle_record(logits, t_n, M):
+    """One video's labels, straight from the brute-force oracles."""
+    T = logits.shape[0]
+    i_bg = oracle_bg(logits)
+    M = max(0, min(pseudo.default_m(T) if M is None else M, T - 1))
+    rest = [i for i in range(T) if i != i_bg]
+    fg = [rest[i] for i in oracle_top_m(logits[rest], M)]
+    return i_bg, max(logits[i_bg]) < t_n, sorted(fg)
+
+
 def label_one(logits, **kwargs):
     """The batch labeler on a batch of one video."""
     return pseudo.pseudo_label_video(logits, [len(logits)], **kwargs)
@@ -112,18 +122,8 @@ class TestExamples:
 
     def test_top_m(self):
         logits = np.array([[0.9, 0.1], [0.3, 0.2], [0.5, 0.4]])
-        assert pseudo.select_fg_ibg(logits, 1) == [0]
-        assert pseudo.select_fg_ibg(logits, 2) == [0, 2]
-
-    def test_top_m_tie_takes_lowest(self):
-        assert pseudo.select_fg_ibg(np.tile([0.4, 0.2], (5, 1)), 2) == [0, 1]
-
-    def test_m_out_of_range(self):
-        logits = np.zeros((4, 2))
-        with pytest.raises(ValueError):
-            pseudo.select_fg_ibg(logits, 0)
-        with pytest.raises(ValueError):
-            pseudo.select_fg_ibg(logits, 4)
+        assert label_one(logits, M=1).fg_rows.tolist() == [0]
+        assert label_one(logits, M=2).fg_rows.tolist() == [0, 2]
 
     def test_default_m(self):
         assert pseudo.default_m(8) == 2
@@ -144,7 +144,9 @@ class TestOracleAgreement:
                 logits = rng.uniform(-1, 1, size=(T, N))
             M = int(rng.integers(1, T))
             assert pseudo.pseudo_label_bg(logits) == oracle_bg(logits.tolist())
-            assert pseudo.select_fg_ibg(logits, M) == oracle_top_m(logits.tolist(), M)
+            i_bg, _, fg = oracle_record(logits, 0.25, M)
+            rec = label_one(logits, M=M)
+            assert (rec.bg_rows.tolist(), rec.fg_rows.tolist()) == ([i_bg], fg)
 
 
 class TestInvariances:
@@ -154,7 +156,8 @@ class TestInvariances:
         shifted = logits + shift
         M = max(1, logits.shape[0] // 3)
         assert pseudo.pseudo_label_bg(shifted) == pseudo.pseudo_label_bg(logits)
-        assert pseudo.select_fg_ibg(shifted, M) == pseudo.select_fg_ibg(logits, M)
+        assert (label_one(shifted, M=M).fg_rows.tolist()
+                == label_one(logits, M=M).fg_rows.tolist())
 
     @settings(max_examples=100, deadline=None)
     @given(logit_matrices(), st.randoms(use_true_random=False))
@@ -168,8 +171,9 @@ class TestInvariances:
         i_bg = pseudo.pseudo_label_bg(logits)
         assert pseudo.pseudo_label_bg(logits[perm]) == int(np.flatnonzero(perm == i_bg)[0])
         M = max(1, T // 3)
-        direct = pseudo.select_fg_ibg(logits[perm], M)
-        mapped = sorted(int(np.flatnonzero(perm == i)[0]) for i in pseudo.select_fg_ibg(logits, M))
+        direct = label_one(logits[perm], M=M).fg_rows.tolist()
+        mapped = sorted(int(np.flatnonzero(perm == i)[0])
+                        for i in label_one(logits, M=M).fg_rows.tolist())
         assert direct == mapped
 
     @settings(max_examples=100, deadline=None)
@@ -197,7 +201,7 @@ class TestRecord:
         rec = label_one(logits, t_n=0.3, M=4)
         assert rec.bg_rows.tolist() == [pseudo.pseudo_label_bg(logits)]
         assert rec.is_nbg.tolist() == [logits[rec.bg_rows[0]].max() < 0.3]
-        assert rec.fg_rows.tolist() == pseudo.select_fg_ibg(logits, 4)
+        assert rec.fg_rows.tolist() == oracle_record(logits, 0.3, 4)[2]
         np.testing.assert_array_equal(rec.max_logits, logits.max(axis=1))
 
     def test_tiny_video_does_not_crash(self):
@@ -212,16 +216,6 @@ class TestRecord:
         assert len(roles) == 10
         assert roles.count("FGIBG") == 3
         assert roles.count("BG") + roles.count("NBG") == 1
-
-
-def oracle_record(logits, t_n, M):
-    """One video's labels, straight from the brute-force oracles."""
-    T = logits.shape[0]
-    i_bg = oracle_bg(logits)
-    M = max(0, min(pseudo.default_m(T) if M is None else M, T - 1))
-    rest = [i for i in range(T) if i != i_bg]
-    fg = [rest[i] for i in oracle_top_m(logits[rest], M)]
-    return i_bg, max(logits[i_bg]) < t_n, sorted(fg)
 
 
 @st.composite

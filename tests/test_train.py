@@ -1,16 +1,26 @@
 """Optimizer arithmetic, the training loop, determinism, divergence handling."""
 
 import itertools
-import re
 import warnings
 
 import numpy as np
 import pytest
 
+from reference import classification_accuracy
 from fewvid import autodiff as ad
 from fewvid import cli, data, model, train
 from fewvid.errors import DataError, NumericError
 from fewvid.losses import LossConfig
+
+
+def training_accuracy(params, manifest) -> float:
+    """Share of the manifest's base videos whose top class against the
+    classifier's class rows is their own, each classified as evaluation
+    classifies a query."""
+    videos, _ = train.load_training_videos(manifest)
+    return classification_accuracy(params, [video.features for video in videos],
+                                   [video.label for video in videos],
+                                   params.classifier.data[:params.n_classes])
 
 
 def scalar_tensors(**values):
@@ -95,7 +105,7 @@ class TestTrainBase:
         first = np.mean([r[1] for r in result.log_rows[:5]])
         last = np.mean([r[1] for r in result.log_rows[-5:]])
         assert last < first
-        assert train.training_accuracy(result.params, base) >= 0.9
+        assert training_accuracy(result.params, base) >= 0.9
 
     def test_deterministic_checkpoints(self, tiny_dataset, tmp_path):
         base, _ = tiny_dataset
@@ -153,20 +163,6 @@ class TestTrainBase:
         empty = data.DatasetManifest(split="base", class_names=[], root=".")
         with pytest.raises(DataError):
             train.train_base(empty)
-
-    def test_accuracy_of_empty_manifest_rejected(self):
-        empty = data.DatasetManifest(split="base", class_names=[], root=".")
-        params = model.init_params(n_classes=3, d_in=8, d=8, seed=0)
-        with pytest.raises(DataError, match="cannot take the training accuracy of an empty "
-                                            "manifest"):
-            train.training_accuracy(params, empty)
-
-    def test_accuracy_checks_feature_width(self, tiny_dataset):
-        base, _ = tiny_dataset
-        params = model.init_params(n_classes=3, d_in=8, d=8, seed=0)
-        with pytest.raises(DataError, match=re.escape(f"{base.entries[0].feature_file}: "
-                                                      f"features are 10 wide")):
-            train.training_accuracy(params, base)
 
 
 class TestGradcheckObjective:
