@@ -1,11 +1,12 @@
 """Helpers the tests share that no command needs, so `fewvid` does not carry
-them: a parameter copy, the identity temporal kernel, and the accuracy of
-queries classified against one set of prototypes."""
+them: a parameter copy, the identity temporal kernel, the accuracy of
+queries classified against one set of prototypes, and the accuracy of a
+head on its own base videos."""
 
 import numpy as np
 
 from fewvid import autodiff as ad
-from fewvid import evaluate, model
+from fewvid import evaluate, model, train
 
 
 def copy_params(params: model.ModelParams) -> model.ModelParams:
@@ -35,3 +36,14 @@ def classification_accuracy(params: model.ModelParams, raws: list, labels,
                   for at, res in evaluate._classify_stacks(
                       params, *evaluate.embed_by_length(params, raws), proto[None], which, cfg))
     return correct / len(raws)
+
+
+def training_accuracy(params: model.ModelParams, manifest) -> float:
+    """Share of the manifest's base videos whose top class against the
+    classifier's class rows is their own, each read as training reads it
+    (`train.load_training_videos`) and classified as evaluation classifies a
+    query."""
+    videos, _ = train.load_training_videos(manifest)
+    return classification_accuracy(params, [video.features for video in videos],
+                                   [video.label for video in videos],
+                                   params.classifier.data[:params.n_classes])

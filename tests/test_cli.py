@@ -19,6 +19,7 @@ import pytest
 
 import primitive_chains as chains
 from builds import golden_mismatch
+from reference import training_accuracy
 from fewvid import autodiff as ad
 from fewvid import cli, config, data, evaluate, model, pseudo, train
 from fewvid.data import SyntheticConfig
@@ -1017,9 +1018,10 @@ class TestInspect:
 
 
 class TestMixedLengthBase:
-    """inspect on a base split of 10-, 7-, 4- and 1-segment videos, embedded
-    in passes of at most two videos of one length, equals its per-video
-    oracle, and training on it equals the primitive chains."""
+    """inspect and the training accuracy of `reference` on a base split of
+    10-, 7-, 4- and 1-segment videos, embedded in passes of at most two
+    videos of one length, equal their per-video oracles, and training on it
+    equals the primitive chains."""
 
     LENGTHS = (10, 7, 1, 4, 7, 10)
 
@@ -1105,6 +1107,15 @@ class TestMixedLengthBase:
         assert any(1 in b and len(set(b)) > 1 for b in batches)
         n_nbg = [int(line.split(",")[-1]) for line in blobs[0][1].decode().splitlines()[1:]]
         assert any(n_nbg)
+
+    def test_training_accuracy_equals_per_video_oracle(self, mixed):
+        _, base, params = mixed
+        videos, _ = train.load_training_videos(base)
+        proto = params.classifier.data[:params.n_classes]
+        correct = [evaluate.classify_query(
+            params, model.embed_segments(params, video.features, grad=False)[None],
+            proto).top1[0] == video.label for video in videos]
+        assert training_accuracy(params, base) == sum(correct) / len(videos)
 
 
 class TestInspectBlocks:

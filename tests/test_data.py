@@ -448,6 +448,17 @@ class TestReadVideos:
             manifest.read_videos([0, 1])
         assert str(err.value) == f"twin: {reason}"
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("gt_intervals", [(3, 5)], "interval (3, 5) is not inside its 4 segments"),
+        ("segment_roles", "FIFIF", "segment_roles has 5 roles for its 4 segments")])
+    def test_sole_entry_of_a_file_is_checked(self, tmp_path, field, value, reason):
+        manifest = self.manifest(tmp_path, ("a", "a.segf", [(0, 2)], "FFII"))
+        assert manifest.read_videos([0])[0].shape == (4, 3)
+        manifest.entries[0] = dataclasses.replace(manifest.entries[0], **{field: value})
+        with pytest.raises(DataError) as err:
+            manifest.read_videos([0])
+        assert str(err.value) == f"a: {reason}"
+
     @pytest.mark.parametrize("indices, order", [
         ([[2, 1], [1, 0]], [2, 1, 0]), (np.array([[[1]], [[0]]]), [1, 0]), (range(3), [0, 1, 2]),
         ([], [])])

@@ -229,6 +229,10 @@ def episode_accuracy(support, queries, K):
 
 
 class TestEpisodeAccuracy:
+    def test_no_videos_embed_to_nothing(self):
+        embedded, length, row = evaluate.embed_by_length(identity_params(), [])
+        assert embedded == {} and length.shape == row.shape == (0,)
+
     def test_leaves_the_callers_videos(self, monkeypatch):
         monkeypatch.setattr(evaluate, "EMBED_CHUNK", 2)
         raws = [np.array(rows) for rows in ([[1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]],

@@ -219,6 +219,13 @@ class TestInit:
         for name, t in a.tensors().items():
             assert t.data.tobytes() == b.tensors()[name].data.tobytes()
 
+    def test_copy_is_independent(self):
+        a = model.init_params(n_classes=3, d_in=5, d=4, seed=15)
+        b = copy_params(a)
+        b.transform.data[:] = 0.0
+        assert not np.allclose(a.transform.data, 0.0)
+        assert all(t.requires_grad and t.grad is None for t in b.tensors().values())
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

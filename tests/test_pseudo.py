@@ -125,6 +125,17 @@ class TestExamples:
         assert label_one(logits, M=1).fg_rows.tolist() == [0]
         assert label_one(logits, M=2).fg_rows.tolist() == [0, 2]
 
+    def test_top_m_tie_takes_lowest(self):
+        # the BG segment is the first of the ties, so the set starts after it
+        assert label_one(np.tile([0.4, 0.2], (5, 1)), M=2).fg_rows.tolist() == [1, 2]
+
+    def test_m_out_of_range(self):
+        logits = np.array([[0.9, 0.1], [0.3, 0.2], [0.5, 0.4], [0.1, 0.6]])
+        assert label_one(logits, M=0).fg_rows.tolist() == []
+        assert label_one(logits, M=-2).fg_rows.tolist() == []
+        assert label_one(logits, M=4).fg_rows.tolist() == [0, 2, 3]
+        assert label_one(logits, M=9).fg_rows.tolist() == [0, 2, 3]
+
     def test_default_m(self):
         assert pseudo.default_m(8) == 2
         assert pseudo.default_m(20) == 3

@@ -1,26 +1,17 @@
 """Optimizer arithmetic, the training loop, determinism, divergence handling."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from reference import classification_accuracy
+from reference import training_accuracy
 from fewvid import autodiff as ad
 from fewvid import cli, data, model, train
 from fewvid.errors import DataError, NumericError
 from fewvid.losses import LossConfig
-
-
-def training_accuracy(params, manifest) -> float:
-    """Share of the manifest's base videos whose top class against the
-    classifier's class rows is their own, each classified as evaluation
-    classifies a query."""
-    videos, _ = train.load_training_videos(manifest)
-    return classification_accuracy(params, [video.features for video in videos],
-                                   [video.label for video in videos],
-                                   params.classifier.data[:params.n_classes])
 
 
 def scalar_tensors(**values):
@@ -163,6 +154,26 @@ class TestTrainBase:
         empty = data.DatasetManifest(split="base", class_names=[], root=".")
         with pytest.raises(DataError):
             train.train_base(empty)
+
+    def test_training_videos_labels_are_classifier_rows(self, tiny_dataset):
+        _, novel = tiny_dataset
+        videos, labels = train.load_training_videos(novel)
+        assert labels == novel.class_labels() and labels != list(range(len(labels)))
+        rows = novel.read_videos(range(len(novel.entries)))
+        for entry, video, features in zip(novel.entries, videos, rows.values()):
+            assert labels[video.label] == entry.class_label
+            assert np.array_equal(video.features, features)
+
+    def test_narrower_file_rejected_before_first_step(self, tmp_path):
+        cfg = data.SyntheticConfig(n_base_classes=2, n_novel_classes=1, videos_per_class=2,
+                                   T=6, d_in=5, noise_std=0.1, seed=3)
+        base, _ = data.generate_synthetic_dataset(cfg, tmp_path)
+        victim = base.root / base.entries[2].feature_file
+        data.write_feature_file(data.read_feature_file(victim)[:, :4], victim)
+        ckpt, log = tmp_path / "model.ckpt", tmp_path / "log.csv"
+        with pytest.raises(DataError, match=re.escape(f"{victim}: features are 4 wide")):
+            train.train_base(base, d=4, epochs=1, ckpt_path=ckpt, log_path=log)
+        assert not ckpt.exists() and not log.exists()
 
 
 class TestGradcheckObjective:
