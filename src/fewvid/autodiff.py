@@ -21,6 +21,13 @@ array methods that are pure C (`argmax`, `argmin`, `argsort`, `copy`,
 `cumsum`, `repeat`, `nonzero`, `sort`, `take`). Each keeps the wrapper's
 ufunc, operands, order and dtype, so the bits are the same.
 
+A node computes its big (rows, d) intermediates in place, into arrays the
+same call has just made (`np.multiply(..., out=...)` and the like, the same
+ufunc on the same operands in the same order, so the bits are the same),
+and lets each one go as soon as it is read for the last time. It never
+writes into its inputs or into what its forward kept, so `forward` and a
+repeated `backward` see the values they saw before.
+
 A backward builds only what reaches a requires_grad leaf: an operand that
 needs no gradient (a constant) gets none, and a row gather (`take_rows`)
 returns just the rows it touches, which `backward` adds into the source's
@@ -258,9 +265,10 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 def normalized_rows(x: np.ndarray):
     """(each row of a plain 2-D array over its norm plus NORM_EPS, the (n, 1)
-    row norms)."""
-    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
-    return x / (norms + NORM_EPS), norms
+    row norms). The rows are divided into the array of their squares."""
+    out = np.multiply(x, x)
+    norms = np.sqrt(np.add.reduce(out, axis=1, keepdims=True))
+    return np.divide(x, norms + NORM_EPS, out=out), norms
 
 
 def l2_normalize_rows_forward(x: np.ndarray) -> np.ndarray:
@@ -269,13 +277,22 @@ def l2_normalize_rows_forward(x: np.ndarray) -> np.ndarray:
 
 
 def l2_normalize_rows_backward(g: np.ndarray, x: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """The input gradient of `normalized_rows` at x, whose row norms are `norms`;
-    an all-zero row, where the guarded function is flat, gets 0."""
+    """The input gradient of `normalized_rows` at x, whose row norms are `norms`:
+    g / denom - x * dot / (norms * denom * denom), with dot each row's g . x
+    and denom = norms + NORM_EPS. An all-zero row, where the guarded function
+    is flat, gets 0. The radial term is computed in the array of g * x, and
+    the gradient in the array of g / denom."""
     denom = norms + NORM_EPS
     nonzero = norms > 0.0
-    dot = np.add.reduce(g * x, axis=1, keepdims=True)
-    gx = g / denom - x * dot / (np.where(nonzero, norms, 1.0) * denom * denom)
-    return gx if np.logical_and.reduce(nonzero, axis=None) else np.where(nonzero, gx, 0.0)
+    radial = np.multiply(g, x)
+    dot = np.add.reduce(radial, axis=1, keepdims=True)
+    np.multiply(x, dot, out=radial)
+    np.divide(radial, np.where(nonzero, norms, 1.0) * denom * denom, out=radial)
+    gx = np.divide(g, denom)
+    np.subtract(gx, radial, out=gx)
+    if not np.logical_and.reduce(nonzero, axis=None):
+        np.copyto(gx, 0.0, where=~nonzero)
+    return gx
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
@@ -340,6 +357,13 @@ class ConvGrid:
         """The stack's rows of an output grid."""
         return grid.reshape(-1, self.shape[2]) if self.mask is None else grid[self.mask]
 
+    def convolve(self, kv: np.ndarray) -> np.ndarray:
+        """The stack's rows convolved by the (d, w) kernel kv: one einsum over
+        the padded grid's tap-leading windows (`_windows`, `_taps`), so every
+        output adds its taps in order j = 0..w-1 to a zero start."""
+        windows = _windows(self.padded, self.shape[1])
+        return self.gather(np.einsum("jvtc,jvtc->vtc", windows, _taps(kv, self.shape)))
+
 
 def _windows(padded: np.ndarray, t_max: int, reverse: bool = False) -> np.ndarray:
     """A read-only (w, videos, t_max, d) view of a (videos, t_max + w - 1, d)
@@ -385,26 +409,19 @@ def _taps(kv: np.ndarray, shape) -> np.ndarray:
     return view
 
 
-def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None,
-                             grid: ConvGrid = None) -> np.ndarray:
+def depthwise_conv1d_forward(xv: np.ndarray, kv: np.ndarray, lengths=None) -> np.ndarray:
     """Per-channel 1-D convolution along axis 0 with "same" zero padding.
 
     xv is (T, d), kv is (d, w); output (T, d) with
     out[i, c] = sum_j xv[i + j - pad_left, c] * kv[c, j], zeros outside,
     pad_left = (w - 1) // 2 so a delta kernel at that tap is the identity.
     With `lengths`, xv stacks videos of those lengths and each is padded on
-    its own: the output rows equal one call per video, bit for bit. `grid`,
-    when given, is xv's `ConvGrid`.
-
-    One einsum over the grid's tap-leading windows (`_windows`, `_taps`):
-    every output adds its taps in order j = 0..w-1 to a zero start.
+    its own: the output rows equal one call per video, bit for bit
+    (`ConvGrid.convolve`).
     """
-    if grid is None:
-        lengths = check_lengths("depthwise_conv1d", xv.shape,
-                                [len(xv)] if lengths is None else lengths)
-        grid = ConvGrid(xv, kv.shape[1], lengths)
-    windows = _windows(grid.padded, grid.shape[1])
-    return grid.gather(np.einsum("jvtc,jvtc->vtc", windows, _taps(kv, grid.shape)))
+    lengths = check_lengths("depthwise_conv1d", xv.shape,
+                            [len(xv)] if lengths is None else lengths)
+    return ConvGrid(xv, kv.shape[1], lengths).convolve(kv)
 
 
 def depthwise_conv1d_backward(g: np.ndarray, kv: np.ndarray, grid: ConvGrid):
@@ -418,6 +435,7 @@ def depthwise_conv1d_backward(g: np.ndarray, kv: np.ndarray, grid: ConvGrid):
     """
     t_max, top = grid.shape[1], grid.w // 2
     gsp = grid.pad(g, top)
+    del g  # a gradient the caller passes on frees here, before gx is made
     gk = np.einsum("vtc,jvtc->cj", gsp[:, top : top + t_max], _windows(grid.padded, t_max))
     gx = np.einsum("jvtc,jvtc->vtc", _windows(gsp, t_max, reverse=True), _taps(kv, grid.shape))
     del gsp  # before the gather copies the stack's rows out of gx

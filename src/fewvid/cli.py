@@ -2,7 +2,8 @@
 
 Subcommands cover the whole pipeline: gen-data, train, eval-cls, eval-det,
 grad-check, inspect. Exit codes: 0 success, 1 usage problem, 2 data problem,
-3 numeric failure; an output path that cannot be written is a data problem.
+3 numeric failure; an output path that cannot be written is a data problem,
+and so is a config whose sizes need more memory than the machine can give.
 All CSV outputs are byte-reproducible for a fixed seed.
 """
 
@@ -212,6 +213,10 @@ def main(argv=None) -> int:
     except (NumericError, FloatingPointError) as err:
         print(f"fewvid: numeric failure: {err}", file=sys.stderr)
         return 3
+    except MemoryError as err:
+        # an array the config's sizes ask for, such as d or T far past what fits
+        print(f"fewvid: cannot allocate memory: {str(err) or 'out of memory'}", file=sys.stderr)
+        return 2
     except ValueError as err:
         print(f"fewvid: invalid configuration: {err}", file=sys.stderr)
         return 1

@@ -99,22 +99,27 @@ def _self_weight_rows(f: ad.Tensor, i_bg, cfg: LossConfig) -> ad.Tensor:
     take_rows -> mul -> sum(axis=1, keepdims) -> (1 - c) - cos -> tau_s * ->
     sigmoid in that order. The backward gives the first input the mul's
     dense gradient and the second the gather's `RowGrad`, so `backward` adds
-    them into f's gradient in the chain's order.
+    them into f's gradient in the chain's order. Each pass gathers the BG
+    rows itself and multiplies into the gathered array, so no (rows, d)
+    array lives from forward to backward.
     """
     index = ad.check_rows("self_weight", f.data.shape, i_bg)
     if index.shape != f.data.shape[:1]:
         raise ad.ShapeError("self_weight", f.data.shape, index.shape)
     gather = ad.RowGather.of(index)
-    bg = None  # each row's BG row, from the latest forward evaluation
 
     def fwd(fv, _):
-        nonlocal bg
-        bg = fv[index]
-        return _weight_curve(np.add.reduce(fv * bg, axis=1, keepdims=True), cfg)
+        products = fv[index]
+        np.multiply(fv, products, out=products)
+        return _weight_curve(np.add.reduce(products, axis=1, keepdims=True), cfg)
 
     def bwd(g, out, fv, _):
         g_cos = -(ad.sigmoid_backward(g, out) * cfg.tau_s)
-        return g_cos * bg, ad.take_rows_backward(g_cos * fv, gather)
+        # the BG rows' gradient first, so its (rows, d) product is reduced
+        # and freed before the dense gradient is made
+        g_bg = ad.take_rows_backward(g_cos * fv, gather)
+        g_f = fv[index]
+        return np.multiply(g_cos, g_f, out=g_f), g_bg
 
     return ad._node("self_weight", (f, f), fwd, bwd)
 
@@ -171,7 +176,8 @@ def _aggregate_videos(f: ad.Tensor, weights: ad.Tensor, lengths) -> ad.Tensor:
         if weights.requires_grad:
             g_den = np.add.reduce(ad.divisor_backward(g, num, den), axis=1, keepdims=True)
             g_w = np.add.reduce(g_wf * fv, axis=1, keepdims=True) + g_den.repeat(lengths, axis=0)
-        return g_w, (g_wf * wv if f.requires_grad else None)
+        # the features' gradient overwrites the repeated rows, read for the last time
+        return g_w, (np.multiply(g_wf, wv, out=g_wf) if f.requires_grad else None)
 
     return ad._node("aggregate", (weights, f), fwd, bwd)
 

@@ -84,7 +84,8 @@ def embed_segments(params: ModelParams, raw, grad: bool = True, lengths=None):
     embedding its video alone. The graph path keeps those bits for videos of
     two or more rows only: a one-row video's row comes from the stack's
     matrix product (gemm), not a one-row product (gemv), and may differ in
-    the last bits.
+    the last bits. The graph keeps a C-ordered float64 raw itself, not a
+    copy, so raw must not change while the graph is in use.
     """
     if not grad:
         raw = np.asarray(raw, dtype=np.float64)
@@ -110,7 +111,8 @@ def _embedding_node(params: ModelParams, raw, lengths) -> ad.Tensor:
     transpose -> matmul -> depthwise_conv1d -> l2_normalize_rows in that
     order, so the rows and both gradients keep their bits.
     """
-    x = np.array(raw, dtype=np.float64)
+    # read, never written: a C-ordered float64 stack, as `total_loss` makes, is not copied
+    x = np.ascontiguousarray(raw, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.d_in:
         raise ad.ShapeError("embed_segments", x.shape, params.transform.data.shape)
     lengths = ad.check_lengths("embed_segments", x.shape, [len(x)] if lengths is None else lengths)
@@ -119,9 +121,9 @@ def _embedding_node(params: ModelParams, raw, lengths) -> ad.Tensor:
 
     def fwd(tv, kv):
         nonlocal grid, mixed, norms
-        transformed = x @ tv.T.copy()
-        grid = ad.ConvGrid(transformed, kv.shape[1], lengths)
-        mixed = ad.depthwise_conv1d_forward(transformed, kv, grid=grid)
+        # the transformed rows are freed once the grid holds them
+        grid = ad.ConvGrid(x @ tv.T.copy(), kv.shape[1], lengths)
+        mixed = grid.convolve(kv)
         out, norms = ad.normalized_rows(mixed)
         return out
 

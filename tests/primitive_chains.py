@@ -234,7 +234,7 @@ def depthwise_conv1d(x, kernel, lengths=None):
     def fwd(xv, kv):
         nonlocal grid
         grid = ad.ConvGrid(xv, w, lengths)
-        return ad.depthwise_conv1d_forward(xv, kv, grid=grid)
+        return grid.convolve(kv)
 
     return ad._node("depthwise_conv1d", (x, kernel), fwd,
                     lambda g, out, xv, kv: ad.depthwise_conv1d_backward(g, kv, grid))

@@ -325,6 +325,45 @@ class TestTrain:
         assert sorted(echo["ablate"]) == ["cl", "sw"]
 
 
+class TestMemoryError:
+    """An allocation that does not fit, such as `d = 100000000000` in a train
+    config or `T = 100000000000` in a gen-data config, exits 2 with a message.
+    The callee is made to raise: a real allocation that size is not tried."""
+
+    MESSAGE = ("Unable to allocate 23.3 TiB for an array with shape (100000000000, 32) "
+               "and data type float64")
+
+    @pytest.mark.parametrize("command,module,name", [("train", model, "init_params"),
+                                                     ("gen-data", data,
+                                                      "generate_synthetic_dataset")])
+    def test_exits_2_with_message(self, workspace, tmp_path, capsys, monkeypatch, command,
+                                  module, name):
+        root, _ = workspace
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY + f"\ndata_dir = {root / 'dataset'}\n"
+                            f"ckpt = {tmp_path / 'model.ckpt'}\nout = {tmp_path / 'out'}\n")
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(self.MESSAGE)
+
+        monkeypatch.setattr(module, name, exhausted)
+        code, _, err = run([command, "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert err == f"fewvid: cannot allocate memory: {self.MESSAGE}\n"
+
+    def test_bare_memory_error_still_says_why(self, workspace, capsys, monkeypatch):
+        _, cfg_path = workspace
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(model, "init_params", exhausted)
+        code, _, err = run(["train", "--config", str(cfg_path), "--out",
+                            str(workspace[0] / "unused.log.csv")], capsys)
+        assert code == 2
+        assert err == "fewvid: cannot allocate memory: out of memory\n"
+
+
 class TestEval:
     def test_eval_cls_prints_two_decimals(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1008,6 +1009,89 @@ class TestStepRunsNoNumpyPython:
         training_step(params, batch, cfg, state)
         calls, _ = profiled_calls(lambda: training_step(params, batch, cfg, state))
         assert calls <= 260
+
+
+class TestStepAllocation:
+    """A 16-video step of the full objective at the benchmark's sizes keeps
+    its traced allocation peak (`tracemalloc`: NumPy's array buffers and
+    Python objects made during the step and alive at once) under a bound.
+    The nodes compute their (rows, d) intermediates in place, into arrays
+    they made: the peak read 1336 KB with them and 1659 KB before. Unlike a
+    timing, the peak is the same on every run of one NumPy build."""
+
+    PEAK_KB = 1400
+
+    def test_full_step_peak(self):
+        rng = np.random.default_rng(0)
+        params = model.init_params(n_classes=20, d_in=32, d=64, seed=0)
+        batch = [losses.BatchVideo(features=rng.normal(size=(20, 32)), label=i % 20)
+                 for i in range(16)]
+        cfg, state = losses.LossConfig(), train.OptimizerState()
+        training_step(params, batch, cfg, state)  # makes the velocities
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            training_step(params, batch, cfg, state)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= self.PEAK_KB * 1024, f"step peak {peak / 1024:.1f} KB"
+
+
+def kept_bytes(root):
+    """The bytes of every array a graph keeps from its forward evaluation:
+    each node's output and each array its forward and backward closures
+    hold (a `ConvGrid` by its padded grid), keyed by (node, name)."""
+    kept = {}
+    for i, node in enumerate(ad._topo(root)):
+        kept[i, "data"] = node.data.tobytes()
+        for fn in (node._fwd, node._bwd):
+            if fn is None or fn.__closure__ is None:
+                continue
+            for name, cell in zip(fn.__code__.co_freevars, fn.__closure__):
+                value = cell.cell_contents
+                if isinstance(value, ad.ConvGrid):
+                    value = value.padded
+                if isinstance(value, np.ndarray):
+                    kept[i, name] = value.tobytes()
+    return kept
+
+
+class TestBackwardWritesOnlyItsOwnArrays:
+    """The nodes compute in place only into arrays they made. On one graph,
+    a second backward and a backward after `autodiff.forward` (as grad-check
+    re-evaluates it) give the first backward's gradient bytes, and no pass
+    changes the batch's features or what the forward kept."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"bg{c.bg:d}sw{c.sw:d}cl{c.cl:d}")
+    def test_repeated_backward(self, cfg):
+        rng = np.random.default_rng(3)
+        params = model.init_params(n_classes=4, d_in=6, d=5, seed=3)
+        # ragged, with a one-row video, every video NBG: every pool and node runs
+        batch = [losses.BatchVideo(features=rng.normal(size=(t, 6)), label=t % 4)
+                 for t in (5, 1, 8, 3)]
+        features = [video.features.tobytes() for video in batch]
+        loss, stats = losses.total_loss(params, batch, cfg, t_n=2.0)
+        assert stats["n_nbg"] == len(batch)
+        kept = kept_bytes(loss)
+
+        def gradients():
+            ad.backward(loss)
+            return {name: None if t.grad is None else t.grad.tobytes()
+                    for name, t in params.tensors().items()}
+
+        first = gradients()
+        assert kept_bytes(loss) == kept
+        assert gradients() == first
+        assert kept_bytes(loss) == kept
+        ad.forward(loss)
+        assert kept_bytes(loss) == kept
+        assert gradients() == first
+        assert kept_bytes(loss) == kept
+        assert [video.features.tobytes() for video in batch] == features
 
 
 def node_and_chain(build_node, build_chain, make_leaves, g):
