@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fewvid import data, evaluate, losses, model, train
+from fewvid import config, data, evaluate, model, train
 
 with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     workdir = Path(tmp)
@@ -20,7 +20,7 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     data.generate_synthetic_dataset(cfg, workdir)
     base = data.load_manifest(workdir / "base_manifest.jsonl")
 
-    result = train.train_base(base, losses.LossConfig(), d=16, epochs=10, seed=0,
+    result = train.train_base(base, config.RunConfig(d=16, epochs=10, seed=0),
                               ckpt_path=workdir / "model.ckpt",
                               log_path=workdir / "train.csv")
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fewvid import data, evaluate, losses, model, train
+from fewvid import config, data, evaluate, model, train
 
 with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     workdir = Path(tmp)
@@ -17,7 +17,7 @@ with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     base = data.load_manifest(workdir / "base_manifest.jsonl")
     novel = data.load_manifest(workdir / "novel_manifest.jsonl")
 
-    result = train.train_base(base, losses.LossConfig(), d=24, epochs=12, seed=0)
+    result = train.train_base(base, config.RunConfig(d=24, epochs=12, seed=0))
 
     # one 3-way 1-shot episode, dissected: episode 0 of seed 0, as entry indices
     [classes], [support], [queries] = data.draw_episodes(novel, K=3, n=1, q=2, seeds=[[0, 0]])

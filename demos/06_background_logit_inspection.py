@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 
-from fewvid import data, losses, model, train
+from fewvid import config, data, model, train
 
 with tempfile.TemporaryDirectory(prefix="fewvid_demo_") as tmp:
     workdir = Path(tmp)
     data.generate_synthetic_dataset(data.SyntheticConfig(), workdir)
     base = data.load_manifest(workdir / "base_manifest.jsonl")
-    result = train.train_base(base, losses.LossConfig(), epochs=8, seed=0)
+    result = train.train_base(base, config.RunConfig(epochs=8, seed=0))
 
     pools = {"F": [], "I": [], "N": []}
     videos = base.read_videos(range(len(base.entries)))

@@ -8,7 +8,6 @@ All CSV outputs are byte-reproducible for a fixed seed.
 """
 
 import argparse
-import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -67,10 +66,8 @@ def build_parser() -> _Parser:
 def load_run_config(args) -> config_mod.RunConfig:
     overrides = {key: getattr(args, key) for key in
                  ("seed", "out", "ckpt", "K", "n", "q", "episodes", "jobs")}
-    cfg = config_mod.build_config(args.config, overrides)
-    for name in args.ablate or ():
-        setattr(cfg, name, False)
-    return cfg.validate()
+    overrides.update(dict.fromkeys(args.ablate or (), False))
+    return config_mod.build_config(args.config, overrides).validate()
 
 
 def cmd_gen_data(cfg) -> int:
@@ -86,14 +83,7 @@ def cmd_gen_data(cfg) -> int:
 def cmd_train(cfg) -> int:
     manifest = data.load_manifest(Path(cfg.data_dir) / "base_manifest.jsonl")
     log_path = cfg.out or (cfg.ckpt + ".log.csv")
-    result = train.train_base(
-        manifest, cfg,
-        d=cfg.d, kernel_width=cfg.kernel_width, attn_width=cfg.attn_width,
-        lr=cfg.lr, momentum=cfg.momentum, batch_size=cfg.batch_size,
-        epochs=cfg.epochs, seed=cfg.seed, t_n=cfg.t_n,
-        top_m=cfg.top_m or None,
-        ckpt_path=cfg.ckpt, log_path=log_path,
-        config_echo={"seed": cfg.seed, "ablate": [a for a in ABLATABLE if not getattr(cfg, a)]})
+    result = train.train_base(manifest, cfg, ckpt_path=cfg.ckpt, log_path=log_path)
     final = result.log_rows[-1]
     print(f"trained {final[0]} steps, final loss {final[1]:.6f}")
     print(f"checkpoint: {cfg.ckpt}")
@@ -103,19 +93,15 @@ def cmd_train(cfg) -> int:
 
 def _evaluate(cfg, mode) -> dict:
     """`evaluate.evaluate` of the checkpoint on the novel split, in this
-    process, with the ablations the checkpoint records. `--out` is checked
-    once the inputs are loaded, before any episode is drawn."""
+    process, with the objective the checkpoint records, not cfg's. `--out`
+    is checked once the inputs are loaded, before any episode is drawn."""
     params, echo = model.load_checkpoint(cfg.ckpt)
-    ablate = echo.get("ablate", [])
-    if not (isinstance(ablate, list) and all(name in ABLATABLE for name in ablate)):
-        raise DataError(f"{cfg.ckpt}: checkpoint config 'ablate' must be a list of names "
-                        f"from {list(ABLATABLE)}, got {ablate!r}")
+    objective = config_mod.objective_from_echo(echo, cfg.ckpt)
     manifest = data.load_manifest(Path(cfg.data_dir) / "novel_manifest.jsonl")
     if cfg.out:
         data.check_writable(cfg.out)
     return evaluate.evaluate(params, manifest, mode, K=cfg.K, n=cfg.n, q=cfg.q,
-                             episodes=cfg.episodes, seed=cfg.seed,
-                             cfg=dataclasses.replace(cfg, **dict.fromkeys(ablate, False)))
+                             episodes=cfg.episodes, seed=cfg.seed, cfg=objective)
 
 
 def cmd_eval_cls(cfg) -> int:
@@ -152,10 +138,12 @@ def cmd_grad_check(cfg) -> int:
 @np.errstate(over="raise", invalid="raise", divide="raise")  # huge weights overflow: exit 3
 def cmd_inspect(cfg) -> int:
     """Write each base video's per-segment best class logit and pseudo-label
-    role as CSV. The videos are read (`DatasetManifest.read_videos`, against
-    the checkpoint's d_in: each file once per block, every entry checked),
-    embedded and scored INSPECT_BLOCK at a time, then labeled in one call."""
-    params, _ = model.load_checkpoint(cfg.ckpt)
+    role (by the checkpoint's t_n and top_m) as CSV. The videos are read
+    (`read_videos` against the checkpoint's d_in: each file once per block,
+    every entry checked), embedded and scored INSPECT_BLOCK at a time, then
+    labeled in one call."""
+    params, echo = model.load_checkpoint(cfg.ckpt)
+    objective = config_mod.objective_from_echo(echo, cfg.ckpt)
     manifest = data.load_manifest(Path(cfg.data_dir) / "base_manifest.jsonl")
     if cfg.out:  # before any feature file is read
         data.check_writable(cfg.out)
@@ -170,7 +158,7 @@ def cmd_inspect(cfg) -> int:
     rows = [(entry.video_id, i) for entry, T in zip(manifest.entries, lengths) for i in range(T)]
     # a header-only manifest has no videos to label and prints only the header
     stack = np.concatenate(logits) if logits else np.zeros((0, params.n_classes))
-    rec = pseudo.pseudo_label_video(stack, lengths, t_n=cfg.t_n, M=cfg.top_m or None)
+    rec = pseudo.pseudo_label_video(stack, lengths, t_n=objective.t_n, M=objective.top_m or None)
     columns = ("video_id", "segment", "max_logit", "role")
     table = [(*row, score, role)
              for row, score, role in zip(rows, rec.max_logits, pseudo.segment_roles(rec))]

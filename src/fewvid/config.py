@@ -6,6 +6,7 @@ rejected so typos fail loudly.
 """
 
 import dataclasses
+import json
 import math
 import typing
 from dataclasses import dataclass
@@ -24,9 +25,6 @@ class RunConfig(LossConfig, SyntheticConfig):
     d: int = 64
     kernel_width: int = 8
     attn_width: int = 32
-    # pseudo-labeling
-    t_n: float = 0.25
-    top_m: int = 0  # 0 picks max(2, ceil(T/8)) per video
     # optimization
     lr: float = 0.01
     momentum: float = 0.9
@@ -58,8 +56,6 @@ class RunConfig(LossConfig, SyntheticConfig):
             raise DataError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise DataError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.top_m < 0:
-            raise DataError(f"top_m must be >= 0, got {self.top_m}")
         return self
 
 
@@ -117,8 +113,27 @@ def build_config(config_path=None, overrides: dict = None) -> RunConfig:
     return cfg
 
 
+def objective_from_echo(echo: dict, path) -> LossConfig:
+    """The `LossConfig` a checkpoint's config echo records. A key that is
+    missing, or holds a value no config file could give it (a switch must
+    be a JSON bool), is a DataError naming the checkpoint and the key."""
+    try:
+        values = {}
+        for f in dataclasses.fields(LossConfig):
+            if f.name not in echo:
+                raise DataError(f"config lacks objective key {f.name!r}")
+            text = json.dumps(echo[f.name])
+            if FIELD_TYPES[f.name] is bool and text not in ("true", "false"):
+                raise DataError(f"config key {f.name!r}: {text} is not true or false")
+            values[f.name] = parse_value(f.name, text)
+        return LossConfig(**values).validate()
+    except DataError as err:
+        raise DataError(f"{path}: checkpoint's {err}") from err
+
+
 def describe_keys() -> str:
     lines = ["configuration keys (config file and defaults):"]
     for f in dataclasses.fields(RunConfig):
         lines.append(f"  {f.name} = {f.default!r} ({FIELD_TYPES[f.name].__name__})")
+    lines.append("eval-cls/eval-det/inspect read tau ... top_m from the checkpoint, not --ablate")
     return "\n".join(lines)

@@ -45,6 +45,8 @@ class LossConfig:
     bg: bool = True  # background row + background classification loss
     sw: bool = True  # self-weighting (off: use the attention net)
     cl: bool = True  # contrastive loss
+    t_n: float = 0.25  # best logit below which a BG segment is NBG
+    top_m: int = 0  # FG+IBG segments per video; 0 picks max(2, ceil(T/8))
 
     def validate(self):
         for name in ("tau", "tau_s"):
@@ -52,7 +54,7 @@ class LossConfig:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.margin <= 4.0:
             raise DataError(f"margin must be in [0, 4], got {self.margin}")
-        for name in ("beta", "gamma1", "gamma2"):
+        for name in ("beta", "gamma1", "gamma2", "top_m"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.c <= 2.0:  # 1 - c stays a cosine
@@ -386,8 +388,7 @@ class BatchVideo:
     label: int  # base-class index in 0..N-1
 
 
-def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = None,
-               t_n: float = 0.25, top_m: int = None):
+def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = None):
     """Full training objective over a batch of untrimmed videos, as one graph.
 
     The batch is embedded as one stack of segment rows. The videos are
@@ -404,7 +405,7 @@ def total_loss(params: model_mod.ModelParams, batch: list, cfg: LossConfig = Non
     f = model_mod.embed_segments(
         params, np.concatenate([video.features for video in batch]), lengths=lengths)
     labels = pseudo_mod.pseudo_label_video(
-        model_mod.segment_logits(params, f.data), lengths, t_n=t_n, M=top_m)
+        model_mod.segment_logits(params, f.data), lengths, t_n=cfg.t_n, M=cfg.top_m or None)
 
     if cfg.sw:
         weights = self_weight(f, labels.bg_rows.repeat(lengths), cfg)

@@ -26,7 +26,7 @@ from .errors import (BadMagicError, DataError, MalformedFileError, TruncatedFile
                      VersionError)
 
 CKPT_MAGIC = b"FVCP"
-CKPT_VERSION = 1
+CKPT_VERSION = 2  # 2: the header records the training settings
 
 PARAM_ORDER = ("transform", "temporal_kernel", "classifier", "attn_hidden", "attn_out")
 
@@ -221,7 +221,8 @@ def load_checkpoint(path):
         raise TruncatedFileError(f"{path}: checkpoint ends inside its fixed header")
     version, header_len = struct.unpack("<II", blob[4:12])
     if version != CKPT_VERSION:
-        raise VersionError(f"{path}: unsupported checkpoint version {version}")
+        raise VersionError(f"{path}: unsupported checkpoint version {version}" + (
+            ", which predates the recorded training settings; retrain it" if version == 1 else ""))
     if 12 + header_len > len(blob):
         raise TruncatedFileError(f"{path}: checkpoint ends inside its {header_len}-byte header")
     try:

@@ -9,17 +9,20 @@ to the unit sphere after every step so logits stay cosines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
+from .config import RunConfig
 from .data import DatasetManifest, check_writable, write_csv
 from .errors import DataError, NumericError
 from .losses import BatchVideo, LossConfig, total_loss
 
 LOG_COLUMNS = ("step", "L_total", "L_cls", "L_contrast", "L_bg", "n_nbg")
+ECHO_KEYS = (*(f.name for f in fields(LossConfig)), "d", "kernel_width", "attn_width", "lr",
+             "momentum", "batch_size", "epochs", "seed")
 
 
 @dataclass
@@ -60,7 +63,6 @@ def nesterov_step(tensors: dict, grads: dict, state: OptimizerState):
 class TrainResult:
     params: model_mod.ModelParams
     log_rows: list
-    label_order: list  # classifier row index -> original class label
 
 
 def load_training_videos(manifest: DatasetManifest):
@@ -76,18 +78,14 @@ def load_training_videos(manifest: DatasetManifest):
 # a diverging step overflows before its loss turns non-finite; the finite-loss
 # check is the one place that decides what follows, so NumPy does not warn
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
-               d: int = 64, kernel_width: int = 8, attn_width: int = 32,
-               lr: float = 0.01, momentum: float = 0.9,
-               batch_size: int = 16, epochs: int = 30, seed: int = 0,
-               t_n: float = 0.25, top_m: int = None,
-               ckpt_path=None, log_path=None, config_echo: dict = None) -> TrainResult:
-    """Train the head on a base manifest; deterministic given seed.
-
-    Raises DataError before the first step when ckpt_path or log_path
-    cannot be written.
-    """
-    loss_cfg = (loss_cfg or LossConfig()).validate()
+def train_base(manifest: DatasetManifest, cfg: RunConfig, *,
+               ckpt_path=None, log_path=None) -> TrainResult:
+    """Train the head on a base manifest with cfg's settings, deterministic
+    given cfg.seed; the checkpoint's config echo holds the ECHO_KEYS (every
+    objective key, then the model's and the optimizer's), n_classes, d_in
+    and label_order. Raises DataError before the first step when ckpt_path
+    or log_path cannot be written."""
+    cfg.validate()
     if not manifest.entries:
         raise DataError("cannot train on an empty manifest")
     videos, label_order = load_training_videos(manifest)
@@ -97,24 +95,21 @@ def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
     n_classes = len(label_order)
     d_in = videos[0].features.shape[1]
     params = model_mod.init_params(
-        n_classes=n_classes, d_in=d_in, d=d, kernel_width=kernel_width,
-        attn_width=attn_width, seed=seed)
-    state = OptimizerState(lr=lr, momentum=momentum)
-    rng = np.random.default_rng(seed)
+        n_classes=n_classes, d_in=d_in, d=cfg.d, kernel_width=cfg.kernel_width,
+        attn_width=cfg.attn_width, seed=cfg.seed)
+    state = OptimizerState(lr=cfg.lr, momentum=cfg.momentum)
+    rng = np.random.default_rng(cfg.seed)
 
-    echo = dict(config_echo or {})
-    echo.update({"n_classes": n_classes, "d": d, "d_in": d_in,
-                 "kernel_width": kernel_width, "attn_width": attn_width,
-                 "label_order": [int(x) for x in label_order]})
+    echo = {key: getattr(cfg, key) for key in ECHO_KEYS}
+    echo.update(n_classes=n_classes, d_in=d_in, label_order=[int(x) for x in label_order])
 
     log_rows = []
-    step = 0
-    for _ in range(epochs):
+    for _ in range(cfg.epochs):
         order = rng.permutation(len(videos))
-        for at in range(0, len(videos), batch_size):
-            batch = [videos[i] for i in order[at : at + batch_size]]
-            loss, stats = total_loss(params, batch, loss_cfg, t_n=t_n, top_m=top_m)
-            step += 1
+        for at in range(0, len(videos), cfg.batch_size):
+            batch = [videos[i] for i in order[at : at + cfg.batch_size]]
+            loss, stats = total_loss(params, batch, cfg)
+            step = len(log_rows) + 1
             if not np.isfinite(stats["l_total"]):
                 if ckpt_path:
                     model_mod.save_checkpoint(params, ckpt_path, echo)
@@ -132,13 +127,13 @@ def train_base(manifest: DatasetManifest, loss_cfg: LossConfig = None, *,
         model_mod.save_checkpoint(params, ckpt_path, echo)
     if log_path:
         write_csv(log_path, LOG_COLUMNS, log_rows)
-    return TrainResult(params=params, log_rows=log_rows, label_order=label_order)
+    return TrainResult(params=params, log_rows=log_rows)
 
 
 def gradcheck_objective(seed: int = 0, loss_cfg: LossConfig = None):
     """Standard fixture for checking the full objective's gradients: two
-    random (8, 8) videos of 3 classes, an 8-wide head, and t_n = 0.5 so
-    every loss term participates.
+    random (8, 8) videos of 3 classes, an 8-wide head, and t_n = 0.5 (with
+    the default top_m) so every loss term participates.
 
     Returns (param arrays, loss builder) ready for autodiff.grad_check.
     """
@@ -148,11 +143,11 @@ def gradcheck_objective(seed: int = 0, loss_cfg: LossConfig = None):
         for _ in range(2)
     ]
     params = model_mod.init_params(n_classes=3, d_in=8, d=8, seed=seed)
-    cfg = loss_cfg or LossConfig()
+    cfg = replace(loss_cfg or LossConfig(), t_n=0.5, top_m=0)
 
     def builder(leaves):
         p = model_mod.ModelParams(**leaves)
-        loss, _ = total_loss(p, batch, cfg, t_n=0.5)
+        loss, _ = total_loss(p, batch, cfg)
         return loss
 
     return {name: t.data for name, t in params.tensors().items()}, builder

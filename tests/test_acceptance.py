@@ -4,6 +4,7 @@ Each test prints one `[acceptance] ... PASS/FAIL` line on the terminal
 (bypassing capture) so a plain `pytest -v` run shows the scorecard.
 """
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -33,18 +34,15 @@ def ablation(tmp_path_factory):
     base = data.load_manifest(root / "ds" / "base_manifest.jsonl")
     novel = data.load_manifest(root / "ds" / "novel_manifest.jsonl")
     variants = {
-        "soft": losses.LossConfig(bg=False, sw=False, cl=False),
-        "soft_cl": losses.LossConfig(bg=False, sw=False, cl=True),
-        "full": losses.LossConfig(),
+        "soft": dataclasses.replace(cfg, bg=False, sw=False, cl=False),
+        "soft_cl": dataclasses.replace(cfg, bg=False, sw=False, cl=True),
+        "full": cfg,
     }
     results = {}
-    for name, lc in variants.items():
-        res = train.train_base(
-            base, lc, d=cfg.d, kernel_width=cfg.kernel_width, attn_width=cfg.attn_width,
-            lr=cfg.lr, momentum=cfg.momentum, batch_size=cfg.batch_size,
-            epochs=cfg.epochs, seed=cfg.seed, t_n=cfg.t_n, top_m=cfg.top_m or None)
+    for name, run in variants.items():
+        res = train.train_base(base, run)
         rep = evaluate.evaluate(res.params, novel, "classification", K=cfg.K, n=cfg.n,
-                                q=cfg.q, episodes=cfg.episodes, seed=cfg.seed, cfg=lc)
+                                q=cfg.q, episodes=cfg.episodes, seed=cfg.seed, cfg=run)
         results[name] = (res.params, np.asarray(rep["per_episode"], dtype=np.float64))
     return {"results": results, "base": base, "elapsed": time.time() - t0}
 

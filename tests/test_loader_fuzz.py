@@ -19,6 +19,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import re
 import struct
 import warnings
 
@@ -26,8 +28,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fewvid import cli, config, data, model
+from fewvid import cli, config, data, model, train
 from fewvid.errors import DataError
+from fewvid.losses import LossConfig
+
+# a config echo as `train_base` writes it: the objective, model and optimizer
+# keys, then what the training data set
+ECHO = {"tau": 10.0, "tau_s": 8.0, "c": 0.5, "margin": 2.0, "beta": 1.0, "gamma1": 0.05,
+        "gamma2": 0.05, "bg": True, "sw": True, "cl": False, "t_n": 0.25, "top_m": 0,
+        "d": 3, "kernel_width": 2, "attn_width": 2, "lr": 0.01, "momentum": 0.9,
+        "batch_size": 16, "epochs": 30, "seed": 0, "n_classes": 2, "d_in": 4,
+        "label_order": [0, 1]}
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +47,7 @@ def valid(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     data.write_feature_file(np.random.default_rng(0).normal(size=(3, 4)), root / "a.segf")
     params = model.init_params(n_classes=2, d_in=4, d=3, kernel_width=2, attn_width=2, seed=0)
-    model.save_checkpoint(params, root / "a.ckpt", {"seed": 0, "ablate": ["cl"]})
+    model.save_checkpoint(params, root / "a.ckpt", ECHO)
     return root / "fuzzed", (root / "a.segf").read_bytes(), (root / "a.ckpt").read_bytes()
 
 
@@ -420,3 +431,72 @@ class TestCommandExitCodes:
         codes = self.run_commands(corpus, list(cli.COMMANDS), cfg, blob)
         assert codes == [2] * len(cli.COMMANDS)
 
+
+
+class TestCheckpointEcho:
+    """eval-cls, eval-det and inspect read the objective keys of a
+    checkpoint's config echo as a config file's values are read. A missing
+    key, or a value the config parser would refuse (JSON's NaN and Infinity,
+    a bool for a number or a number for a bool, a value out of range), exits
+    2 naming the checkpoint and the key."""
+
+    MISSING = object()
+    BAD = [("tau", MISSING), ("top_m", MISSING), ("tau", math.nan), ("tau_s", math.inf),
+           ("t_n", -math.inf), ("tau", 10 ** 400), ("c", True), ("t_n", False),
+           ("top_m", True), ("cl", 1), ("bg", 0), ("sw", "true"), ("gamma1", "0.05"),
+           ("top_m", 2.0), ("margin", None), ("beta", [1.0]), ("tau_s", -1), ("c", 2.5),
+           ("margin", 5), ("top_m", -1), ("tau", 0.0)]
+
+    def test_integer_for_a_float_key_reads_as_float(self):
+        got = config.objective_from_echo(dict(ECHO, tau=3, t_n=-1), "a.ckpt")
+        assert (got.tau, got.t_n) == (3.0, -1.0) and type(got.tau) is float
+
+    @pytest.mark.parametrize("key, value", BAD, ids=lambda v: "missing" if v is
+                             TestCheckpointEcho.MISSING else repr(v)[:12])
+    def test_exits_2_naming_checkpoint_and_key(self, corpus, tmp_path, key, value):
+        root, cfg = corpus
+        params, echo = model.load_checkpoint(root / "model.ckpt")
+        echo = {k: v for k, v in dict(echo, **{key: value}).items() if v is not self.MISSING}
+        ckpt = tmp_path / "echo.ckpt"
+        model.save_checkpoint(params, ckpt, echo)
+        for command in ("eval-cls", "eval-det", "inspect"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", str(cfg), "--ckpt", str(ckpt)])
+            assert code == 2 and out.getvalue() == "", command
+            assert re.fullmatch(rf"fewvid: data error: {re.escape(str(ckpt))}: checkpoint's "
+                                rf".*\b{key}\b.*\n", err.getvalue()), err.getvalue()
+
+    # every value a config file could give each objective key, to extremes
+    OBJECTIVE = st.builds(
+        LossConfig, tau=st.floats(0.0, 1e300, exclude_min=True),
+        tau_s=st.floats(0.0, 1e300, exclude_min=True), c=st.floats(0.0, 2.0),
+        margin=st.floats(0.0, 4.0), beta=st.floats(0.0, 1e300), gamma1=st.floats(0.0, 1e300),
+        gamma2=st.floats(0.0, 1e300), bg=st.booleans(), sw=st.booleans(), cl=st.booleans(),
+        t_n=st.floats(-1e300, 1e300), top_m=st.integers(0, 2 ** 62))
+    # values a one-step training run on the corpus takes without its weights
+    # summing to zero or its tensors turning non-finite
+    TRAINABLE = st.builds(
+        LossConfig, tau=st.floats(0.0, 30.0, exclude_min=True),
+        tau_s=st.floats(0.0, 30.0, exclude_min=True), c=st.floats(0.0, 2.0),
+        margin=st.floats(0.0, 4.0), beta=st.floats(0.0, 10.0), gamma1=st.floats(0.0, 10.0),
+        gamma2=st.floats(0.0, 10.0), bg=st.booleans(), sw=st.booleans(), cl=st.booleans(),
+        t_n=st.floats(-10.0, 10.0), top_m=st.integers(0, 100))
+
+    @settings(max_examples=200, deadline=None)
+    @given(OBJECTIVE)
+    def test_reader_inverts_the_json_echo(self, objective):
+        echo = json.loads(json.dumps(dict(ECHO, **dataclasses.asdict(objective))))
+        assert config.objective_from_echo(echo, "a.ckpt") == objective
+
+    @settings(max_examples=30, deadline=None)
+    @given(TRAINABLE)
+    def test_reader_returns_the_trained_objective(self, corpus, tmp_path_factory, objective):
+        root, _ = corpus
+        base = data.load_manifest(root / "data" / "base_manifest.jsonl")
+        ckpt = tmp_path_factory.mktemp("echo", numbered=True) / "model.ckpt"
+        cfg = config.RunConfig(**dataclasses.asdict(objective), d=4, kernel_width=2,
+                               attn_width=4, epochs=1)
+        train.train_base(base, cfg, ckpt_path=ckpt)
+        _, echo = model.load_checkpoint(ckpt)
+        assert config.objective_from_echo(echo, ckpt) == objective

@@ -1,5 +1,6 @@
 """Loss values against closed forms and an independent numpy reimplementation."""
 
+import dataclasses
 import os
 import sys
 import tracemalloc
@@ -522,7 +523,7 @@ def make_fixture(seed=0, B=2, T=8, d_in=8, d=8, n_classes=3):
     return params, batch
 
 
-def straight_line_total_loss(arrays, batch, cfg, t_n=0.25, top_m=None):
+def straight_line_total_loss(arrays, batch, cfg):
     """Independent recomputation of the full objective: plain numpy, no
     shared code with the library beyond the pseudo-label tie rules."""
     A, K, W = arrays["transform"], arrays["temporal_kernel"], arrays["classifier"]
@@ -546,7 +547,7 @@ def straight_line_total_loss(arrays, batch, cfg, t_n=0.25, top_m=None):
 
         maxl = (f @ W[:N].T).max(axis=1)
         i_bg = int(np.argmin(maxl))
-        M = top_m if top_m is not None else max(2, -(-T // 8))
+        M = cfg.top_m or max(2, -(-T // 8))
         M = min(M, T - 1)
         keep = [int(i) for i in np.argsort(-maxl, kind="stable") if int(i) != i_bg][:M]
 
@@ -556,7 +557,7 @@ def straight_line_total_loss(arrays, batch, cfg, t_n=0.25, top_m=None):
         probs = softmax_rows(cfg.tau * (W @ Fn))
         cls_losses.append(-np.log(probs[label]))
 
-        if maxl[i_bg] < t_n:
+        if maxl[i_bg] < cfg.t_n:
             nbg.append(f[i_bg])
         fgibg.extend(f[i] for i in sorted(keep))
 
@@ -586,26 +587,26 @@ class TestTotalLoss:
     def test_matches_straight_line_oracle(self):
         for seed in range(5):
             params, batch = make_fixture(seed=seed, B=3, T=10, d_in=6, d=6)
-            cfg = losses.LossConfig()
             # nudge the threshold so some videos land in the NBG pool
-            loss, stats = losses.total_loss(params, batch, cfg, t_n=0.6)
+            cfg = losses.LossConfig(t_n=0.6)
+            loss, stats = losses.total_loss(params, batch, cfg)
             arrays = {k: t.data for k, t in params.tensors().items()}
             want = straight_line_total_loss(
-                arrays, [(v.features, v.label) for v in batch], cfg, t_n=0.6)
+                arrays, [(v.features, v.label) for v in batch], cfg)
             assert float(loss.data) == pytest.approx(want, rel=1e-9)
 
     def test_stats_reflect_terms(self):
         params, batch = make_fixture(seed=2)
-        cfg = losses.LossConfig()
-        loss, stats = losses.total_loss(params, batch, cfg, t_n=0.9)
+        cfg = losses.LossConfig(t_n=0.9)
+        loss, stats = losses.total_loss(params, batch, cfg)
         assert stats["n_nbg"] == np.count_nonzero(stats["labels"].is_nbg)
         want = stats["l_cls"] + cfg.gamma1 * stats["l_contrast"] + cfg.gamma2 * stats["l_bg"]
         assert stats["l_total"] == pytest.approx(want, rel=1e-12)
 
     def test_bg_off_drops_row_and_term(self):
         params, batch = make_fixture(seed=3)
-        cfg = losses.LossConfig(bg=False, cl=False)
-        loss, stats = losses.total_loss(params, batch, cfg, t_n=0.9)
+        cfg = losses.LossConfig(bg=False, cl=False, t_n=0.9)
+        loss, stats = losses.total_loss(params, batch, cfg)
         assert stats["l_bg"] == 0.0
         assert stats["l_contrast"] == 0.0
 
@@ -617,11 +618,11 @@ class TestTotalLoss:
 
     def test_gradients_match_finite_differences(self):
         params, batch = make_fixture(seed=6, B=2, T=6, d_in=6, d=6)
-        cfg = losses.LossConfig()
+        cfg = losses.LossConfig(t_n=0.5)
 
         def builder(leaves):
             p = model.ModelParams(**leaves)
-            loss, _ = losses.total_loss(p, batch, cfg, t_n=0.5)
+            loss, _ = losses.total_loss(p, batch, cfg)
             return loss
 
         report = ad.grad_check(
@@ -641,7 +642,7 @@ class TestTotalLoss:
             return label(logits, *args, **kwargs)
 
         monkeypatch.setattr(pseudo, "pseudo_label_video", counting)
-        losses.total_loss(params, batch, t_n=0.5)
+        losses.total_loss(params, batch, losses.LossConfig(t_n=0.5))
         assert rows_labeled == [31]
 
     @staticmethod
@@ -658,7 +659,7 @@ class TestTotalLoss:
     def test_full_objective_graph_size(self):
         # t_n 2 flags every video, so both contrastive terms and the bg loss are live
         params, batch = make_fixture(seed=8, B=16, T=20, d_in=32, d=64, n_classes=20)
-        loss, stats = losses.total_loss(params, batch, losses.LossConfig(), t_n=2.0)
+        loss, stats = losses.total_loss(params, batch, losses.LossConfig(t_n=2.0))
         assert stats["n_nbg"] == 16
         # 3 parameter leaves, one node per layer (embedding, self-weight,
         # aggregate, normalize, cross entropy, two pool gathers, contrastive,
@@ -678,8 +679,9 @@ class TestTotalLoss:
             return take_rows(a, index)
 
         monkeypatch.setattr(ad, "take_rows", counting)
-        cfg = losses.LossConfig(bg=bg, cl=cl, sw=False)  # sw gathers the BG rows itself
-        _, stats = losses.total_loss(params, batch, cfg, t_n=2.0)
+        # sw gathers the BG rows itself
+        cfg = losses.LossConfig(bg=bg, cl=cl, sw=False, t_n=2.0)
+        _, stats = losses.total_loss(params, batch, cfg)
         assert len(gathers) == pools
         assert type(stats["n_nbg"]) is int and stats["n_nbg"] == 3
 
@@ -781,7 +783,7 @@ def _oracle_contrastive(nbg_feats, fgibg_feats, cfg):
     return total
 
 
-def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
+def per_video_total_loss(params, batch, cfg):
     n = params.n_classes
     cls_terms, nbg_pool, fgibg_pool, records = [], [], [], []
     start = 0
@@ -792,7 +794,7 @@ def per_video_total_loss(params, batch, cfg, t_n=0.25, top_m=None):
         class_rows = chains.matmul(ad.Tensor(np.eye(n + 1)[:n]), params.classifier)
         base_logits = chains.matmul_t(f, class_rows)
         T = f.data.shape[0]
-        rec = pseudo.pseudo_label_video(base_logits.data, [T], t_n=t_n, M=top_m)
+        rec = pseudo.pseudo_label_video(base_logits.data, [T], t_n=cfg.t_n, M=cfg.top_m or None)
         i_bg, is_nbg, fg_ibg = int(rec.bg_rows[0]), bool(rec.is_nbg[0]), rec.fg_rows.tolist()
         # this video's labels in batch-row coordinates
         records.append((start + i_bg, is_nbg, [start + i for i in fg_ibg], rec.max_logits))
@@ -844,7 +846,7 @@ class TestBatchedAgainstPerVideoOracle:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"bg{c.bg:d}sw{c.sw:d}cl{c.cl:d}")
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 24), min_size=1, max_size=6),
-           st.sampled_from([-2.0, 0.3, 0.5, 2.0]), st.sampled_from([None, 1, 3]),
+           st.sampled_from([-2.0, 0.3, 0.5, 2.0]), st.sampled_from([0, 1, 3]),
            st.integers(1, 9))
     def test_loss_grads_and_decisions(self, cfg, seed, lengths, t_n, top_m, width):
         # t_n -2 flags no video as NBG and 2 flags every video
@@ -852,14 +854,14 @@ class TestBatchedAgainstPerVideoOracle:
         params = model.init_params(n_classes=4, d_in=6, d=5, kernel_width=width, seed=seed)
         batch = [losses.BatchVideo(features=rng.normal(size=(t, 6)), label=int(rng.integers(4)))
                  for t in lengths]
-        kwargs = dict(t_n=t_n, top_m=top_m)
+        cfg = dataclasses.replace(cfg, t_n=t_n, top_m=top_m)  # top_m 0 picks default_m
 
         def batched(p):
-            loss, stats = losses.total_loss(p, batch, cfg, **kwargs)
+            loss, stats = losses.total_loss(p, batch, cfg)
             return loss, stats["n_nbg"], stats["labels"]
 
         want, want_grads, (want_nbg, want_recs) = loss_and_grads(
-            lambda p: per_video_total_loss(p, batch, cfg, **kwargs), params)
+            lambda p: per_video_total_loss(p, batch, cfg), params)
         got, got_grads, (got_nbg, got_labels) = loss_and_grads(batched, params)
 
         assert abs(got - want) <= 1e-12
@@ -901,7 +903,8 @@ class TestOpInventory:
         params = model.init_params(n_classes=4, d_in=6, d=5, seed=0)
         batch = [losses.BatchVideo(features=rng.normal(size=(t, 6)), label=t % 4)
                  for t in (5, 1, 8, 3)]
-        loss, stats = losses.total_loss(params, batch, cfg, t_n=2.0)  # every video NBG
+        # t_n 2: every video NBG
+        loss, stats = losses.total_loss(params, batch, dataclasses.replace(cfg, t_n=2.0))
         assert stats["n_nbg"] == len(batch)
         order = ad._topo(loss)
         want = {"leaf", "embed_segments", "aggregate", "l2_normalize_rows", "cross_entropy",
@@ -921,10 +924,10 @@ class TestOpInventory:
         assert [name for name in MOVED_METHODS if hasattr(ad.Tensor, name)] == []
 
 
-def training_step(params, batch, cfg, state, t_n=0.25):
+def training_step(params, batch, cfg, state):
     """One step as `train.train_base` takes it: the loss, its backward and
     the Nesterov update."""
-    loss, _ = losses.total_loss(params, batch, cfg, t_n=t_n)
+    loss, _ = losses.total_loss(params, batch, cfg)
     ad.backward(loss)
     grads = {name: t.grad for name, t in params.tensors().items() if t.grad is not None}
     train.nesterov_step(params.tensors(), grads, state)
@@ -991,7 +994,7 @@ class TestStepRunsNoNumpyPython:
 
         def two_steps():  # the first makes the velocities, the second reuses them
             for _ in range(2):
-                training_step(params, batch, cfg, state, t_n=2.0)
+                training_step(params, batch, dataclasses.replace(cfg, t_n=2.0), state)
 
         _, stray = profiled_calls(two_steps)
         assert not stray, "NumPy Python functions in a training step:\n" + "\n".join(
@@ -1074,7 +1077,7 @@ class TestBackwardWritesOnlyItsOwnArrays:
         batch = [losses.BatchVideo(features=rng.normal(size=(t, 6)), label=t % 4)
                  for t in (5, 1, 8, 3)]
         features = [video.features.tobytes() for video in batch]
-        loss, stats = losses.total_loss(params, batch, cfg, t_n=2.0)
+        loss, stats = losses.total_loss(params, batch, dataclasses.replace(cfg, t_n=2.0))
         assert stats["n_nbg"] == len(batch)
         kept = kept_bytes(loss)
 
@@ -1301,9 +1304,9 @@ class TestObjectiveAgainstChains:
     on ragged batches with one-row videos and empty or one-row NBG pools."""
 
     @staticmethod
-    def loss_and_grads(params, batch, cfg, t_n):
+    def loss_and_grads(params, batch, cfg):
         leaves = copy_params(params)
-        loss, stats = losses.total_loss(leaves, batch, cfg, t_n=t_n)
+        loss, stats = losses.total_loss(leaves, batch, cfg)
         ad.backward(loss)
         return (loss.data.tobytes(), {k: v for k, v in stats.items() if k != "labels"},
                 {k: None if t.grad is None else t.grad.tobytes()
@@ -1318,15 +1321,16 @@ class TestObjectiveAgainstChains:
         params = model.init_params(n_classes=4, d_in=6, d=5, kernel_width=width, seed=seed)
         batch = [losses.BatchVideo(features=rng.normal(size=(t, 6)), label=int(rng.integers(4)))
                  for t in lengths]
-        got = self.loss_and_grads(params, batch, cfg, t_n)
+        cfg = dataclasses.replace(cfg, t_n=t_n)
+        got = self.loss_and_grads(params, batch, cfg)
         with pytest.MonkeyPatch.context() as patch:
             chains.install(patch)
-            want = self.loss_and_grads(params, batch, cfg, t_n)
+            want = self.loss_and_grads(params, batch, cfg)
         assert got == want
 
     def test_chains_rebuild_the_primitive_graph(self, monkeypatch):
         # the oracle objective is the graph the nodes replaced: 50 nodes
         chains.install(monkeypatch)
         params, batch = make_fixture(seed=8, B=16, T=20, d_in=32, d=64, n_classes=20)
-        loss, _ = losses.total_loss(params, batch, losses.LossConfig(), t_n=2.0)
+        loss, _ = losses.total_loss(params, batch, losses.LossConfig(t_n=2.0))
         assert TestTotalLoss.graph_size(loss) == 50

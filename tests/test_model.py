@@ -264,7 +264,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("header", [b'{"config": {}}', b'{"tensors": []}', b"[1, 2]"])
     def test_header_without_tensors_or_config(self, tmp_path, header):
         path = tmp_path / "model.ckpt"
-        path.write_bytes(b"FVCP" + struct.pack("<II", 1, len(header)) + header)
+        path.write_bytes(b"FVCP" + struct.pack("<II", model.CKPT_VERSION, len(header)) + header)
         with pytest.raises(DataError):
             model.load_checkpoint(path)
 

@@ -1,5 +1,6 @@
 """Optimizer arithmetic, the training loop, determinism, divergence handling."""
 
+import dataclasses
 import itertools
 import re
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from reference import training_accuracy
 from fewvid import autodiff as ad
 from fewvid import cli, data, model, train
+from fewvid.config import RunConfig
 from fewvid.errors import DataError, NumericError
 from fewvid.losses import LossConfig
 
@@ -91,8 +93,7 @@ class TestTrainBase:
             T=8, d_in=6, noise_std=0.01, seed=7)
         base, _ = data.generate_synthetic_dataset(cfg, tmp_path)
         result = train.train_base(
-            base, LossConfig(gamma1=0.0, gamma2=0.0), d=8, epochs=40,
-            batch_size=10, seed=0)
+            base, RunConfig(gamma1=0.0, gamma2=0.0, d=8, epochs=40, batch_size=10, seed=0))
         first = np.mean([r[1] for r in result.log_rows[:5]])
         last = np.mean([r[1] for r in result.log_rows[-5:]])
         assert last < first
@@ -104,21 +105,23 @@ class TestTrainBase:
         for name in ("a", "b"):
             ckpt = tmp_path / f"{name}.ckpt"
             log = tmp_path / f"{name}.csv"
-            train.train_base(base, d=8, epochs=2, seed=5, ckpt_path=ckpt, log_path=log)
+            train.train_base(base, RunConfig(d=8, epochs=2, seed=5), ckpt_path=ckpt,
+                             log_path=log)
             paths.append((ckpt, log))
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
     def test_classifier_rows_stay_unit(self, tiny_dataset):
         base, _ = tiny_dataset
-        result = train.train_base(base, d=8, epochs=1, seed=3)
+        result = train.train_base(base, RunConfig(d=8, epochs=1, seed=3))
         norms = np.linalg.norm(result.params.classifier.data, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
     def test_log_columns_and_steps(self, tiny_dataset, tmp_path):
         base, _ = tiny_dataset
         log = tmp_path / "train.csv"
-        result = train.train_base(base, d=8, epochs=2, batch_size=16, seed=1, log_path=log)
+        result = train.train_base(base, RunConfig(d=8, epochs=2, batch_size=16, seed=1),
+                                  log_path=log)
         lines = log.read_text().splitlines()
         assert lines[0] == "step,L_total,L_cls,L_contrast,L_bg,n_nbg"
         assert len(lines) - 1 == len(result.log_rows)
@@ -133,7 +136,7 @@ class TestTrainBase:
         # the overflow on the way is not warned about: the non-finite loss decides
         with pytest.raises(NumericError) as err, warnings.catch_warnings():
             warnings.simplefilter("error")
-            train.train_base(base, d=8, epochs=5, seed=2, lr=1e160, ckpt_path=ckpt)
+            train.train_base(base, RunConfig(d=8, epochs=5, seed=2, lr=1e160), ckpt_path=ckpt)
         assert "step" in str(err.value)
         saved, _ = model.load_checkpoint(ckpt)
         for t in saved.tensors().values():
@@ -142,18 +145,18 @@ class TestTrainBase:
     def test_checkpoint_config_echo(self, tiny_dataset, tmp_path):
         base, _ = tiny_dataset
         ckpt = tmp_path / "echo.ckpt"
-        train.train_base(base, d=8, epochs=1, seed=4, ckpt_path=ckpt,
-                         config_echo={"note": "tiny"})
+        cfg = RunConfig(d=8, epochs=1, seed=4, tau_s=3.0, cl=False, top_m=2, K=7)
+        train.train_base(base, cfg, ckpt_path=ckpt)
         _, echo = model.load_checkpoint(ckpt)
-        assert echo["note"] == "tiny"
-        assert echo["n_classes"] == 3
-        assert echo["d"] == 8
-        assert echo["label_order"] == [0, 1, 2]
+        # every objective key, the model and optimizer keys, and what the data set
+        assert echo == dict({key: getattr(cfg, key) for key in train.ECHO_KEYS},
+                            n_classes=3, d_in=10, label_order=[0, 1, 2])
+        assert {f.name for f in dataclasses.fields(LossConfig)} <= set(train.ECHO_KEYS)
 
     def test_empty_manifest_rejected(self):
         empty = data.DatasetManifest(split="base", class_names=[], root=".")
         with pytest.raises(DataError):
-            train.train_base(empty)
+            train.train_base(empty, RunConfig())
 
     def test_training_videos_labels_are_classifier_rows(self, tiny_dataset):
         _, novel = tiny_dataset
@@ -172,7 +175,7 @@ class TestTrainBase:
         data.write_feature_file(data.read_feature_file(victim)[:, :4], victim)
         ckpt, log = tmp_path / "model.ckpt", tmp_path / "log.csv"
         with pytest.raises(DataError, match=re.escape(f"{victim}: features are 4 wide")):
-            train.train_base(base, d=4, epochs=1, ckpt_path=ckpt, log_path=log)
+            train.train_base(base, RunConfig(d=4, epochs=1), ckpt_path=ckpt, log_path=log)
         assert not ckpt.exists() and not log.exists()
 
 
@@ -192,7 +195,7 @@ class TestGradcheckObjective:
             train.BatchVideo(features=rng.normal(size=(8, 8)), label=int(rng.integers(3)))
             for _ in range(2)
         ]
-        _, stats = total_loss(params, batch, t_n=0.5)
+        _, stats = total_loss(params, batch, LossConfig(t_n=0.5))
         assert stats["n_nbg"] >= 2  # both contrastive terms and the bg loss are live
         assert stats["l_contrast"] > 0.0
         assert stats["l_bg"] > 0.0
